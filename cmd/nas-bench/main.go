@@ -36,6 +36,7 @@ import (
 	"nasgo"
 	"nasgo/internal/campaign"
 	"nasgo/internal/experiments"
+	"nasgo/internal/fsim"
 	"nasgo/internal/trace"
 )
 
@@ -249,7 +250,7 @@ func resumeChain(path, tracePath string) {
 			}
 			return
 		}
-		if err := next.WriteFile(path); err != nil {
+		if err := next.WriteFileFS(fsim.OS, path); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("allocation %d cut at %.0f virtual s: checkpoint rewritten to %s\n",

@@ -29,6 +29,7 @@ import (
 
 	"nasgo"
 	"nasgo/internal/analytics"
+	"nasgo/internal/fsim"
 	"nasgo/internal/report"
 	"nasgo/internal/trace"
 )
@@ -156,7 +157,7 @@ replays bit-for-bit identical to never having been interrupted.
 	// in-flight allocation. The chain ends at -allocations, at completion,
 	// or at the first boundary after a SIGINT/SIGTERM.
 	for ran := 1; next != nil && (*allocs <= 0 || ran < *allocs) && !stopping(); ran++ {
-		if err := next.WriteFile(*ckptPath); err != nil {
+		if err := next.WriteFileFS(fsim.OS, *ckptPath); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("allocation %d cut at %.0f virtual s: checkpoint rewritten to %s\n",
@@ -172,7 +173,7 @@ replays bit-for-bit identical to never having been interrupted.
 	}
 
 	if next != nil {
-		if err := next.WriteFile(*ckptPath); err != nil {
+		if err := next.WriteFileFS(fsim.OS, *ckptPath); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwalltime boundary at %.0f virtual s: checkpoint written to %s\n", next.Now, *ckptPath)
@@ -216,7 +217,7 @@ replays bit-for-bit identical to never having been interrupted.
 	fmt.Print(report.Table([]string{"rank", "reward", "params(paper)", "eval s", "timeout"}, rows))
 
 	if *out != "" {
-		if err := res.WriteJSON(*out); err != nil {
+		if err := res.WriteJSONFS(fsim.OS, *out); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nfull log written to %s\n", *out)

@@ -59,7 +59,7 @@ func waitStatus(t *testing.T, mgr *Manager, id string, want Status) Info {
 	return Info{}
 }
 
-// logBytes renders a search log exactly as Log.WriteJSON persists it.
+// logBytes renders a search log exactly as Log.WriteJSONFS persists it.
 func logBytes(t *testing.T, log *search.Log) []byte {
 	t.Helper()
 	data, err := json.MarshalIndent(log, "", " ")

@@ -162,7 +162,7 @@ func TestShortServerSmoke(t *testing.T) {
 		t.Fatal("trace stream stayed empty across the whole campaign")
 	}
 
-	// The final log served over HTTP is the exact marshaling WriteJSON
+	// The final log served over HTTP is the exact marshaling WriteJSONFS
 	// persists — and matches the uninterrupted in-process run.
 	st, body, _ := httpDo(t, "GET", srv.URL+"/campaigns/"+info.ID+"/log", nil)
 	if st != http.StatusOK {

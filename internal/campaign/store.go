@@ -81,18 +81,16 @@ type Store struct {
 	fsys fsim.FS
 }
 
-// OpenStore opens (creating if needed) the campaign store rooted at dir
-// and runs crash janitoring: stale temp files from interrupted atomic
-// writes are removed. Campaign directories whose meta record is missing or
-// corrupt are left on disk but excluded from List, each reported in the
-// returned quarantined slice — robustness means a damaged campaign can
-// never prevent the service from starting.
-func OpenStore(dir string) (st *Store, quarantined []string, err error) {
-	return OpenStoreFS(fsim.OS, dir)
-}
-
-// OpenStoreFS is OpenStore through an explicit filesystem — the injection
-// point the fault-torture harness uses to crash and corrupt a store.
+// OpenStoreFS opens (creating if needed) the campaign store rooted at dir
+// on fsys (production passes fsim.OS; the fault-torture harness crashes and
+// corrupts a store through it) and runs crash janitoring: stale temp files
+// from interrupted atomic writes are removed. Campaign directories whose
+// meta record is missing or structurally damaged are left on disk but
+// excluded from List, each reported in the returned quarantined slice —
+// robustness means a damaged campaign can never prevent the service from
+// starting. A transient read error or a meta record from a newer build is
+// not damage: quarantining would silently drop a healthy campaign, so the
+// open fails with that error instead (see surfaces).
 func OpenStoreFS(fsys fsim.FS, dir string) (st *Store, quarantined []string, err error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("campaign: create store %s: %w", dir, err)
@@ -108,21 +106,30 @@ func OpenStoreFS(fsys fsim.FS, dir string) (st *Store, quarantined []string, err
 		}
 		cdir := filepath.Join(dir, e.Name())
 		files, err := fsys.ReadDir(cdir)
-		if err != nil {
-			quarantined = append(quarantined, e.Name())
-			continue
-		}
-		for _, f := range files {
-			if strings.Contains(f.Name(), ".tmp") {
-				fsys.Remove(filepath.Join(cdir, f.Name()))
+		if err == nil {
+			for _, f := range files {
+				if strings.Contains(f.Name(), ".tmp") {
+					fsys.Remove(filepath.Join(cdir, f.Name()))
+				}
 			}
+			_, err = s.LoadMeta(e.Name())
 		}
-		if _, err := s.LoadMeta(e.Name()); err != nil {
+		if surfaces(err) {
+			return nil, nil, fmt.Errorf("campaign: open store %s: campaign %s: %w", dir, e.Name(), err)
+		}
+		if err != nil {
 			quarantined = append(quarantined, e.Name())
 		}
 	}
 	sort.Strings(quarantined)
 	return s, quarantined, nil
+}
+
+// surfaces reports whether a campaign read error must be returned to the
+// caller rather than quarantining the campaign: transient I/O is retryable
+// and a future-format file is good data this build cannot read.
+func surfaces(err error) bool {
+	return ckpt.IsTransient(err) || errors.Is(err, ckpt.ErrVersion)
 }
 
 // Root returns the store's root directory.
@@ -215,6 +222,9 @@ func (s *Store) List() ([]Meta, error) {
 			continue
 		}
 		m, err := s.LoadMeta(e.Name())
+		if surfaces(err) {
+			return nil, fmt.Errorf("campaign: list %s: %w", e.Name(), err)
+		}
 		if err != nil {
 			continue // quarantined at open; stays invisible
 		}

@@ -1,18 +1,24 @@
 package campaign
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"nasgo/internal/candle"
+	"nasgo/internal/ckpt"
+	"nasgo/internal/fsim"
 	"nasgo/internal/search"
 	"nasgo/internal/space"
 )
 
 func openStore(t *testing.T, dir string) *Store {
 	t.Helper()
-	st, quarantined, err := OpenStore(dir)
+	st, quarantined, err := OpenStoreFS(fsim.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +93,7 @@ func TestStoreQuarantinesCorruptMeta(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, quarantined, err := OpenStore(dir)
+	st2, quarantined, err := OpenStoreFS(fsim.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +114,63 @@ func TestStoreQuarantinesCorruptMeta(t *testing.T) {
 	// is never reissued.
 	if next, _ := st2.NextID(); next != "c00000003" {
 		t.Fatalf("next ID %q, want c00000003", next)
+	}
+}
+
+// metaEIOFS fails every read of a meta record with EIO; everything else
+// passes through.
+type metaEIOFS struct{ fsim.FS }
+
+func (m metaEIOFS) ReadFile(name string) ([]byte, error) {
+	if filepath.Base(name) == metaFile {
+		return nil, fmt.Errorf("fsim: read %s: %w", name, syscall.EIO)
+	}
+	return m.FS.ReadFile(name)
+}
+
+// TestStoreOpenSurfacesTransientAndFutureMeta pins the other two thirds of
+// the error taxonomy at store open: a transient read error and a meta
+// record from a newer build are not damage, so they fail the open (and
+// List) with a classifiable error instead of quarantining — and thereby
+// silently dropping — a healthy campaign.
+func TestStoreOpenSurfacesTransientAndFutureMeta(t *testing.T) {
+	mem := fsim.NewMemFS()
+	st, _, err := OpenStoreFS(mem, "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := Meta{ID: "c00000001", Spec: testSpec(), Status: StatusRunning}
+	if err := st.Create(meta); err != nil {
+		t.Fatal(err)
+	}
+
+	_, quarantined, err := OpenStoreFS(metaEIOFS{mem}, "/store")
+	if !ckpt.IsTransient(err) || len(quarantined) != 0 {
+		t.Fatalf("transient meta read: quarantined %v, err %v — want a transient open error", quarantined, err)
+	}
+	if _, err := (&Store{root: "/store", fsys: metaEIOFS{mem}}).List(); !ckpt.IsTransient(err) {
+		t.Fatalf("transient meta read in List: %v", err)
+	}
+	// The fault gone, the campaign is still there.
+	st, quarantined, err = OpenStoreFS(mem, "/store")
+	if err != nil || len(quarantined) != 0 {
+		t.Fatalf("reopen after transient fault: quarantined %v, err %v", quarantined, err)
+	}
+	if metas, err := st.List(); err != nil || len(metas) != 1 {
+		t.Fatalf("List after transient fault = %+v, %v", metas, err)
+	}
+
+	payload, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("/store", meta.ID, metaFile)
+	if err := ckpt.WriteFileFS(mem, path, metaMagic, metaVer+1, payload); err != nil {
+		t.Fatal(err)
+	}
+	_, quarantined, err = OpenStoreFS(mem, "/store")
+	if !errors.Is(err, ckpt.ErrVersion) || len(quarantined) != 0 {
+		t.Fatalf("future-version meta: quarantined %v, err %v — want ErrVersion", quarantined, err)
 	}
 }
 

@@ -7,11 +7,12 @@
 //     fsim.RecordFS wrapping a fsim.MemFS. The tape captures every
 //     mutating filesystem operation with its exact bytes; the MemFS holds
 //     the reference artifacts (final log included).
-//  2. Enumerate. For every mutating-operation index k, replay the tape
-//     into a fresh MemFS behind a FaultFS{CrashAtOp: k} and take the
-//     CrashImage — the bytes a real power cut at that instant leaves.
-//     Replay is byte shuffling, so enumeration costs microseconds per
-//     crash point instead of a full training run.
+//  2. Enumerate. For every mutating-operation index k in
+//     1..fsim.CrashPoints(tape), fsim.CrashImageAt replays the tape into a
+//     fresh MemFS, cuts the power at op k and returns the bytes a real
+//     power cut at that instant leaves. Replay is byte shuffling, so
+//     enumeration costs microseconds per crash point instead of a full
+//     training run.
 //  3. Verify. Reopen the store on each image: it must open, quarantine
 //     only campaigns whose meta never became durable, and every surviving
 //     store file must byte-match some completed write from the tape
@@ -32,11 +33,11 @@ package campaign
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"nasgo/internal/fsim"
@@ -84,7 +85,7 @@ type TortureReport struct {
 // resumeOutcome is the memoized result of restarting from one image.
 type resumeOutcome struct {
 	campaigns int
-	done      bool // every campaign reached DONE
+	done      bool // campaigns > 0 and every one reached DONE
 	logBytes  []byte
 }
 
@@ -122,11 +123,9 @@ func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
 		return nil, err
 	}
 	id := info.ID
-	if err := awaitSettled(mgr, topt.ResumeTimeout); err != nil {
-		mgr.Drain()
+	if err := settleAndDrain(mgr, topt.ResumeTimeout); err != nil {
 		return nil, err
 	}
-	mgr.Drain()
 	if got, _ := mgr.Get(id); got.Status != StatusDone {
 		return nil, fmt.Errorf("campaign: torture recording ended %s (%s), want done", got.Status, got.Error)
 	}
@@ -137,86 +136,60 @@ func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
 	tape := rec.Ops()
 	versions := tapeVersions(tape)
 
-	probe := fsim.NewFaultFS(fsim.NewMemFS(), fsim.Faults{})
-	if _, err := fsim.Replay(probe, tape); err != nil {
-		return nil, fmt.Errorf("campaign: torture tape does not replay clean: %w", err)
+	total, err := fsim.CrashPoints(tape)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: torture: %w", err)
 	}
-	total := probe.Ops()
 	logf("torture: tape %d ops, %d crash points, reference log %d bytes",
 		len(tape), total, len(refLog))
 
 	rep := &TortureReport{TapeLen: len(tape)}
 	memo := map[string]*resumeOutcome{}
 
-	// 2–4. Honest enumeration: strict recovery at every cut.
-	for k := int64(1); k <= total; k++ {
-		img, err := crashImageAt(tape, k, false)
-		if err != nil {
-			return nil, err
+	// 2–4. The honest sweep demands strict recovery at every cut; the lie
+	// sweep (fsyncs acknowledged, pages dropped at the cut) only that damage
+	// is detected and that whatever resumes is still byte-identical.
+	for _, lies := range []bool{false, true} {
+		if lies && !topt.Lies {
+			break
 		}
-		if err := verifyImage(img, versions); err != nil {
-			return nil, fmt.Errorf("campaign: crash point %d: %w", k, err)
-		}
-		out, err := resumeMemo(memo, img, id, topt, rep)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: crash point %d: %w", k, err)
-		}
-		switch {
-		case out.campaigns == 0:
-			rep.EmptyStores++
-		case !out.done:
-			return nil, fmt.Errorf("campaign: crash point %d: resume did not complete", k)
-		case !bytes.Equal(out.logBytes, refLog):
-			return nil, fmt.Errorf("campaign: crash point %d: resumed log differs from the uninterrupted run", k)
-		}
-		rep.CrashPoints++
-	}
-	logf("torture: honest pass ok — %d crash points, %d distinct images, %d live resumes, %d empty stores",
-		rep.CrashPoints, rep.DistinctImages, rep.LiveResumes, rep.EmptyStores)
-
-	if !topt.Lies {
-		return rep, nil
-	}
-
-	// Lie pass: fsyncs acknowledged, pages dropped at the cut.
-	for k := int64(1); k <= total; k++ {
-		img, err := crashImageAt(tape, k, true)
-		if err != nil {
-			return nil, err
-		}
-		unreadable, err := verifyLieImage(img, versions)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: lie crash point %d: %w", k, err)
-		}
-		out, err := resumeMemo(memo, img, id, topt, rep)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: lie crash point %d: %w", k, err)
-		}
-		if unreadable {
-			rep.LieUnreadable++
-		}
-		if out.campaigns > 0 && out.done {
-			if !bytes.Equal(out.logBytes, refLog) {
-				return nil, fmt.Errorf("campaign: lie crash point %d: resumed log differs from the uninterrupted run", k)
+		for k := int64(1); k <= total; k++ {
+			img, err := fsim.CrashImageAt(tape, k, lies)
+			if err != nil {
+				return nil, fmt.Errorf("campaign: torture: %w", err)
 			}
-			rep.LieResumed++
+			unreadable, err := verifyImage(img, versions, lies)
+			if err != nil {
+				return nil, fmt.Errorf("campaign: crash point %d (lies=%v): %w", k, lies, err)
+			}
+			out, err := resumeMemo(memo, img, id, topt, rep)
+			if err != nil {
+				return nil, fmt.Errorf("campaign: crash point %d (lies=%v): %w", k, lies, err)
+			}
+			switch {
+			case out.done && !bytes.Equal(out.logBytes, refLog):
+				return nil, fmt.Errorf("campaign: crash point %d (lies=%v): resumed log differs from the uninterrupted run", k, lies)
+			case lies:
+				rep.LieCrashPoints++
+				if unreadable {
+					rep.LieUnreadable++
+				}
+				if out.done {
+					rep.LieResumed++
+				}
+				continue
+			case out.campaigns == 0:
+				rep.EmptyStores++
+			case !out.done:
+				return nil, fmt.Errorf("campaign: crash point %d: resume did not complete", k)
+			}
+			rep.CrashPoints++
 		}
-		rep.LieCrashPoints++
 	}
-	logf("torture: lie pass ok — %d crash points, %d rejected unreadable, %d resumed identical",
+	logf("torture: ok — honest: %d crash points, %d distinct images, %d live resumes, %d empty stores; lies: %d crash points, %d rejected unreadable, %d resumed identical",
+		rep.CrashPoints, rep.DistinctImages, rep.LiveResumes, rep.EmptyStores,
 		rep.LieCrashPoints, rep.LieUnreadable, rep.LieResumed)
 	return rep, nil
-}
-
-// crashImageAt replays the tape into a power cut at mutating op k and
-// returns the surviving bytes.
-func crashImageAt(tape []fsim.Op, k int64, lies bool) (*fsim.MemFS, error) {
-	mem := fsim.NewMemFS()
-	ffs := fsim.NewFaultFS(mem, fsim.Faults{CrashAtOp: k, SyncLies: lies})
-	if _, err := fsim.Replay(ffs, tape); !errors.Is(err, fsim.ErrCrashed) {
-		return nil, fmt.Errorf("campaign: crash point %d: replay ended with %v, want power cut", k, err)
-	}
-	return mem.CrashImage(), nil
 }
 
 // tapeVersions reconstructs, for every path the tape renamed into, the
@@ -244,32 +217,29 @@ func tapeVersions(tape []fsim.Op) map[string][][]byte {
 	return out
 }
 
-func isVersion(versions [][]byte, raw []byte) bool {
-	for _, v := range versions {
-		if bytes.Equal(v, raw) {
-			return true
-		}
-	}
-	return false
-}
-
-// verifyImage holds the honest-mode recovery invariants: the store opens,
-// quarantine only ever hits campaigns whose meta never became durable, and
-// every surviving store file byte-matches a completed write.
-func verifyImage(img *fsim.MemFS, versions map[string][][]byte) error {
+// verifyImage holds the recovery invariants of one crash image and reports
+// whether the image contained detected damage. Honest images must recover
+// strictly: the store opens, quarantine only ever hits campaigns whose meta
+// never became durable, and every surviving store file loads and
+// byte-matches a completed write. With lies (fsyncs acknowledged, pages
+// dropped) committed state can be lost, so damage is tolerated as long as
+// it is detected: the store must still open, and a file that still decodes
+// as valid must be a complete version — never a mis-decode.
+func verifyImage(img *fsim.MemFS, versions map[string][][]byte, lies bool) (unreadable bool, err error) {
 	st, quarantined, err := OpenStoreFS(img, tortureStoreDir)
 	if err != nil {
-		return fmt.Errorf("store failed to reopen: %w", err)
+		return false, fmt.Errorf("store failed to reopen: %w", err)
 	}
+	unreadable = len(quarantined) > 0
 	for _, name := range quarantined {
 		metaPath := filepath.Join(tortureStoreDir, name, metaFile)
-		if _, err := img.Stat(metaPath); !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("campaign %s quarantined despite a surviving meta file (committed-state loss)", name)
+		if _, err := img.Stat(metaPath); !lies && !errors.Is(err, fs.ErrNotExist) {
+			return true, fmt.Errorf("campaign %s quarantined despite a surviving meta file (committed-state loss)", name)
 		}
 	}
 	metas, err := st.List()
 	if err != nil {
-		return err
+		return unreadable, err
 	}
 	for _, m := range metas {
 		for _, f := range []string{metaFile, ckptFile, logFile} {
@@ -279,56 +249,21 @@ func verifyImage(img *fsim.MemFS, versions map[string][][]byte) error {
 				continue
 			}
 			if err != nil {
-				return err
+				return unreadable, err
 			}
-			if !isVersion(versions[p], raw) {
-				return fmt.Errorf("%s: surviving content matches no completed write (torn state)", p)
-			}
-		}
-		if _, _, err := st.LoadCheckpoint(m.ID); err != nil {
-			return fmt.Errorf("checkpoint of %s unreadable: %w", m.ID, err)
-		}
-	}
-	return nil
-}
-
-// verifyLieImage holds the weaker lie-mode invariants: the store must
-// still open without error, and any readable store file must be a complete
-// version — dropped pages must surface as rejections, never mis-decodes.
-// It reports whether the image contained detected damage.
-func verifyLieImage(img *fsim.MemFS, versions map[string][][]byte) (unreadable bool, err error) {
-	st, quarantined, err := OpenStoreFS(img, tortureStoreDir)
-	if err != nil {
-		return false, fmt.Errorf("store failed to reopen: %w", err)
-	}
-	unreadable = len(quarantined) > 0
-	metas, err := st.List()
-	if err != nil {
-		return unreadable, err
-	}
-	for _, m := range metas {
-		for _, f := range []string{metaFile, ckptFile, logFile} {
-			p := filepath.Join(tortureStoreDir, m.ID, f)
-			raw, rerr := img.ReadFile(p)
-			if rerr != nil {
-				continue
-			}
-			readable := true
-			switch f {
-			case metaFile:
-				// Listed ⇒ meta already validated by the store.
+			switch f { // metaFile: listed ⇒ already validated by the store
 			case ckptFile:
-				_, _, lerr := st.LoadCheckpoint(m.ID)
-				readable = lerr == nil
+				_, _, err = st.LoadCheckpoint(m.ID)
 			case logFile:
-				_, _, lerr := st.LoadLog(m.ID)
-				readable = lerr == nil
+				_, _, err = st.LoadLog(m.ID)
 			}
-			if readable && !isVersion(versions[p], raw) {
-				return unreadable, fmt.Errorf("%s: damaged content decoded as valid (mis-decode)", p)
-			}
-			if !readable {
+			switch {
+			case err != nil && !lies:
+				return true, fmt.Errorf("%s unreadable: %w", p, err)
+			case err != nil:
 				unreadable = true
+			case !slices.ContainsFunc(versions[p], func(v []byte) bool { return bytes.Equal(v, raw) }):
+				return unreadable, fmt.Errorf("%s: content decodes as valid but matches no completed write (torn state or mis-decode)", p)
 			}
 		}
 	}
@@ -338,9 +273,9 @@ func verifyLieImage(img *fsim.MemFS, versions map[string][][]byte) (unreadable b
 // resumeMemo deduplicates resumes by image digest: identical surviving
 // states restart identically, so only the first of each digest pays for
 // real training. The digest is taken after the store janitor ran (inside
-// verify*'s OpenStoreFS), merging images that differ only in temp debris.
+// verifyImage's OpenStoreFS), merging images that differ only in temp debris.
 func resumeMemo(memo map[string]*resumeOutcome, img *fsim.MemFS, id string, topt TortureOptions, rep *TortureReport) (*resumeOutcome, error) {
-	d := imageDigest(img)
+	d := img.TreeDigest(tortureStoreDir)
 	if out, ok := memo[d]; ok {
 		return out, nil
 	}
@@ -349,7 +284,7 @@ func resumeMemo(memo map[string]*resumeOutcome, img *fsim.MemFS, id string, topt
 	if err != nil {
 		return nil, err
 	}
-	if out.campaigns > 0 && out.done {
+	if out.done {
 		rep.LiveResumes++
 	}
 	memo[d] = out
@@ -366,11 +301,9 @@ func tortureResume(img *fsim.MemFS, id string, topt TortureOptions) (*resumeOutc
 		return nil, fmt.Errorf("service failed to restart on surviving bytes: %w", err)
 	}
 	mgr.Start()
-	if err := awaitSettled(mgr, topt.ResumeTimeout); err != nil {
-		mgr.Drain()
+	if err := settleAndDrain(mgr, topt.ResumeTimeout); err != nil {
 		return nil, err
 	}
-	mgr.Drain()
 	out := &resumeOutcome{}
 	infos := mgr.List()
 	out.campaigns = len(infos)
@@ -390,9 +323,10 @@ func tortureResume(img *fsim.MemFS, id string, topt TortureOptions) (*resumeOutc
 	return out, nil
 }
 
-// awaitSettled polls until every campaign is quiescent (terminal or
-// paused, runner stopped).
-func awaitSettled(mgr *Manager, timeout time.Duration) error {
+// settleAndDrain polls until every campaign is quiescent (terminal or
+// paused, runner stopped) or the timeout passes, then drains the manager.
+func settleAndDrain(mgr *Manager, timeout time.Duration) error {
+	defer mgr.Drain()
 	deadline := time.Now().Add(timeout)
 	for {
 		settled := true
@@ -410,29 +344,4 @@ func awaitSettled(mgr *Manager, timeout time.Duration) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// imageDigest hashes the image's full visible tree (paths, sizes, bytes).
-func imageDigest(img *fsim.MemFS) string {
-	h := sha256.New()
-	var walk func(dir string)
-	walk = func(dir string) {
-		entries, err := img.ReadDir(dir)
-		if err != nil {
-			return
-		}
-		for _, e := range entries {
-			p := filepath.Join(dir, e.Name())
-			if e.IsDir() {
-				fmt.Fprintf(h, "d %s\n", p)
-				walk(p)
-				continue
-			}
-			b, _ := img.ReadFile(p)
-			fmt.Fprintf(h, "f %s %d\n", p, len(b))
-			h.Write(b)
-		}
-	}
-	walk(tortureStoreDir)
-	return fmt.Sprintf("%x", h.Sum(nil))
 }

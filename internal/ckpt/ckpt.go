@@ -5,24 +5,26 @@
 //
 //   - Atomicity: a writer killed mid-write (out of walltime, node failure)
 //     must never leave a half-written file where a reader expects a valid
-//     one. AtomicWrite stages into a temp file in the target directory and
-//     renames it into place, so readers observe either the old complete file
-//     or the new complete file, never a prefix.
+//     one. AtomicWriteFS stages into a temp file in the target directory
+//     and renames it into place, so readers observe either the old complete
+//     file or the new complete file, never a prefix.
 //   - Self-validation: a file truncated or corrupted by the filesystem must
 //     be rejected with a descriptive error, not silently mis-decoded.
-//     WriteFile frames the payload with a magic string, a format version, an
-//     explicit length, and a SHA-256 checksum; ReadFile verifies all four.
+//     WriteFileFS frames the payload with a magic string, a format version,
+//     an explicit length, and a SHA-256 checksum; ReadFileFS verifies all
+//     four.
 //
 // The container layout is:
 //
 //	[magic: 8 bytes] [version: 4 bytes BE] [payload length: 8 bytes BE]
 //	[SHA-256 of payload: 32 bytes] [payload]
 //
-// Every function takes its filesystem through the fsim.FS seam (the *FS
-// variants); the plain-named functions write through fsim.OS and are what
-// production code calls. Read errors classify two ways: structural damage
-// wraps ErrCorrupt, I/O failures keep their errno so IsTransient can spot
-// retryable conditions (EIO, ENOSPC).
+// AppendFrameHeader and ParseFrame are the only encoder and parser of that
+// layout; the nasbench WAL frames its records with them too. Every function
+// that touches a disk takes its filesystem through the fsim.FS seam and
+// production code passes fsim.OS. Read errors classify two ways: structural
+// damage wraps ErrCorrupt, I/O failures keep their errno so IsTransient can
+// spot retryable conditions (EIO, ENOSPC).
 package ckpt
 
 import (
@@ -60,18 +62,13 @@ func IsTransient(err error) bool {
 }
 
 // corruptErr builds a descriptive structural-damage error wrapping ErrCorrupt.
-func corruptErr(path, format string, args ...any) error {
-	return fmt.Errorf("ckpt: %s: %s: %w", path, fmt.Sprintf(format, args...), ErrCorrupt)
+func corruptErr(format string, args ...any) error {
+	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrCorrupt)
 }
 
-// AtomicWrite writes a file by staging into a temp file in the same
+// AtomicWriteFS writes a file by staging into a temp file in the same
 // directory, syncing, and renaming over the target. If write fails at any
 // point, the target is left untouched and the temp file is removed.
-func AtomicWrite(path string, write func(io.Writer) error) error {
-	return AtomicWriteFS(fsim.OS, path, write)
-}
-
-// AtomicWriteFS is AtomicWrite through an explicit filesystem.
 func AtomicWriteFS(fsys fsim.FS, path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -107,16 +104,11 @@ func AtomicWriteFS(fsys fsim.FS, path string, write func(io.Writer) error) error
 	return SyncDirFS(fsys, dir)
 }
 
-// SyncDir fsyncs a directory, making a preceding rename in it durable: on
+// SyncDirFS fsyncs a directory, making a preceding rename in it durable: on
 // POSIX filesystems the rename itself lives in the directory, so a file
 // synced and renamed into place can still vanish on power loss until the
-// directory is synced too. AtomicWrite calls this after its rename;
+// directory is synced too. AtomicWriteFS calls this after its rename;
 // callers that move files around by hand should do the same.
-func SyncDir(dir string) error {
-	return SyncDirFS(fsim.OS, dir)
-}
-
-// SyncDirFS is SyncDir through an explicit filesystem.
 func SyncDirFS(fsys fsim.FS, dir string) error {
 	if err := fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("ckpt: sync dir %s: %w", dir, err)
@@ -124,24 +116,54 @@ func SyncDirFS(fsys fsim.FS, dir string) error {
 	return nil
 }
 
-// WriteFile atomically writes a framed, checksummed container. magic must be
-// exactly 8 bytes.
-func WriteFile(path, magic string, version uint32, payload []byte) error {
-	return WriteFileFS(fsim.OS, path, magic, version, payload)
+// AppendFrameHeader appends the header that frames payload to dst. A frame
+// is that header followed by the payload bytes. magic must be 8 bytes.
+func AppendFrameHeader(dst []byte, magic string, version uint32, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	dst = append(dst, magic...)
+	dst = binary.BigEndian.AppendUint32(dst, version)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(payload)))
+	return append(dst, sum[:]...)
 }
 
-// WriteFileFS is WriteFile through an explicit filesystem.
+// ParseFrame validates the frame at the head of raw and returns its payload
+// (aliasing raw), its version, and the bytes after it. It rejects wrong
+// magic, version 0, truncation at any byte and checksum mismatches with an
+// error wrapping ErrCorrupt, and versions above maxVersion with one wrapping
+// ErrVersion.
+func ParseFrame(raw []byte, magic string, maxVersion uint32) (payload []byte, version uint32, rest []byte, err error) {
+	if len(raw) < headerLen {
+		return nil, 0, nil, corruptErr("truncated header: %d bytes, need at least %d", len(raw), headerLen)
+	}
+	if string(raw[:8]) != magic {
+		return nil, 0, nil, corruptErr("bad magic %q, want %q", raw[:8], magic)
+	}
+	version = binary.BigEndian.Uint32(raw[8:12])
+	if version == 0 {
+		return nil, 0, nil, corruptErr("format version 0 (writers start at 1)")
+	}
+	if version > maxVersion {
+		return nil, 0, nil, fmt.Errorf("format version %d (this build reads 1..%d): %w", version, maxVersion, ErrVersion)
+	}
+	plen := binary.BigEndian.Uint64(raw[12:20])
+	if uint64(len(raw)-headerLen) < plen {
+		return nil, 0, nil, corruptErr("truncated payload: %d bytes after header, need %d", len(raw)-20, sha256.Size+plen)
+	}
+	payload, rest = raw[headerLen:headerLen+int(plen)], raw[headerLen+int(plen):]
+	if actual := sha256.Sum256(payload); !bytes.Equal(actual[:], raw[20:headerLen]) {
+		return nil, 0, nil, corruptErr("payload checksum mismatch")
+	}
+	return payload, version, rest, nil
+}
+
+// WriteFileFS atomically writes a framed, checksummed container. magic must
+// be exactly 8 bytes.
 func WriteFileFS(fsys fsim.FS, path, magic string, version uint32, payload []byte) error {
 	if len(magic) != 8 {
 		return fmt.Errorf("ckpt: magic %q must be 8 bytes, got %d", magic, len(magic))
 	}
-	sum := sha256.Sum256(payload)
+	header := AppendFrameHeader(make([]byte, 0, headerLen), magic, version, payload)
 	return AtomicWriteFS(fsys, path, func(w io.Writer) error {
-		header := make([]byte, 0, headerLen)
-		header = append(header, magic...)
-		header = binary.BigEndian.AppendUint32(header, version)
-		header = binary.BigEndian.AppendUint64(header, uint64(len(payload)))
-		header = append(header, sum[:]...)
 		if _, err := w.Write(header); err != nil {
 			return err
 		}
@@ -150,16 +172,11 @@ func WriteFileFS(fsys fsim.FS, path, magic string, version uint32, payload []byt
 	})
 }
 
-// ReadFile reads and validates a container written by WriteFile, returning
-// the payload and the stored version. It rejects wrong magic, versions above
-// maxVersion, truncation at any byte, trailing garbage, and checksum
-// mismatches, each with a descriptive error; structural failures wrap
-// ErrCorrupt so callers can tell damage from transient I/O trouble.
-func ReadFile(path, magic string, maxVersion uint32) (payload []byte, version uint32, err error) {
-	return ReadFileFS(fsim.OS, path, magic, maxVersion)
-}
-
-// ReadFileFS is ReadFile through an explicit filesystem.
+// ReadFileFS reads and validates a container written by WriteFileFS,
+// returning the payload and the stored version. It rejects everything
+// ParseFrame rejects plus trailing garbage, each with a descriptive error;
+// structural failures wrap ErrCorrupt so callers can tell damage from
+// transient I/O trouble.
 func ReadFileFS(fsys fsim.FS, path, magic string, maxVersion uint32) (payload []byte, version uint32, err error) {
 	if len(magic) != 8 {
 		return nil, 0, fmt.Errorf("ckpt: magic %q must be 8 bytes, got %d", magic, len(magic))
@@ -168,33 +185,12 @@ func ReadFileFS(fsys fsim.FS, path, magic string, maxVersion uint32) (payload []
 	if err != nil {
 		return nil, 0, fmt.Errorf("ckpt: read %s: %w", path, err)
 	}
-	if len(raw) < headerLen {
-		return nil, 0, corruptErr(path, "truncated header: %d bytes, need at least %d", len(raw), headerLen)
+	payload, version, rest, err := ParseFrame(raw, magic, maxVersion)
+	if err == nil && len(rest) > 0 {
+		err = corruptErr("%d trailing bytes after payload", len(rest))
 	}
-	if string(raw[:8]) != magic {
-		return nil, 0, corruptErr(path, "bad magic %q, want %q", raw[:8], magic)
-	}
-	version = binary.BigEndian.Uint32(raw[8:12])
-	if version == 0 {
-		return nil, 0, corruptErr(path, "format version 0 (writers start at 1)")
-	}
-	if version > maxVersion {
-		return nil, 0, fmt.Errorf("ckpt: %s: format version %d (this build reads 1..%d): %w", path, version, maxVersion, ErrVersion)
-	}
-	plen := binary.BigEndian.Uint64(raw[12:20])
-	want := sha256.Size + int(plen)
-	got := len(raw) - 20
-	if uint64(got) < uint64(want) {
-		return nil, 0, corruptErr(path, "truncated payload: %d bytes after header, need %d", got, want)
-	}
-	if uint64(got) > uint64(want) {
-		return nil, 0, corruptErr(path, "%d trailing bytes after payload", got-want)
-	}
-	var sum [sha256.Size]byte
-	copy(sum[:], raw[20:20+sha256.Size])
-	payload = raw[20+sha256.Size:]
-	if actual := sha256.Sum256(payload); !bytes.Equal(actual[:], sum[:]) {
-		return nil, 0, corruptErr(path, "payload checksum mismatch")
+	if err != nil {
+		return nil, 0, fmt.Errorf("ckpt: %s: %w", path, err)
 	}
 	return payload, version, nil
 }

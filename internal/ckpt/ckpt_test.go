@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nasgo/internal/fsim"
 )
 
 const testMagic = "testmagc"
@@ -15,7 +17,7 @@ const testMagic = "testmagc"
 func writeSample(t *testing.T, payload []byte) (path string, raw []byte) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "sample")
-	if err := WriteFile(path, testMagic, 3, payload); err != nil {
+	if err := WriteFileFS(fsim.OS, path, testMagic, 3, payload); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -31,7 +33,7 @@ func TestRoundTrip(t *testing.T) {
 	if len(raw) != headerLen+len(payload) {
 		t.Fatalf("file is %d bytes, want header %d + payload %d", len(raw), headerLen, len(payload))
 	}
-	got, ver, err := ReadFile(path, testMagic, 5)
+	got, ver, err := ReadFileFS(fsim.OS, path, testMagic, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,10 +44,10 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("payload corrupted: %q", got)
 	}
 	// An empty payload is legal and round trips.
-	if err := WriteFile(path, testMagic, 1, nil); err != nil {
+	if err := WriteFileFS(fsim.OS, path, testMagic, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = ReadFile(path, testMagic, 1)
+	got, _, err = ReadFileFS(fsim.OS, path, testMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestRejectsTruncationAtEveryByte(t *testing.T) {
 		if err := os.WriteFile(bad, raw[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := ReadFile(bad, testMagic, 5)
+		_, _, err := ReadFileFS(fsim.OS, bad, testMagic, 5)
 		if err == nil {
 			t.Fatalf("file truncated to %d/%d bytes was accepted", n, len(raw))
 		}
@@ -89,7 +91,7 @@ func TestRejectsPayloadCorruption(t *testing.T) {
 		if err := os.WriteFile(bad, flip, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := ReadFile(bad, testMagic, 5)
+		_, _, err := ReadFileFS(fsim.OS, bad, testMagic, 5)
 		if err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("payload byte %d flipped: got %v, want checksum mismatch", i, err)
 		}
@@ -104,7 +106,7 @@ func TestRejectsHeaderProblems(t *testing.T) {
 		if err := os.WriteFile(bad, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := ReadFile(bad, testMagic, 5)
+		_, _, err := ReadFileFS(fsim.OS, bad, testMagic, 5)
 		return err
 	}
 
@@ -130,10 +132,10 @@ func TestRejectsHeaderProblems(t *testing.T) {
 
 func TestMagicMustBeEightBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
-	if err := WriteFile(path, "short", 1, nil); err == nil || !strings.Contains(err.Error(), "8 bytes") {
+	if err := WriteFileFS(fsim.OS, path, "short", 1, nil); err == nil || !strings.Contains(err.Error(), "8 bytes") {
 		t.Fatalf("short magic on write: %v", err)
 	}
-	if _, _, err := ReadFile(path, "toolongmagic", 1); err == nil || !strings.Contains(err.Error(), "8 bytes") {
+	if _, _, err := ReadFileFS(fsim.OS, path, "toolongmagic", 1); err == nil || !strings.Contains(err.Error(), "8 bytes") {
 		t.Fatalf("long magic on read: %v", err)
 	}
 }
@@ -148,7 +150,7 @@ func TestAtomicWriteCrashLeavesTargetIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("allocation walltime expired")
-	err := AtomicWrite(path, func(w io.Writer) error {
+	err := AtomicWriteFS(fsim.OS, path, func(w io.Writer) error {
 		if _, werr := w.Write([]byte("half-writ")); werr != nil {
 			return werr
 		}
@@ -180,7 +182,7 @@ func TestAtomicWriteReplaces(t *testing.T) {
 	path := filepath.Join(dir, "target")
 	for _, content := range []string{"first", "second, longer content", "3rd"} {
 		content := content
-		if err := AtomicWrite(path, func(w io.Writer) error {
+		if err := AtomicWriteFS(fsim.OS, path, func(w io.Writer) error {
 			_, err := io.WriteString(w, content)
 			return err
 		}); err != nil {
@@ -206,13 +208,13 @@ func TestAtomicWriteReplaces(t *testing.T) {
 // TestSyncDir: the helper succeeds on a real directory and reports a
 // descriptive error for a missing one or a non-directory. (Power-loss
 // durability itself is untestable here; this pins the API contract that
-// AtomicWrite relies on.)
+// AtomicWriteFS relies on.)
 func TestSyncDir(t *testing.T) {
 	dir := t.TempDir()
-	if err := SyncDir(dir); err != nil {
+	if err := SyncDirFS(fsim.OS, dir); err != nil {
 		t.Fatalf("SyncDir on a real directory: %v", err)
 	}
-	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
+	if err := SyncDirFS(fsim.OS, filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("SyncDir on a missing directory succeeded")
 	}
 	path := filepath.Join(dir, "file")
@@ -222,11 +224,11 @@ func TestSyncDir(t *testing.T) {
 	// Opening a plain file and fsyncing it is legal on POSIX, so SyncDir
 	// on a file may succeed; what matters is it never panics and the
 	// atomic-write path still round-trips afterwards.
-	_ = SyncDir(path)
-	if err := AtomicWrite(filepath.Join(dir, "target"), func(w io.Writer) error {
+	_ = SyncDirFS(fsim.OS, path)
+	if err := AtomicWriteFS(fsim.OS, filepath.Join(dir, "target"), func(w io.Writer) error {
 		_, err := io.WriteString(w, "payload")
 		return err
 	}); err != nil {
-		t.Fatalf("AtomicWrite after SyncDir probing: %v", err)
+		t.Fatalf("AtomicWriteFS after SyncDirFS probing: %v", err)
 	}
 }

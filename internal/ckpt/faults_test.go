@@ -11,7 +11,7 @@ import (
 	"nasgo/internal/fsim"
 )
 
-// renameFailFS fails every Rename, to drive AtomicWrite's cleanup path.
+// renameFailFS fails every Rename, to drive AtomicWriteFS's cleanup path.
 type renameFailFS struct{ fsim.FS }
 
 func (renameFailFS) Rename(oldpath, newpath string) error {
@@ -163,7 +163,7 @@ func TestWriteFileFSMemOSEquivalent(t *testing.T) {
 	}
 	dir := t.TempDir()
 	osPath := dir + "/c"
-	if err := WriteFile(osPath, "testmag0", 3, payload); err != nil {
+	if err := WriteFileFS(fsim.OS, osPath, "testmag0", 3, payload); err != nil {
 		t.Fatal(err)
 	}
 	a, err := mem.ReadFile("/s/c")

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"nasgo/internal/fsim"
 )
 
 // frame builds a container image by hand, mirroring WriteFile's layout.
@@ -45,7 +47,7 @@ func FuzzReadFile(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		payload, version, err := ReadFile(path, magic, 5)
+		payload, version, err := ReadFileFS(fsim.OS, path, magic, 5)
 		if err != nil {
 			return
 		}
@@ -60,7 +62,7 @@ func FuzzReadFile(f *testing.F) {
 		}
 		// An accepted container re-encodes to the same bytes.
 		again := filepath.Join(t.TempDir(), "again.ckpt")
-		if err := WriteFile(again, magic, version, payload); err != nil {
+		if err := WriteFileFS(fsim.OS, again, magic, version, payload); err != nil {
 			t.Fatalf("rewrite accepted container: %v", err)
 		}
 		rewritten, err := os.ReadFile(again)

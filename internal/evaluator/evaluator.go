@@ -398,7 +398,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		// the completion event joins it. The cache insert stays at submit
 		// time (the serial machine's behavior, so duplicate submissions
 		// in flight still hit); resolve undoes it if the training diverges.
-		fut = e.launch(agentID, taskRand, ir, plan, stats, key)
+		fut = e.launch(taskRand, ir, plan, stats)
 		cache[key] = res
 	}
 	e.sim.Recorder().Emit(trace.Event{Cat: trace.CatEval, Name: trace.EvTaskSubmit,

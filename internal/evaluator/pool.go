@@ -2,12 +2,10 @@ package evaluator
 
 import (
 	"fmt"
-	"time"
 
 	"nasgo/internal/hpc"
 	"nasgo/internal/rng"
 	"nasgo/internal/space"
-	"nasgo/internal/trace"
 )
 
 // This file is the concurrent-training worker pool (DESIGN.md §10). The
@@ -28,10 +26,8 @@ type future struct {
 // launch starts the training as a bounded goroutine. The semaphore is
 // acquired inside the goroutine, so launch never blocks the simulation
 // loop; in-flight futures are naturally bounded by the node count.
-func (e *Evaluator) launch(agentID int, taskRand *rng.Rand, ir *space.ArchIR, plan hpc.RewardEstimate, stats space.ArchStats, key string) *future {
+func (e *Evaluator) launch(taskRand *rng.Rand, ir *space.ArchIR, plan hpc.RewardEstimate, stats space.ArchStats) *future {
 	fut := &future{done: make(chan struct{})}
-	e.sim.Recorder().Emit(trace.Event{Cat: trace.CatPool, Name: trace.EvPoolLaunch,
-		Node: trace.None, Agent: agentID, Value: float64(len(e.sem)), Detail: key})
 	go func() {
 		defer close(fut.done)
 		e.sem <- struct{}{}
@@ -53,17 +49,8 @@ func (e *Evaluator) resolve(rec *inflightRecord) {
 	}
 	fut := rec.fut
 	rec.fut = nil
-	detail := "ready"
-	start := time.Now()
-	select {
-	case <-fut.done:
-	default:
-		detail = "wait"
-		<-fut.done
-	}
+	<-fut.done
 	res := rec.res
-	e.sim.Recorder().Emit(trace.Event{Kind: trace.KindSpan, Cat: trace.CatPool, Name: trace.EvPoolJoin,
-		Dur: time.Since(start).Seconds(), Node: trace.None, Agent: res.AgentID, Detail: detail})
 	res.Reward = fut.reward
 	if !isFinite(res.Reward) {
 		// The serial machine never caches a diverged (NaN/Inf) training; the
@@ -94,15 +81,7 @@ func (e *Evaluator) pendingRecord(res *Result) *inflightRecord {
 // checkpoint never serializes a half-trained result: after the drain the
 // snapshot is byte-identical to the serial machine's at the same cut.
 func (e *Evaluator) drain() {
-	pending := 0
 	for _, rec := range e.inflight {
-		if rec.fut != nil {
-			pending++
-			e.resolve(rec)
-		}
-	}
-	if pending > 0 {
-		e.sim.Recorder().Emit(trace.Event{Cat: trace.CatPool, Name: trace.EvPoolDrain,
-			Node: trace.None, Agent: trace.None, Value: float64(pending)})
+		e.resolve(rec)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"nasgo/internal/analytics"
+	"nasgo/internal/fsim"
 	"nasgo/internal/report"
 	"nasgo/internal/search"
 	"nasgo/internal/trace"
@@ -89,7 +90,7 @@ func RestartWith(sc Scale, opts RestartOpts) *RestartResult {
 	out.Allocations = 1
 	for err == nil && ck != nil {
 		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", out.Allocations))
-		if werr := ck.WriteFile(path); werr != nil {
+		if werr := ck.WriteFileFS(fsim.OS, path); werr != nil {
 			panic(werr)
 		}
 		info, serr := os.Stat(path)
@@ -97,7 +98,7 @@ func RestartWith(sc Scale, opts RestartOpts) *RestartResult {
 			panic(serr)
 		}
 		out.CheckpointBytes = append(out.CheckpointBytes, int(info.Size()))
-		loaded, lerr := search.LoadCheckpoint(path)
+		loaded, lerr := search.LoadCheckpointFS(fsim.OS, path)
 		if lerr != nil {
 			panic(lerr)
 		}

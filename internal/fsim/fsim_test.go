@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// atomicReplace runs the exact durability recipe ckpt.AtomicWrite uses —
+// atomicReplace runs the exact durability recipe ckpt.AtomicWriteFS uses —
 // temp file, write, sync, close, rename, syncdir — against any FS.
 func atomicReplace(t *testing.T, fsys FS, path string, payload []byte) error {
 	t.Helper()
@@ -233,42 +233,27 @@ func TestFaultFSZeroSchedulePassthrough(t *testing.T) {
 }
 
 func TestFaultFSCrashAtEveryOp(t *testing.T) {
-	// First pass: count the mutating ops of the recipe.
-	probe := NewFaultFS(NewMemFS(), Faults{})
-	probe.MkdirAll("/s", 0o755)
-	probe.SyncDir("/s")
-	if err := atomicReplace(t, probe, "/s/f", []byte("payload")); err != nil {
+	// The recipe, taped once: mkdir, dir sync, one atomic replace.
+	rec := NewRecordFS(NewMemFS())
+	rec.MkdirAll("/s", 0o755)
+	rec.SyncDir("/s")
+	if err := atomicReplace(t, rec, "/s/f", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	total := probe.Ops()
+	total, err := CrashPoints(rec.Ops())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if total < 7 {
 		t.Fatalf("recipe has only %d mutating ops", total)
 	}
 	for k := int64(1); k <= total; k++ {
-		mem := NewMemFS()
-		ffs := NewFaultFS(mem, Faults{CrashAtOp: k})
-		err1 := ffs.MkdirAll("/s", 0o755)
-		var err error
-		if err1 == nil {
-			if err = ffs.SyncDir("/s"); err == nil {
-				err = atomicReplace(t, ffs, "/s/f", []byte("payload"))
-			}
-		} else {
-			err = err1
-		}
-		if !errors.Is(err, ErrCrashed) {
-			t.Fatalf("crash at op %d: got %v", k, err)
-		}
-		if !ffs.Crashed() {
-			t.Fatalf("crash at op %d not recorded", k)
-		}
-		// Everything after the cut fails, reads included.
-		if _, err := ffs.ReadFile("/s/f"); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("post-crash read: %v", err)
+		img, err := CrashImageAt(rec.Ops(), k, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 		// The surviving image shows either the complete file or no file —
 		// never a prefix (the recipe syncs before renaming).
-		img := mem.CrashImage()
 		if got, err := img.ReadFile("/s/f"); err == nil {
 			if string(got) != "payload" {
 				t.Fatalf("crash at op %d survived torn content %q", k, got)
@@ -276,6 +261,26 @@ func TestFaultFSCrashAtEveryOp(t *testing.T) {
 		} else if !errors.Is(err, fs.ErrNotExist) {
 			t.Fatal(err)
 		}
+	}
+
+	// The cut itself: the op at the crash point does not happen, the
+	// FaultFS records the cut, and everything after it fails, reads included.
+	mem := NewMemFS()
+	ffs := NewFaultFS(mem, Faults{CrashAtOp: 2})
+	if err := ffs.MkdirAll("/s", 0o755); err != nil || ffs.Crashed() {
+		t.Fatalf("op before the cut: %v, crashed=%v", err, ffs.Crashed())
+	}
+	if err := ffs.SyncDir("/s"); !errors.Is(err, ErrCrashed) || !ffs.Crashed() {
+		t.Fatalf("op at the cut: %v, crashed=%v", err, ffs.Crashed())
+	}
+	if _, err := mem.CrashImage().ReadDir("/s"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the cut dir sync took effect: %v", err)
+	}
+	if _, err := ffs.ReadDir("/s"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("post-crash read: %v", err)
+	}
+	if _, err := ffs.Create("/s/f"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("post-crash create: %v", err)
 	}
 }
 
@@ -439,9 +444,12 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordReplayCrashEnumeration: replaying a tape into FaultFS crash
-// points yields, across all k, only old-or-new durable states for an
-// atomically replaced file.
+// TestRecordReplayCrashEnumeration is the unit test of the enumeration
+// helpers every torture harness instantiates: CrashPoints counts the
+// tape's mutating ops, CrashImageAt yields an image for exactly k in 1..N
+// — across all k only old-or-new durable states of an atomically replaced
+// file — lie mode loses what honest fsyncs kept, and TreeDigest tells
+// every pair of differing trees apart while ignoring creation order.
 func TestRecordReplayCrashEnumeration(t *testing.T) {
 	src := NewMemFS()
 	rec := NewRecordFS(src)
@@ -453,41 +461,105 @@ func TestRecordReplayCrashEnumeration(t *testing.T) {
 	if err := atomicReplace(t, rec, "/s/f", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	probe := NewFaultFS(NewMemFS(), Faults{})
-	if _, err := Replay(probe, rec.Ops()); err != nil {
+	tape := rec.Ops()
+	total, err := CrashPoints(tape)
+	if err != nil {
 		t.Fatal(err)
 	}
-	total := probe.Ops()
-	sawOld := false
+	if want := int64(2 + 2*5); total != want { // Close is not a mutating op
+		t.Fatalf("CrashPoints = %d, want %d", total, want)
+	}
+	for _, k := range []int64{-1, 0, total + 1} {
+		if img, err := CrashImageAt(tape, k, false); err == nil || img != nil {
+			t.Fatalf("k=%d of %d: got image %v, err %v — want an error", k, total, img, err)
+		}
+	}
+
+	sawOld, lieLost := false, false
+	digests := map[string]string{} // digest → content of /s/f ("-" = absent)
 	for k := int64(1); k <= total; k++ {
-		mem := NewMemFS()
-		_, err := Replay(NewFaultFS(mem, Faults{CrashAtOp: k}), rec.Ops())
-		if !errors.Is(err, ErrCrashed) {
+		img, err := CrashImageAt(tape, k, false)
+		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		got, err := mem.CrashImage().ReadFile("/s/f")
+		state := "-"
+		got, err := img.ReadFile("/s/f")
 		switch {
 		case errors.Is(err, fs.ErrNotExist): // before the first replace landed
 		case err != nil:
 			t.Fatalf("k=%d: %v", k, err)
 		case string(got) == "old":
 			sawOld = true
+			state = "old"
 		case string(got) == "new":
 			// Cannot happen here — the tape's final op is the directory
 			// sync that makes "new" durable, so "new" only survives the
 			// uncut replay (checked below).
+			fallthrough
 		default:
 			t.Fatalf("k=%d: torn state %q", k, got)
 		}
+		// Equal digests must mean equal trees, and the digest must be a
+		// function of the tree alone.
+		d := img.TreeDigest("/")
+		if prev, ok := digests[d]; ok && prev != state {
+			t.Fatalf("k=%d: digest collision between states %q and %q", k, prev, state)
+		}
+		digests[d] = state
+		if again, _ := CrashImageAt(tape, k, false); again.TreeDigest("/") != d {
+			t.Fatalf("k=%d: digest of the same crash image is unstable", k)
+		}
+
+		// Lie mode: the same cut, but acknowledged fsyncs kept nothing. The
+		// durable directory entry then points at bytes that never landed.
+		lie, err := CrashImageAt(tape, k, true)
+		if err != nil {
+			t.Fatalf("lie k=%d: %v", k, err)
+		}
+		if got, err := lie.ReadFile("/s/f"); state == "old" && (err != nil || string(got) != "") {
+			t.Fatalf("lie k=%d: /s/f = %q, %v — want the entry with its synced bytes dropped", k, got, err)
+		} else if state == "old" {
+			lieLost = true
+			if lie.TreeDigest("/") == d {
+				t.Fatalf("lie k=%d: digest ignores file content", k)
+			}
+		}
 	}
-	if !sawOld {
-		t.Fatal("enumeration never surfaced the old durable state")
+	if !sawOld || !lieLost {
+		t.Fatalf("enumeration never surfaced the old durable state (honest %v, lie %v)", sawOld, lieLost)
 	}
-	mem := NewMemFS()
-	if _, err := Replay(mem, rec.Ops()); err != nil {
-		t.Fatal(err)
+	if len(digests) < 3 {
+		t.Fatalf("only %d distinct digests: empty, dir-only and old-file trees must all differ", len(digests))
 	}
-	if got, err := mem.CrashImage().ReadFile("/s/f"); err != nil || string(got) != "new" {
-		t.Fatalf("uncut replay durable state = %q, %v", got, err)
+	if _, ok := digests[src.CrashImage().TreeDigest("/")]; ok {
+		t.Fatal("the uncut tree (new) shares a digest with a crash image")
+	}
+	if got, err := src.CrashImage().ReadFile("/s/f"); err != nil || string(got) != "new" {
+		t.Fatalf("uncut durable state = %q, %v", got, err)
+	}
+
+	// Order stability: the same tree built in two creation orders.
+	build := func(names ...string) *MemFS {
+		m := NewMemFS()
+		for _, n := range names {
+			m.MkdirAll(filepath.Dir(n), 0o755)
+			f, err := m.Create(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write([]byte(n))
+			f.Close()
+		}
+		return m
+	}
+	ab, ba := build("/t/a", "/t/sub/b", "/t/c"), build("/t/c", "/t/sub/b", "/t/a")
+	if ab.TreeDigest("/t") != ba.TreeDigest("/t") {
+		t.Fatal("TreeDigest depends on creation order")
+	}
+	if ab.TreeDigest("/t") == build("/t/a", "/t/sub/b").TreeDigest("/t") {
+		t.Fatal("TreeDigest ignores a missing file")
+	}
+	if ab.TreeDigest("/t/sub") == ab.TreeDigest("/t") {
+		t.Fatal("TreeDigest ignores its root")
 	}
 }

@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"io/fs"
@@ -19,7 +20,7 @@ import (
 //     visible to durable.
 //   - Every namespace mutation (create, rename, remove, mkdir) is visible
 //     immediately but durable only once the parent directory is fsynced
-//     via SyncDir — the same rule that makes ckpt.AtomicWrite's
+//     via SyncDir — the same rule that makes ckpt.AtomicWriteFS's
 //     sync-rename-syncdir sequence necessary on real hardware.
 //
 // CrashImage returns a new MemFS holding exactly the durable state: the
@@ -303,6 +304,33 @@ func (m *MemFS) CrashImage() *MemFS {
 	}
 	img.tmpSeq = m.tmpSeq
 	return img
+}
+
+// TreeDigest hashes the whole visible tree under root — every directory
+// and file path, file size and file byte, in ReadDir's sorted order — so
+// equal digests mean equal trees. A missing root hashes as empty.
+func (m *MemFS) TreeDigest(root string) string {
+	h := sha256.New()
+	var walk func(dir string)
+	walk = func(dir string) {
+		entries, err := m.ReadDir(dir)
+		if err != nil {
+			return
+		}
+		for _, e := range entries {
+			p := filepath.Join(dir, e.Name())
+			if e.IsDir() {
+				fmt.Fprintf(h, "d %s\n", p)
+				walk(p)
+				continue
+			}
+			b, _ := m.ReadFile(p)
+			fmt.Fprintf(h, "f %s %d\n", p, len(b))
+			h.Write(b)
+		}
+	}
+	walk(root)
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // memFile is an open MemFS file: writable (Create/CreateTemp) or a

@@ -8,10 +8,16 @@
 // then Replay the captured tape into a fresh FaultFS{CrashAtOp: k} for
 // each k. Replay is pure byte shuffling — micro-seconds per crash point —
 // and reproduces the workload's persistence behavior exactly, because the
-// tape is the workload's own operation stream.
+// tape is the workload's own operation stream. CrashPoints and CrashImageAt
+// are that enumeration; MemFS.TreeDigest lets a harness memoize its work by
+// surviving state.
 package fsim
 
-import "io/fs"
+import (
+	"errors"
+	"fmt"
+	"io/fs"
+)
 
 // OpKind enumerates recorded mutating operations.
 type OpKind int
@@ -225,4 +231,27 @@ func Replay(dst FS, ops []Op) (applied int, err error) {
 		applied = i + 1
 	}
 	return applied, nil
+}
+
+// CrashPoints returns how many mutating operations a clean replay of tape
+// performs: the power-cut points 1..N a torture harness enumerates.
+func CrashPoints(tape []Op) (int64, error) {
+	probe := NewFaultFS(NewMemFS(), Faults{})
+	if _, err := Replay(probe, tape); err != nil {
+		return 0, fmt.Errorf("fsim: tape does not replay clean: %w", err)
+	}
+	return probe.Ops(), nil
+}
+
+// CrashImageAt replays tape onto an empty MemFS, cuts the power at mutating
+// operation k (1-based) and returns the surviving bytes. With lies, file
+// fsyncs before the cut are acknowledged but their pages dropped. A k the
+// replay never reaches is an error.
+func CrashImageAt(tape []Op, k int64, lies bool) (*MemFS, error) {
+	mem := NewMemFS()
+	ffs := NewFaultFS(mem, Faults{CrashAtOp: k, SyncLies: lies})
+	if _, err := Replay(ffs, tape); !errors.Is(err, ErrCrashed) {
+		return nil, fmt.Errorf("fsim: crash point %d: replay ended with %v, want power cut", k, err)
+	}
+	return mem.CrashImage(), nil
 }

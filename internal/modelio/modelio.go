@@ -3,9 +3,9 @@
 // dimensions, unit scale — together with the trained parameter values, so
 // a post-trained network can be shipped and reloaded without retraining:
 //
-//	modelio.Save(path, sp, choices, dims, scale, model)
-//	model, ir, err := modelio.Load(path)          // catalog spaces
-//	model, ir, err := modelio.LoadWithSpace(path, customSpace)
+//	modelio.SaveFS(fsim.OS, path, sp, choices, dims, scale, model)
+//	model, ir, err := modelio.LoadFS(fsim.OS, path)          // catalog spaces
+//	model, ir, err := modelio.LoadWithSpace(fsim.OS, path, customSpace)
 //
 // The format is a single gob stream (stdlib-only, self-describing enough
 // for this purpose). Loading recompiles the architecture through the same
@@ -40,13 +40,8 @@ type saved struct {
 	Values []float64
 }
 
-// Save writes a trained model built from (sp, choices, inputDims,
+// SaveFS writes a trained model built from (sp, choices, inputDims,
 // unitScale) to path.
-func Save(path string, sp *space.Space, choices []int, inputDims []int, unitScale float64, m *nn.Model) error {
-	return SaveFS(fsim.OS, path, sp, choices, inputDims, unitScale, m)
-}
-
-// SaveFS is Save through an explicit filesystem.
 func SaveFS(fsys fsim.FS, path string, sp *space.Space, choices []int, inputDims []int, unitScale float64, m *nn.Model) error {
 	if err := sp.CheckChoices(choices); err != nil {
 		return fmt.Errorf("modelio: %w", err)
@@ -67,12 +62,7 @@ func SaveFS(fsys fsim.FS, path string, sp *space.Space, choices []int, inputDims
 	})
 }
 
-// Load reads a model whose space is in the catalog (combo-small etc.).
-func Load(path string) (*nn.Model, *space.ArchIR, error) {
-	return LoadFS(fsim.OS, path)
-}
-
-// LoadFS is Load through an explicit filesystem.
+// LoadFS reads a model whose space is in the catalog (combo-small etc.).
 func LoadFS(fsys fsim.FS, path string) (*nn.Model, *space.ArchIR, error) {
 	s, err := read(fsys, path)
 	if err != nil {
@@ -87,8 +77,8 @@ func LoadFS(fsys fsim.FS, path string) (*nn.Model, *space.ArchIR, error) {
 
 // LoadWithSpace reads a model saved from a custom space; the caller
 // supplies the identical space definition.
-func LoadWithSpace(path string, sp *space.Space) (*nn.Model, *space.ArchIR, error) {
-	s, err := read(fsim.OS, path)
+func LoadWithSpace(fsys fsim.FS, path string, sp *space.Space) (*nn.Model, *space.ArchIR, error) {
+	s, err := read(fsys, path)
 	if err != nil {
 		return nil, nil, err
 	}

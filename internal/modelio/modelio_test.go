@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nasgo/internal/candle"
+	"nasgo/internal/fsim"
 	"nasgo/internal/nn"
 	"nasgo/internal/rng"
 	"nasgo/internal/space"
@@ -37,10 +38,10 @@ func trainedModel(t *testing.T) (*space.Space, []int, []int, *nn.Model, *candle.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	sp, choices, dims, m, bench := trainedModel(t)
 	path := filepath.Join(t.TempDir(), "model.gob")
-	if err := Save(path, sp, choices, dims, bench.UnitScale, m); err != nil {
+	if err := SaveFS(fsim.OS, path, sp, choices, dims, bench.UnitScale, m); err != nil {
 		t.Fatal(err)
 	}
-	loaded, ir, err := Load(path)
+	loaded, ir, err := LoadFS(fsim.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +68,20 @@ func TestLoadRejectsCustomSpaceWithoutDefinition(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := ir.BuildModel(rng.New(4))
-	path := filepath.Join(t.TempDir(), "custom.gob")
-	if err := Save(path, sp, choices, dims, bench.UnitScale, m); err != nil {
+	// Through a MemFS: every read below must go through the seam it is
+	// handed, never the real disk.
+	mem := fsim.NewMemFS()
+	const path = "/models/custom.gob"
+	if err := mem.MkdirAll("/models", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(path); err == nil {
-		t.Fatal("Load must reject non-catalog spaces")
+	if err := SaveFS(mem, path, sp, choices, dims, bench.UnitScale, m); err != nil {
+		t.Fatal(err)
 	}
-	loaded, _, err := LoadWithSpace(path, space.NewComboSmallUnshared())
+	if _, _, err := LoadFS(mem, path); err == nil {
+		t.Fatal("LoadFS must reject non-catalog spaces")
+	}
+	loaded, _, err := LoadWithSpace(mem, path, space.NewComboSmallUnshared())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +93,17 @@ func TestLoadRejectsCustomSpaceWithoutDefinition(t *testing.T) {
 func TestLoadWithWrongSpaceFails(t *testing.T) {
 	sp, choices, dims, m, bench := trainedModel(t)
 	path := filepath.Join(t.TempDir(), "model.gob")
-	if err := Save(path, sp, choices, dims, bench.UnitScale, m); err != nil {
+	if err := SaveFS(fsim.OS, path, sp, choices, dims, bench.UnitScale, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadWithSpace(path, space.NewUnoSmall()); err == nil {
+	if _, _, err := LoadWithSpace(fsim.OS, path, space.NewUnoSmall()); err == nil {
 		t.Fatal("expected space-name mismatch error")
 	}
 }
 
 func TestSaveInvalidChoices(t *testing.T) {
 	sp, _, dims, m, bench := trainedModel(t)
-	if err := Save(filepath.Join(t.TempDir(), "x.gob"), sp, []int{1, 2}, dims, bench.UnitScale, m); err == nil {
+	if err := SaveFS(fsim.OS, filepath.Join(t.TempDir(), "x.gob"), sp, []int{1, 2}, dims, bench.UnitScale, m); err == nil {
 		t.Fatal("expected choice validation error")
 	}
 }
@@ -106,10 +113,10 @@ func TestLoadGarbageFails(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(path); err == nil {
+	if _, _, err := LoadFS(fsim.OS, path); err == nil {
 		t.Fatal("expected decode error")
 	}
-	if _, _, err := Load(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
+	if _, _, err := LoadFS(fsim.OS, filepath.Join(t.TempDir(), "missing.gob")); err == nil {
 		t.Fatal("expected missing-file error")
 	}
 }

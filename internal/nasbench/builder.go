@@ -1,14 +1,11 @@
 package nasbench
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 
 	"nasgo/internal/balsam"
 	"nasgo/internal/candle"
-	"nasgo/internal/ckpt"
 	"nasgo/internal/evaluator"
 	"nasgo/internal/fsim"
 	"nasgo/internal/hpc"
@@ -65,12 +62,9 @@ type BuildReport struct {
 // uninterrupted build's (training is deterministic in BenchSeed, and
 // records carry nothing timeline-dependent).
 //
-// Recovery policy: a valid artifact ends the build (leftover segments are
-// janitored); a structurally damaged artifact is quarantined and rebuilt
-// from the WAL, which stays authoritative until a valid artifact exists —
-// the case a crash under fsync-lying firmware leaves. Transient I/O (EIO,
-// ENOSPC — see ckpt.IsTransient) aborts the session with the error and is
-// safe to retry; it is never confused with corruption.
+// The recovery policy — valid artifact ends the build, damaged artifact is
+// quarantined and rebuilt from the WAL, transient I/O aborts retryable — is
+// openJournal's.
 func Build(cfg BuildConfig) (*BuildReport, error) {
 	if cfg.Eval.BenchSeed == 0 {
 		return nil, fmt.Errorf("nasbench: build requires benchmark mode (Eval.BenchSeed != 0)")
@@ -82,16 +76,10 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = fsim.OS
-	}
+	fsys := orOS(cfg.FS)
 	total, err := cfg.Space.EnumerateSize(maxEnumerate)
 	if err != nil {
 		return nil, err
-	}
-	if err := fsys.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("nasbench: create %s: %w", cfg.Dir, err)
 	}
 	tablePath := filepath.Join(cfg.Dir, TableFile)
 	rep := &BuildReport{Total: total, TablePath: tablePath}
@@ -102,80 +90,46 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 	ev := evaluator.New(sim, balsam.NewService(sim, 1), cfg.Bench, cfg.Space, cfg.Eval)
 	meta := Meta{Bench: cfg.Bench.Name, Space: cfg.Space.Name, Size: total, Eval: bindingConfig(ev.Cfg)}
 
-	// A valid artifact ends the build; a corrupt one is quarantined and the
-	// WAL rebuilds it. Anything transient aborts, retryable.
-	switch t, err := ReadTableFS(fsys, tablePath); {
-	case err == nil:
-		if t.Meta != meta {
+	// A valid artifact ends the build; otherwise recover the durable record
+	// prefix and verify it belongs to this build.
+	done, j, err := openJournal(fsys, cfg.Dir, tablePath, total, logf, func() (*Table, error) {
+		t, err := ReadTableFS(fsys, tablePath)
+		if err == nil && t.Meta != meta {
 			return nil, fmt.Errorf("nasbench: %s was built for %s/%s size %d with %+v, not this configuration",
 				tablePath, t.Meta.Bench, t.Meta.Space, t.Meta.Size, t.Meta.Eval)
 		}
+		return t, err
+	}, validRecord)
+	if err != nil {
+		return nil, err
+	}
+	if done != nil {
 		rep.Recovered, rep.Done = total, true
-		if err := removeSegments(fsys, cfg.Dir); err != nil {
-			return nil, fmt.Errorf("nasbench: janitor %s: %w", cfg.Dir, err)
-		}
 		return rep, nil
-	case errors.Is(err, fs.ErrNotExist):
-	case errors.Is(err, ckpt.ErrCorrupt):
-		logf("nasbench: quarantining damaged %s; rebuilding from wal", tablePath)
-		if rmErr := fsys.Remove(tablePath); rmErr != nil {
-			return nil, fmt.Errorf("nasbench: quarantine %s: %w", tablePath, rmErr)
-		}
-		if sErr := fsys.SyncDir(cfg.Dir); sErr != nil {
-			return nil, fmt.Errorf("nasbench: quarantine %s: %w", tablePath, sErr)
-		}
-	default:
-		return nil, err
 	}
-
-	// Recover the durable record prefix and verify it belongs to this build.
-	payloads, maxSeg, err := scanSegments(fsys, cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := decodeRecords(payloads)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) > total {
-		return nil, fmt.Errorf("nasbench: wal in %s holds %d records but the sub-space has %d architectures — wrong space?",
-			cfg.Dir, len(recs), total)
-	}
-	for i := range recs {
-		if want := cfg.Space.Hash(cfg.Space.ChoicesAt(i)); recs[i].Key != want {
+	recs := j.units
+	for i, rec := range recs {
+		if want := cfg.Space.Hash(cfg.Space.ChoicesAt(i)); rec.Key != want {
 			return nil, fmt.Errorf("nasbench: wal record %d keys %s, but %s enumerates %s there — wrong space or seed",
-				i, recs[i].Key, cfg.Space.Name, want)
+				i, rec.Key, cfg.Space.Name, want)
 		}
 	}
 	rep.Recovered = len(recs)
-	logf("nasbench: %s: recovered %d/%d records", cfg.Dir, len(recs), total)
 
 	// Train the remainder, one durable WAL record per architecture.
-	if len(recs) < total && (cfg.MaxTrain <= 0 || rep.Trained < cfg.MaxTrain) {
-		w, err := newSegment(fsys, cfg.Dir, maxSeg+1)
-		if err != nil {
+	for i := len(recs); i < total && (cfg.MaxTrain <= 0 || rep.Trained < cfg.MaxTrain); i++ {
+		rec := buildRecord(ev, cfg.Space, i)
+		if err := j.append(rec); err != nil {
+			j.close()
 			return nil, err
 		}
-		for i := len(recs); i < total; i++ {
-			if cfg.MaxTrain > 0 && rep.Trained >= cfg.MaxTrain {
-				break
-			}
-			rec := buildRecord(ev, cfg.Space, i)
-			payload, err := encodeRecord(rec)
-			if err != nil {
-				w.close()
-				return nil, err
-			}
-			if err := w.append(payload); err != nil {
-				w.close()
-				return nil, err
-			}
-			recs = append(recs, rec)
-			rep.Trained++
-		}
-		if err := w.close(); err != nil {
-			return nil, fmt.Errorf("nasbench: close wal segment: %w", err)
-		}
+		recs = append(recs, rec)
+		rep.Trained++
+	}
+	if err := j.close(); err != nil {
+		return nil, err
+	}
+	if rep.Trained > 0 {
 		logf("nasbench: %s: trained %d records", cfg.Dir, rep.Trained)
 	}
 	if len(recs) < total {
@@ -187,11 +141,19 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 		return nil, err
 	}
 	if err := removeSegments(fsys, cfg.Dir); err != nil {
-		return nil, fmt.Errorf("nasbench: janitor %s: %w", cfg.Dir, err)
+		return nil, err
 	}
 	rep.Done = true
 	logf("nasbench: %s: finalized %d records", tablePath, total)
 	return rep, nil
+}
+
+// orOS defaults a config's nil filesystem to the real one.
+func orOS(fsys fsim.FS) fsim.FS {
+	if fsys == nil {
+		return fsim.OS
+	}
+	return fsys
 }
 
 // buildRecord trains enumeration index i into its table record.
@@ -222,11 +184,7 @@ func BuildOrLoad(cfg BuildConfig) (*Table, *BuildReport, error) {
 		return nil, rep, fmt.Errorf("nasbench: build of %s stopped at %d/%d records (MaxTrain bound)",
 			cfg.Dir, rep.Recovered+rep.Trained, rep.Total)
 	}
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = fsim.OS
-	}
-	t, err := ReadTableFS(fsys, rep.TablePath)
+	t, err := ReadTableFS(orOS(cfg.FS), rep.TablePath)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,12 +47,17 @@ func rawTable(t testing.TB) []byte {
 	return raw
 }
 
+// appendFrame appends one WAL frame, laid out as walWriter.append does.
+func appendFrame(dst, payload []byte) []byte {
+	return append(ckpt.AppendFrameHeader(dst, recMagic, walVersion, payload), payload...)
+}
+
 // rawRecordFrames renders n WAL record frames through the real framer.
 func rawRecordFrames(t testing.TB, recs ...Record) []byte {
 	t.Helper()
 	var out []byte
 	for _, r := range recs {
-		payload, err := encodeRecord(r)
+		payload, err := gobEncode("wal unit", r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +156,7 @@ func FuzzReadTable(f *testing.F) {
 
 // FuzzScanWAL holds the WAL scanner's contract: arbitrary segment bytes
 // never panic and never error on an in-memory filesystem (a damaged frame
-// is a torn tail ending its segment); decodeRecords rejects every
+// is a torn tail ending its segment); decodeUnits rejects every
 // surviving-payload inconsistency as ErrCorrupt, never transient; and
 // whatever survives is a contiguous record prefix. Two fuzzed segments
 // cover the cross-segment cases (mid-sequence loss).
@@ -179,7 +184,7 @@ func FuzzScanWAL(f *testing.F) {
 		if maxSeg != 2 {
 			t.Fatalf("maxSeg = %d, want 2", maxSeg)
 		}
-		decoded, err := decodeRecords(payloads)
+		decoded, err := decodeUnits(payloads, validRecord)
 		if err != nil {
 			if !errors.Is(err, ckpt.ErrCorrupt) {
 				t.Fatalf("rejection does not classify as corruption: %v", err)

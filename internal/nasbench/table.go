@@ -18,9 +18,6 @@
 package nasbench
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math"
 
 	"nasgo/internal/ckpt"
@@ -142,33 +139,21 @@ func (t *Table) validate() error {
 		return corruptErr("table meta size %d != %d records", t.Meta.Size, len(t.Records))
 	}
 	for i, r := range t.Records {
-		if r.Index != i {
-			return corruptErr("table record %d carries index %d", i, r.Index)
-		}
-		if r.Key == "" {
-			return corruptErr("table record %d has no key", i)
+		if !validRecord(i, r) {
+			return corruptErr("table record %d is out of sequence or has no key: %+v", i, r)
 		}
 	}
 	return nil
 }
 
-// encodeTable serializes the artifact payload. Gob over slices and scalar
-// structs only — no maps — so identical tables encode to identical bytes.
-func encodeTable(t *Table) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(t); err != nil {
-		return nil, fmt.Errorf("nasbench: encode table: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // WriteTableFS finalizes a table into the framed, checksummed, atomically
-// renamed container at path.
+// renamed container at path. The payload is gob over slices and scalar
+// structs only — no maps — so identical tables encode to identical bytes.
 func WriteTableFS(fsys fsim.FS, path string, t *Table) error {
 	if err := t.validate(); err != nil {
 		return err
 	}
-	payload, err := encodeTable(t)
+	payload, err := gobEncode("table", t)
 	if err != nil {
 		return err
 	}
@@ -186,7 +171,7 @@ func ReadTableFS(fsys fsim.FS, path string) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(t); err != nil {
+	if err := gobDecode(payload, t); err != nil {
 		return nil, corruptErr("table payload undecodable: %v", err)
 	}
 	if err := t.validate(); err != nil {
@@ -196,35 +181,5 @@ func ReadTableFS(fsys fsim.FS, path string) (*Table, error) {
 	return t, nil
 }
 
-// ReadTable is ReadTableFS on the real filesystem.
-func ReadTable(path string) (*Table, error) { return ReadTableFS(fsim.OS, path) }
-
-// decodeRecords decodes WAL frame payloads into the contiguous record
-// prefix they journal. Index contiguity is the scanner's mid-sequence-loss
-// detector: a dropped torn tail inside a non-final segment surfaces here as
-// ErrCorrupt instead of silently shortening the table.
-func decodeRecords(payloads [][]byte) ([]Record, error) {
-	recs := make([]Record, 0, len(payloads))
-	for i, p := range payloads {
-		var r Record
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&r); err != nil {
-			return nil, corruptErr("wal record %d undecodable: %v", i, err)
-		}
-		if r.Index != i {
-			return nil, corruptErr("wal record %d carries index %d (mid-sequence loss)", i, r.Index)
-		}
-		if r.Key == "" {
-			return nil, corruptErr("wal record %d has no key", i)
-		}
-		recs = append(recs, r)
-	}
-	return recs, nil
-}
-
-func encodeRecord(r Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("nasbench: encode record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
+// validRecord is the WAL-unit check of a build journal (decodeUnits).
+func validRecord(i int, r Record) bool { return r.Index == i && r.Key != "" }

@@ -2,6 +2,7 @@ package nasbench
 
 import (
 	"errors"
+	"io/fs"
 	"math"
 	"path/filepath"
 	"testing"
@@ -52,8 +53,8 @@ func TestShortTableLookupSemantics(t *testing.T) {
 	}
 }
 
-// TestShortReadTableRealFS exercises the fsim.OS convenience path on a
-// real temporary directory.
+// TestShortReadTableRealFS exercises the artifact round trip through
+// fsim.OS on a real temporary directory.
 func TestShortReadTableRealFS(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, TableFile)
@@ -61,14 +62,14 @@ func TestShortReadTableRealFS(t *testing.T) {
 	if err := WriteTableFS(fsim.OS, path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTable(path)
+	got, err := ReadTableFS(fsim.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Meta != want.Meta || len(got.Records) != len(want.Records) {
 		t.Fatalf("real-FS round trip changed the table: %+v", got.Meta)
 	}
-	if _, err := ReadTable(filepath.Join(dir, "absent.nasbench")); !isNotExist(err) {
+	if _, err := ReadTableFS(fsim.OS, filepath.Join(dir, "absent.nasbench")); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing artifact: %v", err)
 	}
 }

@@ -2,9 +2,8 @@ package nasbench
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
-	"fmt"
+	"io/fs"
 	"path/filepath"
 	"testing"
 
@@ -35,7 +34,7 @@ func classifyImage(t *testing.T, img *fsim.MemFS, ref []byte, lies bool) (durabl
 			t.Fatalf("surviving artifact decodes valid but matches no completed write (read err %v)", rerr)
 		}
 		return durableState{done: true, recs: len(tbl.Records)}, false
-	case isNotExist(err):
+	case errors.Is(err, fs.ErrNotExist):
 	case errors.Is(err, ckpt.ErrCorrupt):
 		if !lies {
 			t.Fatalf("honest crash image holds a corrupt artifact: %v", err)
@@ -48,7 +47,7 @@ func classifyImage(t *testing.T, img *fsim.MemFS, ref []byte, lies bool) (durabl
 	if err != nil {
 		t.Fatalf("classify wal: %v", err)
 	}
-	recs, err := decodeRecords(payloads)
+	recs, err := decodeUnits(payloads, validRecord)
 	if err != nil {
 		if !lies && errors.Is(err, ckpt.ErrCorrupt) {
 			t.Fatalf("honest crash image holds a corrupt wal: %v", err)
@@ -56,31 +55,6 @@ func classifyImage(t *testing.T, img *fsim.MemFS, ref []byte, lies bool) (durabl
 		return durableState{}, true
 	}
 	return durableState{recs: len(recs)}, false
-}
-
-// imageDigest hashes the image's visible tree for resume memoization.
-func imageDigest(img *fsim.MemFS) string {
-	h := sha256.New()
-	var walk func(dir string)
-	walk = func(dir string) {
-		entries, err := img.ReadDir(dir)
-		if err != nil {
-			return
-		}
-		for _, e := range entries {
-			p := filepath.Join(dir, e.Name())
-			if e.IsDir() {
-				fmt.Fprintf(h, "d %s\n", p)
-				walk(p)
-				continue
-			}
-			b, _ := img.ReadFile(p)
-			fmt.Fprintf(h, "f %s %d\n", p, len(b))
-			h.Write(b)
-		}
-	}
-	walk(tortureDir)
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 type buildOutcome struct {
@@ -124,11 +98,10 @@ func TestShortTortureBuilderCrashEnumeration(t *testing.T) {
 	}
 	tape := rec.Ops()
 
-	probe := fsim.NewFaultFS(fsim.NewMemFS(), fsim.Faults{})
-	if _, err := fsim.Replay(probe, tape); err != nil {
-		t.Fatalf("tape does not replay clean: %v", err)
+	total, err := fsim.CrashPoints(tape)
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := probe.Ops()
 	// 1 mkdir + (segment create + dir sync) + 9×(record write + fsync) +
 	// the 5-op atomic finalize + the 2-op janitor = 28 mutating ops at
 	// minimum; fewer means the build stopped journaling per record.
@@ -139,7 +112,7 @@ func TestShortTortureBuilderCrashEnumeration(t *testing.T) {
 
 	memo := map[string]*buildOutcome{}
 	resume := func(img *fsim.MemFS) *buildOutcome {
-		d := imageDigest(img)
+		d := img.TreeDigest(tortureDir)
 		if out, ok := memo[d]; ok {
 			return out
 		}
@@ -153,12 +126,11 @@ func TestShortTortureBuilderCrashEnumeration(t *testing.T) {
 	}
 
 	crashImage := func(k int64, lies bool) *fsim.MemFS {
-		base := fsim.NewMemFS()
-		ffs := fsim.NewFaultFS(base, fsim.Faults{CrashAtOp: k, SyncLies: lies})
-		if _, err := fsim.Replay(ffs, tape); !errors.Is(err, fsim.ErrCrashed) {
-			t.Fatalf("crash point %d: replay ended with %v, want power cut", k, err)
+		img, err := fsim.CrashImageAt(tape, k, lies)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return base.CrashImage()
+		return img
 	}
 
 	// 2–4. Honest sweep.

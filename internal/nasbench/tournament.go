@@ -1,16 +1,13 @@
 package nasbench
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"nasgo/internal/candle"
@@ -195,10 +192,7 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 		return nil, fmt.Errorf("nasbench: table is for %s/%s, tournament for %s/%s",
 			cfg.Table.Meta.Bench, cfg.Table.Meta.Space, cfg.Bench.Name, cfg.Space.Name)
 	}
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = fsim.OS
-	}
+	fsys := orOS(cfg.FS)
 	total := len(cfg.Strategies) * cfg.Seeds
 
 	tour := &Tournament{
@@ -208,58 +202,28 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 		BaseSeed:   cfg.BaseSeed,
 	}
 
-	var w *walWriter
+	var j *journal[RunResult] // nil without a Dir: nothing is journaled
+	artifact := filepath.Join(cfg.Dir, TournamentFile)
 	if cfg.Dir != "" {
-		if err := fsys.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("nasbench: create %s: %w", cfg.Dir, err)
-		}
-		artifact := filepath.Join(cfg.Dir, TournamentFile)
-		switch prev, err := readTournamentFS(fsys, artifact); {
-		case err == nil:
-			if prev.Meta != cfg.Table.Meta || prev.Seeds != cfg.Seeds ||
-				prev.BaseSeed != cfg.BaseSeed || !equalStrings(prev.Strategies, cfg.Strategies) {
+		var prev *Tournament
+		var err error
+		prev, j, err = openJournal(fsys, cfg.Dir, artifact, total, logf, func() (*Tournament, error) {
+			t, err := readTournamentFS(fsys, artifact)
+			if err == nil && (t.Meta != cfg.Table.Meta || t.Seeds != cfg.Seeds ||
+				t.BaseSeed != cfg.BaseSeed || !slices.Equal(t.Strategies, cfg.Strategies)) {
 				return nil, fmt.Errorf("nasbench: %s holds a tournament of %v × %d seeds from %d over %s/%s, not this configuration",
-					artifact, prev.Strategies, prev.Seeds, prev.BaseSeed, prev.Meta.Bench, prev.Meta.Space)
+					artifact, t.Strategies, t.Seeds, t.BaseSeed, t.Meta.Bench, t.Meta.Space)
 			}
-			if err := removeSegments(fsys, cfg.Dir); err != nil {
-				return nil, fmt.Errorf("nasbench: janitor %s: %w", cfg.Dir, err)
-			}
+			return t, err
+		}, func(i int, r RunResult) bool { return r.Index == i })
+		if err != nil {
+			return nil, err
+		}
+		if prev != nil {
 			return prev, nil
-		case isNotExist(err):
-		case errors.Is(err, ckpt.ErrCorrupt):
-			// Same recovery posture as the builder: the WAL is authoritative
-			// until a valid artifact exists.
-			logf("nasbench: quarantining damaged %s; rebuilding from wal", artifact)
-			if rmErr := fsys.Remove(artifact); rmErr != nil {
-				return nil, fmt.Errorf("nasbench: quarantine %s: %w", artifact, rmErr)
-			}
-			if sErr := fsys.SyncDir(cfg.Dir); sErr != nil {
-				return nil, fmt.Errorf("nasbench: quarantine %s: %w", artifact, sErr)
-			}
-		default:
-			// Transient I/O (retryable) or a future-format artifact — both
-			// must surface, never quarantine.
-			return nil, err
 		}
-		payloads, maxSeg, err := scanSegments(fsys, cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		tour.Runs, err = decodeRuns(payloads)
-		if err != nil {
-			return nil, err
-		}
-		if len(tour.Runs) > total {
-			return nil, fmt.Errorf("nasbench: tournament wal in %s holds %d runs of %d — wrong configuration?",
-				cfg.Dir, len(tour.Runs), total)
-		}
-		logf("nasbench: tournament %s: recovered %d/%d runs", cfg.Dir, len(tour.Runs), total)
-		if len(tour.Runs) < total {
-			if w, err = newSegment(fsys, cfg.Dir, maxSeg+1); err != nil {
-				return nil, err
-			}
-			defer w.close()
-		}
+		defer j.close()
+		tour.Runs = j.units
 	}
 
 	newRuns := 0
@@ -273,12 +237,8 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 		if err != nil {
 			return nil, err
 		}
-		if w != nil {
-			payload, err := encodeRun(run)
-			if err != nil {
-				return nil, err
-			}
-			if err := w.append(payload); err != nil {
+		if j != nil {
+			if err := j.append(run); err != nil {
 				return nil, err
 			}
 		}
@@ -293,12 +253,12 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	}
 
 	tour.Digest = tour.digest()
-	if cfg.Dir != "" {
-		if err := writeTournamentFS(fsys, filepath.Join(cfg.Dir, TournamentFile), tour); err != nil {
+	if j != nil {
+		if err := writeTournamentFS(fsys, artifact, tour); err != nil {
 			return nil, err
 		}
 		if err := removeSegments(fsys, cfg.Dir); err != nil {
-			return nil, fmt.Errorf("nasbench: janitor %s: %w", cfg.Dir, err)
+			return nil, err
 		}
 	}
 	return tour, nil
@@ -426,39 +386,14 @@ func quantile(vals []float64, q float64) float64 {
 	return vals[lo]*(1-frac) + vals[hi]*frac
 }
 
-// decodeRuns decodes the tournament WAL payloads, enforcing the same index
-// contiguity the table records use.
-func decodeRuns(payloads [][]byte) ([]RunResult, error) {
-	runs := make([]RunResult, 0, len(payloads))
-	for i, p := range payloads {
-		var r RunResult
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&r); err != nil {
-			return nil, corruptErr("tournament wal run %d undecodable: %v", i, err)
-		}
-		if r.Index != i {
-			return nil, corruptErr("tournament wal run %d carries index %d (mid-sequence loss)", i, r.Index)
-		}
-		runs = append(runs, r)
-	}
-	return runs, nil
-}
-
-func encodeRun(r RunResult) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("nasbench: encode tournament run: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // writeTournamentFS finalizes a tournament artifact (same container
 // discipline as the table).
 func writeTournamentFS(fsys fsim.FS, path string, t *Tournament) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(t); err != nil {
-		return fmt.Errorf("nasbench: encode tournament: %w", err)
+	payload, err := gobEncode("tournament", t)
+	if err != nil {
+		return err
 	}
-	return ckpt.WriteFileFS(fsys, path, tourMagic, 1, buf.Bytes())
+	return ckpt.WriteFileFS(fsys, path, tourMagic, 1, payload)
 }
 
 // readTournamentFS loads a finalized tournament artifact and re-verifies
@@ -470,26 +405,11 @@ func readTournamentFS(fsys fsim.FS, path string) (*Tournament, error) {
 		return nil, err
 	}
 	t := &Tournament{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(t); err != nil {
+	if err := gobDecode(payload, t); err != nil {
 		return nil, corruptErr("tournament payload undecodable: %v", err)
 	}
 	if t.Digest != t.digest() {
 		return nil, corruptErr("tournament digest mismatch")
 	}
 	return t, nil
-}
-
-// isNotExist spots a missing-artifact read through the ckpt wrapping.
-func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,10 +3,10 @@
 //
 // A build session appends one framed record per finished unit of work
 // (an architecture trained, a search completed) to a fresh segment file,
-// fsyncing after every frame; the frame layout is exactly the internal/ckpt
-// container layout — magic, version, payload length, SHA-256, payload — so
-// every torn-write and bit-flip failure mode the container reader rejects
-// is rejected here too. All I/O goes through the internal/fsim seam.
+// fsyncing after every frame; frames are written and parsed by the
+// internal/ckpt container codec (ckpt.AppendFrameHeader / ckpt.ParseFrame),
+// so every torn-write and bit-flip failure mode the container reader
+// rejects is rejected here too. All I/O goes through the internal/fsim seam.
 //
 // Durability protocol:
 //
@@ -20,14 +20,16 @@
 //     valid frame prefix. An invalid frame ends its segment — the torn
 //     tail a power cut legitimately leaves — and scanning continues with
 //     the next segment, because a crashed session's successor may already
-//     have written one. Record-index contiguity (enforced by the callers'
-//     decoders) then catches every mid-sequence loss as ErrCorrupt.
+//     have written one. Record-index contiguity (enforced by decodeUnits)
+//     then catches every mid-sequence loss as ErrCorrupt.
+//
+// journal is the artifact-or-WAL recovery built on top: the one routine
+// Build and RunTournament both resume through.
 package nasbench
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -48,44 +50,10 @@ const (
 	segSuffix = ".wal"
 )
 
-const frameHeaderLen = 8 + 4 + 8 + sha256.Size
-
 // corruptErr builds a structural-damage error wrapping ckpt.ErrCorrupt, so
 // callers classify WAL damage exactly like container damage.
 func corruptErr(format string, args ...any) error {
 	return fmt.Errorf("nasbench: %s: %w", fmt.Sprintf(format, args...), ckpt.ErrCorrupt)
-}
-
-// appendFrame appends one framed payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	dst = append(dst, recMagic...)
-	dst = binary.BigEndian.AppendUint32(dst, walVersion)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(len(payload)))
-	dst = append(dst, sum[:]...)
-	return append(dst, payload...)
-}
-
-// parseFrame reads one frame at the head of raw. ok=false means the bytes
-// do not form a complete valid frame — a torn tail as far as the scanner is
-// concerned; the caller decides whether that position tolerates one.
-func parseFrame(raw []byte) (payload, rest []byte, ok bool) {
-	if len(raw) < frameHeaderLen || string(raw[:8]) != recMagic {
-		return nil, nil, false
-	}
-	if binary.BigEndian.Uint32(raw[8:12]) != walVersion {
-		return nil, nil, false
-	}
-	plen := binary.BigEndian.Uint64(raw[12:20])
-	if uint64(len(raw)-frameHeaderLen) < plen {
-		return nil, nil, false
-	}
-	payload = raw[frameHeaderLen : frameHeaderLen+int(plen)]
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], raw[20:20+sha256.Size]) {
-		return nil, nil, false
-	}
-	return payload, raw[frameHeaderLen+int(plen):], true
 }
 
 func segName(n int) string { return fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix) }
@@ -128,10 +96,11 @@ func scanSegments(fsys fsim.FS, dir string) (payloads [][]byte, maxSeg int, err 
 			return nil, 0, fmt.Errorf("nasbench: read wal segment %s: %w", segName(n), err)
 		}
 		for len(raw) > 0 {
-			payload, rest, ok := parseFrame(raw)
-			if !ok {
-				// Torn tail: drop the rest of THIS segment only. If frames
-				// were lost mid-sequence the callers' index-contiguity check
+			payload, _, rest, err := ckpt.ParseFrame(raw, recMagic, walVersion)
+			if err != nil {
+				// Bytes that do not form a complete valid frame are a torn
+				// tail: drop the rest of THIS segment only. If frames
+				// were lost mid-sequence decodeUnits' index-contiguity check
 				// turns the gap into ErrCorrupt.
 				break
 			}
@@ -166,7 +135,7 @@ func newSegment(fsys fsim.FS, dir string, n int) (*walWriter, error) {
 // append writes one framed payload and fsyncs. When it returns nil the
 // record is durable.
 func (w *walWriter) append(payload []byte) error {
-	w.buf = appendFrame(w.buf[:0], payload)
+	w.buf = append(ckpt.AppendFrameHeader(w.buf[:0], recMagic, walVersion, payload), payload...)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("nasbench: append wal record: %w", err)
 	}
@@ -181,7 +150,12 @@ func (w *walWriter) close() error { return w.f.Close() }
 // removeSegments deletes every segment under dir and syncs the directory
 // once — the janitor step after a finalized artifact makes the WAL
 // redundant. Missing files (a crash mid-janitor) are not an error.
-func removeSegments(fsys fsim.FS, dir string) error {
+func removeSegments(fsys fsim.FS, dir string) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("nasbench: janitor %s: %w", dir, err)
+		}
+	}()
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return err
@@ -199,4 +173,124 @@ func removeSegments(fsys fsim.FS, dir string) error {
 		return fsys.SyncDir(dir)
 	}
 	return nil
+}
+
+// gobEncode and gobDecode are the payload codec of every artifact and WAL
+// unit in this package.
+func gobEncode(what string, v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("nasbench: encode %s: %w", what, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// gobDecode's callers classify a failure as structural damage (corruptErr):
+// the frame checksum passed, so the bytes were framed by something that was
+// not a correct writer.
+func gobDecode(payload []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+}
+
+// decodeUnits decodes WAL frame payloads into the contiguous unit prefix
+// they journal. valid must at least hold unit i to carrying index i: that
+// contiguity is the scanner's mid-sequence-loss detector — a dropped torn
+// tail inside a non-final segment surfaces here as ErrCorrupt instead of
+// silently shortening the result.
+func decodeUnits[U any](payloads [][]byte, valid func(i int, u U) bool) ([]U, error) {
+	units := make([]U, 0, len(payloads))
+	for i, p := range payloads {
+		var u U
+		if err := gobDecode(p, &u); err != nil {
+			return nil, corruptErr("wal unit %d undecodable: %v", i, err)
+		}
+		if !valid(i, u) {
+			return nil, corruptErr("wal unit %d is malformed or out of sequence (mid-sequence loss): %+v", i, u)
+		}
+		units = append(units, u)
+	}
+	return units, nil
+}
+
+// journal is one resumable session over a directory holding either a
+// finished artifact or the WAL of the units that will make it up.
+type journal[U any] struct {
+	fsys   fsim.FS
+	dir    string
+	units  []U // the durable prefix recovered at open
+	maxSeg int
+	w      *walWriter
+}
+
+// openJournal creates dir if needed and recovers it. A valid artifact (read
+// succeeds) makes the WAL redundant: leftover segments are janitored and
+// the artifact is returned with a nil journal. A missing artifact falls
+// through to the WAL, and so does a structurally damaged one after it is
+// durably removed — the WAL stays authoritative until a valid artifact
+// exists, the case a crash under fsync-lying firmware leaves. Any other
+// read error — transient I/O (ckpt.IsTransient, safe to retry), a future
+// format, an artifact read rejects as another configuration's — surfaces
+// with nothing touched. valid is decodeUnits' check; total is how many
+// units the finished artifact holds, and a WAL with more is refused.
+func openJournal[A, U any](fsys fsim.FS, dir, artifact string, total int, logf func(string, ...any),
+	read func() (A, error), valid func(i int, u U) bool) (A, *journal[U], error) {
+	var none A
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+		return none, nil, fmt.Errorf("nasbench: create %s: %w", dir, err)
+	}
+	switch art, err := read(); {
+	case err == nil:
+		return art, nil, removeSegments(fsys, dir)
+	case errors.Is(err, fs.ErrNotExist):
+	case errors.Is(err, ckpt.ErrCorrupt):
+		logf("nasbench: quarantining damaged %s; rebuilding from wal", artifact)
+		if err = fsys.Remove(artifact); err == nil {
+			err = fsys.SyncDir(dir)
+		}
+		if err != nil {
+			return none, nil, fmt.Errorf("nasbench: quarantine %s: %w", artifact, err)
+		}
+	default:
+		return none, nil, err
+	}
+	payloads, maxSeg, err := scanSegments(fsys, dir)
+	if err != nil {
+		return none, nil, err
+	}
+	units, err := decodeUnits(payloads, valid)
+	if err != nil {
+		return none, nil, err
+	}
+	if len(units) > total {
+		return none, nil, fmt.Errorf("nasbench: wal in %s holds %d units but this configuration makes %d — wrong space or wrong configuration?",
+			dir, len(units), total)
+	}
+	logf("nasbench: %s: recovered %d/%d units", dir, len(units), total)
+	return none, &journal[U]{fsys: fsys, dir: dir, units: units, maxSeg: maxSeg}, nil
+}
+
+// append journals one more unit to this session's segment (created on the
+// first call, numbered after the highest existing one). When it returns nil
+// the unit is durable.
+func (j *journal[U]) append(u U) error {
+	if j.w == nil {
+		w, err := newSegment(j.fsys, j.dir, j.maxSeg+1)
+		if err != nil {
+			return err
+		}
+		j.w = w
+	}
+	payload, err := gobEncode("wal unit", u)
+	if err != nil {
+		return err
+	}
+	return j.w.append(payload)
+}
+
+// close closes the session's segment, if one was opened.
+func (j *journal[U]) close() error {
+	if j.w == nil {
+		return nil
+	}
+	return j.w.close()
 }

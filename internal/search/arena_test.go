@@ -32,15 +32,14 @@ func TestShortArenaDeterminism(t *testing.T) {
 		log.Config.Eval.Workers = 0 // the only intended differences
 		log.Config.Eval.NoArena = false
 		js := logJSON(t, log)
-		core := trace.WithoutCat(events, trace.CatPool)
 		if baseJSON == nil {
-			baseJSON, baseEvents = js, core
+			baseJSON, baseEvents = js, events
 			continue
 		}
 		diffJSON(t, name+" log", baseJSON, js)
-		diffEvents(t, name+" trace", baseEvents, core)
-		if trace.Digest(core) != trace.Digest(baseEvents) {
-			t.Fatalf("%s: trace digest differs after stripping pool marks", name)
+		diffEvents(t, name+" trace", baseEvents, events)
+		if trace.Digest(events) != trace.Digest(baseEvents) {
+			t.Fatalf("%s: trace digest differs", name)
 		}
 	}
 }

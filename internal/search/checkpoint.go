@@ -137,7 +137,7 @@ type Checkpoint struct {
 // It returns (finalLog, nil, nil) when the search completed within the
 // allocation, or (partialLog, checkpoint, nil) when it hit the walltime
 // boundary; pass the checkpoint to ResumeAllocation (possibly in a later
-// process, via WriteFile/LoadCheckpoint) to continue.
+// process, via WriteFileFS/LoadCheckpointFS) to continue.
 func RunAllocation(bench *candle.Benchmark, sp *space.Space, cfg Config) (*Log, *Checkpoint, error) {
 	return RunAllocationTraced(bench, sp, cfg, nil)
 }
@@ -414,14 +414,9 @@ const (
 	checkpointVersion = 1
 )
 
-// WriteFile atomically persists the checkpoint: staged into a temp file,
+// WriteFileFS atomically persists the checkpoint: staged into a temp file,
 // framed with a versioned header and SHA-256 checksum, renamed into place.
 // A crash mid-write leaves any previous checkpoint at path intact.
-func (ck *Checkpoint) WriteFile(path string) error {
-	return ck.WriteFileFS(fsim.OS, path)
-}
-
-// WriteFileFS is WriteFile through an explicit filesystem.
 func (ck *Checkpoint) WriteFileFS(fsys fsim.FS, path string) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
@@ -430,13 +425,8 @@ func (ck *Checkpoint) WriteFileFS(fsys fsim.FS, path string) error {
 	return ckpt.WriteFileFS(fsys, path, checkpointMagic, checkpointVersion, buf.Bytes())
 }
 
-// LoadCheckpoint reads a checkpoint written by WriteFile. Truncated or
+// LoadCheckpointFS reads a checkpoint written by WriteFileFS. Truncated or
 // corrupted files are rejected with descriptive errors.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	return LoadCheckpointFS(fsim.OS, path)
-}
-
-// LoadCheckpointFS is LoadCheckpoint through an explicit filesystem.
 func LoadCheckpointFS(fsys fsim.FS, path string) (*Checkpoint, error) {
 	payload, _, err := ckpt.ReadFileFS(fsys, path, checkpointMagic, checkpointVersion)
 	if err != nil {

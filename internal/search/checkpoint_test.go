@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"nasgo/internal/candle"
+	"nasgo/internal/fsim"
 	"nasgo/internal/space"
 )
 
@@ -51,10 +52,10 @@ func chainWalltime(t *testing.T, cfg Config, benchSeed uint64) (*Log, chainStats
 			st.inflight = true
 		}
 		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", st.allocations))
-		if werr := ck.WriteFile(path); werr != nil {
+		if werr := ck.WriteFileFS(fsim.OS, path); werr != nil {
 			t.Fatalf("write checkpoint: %v", werr)
 		}
-		loaded, lerr := LoadCheckpoint(path)
+		loaded, lerr := LoadCheckpointFS(fsim.OS, path)
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
@@ -67,7 +68,7 @@ func chainWalltime(t *testing.T, cfg Config, benchSeed uint64) (*Log, chainStats
 	return log, st
 }
 
-// logJSON renders a log the way WriteJSON does; byte equality of this
+// logJSON renders a log the way WriteJSONFS does; byte equality of this
 // rendering is the acceptance bar for resume equivalence.
 func logJSON(t *testing.T, l *Log) []byte {
 	t.Helper()
@@ -240,7 +241,7 @@ func TestNaNRewardGuard(t *testing.T) {
 	}
 }
 
-// minimalCheckpoint returns the smallest Checkpoint LoadCheckpoint accepts,
+// minimalCheckpoint returns the smallest Checkpoint LoadCheckpointFS accepts,
 // for file-format tests that need no search run.
 func minimalCheckpoint() *Checkpoint {
 	return &Checkpoint{
@@ -257,10 +258,10 @@ func minimalCheckpoint() *Checkpoint {
 func TestCheckpointFileRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck")
-	if err := minimalCheckpoint().WriteFile(path); err != nil {
+	if err := minimalCheckpoint().WriteFileFS(fsim.OS, path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path); err != nil {
+	if _, err := LoadCheckpointFS(fsim.OS, path); err != nil {
 		t.Fatalf("intact checkpoint rejected: %v", err)
 	}
 	raw, err := os.ReadFile(path)
@@ -272,7 +273,7 @@ func TestCheckpointFileRejectsCorruption(t *testing.T) {
 		if werr := os.WriteFile(bad, raw[:n], 0o644); werr != nil {
 			t.Fatal(werr)
 		}
-		if _, lerr := LoadCheckpoint(bad); lerr == nil {
+		if _, lerr := LoadCheckpointFS(fsim.OS, bad); lerr == nil {
 			t.Fatalf("checkpoint truncated to %d/%d bytes was accepted", n, len(raw))
 		} else if !strings.Contains(lerr.Error(), "truncated") {
 			t.Fatalf("truncation to %d bytes: error %q does not say truncated", n, lerr)
@@ -283,7 +284,7 @@ func TestCheckpointFileRejectsCorruption(t *testing.T) {
 	if werr := os.WriteFile(bad, flip, 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	if _, lerr := LoadCheckpoint(bad); lerr == nil || !strings.Contains(lerr.Error(), "checksum") {
+	if _, lerr := LoadCheckpointFS(fsim.OS, bad); lerr == nil || !strings.Contains(lerr.Error(), "checksum") {
 		t.Fatalf("flipped payload byte: got %v, want checksum mismatch", lerr)
 	}
 	wrong := append([]byte(nil), raw...)
@@ -291,7 +292,7 @@ func TestCheckpointFileRejectsCorruption(t *testing.T) {
 	if werr := os.WriteFile(bad, wrong, 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	if _, lerr := LoadCheckpoint(bad); lerr == nil || !strings.Contains(lerr.Error(), "magic") {
+	if _, lerr := LoadCheckpointFS(fsim.OS, bad); lerr == nil || !strings.Contains(lerr.Error(), "magic") {
 		t.Fatalf("foreign file: got %v, want bad-magic error", lerr)
 	}
 	future := append([]byte(nil), raw...)
@@ -299,14 +300,14 @@ func TestCheckpointFileRejectsCorruption(t *testing.T) {
 	if werr := os.WriteFile(bad, future, 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	if _, lerr := LoadCheckpoint(bad); lerr == nil || !strings.Contains(lerr.Error(), "version") {
+	if _, lerr := LoadCheckpointFS(fsim.OS, bad); lerr == nil || !strings.Contains(lerr.Error(), "version") {
 		t.Fatalf("future format version: got %v, want version error", lerr)
 	}
 	trailing := append(append([]byte(nil), raw...), "junk"...)
 	if werr := os.WriteFile(bad, trailing, 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	if _, lerr := LoadCheckpoint(bad); lerr == nil || !strings.Contains(lerr.Error(), "trailing") {
+	if _, lerr := LoadCheckpointFS(fsim.OS, bad); lerr == nil || !strings.Contains(lerr.Error(), "trailing") {
 		t.Fatalf("trailing garbage: got %v, want trailing-bytes error", lerr)
 	}
 }
@@ -317,10 +318,10 @@ func TestCheckpointValidation(t *testing.T) {
 	dir := t.TempDir()
 	load := func(name string, ck *Checkpoint) error {
 		path := filepath.Join(dir, name)
-		if err := ck.WriteFile(path); err != nil {
+		if err := ck.WriteFileFS(fsim.OS, path); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadCheckpoint(path)
+		_, err := LoadCheckpointFS(fsim.OS, path)
 		return err
 	}
 

@@ -9,15 +9,10 @@ import (
 	"nasgo/internal/fsim"
 )
 
-// WriteJSON saves the log to path so the analytics and post-training CLIs
+// WriteJSONFS saves the log to path so the analytics and post-training CLIs
 // can consume a search run produced by cmd/nas-search. The write is atomic
 // (temp file + rename): a crash mid-write leaves any previous log intact
 // rather than a truncated JSON prefix.
-func (l *Log) WriteJSON(path string) error {
-	return l.WriteJSONFS(fsim.OS, path)
-}
-
-// WriteJSONFS is WriteJSON through an explicit filesystem.
 func (l *Log) WriteJSONFS(fsys fsim.FS, path string) error {
 	data, err := json.MarshalIndent(l, "", " ")
 	if err != nil {
@@ -29,14 +24,9 @@ func (l *Log) WriteJSONFS(fsys fsim.FS, path string) error {
 	})
 }
 
-// LoadLog reads a log written by WriteJSON. A truncated or corrupt file —
-// including valid JSON that is not a search log — yields a descriptive
+// LoadLogFS reads a log written by WriteJSONFS. A truncated or corrupt file
+// — including valid JSON that is not a search log — yields a descriptive
 // error rather than a zero-valued Log.
-func LoadLog(path string) (*Log, error) {
-	return LoadLogFS(fsim.OS, path)
-}
-
-// LoadLogFS is LoadLog through an explicit filesystem.
 func LoadLogFS(fsys fsim.FS, path string) (*Log, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {

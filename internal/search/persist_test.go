@@ -6,16 +6,18 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nasgo/internal/fsim"
 )
 
 func TestLogJSONRoundTrip(t *testing.T) {
 	skipSlow(t)
 	log := runSmall(t, RDM, 1)
 	path := filepath.Join(t.TempDir(), "log.json")
-	if err := log.WriteJSON(path); err != nil {
+	if err := log.WriteJSONFS(fsim.OS, path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadLog(path)
+	got, err := LoadLogFS(fsim.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestLogJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteJSONCrashSafety simulates the failure WriteJSON's atomicity
+// TestWriteJSONCrashSafety simulates the failure WriteJSONFS's atomicity
 // guards against: a writer killed mid-write. A non-atomic writer would
 // leave a truncated JSON prefix where the next tool expects a log; the
 // staged write leaves either the old complete file or the new one.
@@ -55,7 +57,7 @@ func TestWriteJSONCrashSafety(t *testing.T) {
 	log := runSmall(t, RDM, 1)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "log.json")
-	if err := log.WriteJSON(path); err != nil {
+	if err := log.WriteJSONFS(fsim.OS, path); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -63,7 +65,7 @@ func TestWriteJSONCrashSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The partial file a crashed non-atomic writer would leave: LoadLog
+	// The partial file a crashed non-atomic writer would leave: LoadLogFS
 	// must reject it at every truncation point, never hand back a
 	// zero-valued log.
 	crashed := filepath.Join(dir, "crashed.json")
@@ -71,7 +73,7 @@ func TestWriteJSONCrashSafety(t *testing.T) {
 		if werr := os.WriteFile(crashed, before[:n], 0o644); werr != nil {
 			t.Fatal(werr)
 		}
-		if _, lerr := LoadLog(crashed); lerr == nil {
+		if _, lerr := LoadLogFS(fsim.OS, crashed); lerr == nil {
 			t.Fatalf("log truncated to %d/%d bytes was accepted", n, len(before))
 		}
 	}
@@ -79,7 +81,7 @@ func TestWriteJSONCrashSafety(t *testing.T) {
 	// Rewriting over an existing log stages through a temp file and leaves
 	// no litter: afterwards the directory holds exactly the two logs, and
 	// the target still parses to identical bytes.
-	if err := log.WriteJSON(path); err != nil {
+	if err := log.WriteJSONFS(fsim.OS, path); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.ReadFile(path)
@@ -96,20 +98,20 @@ func TestWriteJSONCrashSafety(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("temp files left behind: %v", entries)
 	}
-	if _, err := LoadLog(path); err != nil {
+	if _, err := LoadLogFS(fsim.OS, path); err != nil {
 		t.Fatalf("rewritten log rejected: %v", err)
 	}
 }
 
 func TestLoadLogErrors(t *testing.T) {
-	if _, err := LoadLog("/does/not/exist.json"); err == nil {
+	if _, err := LoadLogFS(fsim.OS, "/does/not/exist.json"); err == nil {
 		t.Fatal("expected error for missing file")
 	}
 	path := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadLog(path); err == nil {
+	if _, err := LoadLogFS(fsim.OS, path); err == nil {
 		t.Fatal("expected parse error")
 	}
 }
@@ -133,7 +135,7 @@ func TestLoadLogValidation(t *testing.T) {
 		if err := os.WriteFile(path, []byte(c.json), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadLog(path)
+		_, err := LoadLogFS(fsim.OS, path)
 		if err == nil {
 			t.Fatalf("%s: expected validation error", c.name)
 		}
@@ -146,7 +148,7 @@ func TestLoadLogValidation(t *testing.T) {
 	if err := os.WriteFile(good, []byte(`{"Bench":"Combo","SpaceName":"s","Config":{"Strategy":"rdm","Agents":1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadLog(good); err != nil {
+	if _, err := LoadLogFS(fsim.OS, good); err != nil {
 		t.Fatalf("minimal valid log rejected: %v", err)
 	}
 }

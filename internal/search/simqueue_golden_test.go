@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nasgo/internal/candle"
+	"nasgo/internal/fsim"
 	"nasgo/internal/space"
 	"nasgo/internal/trace"
 )
@@ -59,6 +60,10 @@ func traceHex(events []trace.Event) string {
 // divergence in event pop order, seq assignment, or tie-breaking shows up
 // here as a digest mismatch.
 func TestShortSimQueueGoldenTraces(t *testing.T) {
+	forEachProcs(t, testSimQueueGoldenTraces)
+}
+
+func testSimQueueGoldenTraces(t *testing.T) {
 	runs := []struct {
 		strategy string
 		seed     uint64
@@ -132,7 +137,7 @@ func TestShortSimQueueGoldenTraces(t *testing.T) {
 			st.inflight = true
 		}
 		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", st.allocations))
-		if werr := ck.WriteFile(path); werr != nil {
+		if werr := ck.WriteFileFS(fsim.OS, path); werr != nil {
 			t.Fatalf("write checkpoint: %v", werr)
 		}
 		if st.allocations == 1 && *updateSimGoldens {
@@ -144,7 +149,7 @@ func TestShortSimQueueGoldenTraces(t *testing.T) {
 				t.Fatal(werr)
 			}
 		}
-		loaded, lerr := LoadCheckpoint(path)
+		loaded, lerr := LoadCheckpointFS(fsim.OS, path)
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
@@ -170,7 +175,7 @@ func TestShortSimQueueGoldenTraces(t *testing.T) {
 	// Cross-engine restore: the checkpoint bytes written by the heap engine
 	// resume on the current engine and the finished chain reproduces the
 	// golden log exactly.
-	heapCk, err := LoadCheckpoint(simGoldenCkpt)
+	heapCk, err := LoadCheckpointFS(fsim.OS, simGoldenCkpt)
 	if err != nil {
 		t.Fatalf("load heap-engine checkpoint (regenerate with -update-sim-goldens): %v", err)
 	}

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nasgo/internal/analytics"
 	"nasgo/internal/candle"
+	"nasgo/internal/fsim"
 	"nasgo/internal/space"
 	"nasgo/internal/trace"
 )
@@ -38,10 +40,10 @@ func chainWalltimeTraced(t *testing.T, cfg Config, benchSeed uint64) (*Log, []tr
 	n := 1
 	for err == nil && ck != nil {
 		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", n))
-		if werr := ck.WriteFile(path); werr != nil {
+		if werr := ck.WriteFileFS(fsim.OS, path); werr != nil {
 			t.Fatalf("write checkpoint: %v", werr)
 		}
-		loaded, lerr := LoadCheckpoint(path)
+		loaded, lerr := LoadCheckpointFS(fsim.OS, path)
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
@@ -85,6 +87,22 @@ func diffEvents(t *testing.T, what string, a, b []trace.Event) {
 // intended difference — are stripped. The config carries the aggressive
 // fault model, so the golden stream spans every category of the taxonomy.
 func TestShortGoldenTraceDeterminism(t *testing.T) {
+	forEachProcs(t, testGoldenTraceDeterminism)
+}
+
+// forEachProcs runs body as subtests under GOMAXPROCS 1 and 4. The configs
+// leave Eval.Workers at 0 (= GOMAXPROCS), so the first is the serial
+// evaluator and the second the pooled one whatever the host's core count.
+func forEachProcs(t *testing.T, body func(*testing.T)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			body(t)
+		})
+	}
+}
+
+func testGoldenTraceDeterminism(t *testing.T) {
 	cfg := equivCfg(A3C, 91)
 	logA, evA := runTraced(t, cfg, 91)
 	logB, evB := runTraced(t, cfg, 91)

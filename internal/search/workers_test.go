@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nasgo/internal/candle"
+	"nasgo/internal/fsim"
 	"nasgo/internal/space"
 	"nasgo/internal/trace"
 )
@@ -31,10 +32,10 @@ func chainWorkers(t *testing.T, cfg Config, benchSeed uint64) (*Log, []trace.Eve
 			st.inflight = true
 		}
 		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", st.allocations))
-		if werr := ck.WriteFile(path); werr != nil {
+		if werr := ck.WriteFileFS(fsim.OS, path); werr != nil {
 			t.Fatalf("write checkpoint: %v", werr)
 		}
-		loaded, lerr := LoadCheckpoint(path)
+		loaded, lerr := LoadCheckpointFS(fsim.OS, path)
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
@@ -73,11 +74,12 @@ func TestShortWorkerPoolAllStrategies(t *testing.T) {
 
 // TestShortWorkerPoolDeterminism is the worker-pool tentpole's acceptance
 // test: a short A2C and A3C search under the aggressive fault model must
-// produce byte-identical search.Log JSON and equal trace digests (after
-// stripping the wall-clock CatPool marks) at Workers ∈ {1, 2, 8}, and the
-// Workers=8 run chained across mid-round checkpoint/resume cuts must still
-// match the uninterrupted Workers=1 run. Eval.Workers is the only
-// normalized config field — everything else is compared raw.
+// produce byte-identical search.Log JSON and equal raw trace digests at
+// Workers ∈ {1, 2, 8} (evaluator's TestPoolTraceEvents pins that Workers
+// != 1 really engages the pool), and the Workers=8 run chained across
+// mid-round checkpoint/resume cuts must still match the uninterrupted
+// Workers=1 run. Eval.Workers is the only normalized config field —
+// everything else is compared raw.
 func TestShortWorkerPoolDeterminism(t *testing.T) {
 	for _, c := range []struct {
 		strategy string
@@ -93,23 +95,14 @@ func TestShortWorkerPoolDeterminism(t *testing.T) {
 				log, events := runTraced(t, cfg, c.seed)
 				log.Config.Eval.Workers = 0 // the only intended difference
 				js := logJSON(t, log)
-				core := trace.WithoutCat(events, trace.CatPool)
 				if workers == 1 {
-					// Workers=1 must be the literal serial machine: not a
-					// single pool event in the raw stream.
-					if len(core) != len(events) {
-						t.Fatal("Workers=1 recorded pool events")
-					}
-					baseJSON, baseEvents = js, core
+					baseJSON, baseEvents = js, events
 					continue
 				}
-				if len(core) == len(events) {
-					t.Fatalf("Workers=%d recorded no pool events — pool not engaged", workers)
-				}
 				diffJSON(t, fmt.Sprintf("Workers=%d log", workers), baseJSON, js)
-				diffEvents(t, fmt.Sprintf("Workers=%d trace", workers), baseEvents, core)
-				if trace.Digest(core) != trace.Digest(baseEvents) {
-					t.Fatalf("Workers=%d trace digest differs after stripping pool marks", workers)
+				diffEvents(t, fmt.Sprintf("Workers=%d trace", workers), baseEvents, events)
+				if trace.Digest(events) != trace.Digest(baseEvents) {
+					t.Fatalf("Workers=%d trace digest differs", workers)
 				}
 			}
 
@@ -131,10 +124,10 @@ func TestShortWorkerPoolDeterminism(t *testing.T) {
 			logC.Config.Eval.Workers = 0
 			logC.Config.Walltime = 0
 			diffJSON(t, "chained Workers=8 log", baseJSON, logJSON(t, logC))
-			core := trace.WithoutCat(trace.WithoutCat(evC, trace.CatCkpt), trace.CatPool)
+			core := trace.WithoutCat(evC, trace.CatCkpt)
 			diffEvents(t, "chained Workers=8 trace", baseEvents, core)
 			if trace.Digest(core) != trace.Digest(baseEvents) {
-				t.Fatal("chained pooled trace digest differs after stripping ckpt+pool marks")
+				t.Fatal("chained pooled trace digest differs after stripping ckpt marks")
 			}
 		})
 	}

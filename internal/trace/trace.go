@@ -7,10 +7,12 @@
 // The paper's entire evaluation (§5, Figures 4–13) is built from post-hoc
 // traces of the search: reward trajectories, node utilization, queue depths.
 // This package makes that record first class. Every event is keyed by
-// *virtual* time (hpc.Sim seconds, never wall time), so two same-seed runs
-// produce byte-identical traces — the golden-trace determinism oracle in
-// internal/search — and a run chained across checkpoint/resume boundaries
-// concatenates seamlessly with its predecessor's trace.
+// *virtual* time (hpc.Sim seconds, never wall time) and no event carries a
+// host measurement, so two same-seed runs produce byte-identical traces on
+// any host, core count or evaluator worker count — the golden-trace
+// determinism oracle in internal/search — and a run chained across
+// checkpoint/resume boundaries concatenates seamlessly with its
+// predecessor's trace.
 //
 // Invariants, mirroring the zero-value hpc.FaultModel rule:
 //
@@ -54,13 +56,10 @@ const (
 	// events a chained run records that an uninterrupted run does not;
 	// WithoutCat(events, CatCkpt) strips them before trace comparison.
 	CatCkpt = "ckpt"
-	// CatPool is the evaluator's concurrent-training worker pool: future
-	// launches, virtual-time joins, and checkpoint drains. Pool events
-	// describe HOST execution (their Dur fields are wall-clock seconds, the
-	// only category where that is true), so their count, order, and values
-	// are scheduler-dependent; WithoutCat(events, CatPool) strips them
-	// before trace comparison, exactly like CatCkpt. With Workers <= 1 the
-	// pool is disabled and no CatPool events are ever emitted.
+	// CatPool names the worker-pool events found in traces recorded by
+	// older builds (their Dur fields were wall-clock seconds). Nothing
+	// emits it any more: host measurements never enter the trace stream.
+	// The constant stays so consumers can filter those old traces.
 	CatPool = "pool"
 )
 
@@ -105,15 +104,6 @@ const (
 	// Checkpoint marks (CatCkpt).
 	EvCut    = "cut"
 	EvResume = "resume"
-
-	// Worker-pool lifecycle (CatPool). EvPoolLaunch: a real training left
-	// for the host pool (Value = busy slots at launch). EvPoolJoin: a
-	// virtual-time event blocked on its future (Detail "ready" or "wait",
-	// Dur = wall seconds blocked). EvPoolDrain: a checkpoint cut resolved
-	// pending futures (Value = how many).
-	EvPoolLaunch = "pool.launch"
-	EvPoolJoin   = "pool.join"
-	EvPoolDrain  = "pool.drain"
 )
 
 // Event kinds, selecting the Chrome trace_event phase on export.
@@ -319,10 +309,8 @@ func Filter(events []Event, keep func(Event) bool) []Event {
 }
 
 // WithoutCat drops every event of the given category — most usefully
-// CatCkpt (the only category whose events differ between an uninterrupted
-// run and the same run chained across checkpoint/resume boundaries) and
-// CatPool (the only category describing host rather than virtual
-// execution, so the only one that varies with evaluator.Config.Workers).
+// CatCkpt, the only category whose events differ between an uninterrupted
+// run and the same run chained across checkpoint/resume boundaries.
 func WithoutCat(events []Event, cat string) []Event {
 	return Filter(events, func(ev Event) bool { return ev.Cat != cat })
 }

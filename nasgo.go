@@ -24,6 +24,7 @@ import (
 	"nasgo/internal/candle"
 	"nasgo/internal/evaluator"
 	"nasgo/internal/experiments"
+	"nasgo/internal/fsim"
 	"nasgo/internal/hpc"
 	"nasgo/internal/modelio"
 	"nasgo/internal/nn"
@@ -114,14 +115,14 @@ func RunSearchTraced(bench *Benchmark, sp *Space, cfg SearchConfig, rec *TraceRe
 	return search.RunTraced(bench, sp, cfg, rec)
 }
 
-// LoadSearchLog reads a log saved with SearchLog.WriteJSON.
-func LoadSearchLog(path string) (*SearchLog, error) { return search.LoadLog(path) }
+// LoadSearchLog reads a log saved with SearchLog.WriteJSONFS.
+func LoadSearchLog(path string) (*SearchLog, error) { return search.LoadLogFS(fsim.OS, path) }
 
 // RunSearchAllocation starts a walltime-bounded search allocation
 // (SearchConfig.Walltime > 0). It returns the final log when the search
 // completed inside the allocation, or a partial log plus a checkpoint to
 // hand to ResumeSearchAllocation — in this process or, via
-// SearchCheckpoint.WriteFile and LoadSearchCheckpoint, in a later one.
+// SearchCheckpoint.WriteFileFS and LoadSearchCheckpoint, in a later one.
 func RunSearchAllocation(bench *Benchmark, sp *Space, cfg SearchConfig) (*SearchLog, *SearchCheckpoint, error) {
 	return search.RunAllocation(bench, sp, cfg)
 }
@@ -148,9 +149,9 @@ func ResumeSearchAllocationTraced(bench *Benchmark, sp *Space, ck *SearchCheckpo
 }
 
 // LoadSearchCheckpoint reads a checkpoint saved with
-// SearchCheckpoint.WriteFile, rejecting truncated or corrupted files.
+// SearchCheckpoint.WriteFileFS, rejecting truncated or corrupted files.
 func LoadSearchCheckpoint(path string) (*SearchCheckpoint, error) {
-	return search.LoadCheckpoint(path)
+	return search.LoadCheckpointFS(fsim.OS, path)
 }
 
 // PostTrain retrains the given top architectures for the paper's 20 epochs
@@ -180,14 +181,14 @@ type Model = nn.Model
 // SaveModel persists a trained model together with its architecture
 // identity (space, choices, dimensions, unit scale).
 func SaveModel(path string, sp *Space, choices []int, inputDims []int, unitScale float64, m *Model) error {
-	return modelio.Save(path, sp, choices, inputDims, unitScale, m)
+	return modelio.SaveFS(fsim.OS, path, sp, choices, inputDims, unitScale, m)
 }
 
 // LoadModel reloads a model saved from a catalog space; for custom spaces
 // use LoadModelWithSpace.
-func LoadModel(path string) (*Model, *ArchIR, error) { return modelio.Load(path) }
+func LoadModel(path string) (*Model, *ArchIR, error) { return modelio.LoadFS(fsim.OS, path) }
 
 // LoadModelWithSpace reloads a model saved from the given (custom) space.
 func LoadModelWithSpace(path string, sp *Space) (*Model, *ArchIR, error) {
-	return modelio.LoadWithSpace(path, sp)
+	return modelio.LoadWithSpace(fsim.OS, path, sp)
 }

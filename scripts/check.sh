@@ -17,6 +17,12 @@ fi
 
 go vet ./...
 go test -short ./...
+# Results must not depend on the host's core count: evaluator Workers == 0
+# resolves to GOMAXPROCS, so the determinism pins run serial (1), at the
+# smallest pooled width (2) and wider than the test machines' node count (8).
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool' ./internal/search/ ./internal/evaluator/
+done
 # tensor and nn are in the race list for the destination-passing kernels:
 # their row-banded parallel paths (forced via GOMAXPROCS in the tests) are
 # the only data-parallel float loops in the repo.
@@ -27,9 +33,8 @@ go test -race ./internal/hpc/ ./internal/balsam/ ./internal/rng/ ./internal/spac
 # to race-check whole — this is the only gate exercising Workers > 1
 # evaluator concurrency under the race detector.
 go test -race ./internal/evaluator/
-# The worker-pool determinism tests run ~11 full searches; under ~15x race
-# overhead on a 1-core box this line alone runs ~10 min, so raise go test's
-# default 10-minute package timeout.
+# The worker-pool determinism tests run ~11 full searches under ~15x race
+# overhead, so raise go test's default 10-minute package timeout.
 go test -race -timeout 30m -run TestShort ./internal/search/
 # The campaign service multiplexes runner goroutines, HTTP handlers, and
 # the supervisor over shared state; its suite (concurrent submits, panic
@@ -37,7 +42,7 @@ go test -race -timeout 30m -run TestShort ./internal/search/
 go test -race -timeout 30m ./internal/campaign/
 # The tabular benchmark builds its table through the Workers>1 evaluator
 # pool and replays searches against it at Workers ∈ {1,8}; the whole suite
-# is fast-tier by design (~3 min under race on this box).
+# is fast-tier by design.
 go test -race -timeout 30m ./internal/nasbench/
 
 # Coverage gate on the persistence- and concurrency-critical packages: the
