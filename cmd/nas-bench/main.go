@@ -11,14 +11,13 @@
 //	nas-bench -exp workers -workers 0  # time the evaluator pool at GOMAXPROCS
 //	nas-bench -exp simbench            # DES-core throughput: events/sec, bytes/event
 //	nas-bench -exp tournament          # 4 strategies × common seed set on the tabular benchmark
-//	nas-bench -resume results/ckpt/alloc-001.ckpt -trace resumed.trace.jsonl
 //	nas-bench -torture -scale quick  # power-cut every fs op of a campaign
 //
 // Search runs are memoized in-process, so "-exp all" shares runs between
 // figures exactly as the paper's campaign did. The restart experiment
 // splits one search across walltime-bounded allocations chained through
-// checkpoint files; -resume continues any saved search checkpoint to
-// completion.
+// checkpoint files; continuing a saved search checkpoint to completion is
+// nas-search's job (nas-search -resume ck -checkpoint ck -allocations 0).
 package main
 
 import (
@@ -36,16 +35,10 @@ import (
 	"nasgo"
 	"nasgo/internal/campaign"
 	"nasgo/internal/experiments"
-	"nasgo/internal/fsim"
-	"nasgo/internal/trace"
 )
 
-// stopRequested polls for SIGINT/SIGTERM. Experiments and resume chains
-// check it at their safe boundaries — between experiments, and between
-// walltime allocations (where the checkpoint file is already rewritten) —
-// so a signal never loses completed work.
-var stopRequested func() bool
-
+// notifyStop returns a poll for SIGINT/SIGTERM. The experiment loop checks
+// it between experiments, so a signal never loses completed work.
 func notifyStop() func() bool {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -68,8 +61,7 @@ func main() {
 		out      = flag.String("out", "bench_results", "write each rendering to <out>/<exp>.txt ('' disables)")
 		walltime = flag.Float64("walltime", 0, "restart experiment: virtual seconds per allocation (0 derives a third of the run)")
 		ckptDir  = flag.String("checkpoint", "", "restart experiment: keep the chain's checkpoint files in this directory")
-		resume   = flag.String("resume", "", "continue a search checkpoint file to completion, rewriting it at each further walltime cut (skips -exp)")
-		tracePth = flag.String("trace", "", "record the run's event trace as JSONL (only with -resume or -exp restart)")
+		tracePth = flag.String("trace", "", "record the chained run's event trace as JSONL (only with -exp restart)")
 		torture  = flag.Bool("torture", false, "crash-point torture: simulate a power cut at every mutating filesystem op of a campaign, honest and fsync-lying, and verify recovery (skips -exp)")
 	)
 	flag.Usage = func() {
@@ -77,24 +69,18 @@ func main() {
 		flag.PrintDefaults()
 		fmt.Fprintf(flag.CommandLine.Output(), `
 on-signal: SIGINT/SIGTERM stops at the next safe boundary — after the
-current experiment, or (with -resume) after the current walltime allocation,
-whose checkpoint file is already rewritten; rerun with the same flags to
-continue.
+current experiment; rerun with the same flags to regenerate the rest.
 `)
 	}
 	flag.Parse()
-	stopRequested = notifyStop()
+	stopRequested := notifyStop()
 
 	if *torture {
 		runTorture(*scale, *out)
 		return
 	}
-	if *resume != "" {
-		resumeChain(*resume, *tracePth)
-		return
-	}
 	if *tracePth != "" && *exp != "restart" {
-		log.Fatal("-trace requires -resume or -exp restart")
+		log.Fatal("-trace requires -exp restart")
 	}
 
 	sc, err := nasgo.ExperimentScaleByName(*scale)
@@ -211,76 +197,6 @@ and rejected, %d still resumed identically.
 		}
 		fmt.Printf("report written to %s\n", path)
 	}
-}
-
-// resumeChain continues a checkpointed search allocation by allocation
-// until it completes, rewriting the checkpoint file at every walltime cut
-// so a killed process can pick up where it left off. With tracePath, one
-// recorder follows the whole chain and its seamless trace is written when
-// the search completes.
-func resumeChain(path, tracePath string) {
-	ck, err := nasgo.LoadSearchCheckpoint(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var rec *nasgo.TraceRecorder
-	if tracePath != "" {
-		rec = nasgo.NewTraceRecorder(0)
-	}
-	bench, err := nasgo.NewBenchmark(ck.Bench, nasgo.BenchmarkConfig{Seed: ck.Config.Seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sp, err := nasgo.NewSpace(ck.SpaceName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("resuming %s on %s/%s: allocation %d, virtual time %.0f s, walltime %.0f s\n",
-		strings.ToUpper(ck.Config.Strategy), ck.Bench, ck.SpaceName, ck.Allocations+1, ck.Now, ck.Config.Walltime)
-	for {
-		res, next, err := nasgo.ResumeSearchAllocationTraced(bench, sp, ck, rec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if next == nil {
-			fmt.Printf("search complete: %d results, end %.0f virtual s, converged=%v\n",
-				len(res.Results), res.EndTime, res.Converged)
-			if rec != nil {
-				writeTraceJSONL(rec, tracePath)
-			}
-			return
-		}
-		if err := next.WriteFileFS(fsim.OS, path); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("allocation %d cut at %.0f virtual s: checkpoint rewritten to %s\n",
-			next.Allocations, next.Now, path)
-		if stopRequested() {
-			fmt.Printf("stopped at the allocation boundary; continue with: nas-bench -resume %s\n", path)
-			return
-		}
-		ck = next
-	}
-}
-
-// writeTraceJSONL saves the recorded chain trace and prints its digest.
-func writeTraceJSONL(rec *nasgo.TraceRecorder, path string) {
-	events := rec.Events()
-	if dropped := rec.Dropped(); dropped > 0 {
-		fmt.Printf("trace ring overflowed: %d oldest events dropped\n", dropped)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := trace.WriteJSONL(f, events); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("trace: %d events written to %s (sha256 %x)\n",
-		len(events), path, trace.Digest(events))
 }
 
 func max(a, b int) int {

@@ -57,7 +57,7 @@ func main() {
 	var (
 		benchName = flag.String("bench", "Combo", "benchmark: Combo, Uno, or NT3")
 		spaceSize = flag.String("space", "small", "search space size: small or large")
-		strategy  = flag.String("strategy", "a3c", "search strategy: a3c, a2c, or rdm")
+		strategy  = flag.String("strategy", "a3c", "search strategy: a3c, a2c, rdm, or evo")
 		agents    = flag.Int("agents", 8, "number of RL agents (paper: 21)")
 		workers   = flag.Int("workers", 5, "architectures per agent per round (paper: 11)")
 		horizon   = flag.Float64("horizon", 3*3600, "virtual wall-clock budget in seconds (paper: 21600)")

@@ -216,7 +216,7 @@ func TestStoreCheckpointAndLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ck, err := search.RunAllocation(bench, sp, spec.SearchConfig())
+	_, ck, err := search.RunAllocationTraced(bench, sp, spec.SearchConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

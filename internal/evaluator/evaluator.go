@@ -189,7 +189,7 @@ type Evaluator struct {
 	agentSeeds map[int]uint64
 	rootRand   *rng.Rand
 
-	finished map[int][]*Result // per-agent completed results (poll API)
+	finished map[int][]*Result // per-agent results of AddEvalBatch submissions (poll API)
 
 	// inflight tracks results whose virtual task is still executing on the
 	// Balsam service, keyed by job ID, so a checkpoint can capture them and
@@ -288,12 +288,12 @@ func (e *Evaluator) agentSeed(agentID int) uint64 {
 }
 
 // inflightRecord pairs an in-flight result with the cache it may occupy
-// and, when the worker pool is enabled, the future computing its reward.
+// and the future computing its reward.
 type inflightRecord struct {
 	res     *Result
 	cacheID int
 	inCache bool
-	fut     *future // nil on the serial path and after resolve
+	fut     *future // nil once resolved (inline futures: before Submit returns)
 }
 
 // Submit schedules one reward estimation; onDone fires (in virtual time)
@@ -317,8 +317,8 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		if e.sem != nil {
 			// The entry may still be training on the worker pool (optimistic
 			// insert); join it before copying. The join can evict a diverged
-			// training — then this submission is a miss, exactly as on the
-			// serial machine, which never cached it in the first place.
+			// training — then this submission is a miss, exactly as with an
+			// inline future, which was evicted before its Submit returned.
 			e.resolve(e.pendingRecord(prev))
 		}
 		if _, still := cache[key]; still {
@@ -337,22 +337,12 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		}
 	}
 
-	// Virtual plan at paper dimensions. A malformed architecture must not
-	// kill the campaign: surface the compile error as a failed result.
-	paperIR, err := e.Space.Compile(choices, e.Space.PaperInputDims(), 1.0)
-	if err != nil {
-		e.failCompile(agentID, key, choices, fmt.Sprintf("compile at paper dims: %v", err), onDone)
-		return 0
-	}
-	stats := paperIR.Stats()
-	plan := e.paperPlan(stats)
-
-	// Real training at scaled dimensions, eagerly computed; its reward is
-	// revealed when the virtual task completes. The prologue — RNG stream
-	// derivation and the scaled-dimension compile — always runs here,
-	// synchronously in Submit order, so RNG positions and compile failures
-	// are identical at every Workers setting.
-	taskRand, ir, err := e.prepareTraining(agentID, choices)
+	// The prologue — both compiles, the virtual plan, the RNG stream
+	// derivation — always runs here, synchronously in Submit order, so RNG
+	// positions and compile failures are identical at every Workers setting.
+	// A malformed architecture must not kill the campaign: surface the
+	// compile error as a failed result.
+	stats, plan, metric, err := e.estimation(agentID, key, choices)
 	if err != nil {
 		e.failCompile(agentID, key, choices, err.Error(), onDone)
 		return 0
@@ -367,40 +357,12 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		TimedOut: plan.TimedOut,
 		Duration: plan.Duration,
 	}
-	var fut *future
-	if e.sem == nil || e.src != nil {
-		// Serial path. A reward source replaces the training with a table
-		// lookup — instant on the host, so the worker pool would have
-		// nothing to overlap and is bypassed at every Workers setting.
-		var reward float64
-		if e.src != nil {
-			metric, ok := e.src.Metric(key)
-			if !ok {
-				panic(fmt.Sprintf("evaluator: architecture %s missing from reward table (search space must be the tabulated sub-space)", key))
-			}
-			reward = e.shapeReward(metric, stats)
-		} else {
-			reward = e.shapeReward(e.trainReal(taskRand, ir, plan), stats)
-		}
-		res.Reward = reward
-		if !isFinite(reward) {
-			// A diverged training run (NaN/Inf loss) must surface as a failed
-			// evaluation, not poison the agent's policy update or the cache.
-			// The virtual task still runs, so timing dynamics are unchanged.
-			res.Failed = true
-			res.Err = fmt.Sprintf("evaluator: non-finite reward %g", reward)
-			res.Reward = 0
-		} else {
-			cache[key] = res
-		}
-	} else {
-		// Pool path: the training overlaps the virtual clock as a future;
-		// the completion event joins it. The cache insert stays at submit
-		// time (the serial machine's behavior, so duplicate submissions
-		// in flight still hit); resolve undoes it if the training diverges.
-		fut = e.launch(taskRand, ir, plan, stats)
-		cache[key] = res
-	}
+	// The cache insert happens at submit time, so duplicate submissions in
+	// flight still hit; resolve undoes it if the estimation diverges. The
+	// reward is revealed when the virtual task completes.
+	cache[key] = res
+	rec := &inflightRecord{res: res, cacheID: cacheID, inCache: true}
+	e.start(rec, func() float64 { return e.shapeReward(metric(), stats) })
 	e.sim.Recorder().Emit(trace.Event{Cat: trace.CatEval, Name: trace.EvTaskSubmit,
 		Node: trace.None, Agent: agentID, Value: plan.Duration, Detail: key})
 	id := e.service.Submit(&balsam.Job{
@@ -411,7 +373,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		Payload:  res,
 		OnDone:   e.jobOnDone(res, cacheID, onDone),
 	})
-	e.inflight[id] = &inflightRecord{res: res, cacheID: cacheID, inCache: !res.Failed, fut: fut}
+	e.inflight[id] = rec
 	return id
 }
 
@@ -419,7 +381,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 // out so Relink can rebuild the exact same callback on a restored service.
 func (e *Evaluator) jobOnDone(res *Result, cacheID int, onDone func(*Result)) func(*balsam.Job) {
 	return func(j *balsam.Job) {
-		// Join the training future first (no-op on the serial path): this is
+		// Join the training future first (no-op for an inline one): this is
 		// THE synchronization point of the worker pool, on the virtual
 		// timeline, before any shared state below is touched.
 		e.resolve(e.inflight[j.ID])
@@ -481,29 +443,24 @@ func (e *Evaluator) paperPlan(stats space.ArchStats) hpc.RewardEstimate {
 }
 
 // TabulateMetric runs one architecture's reward estimation outside the
-// virtual machine: the same compiles, the same plan, the same training draws
-// a live Submit performs, but no task, no cache, no trace — the
-// internal/nasbench builder's path. It requires benchmark mode, where the
-// training stream depends on the architecture alone, so the returned raw
-// metric is exactly what any live bench-mode Submit of the same architecture
-// would feed shapeReward (non-finite when the training diverged — stored
-// as-is so replay reproduces the failure path bit-for-bit). A compile
-// failure at either dimension set returns an error carrying the same
-// message Submit's failure path records.
-func (e *Evaluator) TabulateMetric(choices []int) (metric float64, plan hpc.RewardEstimate, err error) {
+// virtual machine: the same prologue and the same training draws a live
+// Submit performs, but no task, no cache, no trace — the internal/nasbench
+// builder's path. It requires benchmark mode, where the training stream
+// depends on the architecture alone, so the returned raw metric is exactly
+// what any live bench-mode Submit of the same architecture would feed
+// shapeReward (non-finite when the training diverged — stored as-is so
+// replay reproduces the failure path bit-for-bit). A compile failure at
+// either dimension set returns an error carrying the same message Submit's
+// failure path records.
+func (e *Evaluator) TabulateMetric(choices []int) (float64, hpc.RewardEstimate, error) {
 	if e.Cfg.BenchSeed == 0 {
 		panic("evaluator: TabulateMetric requires benchmark mode (Config.BenchSeed != 0)")
 	}
-	paperIR, err := e.Space.Compile(choices, e.Space.PaperInputDims(), 1.0)
-	if err != nil {
-		return 0, hpc.RewardEstimate{}, fmt.Errorf("evaluator: compile at paper dims: %v", err)
-	}
-	plan = e.paperPlan(paperIR.Stats())
-	taskRand, ir, err := e.prepareTraining(0, choices)
+	_, plan, metric, err := e.estimation(0, e.Space.Hash(choices), choices)
 	if err != nil {
 		return 0, hpc.RewardEstimate{}, fmt.Errorf("evaluator: %v", err)
 	}
-	return e.trainReal(taskRand, ir, plan), plan, nil
+	return metric(), plan, nil
 }
 
 // taskStream derives the per-task training stream. Live mode mixes the
@@ -518,17 +475,35 @@ func (e *Evaluator) taskStream(agentID int, key string) *rng.Rand {
 	return rng.New(e.agentSeed(agentID) ^ hashKey(key))
 }
 
-// prepareTraining is the synchronous prologue of a real reward estimation:
-// the per-task RNG stream (derived in Submit order, so stream positions are
-// identical at every Workers setting) and the scaled-dimension compile,
-// whose failure must surface at submit time.
-func (e *Evaluator) prepareTraining(agentID int, choices []int) (*rng.Rand, *space.ArchIR, error) {
-	taskRand := e.taskStream(agentID, e.Space.Hash(choices))
+// estimation is the synchronous prologue of one reward estimation, shared by
+// Submit and TabulateMetric: the paper-dimension compile and virtual plan,
+// the per-task RNG stream (derived in submit order, so stream positions are
+// identical at every Workers setting), and the scaled-dimension compile,
+// whose failure must surface at submit time. The returned metric thunk is
+// the only deferred part — the real training, or the table lookup a reward
+// source replaces it with — and may run on any goroutine.
+func (e *Evaluator) estimation(agentID int, key string, choices []int) (space.ArchStats, hpc.RewardEstimate, func() float64, error) {
+	paperIR, err := e.Space.Compile(choices, e.Space.PaperInputDims(), 1.0)
+	if err != nil {
+		return space.ArchStats{}, hpc.RewardEstimate{}, nil, fmt.Errorf("compile at paper dims: %v", err)
+	}
+	stats := paperIR.Stats()
+	plan := e.paperPlan(stats)
+	taskRand := e.taskStream(agentID, key)
 	ir, err := e.Space.Compile(choices, e.Bench.Train.InputDims(), e.Bench.UnitScale)
 	if err != nil {
-		return nil, nil, fmt.Errorf("compile at scaled dims: %v", err)
+		return space.ArchStats{}, hpc.RewardEstimate{}, nil, fmt.Errorf("compile at scaled dims: %v", err)
 	}
-	return taskRand, ir, nil
+	if e.src != nil {
+		return stats, plan, func() float64 {
+			metric, ok := e.src.Metric(key)
+			if !ok {
+				panic(fmt.Sprintf("evaluator: architecture %s missing from reward table (search space must be the tabulated sub-space)", key))
+			}
+			return metric
+		}, nil
+	}
+	return stats, plan, func() float64 { return e.trainReal(taskRand, ir, plan) }, nil
 }
 
 // trainReal trains the scaled-down architecture and returns the validation
@@ -584,14 +559,14 @@ func (e *Evaluator) record(r *Result) {
 	e.sim.Recorder().Emit(trace.Event{Kind: trace.KindSpan, Cat: trace.CatEval, Name: trace.EvResult,
 		Dur: r.Duration, Node: trace.None, Agent: r.AgentID, Value: r.Reward, Detail: flag})
 	e.Trace = append(e.Trace, r)
-	e.finished[r.AgentID] = append(e.finished[r.AgentID], r)
 }
 
 // AddEvalBatch submits a batch of architectures for an agent, matching the
 // paper's evaluator API. Results are collected via GetFinishedEvals.
 func (e *Evaluator) AddEvalBatch(agentID int, batch [][]int) {
+	collect := func(r *Result) { e.finished[agentID] = append(e.finished[agentID], r) }
 	for _, choices := range batch {
-		e.Submit(agentID, choices, func(*Result) {})
+		e.Submit(agentID, choices, collect)
 	}
 }
 
@@ -621,7 +596,7 @@ type InflightState struct {
 	JobID   int64
 	CacheID int
 	// InCache says whether the result occupies its agent's cache (false for
-	// results pre-marked Failed by the non-finite-reward guard).
+	// a diverged estimation, which resolve marked Failed and evicted).
 	InCache bool
 	Result  Result
 }
@@ -629,9 +604,9 @@ type InflightState struct {
 // State is the complete serializable state of an Evaluator: the per-agent
 // caches, the agent seed assignments and root stream position, counters, the
 // completion-order trace, and the in-flight tasks. The GetFinishedEvals poll
-// buffers are deliberately not captured: the event-driven search path
-// consumes results through callbacks, so the buffers are empty whenever a
-// checkpoint is taken.
+// buffers are deliberately not captured: only AddEvalBatch fills them, and
+// the event-driven search path consumes results through Submit callbacks, so
+// the buffers are empty whenever a checkpoint is taken.
 type State struct {
 	Caches     map[int]map[string]Result
 	AgentSeeds map[int]uint64

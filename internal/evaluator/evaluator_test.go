@@ -183,6 +183,17 @@ func TestAddEvalBatchAndPoll(t *testing.T) {
 	if got := ev.GetFinishedEvals(3); len(got) != 0 {
 		t.Fatalf("poll did not drain: %d", len(got))
 	}
+	// The poll API is a client of Submit, not a tap on it: a result consumed
+	// through a Submit callback never lands in the poll buffers.
+	delivered := 0
+	ev.Submit(3, variantChoices(t, sp, 1), func(*Result) { delivered++ })
+	sim.RunAll()
+	if delivered != 1 {
+		t.Fatalf("callback fired %d times, want 1", delivered)
+	}
+	if got := ev.GetFinishedEvals(3); len(got) != 0 {
+		t.Fatalf("callback-path result buffered for polling: %d", len(got))
+	}
 }
 
 func TestTraceRecordsEverything(t *testing.T) {

@@ -1,60 +1,70 @@
 package evaluator
 
-import (
-	"fmt"
+import "fmt"
 
-	"nasgo/internal/hpc"
-	"nasgo/internal/rng"
-	"nasgo/internal/space"
-)
+// This file is the one submit pipeline's back half (DESIGN.md §10): every
+// estimation is a future — started by start, joined by resolve — and the
+// concurrent-training worker pool is just the futures that run on their own
+// goroutine. The virtual machine is untouched by it: Submit starts the
+// estimation and the completion event already on the simulated timeline
+// joins it, so every mutation of shared state — cache writes, trace events,
+// Log appends — still happens in exact virtual-time order. Each estimation
+// is self-contained (its RNG stream is derived synchronously in Submit
+// order; it reads only immutable evaluator state), which is why overlapping
+// them cannot move a single bit of any result.
 
-// This file is the concurrent-training worker pool (DESIGN.md §10). The
-// virtual machine is untouched by it: Submit starts the real scaled-down
-// training as a future on the host and the completion event already on the
-// simulated timeline joins it, so every mutation of shared state — cache
-// writes, trace events, Log appends — still happens in exact virtual-time
-// order. Each training is self-contained (its RNG stream is derived
-// synchronously in Submit order; it reads only immutable evaluator state),
-// which is why overlapping them cannot move a single bit of any result.
-
-// future is one real training in flight on the worker pool.
+// future is one reward estimation's pending shaped reward.
 type future struct {
-	done   chan struct{}
-	reward float64 // shaped reward; valid once done is closed
+	done   chan struct{} // nil for an inline future, which is born complete
+	reward float64       // valid once done is closed (or nil)
 }
 
-// launch starts the training as a bounded goroutine. The semaphore is
-// acquired inside the goroutine, so launch never blocks the simulation
-// loop; in-flight futures are naturally bounded by the node count.
-func (e *Evaluator) launch(taskRand *rng.Rand, ir *space.ArchIR, plan hpc.RewardEstimate, stats space.ArchStats) *future {
+// start runs rec's estimation as a future. With the pool off, or with a
+// reward source (a table lookup is instant on the host, so the pool would
+// have nothing to overlap), it runs inline and is resolved on the spot — no
+// channel, no goroutine, and no observer ever sees the optimistic cache
+// entry of a diverged estimation: the exact serial machine. Otherwise it
+// runs as a bounded goroutine; the semaphore is acquired inside it, so start
+// never blocks the simulation loop, and in-flight futures are naturally
+// bounded by the node count.
+func (e *Evaluator) start(rec *inflightRecord, estimate func() float64) {
+	if e.sem == nil || e.src != nil {
+		rec.fut = &future{reward: estimate()}
+		e.resolve(rec)
+		return
+	}
 	fut := &future{done: make(chan struct{})}
+	rec.fut = fut
 	go func() {
 		defer close(fut.done)
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
-		fut.reward = e.shapeReward(e.trainReal(taskRand, ir, plan), stats)
+		fut.reward = estimate()
 	}()
-	return fut
 }
 
-// resolve joins a record's pending future, applying the cache and failure
-// decisions the serial machine makes inline at Submit. It is only called
-// from virtual-time callbacks — job completion, a duplicate submission
-// hitting the optimistic cache entry, or a checkpoint drain — so shared
-// state still mutates in virtual-time order. Records without a future
-// (serial path, already resolved, or restored from a checkpoint) no-op.
+// resolve joins a record's pending future and makes the one cache/failure
+// decision of the pipeline: a diverged estimation (NaN/Inf reward) must
+// surface as a failed evaluation, not poison the agent's policy update or
+// the cache, so the submit-time cache insert is undone before anyone
+// observes it. The virtual task still runs, so timing dynamics are
+// unchanged. It is only called from Submit itself (inline futures) and from
+// virtual-time callbacks — job completion, a duplicate submission hitting
+// the optimistic cache entry, or a checkpoint drain — so shared state still
+// mutates in virtual-time order. Records without a future (already
+// resolved, or restored from a checkpoint) no-op.
 func (e *Evaluator) resolve(rec *inflightRecord) {
 	if rec == nil || rec.fut == nil {
 		return
 	}
 	fut := rec.fut
 	rec.fut = nil
-	<-fut.done
+	if fut.done != nil {
+		<-fut.done
+	}
 	res := rec.res
 	res.Reward = fut.reward
 	if !isFinite(res.Reward) {
-		// The serial machine never caches a diverged (NaN/Inf) training; the
-		// optimistic insert is undone here, before anyone observes it.
 		res.Failed = true
 		res.Err = fmt.Sprintf("evaluator: non-finite reward %g", fut.reward)
 		res.Reward = 0

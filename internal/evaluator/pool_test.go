@@ -136,6 +136,72 @@ func TestPoolDivergedDuplicateIsMiss(t *testing.T) {
 	}
 }
 
+// nanSource is a reward table whose every stored metric is a diverged
+// training.
+type nanSource struct{}
+
+func (nanSource) Metric(string) (float64, bool) { return math.NaN(), true }
+
+// TestDivergedEstimationOnePipeline pins the one submit pipeline where it
+// used to fork three ways: the same diverging estimation through an inline
+// live future, a pooled live future, and a table lookup must yield the same
+// failed Result, leave the cache slot empty (so a duplicate is a miss), and
+// checkpoint as not-in-cache.
+func TestDivergedEstimationOnePipeline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cases := []struct {
+		name   string
+		cfg    Config
+		src    RewardSource
+		pooled bool
+	}{
+		{name: "serial live", cfg: Config{BenchSeed: 15, Workers: 1, SizeWeight: math.NaN()}},
+		{name: "pooled live", cfg: Config{BenchSeed: 15, Workers: 0, SizeWeight: math.NaN()}, pooled: true},
+		{name: "table NaN", cfg: Config{BenchSeed: 15, Workers: 0}, src: nanSource{}},
+	}
+	var want *Result
+	for _, tc := range cases {
+		sim, ev, sp := comboSetup(t, tc.cfg)
+		ev.SetRewardSource(tc.src)
+		choices := denseChoices(sp)
+		var got []*Result
+		collect := func(r *Result) { got = append(got, r) }
+		id1 := ev.Submit(0, choices, collect)
+		if launched := ev.inflight[id1].fut != nil; launched != tc.pooled {
+			t.Fatalf("%s: future still pending after Submit = %v, want %v", tc.name, launched, tc.pooled)
+		}
+		id2 := ev.Submit(0, choices, collect)
+		if id1 == 0 || id2 == 0 || id1 == id2 || ev.CacheHits != 0 {
+			t.Fatalf("%s: duplicate of a diverged estimation must be a miss (ids %d, %d; %d hits)", tc.name, id1, id2, ev.CacheHits)
+		}
+		st := ev.CaptureState()
+		if len(st.Caches[0]) != 0 {
+			t.Fatalf("%s: diverged estimation occupies %d cache slots", tc.name, len(st.Caches[0]))
+		}
+		if len(st.Inflight) != 2 {
+			t.Fatalf("%s: %d in-flight records, want 2", tc.name, len(st.Inflight))
+		}
+		for i, rec := range st.Inflight {
+			if rec.InCache {
+				t.Fatalf("%s: in-flight record %d captured as InCache", tc.name, i)
+			}
+		}
+		sim.RunAll()
+		if len(got) != 2 {
+			t.Fatalf("%s: %d results, want 2", tc.name, len(got))
+		}
+		r := got[0]
+		if !r.Failed || r.Reward != 0 || r.Err != "evaluator: non-finite reward NaN" {
+			t.Fatalf("%s: result not failed-with-zero-reward: %+v", tc.name, r)
+		}
+		if want == nil {
+			want = r
+		} else if !reflect.DeepEqual(want, r) {
+			t.Fatalf("%s: result differs from %s:\n%+v\nvs\n%+v", tc.name, cases[0].name, r, want)
+		}
+	}
+}
+
 // TestPoolTraceEvents pins that the pool is invisible to the trace: with
 // the host forced to four procs and Workers left at 0 (= GOMAXPROCS) the
 // pool is engaged — a semaphore exists and every submission carries a

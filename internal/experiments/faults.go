@@ -82,21 +82,7 @@ func (r *FaultsResult) Run(strategy, label string) *search.Log {
 
 // MeanUtilization is the active-run mean utilization of one arm.
 func (r *FaultsResult) MeanUtilization(strategy, label string) float64 {
-	log := r.Run(strategy, label)
-	var sum float64
-	n := 0
-	limit := int(log.EndTime/log.UtilBucket) + 1
-	for i, u := range log.Utilization {
-		if i >= limit {
-			break
-		}
-		sum += u
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return meanUtilization(r.Run(strategy, label))
 }
 
 // Degradation returns how much of a strategy's zero-fault utilization is

@@ -136,27 +136,31 @@ func Fig5(benchName string, sc Scale) *Fig5Result {
 	return &Fig5Result{Bench: benchName, Runs: f4.Runs}
 }
 
+// meanUtilization averages a run's utilization series over the active part
+// of the run only (buckets up to EndTime).
+func meanUtilization(log *search.Log) float64 {
+	var sum float64
+	n := 0
+	limit := int(log.EndTime/log.UtilBucket) + 1
+	for i, u := range log.Utilization {
+		if i >= limit {
+			break
+		}
+		sum += u
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // MeanUtilization returns the run-wide mean utilization for a strategy.
 func (r *Fig5Result) MeanUtilization(strategy string) float64 {
 	for _, run := range r.Runs {
-		if run.Strategy != strategy {
-			continue
+		if run.Strategy == strategy {
+			return meanUtilization(run.Log)
 		}
-		var sum float64
-		n := 0
-		// Average over the active part of the run only (up to EndTime).
-		limit := int(run.Log.EndTime/run.Log.UtilBucket) + 1
-		for i, u := range run.Log.Utilization {
-			if i >= limit {
-				break
-			}
-			sum += u
-			n++
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
 	}
 	return math.NaN()
 }
@@ -316,23 +320,9 @@ func Fig9(sc Scale) *Fig9Result {
 // MeanUtilization returns the mean utilization of a labeled run.
 func (r *Fig9Result) MeanUtilization(label string) float64 {
 	for _, run := range r.Runs {
-		if run.Label != label {
-			continue
+		if run.Label == label {
+			return meanUtilization(run.Log)
 		}
-		var sum float64
-		n := 0
-		limit := int(run.Log.EndTime/run.Log.UtilBucket) + 1
-		for i, u := range run.Log.Utilization {
-			if i >= limit {
-				break
-			}
-			sum += u
-			n++
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
 	}
 	return math.NaN()
 }

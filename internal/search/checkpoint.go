@@ -6,10 +6,10 @@
 // as if nothing happened. nasgo implements this as an exact cut of the
 // discrete-event simulation:
 //
-//   - RunAllocation processes every event with virtual time ≤ the walltime
+//   - An allocation processes every event with virtual time ≤ the walltime
 //     boundary (hpc.Sim.RunUntil), so the cut always falls between events,
 //     never inside one. All still-pending events lie strictly beyond the
-//     boundary.
+//     boundary. A plain run is the allocation whose boundary is +Inf.
 //   - The Checkpoint then captures the complete search state: per-agent
 //     policy/value parameters and Adam moments (rl, optim), every RNG
 //     stream position (rng), the reward-estimation caches and in-flight
@@ -18,11 +18,11 @@
 //     parameter-server barrier/window/deliveries (ps), each agent's control
 //     phase, and the partial Log. Pending events are captured as data —
 //     absolute fire time plus original sequence number.
-//   - ResumeAllocation rebuilds every component through the same
-//     constructor code paths (replaying the construction-time RNG draws),
-//     overwrites their state, re-enqueues the captured event frontier in
-//     (time, seq) order (hpc.ScheduleResume), and continues to the next
-//     boundary.
+//   - The next allocation rebuilds every component through the same
+//     constructor code paths (allocate; replaying the construction-time RNG
+//     draws), overwrites their state, re-enqueues the captured event
+//     frontier in (time, seq) order (hpc.ScheduleResume), and continues to
+//     the next boundary.
 //
 // Because the cut is exact — no draining, no reordering, no re-drawn
 // randomness — a run chained across any number of allocations produces a
@@ -133,117 +133,63 @@ type Checkpoint struct {
 	Partial *Log
 }
 
-// RunAllocation starts a walltime-bounded search allocation from scratch.
-// It returns (finalLog, nil, nil) when the search completed within the
-// allocation, or (partialLog, checkpoint, nil) when it hit the walltime
-// boundary; pass the checkpoint to ResumeAllocation (possibly in a later
-// process, via WriteFileFS/LoadCheckpointFS) to continue.
-func RunAllocation(bench *candle.Benchmark, sp *space.Space, cfg Config) (*Log, *Checkpoint, error) {
-	return RunAllocationTraced(bench, sp, cfg, nil)
-}
-
-// RunAllocationTraced is RunAllocation with a trace recorder attached to
-// the allocation's machine (nil behaves exactly like RunAllocation). A
-// walltime cut appends a CatCkpt cut mark, the only trace difference
-// against an uninterrupted run.
+// RunAllocationTraced starts a walltime-bounded search allocation from
+// scratch, with a trace recorder attached to the allocation's machine (rec
+// may be nil). It returns (finalLog, nil, nil) when the search completed
+// within the allocation, or (partialLog, checkpoint, nil) when it hit the
+// walltime boundary; pass the checkpoint to ResumeAllocationTraced (possibly
+// in a later process, via WriteFileFS/LoadCheckpointFS) to continue. A
+// walltime cut appends a CatCkpt cut mark, the only trace difference against
+// an uninterrupted run.
 func RunAllocationTraced(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *trace.Recorder) (*Log, *Checkpoint, error) {
-	return runAllocation(bench, sp, cfg, rec, nil)
-}
-
-// runAllocation is RunAllocationTraced plus an optional tabular reward
-// source (RunReplay's walltime-chained path).
-func runAllocation(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *trace.Recorder, src evaluator.RewardSource) (*Log, *Checkpoint, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if cfg.Walltime <= 0 {
-		return nil, nil, fmt.Errorf("search: RunAllocation needs Walltime > 0 virtual seconds, got %g", cfg.Walltime)
+		return nil, nil, fmt.Errorf("search: RunAllocationTraced needs Walltime > 0 virtual seconds, got %g", cfg.Walltime)
 	}
-	r := newRunner(bench, sp, cfg, rec, src)
-	r.boundary = r.cfg.Walltime
-	r.start()
-	return r.finishAllocation()
+	return allocate(bench, sp, cfg, nil, rec, nil)
 }
 
-// ResumeAllocation continues a checkpointed search for one more walltime
-// allocation. The benchmark and space must be the ones the checkpoint was
-// taken from.
-func ResumeAllocation(bench *candle.Benchmark, sp *space.Space, ck *Checkpoint) (*Log, *Checkpoint, error) {
-	return ResumeAllocationTraced(bench, sp, ck, nil)
-}
-
-// ResumeAllocationTraced is ResumeAllocation with a trace recorder
-// attached to the restored machine. Handing the predecessor allocation's
-// recorder here makes the chain's trace concatenate seamlessly: apart from
-// the CatCkpt cut/resume marks, the combined event stream is byte-
-// identical to an uninterrupted run's (the golden-trace test pins this).
+// ResumeAllocationTraced continues a checkpointed search for one more
+// walltime allocation, with a trace recorder attached to the restored
+// machine (rec may be nil). The benchmark and space must be the ones the
+// checkpoint was taken from. Handing the predecessor allocation's recorder
+// here makes the chain's trace concatenate seamlessly: apart from the CatCkpt
+// cut/resume marks, the combined event stream is byte-identical to an
+// uninterrupted run's (the golden-trace test pins this).
 func ResumeAllocationTraced(bench *candle.Benchmark, sp *space.Space, ck *Checkpoint, rec *trace.Recorder) (*Log, *Checkpoint, error) {
-	return resumeAllocation(bench, sp, ck, rec, nil)
+	return allocate(bench, sp, ck.Config, ck, rec, nil)
 }
 
-// resumeAllocation is ResumeAllocationTraced plus an optional tabular
-// reward source, re-attached to the restored evaluator exactly as the
-// trace recorder is re-attached to the restored machine.
-func resumeAllocation(bench *candle.Benchmark, sp *space.Space, ck *Checkpoint, rec *trace.Recorder, src evaluator.RewardSource) (*Log, *Checkpoint, error) {
-	if bench.Name != ck.Bench {
-		return nil, nil, fmt.Errorf("search: checkpoint is for benchmark %q, resume got %q", ck.Bench, bench.Name)
-	}
-	if sp.Name != ck.SpaceName {
-		return nil, nil, fmt.Errorf("search: checkpoint is for space %q, resume got %q", ck.SpaceName, sp.Name)
-	}
-	cfg := ck.Config
-	sim := hpc.NewSimAt(ck.Now)
-	sim.SetRecorder(rec)
-	rec.Emit(trace.Event{Cat: trace.CatCkpt, Name: trace.EvResume,
-		Node: trace.None, Agent: trace.None, Value: float64(ck.Allocations)})
-	service, events := balsam.RestoreService(sim, cfg.Agents*cfg.WorkersPerAgent, balsam.Options{
-		Faults:       cfg.Faults,
-		FaultHorizon: cfg.Horizon,
-		MaxRetries:   cfg.MaxRetries,
-	}, ck.Service)
-	evalCfg := cfg.Eval
-	evalCfg.Seed = cfg.Seed ^ 0x5eed
-	ev := evaluator.Restore(sim, service, bench, sp, evalCfg, ck.Eval)
-	if src != nil {
-		ev.SetRewardSource(src)
-	}
+// restore overwrites a freshly constructed runner with the checkpoint's
+// state and re-enqueues the captured event frontier: events holds the
+// restored service's share, to which the parameter server's deliveries and
+// the agents' own pending events are added.
+func (r *runner) restore(ck *Checkpoint, events []hpc.ResumeEvent) error {
+	r.stopped = ck.Stopped
+	r.endTime = ck.EndTime
+	r.cachedRounds = append([]int(nil), ck.CachedRounds...)
+	r.converged = ck.Converged
+	r.partialRounds = ck.PartialRounds
+	r.failedEvals = ck.FailedEvals
+	r.allocations = ck.Allocations
 
-	r := &runner{
-		rewards:       src,
-		cfg:           cfg,
-		bench:         bench,
-		sim:           sim,
-		service:       service,
-		eval:          ev,
-		space:         sp,
-		stopped:       ck.Stopped,
-		endTime:       ck.EndTime,
-		cachedRounds:  append([]int(nil), ck.CachedRounds...),
-		converged:     ck.Converged,
-		partialRounds: ck.PartialRounds,
-		failedEvals:   ck.FailedEvals,
-		boundary:      ck.Boundary + cfg.Walltime,
-		allocations:   ck.Allocations,
-	}
-
-	// Rebuild the agents through the identical constructor draw sequence,
-	// then overwrite their checkpointed state.
-	r.buildAgents(rng.New(cfg.Seed))
 	if len(ck.Agents) != len(r.agents) {
-		return nil, nil, fmt.Errorf("search: checkpoint has %d agents, config builds %d", len(ck.Agents), len(r.agents))
+		return fmt.Errorf("search: checkpoint has %d agents, config builds %d", len(ck.Agents), len(r.agents))
 	}
 	for i := range ck.Agents {
 		if err := r.agents[i].restoreState(&ck.Agents[i]); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 
-	if cfg.Strategy == A3C || cfg.Strategy == A2C {
+	if r.usesPS() {
 		if ck.PS == nil {
-			return nil, nil, fmt.Errorf("search: checkpoint for strategy %q is missing parameter-server state", cfg.Strategy)
+			return fmt.Errorf("search: checkpoint for strategy %q is missing parameter-server state", r.cfg.Strategy)
 		}
 		waiter := func(agentID int) func([]float64) { return r.agents[agentID].gradAveraged }
-		psrv, psEvents := ps.RestoreServer(sim, r.psConfig(), ck.PS, waiter)
+		psrv, psEvents := ps.RestoreServer(r.sim, r.psConfig(), ck.PS, waiter)
 		r.psrv = psrv
 		events = append(events, psEvents...)
 	}
@@ -253,13 +199,13 @@ func resumeAllocation(bench *candle.Benchmark, sp *space.Space, ck *Checkpoint, 
 	for _, a := range r.agents {
 		for i, id := range a.pendingJobs {
 			if id != 0 {
-				ev.Relink(id, a.evalDone(i))
+				r.eval.Relink(id, a.evalDone(i))
 				relinked++
 			}
 		}
 	}
-	if relinked != ev.InflightCount() {
-		return nil, nil, fmt.Errorf("search: checkpoint has %d in-flight evaluations but agents reference %d", ev.InflightCount(), relinked)
+	if relinked != r.eval.InflightCount() {
+		return fmt.Errorf("search: checkpoint has %d in-flight evaluations but agents reference %d", r.eval.InflightCount(), relinked)
 	}
 
 	// Agent-owned pending events (UpdateCost delays, round waits).
@@ -268,26 +214,16 @@ func resumeAllocation(bench *candle.Benchmark, sp *space.Space, ck *Checkpoint, 
 		switch a.phase {
 		case phaseUpdate:
 			events = append(events, hpc.ResumeEvent{Time: a.evTime, Seq: a.evSeq, Schedule: func() {
-				a.evSeq = sim.AtTime(a.evTime, a.applyUpdate)
+				a.evSeq = r.sim.AtTime(a.evTime, a.applyUpdate)
 			}})
 		case phaseRoundWait:
 			events = append(events, hpc.ResumeEvent{Time: a.evTime, Seq: a.evSeq, Schedule: func() {
-				a.evSeq = sim.AtTime(a.evTime, a.startRound)
+				a.evSeq = r.sim.AtTime(a.evTime, a.startRound)
 			}})
 		}
 	}
 	hpc.ScheduleResume(events)
-	return r.finishAllocation()
-}
-
-// finishAllocation runs to the allocation's walltime boundary, returning
-// the final log if the search drained or a checkpoint at the cut.
-func (r *runner) finishAllocation() (*Log, *Checkpoint, error) {
-	if r.sim.RunUntil(r.boundary) {
-		return r.buildLog(), nil, nil
-	}
-	ck := r.capture()
-	return ck.Partial, ck, nil
+	return nil
 }
 
 // capture snapshots the runner into a Checkpoint. No RNG draws, no event

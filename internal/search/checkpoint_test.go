@@ -40,7 +40,7 @@ func chainWalltime(t *testing.T, cfg Config, benchSeed uint64) (*Log, chainStats
 	t.Helper()
 	dir := t.TempDir()
 	sp := space.NewComboSmall()
-	log, ck, err := RunAllocation(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg)
+	log, ck, err := RunAllocationTraced(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg, nil)
 	st := chainStats{allocations: 1}
 	for err == nil && ck != nil {
 		for i := range ck.Agents {
@@ -59,7 +59,7 @@ func chainWalltime(t *testing.T, cfg Config, benchSeed uint64) (*Log, chainStats
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
-		log, ck, err = ResumeAllocation(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, loaded)
+		log, ck, err = ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, loaded, nil)
 		st.allocations++
 	}
 	if err != nil {
@@ -185,7 +185,7 @@ func TestNaNRewardGuard(t *testing.T) {
 	sp := space.NewComboSmall()
 	bench := func() *candle.Benchmark { return candle.NewCombo(candle.Config{Seed: 55}) }
 
-	log, ck, err := RunAllocation(bench(), sp, cfg)
+	log, ck, err := RunAllocationTraced(bench(), sp, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestNaNRewardGuard(t *testing.T) {
 		finite(ctrl.Opt.V, "Adam second moment")
 	}
 	for err == nil && ck != nil {
-		log, ck, err = ResumeAllocation(bench(), sp, ck)
+		log, ck, err = ResumeAllocationTraced(bench(), sp, ck, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -345,13 +345,13 @@ func TestCheckpointValidation(t *testing.T) {
 	sp := space.NewComboSmall()
 	ck = minimalCheckpoint()
 	ck.Bench = "NT3"
-	if _, _, err := ResumeAllocation(bench, sp, ck); err == nil || !strings.Contains(err.Error(), "benchmark") {
+	if _, _, err := ResumeAllocationTraced(bench, sp, ck, nil); err == nil || !strings.Contains(err.Error(), "benchmark") {
 		t.Fatalf("benchmark mismatch: %v", err)
 	}
 	ck = minimalCheckpoint()
 	ck.Bench = bench.Name
 	ck.SpaceName = "some-other-space"
-	if _, _, err := ResumeAllocation(bench, sp, ck); err == nil || !strings.Contains(err.Error(), "space") {
+	if _, _, err := ResumeAllocationTraced(bench, sp, ck, nil); err == nil || !strings.Contains(err.Error(), "space") {
 		t.Fatalf("space mismatch: %v", err)
 	}
 }
@@ -383,8 +383,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
-	// RunAllocation without a walltime is an immediate error, not a hang.
-	if _, _, err := RunAllocation(nil, nil, smallCfg(A3C, 1)); err == nil || !strings.Contains(err.Error(), "Walltime") {
-		t.Fatalf("RunAllocation without Walltime: %v", err)
+	// RunAllocationTraced without a walltime is an immediate error, not a hang.
+	if _, _, err := RunAllocationTraced(nil, nil, smallCfg(A3C, 1), nil); err == nil || !strings.Contains(err.Error(), "Walltime") {
+		t.Fatalf("RunAllocationTraced without Walltime: %v", err)
 	}
 }

@@ -243,16 +243,10 @@ type runner struct {
 	failedEvals   int
 
 	// boundary is the current allocation's walltime cut in virtual seconds
-	// (+Inf semantics when Walltime is disabled handled by RunAll), and
-	// allocations counts completed walltime allocations before this one.
+	// (+Inf when Walltime is disabled: never cut), and allocations counts
+	// completed walltime allocations before this one.
 	boundary    float64
 	allocations int
-
-	// rewards, when non-nil, is the tabular replay backend attached to the
-	// evaluator (RunReplay). Like the trace recorder it is deliberately not
-	// part of Config: Config is gob-encoded into checkpoints, and a reward
-	// table is a live in-process object the resuming caller re-attaches.
-	rewards evaluator.RewardSource
 }
 
 // Agent phases: where an agent's state machine sits between simulator
@@ -359,62 +353,106 @@ func RunReplayTraced(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *
 	return run(bench, sp, cfg, rec, src)
 }
 
+// run is the one search loop: a chain of allocations through in-memory
+// checkpoints. A plain run (Walltime == 0) is the chain of length one — an
+// allocation whose boundary is +Inf is never cut.
 func run(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *trace.Recorder, src evaluator.RewardSource) (*Log, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Walltime > 0 {
-		// Chain walltime-bounded allocations through in-memory checkpoints.
-		log, ck, err := runAllocation(bench, sp, cfg, rec, src)
-		for err == nil && ck != nil {
-			log, ck, err = resumeAllocation(bench, sp, ck, rec, src)
-		}
-		return log, err
+	log, ck, err := allocate(bench, sp, cfg, nil, rec, src)
+	for err == nil && ck != nil {
+		log, ck, err = allocate(bench, sp, ck.Config, ck, rec, src)
 	}
-	r := newRunner(bench, sp, cfg, rec, src)
-	r.start()
-	r.sim.RunAll()
-	return r.buildLog(), nil
+	return log, err
 }
 
-// newRunner builds a fresh runner: simulator at time zero, service,
-// evaluator, parameter server, and agents. The RNG draw sequence here is
-// the reference a resumed runner replays before overwriting state.
-func newRunner(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *trace.Recorder, src evaluator.RewardSource) *runner {
+// allocate runs one allocation of a search — from scratch (ck == nil) or
+// continuing ck, whose Config the caller passes as cfg — to its walltime
+// boundary, and returns the final log, or the partial log and the checkpoint
+// at the cut. It is the single construction site of the machine: service,
+// evaluator, parameter server and agents are built from the same derived
+// settings in the same order either way, so the construction-time RNG draws
+// of a fresh machine are exactly the ones a restored machine replays before
+// its state is overwritten. rec and src are live in-process objects and
+// deliberately not part of Config (which is gob-encoded into checkpoints):
+// the caller re-attaches them to every allocation.
+func allocate(bench *candle.Benchmark, sp *space.Space, cfg Config, ck *Checkpoint, rec *trace.Recorder, src evaluator.RewardSource) (*Log, *Checkpoint, error) {
 	cfg = cfg.withDefaults()
-	sim := hpc.NewSim()
-	sim.SetRecorder(rec)
 	if cfg.Faults.Enabled() && cfg.Faults.Seed == 0 {
 		cfg.Faults.Seed = cfg.Seed ^ 0xfa117
 	}
-	service := balsam.NewServiceWithOptions(sim, cfg.Agents*cfg.WorkersPerAgent, balsam.Options{
+	nodes := cfg.Agents * cfg.WorkersPerAgent
+	opts := balsam.Options{
 		Faults:       cfg.Faults,
 		FaultHorizon: cfg.Horizon,
 		MaxRetries:   cfg.MaxRetries,
-	})
+	}
 	evalCfg := cfg.Eval
 	evalCfg.Seed = cfg.Seed ^ 0x5eed
-	ev := evaluator.New(sim, service, bench, sp, evalCfg)
-	if src != nil {
-		ev.SetRewardSource(src)
-	}
 
 	r := &runner{
-		rewards:      src,
 		cfg:          cfg,
 		bench:        bench,
-		sim:          sim,
-		service:      service,
-		eval:         ev,
 		space:        sp,
 		cachedRounds: make([]int, cfg.Agents),
+		boundary:     math.Inf(1),
 	}
-	if cfg.Strategy == A3C || cfg.Strategy == A2C {
-		r.psrv = ps.NewServer(sim, r.psConfig())
+	var events []hpc.ResumeEvent // the checkpoint's pending-event frontier
+	if ck == nil {
+		r.sim = hpc.NewSim()
+		r.sim.SetRecorder(rec)
+		r.service = balsam.NewServiceWithOptions(r.sim, nodes, opts)
+		r.eval = evaluator.New(r.sim, r.service, bench, sp, evalCfg)
+	} else {
+		if bench.Name != ck.Bench {
+			return nil, nil, fmt.Errorf("search: checkpoint is for benchmark %q, resume got %q", ck.Bench, bench.Name)
+		}
+		if sp.Name != ck.SpaceName {
+			return nil, nil, fmt.Errorf("search: checkpoint is for space %q, resume got %q", ck.SpaceName, sp.Name)
+		}
+		r.sim = hpc.NewSimAt(ck.Now)
+		r.sim.SetRecorder(rec)
+		rec.Emit(trace.Event{Cat: trace.CatCkpt, Name: trace.EvResume,
+			Node: trace.None, Agent: trace.None, Value: float64(ck.Allocations)})
+		r.service, events = balsam.RestoreService(r.sim, nodes, opts, ck.Service)
+		r.eval = evaluator.Restore(r.sim, r.service, bench, sp, evalCfg, ck.Eval)
+	}
+	if src != nil {
+		r.eval.SetRewardSource(src)
+	}
+	if cfg.Walltime > 0 {
+		r.boundary = cfg.Walltime
+		if ck != nil {
+			r.boundary += ck.Boundary
+		}
 	}
 	r.buildAgents(rng.New(cfg.Seed))
-	return r
+
+	if ck == nil {
+		if r.usesPS() {
+			r.psrv = ps.NewServer(r.sim, r.psConfig())
+		}
+		for _, a := range r.agents {
+			r.sim.At(0, a.startRound)
+		}
+	} else if err := r.restore(ck, events); err != nil {
+		return nil, nil, err
+	}
+
+	// Process every event up to the boundary: the cut, if any, falls between
+	// events, and a drained queue ends at the same virtual time whether or
+	// not a boundary was set.
+	if r.sim.RunUntil(r.boundary) {
+		return r.buildLog(), nil, nil
+	}
+	ck = r.capture()
+	return ck.Partial, ck, nil
 }
+
+// usesPS reports whether the strategy exchanges gradients through the
+// parameter server.
+func (r *runner) usesPS() bool { return r.cfg.Strategy == A3C || r.cfg.Strategy == A2C }
 
 func (r *runner) psConfig() ps.Config {
 	mode := ps.Async
@@ -426,8 +464,8 @@ func (r *runner) psConfig() ps.Config {
 
 // buildAgents constructs the agent set from the root stream. The draw
 // sequence (Split for the agent stream, then Uint64 or Split for the
-// strategy state) is load-bearing: ResumeAllocation replays it bit-for-bit
-// before overwriting each agent's state.
+// strategy state) is load-bearing: a resumed allocation replays it
+// bit-for-bit before overwriting each agent's state.
 func (r *runner) buildAgents(root *rng.Rand) {
 	for i := 0; i < r.cfg.Agents; i++ {
 		a := &agent{id: i, r: r, rand: root.Split()}
@@ -438,14 +476,6 @@ func (r *runner) buildAgents(root *rng.Rand) {
 			a.evo = newEvoState(r.cfg.EvoPopulation, root.Split())
 		}
 		r.agents = append(r.agents, a)
-	}
-}
-
-// start schedules every agent's first round at time zero.
-func (r *runner) start() {
-	for _, a := range r.agents {
-		a := a
-		r.sim.At(0, func() { a.startRound() })
 	}
 }
 

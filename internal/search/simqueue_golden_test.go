@@ -179,9 +179,9 @@ func testSimQueueGoldenTraces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load heap-engine checkpoint (regenerate with -update-sim-goldens): %v", err)
 	}
-	rlog, next, err := ResumeAllocation(candle.NewCombo(candle.Config{Seed: 91}), sp, heapCk)
+	rlog, next, err := ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: 91}), sp, heapCk, nil)
 	for err == nil && next != nil {
-		rlog, next, err = ResumeAllocation(candle.NewCombo(candle.Config{Seed: 91}), sp, next)
+		rlog, next, err = ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: 91}), sp, next, nil)
 	}
 	if err != nil {
 		t.Fatalf("resume heap-engine checkpoint: %v", err)

@@ -126,6 +126,10 @@ func testGoldenTraceDeterminism(t *testing.T) {
 			t.Errorf("golden trace has no %s events", cat)
 		}
 	}
+	// A plain run is one unbounded allocation: never cut, so no ckpt marks.
+	if n := byCat[trace.CatCkpt]; n != 0 {
+		t.Errorf("plain run recorded %d checkpoint cut/resume marks", n)
+	}
 
 	// Chained run: same stream modulo CatCkpt cut/resume marks.
 	chained := cfg

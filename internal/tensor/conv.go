@@ -8,28 +8,12 @@ func Conv1DOutLen(length, window, stride int) int {
 	return (length-window)/stride + 1
 }
 
-// Conv1D computes a 1-D "valid" convolution (really cross-correlation, as in
-// Keras) over x of shape [batch, length, inChannels] with kernel w of shape
-// [kernel, inChannels, outChannels] and bias b of shape [outChannels]. The
-// output has shape [batch, outLen, outChannels] with
-// outLen = (length-kernel)/stride + 1. A nil bias is treated as zeros.
-func Conv1D(x, w, b *Tensor, stride int) *Tensor {
-	if x.Rank() != 3 || w.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: Conv1D requires rank-3 x and w, got %v, %v", x.Shape, w.Shape))
-	}
-	if x.Shape[1] < w.Shape[0] {
-		panic(fmt.Sprintf("tensor: Conv1D input length %d shorter than kernel %d", x.Shape[1], w.Shape[0]))
-	}
-	if stride < 1 {
-		panic("tensor: Conv1D stride must be >= 1")
-	}
-	out := New(x.Shape[0], Conv1DOutLen(x.Shape[1], w.Shape[0], stride), w.Shape[2])
-	Conv1DInto(out, x, w, b, stride)
-	return out
-}
-
-// Conv1DInto computes a 1-D "valid" convolution into a caller-provided
-// [batch, outLen, outChannels] destination, which must not alias any operand.
+// Conv1DInto computes a 1-D "valid" convolution (really cross-correlation, as
+// in Keras) over x of shape [batch, length, inChannels] with kernel w of
+// shape [kernel, inChannels, outChannels] and bias b of shape [outChannels]
+// (nil is treated as zeros) into a caller-provided [batch, outLen,
+// outChannels] destination, outLen = Conv1DOutLen(length, kernel, stride),
+// which must not alias any operand.
 func Conv1DInto(dst, x, w, b *Tensor, stride int) {
 	if x.Rank() != 3 || w.Rank() != 3 {
 		panic(fmt.Sprintf("tensor: Conv1DInto requires rank-3 x and w, got %v, %v", x.Shape, w.Shape))
@@ -99,20 +83,10 @@ func conv1DRows(dst, x, w, b *Tensor, stride, lo, hi int) {
 	}
 }
 
-// Conv1DBackward computes the gradients of a Conv1D call. dout has the
-// output shape [batch, outLen, outChannels]; the returned dx, dw, db match
-// the shapes of x, w, and the bias respectively.
-func Conv1DBackward(x, w, dout *Tensor, stride int) (dx, dw, db *Tensor) {
-	dx = New(x.Shape[0], x.Shape[1], x.Shape[2])
-	dw = New(w.Shape[0], w.Shape[1], w.Shape[2])
-	db = New(w.Shape[2])
-	Conv1DBackwardInto(dx, dw, db, x, w, dout, stride)
-	return dx, dw, db
-}
-
-// Conv1DBackwardInto computes the gradients of a Conv1D call into
-// caller-provided destinations shaped like x, w, and the bias, none of which
-// may alias an operand.
+// Conv1DBackwardInto computes the gradients of a Conv1DInto call, given dout
+// of the output shape [batch, outLen, outChannels], into caller-provided
+// destinations shaped like x, w, and the bias, none of which may alias an
+// operand.
 func Conv1DBackwardInto(dx, dw, db, x, w, dout *Tensor, stride int) {
 	batch, length, cin := x.Shape[0], x.Shape[1], x.Shape[2]
 	kernel, _, cout := w.Shape[0], w.Shape[1], w.Shape[2]
@@ -196,30 +170,11 @@ func conv1DBackwardDxRows(dx, w, dout *Tensor, stride, lo, hi int) {
 	}
 }
 
-// MaxPool1D computes max pooling over x of shape [batch, length, channels]
-// with the given pool size and stride (Keras defaults stride to the pool
-// size). It returns the pooled tensor of shape [batch, outLen, channels] and
-// the flat argmax indices into x.Data used by MaxPool1DBackward.
-func MaxPool1D(x *Tensor, pool, stride int) (*Tensor, []int) {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: MaxPool1D requires rank-3 input, got %v", x.Shape))
-	}
-	if pool < 1 || stride < 1 {
-		panic("tensor: MaxPool1D pool and stride must be >= 1")
-	}
-	if x.Shape[1] < pool {
-		panic(fmt.Sprintf("tensor: MaxPool1D input length %d shorter than pool %d", x.Shape[1], pool))
-	}
-	outLen := Conv1DOutLen(x.Shape[1], pool, stride)
-	out := New(x.Shape[0], outLen, x.Shape[2])
-	arg := make([]int, x.Shape[0]*outLen*x.Shape[2])
-	MaxPool1DInto(out, arg, x, pool, stride)
-	return out, arg
-}
-
-// MaxPool1DInto computes max pooling into a caller-provided
-// [batch, outLen, channels] destination and argmax slice of matching flat
-// length; dst must not alias x.
+// MaxPool1DInto computes max pooling over x of shape [batch, length,
+// channels] with the given pool size and stride (Keras defaults stride to
+// the pool size) into a caller-provided [batch, outLen, channels] destination
+// and, of matching flat length, the argmax indices into x.Data that
+// MaxPool1DBackwardInto scatters through; dst must not alias x.
 func MaxPool1DInto(dst *Tensor, arg []int, x *Tensor, pool, stride int) {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("tensor: MaxPool1DInto requires rank-3 input, got %v", x.Shape))
@@ -260,17 +215,9 @@ func MaxPool1DInto(dst *Tensor, arg []int, x *Tensor, pool, stride int) {
 	}
 }
 
-// MaxPool1DBackward scatters dout back through the argmax indices returned
-// by MaxPool1D, producing a gradient with the shape of the original input.
-func MaxPool1DBackward(xShape []int, arg []int, dout *Tensor) *Tensor {
-	dx := New(xShape...)
-	MaxPool1DBackwardInto(dx, arg, dout)
-	return dx
-}
-
-// MaxPool1DBackwardInto scatters dout back through the argmax indices into a
-// caller-provided destination shaped like the original input, which must not
-// alias dout.
+// MaxPool1DBackwardInto scatters dout back through the argmax indices of
+// MaxPool1DInto into a caller-provided destination shaped like the original
+// input, which must not alias dout.
 func MaxPool1DBackwardInto(dst *Tensor, arg []int, dout *Tensor) {
 	if len(arg) != len(dout.Data) {
 		panic(fmt.Sprintf("tensor: MaxPool1DBackwardInto arg length %d, want %d", len(arg), len(dout.Data)))

@@ -216,9 +216,12 @@ func TestConv1DDifferential(t *testing.T) {
 		x := randTensor(r, batch, length, cin)
 		w := randTensor(r, kernel, cin, cout)
 		b := randTensor(r, cout)
-		what := fmt.Sprintf("Conv1D %v", s)
-		compareTensors(t, what, Conv1D(x, w, b, stride), naiveConv1D(x, w, b, stride))
-		compareTensors(t, what+" nil bias", Conv1D(x, w, nil, stride), naiveConv1D(x, w, nil, stride))
+		what := fmt.Sprintf("Conv1DInto %v", s)
+		got := New(batch, Conv1DOutLen(length, kernel, stride), cout)
+		Conv1DInto(got, x, w, b, stride)
+		compareTensors(t, what, got, naiveConv1D(x, w, b, stride))
+		Conv1DInto(got, x, w, nil, stride)
+		compareTensors(t, what+" nil bias", got, naiveConv1D(x, w, nil, stride))
 	}
 }
 
@@ -231,9 +234,10 @@ func TestConv1DBackwardDifferential(t *testing.T) {
 		w := randTensor(r, kernel, cin, cout)
 		outLen := (length-kernel)/stride + 1
 		dout := randTensor(r, batch, outLen, cout)
-		dx, dw, db := Conv1DBackward(x, w, dout, stride)
+		dx, dw, db := New(batch, length, cin), New(kernel, cin, cout), New(cout)
+		Conv1DBackwardInto(dx, dw, db, x, w, dout, stride)
 		ndx, ndw, ndb := naiveConv1DBackward(x, w, dout, stride)
-		what := fmt.Sprintf("Conv1DBackward %v", s)
+		what := fmt.Sprintf("Conv1DBackwardInto %v", s)
 		compareTensors(t, what+" dx", dx, ndx)
 		compareTensors(t, what+" dw", dw, ndw)
 		compareTensors(t, what+" db", db, ndb)

@@ -8,12 +8,13 @@ import (
 	"nasgo/internal/rng"
 )
 
-// Destination-passing differential tests: every *Into kernel must write its
-// destination byte-identically to the allocating form — starting from a
-// DIRTY destination (pre-filled with NaN, the loudest possible stale value),
-// because arena buffers carry whatever the previous batch left behind. The
-// shapes straddle parallelThreshold and blockK exactly like the naive-
-// reference differential suite.
+// Destination-passing differential tests: every *Into kernel must write a
+// DIRTY destination (pre-filled with NaN, the loudest possible stale value)
+// byte-identically to a fresh zeroed one — the allocating form where one
+// exists, tensor.New + the same kernel otherwise — because arena buffers
+// carry whatever the previous batch left behind. The shapes straddle
+// parallelThreshold and blockK exactly like the naive-reference differential
+// suite.
 
 // dirty returns a tensor pre-filled with NaN so any element the kernel fails
 // to overwrite (or zero) poisons the comparison.
@@ -23,8 +24,8 @@ func dirty(shape ...int) *Tensor {
 	return t
 }
 
-// identicalTensors requires bitwise equality — Into forms share the kernel
-// body with the allocating forms, so even the last ulp must match.
+// identicalTensors requires bitwise equality — the kernel body is the same
+// whatever the destination held, so even the last ulp must match.
 func identicalTensors(t *testing.T, what string, got, want *Tensor) {
 	t.Helper()
 	if fmt.Sprint(got.Shape) != fmt.Sprint(want.Shape) {
@@ -113,9 +114,10 @@ func TestRowKernelsIntoDirtyDstIdentical(t *testing.T) {
 		for i := range idx {
 			idx[i] = r.Intn(rows)
 		}
-		gr := dirty(len(idx), cols)
+		gr, grRef := dirty(len(idx), cols), New(len(idx), cols)
 		GatherRowsInto(gr, x, idx)
-		identicalTensors(t, "GatherRowsInto "+what, gr, GatherRows(x, idx))
+		GatherRowsInto(grRef, x, idx)
+		identicalTensors(t, "GatherRowsInto "+what, gr, grRef)
 	}
 }
 
@@ -129,16 +131,17 @@ func TestConcatSplitIntoDirtyDstIdentical(t *testing.T) {
 		ts[i] = randTensor(r, rows, w)
 		total += w
 	}
-	dst := dirty(rows, total)
+	dst, dstRef := dirty(rows, total), New(rows, total)
 	ConcatColsInto(dst, ts...)
-	identicalTensors(t, "ConcatColsInto", dst, ConcatCols(ts...))
+	ConcatColsInto(dstRef, ts...)
+	identicalTensors(t, "ConcatColsInto", dst, dstRef)
 
-	parts := make([]*Tensor, len(widths))
+	parts, ref := make([]*Tensor, len(widths)), make([]*Tensor, len(widths))
 	for i, w := range widths {
-		parts[i] = dirty(rows, w)
+		parts[i], ref[i] = dirty(rows, w), New(rows, w)
 	}
 	SplitColsInto(parts, dst, widths)
-	ref := SplitCols(dst, widths)
+	SplitColsInto(ref, dst, widths)
 	for i := range parts {
 		identicalTensors(t, fmt.Sprintf("SplitColsInto[%d]", i), parts[i], ref[i])
 	}
@@ -155,17 +158,20 @@ func TestConvIntoDirtyDstIdentical(t *testing.T) {
 		outLen := Conv1DOutLen(length, kernel, stride)
 		what := fmt.Sprintf("Conv1DInto %v", s)
 
-		dst := dirty(batch, outLen, cout)
+		dst, ref := dirty(batch, outLen, cout), New(batch, outLen, cout)
 		Conv1DInto(dst, x, w, b, stride)
-		identicalTensors(t, what, dst, Conv1D(x, w, b, stride))
+		Conv1DInto(ref, x, w, b, stride)
+		identicalTensors(t, what, dst, ref)
 		dst = dirty(batch, outLen, cout)
 		Conv1DInto(dst, x, w, nil, stride)
-		identicalTensors(t, what+" nil bias", dst, Conv1D(x, w, nil, stride))
+		Conv1DInto(ref, x, w, nil, stride)
+		identicalTensors(t, what+" nil bias", dst, ref)
 
 		dout := randTensor(r, batch, outLen, cout)
 		dx, dw, db := dirty(batch, length, cin), dirty(kernel, cin, cout), dirty(cout)
 		Conv1DBackwardInto(dx, dw, db, x, w, dout, stride)
-		rdx, rdw, rdb := Conv1DBackward(x, w, dout, stride)
+		rdx, rdw, rdb := New(batch, length, cin), New(kernel, cin, cout), New(cout)
+		Conv1DBackwardInto(rdx, rdw, rdb, x, w, dout, stride)
 		identicalTensors(t, what+" dx", dx, rdx)
 		identicalTensors(t, what+" dw", dw, rdw)
 		identicalTensors(t, what+" db", db, rdb)
@@ -175,7 +181,8 @@ func TestConvIntoDirtyDstIdentical(t *testing.T) {
 		pdst := dirty(batch, pOutLen, cin)
 		arg := make([]int, batch*pOutLen*cin)
 		MaxPool1DInto(pdst, arg, x, pool, pstride)
-		pref, argRef := MaxPool1D(x, pool, pstride)
+		pref, argRef := New(batch, pOutLen, cin), make([]int, len(arg))
+		MaxPool1DInto(pref, argRef, x, pool, pstride)
 		identicalTensors(t, what+" maxpool", pdst, pref)
 		for i := range argRef {
 			if arg[i] != argRef[i] {
@@ -183,9 +190,10 @@ func TestConvIntoDirtyDstIdentical(t *testing.T) {
 			}
 		}
 		pdout := randTensor(r, batch, pOutLen, cin)
-		pdx := dirty(batch, length, cin)
+		pdx, pdxRef := dirty(batch, length, cin), New(batch, length, cin)
 		MaxPool1DBackwardInto(pdx, arg, pdout)
-		identicalTensors(t, what+" maxpool backward", pdx, MaxPool1DBackward(x.Shape, argRef, pdout))
+		MaxPool1DBackwardInto(pdxRef, argRef, pdout)
+		identicalTensors(t, what+" maxpool backward", pdx, pdxRef)
 	}
 }
 

@@ -15,6 +15,44 @@ const parallelThreshold = 1 << 16
 // row; blocking over k keeps the working set of B rows hot in cache.
 const blockK = 128
 
+// serialRows reports whether a row-banded kernel should stay on the calling
+// goroutine. Kernels check it BEFORE constructing the closure they would hand
+// to parallelRows, so the steady-state serial path allocates nothing.
+func serialRows(m, ops int) bool {
+	return ops < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || m <= 1
+}
+
+// parallelRows runs work over [0,m) split into bands across GOMAXPROCS
+// goroutines when the op count justifies it.
+func parallelRows(m, ops int, work func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if ops < parallelThreshold || workers <= 1 || m <= 1 {
+		work(0, m)
+		return
+	}
+	if workers > m {
+		workers = m
+	}
+	var wg sync.WaitGroup
+	chunk := (m + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := lo + chunk
+		if hi > m {
+			hi = m
+		}
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			work(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
+
 // MatMul returns A×B for rank-2 tensors of shapes [m,k] and [k,n].
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
@@ -43,33 +81,11 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	assertNoAlias("MatMulInto", dst, a, b)
 	dst.Zero()
-	ops := m * n * k
-	workers := runtime.GOMAXPROCS(0)
-	if ops < parallelThreshold || workers <= 1 || m == 1 {
+	if serialRows(m, m*n*k) {
 		matmulRows(dst, a, b, 0, m)
 		return
 	}
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matmulRows(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelRows(m, m*n*k, func(lo, hi int) { matmulRows(dst, a, b, lo, hi) })
 }
 
 // matmulRows accumulates rows [lo,hi) of out += a×b using an ikj loop order
@@ -206,60 +222,4 @@ func matmulTransARows(dst, a, b *Tensor, lo, hi int) {
 			}
 		}
 	}
-}
-
-// MatVec returns A×x for A of shape [m,n] and x of shape [n].
-func MatVec(a, x *Tensor) *Tensor {
-	if a.Rank() != 2 || x.Rank() != 1 || a.Shape[1] != x.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec shape mismatch %v × %v", a.Shape, x.Shape))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		var s float64
-		for j, v := range row {
-			s += v * x.Data[j]
-		}
-		out.Data[i] = s
-	}
-	return out
-}
-
-// serialRows reports whether a row-banded kernel should stay on the calling
-// goroutine. Kernels check it BEFORE constructing the closure they would hand
-// to parallelRows, so the steady-state serial path allocates nothing.
-func serialRows(m, ops int) bool {
-	return ops < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || m <= 1
-}
-
-// parallelRows runs work over [0,m) split into bands across GOMAXPROCS
-// goroutines when the op count justifies it.
-func parallelRows(m, ops int, work func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if ops < parallelThreshold || workers <= 1 || m <= 1 {
-		work(0, m)
-		return
-	}
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			work(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

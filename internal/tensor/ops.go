@@ -5,73 +5,41 @@ import (
 	"math"
 )
 
-// ConcatCols concatenates rank-2 tensors with equal row counts along the
-// column axis, the operation behind the paper's Concatenate output rule.
-func ConcatCols(ts ...*Tensor) *Tensor {
-	rows, total := concatColsDims(ts)
-	out := New(rows, total)
-	concatColsBody(out, ts, rows, total)
-	return out
-}
-
 // ConcatColsInto concatenates rank-2 tensors with equal row counts along the
-// column axis into a caller-provided destination, which must not alias any
-// source.
+// column axis — the operation behind the paper's Concatenate output rule —
+// into a caller-provided destination, which must not alias any source.
 func ConcatColsInto(dst *Tensor, ts ...*Tensor) {
-	rows, total := concatColsDims(ts)
+	if len(ts) == 0 {
+		panic("tensor: ConcatColsInto of no tensors")
+	}
+	rows, total := ts[0].Shape[0], 0
+	for _, t := range ts {
+		if t.Rank() != 2 {
+			panic(fmt.Sprintf("tensor: ConcatColsInto requires rank 2, got %v", t.Shape))
+		}
+		if t.Shape[0] != rows {
+			panic(fmt.Sprintf("tensor: ConcatColsInto row mismatch %d vs %d", t.Shape[0], rows))
+		}
+		total += t.Shape[1]
+	}
 	if dst.Rank() != 2 || dst.Shape[0] != rows || dst.Shape[1] != total {
 		panic(fmt.Sprintf("tensor: ConcatColsInto destination %v, want [%d %d]", dst.Shape, rows, total))
 	}
 	assertNoAlias("ConcatColsInto", dst, ts...)
-	concatColsBody(dst, ts, rows, total)
-}
-
-func concatColsDims(ts []*Tensor) (rows, total int) {
-	if len(ts) == 0 {
-		panic("tensor: ConcatCols of no tensors")
-	}
-	rows = ts[0].Shape[0]
-	for _, t := range ts {
-		if t.Rank() != 2 {
-			panic(fmt.Sprintf("tensor: ConcatCols requires rank 2, got %v", t.Shape))
-		}
-		if t.Shape[0] != rows {
-			panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", t.Shape[0], rows))
-		}
-		total += t.Shape[1]
-	}
-	return rows, total
-}
-
-func concatColsBody(out *Tensor, ts []*Tensor, rows, total int) {
 	for i := 0; i < rows; i++ {
 		off := i * total
 		for _, t := range ts {
 			c := t.Shape[1]
-			copy(out.Data[off:off+c], t.Data[i*c:(i+1)*c])
+			copy(dst.Data[off:off+c], t.Data[i*c:(i+1)*c])
 			off += c
 		}
 	}
 }
 
-// SplitCols splits a rank-2 tensor into column blocks of the given widths,
-// the inverse of ConcatCols (used to route gradients back to the inputs of a
-// concatenation). The widths must sum to the column count.
-func SplitCols(t *Tensor, widths []int) []*Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: SplitCols requires rank 2, got %v", t.Shape))
-	}
-	rows := t.Shape[0]
-	out := make([]*Tensor, len(widths))
-	for i, w := range widths {
-		out[i] = New(rows, w)
-	}
-	SplitColsInto(out, t, widths)
-	return out
-}
-
 // SplitColsInto splits a rank-2 tensor into caller-provided column blocks of
-// the given widths; dsts[i] must be [rows, widths[i]] and must not alias t.
+// the given widths, which must sum to the column count — the inverse of
+// ConcatColsInto, used to route gradients back to the inputs of a
+// concatenation; dsts[i] must be [rows, widths[i]] and must not alias t.
 func SplitColsInto(dsts []*Tensor, t *Tensor, widths []int) {
 	if t.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: SplitColsInto requires rank 2, got %v", t.Shape))
@@ -164,30 +132,6 @@ func ArgmaxRows(t *Tensor) []int {
 		}
 		out[i] = best
 	}
-	return out
-}
-
-// SliceRows returns a copy of rows [lo,hi) of a rank-2 tensor.
-func SliceRows(t *Tensor, lo, hi int) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: SliceRows requires rank 2, got %v", t.Shape))
-	}
-	if lo < 0 || hi > t.Shape[0] || lo > hi {
-		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) out of range for %v", lo, hi, t.Shape))
-	}
-	cols := t.Shape[1]
-	out := New(hi-lo, cols)
-	copy(out.Data, t.Data[lo*cols:hi*cols])
-	return out
-}
-
-// GatherRows returns a copy of the given rows of a rank-2 tensor in order.
-func GatherRows(t *Tensor, idx []int) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: GatherRows requires rank 2, got %v", t.Shape))
-	}
-	out := New(len(idx), t.Shape[1])
-	GatherRowsInto(out, t, idx)
 	return out
 }
 

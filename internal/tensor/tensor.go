@@ -174,16 +174,6 @@ func (t *Tensor) GlorotUniform(r *rng.Rand, fanIn, fanOut int) {
 	}
 }
 
-// Add returns a + b elementwise.
-func Add(a, b *Tensor) *Tensor {
-	assertSameShape("Add", a, b)
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace computes a += b.
 func AddInPlace(a, b *Tensor) {
 	assertSameShape("AddInPlace", a, b)
@@ -192,47 +182,10 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	assertSameShape("Sub", a, b)
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Mul returns the elementwise (Hadamard) product.
-func Mul(a, b *Tensor) *Tensor {
-	assertSameShape("Mul", a, b)
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
-// Scale returns a * s elementwise.
-func Scale(a *Tensor, s float64) *Tensor {
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * s
-	}
-	return out
-}
-
 // ScaleInPlace computes a *= s.
 func ScaleInPlace(a *Tensor, s float64) {
 	for i := range a.Data {
 		a.Data[i] *= s
-	}
-}
-
-// AxpyInPlace computes y += alpha * x.
-func AxpyInPlace(alpha float64, x, y *Tensor) {
-	assertSameShape("Axpy", x, y)
-	for i := range x.Data {
-		y.Data[i] += alpha * x.Data[i]
 	}
 }
 
@@ -286,16 +239,6 @@ func (t *Tensor) Max() float64 {
 	return m
 }
 
-// Dot returns the inner product of two equally shaped tensors.
-func Dot(a, b *Tensor) float64 {
-	assertSameShape("Dot", a, b)
-	var s float64
-	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of t.
 func (t *Tensor) Norm2() float64 {
 	var s float64
@@ -303,22 +246,6 @@ func (t *Tensor) Norm2() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: Transpose requires rank 2")
-	}
-	r, c := a.Shape[0], a.Shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		base := i * c
-		for j := 0; j < c; j++ {
-			out.Data[j*r+i] = a.Data[base+j]
-		}
-	}
-	return out
 }
 
 // String renders a compact description, not the full contents.

@@ -71,7 +71,10 @@ func TestAddSubInverse(t *testing.T) {
 		r := rng.New(seed)
 		a := randTensor(r, 3, 5)
 		b := randTensor(r, 3, 5)
-		c := Sub(Add(a, b), b)
+		c := a.Clone()
+		AddInPlace(c, b)
+		ScaleInPlace(b, -1)
+		AddInPlace(c, b)
 		for i := range a.Data {
 			if !almostEqual(c.Data[i], a.Data[i], 1e-12) {
 				return false
@@ -90,24 +93,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Add(New(2, 2), New(2, 3))
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		a := randTensor(r, 4, 7)
-		b := Transpose(Transpose(a))
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	AddInPlace(New(2, 2), New(2, 3))
 }
 
 func matmulNaive(a, b *Tensor) *Tensor {
@@ -162,8 +148,10 @@ func TestMatMulLinearity(t *testing.T) {
 		a := randTensor(r, 4, 6)
 		b := randTensor(r, 4, 6)
 		c := randTensor(r, 6, 3)
-		lhs := MatMul(Add(a, b), c)
-		rhs := Add(MatMul(a, c), MatMul(b, c))
+		rhs := MatMul(a, c)
+		AddInPlace(rhs, MatMul(b, c))
+		AddInPlace(a, b)
+		lhs := MatMul(a, c)
 		for i := range lhs.Data {
 			if !almostEqual(lhs.Data[i], rhs.Data[i], 1e-9) {
 				return false
@@ -181,10 +169,10 @@ func TestMatMulTransB(t *testing.T) {
 	a := randTensor(r, 6, 4)
 	b := randTensor(r, 5, 4)
 	got := MatMulTransB(a, b)
-	want := MatMul(a, Transpose(b))
+	want := naiveMatMulTransB(a, b)
 	for i := range want.Data {
 		if !almostEqual(got.Data[i], want.Data[i], 1e-9) {
-			t.Fatal("MatMulTransB disagrees with explicit transpose")
+			t.Fatal("MatMulTransB disagrees with the naive reference")
 		}
 	}
 }
@@ -194,10 +182,10 @@ func TestMatMulTransA(t *testing.T) {
 	a := randTensor(r, 4, 6)
 	b := randTensor(r, 4, 5)
 	got := MatMulTransA(a, b)
-	want := MatMul(Transpose(a), b)
+	want := naiveMatMulTransA(a, b)
 	for i := range want.Data {
 		if !almostEqual(got.Data[i], want.Data[i], 1e-9) {
-			t.Fatal("MatMulTransA disagrees with explicit transpose")
+			t.Fatal("MatMulTransA disagrees with the naive reference")
 		}
 	}
 }
@@ -211,26 +199,16 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(New(2, 3), New(4, 2))
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := FromSlice([]float64{1, 1, 1}, 3)
-	got := MatVec(a, x)
-	if got.Data[0] != 6 || got.Data[1] != 15 {
-		t.Fatalf("MatVec = %v", got.Data)
-	}
-}
-
 func TestConcatSplitRoundtrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		a := randTensor(r, 3, 2)
 		b := randTensor(r, 3, 5)
 		c := randTensor(r, 3, 1)
-		cat := ConcatCols(a, b, c)
-		if cat.Shape[1] != 8 {
-			return false
-		}
-		parts := SplitCols(cat, []int{2, 5, 1})
+		cat := New(3, 8)
+		ConcatColsInto(cat, a, b, c)
+		parts := []*Tensor{New(3, 2), New(3, 5), New(3, 1)}
+		SplitColsInto(parts, cat, []int{2, 5, 1})
 		for i := range a.Data {
 			if parts[0].Data[i] != a.Data[i] {
 				return false
@@ -298,13 +276,15 @@ func TestAddRowVectorColSums(t *testing.T) {
 
 func TestSliceGatherRows(t *testing.T) {
 	x := FromSlice([]float64{0, 1, 10, 11, 20, 21}, 3, 2)
-	s := SliceRows(x, 1, 3)
+	s := New(2, 2)
+	GatherRowsInto(s, x, []int{1, 2}) // a contiguous slice is a gather too
 	if s.At(0, 0) != 10 || s.At(1, 1) != 21 {
-		t.Fatal("SliceRows wrong contents")
+		t.Fatal("GatherRowsInto wrong contents for a contiguous range")
 	}
-	g := GatherRows(x, []int{2, 0})
+	g := New(2, 2)
+	GatherRowsInto(g, x, []int{2, 0})
 	if g.At(0, 0) != 20 || g.At(1, 1) != 1 {
-		t.Fatal("GatherRows wrong contents")
+		t.Fatal("GatherRowsInto wrong contents")
 	}
 }
 
@@ -342,7 +322,8 @@ func TestConv1DAgainstNaive(t *testing.T) {
 		x := randTensor(r, cfg.batch, cfg.length, cfg.cin)
 		w := randTensor(r, cfg.kernel, cfg.cin, cfg.cout)
 		b := randTensor(r, cfg.cout)
-		got := Conv1D(x, w, b, cfg.stride)
+		got := New(cfg.batch, Conv1DOutLen(cfg.length, cfg.kernel, cfg.stride), cfg.cout)
+		Conv1DInto(got, x, w, b, cfg.stride)
 		want := conv1dNaive(x, w, b, cfg.stride)
 		if !SameShape(got, want) {
 			t.Fatalf("cfg %+v: shape %v want %v", cfg, got.Shape, want.Shape)
@@ -355,7 +336,7 @@ func TestConv1DAgainstNaive(t *testing.T) {
 	}
 }
 
-// TestConv1DGradients checks Conv1DBackward against central finite
+// TestConv1DGradients checks Conv1DBackwardInto against central finite
 // differences of a scalar loss L = sum(conv(x,w,b)).
 func TestConv1DGradients(t *testing.T) {
 	r := rng.New(6)
@@ -363,12 +344,16 @@ func TestConv1DGradients(t *testing.T) {
 	w := randTensor(r, 3, 2, 3)
 	b := randTensor(r, 3)
 	stride := 1
-	out := Conv1D(x, w, b, stride)
+	out := New(2, Conv1DOutLen(10, 3, stride), 3)
 	dout := New(out.Shape...)
 	dout.Fill(1)
-	dx, dw, db := Conv1DBackward(x, w, dout, stride)
+	dx, dw, db := New(x.Shape...), New(w.Shape...), New(b.Shape...)
+	Conv1DBackwardInto(dx, dw, db, x, w, dout, stride)
 
-	loss := func() float64 { return Conv1D(x, w, b, stride).Sum() }
+	loss := func() float64 {
+		Conv1DInto(out, x, w, b, stride)
+		return out.Sum()
+	}
 	const h = 1e-6
 	check := func(name string, param, grad *Tensor) {
 		for i := range param.Data {
@@ -391,7 +376,8 @@ func TestConv1DGradients(t *testing.T) {
 
 func TestMaxPool1D(t *testing.T) {
 	x := FromSlice([]float64{1, 5, 2, 8, 3, 0}, 1, 6, 1)
-	out, arg := MaxPool1D(x, 2, 2)
+	out, arg := New(1, 3, 1), make([]int, 3)
+	MaxPool1DInto(out, arg, x, 2, 2)
 	want := []float64{5, 8, 3}
 	for i, v := range want {
 		if out.Data[i] != v {
@@ -400,7 +386,8 @@ func TestMaxPool1D(t *testing.T) {
 	}
 	// Backward routes gradient to the argmax positions only.
 	dout := FromSlice([]float64{1, 1, 1}, 1, 3, 1)
-	dx := MaxPool1DBackward(x.Shape, arg, dout)
+	dx := New(x.Shape...)
+	MaxPool1DBackwardInto(dx, arg, dout)
 	wantDx := []float64{0, 1, 0, 1, 1, 0}
 	for i, v := range wantDx {
 		if dx.Data[i] != v {
@@ -413,10 +400,11 @@ func TestMaxPool1DIdentityPool(t *testing.T) {
 	// pool=1 stride=1 must be the identity, as used by the NT3 baseline.
 	r := rng.New(7)
 	x := randTensor(r, 2, 9, 3)
-	out, _ := MaxPool1D(x, 1, 1)
+	out := New(2, Conv1DOutLen(9, 1, 1), 3)
 	if !SameShape(out, x) {
 		t.Fatalf("identity pool changed shape: %v", out.Shape)
 	}
+	MaxPool1DInto(out, make([]int, out.Size()), x, 1, 1)
 	for i := range x.Data {
 		if out.Data[i] != x.Data[i] {
 			t.Fatal("identity pool changed values")
@@ -429,10 +417,13 @@ func TestMaxPoolGradientSumPreserved(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		x := randTensor(r, 2, 12, 2)
-		out, arg := MaxPool1D(x, 3, 3)
+		out := New(2, Conv1DOutLen(12, 3, 3), 2)
+		arg := make([]int, out.Size())
+		MaxPool1DInto(out, arg, x, 3, 3)
 		dout := New(out.Shape...)
 		dout.Randn(r, 1)
-		dx := MaxPool1DBackward(x.Shape, arg, dout)
+		dx := New(x.Shape...)
+		MaxPool1DBackwardInto(dx, arg, dout)
 		return almostEqual(dx.Sum(), dout.Sum(), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -455,13 +446,10 @@ func TestGlorotUniformBounds(t *testing.T) {
 	}
 }
 
-func TestNorm2Dot(t *testing.T) {
+func TestNorm2(t *testing.T) {
 	a := FromSlice([]float64{3, 4}, 2)
 	if a.Norm2() != 5 {
 		t.Fatalf("Norm2 = %g", a.Norm2())
-	}
-	if Dot(a, a) != 25 {
-		t.Fatalf("Dot = %g", Dot(a, a))
 	}
 }
 
@@ -490,8 +478,9 @@ func BenchmarkConv1D(b *testing.B) {
 	x := randTensor(r, 8, 1024, 1)
 	w := randTensor(r, 20, 1, 16)
 	bias := randTensor(r, 16)
+	out := New(8, Conv1DOutLen(1024, 20, 1), 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Conv1D(x, w, bias, 1)
+		Conv1DInto(out, x, w, bias, 1)
 	}
 }

@@ -19,24 +19,10 @@ func TestElementwiseHelpers(t *testing.T) {
 			t.Fatalf("AddInPlace[%d] = %g, want %g", i, sum.Data[i], want)
 		}
 	}
-	prod := Mul(a, b)
-	for i, want := range []float64{10, 40, 90, 160} {
-		if prod.Data[i] != want {
-			t.Fatalf("Mul[%d] = %g, want %g", i, prod.Data[i], want)
-		}
-	}
-	if s := Scale(a, 3); s.Data[3] != 12 {
-		t.Fatalf("Scale = %v", s.Data)
-	}
 	sc := a.Clone()
 	ScaleInPlace(sc, -1)
 	if sc.Data[0] != -1 || sc.Data[3] != -4 {
 		t.Fatalf("ScaleInPlace = %v", sc.Data)
-	}
-	y := a.Clone()
-	AxpyInPlace(2, b, y)
-	if y.Data[0] != 21 || y.Data[3] != 84 {
-		t.Fatalf("AxpyInPlace = %v", y.Data)
 	}
 }
 

@@ -2,7 +2,8 @@
 // Reinforcement-Learning-Based Neural Architecture Search for Cancer Deep
 // Learning Research" (Balaprakash et al., SC 2019): the DeepHyper-style NAS
 // module, its cancer-specific graph search spaces, the PPO-based A3C/A2C
-// multi-agent search with a parameter server, and the simulated Theta/Balsam
+// multi-agent search with a parameter server (plus the RDM and EVO
+// baselines over the same batch discipline), and the simulated Theta/Balsam
 // execution substrate the paper's scaling study runs on.
 //
 // This package is the public façade. The heavy lifting lives in the
@@ -42,6 +43,9 @@ const (
 	A2C = search.A2C
 	// RDM is random search over the same space and batch discipline.
 	RDM = search.RDM
+	// EVO is regularized (aging) evolution over the same space and batch
+	// discipline.
+	EVO = search.EVO
 )
 
 // Re-exported core types. Each alias is documented at its definition.
@@ -75,7 +79,8 @@ type (
 	// perfect machine.
 	FaultModel = hpc.FaultModel
 	// SearchCheckpoint is the complete state of a search interrupted at a
-	// walltime boundary; ResumeSearchAllocation continues it bit-for-bit.
+	// walltime boundary; ResumeSearchAllocationTraced continues it
+	// bit-for-bit.
 	SearchCheckpoint = search.Checkpoint
 	// TraceRecorder records structured, virtual-clock-keyed events from
 	// every layer of the simulated machine (attach with the *Traced run
@@ -118,30 +123,20 @@ func RunSearchTraced(bench *Benchmark, sp *Space, cfg SearchConfig, rec *TraceRe
 // LoadSearchLog reads a log saved with SearchLog.WriteJSONFS.
 func LoadSearchLog(path string) (*SearchLog, error) { return search.LoadLogFS(fsim.OS, path) }
 
-// RunSearchAllocation starts a walltime-bounded search allocation
-// (SearchConfig.Walltime > 0). It returns the final log when the search
-// completed inside the allocation, or a partial log plus a checkpoint to
-// hand to ResumeSearchAllocation — in this process or, via
+// RunSearchAllocationTraced starts a walltime-bounded search allocation
+// (SearchConfig.Walltime > 0) with a trace recorder attached to the
+// allocation's machine (rec may be nil). It returns the final log when the
+// search completed inside the allocation, or a partial log plus a checkpoint
+// to hand to ResumeSearchAllocationTraced — in this process or, via
 // SearchCheckpoint.WriteFileFS and LoadSearchCheckpoint, in a later one.
-func RunSearchAllocation(bench *Benchmark, sp *Space, cfg SearchConfig) (*SearchLog, *SearchCheckpoint, error) {
-	return search.RunAllocation(bench, sp, cfg)
-}
-
-// RunSearchAllocationTraced is RunSearchAllocation with a trace recorder
-// attached to the allocation's machine.
 func RunSearchAllocationTraced(bench *Benchmark, sp *Space, cfg SearchConfig, rec *TraceRecorder) (*SearchLog, *SearchCheckpoint, error) {
 	return search.RunAllocationTraced(bench, sp, cfg, rec)
 }
 
-// ResumeSearchAllocation continues a checkpointed search for one more
-// walltime allocation. The chained run's log is bit-identical to an
-// uninterrupted run of the same configuration.
-func ResumeSearchAllocation(bench *Benchmark, sp *Space, ck *SearchCheckpoint) (*SearchLog, *SearchCheckpoint, error) {
-	return search.ResumeAllocation(bench, sp, ck)
-}
-
-// ResumeSearchAllocationTraced is ResumeSearchAllocation with a trace
-// recorder attached to the restored machine. Handing successive
+// ResumeSearchAllocationTraced continues a checkpointed search for one more
+// walltime allocation, with a trace recorder attached to the restored
+// machine (rec may be nil). The chained run's log is bit-identical to an
+// uninterrupted run of the same configuration, and handing successive
 // allocations the same recorder yields one seamless trace of the whole
 // chained run.
 func ResumeSearchAllocationTraced(bench *Benchmark, sp *Space, ck *SearchCheckpoint, rec *TraceRecorder) (*SearchLog, *SearchCheckpoint, error) {

@@ -20,8 +20,11 @@ go test -short ./...
 # Results must not depend on the host's core count: evaluator Workers == 0
 # resolves to GOMAXPROCS, so the determinism pins run serial (1), at the
 # smallest pooled width (2) and wider than the test machines' node count (8).
+# nasbench is in the loop for the table source × pool interplay: a reward
+# source makes every estimation an inline future whatever the width.
 for procs in 1 2 8; do
-    GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool' ./internal/search/ ./internal/evaluator/
+    GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool' \
+        ./internal/search/ ./internal/evaluator/ ./internal/nasbench/
 done
 # tensor and nn are in the race list for the destination-passing kernels:
 # their row-banded parallel paths (forced via GOMAXPROCS in the tests) are
