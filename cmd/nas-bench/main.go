@@ -11,6 +11,7 @@
 //	nas-bench -exp workers -workers 0  # time the evaluator pool at GOMAXPROCS
 //	nas-bench -exp simbench            # DES-core throughput: events/sec, bytes/event
 //	nas-bench -exp tournament          # 4 strategies × common seed set on the tabular benchmark
+//	nas-bench -exp tournament -cpuprofile cpu.prof  # then: go tool pprof -top cpu.prof
 //	nas-bench -torture -scale quick  # power-cut every fs op of a campaign
 //
 // Search runs are memoized in-process, so "-exp all" shares runs between
@@ -28,6 +29,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -63,6 +65,7 @@ func main() {
 		ckptDir  = flag.String("checkpoint", "", "restart experiment: keep the chain's checkpoint files in this directory")
 		tracePth = flag.String("trace", "", "record the chained run's event trace as JSONL (only with -exp restart)")
 		torture  = flag.Bool("torture", false, "crash-point torture: simulate a power cut at every mutating filesystem op of a campaign, honest and fsync-lying, and verify recovery (skips -exp)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof); results are unaffected")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage of nas-bench:\n")
@@ -74,6 +77,24 @@ current experiment; rerun with the same flags to regenerate the rest.
 	}
 	flag.Parse()
 	stopRequested := notifyStop()
+	if *cpuProf != "" {
+		// The profiler only observes — nothing an experiment computes or
+		// renders reads it. A run that ends in log.Fatal leaves the file
+		// truncated.
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Printf("cpuprofile: %v", err)
+			}
+		}()
+	}
 
 	if *torture {
 		runTorture(*scale, *out)

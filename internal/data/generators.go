@@ -98,9 +98,9 @@ func GenCombo(cfg ComboConfig) (train, val *Dataset) {
 		d1 := randn(rr, n, cfg.DrugDim)
 		d2 := randn(rr, n, cfg.DrugDim)
 		y := tensor.New(n, 1)
-		zu := tensor.MatMul(cell, a)
-		z1 := tensor.MatMul(d1, b)
-		z2 := tensor.MatMul(d2, b)
+		zu := project(cell, a, tensor.ActIdentity)
+		z1 := project(d1, b, tensor.ActIdentity)
+		z2 := project(d2, b, tensor.ActIdentity)
 		for i := 0; i < n; i++ {
 			var main, even, inter float64
 			for k := 0; k < cfg.Latent; k++ {
@@ -189,9 +189,9 @@ func GenUno(cfg UnoConfig) (train, val *Dataset) {
 			}
 		}
 		y := tensor.New(n, 1)
-		u := tanhProj(rna, ar)
-		vd := tanhProj(desc, ad)
-		vf := tanhProj(fp, af)
+		u := project(rna, ar, tensor.ActTanh) // soft nonlinear latent embeddings
+		vd := project(desc, ad, tensor.ActTanh)
+		vf := project(fp, af, tensor.ActTanh)
 		for i := 0; i < n; i++ {
 			d := 2*rr.Float64() - 1 // log-dose in [-1, 1]
 			dose.Set(d, i, 0)
@@ -324,9 +324,11 @@ func vec(r *rng.Rand, k int) []float64 {
 	return v
 }
 
-// tanhProj returns tanh(x·m) — a soft nonlinear latent embedding.
-func tanhProj(x, m *tensor.Tensor) *tensor.Tensor {
-	return tensor.Apply(tensor.MatMul(x, m), math.Tanh)
+// project returns act(x·m) in a fresh tensor.
+func project(x, m *tensor.Tensor, act tensor.Act) *tensor.Tensor {
+	out := tensor.New(x.Shape[0], m.Shape[1])
+	tensor.DenseForwardInto(out, x, m, nil, act)
+	return out
 }
 
 // standardizeY rescales both splits' regression targets by the training

@@ -17,16 +17,24 @@ import (
 // output], each Hidden wide. Forward steps push caches onto an internal
 // stack; BackwardStep pops them in reverse, so a full BPTT pass is
 // Step×T followed by BackwardStep×T. ResetCache drops any pending caches.
+//
+// Every tensor a step makes comes from the caller's arena (nil means the
+// heap), and the cache stack points into it: the arena may be Reset only
+// between a ResetCache and the next Step.
 type LSTM struct {
 	Wx, Wh, B  *Param // Wx:[in,4H] Wh:[H,4H] B:[4H]
 	In, Hidden int
 
 	steps []lstmStep
+	// Per-step parameter-gradient temporaries. They are parameter-shaped,
+	// whatever the batch, so the cell owns them rather than drawing three
+	// fresh arena tensors every BackwardStep.
+	dwx, dwh, db *tensor.Tensor
 }
 
 type lstmStep struct {
-	x, hPrev, cPrev      *tensor.Tensor
-	i, f, g, o, c, tanhC *tensor.Tensor
+	x, hPrev, cPrev *tensor.Tensor
+	gates, tanhC    *tensor.Tensor // gates: activated [i|f|g|o], [batch,4H]
 }
 
 // NewLSTM creates an LSTM cell with Glorot-uniform input weights,
@@ -41,15 +49,16 @@ func NewLSTM(r *rng.Rand, in, hidden int) *LSTM {
 	for j := hidden; j < 2*hidden; j++ {
 		b.Value.Data[j] = 1 // forget gate
 	}
-	return &LSTM{Wx: wx, Wh: wh, B: b, In: in, Hidden: hidden}
+	return &LSTM{Wx: wx, Wh: wh, B: b, In: in, Hidden: hidden,
+		dwx: tensor.New(in, 4*hidden), dwh: tensor.New(hidden, 4*hidden), db: tensor.New(4 * hidden)}
 }
 
 // Params returns the cell's trainable parameters.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
 // ZeroState returns zero h and c states for the given batch size.
-func (l *LSTM) ZeroState(batch int) (h, c *tensor.Tensor) {
-	return tensor.New(batch, l.Hidden), tensor.New(batch, l.Hidden)
+func (l *LSTM) ZeroState(batch int, ar *tensor.Arena) (h, c *tensor.Tensor) {
+	return ar.Get(batch, l.Hidden), ar.Get(batch, l.Hidden)
 }
 
 // ResetCache clears pending BPTT caches.
@@ -60,22 +69,25 @@ func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 // Step advances the cell one timestep: x is [batch, in], hPrev/cPrev are
 // [batch, hidden]. It returns the new h and c and records the caches needed
 // by BackwardStep.
-func (l *LSTM) Step(x, hPrev, cPrev *tensor.Tensor) (h, c *tensor.Tensor) {
+func (l *LSTM) Step(x, hPrev, cPrev *tensor.Tensor, ar *tensor.Arena) (h, c *tensor.Tensor) {
 	if x.Shape[1] != l.In {
 		panic(fmt.Sprintf("nn: LSTM input width %d, want %d", x.Shape[1], l.In))
 	}
 	batch := x.Shape[0]
 	H := l.Hidden
-	z := tensor.AddRowVector(tensor.MatMul(x, l.Wx.Value), l.B.Value)
-	tensor.AddInPlace(z, tensor.MatMul(hPrev, l.Wh.Value))
+	// z = (x×Wx + b) + hPrev×Wh: each product completes in its own buffer
+	// before the add, the order the separate-pass kernels always had.
+	z := ar.Get(batch, 4*H)
+	tensor.DenseForwardInto(z, x, l.Wx.Value, l.B.Value, tensor.ActIdentity)
+	zh := ar.Get(batch, 4*H)
+	tensor.MatMulInto(zh, hPrev, l.Wh.Value)
+	tensor.AddInPlace(z, zh)
 
-	i := tensor.New(batch, H)
-	f := tensor.New(batch, H)
-	g := tensor.New(batch, H)
-	o := tensor.New(batch, H)
-	c = tensor.New(batch, H)
-	h = tensor.New(batch, H)
-	tanhC := tensor.New(batch, H)
+	// The gate activations overwrite their pre-activations in z, which
+	// becomes the step's gate cache.
+	c = ar.Get(batch, H)
+	h = ar.Get(batch, H)
+	tanhC := ar.Get(batch, H)
 	for r := 0; r < batch; r++ {
 		zr := z.Data[r*4*H : (r+1)*4*H]
 		for j := 0; j < H; j++ {
@@ -85,24 +97,22 @@ func (l *LSTM) Step(x, hPrev, cPrev *tensor.Tensor) (h, c *tensor.Tensor) {
 			ov := sigmoid(zr[3*H+j])
 			cv := fv*cPrev.Data[r*H+j] + iv*gv
 			tc := math.Tanh(cv)
-			i.Data[r*H+j] = iv
-			f.Data[r*H+j] = fv
-			g.Data[r*H+j] = gv
-			o.Data[r*H+j] = ov
+			zr[j], zr[H+j], zr[2*H+j], zr[3*H+j] = iv, fv, gv, ov
 			c.Data[r*H+j] = cv
 			tanhC.Data[r*H+j] = tc
 			h.Data[r*H+j] = ov * tc
 		}
 	}
-	l.steps = append(l.steps, lstmStep{x: x, hPrev: hPrev, cPrev: cPrev, i: i, f: f, g: g, o: o, c: c, tanhC: tanhC})
+	l.steps = append(l.steps, lstmStep{x: x, hPrev: hPrev, cPrev: cPrev, gates: z, tanhC: tanhC})
 	return h, c
 }
 
 // BackwardStep pops the most recent cached step and backpropagates the
 // gradients dh (w.r.t. the step's h output) and dc (w.r.t. its c output;
 // nil means zero). It accumulates parameter gradients and returns the
-// gradients with respect to x, hPrev, and cPrev.
-func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor) (dx, dhPrev, dcPrev *tensor.Tensor) {
+// gradients with respect to hPrev and cPrev. The gradient with respect to x
+// is not computed: the controller's inputs are one-hot constants.
+func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor, ar *tensor.Arena) (dhPrev, dcPrev *tensor.Tensor) {
 	if len(l.steps) == 0 {
 		panic("nn: LSTM BackwardStep with no cached forward step")
 	}
@@ -111,12 +121,14 @@ func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor) (dx, dhPrev, dcPrev *tensor.T
 
 	batch := dh.Shape[0]
 	H := l.Hidden
-	dz := tensor.New(batch, 4*H)
-	dcPrev = tensor.New(batch, H)
+	dz := ar.Get(batch, 4*H)
+	dcPrev = ar.Get(batch, H)
 	for r := 0; r < batch; r++ {
+		gr := st.gates.Data[r*4*H : (r+1)*4*H]
+		zr := dz.Data[r*4*H : (r+1)*4*H]
 		for j := 0; j < H; j++ {
 			k := r*H + j
-			iv, fv, gv, ov := st.i.Data[k], st.f.Data[k], st.g.Data[k], st.o.Data[k]
+			iv, fv, gv, ov := gr[j], gr[H+j], gr[2*H+j], gr[3*H+j]
 			tc := st.tanhC.Data[k]
 			dhv := dh.Data[k]
 			dcv := dhv * ov * (1 - tc*tc)
@@ -128,17 +140,21 @@ func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor) (dx, dhPrev, dcPrev *tensor.T
 			div := dcv * gv
 			dgv := dcv * iv
 			dcPrev.Data[k] = dcv * fv
-			zr := dz.Data[r*4*H : (r+1)*4*H]
 			zr[j] = div * iv * (1 - iv)
 			zr[H+j] = dfv * fv * (1 - fv)
 			zr[2*H+j] = dgv * (1 - gv*gv)
 			zr[3*H+j] = dov * ov * (1 - ov)
 		}
 	}
-	tensor.AddInPlace(l.Wx.Grad, tensor.MatMulTransA(st.x, dz))
-	tensor.AddInPlace(l.Wh.Grad, tensor.MatMulTransA(st.hPrev, dz))
-	tensor.AddInPlace(l.B.Grad, tensor.ColSums(dz))
-	dx = tensor.MatMulTransB(dz, l.Wx.Value)
-	dhPrev = tensor.MatMulTransB(dz, l.Wh.Value)
-	return dx, dhPrev, dcPrev
+	// Each step's product completes in a temporary before it is added to
+	// Grad, so the accumulation order over steps is the historical one.
+	tensor.MatMulTransAInto(l.dwx, st.x, dz)
+	tensor.AddInPlace(l.Wx.Grad, l.dwx)
+	tensor.MatMulTransAInto(l.dwh, st.hPrev, dz)
+	tensor.AddInPlace(l.Wh.Grad, l.dwh)
+	tensor.ColSumsInto(l.db, dz)
+	tensor.AddInPlace(l.B.Grad, l.db)
+	dhPrev = ar.Get(batch, H)
+	tensor.MatMulTransBInto(dhPrev, dz, l.Wh.Value)
+	return dhPrev, dcPrev
 }

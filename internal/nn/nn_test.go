@@ -492,23 +492,23 @@ func TestLSTMGradients(t *testing.T) {
 		xs[i] = tensor.New(batch, 3)
 		xs[i].Randn(r, 1)
 	}
+	ar := tensor.NewArena()
 	runLoss := func() float64 {
 		l.ResetCache()
-		h, c := l.ZeroState(batch)
+		ar.Reset()
+		h, c := l.ZeroState(batch, ar)
 		var s float64
 		for _, x := range xs {
-			h, c = l.Step(x, h, c)
+			h, c = l.Step(x, h, c, ar)
 			s += h.Sum()
 		}
 		return s
 	}
 	// Forward + backward.
 	l.ResetCache()
-	h, c := l.ZeroState(batch)
-	hs := make([]*tensor.Tensor, T)
-	for i, x := range xs {
-		h, c = l.Step(x, h, c)
-		hs[i] = h
+	h, c := l.ZeroState(batch, ar)
+	for _, x := range xs {
+		h, c = l.Step(x, h, c, ar)
 	}
 	for _, p := range l.Params() {
 		p.ZeroGrad()
@@ -521,7 +521,7 @@ func TestLSTMGradients(t *testing.T) {
 		if dh != nil {
 			tensor.AddInPlace(g, dh)
 		}
-		_, dh, dc = l.BackwardStep(g, dc)
+		dh, dc = l.BackwardStep(g, dc, ar)
 	}
 	grads := map[*Param]*tensor.Tensor{}
 	for _, p := range l.Params() {
@@ -536,8 +536,8 @@ func TestLSTMDeterminism(t *testing.T) {
 		l := NewLSTM(r, 2, 3)
 		x := tensor.New(1, 2)
 		x.Fill(0.5)
-		h, c := l.ZeroState(1)
-		h, _ = l.Step(x, h, c)
+		h, c := l.ZeroState(1, nil)
+		h, _ = l.Step(x, h, c, nil)
 		return h
 	}
 	a, b := make_(), make_()
@@ -556,5 +556,5 @@ func TestLSTMBackwardWithoutForwardPanics(t *testing.T) {
 	}()
 	l := NewLSTM(rng.New(1), 2, 2)
 	g := tensor.New(1, 2)
-	l.BackwardStep(g, nil)
+	l.BackwardStep(g, nil, nil)
 }

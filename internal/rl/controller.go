@@ -81,6 +81,17 @@ type Controller struct {
 	params    *nn.ParamSet
 	opt       *optim.Adam
 	rand      *rng.Rand
+
+	// Workspace. Sample, Greedy and ComputeGradient Reset the arena on
+	// entry and take every tensor from it, so nothing arena-backed outlives
+	// the call that made it; the per-step slices hold arena pointers for
+	// the duration of one ComputeGradient only.
+	ar      *tensor.Arena
+	vHeads  []*nn.Dense      // valueHead once per step: each keeps its own forward cache
+	xs      []*tensor.Tensor // one-hot inputs, shared by the value and policy passes
+	values  []*tensor.Tensor
+	dLogits []*tensor.Tensor
+	adv     []float64 // [m*T], episode-major
 }
 
 // NewController builds a controller with its own deterministic RNG stream.
@@ -100,6 +111,13 @@ func NewController(s *space.Space, seed uint64, cfg Config) *Controller {
 		c.heads = append(c.heads, nn.NewDense(r, cfg.Hidden, s.NumChoices(i), nn.ActLinear))
 	}
 	c.valueHead = nn.NewDense(r, cfg.Hidden, 1, nn.ActLinear)
+	c.ar = tensor.NewArena()
+	c.xs = make([]*tensor.Tensor, len(c.heads))
+	c.values = make([]*tensor.Tensor, len(c.heads))
+	c.dLogits = make([]*tensor.Tensor, len(c.heads))
+	for range c.heads {
+		c.vHeads = append(c.vHeads, nn.NewDenseShared(c.valueHead.W, c.valueHead.B, nn.ActLinear))
+	}
 	c.params = nn.NewParamSet()
 	c.params.Add(c.policy.Params()...)
 	for _, h := range c.heads {
@@ -153,13 +171,13 @@ func (c *Controller) RestoreState(st *ControllerState) error {
 // onehotInputs builds the step-t input matrix for a batch of episodes:
 // the one-hot of each episode's previous action, or the start token at t=0.
 func (c *Controller) onehotInputs(eps []*Episode, t int) *tensor.Tensor {
-	x := tensor.New(len(eps), c.inWidth)
+	x := c.ar.Get(len(eps), c.inWidth)
 	for i, ep := range eps {
-		if t == 0 {
-			x.Set(1, i, c.inWidth-1) // start token
-		} else {
-			x.Set(1, i, ep.Choices[t-1])
+		col := c.inWidth - 1 // start token
+		if t > 0 {
+			col = ep.Choices[t-1]
 		}
+		x.Data[i*c.inWidth+col] = 1
 	}
 	return x
 }
@@ -175,13 +193,14 @@ func (c *Controller) Sample(m int) []*Episode {
 	for i := range eps {
 		eps[i] = &Episode{Choices: make([]int, T), OldLogP: make([]float64, T)}
 	}
+	c.ar.Reset()
 	c.policy.ResetCache()
-	h, cs := c.policy.ZeroState(m)
+	h, cs := c.policy.ZeroState(m, c.ar)
 	for t := 0; t < T; t++ {
-		x := c.onehotInputs(eps, t)
-		h, cs = c.policy.Step(x, h, cs)
-		logits := c.heads[t].Forward(h, false, nil)
-		probs := tensor.RowSoftmax(logits)
+		h, cs = c.policy.Step(c.onehotInputs(eps, t), h, cs, c.ar)
+		logits := c.heads[t].Forward(h, false, c.ar)
+		probs := c.ar.Get(logits.Shape...)
+		tensor.RowSoftmaxInto(probs, logits)
 		k := c.Space.NumChoices(t)
 		for i := range eps {
 			row := probs.Data[i*k : (i+1)*k]
@@ -200,12 +219,12 @@ func (c *Controller) Greedy() []int {
 	T := c.Space.NumDecisions()
 	ep := &Episode{Choices: make([]int, T)}
 	eps := []*Episode{ep}
+	c.ar.Reset()
 	c.policy.ResetCache()
-	h, cs := c.policy.ZeroState(1)
+	h, cs := c.policy.ZeroState(1, c.ar)
 	for t := 0; t < T; t++ {
-		x := c.onehotInputs(eps, t)
-		h, cs = c.policy.Step(x, h, cs)
-		logits := c.heads[t].Forward(h, false, nil)
+		h, cs = c.policy.Step(c.onehotInputs(eps, t), h, cs, c.ar)
+		logits := c.heads[t].Forward(h, false, c.ar)
 		ep.Choices[t] = tensor.ArgmaxRows(logits)[0]
 	}
 	c.policy.ResetCache()
@@ -220,84 +239,82 @@ type GradientStats struct {
 	MeanClipFrac float64 // fraction of (episode, step) ratios clipped
 }
 
-// ComputeGradient runs one PPO epoch over the batch: it fills the parameter
-// gradients with ∇θ[-J(θ)] (so that descending minimizes the negative
-// clipped surrogate plus value loss minus entropy bonus) and returns them as
-// a flat vector alongside diagnostics. It does not update parameters.
+// ComputeGradient runs one PPO epoch over the batch and returns the
+// parameter gradients as a flat vector alongside diagnostics. It does not
+// update parameters.
+//
+// The returned vector is the one fresh allocation of the call: the parameter
+// server keeps the slices of its last exchanges, so it must not be reused.
 func (c *Controller) ComputeGradient(eps []*Episode) ([]float64, GradientStats) {
+	st := c.backprop(eps)
+	return c.params.FlattenGrads(), st
+}
+
+// backprop fills the parameter gradients with ∇θ[-J(θ)] for one PPO epoch
+// over the batch, so that descending minimizes the negative clipped
+// surrogate plus value loss minus entropy bonus.
+func (c *Controller) backprop(eps []*Episode) GradientStats {
 	if len(eps) == 0 {
 		panic("rl: ComputeGradient with empty batch")
 	}
 	m := len(eps)
 	T := c.Space.NumDecisions()
+	c.ar.Reset()
 	c.params.ZeroGrad()
 
 	// Value forward pass: V(s_t) for every episode and step.
 	c.value.ResetCache()
-	vh, vc := c.value.ZeroState(m)
-	values := make([]*tensor.Tensor, T)
-	vHeads := make([]*nn.Dense, T)
+	vh, vc := c.value.ZeroState(m, c.ar)
 	for t := 0; t < T; t++ {
-		x := c.onehotInputs(eps, t)
-		vh, vc = c.value.Step(x, vh, vc)
-		// The scalar head is shared across steps; clone the layer wrapper
-		// per step so each keeps its own forward cache for backprop.
-		head := nn.NewDenseShared(c.valueHead.W, c.valueHead.B, nn.ActLinear)
-		values[t] = head.Forward(vh, true, nil)
-		vHeads[t] = head
+		c.xs[t] = c.onehotInputs(eps, t)
+		vh, vc = c.value.Step(c.xs[t], vh, vc, c.ar)
+		c.values[t] = c.vHeads[t].Forward(vh, true, c.ar)
 	}
 
 	// Advantages: terminal reward minus the per-step value baseline,
 	// normalized over the batch (standard PPO practice).
-	adv := make([][]float64, m)
+	if cap(c.adv) < m*T {
+		c.adv = make([]float64, m*T)
+	}
+	adv := c.adv[:m*T]
 	var advMean float64
 	for i, ep := range eps {
-		adv[i] = make([]float64, T)
 		for t := 0; t < T; t++ {
-			adv[i][t] = ep.Reward - values[t].At(i, 0)
-			advMean += adv[i][t]
+			adv[i*T+t] = ep.Reward - c.values[t].Data[i]
+			advMean += adv[i*T+t]
 		}
 	}
 	n := float64(m * T)
 	advMean /= n
 	var advVar float64
-	for i := range adv {
-		for t := range adv[i] {
-			d := adv[i][t] - advMean
-			advVar += d * d
-		}
+	for _, a := range adv {
+		d := a - advMean
+		advVar += d * d
 	}
 	advStd := math.Sqrt(advVar/n) + 1e-8
-	for i := range adv {
-		for t := range adv[i] {
-			adv[i][t] = (adv[i][t] - advMean) / advStd
-		}
+	for j, a := range adv {
+		adv[j] = (a - advMean) / advStd
 	}
 
-	// Policy forward pass with caches for backprop.
-	c.policy.ResetCache()
-	ph, pc := c.policy.ZeroState(m)
-	probs := make([]*tensor.Tensor, T)
-	for t := 0; t < T; t++ {
-		x := c.onehotInputs(eps, t)
-		ph, pc = c.policy.Step(x, ph, pc)
-		logits := c.heads[t].Forward(ph, true, nil)
-		probs[t] = tensor.RowSoftmax(logits)
-	}
-
+	// Policy forward pass with caches for backprop; each step's dLogits
+	// follow from the clipped surrogate and the entropy bonus.
 	var st GradientStats
 	clipped := 0
-	// dLogits per step, from the clipped surrogate and the entropy bonus.
-	dLogits := make([]*tensor.Tensor, T)
+	c.policy.ResetCache()
+	ph, pc := c.policy.ZeroState(m, c.ar)
 	for t := 0; t < T; t++ {
+		ph, pc = c.policy.Step(c.xs[t], ph, pc, c.ar)
+		logits := c.heads[t].Forward(ph, true, c.ar)
+		probs := c.ar.Get(logits.Shape...)
+		tensor.RowSoftmaxInto(probs, logits)
 		k := c.Space.NumChoices(t)
-		dl := tensor.New(m, k)
+		dl := c.ar.Get(m, k)
 		for i, ep := range eps {
-			row := probs[t].Data[i*k : (i+1)*k]
+			row := probs.Data[i*k : (i+1)*k]
 			a := ep.Choices[t]
 			logp := math.Log(math.Max(row[a], 1e-12))
 			ratio := math.Exp(logp - ep.OldLogP[t])
-			A := adv[i][t]
+			A := adv[i*T+t]
 			// Clipped surrogate J = min(r·A, clip(r)·A). Its gradient
 			// w.r.t. logp is r·A when unclipped and 0 when the clipped
 			// branch is active (clip(r) is constant in θ there).
@@ -338,37 +355,37 @@ func (c *Controller) ComputeGradient(eps []*Episode) ([]float64, GradientStats) 
 				}
 			}
 		}
-		dLogits[t] = dl
+		c.dLogits[t] = dl
 	}
 	st.MeanClipFrac = float64(clipped) / n
 
 	// Backprop policy: heads then BPTT.
 	var dh, dc *tensor.Tensor
 	for t := T - 1; t >= 0; t-- {
-		g := c.heads[t].Backward(dLogits[t], nil)
+		g := c.heads[t].Backward(c.dLogits[t], c.ar)
 		if dh != nil {
 			tensor.AddInPlace(g, dh)
 		}
-		_, dh, dc = c.policy.BackwardStep(g, dc)
+		dh, dc = c.policy.BackwardStep(g, dc, c.ar)
 	}
 
 	// Value loss: 0.5-weighted MSE of V(s_t) against the terminal reward.
 	var dvh, dvc *tensor.Tensor
 	for t := T - 1; t >= 0; t-- {
-		dv := tensor.New(m, 1)
+		dv := c.ar.Get(m, 1)
 		for i, ep := range eps {
-			diff := values[t].At(i, 0) - ep.Reward
+			diff := c.values[t].Data[i] - ep.Reward
 			st.ValueLoss += diff * diff / n
-			dv.Set(c.Cfg.ValueCoef*2*diff/n, i, 0)
+			dv.Data[i] = c.Cfg.ValueCoef * 2 * diff / n
 		}
-		g := vHeads[t].Backward(dv, nil)
+		g := c.vHeads[t].Backward(dv, c.ar)
 		if dvh != nil {
 			tensor.AddInPlace(g, dvh)
 		}
-		_, dvh, dvc = c.value.BackwardStep(g, dvc)
+		dvh, dvc = c.value.BackwardStep(g, dvc, c.ar)
 	}
 
-	return c.params.FlattenGrads(), st
+	return st
 }
 
 // ApplyGradient installs a (possibly averaged) flat gradient and takes one
@@ -380,13 +397,13 @@ func (c *Controller) ApplyGradient(flat []float64) {
 
 // Update runs the full PPO update locally (Cfg.Epochs gradient steps) with
 // no parameter-server exchange — the single-agent code path used by the
-// quickstart example and tests. Returns the stats of the last epoch.
+// quickstart example and tests. The gradients never leave the parameters,
+// so it allocates nothing. Returns the stats of the last epoch.
 func (c *Controller) Update(eps []*Episode) GradientStats {
 	var st GradientStats
 	for e := 0; e < c.Cfg.Epochs; e++ {
-		var g []float64
-		g, st = c.ComputeGradient(eps)
-		c.ApplyGradient(g)
+		st = c.backprop(eps)
+		c.opt.Step(c.params)
 	}
 	return st
 }

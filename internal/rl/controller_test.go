@@ -111,12 +111,13 @@ func TestPPOGradientFiniteDifference(t *testing.T) {
 		T := s.NumDecisions()
 		n := float64(m * T)
 		// Values.
+		c.ar.Reset()
 		c.value.ResetCache()
-		vh, vc := c.value.ZeroState(m)
+		vh, vc := c.value.ZeroState(m, c.ar)
 		values := make([][]float64, T)
 		for tt := 0; tt < T; tt++ {
 			x := c.onehotInputs(eps, tt)
-			vh, vc = c.value.Step(x, vh, vc)
+			vh, vc = c.value.Step(x, vh, vc, c.ar)
 			head := nn.NewDenseShared(c.valueHead.W, c.valueHead.B, nn.ActLinear)
 			out := head.Forward(vh, false, nil)
 			values[tt] = append([]float64(nil), out.Data...)
@@ -146,13 +147,14 @@ func TestPPOGradientFiniteDifference(t *testing.T) {
 		// below perturbs ONLY policy parameters for the policy term; the
 		// value term uses detached advantages, matching ComputeGradient.
 		c.policy.ResetCache()
-		ph, pc := c.policy.ZeroState(m)
+		ph, pc := c.policy.ZeroState(m, c.ar)
 		var L float64
 		for tt := 0; tt < T; tt++ {
 			x := c.onehotInputs(eps, tt)
-			ph, pc = c.policy.Step(x, ph, pc)
+			ph, pc = c.policy.Step(x, ph, pc, c.ar)
 			logits := c.heads[tt].Forward(ph, false, nil)
-			probs := tensor.RowSoftmax(logits)
+			probs := tensor.New(logits.Shape...)
+			tensor.RowSoftmaxInto(probs, logits)
 			k := s.NumChoices(tt)
 			for i, ep := range eps {
 				row := probs.Data[i*k : (i+1)*k]
@@ -356,6 +358,81 @@ func TestControllerOnCatalogSpaces(t *testing.T) {
 		st := c.Update(eps)
 		if math.IsNaN(st.PolicyLoss) {
 			t.Fatalf("%s: NaN loss", name)
+		}
+	}
+}
+
+// TestUpdateMatchesGradientExchange pins Update — which leaves the gradients
+// in the parameters — to the ComputeGradient/ApplyGradient round trip
+// through a flat vector that the search's agents make.
+func TestUpdateMatchesGradientExchange(t *testing.T) {
+	a := NewController(tinySpace(), 41, Config{})
+	b := NewController(tinySpace(), 41, Config{})
+	eps := a.Sample(5)
+	b.Sample(5)
+	for i, ep := range eps {
+		ep.Reward = float64(i%3) - 0.5
+	}
+	stA := a.Update(eps)
+	var stB GradientStats
+	for e := 0; e < b.Cfg.Epochs; e++ {
+		var g []float64
+		g, stB = b.ComputeGradient(eps)
+		b.ApplyGradient(g)
+	}
+	if stA != stB {
+		t.Fatalf("stats differ: Update %+v, exchange %+v", stA, stB)
+	}
+	va, vb := a.Params().FlattenValues(), b.Params().FlattenValues()
+	for i := range va {
+		if math.Float64bits(va[i]) != math.Float64bits(vb[i]) {
+			t.Fatalf("parameter %d: Update %g, exchange %g", i, va[i], vb[i])
+		}
+	}
+}
+
+// TestShortControllerUpdateAllocs pins the controller's allocation
+// discipline: a warm ComputeGradient allocates only the flat gradient it
+// returns, Update nothing, Sample only the episodes it returns, and the
+// arena plateaus even though the batch size — and with it every shape
+// class — changes from call to call (A2C partial batches, fault-shrunk
+// rounds).
+func TestShortControllerUpdateAllocs(t *testing.T) {
+	sp := space.NewComboSmall()
+	c := NewController(sp, 37, Config{})
+	const m = 4
+	eps := c.Sample(m)
+	for i, ep := range eps {
+		ep.Reward = float64(i) / m
+	}
+	c.Update(eps) // warm: arena free lists, Adam moments, LSTM cache stacks
+	if got := testing.AllocsPerRun(20, func() { c.ComputeGradient(eps) }); got > 2 {
+		t.Errorf("ComputeGradient: %v allocs/op, want <= 2 (the returned gradient)", got)
+	}
+	if got := testing.AllocsPerRun(5, func() { c.Update(eps) }); got > 0 {
+		t.Errorf("Update: %v allocs/op, want 0", got)
+	}
+	// The episode slice, and per episode the struct and its two slices.
+	if got, want := testing.AllocsPerRun(20, func() { c.Sample(m) }), float64(1+3*m); got > want {
+		t.Errorf("Sample(%d): %v allocs/op, want <= %v (the returned episodes)", m, got, want)
+	}
+
+	pooled := func(round int) int {
+		batch := c.Sample(1 + round%4)
+		for i, ep := range batch {
+			ep.Reward = float64((i + round) % 3)
+		}
+		c.Update(batch)
+		c.ar.Reset()
+		return c.ar.Pooled()
+	}
+	for round := 0; round < 4; round++ { // one cycle fills every shape class
+		pooled(round)
+	}
+	want := pooled(4)
+	for round := 5; round < 54; round++ {
+		if got := pooled(round); got != want {
+			t.Fatalf("round %d (m=%d): arena pools %d tensors, was %d — it must plateau", round, 1+round%4, got, want)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func TestMatMulDifferential(t *testing.T) {
 	for _, s := range matmulShapes(r) {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randTensor(r, m, k), randTensor(r, k, n)
-		compareTensors(t, fmt.Sprintf("MatMul %v", s), MatMul(a, b), naiveMatMul(a, b))
+		compareTensors(t, fmt.Sprintf("MatMul %v", s), matMul(a, b), naiveMatMul(a, b))
 	}
 }
 
@@ -178,13 +178,26 @@ func TestMatMulTransADifferential(t *testing.T) {
 	}
 }
 
+// TestMatMulTransBDifferential holds the register-blocked A×Bᵀ kernel to the
+// naive reference bit for bit: both sum each element over k in index order,
+// so blocking four columns per pass may not move a single ulp. The extra
+// shapes walk n across the four-column block and its remainder lanes with k
+// on either side of blockK; {520, 130, n} is above parallelThreshold even at
+// n = 1, so with GOMAXPROCS forced to 4 every n also runs on the row-band
+// path.
 func TestMatMulTransBDifferential(t *testing.T) {
 	forceParallel(t)
 	r := rng.New(103)
-	for _, s := range matmulShapes(r) {
+	shapes := matmulShapes(r)
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13, 32} {
+		shapes = append(shapes, [3]int{3, 127, n}, [3]int{5, 128, n}, [3]int{520, 130, n})
+	}
+	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randTensor(r, m, k), randTensor(r, n, k)
-		compareTensors(t, fmt.Sprintf("MatMulTransB %v", s), MatMulTransB(a, b), naiveMatMulTransB(a, b))
+		dst := dirty(m, n)
+		MatMulTransBInto(dst, a, b)
+		identicalTensors(t, fmt.Sprintf("MatMulTransBInto %v", s), dst, naiveMatMulTransB(a, b))
 	}
 }
 

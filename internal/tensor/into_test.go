@@ -10,9 +10,8 @@ import (
 
 // Destination-passing differential tests: every *Into kernel must write a
 // DIRTY destination (pre-filled with NaN, the loudest possible stale value)
-// byte-identically to a fresh zeroed one — the allocating form where one
-// exists, tensor.New + the same kernel otherwise — because arena buffers
-// carry whatever the previous batch left behind. The shapes straddle
+// byte-identically to a fresh zeroed one (tensor.New + the same kernel),
+// because arena buffers carry whatever the previous batch left behind. The shapes straddle
 // parallelThreshold and blockK exactly like the naive-reference differential
 // suite.
 
@@ -39,6 +38,44 @@ func identicalTensors(t *testing.T, what string, got, want *Tensor) {
 	}
 }
 
+// Fresh-destination forms of the Into kernels: the reference a dirty
+// destination is compared with, and the value form the algebra tests want.
+func matMul(a, b *Tensor) *Tensor {
+	out := New(a.Shape[0], b.Shape[1])
+	MatMulInto(out, a, b)
+	return out
+}
+
+func matMulTransB(a, b *Tensor) *Tensor {
+	out := New(a.Shape[0], b.Shape[0])
+	MatMulTransBInto(out, a, b)
+	return out
+}
+
+func addRowVector(t, v *Tensor) *Tensor {
+	out := New(t.Shape...)
+	AddRowVectorInto(out, t, v)
+	return out
+}
+
+func rowSoftmax(t *Tensor) *Tensor {
+	out := New(t.Shape...)
+	RowSoftmaxInto(out, t)
+	return out
+}
+
+func colSums(t *Tensor) *Tensor {
+	out := New(t.Shape[1])
+	ColSumsInto(out, t)
+	return out
+}
+
+func apply(a *Tensor, f func(float64) float64) *Tensor {
+	out := New(a.Shape...)
+	ApplyInto(out, a, f)
+	return out
+}
+
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
 	defer func() {
@@ -57,7 +94,7 @@ func TestMatMulIntoDirtyDstIdentical(t *testing.T) {
 		a, b := randTensor(r, m, k), randTensor(r, k, n)
 		dst := dirty(m, n)
 		MatMulInto(dst, a, b)
-		identicalTensors(t, fmt.Sprintf("MatMulInto %v", s), dst, MatMul(a, b))
+		identicalTensors(t, fmt.Sprintf("MatMulInto %v", s), dst, matMul(a, b))
 	}
 }
 
@@ -81,7 +118,7 @@ func TestMatMulTransBIntoDirtyDstIdentical(t *testing.T) {
 		a, b := randTensor(r, m, k), randTensor(r, n, k)
 		dst := dirty(m, n)
 		MatMulTransBInto(dst, a, b)
-		identicalTensors(t, fmt.Sprintf("MatMulTransBInto %v", s), dst, MatMulTransB(a, b))
+		identicalTensors(t, fmt.Sprintf("MatMulTransBInto %v", s), dst, matMulTransB(a, b))
 	}
 }
 
@@ -96,19 +133,19 @@ func TestRowKernelsIntoDirtyDstIdentical(t *testing.T) {
 
 		dst := dirty(rows, cols)
 		AddRowVectorInto(dst, x, v)
-		identicalTensors(t, "AddRowVectorInto "+what, dst, AddRowVector(x, v))
+		identicalTensors(t, "AddRowVectorInto "+what, dst, addRowVector(x, v))
 
 		dst = dirty(rows, cols)
 		RowSoftmaxInto(dst, x)
-		identicalTensors(t, "RowSoftmaxInto "+what, dst, RowSoftmax(x))
+		identicalTensors(t, "RowSoftmaxInto "+what, dst, rowSoftmax(x))
 
 		dst = dirty(rows, cols)
 		ApplyInto(dst, x, math.Exp)
-		identicalTensors(t, "ApplyInto "+what, dst, Apply(x, math.Exp))
+		identicalTensors(t, "ApplyInto "+what, dst, apply(x, math.Exp))
 
 		cs := dirty(cols)
 		ColSumsInto(cs, x)
-		identicalTensors(t, "ColSumsInto "+what, cs, ColSums(x))
+		identicalTensors(t, "ColSumsInto "+what, cs, colSums(x))
 
 		idx := make([]int, rows+3)
 		for i := range idx {
@@ -222,17 +259,17 @@ func TestDenseForwardIntoMatchesSeparatePasses(t *testing.T) {
 		for _, act := range acts {
 			dst := dirty(m, n)
 			DenseForwardInto(dst, x, w, bias, act)
-			want := AddRowVector(MatMul(x, w), bias)
+			want := addRowVector(matMul(x, w), bias)
 			if f := actFns[act]; f != nil {
-				want = Apply(want, f)
+				want = apply(want, f)
 			}
 			identicalTensors(t, fmt.Sprintf("DenseForwardInto %v %v", s, act), dst, want)
 
 			dst = dirty(m, n)
 			DenseForwardInto(dst, x, w, nil, act)
-			want = MatMul(x, w)
+			want = matMul(x, w)
 			if f := actFns[act]; f != nil {
-				want = Apply(want, f)
+				want = apply(want, f)
 			}
 			identicalTensors(t, fmt.Sprintf("DenseForwardInto %v %v nil bias", s, act), dst, want)
 		}
@@ -278,7 +315,7 @@ func TestActivationKernelsMatchReference(t *testing.T) {
 	for act, f := range fwd {
 		dst := dirty(37, 19)
 		ActivateInto(dst, act, x)
-		identicalTensors(t, fmt.Sprintf("ActivateInto %v", act), dst, Apply(x, f))
+		identicalTensors(t, fmt.Sprintf("ActivateInto %v", act), dst, apply(x, f))
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // parallelThreshold is the minimum number of multiply-accumulate operations
-// below which MatMul stays single-threaded; spawning goroutines for tiny
+// below which a product stays single-threaded; spawning goroutines for tiny
 // products costs more than it saves.
 const parallelThreshold = 1 << 16
 
@@ -51,16 +51,6 @@ func parallelRows(m, ops int, work func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// MatMul returns A×B for rank-2 tensors of shapes [m,k] and [k,n].
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v × %v", a.Shape, b.Shape))
-	}
-	out := New(a.Shape[0], b.Shape[1])
-	MatMulInto(out, a, b)
-	return out
 }
 
 // MatMulInto computes dst = A×B for rank-2 tensors of shapes [m,k] and
@@ -115,17 +105,6 @@ func matmulRows(out, a, b *Tensor, lo, hi int) {
 	}
 }
 
-// MatMulTransB returns A×Bᵀ without materializing the transpose; A is [m,k],
-// B is [n,k], and the result is [m,n].
-func MatMulTransB(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB requires rank-2 operands, got %v, %v", a.Shape, b.Shape))
-	}
-	out := New(a.Shape[0], b.Shape[0])
-	MatMulTransBInto(out, a, b)
-	return out
-}
-
 // MatMulTransBInto computes dst = A×Bᵀ without materializing the transpose;
 // A is [m,k], B is [n,k], dst is [m,n] and must not alias either operand.
 // This is the hot path of the backward pass of a Dense layer (dX = dY×Wᵀ).
@@ -152,14 +131,35 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	parallelRows(m, m*n*k, func(lo, hi int) { matmulTransBRows(dst, a, b, lo, hi) })
 }
 
-// matmulTransBRows computes rows [lo,hi) of dst = A×Bᵀ.
+// matmulTransBRows computes rows [lo,hi) of dst = A×Bᵀ, four output columns
+// per pass. A single dot product is bound by the latency of its one
+// accumulator; four independent accumulators keep four in flight. Each is
+// still summed over k in index order, so every element is bit-identical to
+// the one-column loop that handles the n%4 remainder.
 func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
 	k, n := a.Shape[1], dst.Shape[1]
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			// Reslicing to len(arow) lets the compiler drop the bounds
+			// checks in the inner loop.
+			b0 := b.Data[j*k : (j+1)*k][:len(arow)]
+			b1 := b.Data[(j+1)*k : (j+2)*k][:len(arow)]
+			b2 := b.Data[(j+2)*k : (j+3)*k][:len(arow)]
+			b3 := b.Data[(j+3)*k : (j+4)*k][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for x, av := range arow {
+				s0 += av * b0[x]
+				s1 += av * b1[x]
+				s2 += av * b2[x]
+				s3 += av * b3[x]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*k : (j+1)*k][:len(arow)]
 			var s float64
 			for x, av := range arow {
 				s += av * brow[x]
@@ -170,7 +170,9 @@ func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
 }
 
 // MatMulTransA returns Aᵀ×B without materializing the transpose; A is [k,m],
-// B is [k,n], and the result is [m,n].
+// B is [k,n], and the result is [m,n]. It is the one allocating kernel
+// wrapper left: production calls MatMulTransAInto, and this form stays only
+// because benchmark/layers.go measures it (tensor.matmul_transa_*).
 func MatMulTransA(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA requires rank-2 operands, got %v, %v", a.Shape, b.Shape))

@@ -70,17 +70,6 @@ func SplitColsInto(dsts []*Tensor, t *Tensor, widths []int) {
 	}
 }
 
-// RowSoftmax computes a numerically stable softmax over each row of a rank-2
-// tensor.
-func RowSoftmax(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: RowSoftmax requires rank 2, got %v", t.Shape))
-	}
-	out := New(t.Shape[0], t.Shape[1])
-	RowSoftmaxInto(out, t)
-	return out
-}
-
 // RowSoftmaxInto computes a numerically stable softmax over each row of a
 // rank-2 tensor into a same-shaped destination, which must not alias t.
 func RowSoftmaxInto(dst, t *Tensor) {
@@ -156,17 +145,6 @@ func GatherRowsInto(dst, t *Tensor, idx []int) {
 	}
 }
 
-// AddRowVector adds a length-c vector to every row of an [r,c] tensor,
-// the broadcast used when applying a bias.
-func AddRowVector(t, v *Tensor) *Tensor {
-	if t.Rank() != 2 || v.Rank() != 1 || t.Shape[1] != v.Shape[0] {
-		panic(fmt.Sprintf("tensor: AddRowVector shape mismatch %v + %v", t.Shape, v.Shape))
-	}
-	out := New(t.Shape[0], t.Shape[1])
-	AddRowVectorInto(out, t, v)
-	return out
-}
-
 // AddRowVectorInto adds a length-c vector to every row of an [r,c] tensor
 // into a same-shaped destination, which must not alias either operand.
 func AddRowVectorInto(dst, t, v *Tensor) {
@@ -185,17 +163,6 @@ func AddRowVectorInto(dst, t, v *Tensor) {
 			orow[j] = x + v.Data[j]
 		}
 	}
-}
-
-// ColSums returns the per-column sums of an [r,c] tensor, the bias-gradient
-// reduction of a Dense layer.
-func ColSums(t *Tensor) *Tensor {
-	if t.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: ColSums requires rank 2, got %v", t.Shape))
-	}
-	out := New(t.Shape[1])
-	ColSumsInto(out, t)
-	return out
 }
 
 // ColSumsInto computes the per-column sums of an [r,c] tensor into a

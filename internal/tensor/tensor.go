@@ -154,8 +154,9 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
+// Zero sets every element to +0. clear lowers to a memclr; Fill's scalar
+// store loop does not, and Arena.Get zeroes every tensor it hands out.
+func (t *Tensor) Zero() { clear(t.Data) }
 
 // Randn fills t with N(0, stddev^2) samples from r.
 func (t *Tensor) Randn(r *rng.Rand, stddev float64) {
@@ -177,8 +178,9 @@ func (t *Tensor) GlorotUniform(r *rng.Rand, fanIn, fanOut int) {
 // AddInPlace computes a += b.
 func AddInPlace(a, b *Tensor) {
 	assertSameShape("AddInPlace", a, b)
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
+	ad := a.Data
+	for i, v := range b.Data[:len(ad)] {
+		ad[i] += v
 	}
 }
 
@@ -187,13 +189,6 @@ func ScaleInPlace(a *Tensor, s float64) {
 	for i := range a.Data {
 		a.Data[i] *= s
 	}
-}
-
-// Apply returns f applied elementwise.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := New(a.Shape...)
-	ApplyInto(out, a, f)
-	return out
 }
 
 // ApplyInto writes f applied elementwise over a into a same-sized

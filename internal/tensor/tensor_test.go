@@ -116,7 +116,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 9}, {64, 33, 17}, {130, 64, 50}} {
 		a := randTensor(r, dims[0], dims[1])
 		b := randTensor(r, dims[1], dims[2])
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		want := matmulNaive(a, b)
 		for i := range want.Data {
 			if !almostEqual(got.Data[i], want.Data[i], 1e-9) {
@@ -133,7 +133,7 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		eye.Set(1, i, i)
 	}
-	got := MatMul(a, eye)
+	got := matMul(a, eye)
 	for i := range a.Data {
 		if !almostEqual(got.Data[i], a.Data[i], 1e-12) {
 			t.Fatal("A×I != A")
@@ -148,10 +148,10 @@ func TestMatMulLinearity(t *testing.T) {
 		a := randTensor(r, 4, 6)
 		b := randTensor(r, 4, 6)
 		c := randTensor(r, 6, 3)
-		rhs := MatMul(a, c)
-		AddInPlace(rhs, MatMul(b, c))
+		rhs := matMul(a, c)
+		AddInPlace(rhs, matMul(b, c))
 		AddInPlace(a, b)
-		lhs := MatMul(a, c)
+		lhs := matMul(a, c)
 		for i := range lhs.Data {
 			if !almostEqual(lhs.Data[i], rhs.Data[i], 1e-9) {
 				return false
@@ -168,7 +168,7 @@ func TestMatMulTransB(t *testing.T) {
 	r := rng.New(3)
 	a := randTensor(r, 6, 4)
 	b := randTensor(r, 5, 4)
-	got := MatMulTransB(a, b)
+	got := matMulTransB(a, b)
 	want := naiveMatMulTransB(a, b)
 	for i := range want.Data {
 		if !almostEqual(got.Data[i], want.Data[i], 1e-9) {
@@ -196,7 +196,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	matMul(New(2, 3), New(4, 2))
 }
 
 func TestConcatSplitRoundtrip(t *testing.T) {
@@ -233,7 +233,7 @@ func TestConcatSplitRoundtrip(t *testing.T) {
 
 func TestRowSoftmax(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 1000, 1000, 1000}, 2, 3)
-	s := RowSoftmax(x)
+	s := rowSoftmax(x)
 	for i := 0; i < 2; i++ {
 		var sum float64
 		for j := 0; j < 3; j++ {
@@ -267,8 +267,8 @@ func TestArgmaxRows(t *testing.T) {
 func TestAddRowVectorColSums(t *testing.T) {
 	x := New(3, 2)
 	v := FromSlice([]float64{1, 2}, 2)
-	y := AddRowVector(x, v)
-	sums := ColSums(y)
+	y := addRowVector(x, v)
+	sums := colSums(y)
 	if sums.Data[0] != 3 || sums.Data[1] != 6 {
 		t.Fatalf("ColSums = %v", sums.Data)
 	}
@@ -459,7 +459,7 @@ func BenchmarkMatMul128(b *testing.B) {
 	y := randTensor(r, 128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MatMul(x, y)
+		_ = matMul(x, y)
 	}
 }
 
@@ -469,7 +469,7 @@ func BenchmarkMatMul512(b *testing.B) {
 	y := randTensor(r, 512, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = MatMul(x, y)
+		_ = matMul(x, y)
 	}
 }
 

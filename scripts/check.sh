@@ -21,17 +21,19 @@ go test -short ./...
 # resolves to GOMAXPROCS, so the determinism pins run serial (1), at the
 # smallest pooled width (2) and wider than the test machines' node count (8).
 # nasbench is in the loop for the table source × pool interplay: a reward
-# source makes every estimation an inline future whatever the width.
+# source makes every estimation an inline future whatever the width. rl is
+# in the loop so the controller goldens are held at every width too.
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool' \
-        ./internal/search/ ./internal/evaluator/ ./internal/nasbench/
+        ./internal/search/ ./internal/evaluator/ ./internal/nasbench/ ./internal/rl/
 done
 # tensor and nn are in the race list for the destination-passing kernels:
 # their row-banded parallel paths (forced via GOMAXPROCS in the tests) are
-# the only data-parallel float loops in the repo.
+# the only data-parallel float loops in the repo. rl is arena-bearing code
+# on top of them: one arena per controller, never shared across goroutines.
 go test -race ./internal/hpc/ ./internal/balsam/ ./internal/rng/ ./internal/space/ \
     ./internal/ckpt/ ./internal/ps/ ./internal/optim/ ./internal/trace/ ./internal/analytics/ \
-    ./internal/tensor/ ./internal/nn/ ./internal/fsim/
+    ./internal/tensor/ ./internal/nn/ ./internal/rl/ ./internal/fsim/
 # The evaluator trains real (scaled) networks, but its suite is small enough
 # to race-check whole — this is the only gate exercising Workers > 1
 # evaluator concurrency under the race detector.
@@ -62,16 +64,18 @@ go test -race -timeout 30m ./internal/nasbench/
 # every golden trace in the repo, so their differential/fuzz/alloc suites
 # must keep covering them. nasbench joins with the tabular-benchmark
 # artifact: its WAL/table codec and replay backend decide whether thousands
-# of tournament searches are served the right rewards.
+# of tournament searches are served the right rewards. rl joins with the
+# controller's arena: its golden and allocation pins are what hold the PPO
+# update bit-identical and allocation-free.
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 go test -coverprofile="$profile" ./internal/trace/ ./internal/ckpt/ ./internal/fsim/ \
     ./internal/evaluator/ ./internal/tensor/ ./internal/nn/ ./internal/campaign/ \
-    ./internal/hpc/ ./internal/balsam/ ./internal/nasbench/ >/dev/null
+    ./internal/hpc/ ./internal/balsam/ ./internal/nasbench/ ./internal/rl/ >/dev/null
 total=$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 if ! awk -v t="$total" 'BEGIN { exit (t >= 85) ? 0 : 1 }'; then
-    echo "check.sh: trace+ckpt+fsim+evaluator+tensor+nn+campaign+hpc+balsam+nasbench coverage ${total}% is below the 85% gate" >&2
+    echo "check.sh: trace+ckpt+fsim+evaluator+tensor+nn+campaign+hpc+balsam+nasbench+rl coverage ${total}% is below the 85% gate" >&2
     exit 1
 fi
-echo "check.sh: trace+ckpt+fsim+evaluator+tensor+nn+campaign+hpc+balsam+nasbench coverage ${total}%"
+echo "check.sh: trace+ckpt+fsim+evaluator+tensor+nn+campaign+hpc+balsam+nasbench+rl coverage ${total}%"
 echo "check.sh: OK"
