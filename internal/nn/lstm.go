@@ -33,8 +33,9 @@ type LSTM struct {
 }
 
 type lstmStep struct {
-	x, hPrev, cPrev *tensor.Tensor
-	gates, tanhC    *tensor.Tensor // gates: activated [i|f|g|o], [batch,4H]
+	x            []int // the step's active input index per batch row
+	hPrev, cPrev *tensor.Tensor
+	gates, tanhC *tensor.Tensor // gates: activated [i|f|g|o], [batch,4H]
 }
 
 // NewLSTM creates an LSTM cell with Glorot-uniform input weights,
@@ -66,19 +67,30 @@ func (l *LSTM) ResetCache() { l.steps = l.steps[:0] }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
-// Step advances the cell one timestep: x is [batch, in], hPrev/cPrev are
-// [batch, hidden]. It returns the new h and c and records the caches needed
-// by BackwardStep.
-func (l *LSTM) Step(x, hPrev, cPrev *tensor.Tensor, ar *tensor.Arena) (h, c *tensor.Tensor) {
-	if x.Shape[1] != l.In {
-		panic(fmt.Sprintf("nn: LSTM input width %d, want %d", x.Shape[1], l.In))
-	}
-	batch := x.Shape[0]
+// Step advances the cell one timestep. The input is one-hot: x[r] is the
+// index of batch row r's single active unit, in [0, In), so x×Wx is row
+// Wx[x[r]] and no [batch, In] matrix is ever built or multiplied. hPrev/cPrev
+// are [batch, hidden]. It returns the new h and c and records the caches
+// needed by BackwardStep, x included: the caller must leave x untouched until
+// the matching BackwardStep (or ResetCache).
+func (l *LSTM) Step(x []int, hPrev, cPrev *tensor.Tensor, ar *tensor.Arena) (h, c *tensor.Tensor) {
+	batch := len(x)
 	H := l.Hidden
-	// z = (x×Wx + b) + hPrev×Wh: each product completes in its own buffer
-	// before the add, the order the separate-pass kernels always had.
+	// z = (x×Wx + b) + hPrev×Wh. The one-hot product is gathered as +0 + Wx
+	// row — z comes zeroed from the arena — which is bit for bit what the
+	// dense product summed (a −0 weight reads +0 either way); each product
+	// still completes before the adds, the order the separate passes had.
 	z := ar.Get(batch, 4*H)
-	tensor.DenseForwardInto(z, x, l.Wx.Value, l.B.Value, tensor.ActIdentity)
+	for r, ix := range x {
+		if ix < 0 || ix >= l.In {
+			panic(fmt.Sprintf("nn: LSTM input index %d, want [0,%d)", ix, l.In))
+		}
+		zr := z.Data[r*4*H : (r+1)*4*H]
+		wr := l.Wx.Value.Data[ix*4*H : (ix+1)*4*H]
+		for j, bv := range l.B.Value.Data {
+			zr[j] = (zr[j] + wr[j]) + bv
+		}
+	}
 	zh := ar.Get(batch, 4*H)
 	tensor.MatMulInto(zh, hPrev, l.Wh.Value)
 	tensor.AddInPlace(z, zh)
@@ -110,8 +122,8 @@ func (l *LSTM) Step(x, hPrev, cPrev *tensor.Tensor, ar *tensor.Arena) (h, c *ten
 // BackwardStep pops the most recent cached step and backpropagates the
 // gradients dh (w.r.t. the step's h output) and dc (w.r.t. its c output;
 // nil means zero). It accumulates parameter gradients and returns the
-// gradients with respect to hPrev and cPrev. The gradient with respect to x
-// is not computed: the controller's inputs are one-hot constants.
+// gradients with respect to hPrev and cPrev. There is no gradient with
+// respect to x: the input is an index.
 func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor, ar *tensor.Arena) (dhPrev, dcPrev *tensor.Tensor) {
 	if len(l.steps) == 0 {
 		panic("nn: LSTM BackwardStep with no cached forward step")
@@ -148,7 +160,15 @@ func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor, ar *tensor.Arena) (dhPrev, dc
 	}
 	// Each step's product completes in a temporary before it is added to
 	// Grad, so the accumulation order over steps is the historical one.
-	tensor.MatMulTransAInto(l.dwx, st.x, dz)
+	// dWx = xᵀ×dz for a one-hot x: row r of dz lands on row x[r] of dwx, in
+	// batch order, the order the dense product summed a repeated index in.
+	l.dwx.Zero()
+	for r, ix := range st.x {
+		wr := l.dwx.Data[ix*4*H : (ix+1)*4*H]
+		for j, g := range dz.Data[r*4*H : (r+1)*4*H] {
+			wr[j] += g
+		}
+	}
 	tensor.AddInPlace(l.Wx.Grad, l.dwx)
 	tensor.MatMulTransAInto(l.dwh, st.hPrev, dz)
 	tensor.AddInPlace(l.Wh.Grad, l.dwh)

@@ -481,17 +481,15 @@ func TestAccuracy(t *testing.T) {
 }
 
 // TestLSTMGradients runs a 3-step BPTT and verifies all parameter gradients
-// by finite differences of a scalar loss sum(h_t over all steps).
+// by finite differences of a scalar loss sum(h_t over all steps). The input
+// indices hit rows of Wx zero, one and several times within one batch (the
+// scatter-add of BackwardStep) and across steps; row 5 is never active.
 func TestLSTMGradients(t *testing.T) {
 	r := rng.New(14)
-	l := NewLSTM(r, 3, 4)
-	batch := 2
+	l := NewLSTM(r, 6, 4)
+	batch := 4
 	T := 3
-	xs := make([]*tensor.Tensor, T)
-	for i := range xs {
-		xs[i] = tensor.New(batch, 3)
-		xs[i].Randn(r, 1)
-	}
+	xs := [][]int{{0, 0, 2, 0}, {1, 2, 2, 4}, {3, 3, 3, 3}}
 	ar := tensor.NewArena()
 	runLoss := func() float64 {
 		l.ResetCache()
@@ -534,10 +532,8 @@ func TestLSTMDeterminism(t *testing.T) {
 	make_ := func() *tensor.Tensor {
 		r := rng.New(15)
 		l := NewLSTM(r, 2, 3)
-		x := tensor.New(1, 2)
-		x.Fill(0.5)
 		h, c := l.ZeroState(1, nil)
-		h, _ = l.Step(x, h, c, nil)
+		h, _ = l.Step([]int{1}, h, c, nil)
 		return h
 	}
 	a, b := make_(), make_()

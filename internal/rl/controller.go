@@ -87,11 +87,11 @@ type Controller struct {
 	// the call that made it; the per-step slices hold arena pointers for
 	// the duration of one ComputeGradient only.
 	ar      *tensor.Arena
-	vHeads  []*nn.Dense      // valueHead once per step: each keeps its own forward cache
-	xs      []*tensor.Tensor // one-hot inputs, shared by the value and policy passes
+	vHeads  []*nn.Dense // valueHead once per step: each keeps its own forward cache
 	values  []*tensor.Tensor
 	dLogits []*tensor.Tensor
 	adv     []float64 // [m*T], episode-major
+	xs      []int     // [T*m], step-major: the LSTM input indices
 }
 
 // NewController builds a controller with its own deterministic RNG stream.
@@ -112,7 +112,6 @@ func NewController(s *space.Space, seed uint64, cfg Config) *Controller {
 	}
 	c.valueHead = nn.NewDense(r, cfg.Hidden, 1, nn.ActLinear)
 	c.ar = tensor.NewArena()
-	c.xs = make([]*tensor.Tensor, len(c.heads))
 	c.values = make([]*tensor.Tensor, len(c.heads))
 	c.dLogits = make([]*tensor.Tensor, len(c.heads))
 	for range c.heads {
@@ -168,16 +167,22 @@ func (c *Controller) RestoreState(st *ControllerState) error {
 	return nil
 }
 
-// onehotInputs builds the step-t input matrix for a batch of episodes:
-// the one-hot of each episode's previous action, or the start token at t=0.
-func (c *Controller) onehotInputs(eps []*Episode, t int) *tensor.Tensor {
-	x := c.ar.Get(len(eps), c.inWidth)
+// onehotInputs returns the step-t LSTM input for a batch of episodes: per
+// episode the index of its one-hot — the previous action, or the start token
+// at t=0. Each step has its own stretch of the controller-owned scratch, so
+// an LSTM may cache the slices of a whole pass; the value and policy passes
+// of one batch write the same values to the same stretches.
+func (c *Controller) onehotInputs(eps []*Episode, t int) []int {
+	m := len(eps)
+	if need := m * c.Space.NumDecisions(); cap(c.xs) < need {
+		c.xs = make([]int, need)
+	}
+	x := c.xs[t*m : (t+1)*m]
 	for i, ep := range eps {
-		col := c.inWidth - 1 // start token
+		x[i] = c.inWidth - 1 // start token
 		if t > 0 {
-			col = ep.Choices[t-1]
+			x[i] = ep.Choices[t-1]
 		}
-		x.Data[i*c.inWidth+col] = 1
 	}
 	return x
 }
@@ -266,8 +271,7 @@ func (c *Controller) backprop(eps []*Episode) GradientStats {
 	c.value.ResetCache()
 	vh, vc := c.value.ZeroState(m, c.ar)
 	for t := 0; t < T; t++ {
-		c.xs[t] = c.onehotInputs(eps, t)
-		vh, vc = c.value.Step(c.xs[t], vh, vc, c.ar)
+		vh, vc = c.value.Step(c.onehotInputs(eps, t), vh, vc, c.ar)
 		c.values[t] = c.vHeads[t].Forward(vh, true, c.ar)
 	}
 
@@ -303,7 +307,7 @@ func (c *Controller) backprop(eps []*Episode) GradientStats {
 	c.policy.ResetCache()
 	ph, pc := c.policy.ZeroState(m, c.ar)
 	for t := 0; t < T; t++ {
-		ph, pc = c.policy.Step(c.xs[t], ph, pc, c.ar)
+		ph, pc = c.policy.Step(c.onehotInputs(eps, t), ph, pc, c.ar)
 		logits := c.heads[t].Forward(ph, true, c.ar)
 		probs := c.ar.Get(logits.Shape...)
 		tensor.RowSoftmaxInto(probs, logits)

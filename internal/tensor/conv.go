@@ -42,7 +42,7 @@ func Conv1DInto(dst, x, w, b *Tensor, stride int) {
 		conv1DRows(dst, x, w, b, stride, 0, batch)
 		return
 	}
-	parallelRows(batch, batch*outLen*cout*kernel*cin, func(lo, hi int) {
+	parallelRows(batch, func(lo, hi int) {
 		conv1DRows(dst, x, w, b, stride, lo, hi)
 	})
 }
@@ -137,7 +137,7 @@ func Conv1DBackwardInto(dx, dw, db, x, w, dout *Tensor, stride int) {
 		conv1DBackwardDxRows(dx, w, dout, stride, 0, batch)
 		return
 	}
-	parallelRows(batch, batch*outLen*cout*kernel*cin, func(lo, hi int) {
+	parallelRows(batch, func(lo, hi int) {
 		conv1DBackwardDxRows(dx, w, dout, stride, lo, hi)
 	})
 }

@@ -12,9 +12,10 @@ import (
 // Differential tests: every optimized kernel against a straightforward
 // naive reference, over seeded randomized shapes that deliberately straddle
 // the parallelThreshold op count (where the row-band goroutine split kicks
-// in) and the blockK boundary (where MatMul's k-blocking wraps). GOMAXPROCS
+// in) and the blockK boundary (where the matmul k-blocking wraps). GOMAXPROCS
 // is forced above 1 so the parallel bands genuinely run even on a 1-core
-// host.
+// host. The three matmuls are held to their references bit for bit; the
+// convolutions to rounding noise.
 
 // forceParallel raises GOMAXPROCS for the test so parallelRows actually
 // splits work across goroutines.
@@ -24,9 +25,9 @@ func forceParallel(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// closeEnough reports near-equality: the kernels reorder float additions only
-// across k-blocks (same ascending order), so differences beyond rounding
-// noise are real bugs.
+// closeEnough reports near-equality, for the convolution kernels, whose
+// accumulation order differs from their naive references'. Differences beyond
+// rounding noise are real bugs.
 func closeEnough(a, b float64) bool {
 	diff := math.Abs(a - b)
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
@@ -158,23 +159,149 @@ func matmulShapes(r *rng.Rand) [][3]int {
 	return shapes
 }
 
+// laneShapes walk the unrolled kernel's lanes: k across every residue of the
+// four-way unroll on both sides of a blockK boundary, n across short and odd
+// row lengths, m across single rows and odd counts; {523, 130, n} is above
+// parallelThreshold even at n = 1 and splits into uneven bands (131, 131,
+// 131, 130) with GOMAXPROCS forced to 4.
+func laneShapes() [][3]int {
+	var shapes [][3]int
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 31, 63} {
+		for _, m := range []int{1, 2, 3, 5, 16, 17} {
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 127, 128, 129, 130, 131, 300} {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+		shapes = append(shapes, [3]int{523, 130, n})
+	}
+	return shapes
+}
+
+// TestMatMulDifferential holds A×B to the naive triple loop bit for bit, into
+// NaN-filled destinations: the kernel sums every element over k in index
+// order from +0, so unrolling and blocking may not move a single ulp, and it
+// may not rely on what dst held.
 func TestMatMulDifferential(t *testing.T) {
 	forceParallel(t)
 	r := rng.New(101)
-	for _, s := range matmulShapes(r) {
+	for _, s := range append(matmulShapes(r), laneShapes()...) {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randTensor(r, m, k), randTensor(r, k, n)
-		compareTensors(t, fmt.Sprintf("MatMul %v", s), matMul(a, b), naiveMatMul(a, b))
+		dst := dirty(m, n)
+		MatMulInto(dst, a, b)
+		identicalTensors(t, fmt.Sprintf("MatMulInto %v", s), dst, naiveMatMul(a, b))
 	}
 }
 
+// TestMatMulTransADifferential is the same pin for Aᵀ×B, which is the same
+// kernel reading A down its columns.
 func TestMatMulTransADifferential(t *testing.T) {
 	forceParallel(t)
 	r := rng.New(102)
-	for _, s := range matmulShapes(r) {
+	for _, s := range append(matmulShapes(r), laneShapes()...) {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randTensor(r, k, m), randTensor(r, k, n)
-		compareTensors(t, fmt.Sprintf("MatMulTransA %v", s), MatMulTransA(a, b), naiveMatMulTransA(a, b))
+		dst := dirty(m, n)
+		MatMulTransAInto(dst, a, b)
+		identicalTensors(t, fmt.Sprintf("MatMulTransAInto %v", s), dst, naiveMatMulTransA(a, b))
+	}
+}
+
+// skipMatMul is the naive reference with the zero test the A×B and Aᵀ×B
+// kernels carried until they were unrolled: a term whose A factor is ±0 is
+// never added. The sparse test uses it to show that dropping the test moved
+// no bit.
+func skipMatMul(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for x := 0; x < k; x++ {
+				if av := a.Data[i*k+x]; av != 0 {
+					s += av * b.Data[x*n+j]
+				}
+			}
+			out.Data[i*n+j] = s
+		}
+	}
+	return out
+}
+
+// sparsify overwrites a fraction of t with exact zeros of either sign and
+// turns every fourth row into a one-hot, the two patterns live traffic has
+// (ReLU outputs, the controller's inputs before nn.LSTM took indices).
+func sparsify(r *rng.Rand, t *Tensor) {
+	rows, cols := t.Shape[0], t.Shape[1]
+	for i := range t.Data {
+		switch r.Intn(10) {
+		case 0:
+			t.Data[i] = 0
+		case 1:
+			t.Data[i] = math.Copysign(0, -1)
+		}
+	}
+	for i := 0; i < rows; i += 4 {
+		row := t.Data[i*cols : (i+1)*cols]
+		clear(row)
+		row[r.Intn(cols)] = 1
+	}
+}
+
+// TestMatMulSparseMatchesZeroSkip pins the argument for removing the zero
+// test: with a +0 start no partial sum is ever −0, so adding 0·b (either
+// sign, finite b) changes no bit. 20 % exact zeros, −0 entries in both
+// operands and one-hot rows, compared bitwise with a reference that still
+// skips.
+func TestMatMulSparseMatchesZeroSkip(t *testing.T) {
+	forceParallel(t)
+	r := rng.New(106)
+	for _, s := range [][3]int{{16, 120, 63}, {16, 63, 31}, {5, 131, 7}, {17, 300, 6}, {523, 130, 3}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b := randTensor(r, m, k), randTensor(r, k, n)
+		sparsify(r, a)
+		for i := range b.Data {
+			if r.Intn(10) == 0 {
+				b.Data[i] = math.Copysign(0, -1)
+			}
+		}
+		want := skipMatMul(a, b)
+		dst := dirty(m, n)
+		MatMulInto(dst, a, b)
+		identicalTensors(t, fmt.Sprintf("MatMulInto sparse %v", s), dst, want)
+		// Aᵀ×B of the transposed operand is the same product.
+		at := New(k, m)
+		for i := 0; i < m; i++ {
+			for x := 0; x < k; x++ {
+				at.Data[x*m+i] = a.Data[i*k+x]
+			}
+		}
+		dst = dirty(m, n)
+		MatMulTransAInto(dst, at, b)
+		identicalTensors(t, fmt.Sprintf("MatMulTransAInto sparse %v", s), dst, want)
+	}
+}
+
+// TestMatMulNonFinitePropagates documents the one thing the zero test hid: a
+// zero in A against a non-finite element of B is NaN, as IEEE 754 and the
+// naive reference have it, not a skipped term.
+func TestMatMulNonFinitePropagates(t *testing.T) {
+	a := FromSlice([]float64{0, 1, 2, 3}, 2, 2)
+	b := FromSlice([]float64{math.Inf(1), 5, 6, 7}, 2, 2)
+	for what, got := range map[string]*Tensor{
+		"MatMulInto":       matMul(a, b),
+		"MatMulTransAInto": MatMulTransA(FromSlice([]float64{0, 2, 1, 3}, 2, 2), b),
+	} {
+		// Row 0 of A is (0, 1): 0·Inf + 1·6 and 0·5 + 1·7.
+		if !math.IsNaN(got.Data[0]) || got.Data[1] != 7 {
+			t.Errorf("%s: row 0 = %v, want [NaN 7]", what, got.Data[:2])
+		}
+		if !math.IsInf(got.Data[2], 1) || got.Data[3] != 31 {
+			t.Errorf("%s: row 1 = %v, want [+Inf 31]", what, got.Data[2:])
+		}
+	}
+	if ref := naiveMatMul(a, b); !math.IsNaN(ref.Data[0]) {
+		t.Errorf("naive reference disagrees: %v", ref.Data)
 	}
 }
 

@@ -34,11 +34,10 @@ func (a Act) String() string {
 	}
 }
 
-// DenseForwardInto computes dst = act(x×W + bias) in one fused pass: the
-// matmul accumulates into dst with the exact k-blocked loop of MatMulInto,
-// then a single row-major sweep adds the bias broadcast and applies the
-// activation in place. bias may be nil (treated as absent). dst must not
-// alias any operand.
+// DenseForwardInto computes dst = act(x×W + bias) in one fused pass:
+// MatMulInto fills dst, then a single row-major sweep adds the bias
+// broadcast and applies the activation in place. bias may be nil (treated
+// as absent). dst must not alias any operand.
 //
 // The float-op order is identical to MatMulInto → AddRowVectorInto →
 // ApplyInto: the matmul sum for each element completes before bias add and

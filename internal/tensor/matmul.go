@@ -11,44 +11,31 @@ import (
 // products costs more than it saves.
 const parallelThreshold = 1 << 16
 
-// blockK is the k-dimension blocking factor. Row-major A×B walks B row by
-// row; blocking over k keeps the working set of B rows hot in cache.
+// blockK is the k-dimension blocking factor. matmulRows streams blockK rows
+// of B past every output row of its band before moving on, so for wide
+// operands that block (blockK × n) is what stays in cache, not all of B.
 const blockK = 128
 
 // serialRows reports whether a row-banded kernel should stay on the calling
-// goroutine. Kernels check it BEFORE constructing the closure they would hand
-// to parallelRows, so the steady-state serial path allocates nothing.
+// goroutine. It is the one place that decision is made: kernels check it
+// BEFORE constructing the closure they would hand to parallelRows, so the
+// steady-state serial path allocates nothing.
 func serialRows(m, ops int) bool {
 	return ops < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || m <= 1
 }
 
 // parallelRows runs work over [0,m) split into bands across GOMAXPROCS
-// goroutines when the op count justifies it.
-func parallelRows(m, ops int, work func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if ops < parallelThreshold || workers <= 1 || m <= 1 {
-		work(0, m)
-		return
-	}
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
+// goroutines. Callers have already ruled out serialRows.
+func parallelRows(m int, work func(lo, hi int)) {
+	workers := min(runtime.GOMAXPROCS(0), m)
 	chunk := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
+	var wg sync.WaitGroup
+	for lo := 0; lo < m; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			work(lo, hi)
-		}(lo, hi)
+		}(lo, min(lo+chunk, m))
 	}
 	wg.Wait()
 }
@@ -70,35 +57,59 @@ func MatMulInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulInto destination %v, want [%d %d]", dst.Shape, m, n))
 	}
 	assertNoAlias("MatMulInto", dst, a, b)
-	dst.Zero()
 	if serialRows(m, m*n*k) {
-		matmulRows(dst, a, b, 0, m)
+		matmulRows(dst, a.Data, k, 1, b, 0, m)
 		return
 	}
-	parallelRows(m, m*n*k, func(lo, hi int) { matmulRows(dst, a, b, lo, hi) })
+	parallelRows(m, func(lo, hi int) { matmulRows(dst, a.Data, k, 1, b, lo, hi) })
 }
 
-// matmulRows accumulates rows [lo,hi) of out += a×b using an ikj loop order
-// with k-blocking: the inner j loop is a saxpy over contiguous memory, which
-// the compiler can keep in registers. Callers must hand it a zeroed band.
-func matmulRows(out, a, b *Tensor, lo, hi int) {
-	k, n := a.Shape[1], b.Shape[1]
+// matmulRows computes rows [lo,hi) of out = A×B for B of shape [k,n] and an A
+// whose element (i, x) is ad[i*ar+x*ax]: strides (k, 1) read a row-major
+// [m,k] operand, (1, m) read a [k,m] operand down its columns, which is Aᵀ×B
+// without the transpose. It is the one kernel behind MatMulInto and
+// MatMulTransAInto.
+//
+// Each output row is a sum of k scaled rows of B. Four of them are folded in
+// per pass, so a partial sum stays in a register across four multiply-adds
+// and the row is loaded and stored once per four where a plain saxpy
+// (out[j] += a·b[j]) pays a load and a store for every one. All five streams
+// are contiguous, whatever the strides of A. Every element is still summed
+// over k in index order from +0, so it is bit-identical to the naive triple
+// loop.
+//
+// There is no zero test on A. Starting from +0 no partial sum is ever −0, so
+// adding 0·b changes no bit for a finite b; for a non-finite b it yields the
+// IEEE NaN. Sparse structure is the caller's to exploit (nn.LSTM's one-hot).
+//
+// The kernel zeroes its own band, so out may hold anything on entry.
+func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor, lo, hi int) {
+	k, n := b.Shape[0], b.Shape[1]
+	od, bd := out.Data, b.Data
+	clear(od[lo*n : hi*n])
 	for k0 := 0; k0 < k; k0 += blockK {
-		kMax := k0 + blockK
-		if kMax > k {
-			kMax = k
-		}
+		k1 := min(k0+blockK, k)
 		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			for kk := k0; kk < kMax; kk++ {
-				aik := arow[kk]
-				if aik == 0 {
-					continue
+			// Reslicing the B rows to len(o) lets the compiler drop the
+			// bounds checks in the inner loops.
+			o := od[i*n:][:n]
+			x := k0
+			for ; x+4 <= k1; x += 4 {
+				ai := i*ar + x*ax
+				a0, a1, a2, a3 := ad[ai], ad[ai+ax], ad[ai+2*ax], ad[ai+3*ax]
+				b0 := bd[x*n:][:len(o)]
+				b1 := bd[(x+1)*n:][:len(o)]
+				b2 := bd[(x+2)*n:][:len(o)]
+				b3 := bd[(x+3)*n:][:len(o)]
+				for j, ov := range o {
+					o[j] = (((ov + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
 				}
-				brow := b.Data[kk*n : (kk+1)*n]
-				for j, bv := range brow {
-					orow[j] += aik * bv
+			}
+			for ; x < k1; x++ { // k%4 remainder
+				av := ad[i*ar+x*ax]
+				brow := bd[x*n:][:len(o)]
+				for j, ov := range o {
+					o[j] = ov + av*brow[j]
 				}
 			}
 		}
@@ -128,7 +139,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 		matmulTransBRows(dst, a, b, 0, m)
 		return
 	}
-	parallelRows(m, m*n*k, func(lo, hi int) { matmulTransBRows(dst, a, b, lo, hi) })
+	parallelRows(m, func(lo, hi int) { matmulTransBRows(dst, a, b, lo, hi) })
 }
 
 // matmulTransBRows computes rows [lo,hi) of dst = A×Bᵀ, four output columns
@@ -198,30 +209,9 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto destination %v, want [%d %d]", dst.Shape, m, n))
 	}
 	assertNoAlias("MatMulTransAInto", dst, a, b)
-	dst.Zero()
 	if serialRows(m, m*n*k) {
-		matmulTransARows(dst, a, b, 0, m)
+		matmulRows(dst, a.Data, 1, m, b, 0, m)
 		return
 	}
-	parallelRows(m, m*n*k, func(lo, hi int) { matmulTransARows(dst, a, b, lo, hi) })
-}
-
-// matmulTransARows accumulates output rows [lo,hi) of dst += Aᵀ×B over the
-// shared k dimension. Callers hand it a zeroed band.
-func matmulTransARows(dst, a, b *Tensor, lo, hi int) {
-	k, m, n := a.Shape[0], a.Shape[1], dst.Shape[1]
-	for kk := 0; kk < k; kk++ {
-		arow := a.Data[kk*m : (kk+1)*m]
-		brow := b.Data[kk*n : (kk+1)*n]
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := dst.Data[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
+	parallelRows(m, func(lo, hi int) { matmulRows(dst, a.Data, 1, m, b, lo, hi) })
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -453,23 +454,48 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func BenchmarkMatMul128(b *testing.B) {
-	r := rng.New(1)
-	x := randTensor(r, 128, 128)
-	y := randTensor(r, 128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = matMul(x, y)
-	}
-}
-
-func BenchmarkMatMul512(b *testing.B) {
-	r := rng.New(1)
-	x := randTensor(r, 512, 512)
-	y := randTensor(r, 512, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = matMul(x, y)
+// BenchmarkMatMulShapes is the kernel loop: the three matmul forms over the
+// shapes live training actually issues (batch 16 through Combo-small layers,
+// batch 4 through the controller's 32-unit LSTM; A carries the ~20 % exact
+// zeros a ReLU leaves), plus two large products that guard the loop nest
+// against a cache cliff outside that traffic. Each row is m×k×n of the
+// OUTPUT: [m,n] summed over k. Run it under GOMAXPROCS=1 to time the kernels
+// rather than the row-band fork/join.
+func BenchmarkMatMulShapes(b *testing.B) {
+	for _, c := range []struct {
+		form    string
+		m, k, n int
+	}{
+		{"AxB", 16, 120, 63}, {"AxB", 16, 63, 31}, {"AxB", 16, 120, 6}, {"AxB", 4, 32, 128},
+		{"AxB", 16, 120, 32}, // the shape behind benchmark's tensor.matmul_gflops
+		{"ATxB", 120, 16, 63}, {"ATxB", 63, 16, 31}, {"ATxB", 32, 4, 128},
+		{"AxBT", 16, 63, 120},
+		{"AxB", 512, 512, 512}, {"AxB", 16, 1000, 1000}, // cliff guards
+	} {
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", c.form, c.m, c.k, c.n), func(b *testing.B) {
+			r := rng.New(1)
+			var x, y *Tensor
+			var into func(dst, x, y *Tensor)
+			switch c.form {
+			case "AxB":
+				x, y, into = randTensor(r, c.m, c.k), randTensor(r, c.k, c.n), MatMulInto
+			case "ATxB":
+				x, y, into = randTensor(r, c.k, c.m), randTensor(r, c.k, c.n), MatMulTransAInto
+			case "AxBT":
+				x, y, into = randTensor(r, c.m, c.k), randTensor(r, c.n, c.k), MatMulTransBInto
+			}
+			for i := range x.Data {
+				if r.Intn(5) == 0 {
+					x.Data[i] = 0
+				}
+			}
+			dst := New(c.m, c.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				into(dst, x, y)
+			}
+			b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 
