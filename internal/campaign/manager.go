@@ -209,7 +209,10 @@ type Manager struct {
 
 // NewManager opens the store at dir and loads every recorded campaign
 // without starting any runner. Quarantined directory names (unreadable
-// meta) are returned for the caller to report.
+// meta) are returned for the caller to report. A structurally damaged
+// checkpoint parks its campaign FAILED; a transient read error or a
+// future-version meta or checkpoint fails the open and changes nothing on
+// disk (surfaces).
 func NewManager(dir string, opts Options) (*Manager, []string, error) {
 	opts = opts.withDefaults()
 	store, quarantined, err := OpenStoreFS(opts.FS, dir)
@@ -237,6 +240,10 @@ func NewManager(dir string, opts Options) (*Manager, []string, error) {
 				rt.meta.Allocations = ck.Allocations
 			}
 			rt.refreshSummary(ck.Partial)
+		} else if surfaces(err) {
+			// Transient I/O or a checkpoint from a newer build is not
+			// damage: fail the open, leave the campaign's record untouched.
+			return nil, nil, fmt.Errorf("campaign %s: %w", meta.ID, err)
 		} else if err != nil {
 			// Checkpoint corrupted beyond what atomic writes can cause
 			// (filesystem damage): park the campaign instead of silently

@@ -2,14 +2,19 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nasgo/internal/ckpt"
+	"nasgo/internal/fsim"
 	"nasgo/internal/search"
 	"nasgo/internal/trace"
 )
@@ -490,6 +495,74 @@ func TestManagerParksCorruptCheckpoint(t *testing.T) {
 	if info.Status != StatusFailed || info.Error == "" || info.Running {
 		t.Fatalf("corrupt-checkpoint campaign: %+v", info)
 	}
+}
+
+// TestManagerSurfacesTransientAndFutureCheckpoint is the other two thirds of
+// the taxonomy at manager open: a transient read error on search.ckpt and a
+// checkpoint written by a newer build are not damage, so NewManager fails
+// with a classifiable error and the campaign's durable record stays RUNNING
+// — it must not be parked FAILED. The fault gone, the campaign resumes.
+func TestManagerSurfacesTransientAndFutureCheckpoint(t *testing.T) {
+	mem := fsim.NewMemFS()
+	st, _, err := OpenStoreFS(mem, "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	bench, sp, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ck, err := search.RunAllocationTraced(bench, sp, spec.SearchConfig(), nil)
+	if err != nil || ck == nil {
+		t.Fatalf("first allocation: ck=%v err=%v", ck, err)
+	}
+	id := "c00000001"
+	if err := st.Create(Meta{ID: id, Spec: spec, Status: StatusRunning, Allocations: ck.Allocations}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint(id, ck); err != nil {
+		t.Fatal(err)
+	}
+	stillRunning := func(when string) {
+		t.Helper()
+		if meta, err := st.LoadMeta(id); err != nil || meta.Status != StatusRunning || meta.Error != "" {
+			t.Fatalf("%s: on-disk meta = %+v, %v — want untouched RUNNING", when, meta, err)
+		}
+	}
+	opts := fastOpts(t)
+
+	opts.FS = readEIOFS{mem, ckptFile}
+	if _, _, err := NewManager("/store", opts); !ckpt.IsTransient(err) {
+		t.Fatalf("transient checkpoint read: err %v — want a transient open error", err)
+	}
+	stillRunning("after EIO")
+
+	path := filepath.Join("/store", id, ckptFile)
+	good, err := mem.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(raw []byte) {
+		t.Helper()
+		if err := ckpt.AtomicWriteFS(mem, path, func(w io.Writer) error { _, err := w.Write(raw); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	future := bytes.Clone(good)
+	binary.BigEndian.PutUint32(future[8:12], binary.BigEndian.Uint32(future[8:12])+1) // the frame's version field
+	put(future)
+	opts.FS = mem
+	if _, _, err := NewManager("/store", opts); !errors.Is(err, ckpt.ErrVersion) {
+		t.Fatalf("future-version checkpoint: err %v — want ErrVersion", err)
+	}
+	stillRunning("after future version")
+
+	put(good)
+	mgr := newTestManager(t, "/store", opts)
+	mgr.Start()
+	defer mgr.Drain()
+	waitStatus(t, mgr, id, StatusDone)
 }
 
 // TestManagerSyncsMetaFromCheckpoint: a crash between the checkpoint and

@@ -117,15 +117,18 @@ func TestStoreQuarantinesCorruptMeta(t *testing.T) {
 	}
 }
 
-// metaEIOFS fails every read of a meta record with EIO; everything else
-// passes through.
-type metaEIOFS struct{ fsim.FS }
+// readEIOFS fails every read of the named store file (metaFile, ckptFile)
+// with EIO; everything else passes through.
+type readEIOFS struct {
+	fsim.FS
+	file string
+}
 
-func (m metaEIOFS) ReadFile(name string) ([]byte, error) {
-	if filepath.Base(name) == metaFile {
+func (r readEIOFS) ReadFile(name string) ([]byte, error) {
+	if filepath.Base(name) == r.file {
 		return nil, fmt.Errorf("fsim: read %s: %w", name, syscall.EIO)
 	}
-	return m.FS.ReadFile(name)
+	return r.FS.ReadFile(name)
 }
 
 // TestStoreOpenSurfacesTransientAndFutureMeta pins the other two thirds of
@@ -144,11 +147,11 @@ func TestStoreOpenSurfacesTransientAndFutureMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, quarantined, err := OpenStoreFS(metaEIOFS{mem}, "/store")
+	_, quarantined, err := OpenStoreFS(readEIOFS{mem, metaFile}, "/store")
 	if !ckpt.IsTransient(err) || len(quarantined) != 0 {
 		t.Fatalf("transient meta read: quarantined %v, err %v — want a transient open error", quarantined, err)
 	}
-	if _, err := (&Store{root: "/store", fsys: metaEIOFS{mem}}).List(); !ckpt.IsTransient(err) {
+	if _, err := (&Store{root: "/store", fsys: readEIOFS{mem, metaFile}}).List(); !ckpt.IsTransient(err) {
 		t.Fatalf("transient meta read in List: %v", err)
 	}
 	// The fault gone, the campaign is still there.

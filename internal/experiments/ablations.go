@@ -22,16 +22,6 @@ type AblationVariant struct {
 	Log   *search.Log
 }
 
-// Best returns the best reward of a variant.
-func (a *AblationResult) Best(label string) float64 {
-	for _, v := range a.Variants {
-		if v.Label == label {
-			return analytics.Summarize(v.Log.Results).BestReward
-		}
-	}
-	panic("experiments: unknown ablation variant " + label)
-}
-
 // MeanLate returns the mean reward over the last half of a variant's run.
 func (a *AblationResult) MeanLate(label string) float64 {
 	for _, v := range a.Variants {
@@ -74,7 +64,6 @@ func runVariant(sc Scale, mutate func(*search.Config), sp *space.Space) *search.
 		return runSearch("Combo", "small", search.A3C, sc, sc.BaseAgents, sc.BaseWorkers, bench.RewardTrainFrac, sc.Seed)
 	}
 	cfg := sc.searchCfg(search.A3C, sc.BaseAgents, sc.BaseWorkers, bench.RewardTrainFrac, sc.Seed)
-	cfg.Eval.Fidelity = bench.RewardTrainFrac
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -15,6 +15,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"nasgo/internal/candle"
@@ -38,12 +39,6 @@ type Scale struct {
 	PostEpochs int
 	// Seed is the root seed of every run.
 	Seed uint64
-	// EvalWorkers bounds concurrent reward-estimation trainings on the host
-	// (evaluator.Config.Workers): 0 selects GOMAXPROCS, 1 (and the zero-value
-	// presets) trains serially. Search results are bit-identical at any
-	// setting — only wall time changes — so memoized runs may be shared
-	// across values and the run-cache key ignores it.
-	EvalWorkers int
 }
 
 // PaperScale is the paper's configuration. Running it end-to-end in pure
@@ -60,9 +55,10 @@ var DefaultScale = Scale{
 	Replications: 5, TopK: 20, PostEpochs: 15, Seed: 42,
 }
 
-// QuickScale keeps the full suite runnable in minutes; bench_test.go uses
-// it. Workers-per-agent stays closer to the paper's 11 than the agent
-// count does, because it is the PPO batch size and directly gates learning.
+// QuickScale keeps the full suite runnable in minutes; the committed
+// bench_results/ reports are rendered at it. Workers-per-agent stays closer
+// to the paper's 11 than the agent count does, because it is the PPO batch
+// size and directly gates learning.
 var QuickScale = Scale{
 	BaseAgents: 3, BaseWorkers: 6, Horizon: 3600,
 	Replications: 3, TopK: 8, PostEpochs: 12, Seed: 42,
@@ -83,6 +79,8 @@ func ScaleByName(name string) (Scale, error) {
 }
 
 // searchCfg builds the search configuration for a strategy at this scale.
+// Eval.Workers stays 0 — the evaluator's own default, GOMAXPROCS — because
+// results are bit-identical at every pool width.
 func (s Scale) searchCfg(strategy string, agents, workers int, fidelity float64, seed uint64) search.Config {
 	cfg := search.Config{
 		Strategy:        strategy,
@@ -91,7 +89,7 @@ func (s Scale) searchCfg(strategy string, agents, workers int, fidelity float64,
 		Horizon:         s.Horizon,
 		Seed:            seed,
 	}
-	cfg.Eval.Workers = s.EvalWorkers
+	cfg.Eval.Fidelity = fidelity
 	return cfg
 }
 
@@ -127,9 +125,7 @@ func runSearch(benchName, spaceSize, strategy string, sc Scale, agents, workers 
 	if err != nil {
 		panic(err)
 	}
-	cfg := sc.searchCfg(strategy, agents, workers, fidelity, seed)
-	cfg.Eval.Fidelity = fidelity
-	log := search.Run(bench, sp, cfg)
+	log := search.Run(bench, sp, sc.searchCfg(strategy, agents, workers, fidelity, seed))
 
 	runMu.Lock()
 	runCache[key] = log
@@ -158,14 +154,74 @@ func spaceFor(bench *candle.Benchmark, size string) *space.Space {
 // Strategies in the order the paper plots them.
 var Strategies = []string{search.A3C, search.A2C, search.RDM}
 
-// Names lists every experiment id this package can regenerate: the paper's
-// figures and table, plus the ablations of DESIGN.md §5.
-func Names() []string {
-	return []string{
-		"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "table1",
-		"ablation-clip", "ablation-cache", "ablation-mirror", "ablation-staleness",
-		"ablation-evolution", "multiobjective", "faults", "restart", "workers",
-		"simbench", "tournament",
+// renderer is what every experiment result can do.
+type renderer interface{ Render() string }
+
+// of adapts an experiment constructor to a registry entry.
+func of[R renderer](run func(Scale) R) func(Scale) string {
+	return func(sc Scale) string { return run(sc).Render() }
+}
+
+// perBench adapts a per-benchmark figure: one panel per CANDLE benchmark.
+func perBench[R renderer](run func(string, Scale) R) func(Scale) string {
+	return func(sc Scale) string {
+		out := ""
+		for _, bench := range []string{"Combo", "Uno", "NT3"} {
+			out += run(bench, sc).Render() + "\n"
+		}
+		return out
 	}
+}
+
+// registry is the one ordered list of experiments — the paper's figures and
+// table, the ablations of DESIGN.md §5, and the infrastructure experiments.
+// Names, Render, cmd/nas-bench's "-exp all" loop and its usage text all
+// derive from it; bench_results/<id>.txt is named after the id.
+var registry = []struct {
+	id     string
+	render func(Scale) string
+}{
+	{"fig4", perBench(Fig4)},
+	{"fig5", perBench(Fig5)},
+	{"fig6", of(Fig6)},
+	{"fig7", of(Fig7)},
+	{"fig8", of(Fig8)},
+	{"fig9", of(Fig9)},
+	{"fig10", of(Fig10)},
+	{"fig11", of(Fig11)},
+	{"fig12", of(Fig12)},
+	{"fig13", of(Fig13)},
+	{"table1", of(Table1)},
+	{"ablation-clip", of(AblationPPOClip)},
+	{"ablation-cache", of(AblationCacheScope)},
+	{"ablation-mirror", of(AblationMirrorNode)},
+	{"ablation-staleness", of(AblationStaleness)},
+	{"ablation-evolution", of(AblationEvolution)},
+	{"multiobjective", of(MultiObjective)},
+	{"faults", of(Faults)},
+	{"restart", of(Restart)},
+	{"torture", of(Torture)},
+	{"simbench", of(Simbench)},
+	{"tournament", of(Tournament)},
+}
+
+// Names lists every experiment id this package can regenerate, in registry
+// order.
+func Names() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// Render runs the experiment with the given id at the given scale and
+// returns its rendered output.
+func Render(id string, sc Scale) (string, error) {
+	for _, e := range registry {
+		if e.id == id {
+			return e.render(sc), nil
+		}
+	}
+	return "", fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(Names(), ", "))
 }

@@ -55,7 +55,6 @@ func Faults(sc Scale) *FaultsResult {
 				log = runSearch("Combo", "small", strat, sc, sc.BaseAgents, sc.BaseWorkers, bench.RewardTrainFrac, sc.Seed)
 			} else {
 				cfg := sc.searchCfg(strat, sc.BaseAgents, sc.BaseWorkers, bench.RewardTrainFrac, sc.Seed)
-				cfg.Eval.Fidelity = bench.RewardTrainFrac
 				cfg.Faults = hpc.FaultModel{
 					MTBF:              sc.Horizon / level.Rate,
 					MTTR:              sc.Horizon / 24,

@@ -49,26 +49,6 @@ func (r *Fig4Result) BestAt(strategy string) float64 {
 	return math.NaN()
 }
 
-// TimeToReward returns the virtual time at which the strategy's best-so-far
-// first reached the threshold (+Inf if never).
-func (r *Fig4Result) TimeToReward(strategy string, threshold float64) float64 {
-	for _, run := range r.Runs {
-		if run.Strategy != strategy {
-			continue
-		}
-		best := math.Inf(-1)
-		for _, res := range run.Log.Results {
-			if res.Reward > best {
-				best = res.Reward
-				if best >= threshold {
-					return res.FinishTime
-				}
-			}
-		}
-	}
-	return math.Inf(1)
-}
-
 // MeanRewardLate returns the mean reward over the last half of the run —
 // the "has the policy learned" statistic behind Fig 4's trajectories.
 func (r *Fig4Result) MeanRewardLate(strategy string) float64 {
@@ -120,6 +100,9 @@ func (r *Fig4Result) Render() string {
 			strings.ToUpper(run.Strategy), s.BestReward, s.Evaluations, s.CacheHits,
 			s.UniqueArchs, run.Log.Converged, run.Log.EndTime/60)
 	}
+	// Paper shape: the learned policy's late rewards beat random search's.
+	out += fmt.Sprintf("  a3c_minus_rdm_late=%+.3f (mean reward over the last half of the run, A3C − RDM)\n",
+		r.MeanRewardLate(search.A3C)-r.MeanRewardLate(search.RDM))
 	return out
 }
 
@@ -204,13 +187,10 @@ func Fig6(sc Scale) *Fig6Result {
 
 // Render draws both Figure 6 panels.
 func (r *Fig6Result) Render() string {
-	f4 := &Fig4Result{Bench: "Combo (large space)", Runs: r.Runs}
-	f5 := &Fig5Result{Bench: "Combo (large space)", Runs: r.Runs}
-	out := f4.Render()
-	out = strings.Replace(out, "Fig 4", "Fig 6a", 1)
-	u := f5.Render()
-	u = strings.Replace(u, "Fig 5", "Fig 6b", 1)
-	return out + u
+	f4 := &Fig4Result{Bench: "Combo", Runs: r.Runs}
+	f5 := &Fig5Result{Bench: "Combo", Runs: r.Runs}
+	return strings.Replace(f4.Render(), "Fig 4 — Combo small space", "Fig 6a — Combo large space", 1) +
+		strings.Replace(f5.Render(), "Fig 5 — Combo small space", "Fig 6b — Combo large space", 1)
 }
 
 // PostResult holds a post-training comparison figure (Figs 7, 8, 10, 12).

@@ -12,7 +12,6 @@ import (
 	"nasgo/internal/fsim"
 	"nasgo/internal/report"
 	"nasgo/internal/search"
-	"nasgo/internal/trace"
 )
 
 // RestartResult is the restart-chain experiment: one long uninterrupted
@@ -34,59 +33,30 @@ type RestartResult struct {
 	Identical bool
 }
 
-// RestartOpts tunes the restart-chain experiment.
-type RestartOpts struct {
-	// Walltime overrides the per-allocation budget in virtual seconds;
-	// 0 derives roughly a third of the uninterrupted run.
-	Walltime float64
-	// CheckpointDir keeps the chain's checkpoint files in this directory
-	// instead of a private temp directory that is removed afterwards.
-	CheckpointDir string
-	// TracePath records the chained run's event trace (one seamless JSONL
-	// across all allocations, ckpt cut/resume marks included) to this file.
-	TracePath string
-}
-
 // Restart runs the A3C Combo search once uninterrupted (shared with the
 // Fig 4/5 memoized runs) and once split across three walltime-bounded
-// allocations chained through checkpoint files.
-func Restart(sc Scale) *RestartResult { return RestartWith(sc, RestartOpts{}) }
-
-// RestartWith is Restart with explicit options (cmd/nas-bench's -walltime
-// and -checkpoint flags).
-func RestartWith(sc Scale, opts RestartOpts) *RestartResult {
+// allocations chained through checkpoint files in a private temp directory.
+// (To chain any search by hand, with chosen walltime, checkpoint path and
+// trace: nas-search -walltime W -allocations 0 -checkpoint F -trace T.)
+func Restart(sc Scale) *RestartResult {
 	bench := benchFor("Combo", sc.Seed)
 	sp := spaceFor(bench, "small")
 	plain := runSearch("Combo", "small", search.A3C, sc, sc.BaseAgents, sc.BaseWorkers, bench.RewardTrainFrac, sc.Seed)
 
 	cfg := sc.searchCfg(search.A3C, sc.BaseAgents, sc.BaseWorkers, bench.RewardTrainFrac, sc.Seed)
-	cfg.Eval.Fidelity = bench.RewardTrainFrac
-	cfg.Walltime = opts.Walltime
-	if cfg.Walltime <= 0 {
-		// Bound each allocation to a third of the observed run length
-		// (ceil'd by the 2.8 divisor), so the chain needs three allocations
-		// even when the uninterrupted run converged well before the horizon.
-		cfg.Walltime = plain.EndTime / 2.8
-	}
+	// Bound each allocation to a third of the observed run length (ceil'd
+	// by the 2.8 divisor), so the chain needs three allocations even when
+	// the uninterrupted run converged well before the horizon.
+	cfg.Walltime = plain.EndTime / 2.8
 
 	out := &RestartResult{Uninterrupted: plain, Walltime: cfg.Walltime}
-	dir := opts.CheckpointDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "nasgo-restart-*")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir, err := os.MkdirTemp("", "nasgo-restart-*")
+	if err != nil {
 		panic(err)
 	}
+	defer os.RemoveAll(dir)
 
-	var rec *trace.Recorder
-	if opts.TracePath != "" {
-		rec = trace.NewRecorder(0)
-	}
-	log, ck, err := search.RunAllocationTraced(bench, sp, cfg, rec)
+	log, ck, err := search.RunAllocationTraced(bench, sp, cfg, nil)
 	out.Allocations = 1
 	for err == nil && ck != nil {
 		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", out.Allocations))
@@ -102,25 +72,13 @@ func RestartWith(sc Scale, opts RestartOpts) *RestartResult {
 		if lerr != nil {
 			panic(lerr)
 		}
-		log, ck, err = search.ResumeAllocationTraced(benchFor("Combo", sc.Seed), sp, loaded, rec)
+		log, ck, err = search.ResumeAllocationTraced(benchFor("Combo", sc.Seed), sp, loaded, nil)
 		out.Allocations++
 	}
 	if err != nil {
 		panic(err)
 	}
 	out.Chained = log
-	if rec != nil {
-		f, ferr := os.Create(opts.TracePath)
-		if ferr != nil {
-			panic(ferr)
-		}
-		if werr := trace.WriteJSONL(f, rec.Events()); werr != nil {
-			panic(werr)
-		}
-		if cerr := f.Close(); cerr != nil {
-			panic(cerr)
-		}
-	}
 
 	normalized := *log
 	normalized.Config.Walltime = plain.Config.Walltime

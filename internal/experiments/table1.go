@@ -103,64 +103,3 @@ func (t *Table1Result) Render() string {
 	}
 	return b.String()
 }
-
-// Render dispatches an experiment by id at the given scale and returns its
-// rendered output.
-func Render(id string, sc Scale) (string, error) {
-	switch id {
-	case "fig4":
-		out := ""
-		for _, bench := range []string{"Combo", "Uno", "NT3"} {
-			out += Fig4(bench, sc).Render() + "\n"
-		}
-		return out, nil
-	case "fig5":
-		out := ""
-		for _, bench := range []string{"Combo", "Uno", "NT3"} {
-			out += Fig5(bench, sc).Render() + "\n"
-		}
-		return out, nil
-	case "fig6":
-		return Fig6(sc).Render(), nil
-	case "fig7":
-		return Fig7(sc).Render(), nil
-	case "fig8":
-		return Fig8(sc).Render(), nil
-	case "fig9":
-		return Fig9(sc).Render(), nil
-	case "fig10":
-		return Fig10(sc).Render(), nil
-	case "fig11":
-		return Fig11(sc).Render(), nil
-	case "fig12":
-		return Fig12(sc).Render(), nil
-	case "fig13":
-		return Fig13(sc).Render(), nil
-	case "table1":
-		return Table1(sc).Render(), nil
-	case "ablation-clip":
-		return AblationPPOClip(sc).Render(), nil
-	case "ablation-cache":
-		return AblationCacheScope(sc).Render(), nil
-	case "ablation-mirror":
-		return AblationMirrorNode(sc).Render(), nil
-	case "ablation-staleness":
-		return AblationStaleness(sc).Render(), nil
-	case "ablation-evolution":
-		return AblationEvolution(sc).Render(), nil
-	case "multiobjective":
-		return MultiObjective(sc).Render(), nil
-	case "faults":
-		return Faults(sc).Render(), nil
-	case "restart":
-		return Restart(sc).Render(), nil
-	case "workers":
-		return Workers(sc).Render(), nil
-	case "simbench":
-		return Simbench(sc).Render(), nil
-	case "tournament":
-		return Tournament(sc).Render(), nil
-	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(Names(), ", "))
-	}
-}

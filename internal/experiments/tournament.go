@@ -49,7 +49,7 @@ func Tournament(sc Scale) *TournamentResult {
 	tbl, rep, err := nasbench.BuildOrLoad(nasbench.BuildConfig{
 		Bench: bench,
 		Space: sp,
-		Eval:  evaluator.Config{BenchSeed: sc.Seed, Workers: sc.EvalWorkers},
+		Eval:  evaluator.Config{BenchSeed: sc.Seed},
 		Dir:   filepath.Join(TournamentDir, "combo-micro"),
 	})
 	if err != nil {

@@ -181,10 +181,3 @@ func evaluate(m *nn.Model, ds *data.Dataset, ar *tensor.Arena) float64 {
 	}
 	return nn.R2(preds, ds.YReg)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

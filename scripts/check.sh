@@ -1,6 +1,7 @@
 #!/bin/sh
 # Fast CI gate: formatting, vet, the tier-1 `-short` suite (tier-2
 # real-training tests skip themselves; see CLAUDE.md for the tier split),
+# a smoke of the one experiment harness (cmd/ has no tests of its own),
 # then the pure-simulation packages plus the evaluator's worker pool under
 # the race detector. The search package only runs its TestShort*
 # fault/replay/resume/worker-pool tests — the full search suite trains real
@@ -17,6 +18,18 @@ fi
 
 go vet ./...
 go test -short ./...
+# nas-bench's loop, end to end: the torture experiment (~15 s) panics on any
+# violated durability invariant and must reproduce the committed report (it
+# is wall-clock-free), and an unknown id must fail naming a real one.
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+go run ./cmd/nas-bench -exp torture -scale quick -out "$smoke" >/dev/null
+cmp "$smoke/torture.txt" bench_results/torture.txt
+if go run ./cmd/nas-bench -exp bogus -out "$smoke" 2>"$smoke/err"; then
+    echo "check.sh: nas-bench -exp bogus exited 0" >&2
+    exit 1
+fi
+grep -q 'tournament' "$smoke/err"
 # Results must not depend on the host's core count: evaluator Workers == 0
 # resolves to GOMAXPROCS, so the determinism pins run serial (1), at the
 # smallest pooled width (2) and wider than the test machines' node count (8).
@@ -67,8 +80,7 @@ go test -race -timeout 30m ./internal/nasbench/
 # of tournament searches are served the right rewards. rl joins with the
 # controller's arena: its golden and allocation pins are what hold the PPO
 # update bit-identical and allocation-free.
-profile=$(mktemp)
-trap 'rm -f "$profile"' EXIT
+profile="$smoke/cover.out"
 go test -coverprofile="$profile" ./internal/trace/ ./internal/ckpt/ ./internal/fsim/ \
     ./internal/evaluator/ ./internal/tensor/ ./internal/nn/ ./internal/campaign/ \
     ./internal/hpc/ ./internal/balsam/ ./internal/nasbench/ ./internal/rl/ >/dev/null
