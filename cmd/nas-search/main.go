@@ -94,14 +94,13 @@ replays bit-for-bit identical to never having been interrupted.
 	var (
 		bench *nasgo.Benchmark
 		sp    *nasgo.Space
-		res   *nasgo.SearchLog
-		next  *nasgo.SearchCheckpoint
+		cfg   nasgo.SearchConfig
+		ck    *nasgo.SearchCheckpoint
 		err   error
 	)
 	if *resume != "" {
-		ck, lerr := nasgo.LoadSearchCheckpoint(*resume)
-		if lerr != nil {
-			log.Fatal(lerr)
+		if ck, err = nasgo.LoadSearchCheckpoint(*resume); err != nil {
+			log.Fatal(err)
 		}
 		bench, err = nasgo.NewBenchmark(ck.Bench, nasgo.BenchmarkConfig{Seed: ck.Config.Seed})
 		if err != nil {
@@ -113,10 +112,6 @@ replays bit-for-bit identical to never having been interrupted.
 		}
 		fmt.Printf("resuming %s on %s/%s from %s: allocation %d, virtual time %.0f s\n",
 			strings.ToUpper(ck.Config.Strategy), ck.Bench, ck.SpaceName, *resume, ck.Allocations+1, ck.Now)
-		res, next, err = nasgo.ResumeSearchAllocationTraced(bench, sp, ck, rec)
-		if err != nil {
-			log.Fatal(err)
-		}
 	} else {
 		bench, err = nasgo.NewBenchmark(*benchName, nasgo.BenchmarkConfig{Seed: *seed})
 		if err != nil {
@@ -129,7 +124,7 @@ replays bit-for-bit identical to never having been interrupted.
 		fmt.Printf("search space %s: %d decisions, %.4g architectures\n",
 			sp.Name, sp.NumDecisions(), sp.Size())
 
-		cfg := nasgo.SearchConfig{
+		cfg = nasgo.SearchConfig{
 			Strategy:        *strategy,
 			Agents:          *agents,
 			WorkersPerAgent: *workers,
@@ -139,32 +134,30 @@ replays bit-for-bit identical to never having been interrupted.
 		}
 		cfg.Eval.Fidelity = *fidelity
 		cfg.Eval.Workers = *evalWork
-		if *walltime > 0 {
-			res, next, err = nasgo.RunSearchAllocationTraced(bench, sp, cfg, rec)
-			if err != nil {
-				log.Fatal(err)
-			}
-		} else {
-			res, err = nasgo.RunSearchTraced(bench, sp, cfg, rec)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
 	}
 
-	// Chain further allocations in-process: the checkpoint is rewritten at
-	// every boundary, so a hard kill anywhere in the chain loses at most the
-	// in-flight allocation. The chain ends at -allocations, at completion,
-	// or at the first boundary after a SIGINT/SIGTERM.
-	for ran := 1; next != nil && (*allocs <= 0 || ran < *allocs) && !stopping(); ran++ {
-		if err := next.WriteFileFS(fsim.OS, *ckptPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("allocation %d cut at %.0f virtual s: checkpoint rewritten to %s\n",
-			next.Allocations, next.Now, *ckptPath)
-		res, next, err = nasgo.ResumeSearchAllocationTraced(bench, sp, next, rec)
+	// Chain allocations in-process: the checkpoint is rewritten at every
+	// boundary, so a hard kill anywhere in the chain loses at most the
+	// in-flight allocation. The chain ends at completion (always the first
+	// allocation without -walltime), at -allocations, or at the first
+	// boundary after a SIGINT/SIGTERM.
+	var res *nasgo.SearchLog
+	for ran := 1; ; ran++ {
+		res, ck, err = nasgo.AllocateSearch(bench, sp, cfg, ck, rec)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if ck == nil {
+			break
+		}
+		if err := ck.WriteFileFS(fsim.OS, *ckptPath); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("allocation %d cut at %.0f virtual s: checkpoint written to %s\n",
+			ck.Allocations, ck.Now, *ckptPath)
+		if (*allocs > 0 && ran >= *allocs) || stopping() {
+			fmt.Printf("continue with: nas-search -resume %s -checkpoint %s\n", *ckptPath, *ckptPath)
+			break
 		}
 	}
 
@@ -172,18 +165,10 @@ replays bit-for-bit identical to never having been interrupted.
 		writeTrace(rec, *tracePath, *chromeOut)
 	}
 
-	if next != nil {
-		if err := next.WriteFileFS(fsim.OS, *ckptPath); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwalltime boundary at %.0f virtual s: checkpoint written to %s\n", next.Now, *ckptPath)
-		fmt.Printf("continue with: nas-search -resume %s -checkpoint %s\n", *ckptPath, *ckptPath)
-	}
-
-	cfg := res.Config
+	cfg = res.Config
 	s := analytics.Summarize(res.Results)
 	partial := ""
-	if next != nil {
+	if ck != nil {
 		partial = " [partial allocation]"
 	}
 	fmt.Printf("\n%s on %s (%d agents × %d workers, %.0f virtual min)%s\n",

@@ -435,15 +435,6 @@ func (s *Service) scheduleTimelineEvent(i int, t float64) {
 	s.timelineSeq[i] = s.sim.AtTime(t, fn)
 }
 
-// Nodes returns the worker-node count.
-func (s *Service) Nodes() int { return s.pool.Len() }
-
-// Busy returns the number of nodes currently running jobs.
-func (s *Service) Busy() int { return s.pool.Busy() }
-
-// Down returns the number of nodes currently failed.
-func (s *Service) Down() int { return s.pool.Down() }
-
 // QueueLen returns the number of jobs waiting for a node.
 func (s *Service) QueueLen() int { return len(s.queue) - s.qhead }
 
@@ -459,9 +450,6 @@ func (s *Service) Retries() int { return s.retries }
 
 // NodeFailures returns the number of node-down events executed so far.
 func (s *Service) NodeFailures() int { return s.nodeFailures }
-
-// Pool exposes the node pool (read-only use intended).
-func (s *Service) Pool() *NodePool { return s.pool }
 
 // Submit adds a job to the database and triggers the launcher. It returns
 // the assigned job ID.

@@ -25,8 +25,8 @@ func TestFIFODispatchAndQueueing(t *testing.T) {
 		submit("c", 1) // queued behind a and b
 	})
 	sim.Run(4)
-	if s.Busy() != 2 || s.QueueLen() != 1 {
-		t.Fatalf("busy %d queue %d", s.Busy(), s.QueueLen())
+	if s.pool.Busy() != 2 || s.QueueLen() != 1 {
+		t.Fatalf("busy %d queue %d", s.pool.Busy(), s.QueueLen())
 	}
 	sim.RunAll()
 	// b finishes at 5, then c starts and finishes at 6, a at 10.

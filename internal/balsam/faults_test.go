@@ -188,12 +188,12 @@ func TestFaultTimelineInjection(t *testing.T) {
 	if s.Failed() > s.NodeFailures() {
 		t.Fatalf("failed %d > node failures %d", s.Failed(), s.NodeFailures())
 	}
-	if s.Busy() != 0 || s.QueueLen() != 0 {
-		t.Fatalf("pool not drained: busy %d queue %d", s.Busy(), s.QueueLen())
+	if s.pool.Busy() != 0 || s.QueueLen() != 0 {
+		t.Fatalf("pool not drained: busy %d queue %d", s.pool.Busy(), s.QueueLen())
 	}
 	// No node may end the run dark: every down event has a matching repair.
-	if s.Down() != 0 {
-		t.Fatalf("%d nodes still down after RunAll", s.Down())
+	if s.pool.Down() != 0 {
+		t.Fatalf("%d nodes still down after RunAll", s.pool.Down())
 	}
 }
 

@@ -52,7 +52,7 @@ func summarize(svc *Service) restoreSummary {
 	return restoreSummary{
 		Finished: svc.Finished(), Failed: svc.Failed(),
 		Retries: svc.Retries(), NodeFailures: svc.NodeFailures(),
-		QueueLen: svc.QueueLen(), Busy: svc.Busy(), Down: svc.Down(),
+		QueueLen: svc.QueueLen(), Busy: svc.pool.Busy(), Down: svc.pool.Down(),
 		BusySeconds: svc.BusySeconds(), DeadSeconds: svc.DeadSeconds(),
 		IdleSeconds: svc.IdleSeconds(), MeanUtilization: svc.MeanUtilization(),
 		Utilization: svc.UtilizationSeries(500),
@@ -179,11 +179,8 @@ func TestCaptureRestoreEquivalence(t *testing.T) {
 func TestServiceAccessors(t *testing.T) {
 	sim := hpc.NewSim()
 	svc := NewService(sim, 4)
-	if svc.Nodes() != 4 {
-		t.Fatalf("Nodes = %d, want 4", svc.Nodes())
-	}
-	if svc.Pool().Len() != 4 {
-		t.Fatalf("Pool().Len() = %d, want 4", svc.Pool().Len())
+	if svc.pool.Len() != 4 {
+		t.Fatalf("pool.Len() = %d, want 4", svc.pool.Len())
 	}
 	if u := svc.MeanUtilization(); u != 0 {
 		t.Fatalf("MeanUtilization at t=0 = %g, want 0", u)

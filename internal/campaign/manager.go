@@ -30,12 +30,6 @@ type Options struct {
 	// before parking in FAILED (default 3). A completed allocation resets
 	// the count.
 	MaxRestarts int
-	// TraceCapacity is the per-campaign trace ring size (0 = the trace
-	// package default). TraceKeep bounds the accumulated stream snapshot
-	// the service retains across allocations (default 1<<18 events,
-	// oldest dropped first).
-	TraceCapacity int
-	TraceKeep     int
 	// Logf receives supervisor lifecycle messages (nil discards them).
 	Logf func(format string, args ...any)
 	// FS is the filesystem the store writes through (default fsim.OS).
@@ -53,9 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRestarts == 0 {
 		o.MaxRestarts = 3
-	}
-	if o.TraceKeep <= 0 {
-		o.TraceKeep = 1 << 18
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -93,15 +84,19 @@ const (
 // traceLog is the accumulated trace stream of one campaign: events
 // snapshotted from the recorder at every persisted boundary, indexed by
 // absolute position so HTTP clients can poll incrementally. Bounded by
-// Options.TraceKeep; dropped counts trimmed oldest events.
+// traceKeep; dropped counts trimmed oldest events.
 type traceLog struct {
 	events  []trace.Event
 	dropped int64
 }
 
-func (tl *traceLog) append(evs []trace.Event, keep int) {
+// traceKeep bounds the stream snapshot a campaign retains across
+// allocations (oldest events dropped first).
+const traceKeep = 1 << 18
+
+func (tl *traceLog) append(evs []trace.Event) {
 	tl.events = append(tl.events, evs...)
-	if over := len(tl.events) - keep; over > 0 {
+	if over := len(tl.events) - traceKeep; over > 0 {
 		tl.events = append([]trace.Event(nil), tl.events[over:]...)
 		tl.dropped += int64(over)
 	}
@@ -669,7 +664,7 @@ func (m *Manager) prepareRunner(rt *runtime) error {
 	}
 	rt.bench, rt.sp = bench, sp
 	rt.cfg = spec.SearchConfig()
-	rt.rec = trace.NewRecorder(m.opts.TraceCapacity)
+	rt.rec = trace.NewRecorder(0)
 	rt.recCursor = 0
 	return nil
 }
@@ -687,13 +682,7 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 	if hook := m.testHookAllocation; hook != nil {
 		hook(rt.meta.ID, rt.meta.Allocations)
 	}
-	var log *search.Log
-	var next *search.Checkpoint
-	if rt.ck == nil {
-		log, next, err = search.RunAllocationTraced(rt.bench, rt.sp, rt.cfg, rt.rec)
-	} else {
-		log, next, err = search.ResumeAllocationTraced(rt.bench, rt.sp, rt.ck, rt.rec)
-	}
+	log, next, err := search.Allocate(rt.bench, rt.sp, rt.cfg, rt.ck, rt.rec)
 	if err != nil {
 		return false, err
 	}
@@ -713,7 +702,7 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rt.traces.append(evs, m.opts.TraceKeep)
+	rt.traces.append(evs)
 	rt.consecutive = 0
 	if next != nil {
 		rt.ck = next

@@ -422,24 +422,21 @@ func TestBackoffCapped(t *testing.T) {
 
 func TestTraceLogTrim(t *testing.T) {
 	var tl traceLog
-	mk := func(n int) []trace.Event {
-		evs := make([]trace.Event, n)
-		return evs
-	}
-	tl.append(mk(3), 4)
+	tl.append(make([]trace.Event, 3))
 	if tl.dropped != 0 || len(tl.events) != 3 {
 		t.Fatalf("after first append: %d dropped, %d kept", tl.dropped, len(tl.events))
 	}
-	tl.append(mk(3), 4) // 6 events, keep 4 → 2 dropped
-	if tl.dropped != 2 || len(tl.events) != 4 {
+	tl.events = make([]trace.Event, traceKeep-1) // one short of the bound
+	tl.append(make([]trace.Event, 3))            // traceKeep+2 events → 2 dropped
+	if tl.dropped != 2 || len(tl.events) != traceKeep {
 		t.Fatalf("after trim: %d dropped, %d kept", tl.dropped, len(tl.events))
 	}
 	// A cursor before the trim clamps to the oldest survivor.
 	evs, next := tl.since(0)
-	if len(evs) != 4 || next != 6 {
+	if len(evs) != traceKeep || next != traceKeep+2 {
 		t.Fatalf("since(0): %d events, next %d", len(evs), next)
 	}
-	if evs, next := tl.since(6); len(evs) != 0 || next != 6 {
+	if evs, next := tl.since(traceKeep + 2); len(evs) != 0 || next != traceKeep+2 {
 		t.Fatalf("frontier: %d events, next %d", len(evs), next)
 	}
 }
@@ -513,7 +510,7 @@ func TestManagerSurfacesTransientAndFutureCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ck, err := search.RunAllocationTraced(bench, sp, spec.SearchConfig(), nil)
+	_, ck, err := search.Allocate(bench, sp, spec.SearchConfig(), nil, nil)
 	if err != nil || ck == nil {
 		t.Fatalf("first allocation: ck=%v err=%v", ck, err)
 	}
@@ -579,7 +576,7 @@ func TestManagerSyncsMetaFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ck, err := search.RunAllocationTraced(bench, sp, spec.SearchConfig(), nil)
+	_, ck, err := search.Allocate(bench, sp, spec.SearchConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.mgr.Health())
 	})
 	// TimeoutHandler buffers responses, which is fine here: every payload
-	// is bounded (specs by MaxBodyBytes, traces by Options.TraceKeep and
+	// is bounded (specs by MaxBodyBytes, traces by traceKeep and
 	// the ?since cursor), so handlers cannot stream unboundedly anyway.
 	return http.TimeoutHandler(mux, s.opts.RequestTimeout,
 		`{"error":"request timed out"}`)

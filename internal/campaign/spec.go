@@ -124,9 +124,6 @@ func (s *Spec) Validate() error {
 	if s.Walltime > s.Horizon {
 		return fmt.Errorf("campaign: walltime %g exceeds horizon %g", s.Walltime, s.Horizon)
 	}
-	if s.Fidelity < 0 || s.Fidelity > 1 {
-		return fmt.Errorf("campaign: fidelity = %g, want 0..1", s.Fidelity)
-	}
 	if s.RealEpochs < 0 || s.RealBatchSize < 0 {
 		return fmt.Errorf("campaign: realEpochs/realBatchSize must be >= 0")
 	}

@@ -132,12 +132,6 @@ func surfaces(err error) bool {
 	return ckpt.IsTransient(err) || errors.Is(err, ckpt.ErrVersion)
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
-// FS returns the filesystem the store writes through.
-func (s *Store) FS() fsim.FS { return s.fsys }
-
 // NextID returns the smallest unused sequential campaign ID. IDs are
 // stable across restarts because they are derived from the directories on
 // disk, never from in-memory counters.

@@ -49,7 +49,7 @@ func TestStoreMetaRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %+v", got)
 	}
 	// IDs advance past existing campaigns even across reopen.
-	st2 := openStore(t, st.Root())
+	st2 := openStore(t, st.root)
 	if next, _ := st2.NextID(); next != "c00000002" {
 		t.Fatalf("next ID after reopen %q", next)
 	}
@@ -184,8 +184,8 @@ func TestStoreMetaIDMismatchRejected(t *testing.T) {
 	}
 	// Copy the meta file into a differently named directory: the embedded
 	// ID check catches the inconsistency.
-	src := filepath.Join(st.Root(), "c00000001", metaFile)
-	dst := filepath.Join(st.Root(), "c00000009")
+	src := filepath.Join(st.root, "c00000001", metaFile)
+	dst := filepath.Join(st.root, "c00000009")
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestStoreCheckpointAndLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ck, err := search.RunAllocationTraced(bench, sp, spec.SearchConfig(), nil)
+	_, ck, err := search.Allocate(bench, sp, spec.SearchConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

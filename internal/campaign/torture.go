@@ -53,9 +53,6 @@ type TortureOptions struct {
 	Opts Options
 	// Lies additionally enumerates every crash point in fsync-lie mode.
 	Lies bool
-	// ResumeTimeout bounds the recording run and each post-crash resume
-	// (default 5 minutes).
-	ResumeTimeout time.Duration
 	// Logf receives progress lines (nil discards them).
 	Logf func(format string, args ...any)
 }
@@ -94,9 +91,6 @@ type resumeOutcome struct {
 // resume byte-identity at each. It returns a report on success and the
 // first violated invariant as an error.
 func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
-	if topt.ResumeTimeout <= 0 {
-		topt.ResumeTimeout = 5 * time.Minute
-	}
 	logf := topt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -123,7 +117,7 @@ func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
 		return nil, err
 	}
 	id := info.ID
-	if err := settleAndDrain(mgr, topt.ResumeTimeout); err != nil {
+	if err := settleAndDrain(mgr); err != nil {
 		return nil, err
 	}
 	if got, _ := mgr.Get(id); got.Status != StatusDone {
@@ -301,7 +295,7 @@ func tortureResume(img *fsim.MemFS, id string, topt TortureOptions) (*resumeOutc
 		return nil, fmt.Errorf("service failed to restart on surviving bytes: %w", err)
 	}
 	mgr.Start()
-	if err := settleAndDrain(mgr, topt.ResumeTimeout); err != nil {
+	if err := settleAndDrain(mgr); err != nil {
 		return nil, err
 	}
 	out := &resumeOutcome{}
@@ -323,11 +317,14 @@ func tortureResume(img *fsim.MemFS, id string, topt TortureOptions) (*resumeOutc
 	return out, nil
 }
 
+// settleTimeout bounds the recording run and each post-crash resume.
+const settleTimeout = 5 * time.Minute
+
 // settleAndDrain polls until every campaign is quiescent (terminal or
-// paused, runner stopped) or the timeout passes, then drains the manager.
-func settleAndDrain(mgr *Manager, timeout time.Duration) error {
+// paused, runner stopped) or settleTimeout passes, then drains the manager.
+func settleAndDrain(mgr *Manager) error {
 	defer mgr.Drain()
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(settleTimeout)
 	for {
 		settled := true
 		for _, in := range mgr.List() {
@@ -340,7 +337,7 @@ func settleAndDrain(mgr *Manager, timeout time.Duration) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("campaign: torture run did not settle within %v: %+v", timeout, mgr.List())
+			return fmt.Errorf("campaign: torture run did not settle within %v: %+v", settleTimeout, mgr.List())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -55,9 +55,9 @@ func TestBaselineIRBuildable(t *testing.T) {
 		NewNT3(Config{Seed: 1}),
 	} {
 		m := b.Baseline.BuildModel(r.Split())
-		if int64(m.ParamCount()) != b.Baseline.Stats().Params {
+		if int64(m.Params().Count()) != b.Baseline.Stats().Params {
 			t.Errorf("%s: scaled baseline analytic %d != model %d",
-				b.Name, b.Baseline.Stats().Params, m.ParamCount())
+				b.Name, b.Baseline.Stats().Params, m.Params().Count())
 		}
 		if m.NumInputs() != len(b.Train.Inputs) {
 			t.Errorf("%s: baseline inputs %d, dataset inputs %d",

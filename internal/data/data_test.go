@@ -164,9 +164,9 @@ func TestNT3MotifSeparation(t *testing.T) {
 	cfg := NT3Config{Seed: 2, NTrain: 200, NVal: 40}
 	train, _ := GenNT3(cfg)
 	cfg = cfg.withDefaults()
-	motif := make([]float64, cfg.MotifLen)
+	motif := make([]float64, nt3MotifLen)
 	for i := range motif {
-		motif[i] = 2.5 * math.Sin(float64(i)/float64(cfg.MotifLen)*2*math.Pi)
+		motif[i] = 2.5 * math.Sin(float64(i)/float64(nt3MotifLen)*2*math.Pi)
 	}
 	var sum0, sum1 float64
 	var n0, n1 int

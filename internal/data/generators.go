@@ -29,6 +29,22 @@ const (
 	NT3Classes  = 2
 )
 
+// Planted structure of the generators at their scaled dimensions. These are
+// constants, not options: every golden and benchmark digest hashes the
+// generated bytes.
+const (
+	latentDim = 8   // planted latent dimensionality (Combo, Uno)
+	obsNoise  = 0.1 // observation noise stddev (Combo, Uno)
+
+	unoRNAWidth  = 60  // cell RNA-seq width (paper: 942)
+	unoDescWidth = 160 // drug descriptor width (paper: 5270)
+	unoFPWidth   = 64  // drug fingerprint width (paper: 2048)
+
+	nt3MotifLen  = 12  // length of the class-discriminative motif
+	nt3NumMotifs = 4   // motif insertions per positive example
+	nt3Noise     = 0.6 // background noise stddev
+)
+
 // ComboConfig parameterizes the synthetic Combo generator. Zero values take
 // scaled-down defaults suitable for laptop-scale reward estimation.
 type ComboConfig struct {
@@ -36,8 +52,6 @@ type ComboConfig struct {
 	DrugDim int // per-drug descriptor width (paper: 3820)
 	NTrain  int
 	NVal    int
-	Latent  int     // planted latent dimensionality
-	Noise   float64 // observation noise stddev
 	Seed    uint64
 }
 
@@ -53,12 +67,6 @@ func (c ComboConfig) withDefaults() ComboConfig {
 	}
 	if c.NVal == 0 {
 		c.NVal = 400
-	}
-	if c.Latent == 0 {
-		c.Latent = 8
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.1
 	}
 	return c
 }
@@ -78,14 +86,14 @@ func GenCombo(cfg ComboConfig) (train, val *Dataset) {
 	// and per-drug potency — the strongest effects in real drug screens,
 	// and what makes the problem learnable from modest data) with weaker
 	// drug-cell and drug-drug interaction terms that reward deeper models.
-	a := projMatrix(r, cfg.CellDim, cfg.Latent)
-	b := projMatrix(r, cfg.DrugDim, cfg.Latent)
-	wc := vec(r, cfg.Latent)
-	wd := vec(r, cfg.Latent)
-	wc2 := vec(r, cfg.Latent)
-	wd2 := vec(r, cfg.Latent)
-	w1 := vec(r, cfg.Latent)
-	w2 := vec(r, cfg.Latent)
+	a := projMatrix(r, cfg.CellDim, latentDim)
+	b := projMatrix(r, cfg.DrugDim, latentDim)
+	wc := vec(r, latentDim)
+	wd := vec(r, latentDim)
+	wc2 := vec(r, latentDim)
+	wd2 := vec(r, latentDim)
+	w1 := vec(r, latentDim)
+	w2 := vec(r, latentDim)
 	// Odd (monotone) main effects are partially capturable by a linear
 	// model; the even cos(2z) terms have zero linear correlation with the
 	// inputs, and the cross-input interactions none either — so a raw
@@ -103,7 +111,7 @@ func GenCombo(cfg ComboConfig) (train, val *Dataset) {
 		z2 := project(d2, b, tensor.ActIdentity)
 		for i := 0; i < n; i++ {
 			var main, even, inter float64
-			for k := 0; k < cfg.Latent; k++ {
+			for k := 0; k < latentDim; k++ {
 				raw, r1, r2 := zu.At(i, k), z1.At(i, k), z2.At(i, k)
 				uv := math.Tanh(raw)
 				p1, p2 := math.Tanh(r1), math.Tanh(r2)
@@ -112,7 +120,7 @@ func GenCombo(cfg ComboConfig) (train, val *Dataset) {
 				inter += w1[k] * uv * (p1 + p2)
 				inter += w2[k] * p1 * p2
 			}
-			y.Set(mainScale*main+evenScale*even+interScale*inter+rr.Norm()*cfg.Noise, i, 0)
+			y.Set(mainScale*main+evenScale*even+interScale*inter+rr.Norm()*obsNoise, i, 0)
 		}
 		return &Dataset{
 			InputNames: []string{"cell.expression", "drug1.descriptors", "drug2.descriptors"},
@@ -128,37 +136,17 @@ func GenCombo(cfg ComboConfig) (train, val *Dataset) {
 
 // UnoConfig parameterizes the synthetic Uno generator.
 type UnoConfig struct {
-	RNADim  int // cell RNA-seq width (paper: 942)
-	DescDim int // drug descriptor width (paper: 5270)
-	FPDim   int // drug fingerprint width (paper: 2048)
-	NTrain  int
-	NVal    int
-	Latent  int
-	Noise   float64
-	Seed    uint64
+	NTrain int
+	NVal   int
+	Seed   uint64
 }
 
 func (c UnoConfig) withDefaults() UnoConfig {
-	if c.RNADim == 0 {
-		c.RNADim = 60
-	}
-	if c.DescDim == 0 {
-		c.DescDim = 160
-	}
-	if c.FPDim == 0 {
-		c.FPDim = 64
-	}
 	if c.NTrain == 0 {
 		c.NTrain = 1200
 	}
 	if c.NVal == 0 {
 		c.NVal = 300
-	}
-	if c.Latent == 0 {
-		c.Latent = 8
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.1
 	}
 	return c
 }
@@ -172,17 +160,17 @@ func (c UnoConfig) withDefaults() UnoConfig {
 func GenUno(cfg UnoConfig) (train, val *Dataset) {
 	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed ^ 0x0400)
-	ar := projMatrix(r, cfg.RNADim, cfg.Latent)
-	ad := projMatrix(r, cfg.DescDim, cfg.Latent)
-	af := projMatrix(r, cfg.FPDim, cfg.Latent)
-	wEff := vec(r, cfg.Latent)
-	wPot := vec(r, cfg.Latent)
+	ar := projMatrix(r, unoRNAWidth, latentDim)
+	ad := projMatrix(r, unoDescWidth, latentDim)
+	af := projMatrix(r, unoFPWidth, latentDim)
+	wEff := vec(r, latentDim)
+	wPot := vec(r, latentDim)
 
 	gen := func(n int, rr *rng.Rand) *Dataset {
-		rna := randn(rr, n, cfg.RNADim)
+		rna := randn(rr, n, unoRNAWidth)
 		dose := tensor.New(n, 1)
-		desc := randn(rr, n, cfg.DescDim)
-		fp := tensor.New(n, cfg.FPDim)
+		desc := randn(rr, n, unoDescWidth)
+		fp := tensor.New(n, unoFPWidth)
 		for i := range fp.Data {
 			if rr.Float64() < 0.1 { // sparse binary fingerprints
 				fp.Data[i] = 1
@@ -196,7 +184,7 @@ func GenUno(cfg UnoConfig) (train, val *Dataset) {
 			d := 2*rr.Float64() - 1 // log-dose in [-1, 1]
 			dose.Set(d, i, 0)
 			var eff, pot float64
-			for k := 0; k < cfg.Latent; k++ {
+			for k := 0; k < latentDim; k++ {
 				m := u.At(i, k) + vd.At(i, k) + 0.5*vf.At(i, k) +
 					0.5*u.At(i, k)*vd.At(i, k)
 				eff += wEff[k] * m
@@ -208,7 +196,7 @@ func GenUno(cfg UnoConfig) (train, val *Dataset) {
 			// marginal (not just conditional) effect, as in real
 			// dose-response curves where higher dose means more kill.
 			resp := (1 + 0.5*math.Tanh(eff)) / (1 + math.Exp(-4*(d-0.5*math.Tanh(pot))))
-			y.Set(resp+rr.Norm()*cfg.Noise, i, 0)
+			y.Set(resp+rr.Norm()*obsNoise, i, 0)
 		}
 		return &Dataset{
 			InputNames: []string{"cell.rna-seq", "dose", "drug.descriptors", "drug.fingerprints"},
@@ -224,13 +212,10 @@ func GenUno(cfg UnoConfig) (train, val *Dataset) {
 
 // NT3Config parameterizes the synthetic NT3 generator.
 type NT3Config struct {
-	InputDim  int // expression profile length (paper: 60483)
-	NTrain    int
-	NVal      int
-	MotifLen  int     // length of the class-discriminative motif
-	NumMotifs int     // motif insertions per positive example
-	Noise     float64 // background noise stddev
-	Seed      uint64
+	InputDim int // expression profile length (paper: 60483)
+	NTrain   int
+	NVal     int
+	Seed     uint64
 }
 
 func (c NT3Config) withDefaults() NT3Config {
@@ -242,15 +227,6 @@ func (c NT3Config) withDefaults() NT3Config {
 	}
 	if c.NVal == 0 {
 		c.NVal = 120
-	}
-	if c.MotifLen == 0 {
-		c.MotifLen = 12
-	}
-	if c.NumMotifs == 0 {
-		c.NumMotifs = 4
-	}
-	if c.Noise == 0 {
-		c.Noise = 0.6
 	}
 	return c
 }
@@ -264,10 +240,10 @@ func (c NT3Config) withDefaults() NT3Config {
 func GenNT3(cfg NT3Config) (train, val *Dataset) {
 	cfg = cfg.withDefaults()
 	r := rng.New(cfg.Seed ^ 0x0173)
-	motif := make([]float64, cfg.MotifLen)
+	motif := make([]float64, nt3MotifLen)
 	for i := range motif {
 		// A distinctive oscillating bump.
-		motif[i] = 2.5 * math.Sin(float64(i)/float64(cfg.MotifLen)*2*math.Pi)
+		motif[i] = 2.5 * math.Sin(float64(i)/float64(nt3MotifLen)*2*math.Pi)
 	}
 	gen := func(n int, rr *rng.Rand) *Dataset {
 		x := tensor.New(n, cfg.InputDim)
@@ -276,13 +252,13 @@ func GenNT3(cfg NT3Config) (train, val *Dataset) {
 			// Smooth background: AR(1) noise.
 			prev := 0.0
 			for j := 0; j < cfg.InputDim; j++ {
-				prev = 0.8*prev + rr.Norm()*cfg.Noise
+				prev = 0.8*prev + rr.Norm()*nt3Noise
 				x.Data[i*cfg.InputDim+j] = prev
 			}
 			labels[i] = i % 2 // balanced, order shuffled below
 			if labels[i] == 1 {
-				for m := 0; m < cfg.NumMotifs; m++ {
-					pos := rr.Intn(cfg.InputDim - cfg.MotifLen)
+				for m := 0; m < nt3NumMotifs; m++ {
+					pos := rr.Intn(cfg.InputDim - nt3MotifLen)
 					for j, v := range motif {
 						x.Data[i*cfg.InputDim+pos+j] += v
 					}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -55,9 +54,6 @@ func TestFig4AndMemoization(t *testing.T) {
 	out := r1.Render()
 	if !strings.Contains(out, "A3C") || !strings.Contains(out, "RDM") {
 		t.Fatalf("render missing strategies:\n%s", out)
-	}
-	if math.IsNaN(r1.BestAt(search.A3C)) {
-		t.Fatal("BestAt(A3C) is NaN")
 	}
 }
 
@@ -131,8 +127,8 @@ func TestTable1(t *testing.T) {
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	combo := r.Row("Combo")
-	if combo == nil || combo.BaselineParams != 13772001 {
+	combo := r.Rows[0]
+	if combo.Bench != "Combo" || combo.BaselineParams != 13772001 {
 		t.Fatalf("Combo row = %+v", combo)
 	}
 	if combo.BestParams <= 0 {

@@ -39,16 +39,6 @@ func Fig4(benchName string, sc Scale) *Fig4Result {
 	return r
 }
 
-// BestAt returns the final best reward of the given strategy.
-func (r *Fig4Result) BestAt(strategy string) float64 {
-	for _, run := range r.Runs {
-		if run.Strategy == strategy {
-			return analytics.Summarize(run.Log.Results).BestReward
-		}
-	}
-	return math.NaN()
-}
-
 // MeanRewardLate returns the mean reward over the last half of the run —
 // the "has the policy learned" statistic behind Fig 4's trajectories.
 func (r *Fig4Result) MeanRewardLate(strategy string) float64 {

@@ -56,31 +56,34 @@ func Restart(sc Scale) *RestartResult {
 	}
 	defer os.RemoveAll(dir)
 
-	log, ck, err := search.RunAllocationTraced(bench, sp, cfg, nil)
-	out.Allocations = 1
-	for err == nil && ck != nil {
-		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", out.Allocations))
-		if werr := ck.WriteFileFS(fsim.OS, path); werr != nil {
-			panic(werr)
+	// Every allocation gets a freshly built benchmark and the checkpoint as
+	// read back from disk — what a new process would have.
+	var ck *search.Checkpoint
+	for {
+		log, next, err := search.Allocate(benchFor("Combo", sc.Seed), sp, cfg, ck, nil)
+		if err != nil {
+			panic(err)
 		}
-		info, serr := os.Stat(path)
-		if serr != nil {
-			panic(serr)
+		out.Allocations++
+		out.Chained = log
+		if next == nil {
+			break
+		}
+		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", out.Allocations))
+		if err := next.WriteFileFS(fsim.OS, path); err != nil {
+			panic(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			panic(err)
 		}
 		out.CheckpointBytes = append(out.CheckpointBytes, int(info.Size()))
-		loaded, lerr := search.LoadCheckpointFS(fsim.OS, path)
-		if lerr != nil {
-			panic(lerr)
+		if ck, err = search.LoadCheckpointFS(fsim.OS, path); err != nil {
+			panic(err)
 		}
-		log, ck, err = search.ResumeAllocationTraced(benchFor("Combo", sc.Seed), sp, loaded, nil)
-		out.Allocations++
 	}
-	if err != nil {
-		panic(err)
-	}
-	out.Chained = log
 
-	normalized := *log
+	normalized := *out.Chained
 	normalized.Config.Walltime = plain.Config.Walltime
 	a, aerr := json.Marshal(plain)
 	b, berr := json.Marshal(&normalized)

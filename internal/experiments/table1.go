@@ -66,16 +66,6 @@ func Table1(sc Scale) *Table1Result {
 	return out
 }
 
-// Row returns the row for a benchmark.
-func (t *Table1Result) Row(bench string) *Table1Row {
-	for i := range t.Rows {
-		if t.Rows[i].Bench == bench {
-			return &t.Rows[i]
-		}
-	}
-	return nil
-}
-
 // Render prints the Table 1 layout: trainable parameters, training time,
 // and metric for the manually designed network and the best A3C
 // architecture of each benchmark.

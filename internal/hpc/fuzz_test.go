@@ -46,8 +46,8 @@ func FuzzEventQueue(f *testing.F) {
 		}
 		pop := func() {
 			if ref.Len() == 0 {
-				if cal.len() != 0 {
-					t.Fatalf("cal has %d events, ref empty", cal.len())
+				if cal.count != 0 {
+					t.Fatalf("cal has %d events, ref empty", cal.count)
 				}
 				if _, _, _, ok := cal.pop(); ok {
 					t.Fatal("pop on empty queue succeeded")
@@ -83,8 +83,8 @@ func FuzzEventQueue(f *testing.F) {
 			case 3:
 				pop()
 			}
-			if cal.len() != ref.Len() {
-				t.Fatalf("op %d: cal len %d != ref len %d", i/3, cal.len(), ref.Len())
+			if cal.count != ref.Len() {
+				t.Fatalf("op %d: cal len %d != ref len %d", i/3, cal.count, ref.Len())
 			}
 		}
 
@@ -111,8 +111,8 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			popped[cs] = true
 		}
-		if cal.len() != 0 {
-			t.Fatalf("cal not empty after drain: %d", cal.len())
+		if cal.count != 0 {
+			t.Fatalf("cal not empty after drain: %d", cal.count)
 		}
 		if int64(len(popped)) != seq {
 			t.Fatalf("pushed %d events, popped %d — events lost", seq, len(popped))

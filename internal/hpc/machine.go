@@ -104,6 +104,7 @@ type RewardEstimate struct {
 // the device rates are calibrated on: a one-epoch reward estimation never
 // amortizes TensorFlow's graph compilation, memory-pool growth, and input-
 // pipeline warmup, so its effective training rate is a few times lower.
+// Validation (a single well-batched forward sweep) runs at full rate.
 const ColdTrainSlowdown = 4
 
 // EvalTaskConfig parameterizes reward estimation.
@@ -117,11 +118,7 @@ type EvalTaskConfig struct {
 	// training data (proportional to the fidelity fraction; the Combo
 	// screens are multi-gigabyte on Theta's filesystem).
 	StageSeconds float64
-	// TrainSlowdown derates training throughput for cold-start tasks;
-	// 0 means ColdTrainSlowdown. Validation (a single well-batched
-	// forward sweep) runs at full rate.
-	TrainSlowdown float64
-	Timeout       float64 // seconds; paper: 600
+	Timeout      float64 // seconds; paper: 600
 }
 
 // PlanRewardEstimate computes the virtual duration and the training-batch
@@ -130,13 +127,9 @@ func PlanRewardEstimate(st space.ArchStats, cfg EvalTaskConfig) RewardEstimate {
 	if cfg.BatchSize <= 0 || cfg.Epochs <= 0 {
 		panic("hpc: EvalTaskConfig needs positive BatchSize and Epochs")
 	}
-	slowdown := cfg.TrainSlowdown
-	if slowdown == 0 {
-		slowdown = ColdTrainSlowdown
-	}
 	batchesPerEpoch := (cfg.TrainSamples + cfg.BatchSize - 1) / cfg.BatchSize
 	totalBatches := batchesPerEpoch * cfg.Epochs
-	perBatch := slowdown * float64(cfg.BatchSize) * TrainStepFLOPs * st.FwdFLOPs / cfg.Device.EffRate(st)
+	perBatch := ColdTrainSlowdown * float64(cfg.BatchSize) * TrainStepFLOPs * st.FwdFLOPs / cfg.Device.EffRate(st)
 	valTime := cfg.Device.InferTime(st, cfg.ValSamples)
 
 	var est RewardEstimate

@@ -60,8 +60,6 @@ type calQueue struct {
 	count   int
 }
 
-func (q *calQueue) len() int { return q.count }
-
 // alloc returns a fresh arena index, recycling the free list first.
 func (q *calQueue) alloc() int32 {
 	if q.free != calNone {
@@ -199,33 +197,6 @@ func (q *calQueue) pop() (fn func(), h Handler, t float64, ok bool) {
 		q.resize(nb / 2)
 	}
 	return fn, h, t, true
-}
-
-// remove deletes the pending event with the given sequence number,
-// reporting whether it was found. The simulator itself never cancels
-// events — stale Balsam completions deliberately still fire — so this
-// exists for the differential cancellation workloads in the queue tests.
-func (q *calQueue) remove(seq int64) bool {
-	for b := range q.buckets {
-		prev := calNone
-		cur := q.buckets[b]
-		for cur != calNone {
-			next := q.arena[cur].next
-			if q.arena[cur].seq == seq {
-				if prev == calNone {
-					q.buckets[b] = next
-				} else {
-					q.arena[prev].next = next
-				}
-				q.release(cur)
-				q.count--
-				return true
-			}
-			prev = cur
-			cur = next
-		}
-	}
-	return false
 }
 
 // resize re-buckets every pending event into newNB buckets, re-estimating

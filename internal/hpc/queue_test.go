@@ -34,16 +34,6 @@ func (q *refQueue) Pop() interface{} {
 	return e
 }
 
-func (q *refQueue) remove(seq int64) bool {
-	for i, e := range *q {
-		if e.seq == seq {
-			heap.Remove(q, i)
-			return true
-		}
-	}
-	return false
-}
-
 // popCal pops the calendar queue and returns its (time, seq).
 func popCal(t *testing.T, q *calQueue) (float64, int64) {
 	t.Helper()
@@ -67,7 +57,7 @@ func popCal(t *testing.T, q *calQueue) (float64, int64) {
 }
 
 // TestCalendarQueueDifferential drives the calendar queue and the heap
-// reference through randomized schedule/cancel/pop workloads — same-
+// reference through randomized schedule/pop workloads — same-
 // timestamp bursts, far-future fault events, schedules in the past relative
 // to the wheel's scan position — asserting identical pop order at every
 // step. The push/pop imbalance walks the pending count across grow and
@@ -80,22 +70,11 @@ func TestCalendarQueueDifferential(t *testing.T) {
 		heap.Init(ref)
 		var seq int64
 		var lastPop float64
-		var live []int64
 
 		push := func(tm float64) {
 			seq++
 			cal.push(tm, seq, nil, nil)
 			heap.Push(ref, refEvent{time: tm, seq: seq})
-			live = append(live, seq)
-		}
-		dropLive := func(s int64) {
-			for i, l := range live {
-				if l == s {
-					live = append(live[:i], live[i+1:]...)
-					return
-				}
-			}
-			t.Fatalf("seed %d: popped unknown seq %d", seed, s)
 		}
 
 		for op := 0; op < 20000; op++ {
@@ -115,8 +94,8 @@ func TestCalendarQueueDifferential(t *testing.T) {
 					tm = lastPop + r.Float64()*100
 				}
 				push(tm)
-			case p < 0.9:
-				if cal.len() == 0 {
+			default:
+				if cal.count == 0 {
 					if ref.Len() != 0 {
 						t.Fatalf("seed %d: cal empty, ref has %d", seed, ref.Len())
 					}
@@ -129,26 +108,9 @@ func TestCalendarQueueDifferential(t *testing.T) {
 						seed, op, ct, cs, re.time, re.seq)
 				}
 				lastPop = ct
-				dropLive(cs)
-			default:
-				if len(live) == 0 {
-					// Cancel of a seq that was never scheduled: both must miss.
-					if cal.remove(seq+1000) || ref.remove(seq+1000) {
-						t.Fatalf("seed %d: removed nonexistent event", seed)
-					}
-					continue
-				}
-				i := r.Intn(len(live))
-				s := live[i]
-				okCal := cal.remove(s)
-				okRef := ref.remove(s)
-				if !okCal || !okRef {
-					t.Fatalf("seed %d: cancel of live seq %d: cal=%v ref=%v", seed, s, okCal, okRef)
-				}
-				live = append(live[:i], live[i+1:]...)
 			}
-			if cal.len() != ref.Len() {
-				t.Fatalf("seed %d op %d: cal len %d != ref len %d", seed, op, cal.len(), ref.Len())
+			if cal.count != ref.Len() {
+				t.Fatalf("seed %d op %d: cal len %d != ref len %d", seed, op, cal.count, ref.Len())
 			}
 		}
 
@@ -160,8 +122,8 @@ func TestCalendarQueueDifferential(t *testing.T) {
 				t.Fatalf("seed %d drain: cal (%g, %d) != ref (%g, %d)", seed, ct, cs, re.time, re.seq)
 			}
 		}
-		if cal.len() != 0 {
-			t.Fatalf("seed %d: cal not empty after drain: %d", seed, cal.len())
+		if cal.count != 0 {
+			t.Fatalf("seed %d: cal not empty after drain: %d", seed, cal.count)
 		}
 	}
 }
@@ -187,34 +149,6 @@ func TestCalendarQueueFarFuture(t *testing.T) {
 	}
 	if _, _, _, ok := q.pop(); ok {
 		t.Fatal("pop on empty queue succeeded")
-	}
-}
-
-// TestCalendarQueueRemove covers unlinking at the head, middle, and tail of
-// a bucket list, plus misses.
-func TestCalendarQueueRemove(t *testing.T) {
-	var q calQueue
-	// Same timestamp: all three land in one bucket, ordered by seq.
-	for i := int64(1); i <= 3; i++ {
-		q.push(5, i, nil, nil)
-	}
-	if q.remove(99) {
-		t.Fatal("removed nonexistent seq")
-	}
-	if !q.remove(2) { // middle
-		t.Fatal("failed to remove middle event")
-	}
-	if !q.remove(1) { // head
-		t.Fatal("failed to remove head event")
-	}
-	if !q.remove(3) { // tail (now sole)
-		t.Fatal("failed to remove tail event")
-	}
-	if q.len() != 0 {
-		t.Fatalf("len %d after removing all", q.len())
-	}
-	if q.remove(3) {
-		t.Fatal("double remove succeeded")
 	}
 }
 

@@ -213,9 +213,6 @@ func (s *Sim) RunAll() int {
 	return n
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.queue.len() }
-
 // ResumeEvent is one pending event captured at a checkpoint cut: its
 // absolute fire time, its sequence number in the original simulator (which
 // encodes the relative order of same-time events), and a Schedule function

@@ -45,8 +45,8 @@ func TestSimSchedulingAPIs(t *testing.T) {
 	if seq := s.AtTimeHandler(3, h); seq != 5 {
 		t.Fatalf("AtTimeHandler seq = %d, want 5", seq)
 	}
-	if s.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", s.Pending())
+	if s.queue.count != 5 {
+		t.Fatalf("Pending = %d, want 5", s.queue.count)
 	}
 
 	if !s.RunUntil(10) {
@@ -86,8 +86,8 @@ func TestSimRunUntilPartial(t *testing.T) {
 	if s.RunUntil(5) {
 		t.Fatal("RunUntil(5) reported drained with an event at t=8 pending")
 	}
-	if fired != 1 || s.Now() != 1 || s.Pending() != 1 {
-		t.Fatalf("after RunUntil(5): fired=%d now=%g pending=%d, want 1/1/1", fired, s.Now(), s.Pending())
+	if fired != 1 || s.Now() != 1 || s.queue.count != 1 {
+		t.Fatalf("after RunUntil(5): fired=%d now=%g pending=%d, want 1/1/1", fired, s.Now(), s.queue.count)
 	}
 }
 

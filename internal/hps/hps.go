@@ -42,9 +42,6 @@ type SpaceDef struct {
 	MaxEpochs          int
 }
 
-// DefaultSpace covers the ranges relevant to the scaled benchmarks.
-var DefaultSpace = SpaceDef{LRMin: 1e-4, LRMax: 3e-2, BatchMin: 8, BatchMax: 64, MaxEpochs: 16}
-
 // sample draws a configuration log-uniformly.
 func (s SpaceDef) sample(r *rng.Rand, epochs int) Params {
 	lr := math.Exp(math.Log(s.LRMin) + r.Float64()*(math.Log(s.LRMax)-math.Log(s.LRMin)))

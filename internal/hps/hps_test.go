@@ -18,6 +18,9 @@ func skipSlow(t *testing.T) {
 	}
 }
 
+// testSpace covers the ranges relevant to the scaled benchmarks.
+var testSpace = SpaceDef{LRMin: 1e-4, LRMax: 3e-2, BatchMin: 8, BatchMax: 64, MaxEpochs: 16}
+
 func objective(t *testing.T) *Objective {
 	t.Helper()
 	bench := candle.NewCombo(candle.Config{Seed: 1})
@@ -42,11 +45,11 @@ func objective(t *testing.T) *Objective {
 func TestSampleWithinBounds(t *testing.T) {
 	r := rng.New(1)
 	for i := 0; i < 200; i++ {
-		p := DefaultSpace.sample(r, 4)
-		if p.LR < DefaultSpace.LRMin || p.LR > DefaultSpace.LRMax {
+		p := testSpace.sample(r, 4)
+		if p.LR < testSpace.LRMin || p.LR > testSpace.LRMax {
 			t.Fatalf("lr %g out of bounds", p.LR)
 		}
-		if p.BatchSize < DefaultSpace.BatchMin || p.BatchSize > DefaultSpace.BatchMax {
+		if p.BatchSize < testSpace.BatchMin || p.BatchSize > testSpace.BatchMax {
 			t.Fatalf("batch %d out of bounds", p.BatchSize)
 		}
 		if p.BatchSize&(p.BatchSize-1) != 0 {
@@ -115,9 +118,9 @@ func TestSuccessiveHalvingDeterministic(t *testing.T) {
 func TestPanics(t *testing.T) {
 	o := objective(t)
 	for _, f := range []func(){
-		func() { RandomSearch(o, DefaultSpace, 0, 1) },
-		func() { SuccessiveHalving(o, DefaultSpace, 0, 2, 1) },
-		func() { SuccessiveHalving(o, DefaultSpace, 4, 1, 1) },
+		func() { RandomSearch(o, testSpace, 0, 1) },
+		func() { SuccessiveHalving(o, testSpace, 0, 2, 1) },
+		func() { SuccessiveHalving(o, testSpace, 4, 1, 1) },
 	} {
 		func() {
 			defer func() {

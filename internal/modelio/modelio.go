@@ -7,16 +7,18 @@
 //	model, ir, err := modelio.LoadFS(fsim.OS, path)          // catalog spaces
 //	model, ir, err := modelio.LoadWithSpace(fsim.OS, path, customSpace)
 //
-// The format is a single gob stream (stdlib-only, self-describing enough
-// for this purpose). Loading recompiles the architecture through the same
-// IR path used everywhere else, then installs the saved weights, so a
-// loaded model is structurally identical to the saved one by construction.
+// The format is one gob value inside the ckpt frame every other artifact
+// uses, so a truncated or bit-flipped file reads as ckpt.ErrCorrupt and a
+// file from a later format as ckpt.ErrVersion. Loading recompiles the
+// architecture through the same IR path used everywhere else, then installs
+// the saved weights, so a loaded model is structurally identical to the
+// saved one by construction.
 package modelio
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"nasgo/internal/ckpt"
 	"nasgo/internal/fsim"
@@ -25,12 +27,14 @@ import (
 	"nasgo/internal/space"
 )
 
-// fileMagic guards against feeding arbitrary gob files in.
-const fileMagic = "nasgo-model-v1"
+// Model file container parameters (see internal/ckpt for the layout).
+const (
+	modelMagic   = "nasgomdl"
+	modelVersion = 1
+)
 
 // saved is the on-disk representation.
 type saved struct {
-	Magic     string
 	SpaceName string
 	Choices   []int
 	InputDims []int
@@ -47,19 +51,17 @@ func SaveFS(fsys fsim.FS, path string, sp *space.Space, choices []int, inputDims
 		return fmt.Errorf("modelio: %w", err)
 	}
 	s := saved{
-		Magic:     fileMagic,
 		SpaceName: sp.Name,
 		Choices:   append([]int(nil), choices...),
 		InputDims: append([]int(nil), inputDims...),
 		UnitScale: unitScale,
 		Values:    m.Params().FlattenValues(),
 	}
-	return ckpt.AtomicWriteFS(fsys, path, func(w io.Writer) error {
-		if err := gob.NewEncoder(w).Encode(&s); err != nil {
-			return fmt.Errorf("modelio: encode %s: %w", path, err)
-		}
-		return nil
-	})
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+		return fmt.Errorf("modelio: encode %s: %w", path, err)
+	}
+	return ckpt.WriteFileFS(fsys, path, modelMagic, modelVersion, buf.Bytes())
 }
 
 // LoadFS reads a model whose space is in the catalog (combo-small etc.).
@@ -89,17 +91,13 @@ func LoadWithSpace(fsys fsim.FS, path string, sp *space.Space) (*nn.Model, *spac
 }
 
 func read(fsys fsim.FS, path string) (*saved, error) {
-	f, err := fsys.Open(path)
+	payload, _, err := ckpt.ReadFileFS(fsys, path, modelMagic, modelVersion)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	var s saved
-	if err := gob.NewDecoder(f).Decode(&s); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
 		return nil, fmt.Errorf("modelio: decode %s: %w", path, err)
-	}
-	if s.Magic != fileMagic {
-		return nil, fmt.Errorf("modelio: %s is not a nasgo model file", path)
 	}
 	return &s, nil
 }

@@ -1,11 +1,13 @@
 package modelio
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"nasgo/internal/candle"
+	"nasgo/internal/ckpt"
 	"nasgo/internal/fsim"
 	"nasgo/internal/nn"
 	"nasgo/internal/rng"
@@ -85,7 +87,7 @@ func TestLoadRejectsCustomSpaceWithoutDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.ParamCount() != m.ParamCount() {
+	if loaded.Params().Count() != m.Params().Count() {
 		t.Fatal("LoadWithSpace parameter mismatch")
 	}
 }
@@ -113,10 +115,69 @@ func TestLoadGarbageFails(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadFS(fsim.OS, path); err == nil {
-		t.Fatal("expected decode error")
+	if _, _, err := LoadFS(fsim.OS, path); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("garbage file: got %v, want ckpt.ErrCorrupt", err)
 	}
 	if _, _, err := LoadFS(fsim.OS, filepath.Join(t.TempDir(), "missing.gob")); err == nil {
 		t.Fatal("expected missing-file error")
+	}
+}
+
+// TestLoadClassifiesDamage holds model files to the error taxonomy of every
+// other artifact: truncation at any point and a flipped bit are
+// ckpt.ErrCorrupt, a later format version is ckpt.ErrVersion, and an I/O
+// failure is neither.
+func TestLoadClassifiesDamage(t *testing.T) {
+	bench := candle.NewCombo(candle.Config{Seed: 5})
+	sp := space.NewComboSmall()
+	choices := make([]int, sp.NumDecisions())
+	dims := bench.Train.InputDims()
+	ir, err := sp.Compile(choices, dims, bench.UnitScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := fsim.NewMemFS()
+	if err := SaveFS(mem, "/m", sp, choices, dims, bench.UnitScale, ir.BuildModel(rng.New(6))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadFS(mem, "/m"); err != nil {
+		t.Fatalf("intact model rejected: %v", err)
+	}
+	raw, err := mem.ReadFile("/m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(b []byte) error {
+		t.Helper()
+		f, err := mem.Create("/bad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = LoadFS(mem, "/bad")
+		return err
+	}
+	for _, n := range []int{0, 1, 51, 52, len(raw) / 2, len(raw) - 1} {
+		if err := load(raw[:n]); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Fatalf("model truncated to %d/%d bytes: got %v, want ckpt.ErrCorrupt", n, len(raw), err)
+		}
+	}
+	flip := append([]byte(nil), raw...)
+	flip[len(flip)/2] ^= 0x40
+	if err := load(flip); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("flipped payload bit: got %v, want ckpt.ErrCorrupt", err)
+	}
+	future := append([]byte(nil), raw...)
+	future[11] = 99
+	if err := load(future); !errors.Is(err, ckpt.ErrVersion) || errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("future format version: got %v, want ckpt.ErrVersion only", err)
+	}
+	if _, _, err := LoadFS(mem, "/absent"); err == nil || errors.Is(err, ckpt.ErrCorrupt) || errors.Is(err, ckpt.ErrVersion) {
+		t.Fatalf("missing file: got %v, want a plain I/O error", err)
 	}
 }

@@ -58,13 +58,12 @@ func corruptErr(format string, args ...any) error {
 
 func segName(n int) string { return fmt.Sprintf("%s%08d%s", segPrefix, n, segSuffix) }
 
-// segNumber parses a segment filename; ok=false for foreign files.
+// segNumber parses a segment filename; ok=false for foreign files, which
+// include every spelling of a number other than segName's (seg-1.wal,
+// seg-+1.wal): scanSegments reads segName(n), not the entry it listed.
 func segNumber(name string) (int, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
-	}
 	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix))
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || segName(n) != name {
 		return 0, false
 	}
 	return n, true

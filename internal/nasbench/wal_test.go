@@ -12,7 +12,8 @@ func TestShortSegNameRoundTrip(t *testing.T) {
 			t.Fatalf("segNumber(segName(%d)) = %d, %v", n, got, ok)
 		}
 	}
-	for _, bad := range []string{"table.nasbench", "seg-.wal", "seg-12", "12.wal", "seg-x8.wal"} {
+	for _, bad := range []string{"table.nasbench", "seg-.wal", "seg-12", "12.wal", "seg-x8.wal",
+		"seg-1.wal", "seg-+0000001.wal", "seg--0000001.wal"} {
 		if got, ok := segNumber(bad); ok {
 			t.Fatalf("segNumber(%q) = %d, want rejection", bad, got)
 		}
@@ -21,7 +22,8 @@ func TestShortSegNameRoundTrip(t *testing.T) {
 
 // TestShortScanSegmentsOrderAndForeignFiles pins that segments scan in
 // numeric order regardless of creation order, foreign files in the
-// directory are ignored, and a missing directory is an empty scan.
+// directory (non-canonical segment names included) are ignored, and a
+// missing directory is an empty scan.
 func TestShortScanSegmentsOrderAndForeignFiles(t *testing.T) {
 	mem := fsim.NewMemFS()
 	if payloads, maxSeg, err := scanSegments(mem, "/absent"); err != nil || len(payloads) != 0 || maxSeg != 0 {
@@ -54,6 +56,11 @@ func TestShortScanSegmentsOrderAndForeignFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeRaw(t, mem, "/w/notes.txt", []byte("not a segment"))
+	// Non-canonical spellings of a segment number are foreign too: seg-2.wal
+	// must not scan segment 2 a second time, and seg-+7.wal must not send the
+	// scan looking for a seg-00000007.wal that does not exist.
+	writeRaw(t, mem, "/w/seg-2.wal", []byte("stray"))
+	writeRaw(t, mem, "/w/seg-+7.wal", []byte("stray"))
 
 	payloads, maxSeg, err := scanSegments(mem, "/w")
 	if err != nil {

@@ -70,15 +70,6 @@ func (b *ModelBuilder) Layer(in int, l Layer) int {
 	return b.addNode(&node{kind: kindLayer, layer: l, inputs: []int{in}})
 }
 
-// Chain applies a sequence of layers and returns the final node id.
-func (b *ModelBuilder) Chain(in int, layers ...Layer) int {
-	id := in
-	for _, l := range layers {
-		id = b.Layer(id, l)
-	}
-	return id
-}
-
 // Concat concatenates the rank-2 outputs of the given nodes along the
 // feature axis — the paper's Concatenate output rule.
 func (b *ModelBuilder) Concat(ins ...int) int {
@@ -143,10 +134,6 @@ func (m *Model) NumInputs() int { return m.numInputs }
 // Params returns the deduplicated trainable parameters.
 func (m *Model) Params() *ParamSet { return m.params }
 
-// ParamCount returns the number of scalar trainable parameters, counting
-// shared (mirrored) weights once.
-func (m *Model) ParamCount() int { return m.params.Count() }
-
 // ZeroGrad clears all parameter gradients.
 func (m *Model) ZeroGrad() { m.params.ZeroGrad() }
 
@@ -156,9 +143,6 @@ func (m *Model) ZeroGrad() { m.params.ZeroGrad() }
 // live in the arena while one is attached, so they are only valid until the
 // next Reset.
 func (m *Model) SetArena(ar *tensor.Arena) { m.arena = ar }
-
-// Arena returns the attached workspace arena, or nil.
-func (m *Model) Arena() *tensor.Arena { return m.arena }
 
 // Forward runs the DAG on the given inputs (one tensor per declared Input,
 // batch rows aligned) and returns the output node's tensor.
@@ -292,24 +276,4 @@ func (m *Model) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 // Predict runs a forward pass in inference mode.
 func (m *Model) Predict(xs []*tensor.Tensor) *tensor.Tensor {
 	return m.Forward(xs, false)
-}
-
-// Summary returns a layer-by-layer description, loosely mirroring
-// keras.Model.summary().
-func (m *Model) Summary() string {
-	s := ""
-	for _, n := range m.nodes {
-		switch n.kind {
-		case kindInput:
-			s += fmt.Sprintf("#%d Input[%d]\n", n.id, n.inputIndex)
-		case kindLayer:
-			s += fmt.Sprintf("#%d %s <- #%d\n", n.id, n.layer.Name(), n.inputs[0])
-		case kindConcat:
-			s += fmt.Sprintf("#%d Concatenate <- %v\n", n.id, n.inputs)
-		case kindAdd:
-			s += fmt.Sprintf("#%d Add <- %v\n", n.id, n.inputs)
-		}
-	}
-	s += fmt.Sprintf("trainable parameters: %d\n", m.ParamCount())
-	return s
 }

@@ -7,15 +7,10 @@ import (
 	"nasgo/internal/tensor"
 )
 
-// MSELoss returns the mean squared error between pred and target (both
-// [batch, d]) and the gradient of the loss with respect to pred. This is the
-// regression loss used for the Combo and Uno drug-response problems.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	return MSELossArena(nil, pred, target)
-}
-
-// MSELossArena is MSELoss with the gradient buffer drawn from an optional
-// workspace arena (nil means heap).
+// MSELossArena returns the mean squared error between pred and target (both
+// [batch, d]) and the gradient of the loss with respect to pred, drawn from an
+// optional workspace arena (nil means heap). This is the regression loss used
+// for the Combo and Uno drug-response problems.
 func MSELossArena(ar *tensor.Arena, pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	if !tensor.SameShape(pred, target) {
 		panic(fmt.Sprintf("nn: MSELoss shape mismatch %v vs %v", pred.Shape, target.Shape))
@@ -31,15 +26,11 @@ func MSELossArena(ar *tensor.Arena, pred, target *tensor.Tensor) (float64, *tens
 	return loss / n, grad
 }
 
-// SoftmaxCrossEntropy returns the mean cross-entropy of logits [batch, k]
-// against integer class labels, and the gradient with respect to the logits.
-// This is the classification loss of the NT3 tumor/normal problem.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	return SoftmaxCrossEntropyArena(nil, logits, labels)
-}
-
-// SoftmaxCrossEntropyArena is SoftmaxCrossEntropy with the probability and
-// gradient buffers drawn from an optional workspace arena (nil means heap).
+// SoftmaxCrossEntropyArena returns the mean cross-entropy of logits [batch, k]
+// against integer class labels, and the gradient with respect to the logits;
+// the probability and gradient buffers are drawn from an optional workspace
+// arena (nil means heap). This is the classification loss of the NT3
+// tumor/normal problem.
 func SoftmaxCrossEntropyArena(ar *tensor.Arena, logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
 	if logits.Rank() != 2 || logits.Shape[0] != len(labels) {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy logits %v vs %d labels", logits.Shape, len(labels)))
@@ -91,23 +82,4 @@ func R2(pred, target *tensor.Tensor) float64 {
 		return 0
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Accuracy returns the fraction of rows of logits whose argmax equals the
-// label, the paper's reward metric for NT3.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	if logits.Shape[0] != len(labels) {
-		panic(fmt.Sprintf("nn: Accuracy logits %v vs %d labels", logits.Shape, len(labels)))
-	}
-	if len(labels) == 0 {
-		return 0
-	}
-	pred := tensor.ArgmaxRows(logits)
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
 }

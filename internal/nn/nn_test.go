@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -256,8 +255,8 @@ func TestGraphMultiInputGradients(t *testing.T) {
 	}
 	// Mirror weights are counted once: cell(3*4+4) + drug(5*4+4) + head(12+1).
 	want := (3*4 + 4) + (5*4 + 4) + (12 + 1)
-	if m.ParamCount() != want {
-		t.Fatalf("ParamCount = %d, want %d", m.ParamCount(), want)
+	if m.Params().Count() != want {
+		t.Fatalf("ParamCount = %d, want %d", m.Params().Count(), want)
 	}
 
 	xs := []*tensor.Tensor{tensor.New(2, 3), tensor.New(2, 5), tensor.New(2, 5)}
@@ -349,18 +348,6 @@ func TestGraphInputGradients(t *testing.T) {
 	}
 }
 
-func TestModelSummary(t *testing.T) {
-	r := rng.New(12)
-	b := NewModelBuilder()
-	in := b.Input()
-	out := b.Layer(in, NewDense(r, 2, 2, ActReLU))
-	m := b.Build(out)
-	s := m.Summary()
-	if !strings.Contains(s, "Dense(2, relu)") || !strings.Contains(s, "trainable parameters: 6") {
-		t.Fatalf("summary missing content:\n%s", s)
-	}
-}
-
 func TestParamSetDedup(t *testing.T) {
 	p1 := NewParam("a", 2, 2)
 	p2 := NewParam("b", 3)
@@ -405,25 +392,10 @@ func TestParamSetFlattenRoundtrip(t *testing.T) {
 	}
 }
 
-func TestClipGradNorm(t *testing.T) {
-	p := NewParam("a", 2)
-	p.Grad.Data[0] = 3
-	p.Grad.Data[1] = 4
-	s := NewParamSet()
-	s.Add(p)
-	pre := s.ClipGradNorm(1)
-	if math.Abs(pre-5) > 1e-12 {
-		t.Fatalf("pre-clip norm %g", pre)
-	}
-	if math.Abs(s.GradNorm()-1) > 1e-9 {
-		t.Fatalf("post-clip norm %g", s.GradNorm())
-	}
-}
-
 func TestMSELoss(t *testing.T) {
 	pred := tensor.FromSlice([]float64{1, 2}, 2, 1)
 	target := tensor.FromSlice([]float64{0, 0}, 2, 1)
-	loss, grad := MSELoss(pred, target)
+	loss, grad := MSELossArena(nil, pred, target)
 	if math.Abs(loss-2.5) > 1e-12 {
 		t.Fatalf("MSE = %g, want 2.5", loss)
 	}
@@ -437,14 +409,14 @@ func TestSoftmaxCrossEntropyGrad(t *testing.T) {
 	logits := tensor.New(3, 4)
 	logits.Randn(r, 1)
 	labels := []int{0, 2, 3}
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	_, grad := SoftmaxCrossEntropyArena(nil, logits, labels)
 	const h = 1e-6
 	for i := range logits.Data {
 		old := logits.Data[i]
 		logits.Data[i] = old + h
-		lp, _ := SoftmaxCrossEntropy(logits, labels)
+		lp, _ := SoftmaxCrossEntropyArena(nil, logits, labels)
 		logits.Data[i] = old - h
-		lm, _ := SoftmaxCrossEntropy(logits, labels)
+		lm, _ := SoftmaxCrossEntropyArena(nil, logits, labels)
 		logits.Data[i] = old
 		fd := (lp - lm) / (2 * h)
 		if math.Abs(fd-grad.Data[i]) > fdTol {
@@ -466,17 +438,6 @@ func TestR2(t *testing.T) {
 	bad := tensor.FromSlice([]float64{4, 3, 2, 1}, 4, 1)
 	if R2(bad, y) >= 0 {
 		t.Fatal("anti-correlated prediction must give negative R2")
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float64{
-		2, 1,
-		0, 3,
-		5, 0,
-	}, 3, 2)
-	if acc := Accuracy(logits, []int{0, 1, 1}); math.Abs(acc-2.0/3) > 1e-12 {
-		t.Fatalf("Accuracy = %g", acc)
 	}
 }
 

@@ -17,7 +17,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"nasgo/internal/tensor"
 )
@@ -139,28 +138,4 @@ func (s *ParamSet) SetGrads(g []float64) {
 		copy(p.Grad.Data, g[off:off+n])
 		off += n
 	}
-}
-
-// GradNorm returns the Euclidean norm of the concatenated gradient.
-func (s *ParamSet) GradNorm() float64 {
-	var sum float64
-	for _, p := range s.list {
-		for _, g := range p.Grad.Data {
-			sum += g * g
-		}
-	}
-	return math.Sqrt(sum)
-}
-
-// ClipGradNorm rescales all gradients so the global norm is at most max.
-// It returns the pre-clip norm.
-func (s *ParamSet) ClipGradNorm(max float64) float64 {
-	n := s.GradNorm()
-	if n > max && n > 0 {
-		scale := max / n
-		for _, p := range s.list {
-			tensor.ScaleInPlace(p.Grad, scale)
-		}
-	}
-	return n
 }

@@ -50,22 +50,21 @@ func TestIdentityPassthrough(t *testing.T) {
 	}
 }
 
-// TestChainPredictAndArenaAccessors covers the builder/model conveniences:
-// Chain stacks layers, Predict is an inference-mode Forward, and the arena
-// accessors round-trip.
+// TestChainPredictAndArenaAccessors covers a two-layer chain, Predict — an
+// inference-mode Forward — and the arena attach/detach round-trip.
 func TestChainPredictAndArenaAccessors(t *testing.T) {
 	r := rng.New(42)
 	b := NewModelBuilder()
 	in := b.Input()
-	out := b.Chain(in, NewDense(r, 3, 5, ActTanh), NewDense(r, 5, 2, ActLinear))
+	out := b.Layer(b.Layer(in, NewDense(r, 3, 5, ActTanh)), NewDense(r, 5, 2, ActLinear))
 	m := b.Build(out)
-	if m.Arena() != nil {
+	if m.arena != nil {
 		t.Fatal("fresh model should have no arena")
 	}
 	ar := tensor.NewArena()
 	m.SetArena(ar)
-	if m.Arena() != ar {
-		t.Fatal("Arena() should return the attached arena")
+	if m.arena != ar {
+		t.Fatal("SetArena should attach the arena")
 	}
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	got := m.Predict([]*tensor.Tensor{x}).Clone()

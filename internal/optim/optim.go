@@ -1,8 +1,8 @@
-// Package optim provides the gradient-descent optimizers used by nasgo:
-// Adam (the paper's choice for both reward estimation and post-training,
-// with its Keras-default learning rate of 0.001) and plain SGD with optional
-// momentum. Optimizers keep per-parameter state keyed by parameter identity,
-// so shared (mirrored) parameters are updated exactly once per Step.
+// Package optim provides the gradient-descent optimizer used by nasgo: Adam
+// (the paper's choice for both reward estimation and post-training, with its
+// Keras-default learning rate of 0.001). It keeps per-parameter state keyed
+// by parameter identity, so shared (mirrored) parameters are updated exactly
+// once per Step.
 package optim
 
 import (
@@ -17,40 +17,6 @@ type Optimizer interface {
 	// Step applies one update using the current gradients. It does not
 	// zero the gradients; callers do that before the next backward pass.
 	Step(params *nn.ParamSet)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*nn.Param][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*nn.Param][]float64)}
-}
-
-// Step applies v = mu*v - lr*g; w += v (or plain w -= lr*g when mu == 0).
-func (s *SGD) Step(params *nn.ParamSet) {
-	for _, p := range params.List() {
-		if s.Momentum == 0 {
-			for i, g := range p.Grad.Data {
-				p.Value.Data[i] -= s.LR * g
-			}
-			continue
-		}
-		v, ok := s.velocity[p]
-		if !ok {
-			v = make([]float64, p.Size())
-			s.velocity[p] = v
-		}
-		for i, g := range p.Grad.Data {
-			v[i] = s.Momentum*v[i] - s.LR*g
-			p.Value.Data[i] += v[i]
-		}
-	}
 }
 
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction,

@@ -32,34 +32,6 @@ func quadratic(dim int, seed uint64) (*nn.ParamSet, *nn.Param, []float64, func()
 	return s, p, target, step
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	s, p, target, grad := quadratic(8, 1)
-	opt := NewSGD(0.05, 0)
-	for i := 0; i < 500; i++ {
-		grad()
-		opt.Step(s)
-	}
-	for i := range target {
-		if math.Abs(p.Value.Data[i]-target[i]) > 1e-6 {
-			t.Fatalf("SGD did not converge: w[%d]=%g target %g", i, p.Value.Data[i], target[i])
-		}
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	s, p, target, grad := quadratic(8, 2)
-	opt := NewSGD(0.02, 0.9)
-	for i := 0; i < 800; i++ {
-		grad()
-		opt.Step(s)
-	}
-	for i := range target {
-		if math.Abs(p.Value.Data[i]-target[i]) > 1e-5 {
-			t.Fatalf("momentum SGD did not converge at %d", i)
-		}
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	s, p, target, grad := quadratic(8, 3)
 	opt := NewAdam(0.05)
@@ -102,9 +74,9 @@ func TestSharedParamUpdatedOnce(t *testing.T) {
 	}
 	d1.W.Grad.Fill(1)
 	before := d1.W.Value.Clone()
-	NewSGD(0.1, 0).Step(s)
+	NewAdam(0.1).Step(s) // a first Adam step moves every weight by ~lr
 	for i := range before.Data {
-		if math.Abs(d1.W.Value.Data[i]-(before.Data[i]-0.1)) > 1e-12 {
+		if math.Abs(d1.W.Value.Data[i]-(before.Data[i]-0.1)) > 1e-6 {
 			t.Fatal("shared param updated more than once or not at all")
 		}
 	}
@@ -125,7 +97,6 @@ func TestAdamStateIsolatedPerParam(t *testing.T) {
 }
 
 func TestOptimizersImplementInterface(t *testing.T) {
-	var _ Optimizer = NewSGD(0.1, 0)
 	var _ Optimizer = NewAdam(0.1)
 }
 

@@ -184,9 +184,6 @@ func (s *Server) fire(d *delivery) {
 	d.fn(d.avg)
 }
 
-// PendingSync returns how many agents are waiting at the Sync barrier.
-func (s *Server) PendingSync() int { return len(s.pending) }
-
 // DeliveryState is one in-flight averaged gradient in a checkpoint.
 type DeliveryState struct {
 	AgentID int

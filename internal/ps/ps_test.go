@@ -19,8 +19,8 @@ func TestSyncBarrier(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("barrier released early: %d deliveries", len(got))
 	}
-	if s.PendingSync() != 2 {
-		t.Fatalf("pending = %d, want 2", s.PendingSync())
+	if len(s.pending) != 2 {
+		t.Fatalf("pending = %d, want 2", len(s.pending))
 	}
 	sim.At(0, func() { s.Exchange(2, []float64{3, 3}, deliver) })
 	sim.RunAll()

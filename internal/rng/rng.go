@@ -103,15 +103,6 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0xa02bdbf7bb3c0a7a)
 }
 
-// SplitN derives n independent child generators.
-func (r *Rand) SplitN(n int) []*Rand {
-	out := make([]*Rand, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // Float64 returns a uniform float64 in [0,1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
@@ -126,9 +117,6 @@ func (r *Rand) Intn(n int) int {
 	// n << 2^64 is far below anything observable in our use; keep it simple.
 	return int(r.Uint64() % uint64(n))
 }
-
-// Int63 returns a uniform non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Norm returns a standard normal deviate via the Box-Muller transform.
 func (r *Rand) Norm() float64 {
@@ -150,9 +138,6 @@ func (r *Rand) Norm() float64 {
 	r.hasSpare = true
 	return u * m
 }
-
-// NormFloat64 is an alias for Norm matching math/rand naming.
-func (r *Rand) NormFloat64() float64 { return r.Norm() }
 
 // Perm returns a random permutation of [0,n).
 func (r *Rand) Perm(n int) []int {

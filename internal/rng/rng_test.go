@@ -46,9 +46,9 @@ func TestSplitIndependence(t *testing.T) {
 func TestSplitReproducible(t *testing.T) {
 	seq := func() []uint64 {
 		r := New(99)
-		kids := r.SplitN(4)
 		var out []uint64
-		for _, k := range kids {
+		for kid := 0; kid < 4; kid++ {
+			k := r.Split()
 			for i := 0; i < 8; i++ {
 				out = append(out, k.Uint64())
 			}

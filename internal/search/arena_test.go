@@ -58,9 +58,9 @@ func TestShortArenaCheckpointEquivalence(t *testing.T) {
 		cfg := equivCfg(A2C, seed)
 		cfg.Walltime = 217 // odd boundary: the cut lands mid-round
 		cfg.Eval.NoArena = noArena
-		_, ck, err := RunAllocationTraced(bench(), sp, cfg, nil)
+		_, ck, err := Allocate(bench(), sp, cfg, nil, nil)
 		if err != nil {
-			t.Fatalf("RunAllocationTraced: %v", err)
+			t.Fatalf("Allocate: %v", err)
 		}
 		if ck == nil {
 			t.Fatal("walltime 217 did not produce a checkpoint — the test lost its cut")
@@ -93,10 +93,10 @@ func TestShortArenaCheckpointEquivalence(t *testing.T) {
 	baseJSON := logJSON(t, baseline)
 	finish := func(name string, ck *Checkpoint, noArena bool) {
 		ck.Config.Eval.NoArena = noArena
-		log, next, err := ResumeAllocationTraced(bench(), sp, ck, nil)
+		log, next, err := Allocate(bench(), sp, Config{}, ck, nil)
 		for err == nil && next != nil {
 			next.Config.Eval.NoArena = noArena
-			log, next, err = ResumeAllocationTraced(bench(), sp, next, nil)
+			log, next, err = Allocate(bench(), sp, Config{}, next, nil)
 		}
 		if err != nil {
 			t.Fatalf("%s: resume chain: %v", name, err)

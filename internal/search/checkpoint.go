@@ -133,33 +133,20 @@ type Checkpoint struct {
 	Partial *Log
 }
 
-// RunAllocationTraced starts a walltime-bounded search allocation from
-// scratch, with a trace recorder attached to the allocation's machine (rec
-// may be nil). It returns (finalLog, nil, nil) when the search completed
-// within the allocation, or (partialLog, checkpoint, nil) when it hit the
-// walltime boundary; pass the checkpoint to ResumeAllocationTraced (possibly
-// in a later process, via WriteFileFS/LoadCheckpointFS) to continue. A
-// walltime cut appends a CatCkpt cut mark, the only trace difference against
-// an uninterrupted run.
-func RunAllocationTraced(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *trace.Recorder) (*Log, *Checkpoint, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if cfg.Walltime <= 0 {
-		return nil, nil, fmt.Errorf("search: RunAllocationTraced needs Walltime > 0 virtual seconds, got %g", cfg.Walltime)
-	}
-	return allocate(bench, sp, cfg, nil, rec, nil)
-}
-
-// ResumeAllocationTraced continues a checkpointed search for one more
-// walltime allocation, with a trace recorder attached to the restored
-// machine (rec may be nil). The benchmark and space must be the ones the
-// checkpoint was taken from. Handing the predecessor allocation's recorder
-// here makes the chain's trace concatenate seamlessly: apart from the CatCkpt
-// cut/resume marks, the combined event stream is byte-identical to an
-// uninterrupted run's (the golden-trace test pins this).
-func ResumeAllocationTraced(bench *candle.Benchmark, sp *space.Space, ck *Checkpoint, rec *trace.Recorder) (*Log, *Checkpoint, error) {
-	return allocate(bench, sp, ck.Config, ck, rec, nil)
+// Allocate runs one walltime allocation of a search, with a trace recorder
+// attached to the allocation's machine (rec may be nil). ck == nil starts from
+// cfg; ck != nil continues the checkpointed search — ck.Config governs, cfg is
+// ignored, and bench and sp must be the ones the checkpoint was taken from. It
+// returns (finalLog, nil, nil) when the search completed within the
+// allocation, or (partialLog, checkpoint, nil) at the walltime boundary; pass
+// the checkpoint back (possibly in a later process, via
+// WriteFileFS/LoadCheckpointFS) to continue. With Walltime == 0 the boundary
+// is +Inf and the one allocation is the whole run. Handing every allocation
+// of a chain the same recorder makes the trace concatenate seamlessly: apart
+// from the CatCkpt cut/resume marks, the combined event stream is
+// byte-identical to an uninterrupted run's (the golden-trace test pins this).
+func Allocate(bench *candle.Benchmark, sp *space.Space, cfg Config, ck *Checkpoint, rec *trace.Recorder) (*Log, *Checkpoint, error) {
+	return allocate(bench, sp, cfg, ck, rec, nil)
 }
 
 // restore overwrites a freshly constructed runner with the checkpoint's

@@ -40,7 +40,7 @@ func chainWalltime(t *testing.T, cfg Config, benchSeed uint64) (*Log, chainStats
 	t.Helper()
 	dir := t.TempDir()
 	sp := space.NewComboSmall()
-	log, ck, err := RunAllocationTraced(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg, nil)
+	log, ck, err := Allocate(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg, nil, nil)
 	st := chainStats{allocations: 1}
 	for err == nil && ck != nil {
 		for i := range ck.Agents {
@@ -59,7 +59,7 @@ func chainWalltime(t *testing.T, cfg Config, benchSeed uint64) (*Log, chainStats
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
-		log, ck, err = ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, loaded, nil)
+		log, ck, err = Allocate(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, Config{}, loaded, nil)
 		st.allocations++
 	}
 	if err != nil {
@@ -185,7 +185,7 @@ func TestNaNRewardGuard(t *testing.T) {
 	sp := space.NewComboSmall()
 	bench := func() *candle.Benchmark { return candle.NewCombo(candle.Config{Seed: 55}) }
 
-	log, ck, err := RunAllocationTraced(bench(), sp, cfg, nil)
+	log, ck, err := Allocate(bench(), sp, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestNaNRewardGuard(t *testing.T) {
 		finite(ctrl.Opt.V, "Adam second moment")
 	}
 	for err == nil && ck != nil {
-		log, ck, err = ResumeAllocationTraced(bench(), sp, ck, nil)
+		log, ck, err = Allocate(bench(), sp, Config{}, ck, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -345,13 +345,13 @@ func TestCheckpointValidation(t *testing.T) {
 	sp := space.NewComboSmall()
 	ck = minimalCheckpoint()
 	ck.Bench = "NT3"
-	if _, _, err := ResumeAllocationTraced(bench, sp, ck, nil); err == nil || !strings.Contains(err.Error(), "benchmark") {
+	if _, _, err := Allocate(bench, sp, Config{}, ck, nil); err == nil || !strings.Contains(err.Error(), "benchmark") {
 		t.Fatalf("benchmark mismatch: %v", err)
 	}
 	ck = minimalCheckpoint()
 	ck.Bench = bench.Name
 	ck.SpaceName = "some-other-space"
-	if _, _, err := ResumeAllocationTraced(bench, sp, ck, nil); err == nil || !strings.Contains(err.Error(), "space") {
+	if _, _, err := Allocate(bench, sp, Config{}, ck, nil); err == nil || !strings.Contains(err.Error(), "space") {
 		t.Fatalf("space mismatch: %v", err)
 	}
 }
@@ -371,6 +371,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-workers", func(c *Config) { c.WorkersPerAgent = -2 }, "WorkersPerAgent"},
 		{"negative-horizon", func(c *Config) { c.Horizon = -5 }, "Horizon"},
 		{"negative-walltime", func(c *Config) { c.Walltime = -1 }, "Walltime"},
+		{"fidelity-above-one", func(c *Config) { c.Eval.Fidelity = 2 }, "Fidelity"},
+		{"nan-horizon", func(c *Config) { c.Horizon = math.NaN() }, "Horizon"},
+		{"nan-walltime", func(c *Config) { c.Walltime = math.NaN() }, "Walltime"},
+		{"nan-fidelity", func(c *Config) { c.Eval.Fidelity = math.NaN() }, "Fidelity"},
 	}
 	for _, c := range cases {
 		cfg := smallCfg(A3C, 1)
@@ -383,8 +387,11 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
-	// RunAllocationTraced without a walltime is an immediate error, not a hang.
-	if _, _, err := RunAllocationTraced(nil, nil, smallCfg(A3C, 1), nil); err == nil || !strings.Contains(err.Error(), "Walltime") {
-		t.Fatalf("RunAllocationTraced without Walltime: %v", err)
+	// Allocate validates before it builds anything: a bad fidelity is an
+	// error naming the field, not evaluator.New's panic.
+	bad := smallCfg(A3C, 1)
+	bad.Eval.Fidelity = 2
+	if _, _, err := Allocate(nil, nil, bad, nil, nil); err == nil || !strings.Contains(err.Error(), "Fidelity") {
+		t.Fatalf("Allocate with Fidelity 2: %v", err)
 	}
 }

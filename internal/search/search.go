@@ -135,11 +135,14 @@ func (c Config) Validate() error {
 	if c.WorkersPerAgent < 0 {
 		return fmt.Errorf("search: WorkersPerAgent = %d, want > 0 evaluations per agent round (0 selects the default 11)", c.WorkersPerAgent)
 	}
-	if c.Horizon < 0 {
+	if c.Horizon < 0 || math.IsNaN(c.Horizon) {
 		return fmt.Errorf("search: Horizon = %g, want > 0 virtual seconds (0 selects the default 6 h)", c.Horizon)
 	}
-	if c.Walltime < 0 {
+	if c.Walltime < 0 || math.IsNaN(c.Walltime) {
 		return fmt.Errorf("search: Walltime = %g, want > 0 virtual seconds per allocation (0 disables walltime bounding)", c.Walltime)
+	}
+	if c.Eval.Fidelity < 0 || c.Eval.Fidelity > 1 || math.IsNaN(c.Eval.Fidelity) {
+		return fmt.Errorf("search: Eval.Fidelity = %g, want a training-data fraction in (0, 1] (0 selects the benchmark default)", c.Eval.Fidelity)
 	}
 	if c.Eval.Workers < 0 {
 		return fmt.Errorf("search: Eval.Workers = %d, want >= 0 concurrent trainings (0 selects GOMAXPROCS, 1 trains serially)", c.Eval.Workers)
@@ -357,20 +360,17 @@ func RunReplayTraced(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *
 // checkpoints. A plain run (Walltime == 0) is the chain of length one — an
 // allocation whose boundary is +Inf is never cut.
 func run(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *trace.Recorder, src evaluator.RewardSource) (*Log, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	log, ck, err := allocate(bench, sp, cfg, nil, rec, src)
 	for err == nil && ck != nil {
-		log, ck, err = allocate(bench, sp, ck.Config, ck, rec, src)
+		log, ck, err = allocate(bench, sp, cfg, ck, rec, src)
 	}
 	return log, err
 }
 
-// allocate runs one allocation of a search — from scratch (ck == nil) or
-// continuing ck, whose Config the caller passes as cfg — to its walltime
-// boundary, and returns the final log, or the partial log and the checkpoint
-// at the cut. It is the single construction site of the machine: service,
+// allocate runs one allocation of a search — from scratch with cfg
+// (ck == nil) or continuing ck under ck.Config — to its walltime boundary,
+// and returns the final log, or the partial log and the checkpoint at the
+// cut. It is the single construction site of the machine: service,
 // evaluator, parameter server and agents are built from the same derived
 // settings in the same order either way, so the construction-time RNG draws
 // of a fresh machine are exactly the ones a restored machine replays before
@@ -378,6 +378,12 @@ func run(bench *candle.Benchmark, sp *space.Space, cfg Config, rec *trace.Record
 // deliberately not part of Config (which is gob-encoded into checkpoints):
 // the caller re-attaches them to every allocation.
 func allocate(bench *candle.Benchmark, sp *space.Space, cfg Config, ck *Checkpoint, rec *trace.Recorder, src evaluator.RewardSource) (*Log, *Checkpoint, error) {
+	if ck != nil {
+		cfg = ck.Config
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Faults.Enabled() && cfg.Faults.Seed == 0 {
 		cfg.Faults.Seed = cfg.Seed ^ 0xfa117

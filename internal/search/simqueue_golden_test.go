@@ -125,7 +125,7 @@ func testSimQueueGoldenTraces(t *testing.T) {
 	dir := t.TempDir()
 	sp := space.NewComboSmall()
 	rec := trace.NewRecorder(0)
-	log, ck, err := RunAllocationTraced(candle.NewCombo(candle.Config{Seed: 91}), sp, chained, rec)
+	log, ck, err := Allocate(candle.NewCombo(candle.Config{Seed: 91}), sp, chained, nil, rec)
 	st := chainStats{allocations: 1}
 	for err == nil && ck != nil {
 		for i := range ck.Agents {
@@ -153,7 +153,7 @@ func testSimQueueGoldenTraces(t *testing.T) {
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
-		log, ck, err = ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: 91}), sp, loaded, rec)
+		log, ck, err = Allocate(candle.NewCombo(candle.Config{Seed: 91}), sp, Config{}, loaded, rec)
 		st.allocations++
 	}
 	if err != nil {
@@ -179,9 +179,9 @@ func testSimQueueGoldenTraces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load heap-engine checkpoint (regenerate with -update-sim-goldens): %v", err)
 	}
-	rlog, next, err := ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: 91}), sp, heapCk, nil)
+	rlog, next, err := Allocate(candle.NewCombo(candle.Config{Seed: 91}), sp, Config{}, heapCk, nil)
 	for err == nil && next != nil {
-		rlog, next, err = ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: 91}), sp, next, nil)
+		rlog, next, err = Allocate(candle.NewCombo(candle.Config{Seed: 91}), sp, Config{}, next, nil)
 	}
 	if err != nil {
 		t.Fatalf("resume heap-engine checkpoint: %v", err)

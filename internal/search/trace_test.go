@@ -36,7 +36,7 @@ func chainWalltimeTraced(t *testing.T, cfg Config, benchSeed uint64) (*Log, []tr
 	dir := t.TempDir()
 	sp := space.NewComboSmall()
 	rec := trace.NewRecorder(0)
-	log, ck, err := RunAllocationTraced(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg, rec)
+	log, ck, err := Allocate(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg, nil, rec)
 	n := 1
 	for err == nil && ck != nil {
 		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", n))
@@ -47,7 +47,7 @@ func chainWalltimeTraced(t *testing.T, cfg Config, benchSeed uint64) (*Log, []tr
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
-		log, ck, err = ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, loaded, rec)
+		log, ck, err = Allocate(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, Config{}, loaded, rec)
 		n++
 	}
 	if err != nil {

@@ -20,7 +20,7 @@ func chainWorkers(t *testing.T, cfg Config, benchSeed uint64) (*Log, []trace.Eve
 	dir := t.TempDir()
 	sp := space.NewComboSmall()
 	rec := trace.NewRecorder(0)
-	log, ck, err := RunAllocationTraced(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg, rec)
+	log, ck, err := Allocate(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg, nil, rec)
 	st := chainStats{allocations: 1}
 	for err == nil && ck != nil {
 		for i := range ck.Agents {
@@ -39,7 +39,7 @@ func chainWorkers(t *testing.T, cfg Config, benchSeed uint64) (*Log, []trace.Eve
 		if lerr != nil {
 			t.Fatalf("load checkpoint: %v", lerr)
 		}
-		log, ck, err = ResumeAllocationTraced(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, loaded, rec)
+		log, ck, err = Allocate(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, Config{}, loaded, rec)
 		st.allocations++
 	}
 	if err != nil {

@@ -159,9 +159,9 @@ func TestStatsMatchBuiltModel(t *testing.T) {
 			}
 			st := ir.Stats()
 			m := ir.BuildModel(r.Split())
-			if int64(m.ParamCount()) != st.Params {
+			if int64(m.Params().Count()) != st.Params {
 				t.Fatalf("%s arch %v: analytic params %d, model params %d",
-					name, choices, st.Params, m.ParamCount())
+					name, choices, st.Params, m.Params().Count())
 			}
 			if st.FwdFLOPs <= 0 {
 				t.Fatalf("%s: non-positive FLOPs", name)
@@ -246,8 +246,8 @@ func TestComboMirrorSharing(t *testing.T) {
 	}
 	// The built model agrees and truly shares parameter objects.
 	m := ir.BuildModel(rng.New(4))
-	if int64(m.ParamCount()) != want {
-		t.Fatalf("model params %d, want %d", m.ParamCount(), want)
+	if int64(m.Params().Count()) != want {
+		t.Fatalf("model params %d, want %d", m.Params().Count(), want)
 	}
 }
 

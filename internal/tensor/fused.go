@@ -39,10 +39,10 @@ func (a Act) String() string {
 // broadcast and applies the activation in place. bias may be nil (treated
 // as absent). dst must not alias any operand.
 //
-// The float-op order is identical to MatMulInto → AddRowVectorInto →
-// ApplyInto: the matmul sum for each element completes before bias add and
-// activation touch it, and the final sweep visits elements in the same
-// row-major order the separate passes did.
+// The float-op order is that of three separate passes (matmul, bias add,
+// activation): the matmul sum for each element completes before bias add and
+// activation touch it, and the final sweep visits elements in row-major
+// order.
 func DenseForwardInto(dst, x, w, bias *Tensor, act Act) {
 	if bias != nil && (bias.Rank() != 1 || bias.Shape[0] != w.Shape[1]) {
 		panic(fmt.Sprintf("tensor: DenseForwardInto bias %v, want [%d]", bias.Shape, w.Shape[1]))

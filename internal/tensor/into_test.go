@@ -52,12 +52,6 @@ func matMulTransB(a, b *Tensor) *Tensor {
 	return out
 }
 
-func addRowVector(t, v *Tensor) *Tensor {
-	out := New(t.Shape...)
-	AddRowVectorInto(out, t, v)
-	return out
-}
-
 func rowSoftmax(t *Tensor) *Tensor {
 	out := New(t.Shape...)
 	RowSoftmaxInto(out, t)
@@ -67,12 +61,6 @@ func rowSoftmax(t *Tensor) *Tensor {
 func colSums(t *Tensor) *Tensor {
 	out := New(t.Shape[1])
 	ColSumsInto(out, t)
-	return out
-}
-
-func apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := New(a.Shape...)
-	ApplyInto(out, a, f)
 	return out
 }
 
@@ -128,20 +116,11 @@ func TestRowKernelsIntoDirtyDstIdentical(t *testing.T) {
 	for _, s := range [][2]int{{1, 1}, {3, 7}, {64, 100}, {257, 33}} {
 		rows, cols := s[0], s[1]
 		x := randTensor(r, rows, cols)
-		v := randTensor(r, cols)
 		what := fmt.Sprintf("[%d %d]", rows, cols)
 
 		dst := dirty(rows, cols)
-		AddRowVectorInto(dst, x, v)
-		identicalTensors(t, "AddRowVectorInto "+what, dst, addRowVector(x, v))
-
-		dst = dirty(rows, cols)
 		RowSoftmaxInto(dst, x)
 		identicalTensors(t, "RowSoftmaxInto "+what, dst, rowSoftmax(x))
-
-		dst = dirty(rows, cols)
-		ApplyInto(dst, x, math.Exp)
-		identicalTensors(t, "ApplyInto "+what, dst, apply(x, math.Exp))
 
 		cs := dirty(cols)
 		ColSumsInto(cs, x)
@@ -259,17 +238,21 @@ func TestDenseForwardIntoMatchesSeparatePasses(t *testing.T) {
 		for _, act := range acts {
 			dst := dirty(m, n)
 			DenseForwardInto(dst, x, w, bias, act)
-			want := addRowVector(matMul(x, w), bias)
-			if f := actFns[act]; f != nil {
-				want = apply(want, f)
+			f := actFns[act]
+			if f == nil {
+				f = func(v float64) float64 { return v }
+			}
+			want := matMul(x, w)
+			for i, v := range want.Data {
+				want.Data[i] = f(v + bias.Data[i%n])
 			}
 			identicalTensors(t, fmt.Sprintf("DenseForwardInto %v %v", s, act), dst, want)
 
 			dst = dirty(m, n)
 			DenseForwardInto(dst, x, w, nil, act)
 			want = matMul(x, w)
-			if f := actFns[act]; f != nil {
-				want = apply(want, f)
+			for i, v := range want.Data {
+				want.Data[i] = f(v)
 			}
 			identicalTensors(t, fmt.Sprintf("DenseForwardInto %v %v nil bias", s, act), dst, want)
 		}
@@ -315,7 +298,11 @@ func TestActivationKernelsMatchReference(t *testing.T) {
 	for act, f := range fwd {
 		dst := dirty(37, 19)
 		ActivateInto(dst, act, x)
-		identicalTensors(t, fmt.Sprintf("ActivateInto %v", act), dst, apply(x, f))
+		want := New(37, 19)
+		for i, v := range x.Data {
+			want.Data[i] = f(v)
+		}
+		identicalTensors(t, fmt.Sprintf("ActivateInto %v", act), dst, want)
 	}
 }
 
@@ -327,7 +314,6 @@ func TestIntoAliasingPanics(t *testing.T) {
 	sq := randTensor(r, n, n)         // square so dst can share its buffer
 	alias := FromSlice(sq.Data, n, n) // same backing array
 	tail := FromSlice(sq.Data[len(sq.Data)-n:], n)
-	v := randTensor(r, n)
 	other := randTensor(r, n, n)
 
 	mustPanic(t, "MatMulInto dst=a", func() { MatMulInto(alias, sq, other) })
@@ -336,9 +322,6 @@ func TestIntoAliasingPanics(t *testing.T) {
 	mustPanic(t, "MatMulTransBInto", func() { MatMulTransBInto(alias, other, sq) })
 	mustPanic(t, "DenseForwardInto dst=x", func() { DenseForwardInto(alias, sq, other, nil, ActReLU) })
 	mustPanic(t, "DenseForwardInto dst~bias", func() { DenseForwardInto(alias, other, other, tail, ActReLU) })
-	mustPanic(t, "AddRowVectorInto dst=t", func() { AddRowVectorInto(alias, sq, v) })
-	mustPanic(t, "AddRowVectorInto dst~v", func() { AddRowVectorInto(alias, other, tail) })
-	mustPanic(t, "ApplyInto", func() { ApplyInto(alias, sq, math.Exp) })
 	mustPanic(t, "ActivateInto", func() { ActivateInto(alias, ActTanh, sq) })
 	mustPanic(t, "ActivationBackwardInto dst=a", func() { ActivationBackwardInto(alias, ActTanh, sq, other) })
 	mustPanic(t, "ActivationBackwardInto dst=dout", func() { ActivationBackwardInto(alias, ActTanh, other, sq) })

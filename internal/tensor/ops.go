@@ -145,26 +145,6 @@ func GatherRowsInto(dst, t *Tensor, idx []int) {
 	}
 }
 
-// AddRowVectorInto adds a length-c vector to every row of an [r,c] tensor
-// into a same-shaped destination, which must not alias either operand.
-func AddRowVectorInto(dst, t, v *Tensor) {
-	if t.Rank() != 2 || v.Rank() != 1 || t.Shape[1] != v.Shape[0] {
-		panic(fmt.Sprintf("tensor: AddRowVectorInto shape mismatch %v + %v", t.Shape, v.Shape))
-	}
-	rows, cols := t.Shape[0], t.Shape[1]
-	if dst.Rank() != 2 || dst.Shape[0] != rows || dst.Shape[1] != cols {
-		panic(fmt.Sprintf("tensor: AddRowVectorInto destination %v, want %v", dst.Shape, t.Shape))
-	}
-	assertNoAlias("AddRowVectorInto", dst, t, v)
-	for i := 0; i < rows; i++ {
-		row := t.Data[i*cols : (i+1)*cols]
-		orow := dst.Data[i*cols : (i+1)*cols]
-		for j, x := range row {
-			orow[j] = x + v.Data[j]
-		}
-	}
-}
-
 // ColSumsInto computes the per-column sums of an [r,c] tensor into a
 // caller-provided length-c destination, which must not alias t.
 func ColSumsInto(dst, t *Tensor) {

@@ -184,25 +184,6 @@ func AddInPlace(a, b *Tensor) {
 	}
 }
 
-// ScaleInPlace computes a *= s.
-func ScaleInPlace(a *Tensor, s float64) {
-	for i := range a.Data {
-		a.Data[i] *= s
-	}
-}
-
-// ApplyInto writes f applied elementwise over a into a same-sized
-// destination, which must not alias a.
-func ApplyInto(dst, a *Tensor, f func(float64) float64) {
-	if dst.Size() != a.Size() {
-		panic(fmt.Sprintf("tensor: ApplyInto destination %v, want size of %v", dst.Shape, a.Shape))
-	}
-	assertNoAlias("ApplyInto", dst, a)
-	for i := range a.Data {
-		dst.Data[i] = f(a.Data[i])
-	}
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	var s float64
@@ -218,29 +199,6 @@ func (t *Tensor) Mean() float64 {
 		return 0
 	}
 	return t.Sum() / float64(t.Size())
-}
-
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
-	if t.Size() == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Norm2 returns the Euclidean norm of t.
-func (t *Tensor) Norm2() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // String renders a compact description, not the full contents.

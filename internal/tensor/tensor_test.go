@@ -74,7 +74,9 @@ func TestAddSubInverse(t *testing.T) {
 		b := randTensor(r, 3, 5)
 		c := a.Clone()
 		AddInPlace(c, b)
-		ScaleInPlace(b, -1)
+		for i := range b.Data {
+			b.Data[i] = -b.Data[i]
+		}
 		AddInPlace(c, b)
 		for i := range a.Data {
 			if !almostEqual(c.Data[i], a.Data[i], 1e-12) {
@@ -266,9 +268,10 @@ func TestArgmaxRows(t *testing.T) {
 }
 
 func TestAddRowVectorColSums(t *testing.T) {
-	x := New(3, 2)
+	// The fused dense kernel's bias add is the row-vector add: 0×0 + v.
 	v := FromSlice([]float64{1, 2}, 2)
-	y := addRowVector(x, v)
+	y := New(3, 2)
+	DenseForwardInto(y, New(3, 1), New(1, 2), v, ActIdentity)
 	sums := colSums(y)
 	if sums.Data[0] != 3 || sums.Data[1] != 6 {
 		t.Fatalf("ColSums = %v", sums.Data)
@@ -437,20 +440,15 @@ func TestGlorotUniformBounds(t *testing.T) {
 	w := New(100, 50)
 	w.GlorotUniform(r, 100, 50)
 	limit := math.Sqrt(6.0 / 150.0)
+	nonzero := false
 	for _, v := range w.Data {
 		if v < -limit || v > limit {
 			t.Fatalf("Glorot value %g outside ±%g", v, limit)
 		}
+		nonzero = nonzero || v != 0
 	}
-	if w.Norm2() == 0 {
+	if !nonzero {
 		t.Fatal("Glorot produced all zeros")
-	}
-}
-
-func TestNorm2(t *testing.T) {
-	a := FromSlice([]float64{3, 4}, 2)
-	if a.Norm2() != 5 {
-		t.Fatalf("Norm2 = %g", a.Norm2())
 	}
 }
 

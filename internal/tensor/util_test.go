@@ -19,20 +19,12 @@ func TestElementwiseHelpers(t *testing.T) {
 			t.Fatalf("AddInPlace[%d] = %g, want %g", i, sum.Data[i], want)
 		}
 	}
-	sc := a.Clone()
-	ScaleInPlace(sc, -1)
-	if sc.Data[0] != -1 || sc.Data[3] != -4 {
-		t.Fatalf("ScaleInPlace = %v", sc.Data)
-	}
 }
 
 func TestReductionsAndAccessors(t *testing.T) {
 	a := FromSlice([]float64{3, -1, 7, 5}, 2, 2)
 	if m := a.Mean(); m != 3.5 {
 		t.Fatalf("Mean = %g", m)
-	}
-	if m := a.Max(); m != 7 {
-		t.Fatalf("Max = %g", m)
 	}
 	if a.Rows() != 2 || a.Cols() != 2 {
 		t.Fatalf("Rows/Cols = %d/%d", a.Rows(), a.Cols())
@@ -44,7 +36,6 @@ func TestReductionsAndAccessors(t *testing.T) {
 	if empty.Mean() != 0 {
 		t.Fatal("Mean of empty tensor should be 0")
 	}
-	mustPanic(t, "Max of empty", func() { empty.Max() })
 	mustPanic(t, "Cols of rank-1", func() { New(3).Cols() })
 	mustPanic(t, "Rows of rank-0", func() { New().Rows() })
 }

@@ -226,14 +226,6 @@ func (r *Recorder) Preallocate() {
 	r.buf = buf
 }
 
-// Len returns the number of buffered events. Nil-safe.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Dropped returns how many events the ring has overwritten. Nil-safe.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {

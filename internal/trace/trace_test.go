@@ -13,8 +13,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.AttachClock(func() float64 { return 1 })
 	r.Emit(Event{Cat: CatSim, Name: EvDispatch})
 	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || r.Events() != nil {
-		t.Fatalf("nil recorder leaked state: len=%d dropped=%d", r.Len(), r.Dropped())
+	if r.Dropped() != 0 || r.Events() != nil {
+		t.Fatalf("nil recorder leaked state: dropped=%d", r.Dropped())
 	}
 }
 
@@ -41,8 +41,8 @@ func TestRingWrap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Emit(Event{Time: float64(i), Cat: CatSim, Name: EvDispatch})
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
+	if len(r.buf) != 3 {
+		t.Fatalf("len = %d, want 3", len(r.buf))
 	}
 	if r.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", r.Dropped())
@@ -56,7 +56,7 @@ func TestRingWrap(t *testing.T) {
 		t.Fatalf("ring order wrong: %v", times)
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 {
+	if len(r.buf) != 0 || r.Dropped() != 0 {
 		t.Fatal("reset did not clear")
 	}
 	r.Emit(Event{Time: 9, Cat: CatSim, Name: EvDispatch})

@@ -121,7 +121,7 @@ func TestFitCustomOptimizer(t *testing.T) {
 	trainDS, _ := data.GenCombo(data.ComboConfig{Seed: 9, NTrain: 64, NVal: 16, CellDim: 6, DrugDim: 6})
 	r := rng.New(10)
 	m := tinyComboModel(r, trainDS.InputDims(), 4)
-	res := Fit(m, trainDS, Config{Epochs: 2, BatchSize: 16, Optimizer: optim.NewSGD(0.01, 0.9), Rand: r})
+	res := Fit(m, trainDS, Config{Epochs: 2, BatchSize: 16, Optimizer: optim.NewAdam(0.01), Rand: r})
 	if res.Batches != 8 {
 		t.Fatalf("Batches = %d, want 8", res.Batches)
 	}

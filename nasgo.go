@@ -17,6 +17,12 @@
 //	})
 //	report := nasgo.PostTrain(bench, sp, log.TopK(10), nasgo.PostTrainConfig{})
 //
+// A search that has to outlive its process runs as a chain of walltime
+// allocations through the one allocation entry point: AllocateSearch returns
+// a checkpoint at each SearchConfig.Walltime boundary, and handing it back —
+// now or after SearchCheckpoint.WriteFileFS / LoadSearchCheckpoint — continues
+// the run bit-for-bit.
+//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every figure and table.
 package nasgo
@@ -79,8 +85,7 @@ type (
 	// perfect machine.
 	FaultModel = hpc.FaultModel
 	// SearchCheckpoint is the complete state of a search interrupted at a
-	// walltime boundary; ResumeSearchAllocationTraced continues it
-	// bit-for-bit.
+	// walltime boundary; AllocateSearch continues it bit-for-bit.
 	SearchCheckpoint = search.Checkpoint
 	// TraceRecorder records structured, virtual-clock-keyed events from
 	// every layer of the simulated machine (attach with the *Traced run
@@ -123,24 +128,17 @@ func RunSearchTraced(bench *Benchmark, sp *Space, cfg SearchConfig, rec *TraceRe
 // LoadSearchLog reads a log saved with SearchLog.WriteJSONFS.
 func LoadSearchLog(path string) (*SearchLog, error) { return search.LoadLogFS(fsim.OS, path) }
 
-// RunSearchAllocationTraced starts a walltime-bounded search allocation
-// (SearchConfig.Walltime > 0) with a trace recorder attached to the
-// allocation's machine (rec may be nil). It returns the final log when the
-// search completed inside the allocation, or a partial log plus a checkpoint
-// to hand to ResumeSearchAllocationTraced — in this process or, via
-// SearchCheckpoint.WriteFileFS and LoadSearchCheckpoint, in a later one.
-func RunSearchAllocationTraced(bench *Benchmark, sp *Space, cfg SearchConfig, rec *TraceRecorder) (*SearchLog, *SearchCheckpoint, error) {
-	return search.RunAllocationTraced(bench, sp, cfg, rec)
-}
-
-// ResumeSearchAllocationTraced continues a checkpointed search for one more
-// walltime allocation, with a trace recorder attached to the restored
-// machine (rec may be nil). The chained run's log is bit-identical to an
-// uninterrupted run of the same configuration, and handing successive
-// allocations the same recorder yields one seamless trace of the whole
-// chained run.
-func ResumeSearchAllocationTraced(bench *Benchmark, sp *Space, ck *SearchCheckpoint, rec *TraceRecorder) (*SearchLog, *SearchCheckpoint, error) {
-	return search.ResumeAllocationTraced(bench, sp, ck, rec)
+// AllocateSearch runs one walltime allocation of a search with a trace
+// recorder attached (rec may be nil): ck == nil starts from cfg, ck != nil
+// continues the checkpoint under its own configuration. It returns the final
+// log when the search completed inside the allocation, or a partial log plus
+// a checkpoint to hand back — in this process or, via
+// SearchCheckpoint.WriteFileFS and LoadSearchCheckpoint, in a later one. The
+// chained run's log is bit-identical to an uninterrupted run of the same
+// configuration, and handing successive allocations the same recorder yields
+// one seamless trace of the whole chain.
+func AllocateSearch(bench *Benchmark, sp *Space, cfg SearchConfig, ck *SearchCheckpoint, rec *TraceRecorder) (*SearchLog, *SearchCheckpoint, error) {
+	return search.Allocate(bench, sp, cfg, ck, rec)
 }
 
 // LoadSearchCheckpoint reads a checkpoint saved with
