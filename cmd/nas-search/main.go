@@ -62,7 +62,7 @@ func main() {
 		workers   = flag.Int("workers", 5, "architectures per agent per round (paper: 11)")
 		horizon   = flag.Float64("horizon", 3*3600, "virtual wall-clock budget in seconds (paper: 21600)")
 		fidelity  = flag.Float64("fidelity", 0, "training-data fraction for reward estimation (0 = benchmark default)")
-		evalWork  = flag.Int("eval-workers", 1, "concurrent reward-estimation trainings on the host (0 = GOMAXPROCS, 1 = serial); results are bit-identical at any setting")
+		evalWork  = flag.Int("eval-workers", 0, "concurrent reward-estimation trainings on the host (0 = GOMAXPROCS, the default; 1 = serial); results are bit-identical at any setting")
 		seed      = flag.Uint64("seed", 42, "root seed (runs are deterministic in it)")
 		topK      = flag.Int("top", 10, "top architectures to print")
 		out       = flag.String("out", "", "write the full search log as JSON to this path")

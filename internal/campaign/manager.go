@@ -26,10 +26,6 @@ type Options struct {
 	// BackoffCap caps the exponential backoff (default 30s) — the Balsam
 	// retry-state-machine discipline applied to host processes.
 	BackoffCap time.Duration
-	// MaxRestarts is how many consecutive panics a campaign survives
-	// before parking in FAILED (default 3). A completed allocation resets
-	// the count.
-	MaxRestarts int
 	// Logf receives supervisor lifecycle messages (nil discards them).
 	Logf func(format string, args ...any)
 	// FS is the filesystem the store writes through (default fsim.OS).
@@ -38,15 +34,16 @@ type Options struct {
 	FS fsim.FS
 }
 
+// maxRestarts is how many consecutive panics a campaign survives before
+// parking in FAILED. A completed allocation resets the count.
+const maxRestarts = 3
+
 func (o Options) withDefaults() Options {
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 500 * time.Millisecond
 	}
 	if o.BackoffCap <= 0 {
 		o.BackoffCap = 30 * time.Second
-	}
-	if o.MaxRestarts == 0 {
-		o.MaxRestarts = 3
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -718,7 +715,7 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 }
 
 // backoffRestart handles a failed allocation: record the error, park the
-// campaign in FAILED once it exhausts MaxRestarts consecutive attempts,
+// campaign in FAILED once it exhausts maxRestarts consecutive attempts,
 // otherwise sleep the capped exponential backoff (interruptible by
 // cancel/drain) and rebuild the runner from the last persisted checkpoint.
 // Transient I/O errors (EIO; see ckpt.IsTransient) never park: a flaky
@@ -736,12 +733,12 @@ func (m *Manager) backoffRestart(rt *runtime, cause error) bool {
 	attempt := rt.consecutive
 	m.saveMetaLocked(rt)
 	m.mu.Unlock()
-	if attempt > m.opts.MaxRestarts && !transient {
+	if attempt > maxRestarts && !transient {
 		m.park(rt, fmt.Sprintf("gave up after %d consecutive restarts: %v", attempt-1, cause))
 		return false
 	}
 	delay := m.opts.Backoff(attempt)
-	m.opts.Logf("campaign %s: %v — restart %d/%d in %v", id, cause, attempt, m.opts.MaxRestarts, delay)
+	m.opts.Logf("campaign %s: %v — restart %d/%d in %v", id, cause, attempt, maxRestarts, delay)
 	select {
 	case <-time.After(delay):
 	case <-rt.wake:

@@ -198,9 +198,7 @@ func TestShortSupervisorPanicRestart(t *testing.T) {
 // exhausts its capped restarts and parks in FAILED with the error
 // recorded; the manager keeps serving and accepting other campaigns.
 func TestShortSupervisorParksFailed(t *testing.T) {
-	opts := fastOpts(t)
-	opts.MaxRestarts = 2
-	mgr := newTestManager(t, t.TempDir(), opts)
+	mgr := newTestManager(t, t.TempDir(), fastOpts(t))
 	var doomedID atomic.Value
 	doomedID.Store("")
 	mgr.testHookAllocation = func(id string, allocations int) {
@@ -242,7 +240,7 @@ func TestShortSupervisorParksFailed(t *testing.T) {
 	if failed.Running {
 		t.Fatal("FAILED campaign still has a runner")
 	}
-	if failed.Error == "" || failed.Restarts < opts.MaxRestarts {
+	if failed.Error == "" || failed.Restarts < maxRestarts {
 		t.Fatalf("FAILED campaign meta: %+v", failed)
 	}
 	// FAILED is terminal: pause/resume/cancel conflict, and the server

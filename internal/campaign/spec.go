@@ -5,7 +5,7 @@
 // change a single byte of the final search log.
 //
 // The package splits into four layers, each with its own robustness story
-// (DESIGN.md §12):
+// (DESIGN.md §8):
 //
 //   - Spec (this file): the JSON campaign description submitted by
 //     clients. Decoding is strict — unknown fields, trailing data, and
@@ -109,8 +109,8 @@ func DecodeSpec(r io.Reader) (*Spec, error) {
 }
 
 // Validate rejects specs that cannot run, with errors naming the field and
-// the accepted values. It resolves the benchmark and space, so a spec that
-// validates is guaranteed to start.
+// the accepted values. It resolves the benchmark name and space (generating
+// no dataset: that is Build's), so a spec that validates is guaranteed to start.
 func (s *Spec) Validate() error {
 	if len(s.Name) > 128 {
 		return fmt.Errorf("campaign: name longer than 128 bytes")
@@ -132,13 +132,13 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("campaign: unknown space size %q (want small or large)", s.Space)
 	}
-	if _, _, err := s.Build(); err != nil {
+	if _, err := candle.SpaceFor(s.Bench, s.spaceSize()); err != nil {
 		return err
 	}
 	return s.SearchConfig().Validate()
 }
 
-// Build resolves the spec's benchmark and search space.
+// Build generates the spec's benchmark dataset and resolves its search space.
 func (s *Spec) Build() (*candle.Benchmark, *space.Space, error) {
 	bench, err := candle.ByName(s.Bench, candle.Config{Seed: s.Seed})
 	if err != nil {

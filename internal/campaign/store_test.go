@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	goruntime "runtime" // the package has a type named runtime
 	"syscall"
 	"testing"
 
@@ -248,5 +249,41 @@ func TestStoreCheckpointAndLog(t *testing.T) {
 	}
 	if len(gotLog.Results) != len(log.Results) {
 		t.Fatalf("log round trip lost results: %d vs %d", len(gotLog.Results), len(log.Results))
+	}
+}
+
+// TestOpenStoreGeneratesNoDataset: reading a stored spec validates it, and
+// validating a spec resolves names only — Spec.Build is the one place a
+// campaign's dataset is generated. One candle.NewCombo allocates ~18 MB, so
+// an open that built a benchmark per stored campaign would spend hundreds of
+// megabytes here; resolving the space costs ~0.05 MB.
+func TestOpenStoreGeneratesNoDataset(t *testing.T) {
+	mem := fsim.NewMemFS()
+	st, _, err := OpenStoreFS(mem, "/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const campaigns = 50
+	for i := 0; i < campaigns; i++ {
+		id, err := st.NextID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Create(Meta{ID: id, Spec: Spec{Bench: "Combo", Horizon: 400}, Status: StatusDone}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	mgr, quarantined, err := NewManager("/campaigns", Options{FS: mem})
+	goruntime.ReadMemStats(&after)
+	if err != nil || len(quarantined) != 0 {
+		t.Fatalf("open: err %v, quarantined %v", err, quarantined)
+	}
+	if got := len(mgr.List()); got != campaigns {
+		t.Fatalf("opened %d campaigns, want %d", got, campaigns)
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 32<<20 {
+		t.Fatalf("opening %d stored campaigns allocated %d MB: something generated datasets", campaigns, spent>>20)
 	}
 }

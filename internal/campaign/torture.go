@@ -1,7 +1,7 @@
 // Crash-point torture: enumerate a power cut at every mutating filesystem
 // operation of a campaign and prove the store recovers.
 //
-// The protocol (DESIGN.md §13):
+// The protocol (DESIGN.md §8):
 //
 //  1. Record. Run the campaign once, uninterrupted, over a
 //     fsim.RecordFS wrapping a fsim.MemFS. The tape captures every
@@ -53,8 +53,6 @@ type TortureOptions struct {
 	Opts Options
 	// Lies additionally enumerates every crash point in fsync-lie mode.
 	Lies bool
-	// Logf receives progress lines (nil discards them).
-	Logf func(format string, args ...any)
 }
 
 // TortureReport summarizes an enumeration that held all invariants.
@@ -91,10 +89,6 @@ type resumeOutcome struct {
 // resume byte-identity at each. It returns a report on success and the
 // first violated invariant as an error.
 func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
-	logf := topt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -134,8 +128,6 @@ func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: torture: %w", err)
 	}
-	logf("torture: tape %d ops, %d crash points, reference log %d bytes",
-		len(tape), total, len(refLog))
 
 	rep := &TortureReport{TapeLen: len(tape)}
 	memo := map[string]*resumeOutcome{}
@@ -180,9 +172,6 @@ func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
 			rep.CrashPoints++
 		}
 	}
-	logf("torture: ok — honest: %d crash points, %d distinct images, %d live resumes, %d empty stores; lies: %d crash points, %d rejected unreadable, %d resumed identical",
-		rep.CrashPoints, rep.DistinctImages, rep.LiveResumes, rep.EmptyStores,
-		rep.LieCrashPoints, rep.LieUnreadable, rep.LieResumed)
 	return rep, nil
 }
 

@@ -56,7 +56,6 @@ func TestShortTortureCrashEnumeration(t *testing.T) {
 	rep, err := TortureCampaign(testSpec(), TortureOptions{
 		Opts: fastOpts(t),
 		Lies: true,
-		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,17 +261,16 @@ func (f *flakyTempFS) CreateTemp(dir, pattern string) (fsim.File, error) {
 }
 
 // TestShortTransientIORetriesWithoutParking pins the supervisor policy: a
-// run of transient I/O failures longer than MaxRestarts must NOT park the
+// run of transient I/O failures longer than maxRestarts must NOT park the
 // campaign in FAILED — a flaky device is an environment condition, not a
 // campaign defect. Once the device recovers the campaign completes to the
 // reference log.
 func TestShortTransientIORetriesWithoutParking(t *testing.T) {
 	mem := fsim.NewMemFS()
 	flaky := &flakyTempFS{FS: mem, match: ckptFile}
-	flaky.fail.Store(4) // > MaxRestarts below: would park if misclassified
+	flaky.fail.Store(maxRestarts + 1) // would park if misclassified
 	opts := fastOpts(t)
 	opts.FS = flaky
-	opts.MaxRestarts = 1
 	mgr := newTestManager(t, "/campaigns", opts)
 	mgr.Start()
 	defer mgr.Drain()
@@ -282,8 +280,8 @@ func TestShortTransientIORetriesWithoutParking(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := waitStatus(t, mgr, info.ID, StatusDone) // fails fast on FAILED
-	if done.Restarts < 4 {
-		t.Errorf("recorded %d restarts, want ≥ 4 (one per injected EIO)", done.Restarts)
+	if done.Restarts < maxRestarts+1 {
+		t.Errorf("recorded %d restarts, want > maxRestarts (one per injected EIO)", done.Restarts)
 	}
 	if left := flaky.fail.Load(); left != 0 {
 		t.Errorf("%d injected failures never consumed", left)

@@ -40,8 +40,6 @@ type Benchmark struct {
 	// (trainable); BaselinePaper is the same network at paper dimensions
 	// (for analytic parameter/time accounting).
 	Baseline, BaselinePaper *space.ArchIR
-	// PostEpochs is the paper's post-training epoch count (20).
-	PostEpochs int
 	// PaperTrainSamples and PaperValSamples are the original benchmark's
 	// split sizes (§2); the cost model times virtual tasks against them.
 	PaperTrainSamples, PaperValSamples int
@@ -54,29 +52,19 @@ type Benchmark struct {
 // PostTrainEpochs is the paper's post-training setting for all benchmarks.
 const PostTrainEpochs = 20
 
-// Config adjusts the scaled problem sizes; the zero value gives defaults
-// matched to pure-Go training speed.
+// Config seeds the synthetic dataset; the generators fix its dimensions.
 type Config struct {
 	Seed uint64
-	// Scale divides the paper's layer widths; 0 means the default (16).
-	// Input dimensions are fixed by the synthetic generators.
-	Scale int
 }
 
-func (c Config) unitScale() float64 {
-	s := c.Scale
-	if s == 0 {
-		s = 16
-	}
-	return 1.0 / float64(s)
-}
+// unitScale divides the paper's layer widths by 16 for pure-Go training speed.
+const unitScale = 1.0 / 16
 
 // NewCombo builds the Combo drug-pair response benchmark (§2.1). The
 // scaled training set is larger than the other benchmarks' so that the 10%
 // reward-estimation subsample still carries learning signal.
 func NewCombo(cfg Config) *Benchmark {
 	train, val := data.GenCombo(data.ComboConfig{Seed: cfg.Seed, NTrain: 4800, NVal: 1200})
-	us := cfg.unitScale()
 	dims := train.InputDims()
 	return &Benchmark{
 		Name:              "Combo",
@@ -85,10 +73,9 @@ func NewCombo(cfg Config) *Benchmark {
 		Val:               val,
 		BatchSize:         256,
 		RewardTrainFrac:   0.10,
-		UnitScale:         us,
-		Baseline:          ComboBaselineIR(dims[0], dims[1], scaleUnits(1000, us)),
+		UnitScale:         unitScale,
+		Baseline:          ComboBaselineIR(dims[0], dims[1], scaleUnits(1000, unitScale)),
 		BaselinePaper:     ComboBaselineIR(data.ComboCellDim, data.ComboDrugDim, 1000),
-		PostEpochs:        PostTrainEpochs,
 		PaperTrainSamples: data.ComboNTrain,
 		PaperValSamples:   data.ComboNVal,
 		FullStageSeconds:  350, // ~4.7 GB of screening CSVs
@@ -98,7 +85,6 @@ func NewCombo(cfg Config) *Benchmark {
 // NewUno builds the Uno unified dose-response benchmark (§2.2).
 func NewUno(cfg Config) *Benchmark {
 	train, val := data.GenUno(data.UnoConfig{Seed: cfg.Seed})
-	us := cfg.unitScale()
 	dims := train.InputDims()
 	return &Benchmark{
 		Name:              "Uno",
@@ -107,10 +93,9 @@ func NewUno(cfg Config) *Benchmark {
 		Val:               val,
 		BatchSize:         32,
 		RewardTrainFrac:   1.0,
-		UnitScale:         us,
-		Baseline:          UnoBaselineIR(dims[0], dims[1], dims[2], dims[3], scaleUnits(1000, us)),
+		UnitScale:         unitScale,
+		Baseline:          UnoBaselineIR(dims[0], dims[1], dims[2], dims[3], scaleUnits(1000, unitScale)),
 		BaselinePaper:     UnoBaselineIR(data.UnoRNADim, data.UnoDoseDim, data.UnoDescDim, data.UnoFPDim, 1000),
-		PostEpochs:        PostTrainEpochs,
 		PaperTrainSamples: data.UnoNTrain,
 		PaperValSamples:   data.UnoNVal,
 		FullStageSeconds:  35,
@@ -120,7 +105,6 @@ func NewUno(cfg Config) *Benchmark {
 // NewNT3 builds the NT3 tumor/normal classification benchmark (§2.3).
 func NewNT3(cfg Config) *Benchmark {
 	train, val := data.GenNT3(data.NT3Config{Seed: cfg.Seed})
-	us := cfg.unitScale()
 	dims := train.InputDims()
 	return &Benchmark{
 		Name:              "NT3",
@@ -129,10 +113,9 @@ func NewNT3(cfg Config) *Benchmark {
 		Val:               val,
 		BatchSize:         20,
 		RewardTrainFrac:   1.0,
-		UnitScale:         us,
-		Baseline:          NT3BaselineIR(dims[0], atLeast(scaleUnits(128, us), 8), atLeast(scaleUnits(200, us), 32), atLeast(scaleUnits(20, us), 16)),
+		UnitScale:         unitScale,
+		Baseline:          NT3BaselineIR(dims[0], atLeast(scaleUnits(128, unitScale), 8), atLeast(scaleUnits(200, unitScale), 32), atLeast(scaleUnits(20, unitScale), 16)),
 		BaselinePaper:     NT3BaselineIR(data.NT3InputDim, 128, 200, 20),
-		PostEpochs:        PostTrainEpochs,
 		PaperTrainSamples: data.NT3NTrain,
 		PaperValSamples:   data.NT3NVal,
 		FullStageSeconds:  25,
@@ -153,27 +136,32 @@ func ByName(name string, cfg Config) (*Benchmark, error) {
 	}
 }
 
-// Space returns the benchmark's search space by size ("small" or "large");
-// NT3 has only a small space (§3.1: the baseline already achieves 98%).
-func (b *Benchmark) Space(size string) (*space.Space, error) {
-	switch b.Name {
-	case "Combo":
+// Space returns the benchmark's search space by size; see SpaceFor.
+func (b *Benchmark) Space(size string) (*space.Space, error) { return SpaceFor(b.Name, size) }
+
+// SpaceFor returns the named benchmark's search space by size ("small" or
+// "large") without generating its dataset, so it also answers whether ByName
+// would know the name. NT3 has only a small space (§3.1: the baseline already
+// achieves 98%).
+func SpaceFor(benchName, size string) (*space.Space, error) {
+	switch benchName {
+	case "Combo", "combo":
 		if size == "large" {
 			return space.NewComboLarge(), nil
 		}
 		return space.NewComboSmall(), nil
-	case "Uno":
+	case "Uno", "uno":
 		if size == "large" {
 			return space.NewUnoLarge(), nil
 		}
 		return space.NewUnoSmall(), nil
-	case "NT3":
+	case "NT3", "nt3":
 		if size == "large" {
 			return nil, fmt.Errorf("candle: NT3 has no large search space")
 		}
 		return space.NewNT3Small(), nil
 	}
-	return nil, fmt.Errorf("candle: unknown benchmark %q", b.Name)
+	return nil, fmt.Errorf("candle: unknown benchmark %q (have Combo, Uno, NT3)", benchName)
 }
 
 func scaleUnits(u int, scale float64) int {

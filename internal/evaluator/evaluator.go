@@ -96,8 +96,10 @@ type Config struct {
 	// RealLR is the Adam learning rate of the real scaled-down training
 	// (default 0.005). The paper uses Keras's 0.001 at full scale; the
 	// scaled problem takes proportionally fewer gradient steps per epoch,
-	// so a slightly higher rate restores the per-epoch learning progress
-	// (tuned so reward values land in the paper's 0.3–0.6 range).
+	// so a slightly higher rate restores the per-epoch learning progress:
+	// the setting under which MLPs beat the linear readout in
+	// TestFitImprovesR2OnCombo. It is not a calibration to the paper's
+	// 0.3–0.6 band — QuickScale Combo rewards are ≤ 0 (EXPERIMENTS.md).
 	RealLR float64
 	// GlobalCache shares one evaluation cache across all agents instead
 	// of the paper's per-agent caches. The paper rejects this design
@@ -117,7 +119,7 @@ type Config struct {
 	SizeWeight float64
 	TimeWeight float64
 	// Workers bounds how many real scaled-dimension trainings may run
-	// concurrently on the host (DESIGN.md §10). The virtual machine is
+	// concurrently on the host (DESIGN.md §5). The virtual machine is
 	// untouched: Submit starts each training as a future and the task's
 	// completion event on the simulated timeline joins it, so results are
 	// byte-identical at every setting — the pool buys wall-clock speedup

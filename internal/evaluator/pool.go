@@ -2,7 +2,7 @@ package evaluator
 
 import "fmt"
 
-// This file is the one submit pipeline's back half (DESIGN.md §10): every
+// This file is the one submit pipeline's back half (DESIGN.md §5): every
 // estimation is a future — started by start, joined by resolve — and the
 // concurrent-training worker pool is just the futures that run on their own
 // goroutine. The virtual machine is untouched by it: Submit starts the

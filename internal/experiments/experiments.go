@@ -174,7 +174,7 @@ func perBench[R renderer](run func(string, Scale) R) func(Scale) string {
 }
 
 // registry is the one ordered list of experiments — the paper's figures and
-// table, the ablations of DESIGN.md §5, and the infrastructure experiments.
+// table, the ablations of DESIGN.md §11, and the infrastructure experiments.
 // Names, Render, cmd/nas-bench's "-exp all" loop and its usage text all
 // derive from it; bench_results/<id>.txt is named after the id.
 var registry = []struct {

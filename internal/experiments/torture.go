@@ -8,7 +8,7 @@ import (
 	"nasgo/internal/campaign"
 )
 
-// TortureResult is the crash-point torture experiment (DESIGN.md §13): a
+// TortureResult is the crash-point torture experiment (DESIGN.md §8): a
 // simulated power cut at every mutating filesystem operation of a small
 // deterministic campaign, honest disk then fsync-lying disk.
 type TortureResult struct {

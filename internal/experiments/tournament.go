@@ -17,7 +17,7 @@ import (
 // to the campaign outputs; a killed run resumes from the WAL inside.
 var TournamentDir = filepath.Join("bench_results", "nasbench")
 
-// TournamentResult is the strategy-tournament experiment (DESIGN.md §15):
+// TournamentResult is the strategy-tournament experiment (DESIGN.md §9):
 // the Li–Talwalkar reproducibility protocol on the tabulated combo-micro
 // sub-space — every strategy over the same large seed set, best-found
 // rewards served from the table so thousands of searches cost minutes.

@@ -39,11 +39,6 @@ type Faults struct {
 	// WriteErrProb is the probability a Write fails with EIO before
 	// writing anything.
 	WriteErrProb float64
-	// SyncErrProb is the probability a file Sync or SyncDir fails with EIO.
-	SyncErrProb float64
-	// OpErrProb is the probability a namespace mutation (create, rename,
-	// remove, mkdir) fails with EIO.
-	OpErrProb float64
 
 	// WriteErrEvery fails every Nth Write with EIO (deterministic,
 	// counter-based; 0 disables). SyncErrEvery does the same for file
@@ -142,16 +137,14 @@ func (ffs *FaultFS) checkRead(op, path string) error {
 	return nil
 }
 
-// mutate accounts one mutating operation and decides whether to cut power
-// or inject a namespace-level fault. probErr selects the schedule field
-// that applies to this operation class.
-func (ffs *FaultFS) mutate(op, path string, probErr float64) error {
+// mutate accounts one mutating operation and decides whether to cut power.
+func (ffs *FaultFS) mutate(op, path string) error {
 	ffs.mu.Lock()
 	defer ffs.mu.Unlock()
-	return ffs.mutateLocked(op, path, probErr)
+	return ffs.mutateLocked(op, path)
 }
 
-func (ffs *FaultFS) mutateLocked(op, path string, probErr float64) error {
+func (ffs *FaultFS) mutateLocked(op, path string) error {
 	if ffs.crashed {
 		return crashErr(op, path)
 	}
@@ -159,10 +152,6 @@ func (ffs *FaultFS) mutateLocked(op, path string, probErr float64) error {
 	if ffs.f.CrashAtOp > 0 && ffs.ops >= ffs.f.CrashAtOp {
 		ffs.crashed = true
 		return crashErr(op, path)
-	}
-	if probErr > 0 && ffs.rand.Float64() < probErr {
-		ffs.injected++
-		return &injectedErr{op: op, path: path, cause: syscall.EIO}
 	}
 	return nil
 }
@@ -199,7 +188,7 @@ func (ffs *FaultFS) CreateTemp(dir, pattern string) (File, error) {
 func (ffs *FaultFS) createGate(op, path string) error {
 	ffs.mu.Lock()
 	defer ffs.mu.Unlock()
-	if err := ffs.mutateLocked(op, path, ffs.f.OpErrProb); err != nil {
+	if err := ffs.mutateLocked(op, path); err != nil {
 		return err
 	}
 	if ffs.fullLocked() {
@@ -228,21 +217,21 @@ func (ffs *FaultFS) ReadFile(name string) ([]byte, error) {
 }
 
 func (ffs *FaultFS) Rename(oldpath, newpath string) error {
-	if err := ffs.mutate("rename", newpath, ffs.f.OpErrProb); err != nil {
+	if err := ffs.mutate("rename", newpath); err != nil {
 		return err
 	}
 	return ffs.base.Rename(oldpath, newpath)
 }
 
 func (ffs *FaultFS) Remove(name string) error {
-	if err := ffs.mutate("remove", name, ffs.f.OpErrProb); err != nil {
+	if err := ffs.mutate("remove", name); err != nil {
 		return err
 	}
 	return ffs.base.Remove(name)
 }
 
 func (ffs *FaultFS) MkdirAll(name string, perm fs.FileMode) error {
-	if err := ffs.mutate("mkdir", name, ffs.f.OpErrProb); err != nil {
+	if err := ffs.mutate("mkdir", name); err != nil {
 		return err
 	}
 	return ffs.base.MkdirAll(name, perm)
@@ -274,7 +263,7 @@ func (ffs *FaultFS) SyncDir(dir string) error {
 func (ffs *FaultFS) syncGate(op, path string) error {
 	ffs.mu.Lock()
 	defer ffs.mu.Unlock()
-	if err := ffs.mutateLocked(op, path, ffs.f.SyncErrProb); err != nil {
+	if err := ffs.mutateLocked(op, path); err != nil {
 		return err
 	}
 	ffs.syncs++
@@ -307,9 +296,14 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	ffs := f.ffs
 	ffs.mu.Lock()
 	name := f.base.Name()
-	if err := ffs.mutateLocked("write", name, ffs.f.WriteErrProb); err != nil {
+	if err := ffs.mutateLocked("write", name); err != nil {
 		ffs.mu.Unlock()
 		return 0, err
+	}
+	if ffs.f.WriteErrProb > 0 && ffs.rand.Float64() < ffs.f.WriteErrProb {
+		ffs.injected++
+		ffs.mu.Unlock()
+		return 0, &injectedErr{op: "write", path: name, cause: syscall.EIO}
 	}
 	ffs.writes++
 	if ffs.f.WriteErrEvery > 0 && ffs.writes%ffs.f.WriteErrEvery == 0 {

@@ -38,8 +38,6 @@ type BuildConfig struct {
 	// architectures, leaving a durable resumable WAL — the kill/resume
 	// tests' deterministic knob. 0 builds to completion.
 	MaxTrain int
-	// Logf receives progress lines (nil discards them).
-	Logf func(format string, args ...any)
 }
 
 // BuildReport summarizes one build session.
@@ -72,10 +70,6 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("nasbench: build needs a directory")
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	fsys := orOS(cfg.FS)
 	total, err := cfg.Space.EnumerateSize(maxEnumerate)
 	if err != nil {
@@ -92,7 +86,7 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 
 	// A valid artifact ends the build; otherwise recover the durable record
 	// prefix and verify it belongs to this build.
-	done, j, err := openJournal(fsys, cfg.Dir, tablePath, total, logf, func() (*Table, error) {
+	done, j, err := openJournal(fsys, cfg.Dir, tablePath, total, func() (*Table, error) {
 		t, err := ReadTableFS(fsys, tablePath)
 		if err == nil && t.Meta != meta {
 			return nil, fmt.Errorf("nasbench: %s was built for %s/%s size %d with %+v, not this configuration",
@@ -129,9 +123,6 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 	if err := j.close(); err != nil {
 		return nil, err
 	}
-	if rep.Trained > 0 {
-		logf("nasbench: %s: trained %d records", cfg.Dir, rep.Trained)
-	}
 	if len(recs) < total {
 		return rep, nil // MaxTrain-bounded session; resumable
 	}
@@ -144,7 +135,6 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 		return nil, err
 	}
 	rep.Done = true
-	logf("nasbench: %s: finalized %d records", tablePath, total)
 	return rep, nil
 }
 

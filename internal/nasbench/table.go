@@ -1,6 +1,6 @@
 // Package nasbench builds and serves tabular NAS benchmark artifacts: the
 // architecture→reward map of a bounded sub-space, trained once and replayed
-// forever (NAS-Bench-201's protocol, DESIGN.md §15).
+// forever (NAS-Bench-201's protocol, DESIGN.md §9).
 //
 // The package has three moving parts:
 //

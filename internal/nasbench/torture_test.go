@@ -64,7 +64,7 @@ type buildOutcome struct {
 }
 
 // TestShortTortureBuilderCrashEnumeration is the builder's durability
-// acceptance test (DESIGN.md §15, the campaign torture protocol of §13):
+// acceptance test (DESIGN.md §9, the campaign torture protocol of §8):
 //
 //  1. Record one uninterrupted nano build over a RecordFS tape.
 //  2. For every mutating filesystem operation k, replay the tape into a
@@ -108,7 +108,7 @@ func TestShortTortureBuilderCrashEnumeration(t *testing.T) {
 	if total < 28 {
 		t.Fatalf("tape has only %d mutating ops — the build stopped journaling", total)
 	}
-	t.Logf("tape: %d ops, %d crash points, artifact %d bytes", len(tape), total, len(ref))
+	t.Log("tape ops:", len(tape), "crash points:", total, "artifact bytes:", len(ref))
 
 	memo := map[string]*buildOutcome{}
 	resume := func(img *fsim.MemFS) *buildOutcome {
@@ -163,7 +163,7 @@ func TestShortTortureBuilderCrashEnumeration(t *testing.T) {
 			t.Fatalf("crash point %d: resumed artifact differs from the uninterrupted build", k)
 		}
 	}
-	t.Logf("honest pass: %d crash points, %d distinct images", total, len(memo)-distinct)
+	t.Log("honest pass: crash points:", total, "distinct images:", len(memo)-distinct)
 
 	// Lie sweep: fsync acknowledged, pages dropped.
 	rejected, resumed := 0, 0
@@ -186,8 +186,8 @@ func TestShortTortureBuilderCrashEnumeration(t *testing.T) {
 			_ = damaged
 		}
 	}
-	t.Logf("lie pass: %d crash points, %d rejected corrupt, %d resumed identical, %d distinct images total",
-		total, rejected, resumed, len(memo))
+	t.Log("lie pass: crash points:", total, "rejected corrupt:", rejected, "resumed identical:", resumed,
+		"distinct images total:", len(memo))
 	if resumed == 0 {
 		t.Fatal("lie pass never resumed — the sweep proved nothing")
 	}

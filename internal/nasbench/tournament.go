@@ -52,8 +52,6 @@ type TournamentConfig struct {
 	// MaxRuns, when > 0, stops the session after that many new searches —
 	// the kill/resume tests' deterministic knob.
 	MaxRuns int
-	// Logf receives progress lines (nil discards them).
-	Logf func(format string, args ...any)
 }
 
 func (c TournamentConfig) withDefaults() TournamentConfig {
@@ -181,10 +179,6 @@ func (t *Tournament) digest() string {
 // deterministic in its config, and the table pins every reward).
 func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	cfg = cfg.withDefaults()
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	if cfg.Table == nil {
 		return nil, fmt.Errorf("nasbench: tournament needs a table")
 	}
@@ -207,7 +201,7 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	if cfg.Dir != "" {
 		var prev *Tournament
 		var err error
-		prev, j, err = openJournal(fsys, cfg.Dir, artifact, total, logf, func() (*Tournament, error) {
+		prev, j, err = openJournal(fsys, cfg.Dir, artifact, total, func() (*Tournament, error) {
 			t, err := readTournamentFS(fsys, artifact)
 			if err == nil && (t.Meta != cfg.Table.Meta || t.Seeds != cfg.Seeds ||
 				t.BaseSeed != cfg.BaseSeed || !slices.Equal(t.Strategies, cfg.Strategies)) {
@@ -244,9 +238,6 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 		}
 		tour.Runs = append(tour.Runs, run)
 		newRuns++
-		if idx%100 == 99 {
-			logf("nasbench: tournament: %d/%d runs", idx+1, total)
-		}
 	}
 	if len(tour.Runs) < total {
 		return tour, fmt.Errorf("nasbench: tournament stopped at %d/%d runs (MaxRuns bound)", len(tour.Runs), total)

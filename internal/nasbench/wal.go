@@ -231,7 +231,7 @@ type journal[U any] struct {
 // format, an artifact read rejects as another configuration's — surfaces
 // with nothing touched. valid is decodeUnits' check; total is how many
 // units the finished artifact holds, and a WAL with more is refused.
-func openJournal[A, U any](fsys fsim.FS, dir, artifact string, total int, logf func(string, ...any),
+func openJournal[A, U any](fsys fsim.FS, dir, artifact string, total int,
 	read func() (A, error), valid func(i int, u U) bool) (A, *journal[U], error) {
 	var none A
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
@@ -242,7 +242,6 @@ func openJournal[A, U any](fsys fsim.FS, dir, artifact string, total int, logf f
 		return art, nil, removeSegments(fsys, dir)
 	case errors.Is(err, fs.ErrNotExist):
 	case errors.Is(err, ckpt.ErrCorrupt):
-		logf("nasbench: quarantining damaged %s; rebuilding from wal", artifact)
 		if err = fsys.Remove(artifact); err == nil {
 			err = fsys.SyncDir(dir)
 		}
@@ -264,7 +263,6 @@ func openJournal[A, U any](fsys fsim.FS, dir, artifact string, total int, logf f
 		return none, nil, fmt.Errorf("nasbench: wal in %s holds %d units but this configuration makes %d — wrong space or wrong configuration?",
 			dir, len(units), total)
 	}
-	logf("nasbench: %s: recovered %d/%d units", dir, len(units), total)
 	return none, &journal[U]{fsys: fsys, dir: dir, units: units, maxSeg: maxSeg}, nil
 }
 

@@ -60,22 +60,19 @@ type Report struct {
 type Config struct {
 	// Epochs is the post-training epoch count (paper: 20).
 	Epochs int
-	// LR is the Adam learning rate (default 0.003 — the paper's Keras
-	// default of 0.001 underfits the scaled problems in 20 epochs; see
-	// the reward-estimation note in evaluator.Config.RealLR).
-	LR float64
 	// Seed drives weight initialization and shuffling.
 	Seed uint64
 	// KeepModels retains each entry's trained network in Entry.Model.
 	KeepModels bool
 }
 
+// adamLR is the post-training Adam rate: the paper's Keras default of 0.001
+// underfits the scaled problems in 20 epochs (see evaluator.Config.RealLR).
+const adamLR = 0.003
+
 func (c Config) withDefaults() Config {
 	if c.Epochs == 0 {
 		c.Epochs = candle.PostTrainEpochs
-	}
-	if c.LR == 0 {
-		c.LR = 0.003
 	}
 	return c
 }
@@ -96,7 +93,7 @@ func Run(bench *candle.Benchmark, sp *space.Space, top []*evaluator.Result, cfg 
 	baseModel := bench.Baseline.BuildModel(root.Split())
 	train.Fit(baseModel, bench.Train, train.Config{
 		Epochs: cfg.Epochs, BatchSize: realBatch(bench),
-		Optimizer: optim.NewAdam(cfg.LR), Rand: root.Split(),
+		Optimizer: optim.NewAdam(adamLR), Rand: root.Split(),
 	})
 	rep.BaselineMetric = train.Evaluate(baseModel, bench.Val)
 
@@ -113,7 +110,7 @@ func Run(bench *candle.Benchmark, sp *space.Space, top []*evaluator.Result, cfg 
 		model := scaledIR.BuildModel(root.Split())
 		train.Fit(model, bench.Train, train.Config{
 			Epochs: cfg.Epochs, BatchSize: realBatch(bench),
-			Optimizer: optim.NewAdam(cfg.LR), Rand: root.Split(),
+			Optimizer: optim.NewAdam(adamLR), Rand: root.Split(),
 		})
 		metric := train.Evaluate(model, bench.Val)
 		tt := hpc.K80.TrainTime(st, bench.PaperTrainSamples, cfg.Epochs)

@@ -63,7 +63,7 @@ const (
 	CatPool = "pool"
 )
 
-// Event names (the taxonomy; see DESIGN.md §9).
+// Event names (the taxonomy; see DESIGN.md §10).
 const (
 	// EvDispatch: the simulator processed one queued event (CatSim).
 	EvDispatch = "dispatch"
