@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// docsAllow maps each token of DESIGN.md, CLAUDE.md or README.md that TestDocs
-// would reject to the reason it is not a dangling reference.
+// docsAllow maps each token of DESIGN.md, CLAUDE.md, README.md or
+// EXPERIMENTS.md that TestDocs would reject to the reason it is not a dangling reference.
 var docsAllow = map[string]string{
 	"bench_results/nasbench": "gitignored: the tournament's rebuildable table and WAL artifacts",
 	"search.ckpt":            "a file name in the campaign store, not an identifier of package search",
@@ -26,8 +26,8 @@ var (
 	docTest = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*\*?`)
 )
 
-// TestDocs holds the prose to live code. In DESIGN.md, CLAUDE.md and README.md
-// every backticked (or fenced) word that is a repository path must exist;
+// TestDocs holds the prose to live code. In DESIGN.md, CLAUDE.md, README.md and
+// EXPERIMENTS.md every backticked (or fenced) word that is a repository path must exist;
 // every backticked pkg.Name — pkg a directory under internal/ — must be
 // declared in that package, unless it is a BENCHMARK.json ledger row; and
 // every Test…/Fuzz… name anywhere in the text must be a function in some
@@ -95,7 +95,7 @@ func TestDocs(t *testing.T) {
 		}
 		return ok
 	}
-	for _, doc := range []string{"DESIGN.md", "CLAUDE.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "CLAUDE.md", "README.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -81,11 +81,6 @@ type Job struct {
 	// OnDone fires when the job reaches a terminal state (JOB_FINISHED,
 	// RUN_TIMEOUT, or FAILED).
 	OnDone func(*Job)
-
-	// fire tracks the job's pending simulator event — the completion event
-	// while RUNNING, the requeue event while RUN_ERROR — so a checkpoint can
-	// capture and later re-enqueue it at the exact same (time, seq) position.
-	fire *jobEvent
 }
 
 // jobEvent is one pending simulator event the service owns — a job's
@@ -101,8 +96,6 @@ type jobEvent struct {
 	job     *Job
 	attempt int
 	kind    int
-	time    float64
-	seq     int64
 	// nextFree links recycled records into the service's free list.
 	nextFree *jobEvent
 }
@@ -110,8 +103,8 @@ type jobEvent struct {
 const (
 	evComplete = iota
 	evRequeue
-	// evStale is a restored orphaned completion: the original closure is
-	// gone, so it fires purely as its removeStale bookkeeping no-op.
+	// evStale is a restored orphaned completion: its job is gone, so it
+	// fires as a no-op that only advances the clock.
 	evStale
 )
 
@@ -124,9 +117,34 @@ func (e *jobEvent) Fire() {
 	case evRequeue:
 		e.s.requeue(e)
 	case evStale:
-		s := e.s
-		s.removeStale(e)
-		s.recycle(e)
+		e.s.recycle(e)
+	}
+}
+
+// live reports whether a pending event will still act when it fires. A
+// requeue always does; a completion only while its job is still on the
+// attempt that scheduled it — after a kill it is the orphan of the dead
+// attempt, a no-op that still advances the clock and so must cross a
+// checkpoint (State.Stale).
+func (e *jobEvent) live() bool {
+	return e.kind == evRequeue ||
+		e.kind == evComplete && e.job.State == StateRunning && e.job.Attempts == e.attempt
+}
+
+// timelineEvent is the handler of fault-timeline injection i. An injection
+// is still ahead exactly while its handler is in the simulator's queue.
+type timelineEvent struct {
+	s *Service
+	i int
+}
+
+// Fire injects the failure or repair.
+func (e timelineEvent) Fire() {
+	ev := e.s.timeline[e.i]
+	if ev.Down {
+		e.s.nodeDown(ev.Node)
+	} else {
+		e.s.nodeUp(ev.Node)
 	}
 }
 
@@ -318,18 +336,9 @@ type Service struct {
 
 	stragglerRand *rng.Rand
 
-	// Fault timeline bookkeeping: the generated timeline plus, per event,
-	// its scheduled (time, seq) and whether it has fired — so a checkpoint
-	// knows exactly which injections are still ahead.
-	timeline      []hpc.NodeEvent
-	timelineTime  []float64
-	timelineSeq   []int64
-	timelineFired []bool
-
-	// stale holds orphaned completion events of killed jobs. They are
-	// behavioural no-ops but still advance the virtual clock when they fire,
-	// so checkpoints must carry them to keep resumed runs bit-identical.
-	stale []*jobEvent
+	// timeline is the generated (purely regenerable) fault timeline; event i
+	// is scheduled as timelineEvent{s, i}.
+	timeline []hpc.NodeEvent
 
 	// Utilization accounting: integrals of busy and down node counts over
 	// time plus a transition log for time series.
@@ -375,7 +384,7 @@ func NewServiceWithOptions(sim *hpc.Sim, nodes int, opts Options) *Service {
 		if delay < 0 {
 			delay = 0
 		}
-		s.scheduleTimelineEvent(i, now+delay)
+		s.sim.AtHandlerE(delay, timelineEvent{s, i})
 	}
 	return s
 }
@@ -393,9 +402,6 @@ func newService(sim *hpc.Sim, nodes int, opts Options) *Service {
 		s.stragglerRand = opts.Faults.StragglerStream()
 	}
 	s.timeline = opts.Faults.Timeline(nodes, opts.FaultHorizon)
-	s.timelineTime = make([]float64, len(s.timeline))
-	s.timelineSeq = make([]int64, len(s.timeline))
-	s.timelineFired = make([]bool, len(s.timeline))
 	return s
 }
 
@@ -417,22 +423,6 @@ func (s *Service) recycle(e *jobEvent) {
 	e.job = nil
 	e.nextFree = s.freeEvents
 	s.freeEvents = e
-}
-
-// scheduleTimelineEvent enqueues timeline event i at absolute time t and
-// records its queue position for checkpointing.
-func (s *Service) scheduleTimelineEvent(i int, t float64) {
-	ev := s.timeline[i]
-	fn := func() {
-		s.timelineFired[i] = true
-		if ev.Down {
-			s.nodeDown(ev.Node)
-		} else {
-			s.nodeUp(ev.Node)
-		}
-	}
-	s.timelineTime[i] = t
-	s.timelineSeq[i] = s.sim.AtTime(t, fn)
 }
 
 // QueueLen returns the number of jobs waiting for a node.
@@ -514,23 +504,20 @@ func (s *Service) dispatch() {
 		if s.stragglerRand != nil {
 			d *= s.opts.Faults.Straggler(s.stragglerRand)
 		}
-		e := s.newJobEvent(job, job.Attempts, evComplete)
-		e.time, e.seq = s.sim.AtHandlerE(d, e)
-		job.fire = e
+		s.sim.AtHandlerE(d, s.newJobEvent(job, job.Attempts, evComplete))
 	}
 }
 
 // complete finishes a run, unless the run was killed by a node failure
-// first (then the completion event is stale and ignored, beyond dropping
-// itself from the stale list). The fired event record is recycled either
-// way, and a terminal job is evicted from the job table — it has already
-// reported through OnDone, and the table must stay bounded over millions of
-// submissions.
+// first (then the completion event is stale and ignored). The fired event
+// record is recycled either way, and a terminal job is evicted from the job
+// table — it has already reported through OnDone, and the table must stay
+// bounded over millions of submissions.
 func (s *Service) complete(e *jobEvent) {
 	job := e.job
-	if job.State != StateRunning || job.Attempts != e.attempt {
-		s.removeStale(e)
-		s.recycle(e)
+	live := e.live()
+	s.recycle(e)
+	if !live {
 		return
 	}
 	if job.TimedOut {
@@ -539,8 +526,6 @@ func (s *Service) complete(e *jobEvent) {
 		job.State = StateFinished
 	}
 	job.EndTime = s.sim.Now()
-	job.fire = nil
-	s.recycle(e)
 	delete(s.jobs, job.ID)
 	s.finished++
 	name := trace.EvJobDone
@@ -557,17 +542,6 @@ func (s *Service) complete(e *jobEvent) {
 		job.OnDone(job)
 	}
 	s.dispatch()
-}
-
-// removeStale drops one orphaned completion event from the stale list once
-// it has fired. The caller recycles the record.
-func (s *Service) removeStale(e *jobEvent) {
-	for i, st := range s.stale {
-		if st == e {
-			s.stale = append(s.stale[:i], s.stale[i+1:]...)
-			return
-		}
-	}
 }
 
 // FailNode injects a scripted node failure (same path as the FaultModel
@@ -602,12 +576,6 @@ func (s *Service) kill(job *Job) {
 	node := job.Node
 	job.State = StateRunError
 	job.Node = -1
-	// The job's in-flight completion event is now orphaned; it fires as a
-	// no-op but still advances the clock, so track it for checkpoints.
-	if job.fire != nil {
-		s.stale = append(s.stale, job.fire)
-		job.fire = nil
-	}
 	if job.Attempts > s.opts.MaxRetries {
 		job.State = StateFailed
 		job.EndTime = s.sim.Now()
@@ -627,16 +595,13 @@ func (s *Service) kill(job *Job) {
 	}
 	s.sim.Recorder().Emit(trace.Event{Cat: trace.CatBalsam, Name: trace.EvJobError,
 		Node: node, Agent: job.AgentID, Job: job.ID, Value: backoff})
-	e := s.newJobEvent(job, job.Attempts, evRequeue)
-	e.time, e.seq = s.sim.AtHandlerE(backoff, e)
-	job.fire = e
+	s.sim.AtHandlerE(backoff, s.newJobEvent(job, job.Attempts, evRequeue))
 }
 
 // requeue puts a killed job back on the launcher queue after its backoff.
 func (s *Service) requeue(e *jobEvent) {
 	job := e.job
 	job.State = StateRestartReady
-	job.fire = nil
 	s.recycle(e)
 	s.queue = append(s.queue, job)
 	rec := s.sim.Recorder()
@@ -844,7 +809,10 @@ type State struct {
 	PendingTimeline []TimelineEvent
 }
 
-// CaptureState snapshots the service. All slices are deep-copied.
+// CaptureState snapshots the service. All slices are deep-copied. Where the
+// service's pending events sit is read from the simulator's queue, the only
+// record of it: live job events by job, orphaned completions and the
+// injections still ahead in (time, seq) order.
 func (s *Service) CaptureState() *State {
 	st := &State{
 		NextID:       s.nextID,
@@ -862,6 +830,19 @@ func (s *Service) CaptureState() *State {
 	for _, job := range s.queue[s.qhead:] {
 		st.Queue = append(st.Queue, job.ID)
 	}
+	fire := map[*Job]hpc.Event{}
+	for _, ev := range s.sim.Pending() {
+		switch h := ev.Handler.(type) {
+		case *jobEvent:
+			if h.live() {
+				fire[h.job] = ev
+			} else {
+				st.Stale = append(st.Stale, StaleEvent{Time: ev.Time, Seq: ev.Seq})
+			}
+		case timelineEvent:
+			st.PendingTimeline = append(st.PendingTimeline, TimelineEvent{Index: h.i, Time: ev.Time, Seq: ev.Seq})
+		}
+	}
 	for _, job := range s.jobs {
 		switch job.State {
 		case StateFinished, StateTimeout, StateFailed:
@@ -873,10 +854,8 @@ func (s *Service) CaptureState() *State {
 			State: job.State, Attempts: job.Attempts, Node: job.Node,
 			SubmitTime: job.SubmitTime, StartTime: job.StartTime,
 		}
-		if job.fire != nil {
-			rec.HasFire = true
-			rec.FireTime = job.fire.time
-			rec.FireSeq = job.fire.seq
+		if ev, ok := fire[job]; ok {
+			rec.HasFire, rec.FireTime, rec.FireSeq = true, ev.Time, ev.Seq
 		}
 		st.Jobs = append(st.Jobs, rec)
 	}
@@ -890,27 +869,17 @@ func (s *Service) CaptureState() *State {
 		r := s.stragglerRand.State()
 		st.StragglerRand = &r
 	}
-	for _, e := range s.stale {
-		st.Stale = append(st.Stale, StaleEvent{Time: e.time, Seq: e.seq})
-	}
-	for i := range s.timeline {
-		if !s.timelineFired[i] {
-			st.PendingTimeline = append(st.PendingTimeline, TimelineEvent{
-				Index: i, Time: s.timelineTime[i], Seq: s.timelineSeq[i],
-			})
-		}
-	}
 	return st
 }
 
 // RestoreService rebuilds a service from a captured state on a simulator
 // positioned at the checkpoint's virtual time. It returns the service plus
-// the resume events for every pending simulator event the service owned
-// (job completions, requeue backoffs, stale completions, fault injections);
-// the caller merges them with other components' frontiers and replays them
-// through hpc.ScheduleResume. Payload/OnDone of restored jobs are nil until
-// the evaluator re-links them.
-func RestoreService(sim *hpc.Sim, nodes int, opts Options, st *State) (*Service, []hpc.ResumeEvent) {
+// every pending simulator event the service owned (job completions, requeue
+// backoffs, stale completions, fault injections), not yet enqueued; the
+// caller merges them with other components' frontiers and hands them to
+// hpc.Sim.Resume. Payload/OnDone of restored jobs are nil until the
+// evaluator re-links them.
+func RestoreService(sim *hpc.Sim, nodes int, opts Options, st *State) (*Service, []hpc.Event) {
 	s := newService(sim, nodes, opts)
 	s.nextID = st.NextID
 	s.lastChange = st.LastChange
@@ -927,21 +896,14 @@ func RestoreService(sim *hpc.Sim, nodes int, opts Options, st *State) (*Service,
 		s.stragglerRand = rng.FromState(*st.StragglerRand)
 	}
 
-	// Every timeline event is presumed fired except those the checkpoint
-	// says are still pending.
-	for i := range s.timelineFired {
-		s.timelineFired[i] = true
-	}
-
 	for _, n := range st.DownNodes {
 		s.pool.states[n] = NodeDown
 		s.pool.down++
 	}
 	defer s.pool.rebuildIdle() // the job loop below pokes states directly too
 
-	var events []hpc.ResumeEvent
+	var events []hpc.Event
 	for _, rec := range st.Jobs {
-		rec := rec
 		job := &Job{
 			ID: rec.ID, AgentID: rec.AgentID, Key: rec.Key,
 			Duration: rec.Duration, TimedOut: rec.TimedOut,
@@ -957,29 +919,14 @@ func RestoreService(sim *hpc.Sim, nodes int, opts Options, st *State) (*Service,
 			if !rec.HasFire {
 				panic(fmt.Sprintf("balsam: restored RUNNING job %d has no completion event", job.ID))
 			}
-			attempt := job.Attempts
-			events = append(events, hpc.ResumeEvent{
-				Time: rec.FireTime, Seq: rec.FireSeq,
-				Schedule: func() {
-					e := s.newJobEvent(job, attempt, evComplete)
-					e.time = rec.FireTime
-					e.seq = s.sim.AtTimeHandler(rec.FireTime, e)
-					job.fire = e
-				},
-			})
+			events = append(events, hpc.Event{Time: rec.FireTime, Seq: rec.FireSeq,
+				Handler: s.newJobEvent(job, job.Attempts, evComplete)})
 		case StateRunError:
 			if !rec.HasFire {
 				panic(fmt.Sprintf("balsam: restored RUN_ERROR job %d has no requeue event", job.ID))
 			}
-			events = append(events, hpc.ResumeEvent{
-				Time: rec.FireTime, Seq: rec.FireSeq,
-				Schedule: func() {
-					e := s.newJobEvent(job, 0, evRequeue)
-					e.time = rec.FireTime
-					e.seq = s.sim.AtTimeHandler(rec.FireTime, e)
-					job.fire = e
-				},
-			})
+			events = append(events, hpc.Event{Time: rec.FireTime, Seq: rec.FireSeq,
+				Handler: s.newJobEvent(job, job.Attempts, evRequeue)})
 		}
 	}
 	for _, id := range st.Queue {
@@ -990,26 +937,10 @@ func RestoreService(sim *hpc.Sim, nodes int, opts Options, st *State) (*Service,
 		s.queue = append(s.queue, job)
 	}
 	for _, e := range st.Stale {
-		e := e
-		events = append(events, hpc.ResumeEvent{
-			Time: e.Time, Seq: e.Seq,
-			Schedule: func() {
-				ev := s.newJobEvent(nil, 0, evStale)
-				ev.time = e.Time
-				ev.seq = s.sim.AtTimeHandler(e.Time, ev)
-				s.stale = append(s.stale, ev)
-			},
-		})
+		events = append(events, hpc.Event{Time: e.Time, Seq: e.Seq, Handler: s.newJobEvent(nil, 0, evStale)})
 	}
 	for _, te := range st.PendingTimeline {
-		te := te
-		events = append(events, hpc.ResumeEvent{
-			Time: te.Time, Seq: te.Seq,
-			Schedule: func() {
-				s.timelineFired[te.Index] = false
-				s.scheduleTimelineEvent(te.Index, te.Time)
-			},
-		})
+		events = append(events, hpc.Event{Time: te.Time, Seq: te.Seq, Handler: timelineEvent{s, te.Index}})
 	}
 	return s, events
 }

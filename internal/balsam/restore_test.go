@@ -62,7 +62,7 @@ func summarize(svc *Service) restoreSummary {
 // TestCaptureRestoreEquivalence is the in-package half of the restore
 // story (the search package pins the full byte-identical log): a faulted,
 // straggling, retrying machine is captured mid-run at a quiescent point and
-// rebuilt with RestoreService + hpc.ScheduleResume on a fresh simulator.
+// rebuilt with RestoreService + hpc.Sim.Resume on a fresh simulator.
 // From the cut onward, the resumed machine must emit exactly the trace the
 // uninterrupted one does and land on identical counters, utilization
 // integrals, and series.
@@ -104,13 +104,14 @@ func TestCaptureRestoreEquivalence(t *testing.T) {
 		svc.Submit(job)
 	}
 	var st *State
-	var subAtCut int
+	var subAtCut, pendingAtCut int
 	var cutCursor int64
 	for now := window; now <= horizon; now += window {
 		sim.Run(now)
 		restoreScript(svc, now)
 		if now == cut {
 			st = svc.CaptureState()
+			pendingAtCut = len(sim.Pending())
 			subAtCut = submitted
 			cutCursor = rec.Total()
 		}
@@ -127,10 +128,20 @@ func TestCaptureRestoreEquivalence(t *testing.T) {
 		t.Fatal("cut carries no stale completion event; the evStale restore path is untested")
 	}
 	hasRequeue := false
+	claimed := len(st.Stale) + len(st.PendingTimeline)
 	for _, rec := range st.Jobs {
 		if rec.State == StateRunError && rec.HasFire {
 			hasRequeue = true
 		}
+		if rec.HasFire {
+			claimed++
+		}
+	}
+	// The service is alone on this simulator, so its state must account for
+	// the whole frontier — an event it failed to claim would not exist
+	// after the resume.
+	if claimed != pendingAtCut {
+		t.Fatalf("state carries %d pending events, the simulator holds %d", claimed, pendingAtCut)
 	}
 	if !hasRequeue {
 		t.Fatal("cut carries no pending requeue backoff; the evRequeue restore path is untested")
@@ -150,7 +161,7 @@ func TestCaptureRestoreEquivalence(t *testing.T) {
 	for _, jr := range st.Jobs {
 		svc2.Job(jr.ID).OnDone = onDone2
 	}
-	hpc.ScheduleResume(frontier)
+	sim2.Resume(frontier)
 	for now := cut + window; now <= horizon; now += window {
 		sim2.Run(now)
 		restoreScript(svc2, now)

@@ -293,6 +293,7 @@ func (m *Manager) Submit(spec *Spec) (Info, error) {
 	}
 	meta := Meta{ID: id, Spec: *spec, Status: StatusRunning}
 	if err := m.store.Create(meta); err != nil {
+		m.noteStoreWriteLocked(err)
 		return Info{}, err
 	}
 	rt := &runtime{meta: meta, wake: make(chan struct{}, 1)}
@@ -364,10 +365,14 @@ func (m *Manager) Health() Health {
 
 // noteStoreWrite maintains the diskFull latch from a store-write outcome.
 func (m *Manager) noteStoreWrite(err error) {
-	full := errors.Is(err, syscall.ENOSPC)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if full && !m.diskFull {
+	m.noteStoreWriteLocked(err)
+}
+
+// noteStoreWriteLocked is noteStoreWrite for a caller holding m.mu.
+func (m *Manager) noteStoreWriteLocked(err error) {
+	if full := errors.Is(err, syscall.ENOSPC); full && !m.diskFull {
 		m.diskFull = true
 		m.opts.Logf("store: disk full; rejecting submissions until a write succeeds")
 	} else if err == nil && m.diskFull {

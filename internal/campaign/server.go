@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"syscall"
 	"time"
 
 	"nasgo/internal/trace"
@@ -95,9 +96,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeErr maps manager errors onto HTTP statuses: unknown IDs are 404,
-// state conflicts 409, validation failures 422, drain 503, full disk 507.
+// state conflicts 409, drain 503, full disk 507 — the latch or the store's
+// own ENOSPC — and anything else the store reports is the server's fault,
+// 500 (an invalid spec never gets this far: handleSubmit answers it 422).
 func writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusUnprocessableEntity
+	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
@@ -105,7 +108,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusConflict
 	case errors.Is(err, ErrDraining):
 		status = http.StatusServiceUnavailable
-	case errors.Is(err, ErrNoSpace):
+	case errors.Is(err, ErrNoSpace), errors.Is(err, syscall.ENOSPC):
 		status = http.StatusInsufficientStorage
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nasgo/internal/fsim"
 )
 
 // newTestServer wires a manager into an httptest server. The caller gets
@@ -386,5 +388,41 @@ func TestServerDrainingRejectsSubmit(t *testing.T) {
 	}
 	if st, _, _ := httpDo(t, "GET", srv.URL+"/campaigns", nil); st != http.StatusOK {
 		t.Fatalf("list while draining: %d", st)
+	}
+}
+
+// TestServerSubmitStoreFailure: a store that cannot create the campaign is
+// the server's condition, never the client's — ENOSPC answers 507 and latches
+// degraded health exactly as a full disk at a walltime boundary does, EIO
+// answers 500; neither is the 422 of an invalid spec.
+func TestServerSubmitStoreFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		faults   fsim.Faults
+		status   int
+		diskFull bool
+	}{
+		{"enospc", fsim.Faults{DiskBudget: 1}, http.StatusInsufficientStorage, true},
+		{"eio", fsim.Faults{WriteErrEvery: 1}, http.StatusInternalServerError, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := fastOpts(t)
+			opts.FS = fsim.NewFaultFS(fsim.NewMemFS(), tc.faults)
+			mgr := newTestManager(t, "/campaigns", opts)
+			srv := httptest.NewServer(NewServer(mgr, ServerOptions{}).Handler())
+			defer srv.Close()
+			body, _ := json.Marshal(testSpec())
+			if st, resp, _ := httpDo(t, "POST", srv.URL+"/campaigns", body); st != tc.status {
+				t.Fatalf("submit: %d %s, want %d", st, resp, tc.status)
+			}
+			_, resp, _ := httpDo(t, "GET", srv.URL+"/healthz", nil)
+			var h Health
+			if err := json.Unmarshal(resp, &h); err != nil {
+				t.Fatal(err)
+			}
+			if h.DiskFull != tc.diskFull || (h.Status == "degraded") != tc.diskFull || mgr.Health() != h {
+				t.Fatalf("healthz %s (manager %+v), want diskFull=%v", resp, mgr.Health(), tc.diskFull)
+			}
+		})
 	}
 }

@@ -18,6 +18,8 @@ import (
 //
 //   - every pop agrees with the container/heap reference, i.e. returns the
 //     (time, seq)-minimum of the pending set with FIFO seq tie-breaks;
+//   - at every fourth op and before the drain, pending() lists exactly the
+//     reference's contents and leaves the queue untouched;
 //   - the final drain is non-decreasing in time with seq breaking ties;
 //   - no event is lost or duplicated: each pushed seq pops exactly once.
 //
@@ -41,7 +43,7 @@ func FuzzEventQueue(f *testing.F) {
 
 		push := func(tm float64) {
 			seq++
-			cal.push(tm, seq, nil, nil)
+			cal.push(tm, seq, nil)
 			heap.Push(ref, refEvent{time: tm, seq: seq})
 		}
 		pop := func() {
@@ -49,7 +51,7 @@ func FuzzEventQueue(f *testing.F) {
 				if cal.count != 0 {
 					t.Fatalf("cal has %d events, ref empty", cal.count)
 				}
-				if _, _, _, ok := cal.pop(); ok {
+				if _, _, ok := cal.pop(); ok {
 					t.Fatal("pop on empty queue succeeded")
 				}
 				return
@@ -59,7 +61,7 @@ func FuzzEventQueue(f *testing.F) {
 				t.Fatalf("cal empty, ref has %d", ref.Len())
 			}
 			cs := cal.arena[idx].seq
-			_, _, ct, _ := cal.pop()
+			_, ct, _ := cal.pop()
 			re := heap.Pop(ref).(refEvent)
 			if ct != re.time || cs != re.seq {
 				t.Fatalf("cal popped (%g, %d), ref popped (%g, %d)", ct, cs, re.time, re.seq)
@@ -86,7 +88,11 @@ func FuzzEventQueue(f *testing.F) {
 			if cal.count != ref.Len() {
 				t.Fatalf("op %d: cal len %d != ref len %d", i/3, cal.count, ref.Len())
 			}
+			if i/3%4 == 0 {
+				checkPending(t, &cal, *ref)
+			}
 		}
+		checkPending(t, &cal, *ref)
 
 		// Drain: non-decreasing (time, seq), matching the reference, and
 		// accounting for every pushed event exactly once.
@@ -97,7 +103,7 @@ func FuzzEventQueue(f *testing.F) {
 				t.Fatalf("drain: cal empty, ref has %d", ref.Len())
 			}
 			cs := cal.arena[idx].seq
-			_, _, ct, _ := cal.pop()
+			_, ct, _ := cal.pop()
 			re := heap.Pop(ref).(refEvent)
 			if ct != re.time || cs != re.seq {
 				t.Fatalf("drain: cal (%g, %d) != ref (%g, %d)", ct, cs, re.time, re.seq)

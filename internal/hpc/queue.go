@@ -36,16 +36,13 @@ const (
 	calNone = int32(-1)
 )
 
-// eventRec is one scheduled event in the arena. Exactly one of fn and h is
-// set: fn for ordinary closures, h for pooled Handler records scheduled by
-// the allocation-free paths. next links the record into its bucket's sorted
-// list while queued and into the free list once popped.
+// eventRec is one scheduled event in the arena. next links the record into
+// its bucket's sorted list while queued and into the free list once popped.
 type eventRec struct {
 	time float64
 	seq  int64
 	vb   int64
 	next int32
-	fn   func()
 	h    Handler
 }
 
@@ -75,14 +72,14 @@ func (q *calQueue) alloc() int32 {
 // arena never retains dead closures.
 func (q *calQueue) release(idx int32) {
 	r := &q.arena[idx]
-	r.fn, r.h = nil, nil
+	r.h = nil
 	r.next = q.free
 	q.free = idx
 }
 
 // push enqueues an event. Times must be nonnegative; seq values are unique
 // and increasing, so (time, seq) is a total order.
-func (q *calQueue) push(t float64, seq int64, fn func(), h Handler) {
+func (q *calQueue) push(t float64, seq int64, h Handler) {
 	if q.buckets == nil {
 		q.buckets = make([]int32, calInitBuckets)
 		for b := range q.buckets {
@@ -93,7 +90,7 @@ func (q *calQueue) push(t float64, seq int64, fn func(), h Handler) {
 	}
 	idx := q.alloc()
 	r := &q.arena[idx]
-	r.time, r.seq, r.fn, r.h = t, seq, fn, h
+	r.time, r.seq, r.h = t, seq, h
 	q.insert(idx)
 	q.count++
 	if q.count > 2*len(q.buckets) {
@@ -183,20 +180,33 @@ func (q *calQueue) peekTime() (float64, bool) {
 }
 
 // pop dequeues the earliest event in exact (time, seq) order.
-func (q *calQueue) pop() (fn func(), h Handler, t float64, ok bool) {
+func (q *calQueue) pop() (h Handler, t float64, ok bool) {
 	idx, found := q.scan()
 	if !found {
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	r := &q.arena[idx]
 	q.buckets[r.vb%int64(len(q.buckets))] = r.next
-	fn, h, t = r.fn, r.h, r.time
+	h, t = r.h, r.time
 	q.release(idx)
 	q.count--
 	if nb := len(q.buckets); nb > calInitBuckets && q.count < nb/2 && q.count > 0 {
 		q.resize(nb / 2)
 	}
-	return fn, h, t, true
+	return h, t, true
+}
+
+// pending lists every queued event, in bucket order, without touching the
+// queue.
+func (q *calQueue) pending() []Event {
+	events := make([]Event, 0, q.count)
+	for _, head := range q.buckets {
+		for cur := head; cur != calNone; cur = q.arena[cur].next {
+			r := &q.arena[cur]
+			events = append(events, Event{Time: r.time, Seq: r.seq, Handler: r.h})
+		}
+	}
+	return events
 }
 
 // resize re-buckets every pending event into newNB buckets, re-estimating

@@ -2,6 +2,7 @@ package hpc
 
 import (
 	"container/heap"
+	"sort"
 	"testing"
 
 	"nasgo/internal/rng"
@@ -43,11 +44,11 @@ func popCal(t *testing.T, q *calQueue) (float64, int64) {
 	}
 	idx, _ := q.scan()
 	seq := q.arena[idx].seq
-	fn, h, tm, ok := q.pop()
+	h, tm, ok := q.pop()
 	if !ok {
 		t.Fatal("pop on non-empty queue failed")
 	}
-	if fn != nil || h != nil {
+	if h != nil {
 		t.Fatal("test events carry no callbacks")
 	}
 	if tm != pt {
@@ -56,11 +57,35 @@ func popCal(t *testing.T, q *calQueue) (float64, int64) {
 	return tm, seq
 }
 
+// checkPending compares the calendar queue's enumeration with the reference
+// heap's contents as a (time, seq) multiset, and checks that enumerating
+// left the queue's bookkeeping alone.
+func checkPending(t *testing.T, q *calQueue, ref refQueue) {
+	t.Helper()
+	count, curVB := q.count, q.curVB
+	got := q.pending()
+	if q.count != count || q.curVB != curVB {
+		t.Fatalf("pending() moved the queue: count %d→%d, curVB %d→%d", count, q.count, curVB, q.curVB)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("pending() lists %d events, ref holds %d", len(got), len(ref))
+	}
+	sortEvents(got)
+	want := append(refQueue(nil), ref...)
+	sort.Sort(want)
+	for i, w := range want {
+		if got[i].Time != w.time || got[i].Seq != w.seq {
+			t.Fatalf("pending()[%d] = (%g, %d), ref has (%g, %d)", i, got[i].Time, got[i].Seq, w.time, w.seq)
+		}
+	}
+}
+
 // TestCalendarQueueDifferential drives the calendar queue and the heap
 // reference through randomized schedule/pop workloads — same-
 // timestamp bursts, far-future fault events, schedules in the past relative
 // to the wheel's scan position — asserting identical pop order at every
-// step. The push/pop imbalance walks the pending count across grow and
+// step, and at every 97th that pending() lists exactly the reference's
+// contents. The push/pop imbalance walks the pending count across grow and
 // shrink resize thresholds.
 func TestCalendarQueueDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1009} {
@@ -73,7 +98,7 @@ func TestCalendarQueueDifferential(t *testing.T) {
 
 		push := func(tm float64) {
 			seq++
-			cal.push(tm, seq, nil, nil)
+			cal.push(tm, seq, nil)
 			heap.Push(ref, refEvent{time: tm, seq: seq})
 		}
 
@@ -112,6 +137,9 @@ func TestCalendarQueueDifferential(t *testing.T) {
 			if cal.count != ref.Len() {
 				t.Fatalf("seed %d op %d: cal len %d != ref len %d", seed, op, cal.count, ref.Len())
 			}
+			if op%97 == 0 {
+				checkPending(t, &cal, *ref)
+			}
 		}
 
 		// Drain: the tails must agree event for event.
@@ -135,7 +163,7 @@ func TestCalendarQueueFarFuture(t *testing.T) {
 	var q calQueue
 	times := []float64{9e6, 3e6, 9e6, 6e6, 3e6}
 	for i, tm := range times {
-		q.push(tm, int64(i+1), nil, nil)
+		q.push(tm, int64(i+1), nil)
 	}
 	want := []struct {
 		tm  float64
@@ -147,7 +175,7 @@ func TestCalendarQueueFarFuture(t *testing.T) {
 			t.Fatalf("popped (%g, %d), want (%g, %d)", tm, seq, w.tm, w.seq)
 		}
 	}
-	if _, _, _, ok := q.pop(); ok {
+	if _, _, ok := q.pop(); ok {
 		t.Fatal("pop on empty queue succeeded")
 	}
 }
@@ -163,7 +191,7 @@ func TestCalendarQueueResizeKeepsOrder(t *testing.T) {
 	r := rng.New(99)
 	for i := int64(1); i <= 1000; i++ {
 		tm := r.Float64() * 5000
-		q.push(tm, i, nil, nil)
+		q.push(tm, i, nil)
 		heap.Push(ref, refEvent{time: tm, seq: i})
 	}
 	// Drain completely: crosses every shrink threshold back down.

@@ -9,7 +9,8 @@
 //
 //   - Sim, a deterministic discrete-event simulator (virtual clock + ordered
 //     event queue) that the Balsam workflow simulation, the cluster model,
-//     and the search agents all run on;
+//     and the search agents all run on — and the one record of what is
+//     pending: a checkpoint reads Sim.Pending, nothing keeps a copy;
 //   - Device models for KNL nodes and K80 GPUs with effective training
 //     throughputs calibrated against the paper's reported baseline training
 //     times (§5: the manually designed Combo network trains in 2215.13 s on
@@ -26,14 +27,28 @@ import (
 	"nasgo/internal/trace"
 )
 
-// Handler is a pre-bound event callback: components that schedule events in
-// their steady-state hot path implement Fire on a pooled record and pass it
-// to AtHandlerE/AtTimeHandler, instead of allocating a fresh closure per
-// event the way At/AtE do. Balsam's job completion and requeue events are
-// the canonical users (its jobEvent free list); together with the queue's
-// own record free list this keeps the schedule→dispatch→complete cycle at
-// zero allocations per event (balsam's TestShortSimAllocs pins it).
+// Handler is the one form a queued event takes: Fire runs when the simulator
+// reaches the event. Components on the steady-state hot path implement it on
+// a pooled record (balsam's jobEvent free list) or on a value they hold
+// anyway (a search agent, a ps delivery), so the schedule→dispatch→complete
+// cycle allocates nothing (balsam's TestShortSimAllocs pins it) — and so a
+// checkpoint can recognise its own events in Pending by their type. Plain
+// closures handed to At are wrapped in funcHandler.
 type Handler interface{ Fire() }
+
+// funcHandler adapts a closure to Handler (a func value is pointer-shaped,
+// so the conversion does not allocate).
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
+// Event is one queued event: its absolute fire time, its sequence number
+// (which orders same-time events) and what fires.
+type Event struct {
+	Time    float64
+	Seq     int64
+	Handler Handler
+}
 
 // Sim is a single-threaded discrete-event simulator. Time is in seconds.
 // All callbacks run on the caller's goroutine inside Run; scheduling from
@@ -44,9 +59,8 @@ type Handler interface{ Fire() }
 // (queue.go) whose pop order is pinned — by differential tests here and
 // golden traces in internal/search — to be exactly the order the original
 // container/heap implementation produced, so replacing the engine is
-// invisible to every layer above, including checkpoints: pending events are
-// captured per-component as (time, seq) pairs and replayed through
-// ScheduleResume, never as queue internals.
+// invisible to every layer above, including checkpoints, which read the
+// frontier with Pending and hand it back to Resume — never queue internals.
 type Sim struct {
 	now   float64
 	seq   int64
@@ -84,69 +98,36 @@ func (s *Sim) Recorder() *trace.Recorder { return s.rec }
 // At schedules fn to run after delay seconds of virtual time. Negative
 // delays panic: an event cannot fire in the past.
 func (s *Sim) At(delay float64, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("hpc: negative delay %g", delay))
-	}
-	s.seq++
-	s.queue.push(s.now+delay, s.seq, fn, nil)
-}
-
-// AtE schedules like At and additionally returns the event's absolute fire
-// time and sequence number. Components that checkpoint their pending events
-// record both: the time says when to refire on resume, and the sequence
-// number preserves the original relative order of same-time events.
-func (s *Sim) AtE(delay float64, fn func()) (time float64, seq int64) {
-	if delay < 0 {
-		panic(fmt.Sprintf("hpc: negative delay %g", delay))
-	}
-	s.seq++
-	t := s.now + delay
-	s.queue.push(t, s.seq, fn, nil)
-	return t, s.seq
+	s.AtHandlerE(delay, funcHandler(fn))
 }
 
 // AtHandlerE schedules h.Fire() after delay seconds of virtual time and
-// returns the event's absolute fire time and sequence number — AtE without
-// the per-event closure allocation, for components that pool their event
-// records (see Handler).
+// returns the event's absolute fire time and sequence number.
 func (s *Sim) AtHandlerE(delay float64, h Handler) (time float64, seq int64) {
 	if delay < 0 {
 		panic(fmt.Sprintf("hpc: negative delay %g", delay))
 	}
 	s.seq++
 	t := s.now + delay
-	s.queue.push(t, s.seq, nil, h)
+	s.queue.push(t, s.seq, h)
 	return t, s.seq
 }
 
-// AtTimeHandler schedules h.Fire() at the absolute virtual time t (which
-// must not lie in the past) and returns the event's sequence number —
-// AtTime for a pooled Handler record.
-func (s *Sim) AtTimeHandler(t float64, h Handler) int64 {
-	if t < s.now {
-		panic(fmt.Sprintf("hpc: AtTimeHandler %g before now %g", t, s.now))
-	}
-	s.seq++
-	s.queue.push(t, s.seq, nil, h)
-	return s.seq
-}
-
-// AtTime schedules fn at the absolute virtual time t (which must not lie in
-// the past) and returns the event's sequence number. Unlike At(t-now), the
-// fire time is installed exactly, with no floating-point round trip — a
-// resumed event must fire at bit-for-bit the same instant it would have.
-func (s *Sim) AtTime(t float64, fn func()) int64 {
+// AtTime schedules h.Fire() at the absolute virtual time t (which must not
+// lie in the past). Unlike a delay of t-now, the fire time is installed
+// exactly, with no floating-point round trip — a resumed event must fire at
+// bit-for-bit the same instant it would have.
+func (s *Sim) AtTime(t float64, h Handler) {
 	if t < s.now {
 		panic(fmt.Sprintf("hpc: AtTime %g before now %g", t, s.now))
 	}
 	s.seq++
-	s.queue.push(t, s.seq, fn, nil)
-	return s.seq
+	s.queue.push(t, s.seq, h)
 }
 
 // Step runs the next event, returning false when the queue is empty.
 func (s *Sim) Step() bool {
-	fn, h, t, ok := s.queue.pop()
+	h, t, ok := s.queue.pop()
 	if !ok {
 		return false
 	}
@@ -155,11 +136,7 @@ func (s *Sim) Step() bool {
 	}
 	s.now = t
 	s.rec.Emit(trace.Event{Cat: trace.CatSim, Name: trace.EvDispatch, Node: trace.None, Agent: trace.None})
-	if fn != nil {
-		fn()
-	} else {
-		h.Fire()
-	}
+	h.Fire()
 	return true
 }
 
@@ -213,29 +190,33 @@ func (s *Sim) RunAll() int {
 	return n
 }
 
-// ResumeEvent is one pending event captured at a checkpoint cut: its
-// absolute fire time, its sequence number in the original simulator (which
-// encodes the relative order of same-time events), and a Schedule function
-// that re-enqueues it — typically via AtTime — on the restored simulator.
-type ResumeEvent struct {
-	Time     float64
-	Seq      int64
-	Schedule func()
+// Pending returns every queued event in (Time, Seq) order — the order they
+// will fire in — without touching the queue. It is the one reader of "what
+// is pending" a checkpoint has: components never record where their events
+// sit.
+func (s *Sim) Pending() []Event {
+	events := s.queue.pending()
+	sortEvents(events)
+	return events
 }
 
-// ScheduleResume replays a captured event frontier: it sorts the events by
-// (Time, Seq) and invokes each Schedule in that order. Because a fresh
-// simulator assigns strictly increasing sequence numbers, the re-enqueued
-// events tie-break among themselves — and against everything scheduled
-// later — exactly as they did in the original run.
-func ScheduleResume(events []ResumeEvent) {
+// Resume re-enqueues a captured event frontier in (Time, Seq) order at the
+// events' exact fire times. Because a fresh simulator assigns strictly
+// increasing sequence numbers, the re-enqueued events tie-break among
+// themselves — and against everything scheduled later — exactly as they
+// did in the original run.
+func (s *Sim) Resume(events []Event) {
+	sortEvents(events)
+	for _, ev := range events {
+		s.AtTime(ev.Time, ev.Handler)
+	}
+}
+
+func sortEvents(events []Event) {
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].Time != events[j].Time {
 			return events[i].Time < events[j].Time
 		}
 		return events[i].Seq < events[j].Seq
 	})
-	for _, ev := range events {
-		ev.Schedule()
-	}
 }

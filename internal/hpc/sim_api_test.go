@@ -14,10 +14,10 @@ type fireLog struct {
 
 func (f *fireLog) Fire() { f.times = append(f.times, f.sim.Now()) }
 
-// TestSimSchedulingAPIs drives every scheduling entry point — At, AtE,
-// AtTime, AtHandlerE, AtTimeHandler — on one simulator and checks they
-// interleave in exact (time, seq) order, that the E-variants report the
-// (time, seq) the event actually fires with, and that a recorder attached
+// TestSimSchedulingAPIs drives every scheduling entry point — At,
+// AtHandlerE, AtTime — on one simulator and checks they interleave in exact
+// (time, seq) order, that AtHandlerE reports and Pending lists the
+// (time, seq) each event actually fires with, and that a recorder attached
 // via SetRecorder sees one CatSim dispatch per event stamped with the
 // virtual clock.
 func TestSimSchedulingAPIs(t *testing.T) {
@@ -31,22 +31,23 @@ func TestSimSchedulingAPIs(t *testing.T) {
 	var order []string
 	h := &fireLog{sim: s}
 	s.At(4, func() { order = append(order, "at") })
-	et, es := s.AtE(2, func() { order = append(order, "ate") })
-	if et != 2 || es != 2 {
-		t.Fatalf("AtE returned (%g, %d), want (2, 2)", et, es)
-	}
-	if seq := s.AtTime(3, func() { order = append(order, "attime") }); seq != 3 {
-		t.Fatalf("AtTime seq = %d, want 3", seq)
-	}
+	s.At(2, func() { order = append(order, "at2") })
+	s.AtTime(3, funcHandler(func() { order = append(order, "attime") }))
 	ht, hs := s.AtHandlerE(1, h)
 	if ht != 1 || hs != 4 {
 		t.Fatalf("AtHandlerE returned (%g, %d), want (1, 4)", ht, hs)
 	}
-	if seq := s.AtTimeHandler(3, h); seq != 5 {
-		t.Fatalf("AtTimeHandler seq = %d, want 5", seq)
+	s.AtTime(3, h)
+	pending := s.Pending()
+	wantPending := []Event{{1, 4, h}, {Time: 2, Seq: 2}, {Time: 3, Seq: 3}, {3, 5, h}, {Time: 4, Seq: 1}}
+	if len(pending) != len(wantPending) || s.queue.count != len(wantPending) {
+		t.Fatalf("Pending has %d events (queue %d), want %d", len(pending), s.queue.count, len(wantPending))
 	}
-	if s.queue.count != 5 {
-		t.Fatalf("Pending = %d, want 5", s.queue.count)
+	for i, w := range wantPending {
+		ev := pending[i]
+		if ev.Time != w.Time || ev.Seq != w.Seq || (w.Handler != nil && ev.Handler != w.Handler) {
+			t.Fatalf("Pending[%d] = (%g, %d, %T), want (%g, %d)", i, ev.Time, ev.Seq, ev.Handler, w.Time, w.Seq)
+		}
 	}
 
 	if !s.RunUntil(10) {
@@ -55,7 +56,7 @@ func TestSimSchedulingAPIs(t *testing.T) {
 	if s.Now() != 4 {
 		t.Fatalf("RunUntil left clock at %g, want 4 (last event, not horizon)", s.Now())
 	}
-	want := []string{"ate", "attime", "at"}
+	want := []string{"at2", "attime", "at"}
 	for i, w := range want {
 		if order[i] != w {
 			t.Fatalf("closure order %v, want %v", order, want)
@@ -91,24 +92,23 @@ func TestSimRunUntilPartial(t *testing.T) {
 	}
 }
 
-// TestScheduleResumeReplaysInOrder pins the checkpoint-resume contract: a
-// frontier of (Time, Seq) pairs handed to ScheduleResume in any order is
+// TestResumeReplaysInOrder pins the checkpoint-resume contract: a frontier
+// of (Time, Seq, Handler) events handed to Resume in any order is
 // re-enqueued on a NewSimAt simulator so that same-time events keep their
 // original relative order, interleaved correctly with newly scheduled work.
-func TestScheduleResumeReplaysInOrder(t *testing.T) {
+func TestResumeReplaysInOrder(t *testing.T) {
 	s := NewSimAt(100)
 	if s.Now() != 100 {
 		t.Fatalf("NewSimAt clock = %g, want 100", s.Now())
 	}
 	var order []int
-	mk := func(id int) func() { return func() { order = append(order, id) } }
+	mk := func(id int) Handler { return funcHandler(func() { order = append(order, id) }) }
 	// Deliberately unsorted, with a same-time tie decided by original seq.
-	frontier := []ResumeEvent{
-		{Time: 150, Seq: 9, Schedule: func() { s.AtTime(150, mk(2)) }},
-		{Time: 120, Seq: 4, Schedule: func() { s.AtTime(120, mk(0)) }},
-		{Time: 150, Seq: 7, Schedule: func() { s.AtTime(150, mk(1)) }},
-	}
-	ScheduleResume(frontier)
+	s.Resume([]Event{
+		{Time: 150, Seq: 9, Handler: mk(2)},
+		{Time: 120, Seq: 4, Handler: mk(0)},
+		{Time: 150, Seq: 7, Handler: mk(1)},
+	})
 	s.AtTime(150, mk(3)) // scheduled after the replay: fires last of the 150s
 	s.RunAll()
 	for i, w := range []int{0, 1, 2, 3} {
@@ -135,5 +135,5 @@ func TestSimHandlerPanics(t *testing.T) {
 	}
 	s := NewSimAt(10)
 	expectPanic("AtHandlerE negative delay", func() { s.AtHandlerE(-1, h) })
-	expectPanic("AtTimeHandler in the past", func() { s.AtTimeHandler(5, h) })
+	expectPanic("AtTime in the past", func() { s.AtTime(5, h) })
 }

@@ -77,21 +77,27 @@ type Server struct {
 	staleSum     float64
 	staleN       int
 
-	// inflight tracks scheduled-but-undelivered averaged gradients, so a
-	// checkpoint cut between the exchange and its delivery can be resumed.
-	inflight []*delivery
-
 	exchanges int
 	rounds    int
 }
 
-// delivery is one averaged gradient on its way back to an agent.
+// delivery is one averaged gradient on its way back to an agent, and the
+// handler of the simulator event that delivers it: a checkpoint cut between
+// the exchange and its delivery finds it in the simulator's queue.
 type delivery struct {
+	s       *Server
 	agentID int
 	avg     []float64
-	time    float64
-	seq     int64
 	fn      func([]float64)
+}
+
+// Fire delivers the gradient. The trace event is emitted here, so a resumed
+// run records the delivery exactly once, on whichever side of the cut it
+// lands.
+func (d *delivery) Fire() {
+	d.s.sim.Recorder().Emit(trace.Event{Cat: trace.CatPS, Name: trace.EvDeliver,
+		Node: trace.None, Agent: d.agentID})
+	d.fn(d.avg)
 }
 
 // NewServer creates a parameter server on the given simulator.
@@ -154,34 +160,9 @@ func (s *Server) Exchange(agentID int, grad []float64, done func(avg []float64))
 }
 
 // deliver schedules one averaged gradient for delivery after the exchange
-// latency, tracking it until it fires so checkpoints can capture it.
+// latency.
 func (s *Server) deliver(agentID int, avg []float64, fn func([]float64)) {
-	d := &delivery{agentID: agentID, avg: avg, fn: fn}
-	d.time, d.seq = s.sim.AtE(s.cfg.Latency, func() { s.fire(d) })
-	s.inflight = append(s.inflight, d)
-}
-
-// redeliver re-enqueues a restored delivery at its original absolute fire
-// time (ScheduleResume establishes the cross-component ordering).
-func (s *Server) redeliver(agentID int, avg []float64, t float64, fn func([]float64)) {
-	d := &delivery{agentID: agentID, avg: avg, fn: fn, time: t}
-	d.seq = s.sim.AtTime(t, func() { s.fire(d) })
-	s.inflight = append(s.inflight, d)
-}
-
-func (s *Server) fire(d *delivery) {
-	for i, in := range s.inflight {
-		if in == d {
-			s.inflight = append(s.inflight[:i], s.inflight[i+1:]...)
-			break
-		}
-	}
-	// Emitted at fire time (shared by deliver and redeliver), so a resumed
-	// run records the delivery exactly once, on whichever side of the cut it
-	// lands.
-	s.sim.Recorder().Emit(trace.Event{Cat: trace.CatPS, Name: trace.EvDeliver,
-		Node: trace.None, Agent: d.agentID})
-	d.fn(d.avg)
+	s.sim.AtHandlerE(s.cfg.Latency, &delivery{s: s, agentID: agentID, avg: avg, fn: fn})
 }
 
 // DeliveryState is one in-flight averaged gradient in a checkpoint.
@@ -209,7 +190,8 @@ type State struct {
 }
 
 // CaptureState snapshots the server. All slices are deep-copied, so the
-// state stays valid after the live server moves on.
+// state stays valid after the live server moves on. In-flight deliveries are
+// read from the simulator's queue, in (time, seq) order.
 func (s *Server) CaptureState() *State {
 	st := &State{
 		Exchanges:     s.exchanges,
@@ -225,13 +207,15 @@ func (s *Server) CaptureState() *State {
 	for id, a := range s.lastExchange {
 		st.LastExchange[id] = a
 	}
-	for _, d := range s.inflight {
-		st.Inflight = append(st.Inflight, DeliveryState{
-			AgentID: d.agentID,
-			Avg:     append([]float64(nil), d.avg...),
-			Time:    d.time,
-			Seq:     d.seq,
-		})
+	for _, ev := range s.sim.Pending() {
+		if d, ok := ev.Handler.(*delivery); ok {
+			st.Inflight = append(st.Inflight, DeliveryState{
+				AgentID: d.agentID,
+				Avg:     append([]float64(nil), d.avg...),
+				Time:    ev.Time,
+				Seq:     ev.Seq,
+			})
+		}
 	}
 	return st
 }
@@ -240,9 +224,9 @@ func (s *Server) CaptureState() *State {
 // supplies, per agent, the continuation an averaged gradient should invoke
 // (the same continuation Exchange would have been given); it is used both
 // for agents parked at the Sync barrier and for in-flight deliveries. The
-// returned resume events re-enqueue the deliveries; the caller passes them
-// to hpc.ScheduleResume together with every other component's frontier.
-func RestoreServer(sim *hpc.Sim, cfg Config, st *State, waiter func(agentID int) func([]float64)) (*Server, []hpc.ResumeEvent) {
+// returned events are the deliveries, not yet enqueued; the caller passes
+// them to hpc.Sim.Resume together with every other component's frontier.
+func RestoreServer(sim *hpc.Sim, cfg Config, st *State, waiter func(agentID int) func([]float64)) (*Server, []hpc.Event) {
 	s := NewServer(sim, cfg)
 	s.exchanges = st.Exchanges
 	s.rounds = st.Rounds
@@ -258,16 +242,10 @@ func RestoreServer(sim *hpc.Sim, cfg Config, st *State, waiter func(agentID int)
 	for _, id := range s.pendingAgents {
 		s.waiters = append(s.waiters, waiter(id))
 	}
-	var events []hpc.ResumeEvent
+	var events []hpc.Event
 	for _, d := range st.Inflight {
-		d := d
-		events = append(events, hpc.ResumeEvent{
-			Time: d.Time,
-			Seq:  d.Seq,
-			Schedule: func() {
-				s.redeliver(d.AgentID, append([]float64(nil), d.Avg...), d.Time, waiter(d.AgentID))
-			},
-		})
+		events = append(events, hpc.Event{Time: d.Time, Seq: d.Seq, Handler: &delivery{
+			s: s, agentID: d.AgentID, avg: append([]float64(nil), d.Avg...), fn: waiter(d.AgentID)}})
 	}
 	return s, events
 }

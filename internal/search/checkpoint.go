@@ -16,13 +16,15 @@
 //     task records (evaluator), queued/running/backing-off Balsam job
 //     states plus the not-yet-injected fault timeline (balsam), the
 //     parameter-server barrier/window/deliveries (ps), each agent's control
-//     phase, and the partial Log. Pending events are captured as data —
-//     absolute fire time plus original sequence number.
+//     phase, and the partial Log. Pending events are read from the simulator
+//     (hpc.Sim.Pending), never stored beside it: each component keeps the
+//     absolute fire time and original sequence number of the handlers it
+//     recognises as its own, and capture panics on an event nobody claimed.
 //   - The next allocation rebuilds every component through the same
 //     constructor code paths (allocate; replaying the construction-time RNG
-//     draws), overwrites their state, re-enqueues the captured event
-//     frontier in (time, seq) order (hpc.ScheduleResume), and continues to
-//     the next boundary.
+//     draws), overwrites their state, re-enqueues the rebuilt handlers in
+//     (time, seq) order (hpc.Sim.Resume), and continues to the next
+//     boundary.
 //
 // Because the cut is exact — no draining, no reordering, no re-drawn
 // randomness — a run chained across any number of allocations produces a
@@ -152,8 +154,8 @@ func Allocate(bench *candle.Benchmark, sp *space.Space, cfg Config, ck *Checkpoi
 // restore overwrites a freshly constructed runner with the checkpoint's
 // state and re-enqueues the captured event frontier: events holds the
 // restored service's share, to which the parameter server's deliveries and
-// the agents' own pending events are added.
-func (r *runner) restore(ck *Checkpoint, events []hpc.ResumeEvent) error {
+// the agents' own timers are added.
+func (r *runner) restore(ck *Checkpoint, events []hpc.Event) error {
 	r.stopped = ck.Stopped
 	r.endTime = ck.EndTime
 	r.cachedRounds = append([]int(nil), ck.CachedRounds...)
@@ -195,21 +197,13 @@ func (r *runner) restore(ck *Checkpoint, events []hpc.ResumeEvent) error {
 		return fmt.Errorf("search: checkpoint has %d in-flight evaluations but agents reference %d", r.eval.InflightCount(), relinked)
 	}
 
-	// Agent-owned pending events (UpdateCost delays, round waits).
-	for _, a := range r.agents {
-		a := a
-		switch a.phase {
-		case phaseUpdate:
-			events = append(events, hpc.ResumeEvent{Time: a.evTime, Seq: a.evSeq, Schedule: func() {
-				a.evSeq = r.sim.AtTime(a.evTime, a.applyUpdate)
-			}})
-		case phaseRoundWait:
-			events = append(events, hpc.ResumeEvent{Time: a.evTime, Seq: a.evSeq, Schedule: func() {
-				a.evSeq = r.sim.AtTime(a.evTime, a.startRound)
-			}})
+	// Agent-owned timers (UpdateCost delays, round waits).
+	for i, a := range r.agents {
+		if a.phase == phaseUpdate || a.phase == phaseRoundWait {
+			events = append(events, hpc.Event{Time: ck.Agents[i].EvTime, Seq: ck.Agents[i].EvSeq, Handler: a})
 		}
 	}
-	hpc.ScheduleResume(events)
+	r.sim.Resume(events)
 	return nil
 }
 
@@ -243,6 +237,27 @@ func (r *runner) capture() *Checkpoint {
 	if r.psrv != nil {
 		ck.PS = r.psrv.CaptureState()
 	}
+	// Every pending event must be carried by exactly one component's state:
+	// an event nobody claimed would silently not exist after the resume.
+	pending := r.sim.Pending()
+	claimed := len(ck.Service.Stale) + len(ck.Service.PendingTimeline)
+	for _, job := range ck.Service.Jobs {
+		if job.HasFire {
+			claimed++
+		}
+	}
+	if ck.PS != nil {
+		claimed += len(ck.PS.Inflight)
+	}
+	for _, ev := range pending {
+		if a, ok := ev.Handler.(*agent); ok {
+			ck.Agents[a.id].EvTime, ck.Agents[a.id].EvSeq = ev.Time, ev.Seq
+			claimed++
+		}
+	}
+	if claimed != len(pending) {
+		panic(fmt.Sprintf("search: checkpoint cut at t=%g carries %d pending events, the simulator holds %d", ck.Now, claimed, len(pending)))
+	}
 	ck.Partial = r.buildLog()
 	return ck
 }
@@ -257,8 +272,6 @@ func (a *agent) captureState() AgentState {
 		Failed:      a.failed,
 		PendingJobs: append([]int64(nil), a.pendingJobs...),
 		PendingAvg:  append([]float64(nil), a.pendingAvg...),
-		EvTime:      a.evTime,
-		EvSeq:       a.evSeq,
 		Rand:        a.rand.State(),
 	}
 	for _, ep := range a.eps {
@@ -295,8 +308,6 @@ func (a *agent) restoreState(st *AgentState) error {
 	if len(st.PendingAvg) > 0 {
 		a.pendingAvg = append([]float64(nil), st.PendingAvg...)
 	}
-	a.evTime = st.EvTime
-	a.evSeq = st.EvSeq
 	a.rand.SetState(st.Rand)
 	a.eps = nil
 	for _, ep := range st.Episodes {
@@ -367,6 +378,9 @@ func LoadCheckpointFS(fsys fsim.FS, path string) (*Checkpoint, error) {
 	}
 	if len(ck.Agents) != ck.Config.Agents {
 		return nil, fmt.Errorf("search: checkpoint %s: %d agent states for %d configured agents", path, len(ck.Agents), ck.Config.Agents)
+	}
+	if ck.Eval == nil || ck.Service == nil {
+		return nil, fmt.Errorf("search: checkpoint %s: missing evaluator or service state", path)
 	}
 	return &ck, nil
 }

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"nasgo/internal/balsam"
 	"nasgo/internal/candle"
+	"nasgo/internal/evaluator"
 	"nasgo/internal/fsim"
 	"nasgo/internal/space"
 )
@@ -249,6 +251,8 @@ func minimalCheckpoint() *Checkpoint {
 		SpaceName: "combo-small",
 		Config:    Config{Strategy: RDM, Agents: 1, WorkersPerAgent: 1, Horizon: 100, Walltime: 50},
 		Agents:    make([]AgentState, 1),
+		Eval:      &evaluator.State{},
+		Service:   &balsam.State{},
 	}
 }
 
@@ -339,6 +343,18 @@ func TestCheckpointValidation(t *testing.T) {
 	ck.Agents = nil
 	if err := load("agents", ck); err == nil || !strings.Contains(err.Error(), "agent states") {
 		t.Fatalf("agent count mismatch: %v", err)
+	}
+	// A well-framed checkpoint missing a component must not load: Allocate
+	// would dereference it.
+	ck = minimalCheckpoint()
+	ck.Eval = nil
+	if err := load("eval", ck); err == nil || !strings.Contains(err.Error(), "evaluator or service") {
+		t.Fatalf("missing evaluator state: %v", err)
+	}
+	ck = minimalCheckpoint()
+	ck.Service = nil
+	if err := load("service", ck); err == nil || !strings.Contains(err.Error(), "evaluator or service") {
+		t.Fatalf("missing service state: %v", err)
 	}
 
 	bench := candle.NewCombo(candle.Config{Seed: 1})

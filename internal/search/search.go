@@ -310,10 +310,20 @@ type agent struct {
 	pendingJobs []int64
 	// pendingAvg holds the averaged gradient awaiting its UpdateCost event.
 	pendingAvg []float64
-	// evTime/evSeq locate the agent's own pending simulator event (the
-	// UpdateCost or round-wait delay) in the event queue.
-	evTime float64
-	evSeq  int64
+}
+
+// Fire makes the agent the handler of its one timer — the UpdateCost delay
+// (phaseUpdate) or the round wait (phaseRoundWait) — so scheduling it
+// allocates nothing and a checkpoint finds it in the simulator's queue.
+func (a *agent) Fire() {
+	switch a.phase {
+	case phaseUpdate:
+		a.applyUpdate()
+	case phaseRoundWait:
+		a.startRound()
+	default:
+		panic(fmt.Sprintf("search: agent %d timer fired in phase %s", a.id, phaseName(a.phase)))
+	}
 }
 
 // Run executes one search and returns its log. The run is deterministic in
@@ -404,7 +414,7 @@ func allocate(bench *candle.Benchmark, sp *space.Space, cfg Config, ck *Checkpoi
 		cachedRounds: make([]int, cfg.Agents),
 		boundary:     math.Inf(1),
 	}
-	var events []hpc.ResumeEvent // the checkpoint's pending-event frontier
+	var events []hpc.Event // the checkpoint's pending-event frontier
 	if ck == nil {
 		r.sim = hpc.NewSim()
 		r.sim.SetRecorder(rec)
@@ -642,11 +652,10 @@ func (a *agent) roundDone() {
 	a.ppoEpoch(0)
 }
 
-// waitNextRound schedules the RDM/EVO resubmission latency, recording the
-// event's queue position for checkpoints.
+// waitNextRound schedules the RDM/EVO resubmission latency.
 func (a *agent) waitNextRound() {
 	a.setPhase(phaseRoundWait)
-	a.evTime, a.evSeq = a.r.sim.AtE(1, a.startRound)
+	a.r.sim.AtHandlerE(1, a)
 }
 
 // ppoEpoch runs PPO epoch k: compute the gradient, exchange it through the
@@ -675,7 +684,7 @@ func (a *agent) ppoEpoch(k int) {
 func (a *agent) gradAveraged(avg []float64) {
 	a.setPhase(phaseUpdate)
 	a.pendingAvg = avg
-	a.evTime, a.evSeq = a.r.sim.AtE(a.r.cfg.UpdateCost, a.applyUpdate)
+	a.r.sim.AtHandlerE(a.r.cfg.UpdateCost, a)
 }
 
 // applyUpdate applies the pending averaged gradient and moves to the next

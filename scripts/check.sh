@@ -3,7 +3,8 @@
 # real-training tests skip themselves; see CLAUDE.md for the tier split),
 # a smoke of the one experiment harness (cmd/ has no tests of its own),
 # then the pure-simulation packages plus the evaluator's worker pool under
-# the race detector. The search package only runs its TestShort*
+# the race detector, 20 s of fuzzing on the event queue, and the coverage
+# gate. The search package only runs its TestShort*
 # fault/replay/resume/worker-pool tests — the full search suite trains real
 # networks and belongs to `go test ./...`.
 set -eu
@@ -62,6 +63,10 @@ go test -race -timeout 30m ./internal/campaign/
 # pool and replays searches against it at Workers ∈ {1,8}; the whole suite
 # is fast-tier by design.
 go test -race -timeout 30m ./internal/nasbench/
+# The one -fuzz run in the gate: every golden trace rides on the calendar
+# queue's (time, seq) order and every checkpoint on its enumeration, the seed
+# corpus is committed, and new inputs go to the build cache, not the tree.
+go test -run '^$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/hpc/
 
 # Coverage gate on the persistence- and concurrency-critical packages: the
 # trace codec, the checkpoint container, the fault-injection filesystem
