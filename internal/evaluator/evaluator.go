@@ -26,6 +26,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 
 	"nasgo/internal/balsam"
 	"nasgo/internal/candle"
@@ -200,8 +201,12 @@ type Evaluator struct {
 
 	// rewardTrain is the fixed low-fidelity training subset shared by all
 	// tasks (the paper trains on a fixed 10% of Combo, not a fresh random
-	// subsample per task).
+	// subsample per task). New splits its stream off rootRand; the first
+	// trainReal gathers it, on whichever goroutine gets there — an evaluator
+	// serving only a RewardSource or cache hits never does.
 	rewardTrain *data.Dataset
+	subRand     *rng.Rand
+	gatherOnce  sync.Once
 
 	// Trace records every result in completion order for analytics.
 	Trace []*Result
@@ -268,7 +273,7 @@ func New(sim *hpc.Sim, service *balsam.Service, bench *candle.Benchmark, sp *spa
 	}
 	e.rewardTrain = bench.Train
 	if cfg.Fidelity < 1 {
-		e.rewardTrain = bench.Train.Subsample(cfg.Fidelity, e.rootRand.Split())
+		e.subRand = e.rootRand.Split()
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -516,6 +521,11 @@ func (e *Evaluator) estimation(agentID int, key string, choices []int) (space.Ar
 func (e *Evaluator) trainReal(taskRand *rng.Rand, ir *space.ArchIR, plan hpc.RewardEstimate) float64 {
 	model := ir.BuildModel(taskRand.Split())
 
+	e.gatherOnce.Do(func() {
+		if e.subRand != nil {
+			e.rewardTrain = e.Bench.Train.Subsample(e.Cfg.Fidelity, e.subRand)
+		}
+	})
 	ds := e.rewardTrain
 	realEpochs := e.Cfg.Epochs * e.Cfg.RealEpochs
 	realBatches := (ds.N() + e.Cfg.RealBatchSize - 1) / e.Cfg.RealBatchSize * realEpochs
@@ -654,10 +664,10 @@ func (e *Evaluator) CaptureState() *State {
 }
 
 // Restore rebuilds an evaluator from a captured state over a restored Balsam
-// service. It runs the normal constructor first (replaying the fidelity
-// subsampling draws, so the training subset is identical), then overwrites
-// the mutable state. In-flight jobs are registered but their callbacks stay
-// detached until the owner calls Relink for each.
+// service. It runs the normal constructor first (re-splitting the fidelity
+// subsample's stream, so the subset a later training gathers is identical),
+// then overwrites the mutable state. In-flight jobs are registered but their
+// callbacks stay detached until the owner calls Relink for each.
 func Restore(sim *hpc.Sim, service *balsam.Service, bench *candle.Benchmark, sp *space.Space, cfg Config, st *State) *Evaluator {
 	e := New(sim, service, bench, sp, cfg)
 	e.rootRand.SetState(st.RootRand)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nasgo/internal/balsam"
 	"nasgo/internal/hpc"
 	"nasgo/internal/space"
 	"nasgo/internal/trace"
@@ -233,5 +234,73 @@ func TestPoolTraceEvents(t *testing.T) {
 		if run(0, capture) != serial {
 			t.Fatalf("pooled trace digest differs from serial (capture=%v)", capture)
 		}
+	}
+}
+
+// gathered reports whether e has materialised its fidelity subsample.
+func gathered(e *Evaluator) bool { return e.rewardTrain != e.Bench.Train }
+
+// TestPoolFirstTrainingsGatherOnce: eight distinct architectures submitted at
+// virtual time 0 on an eight-wide pool all reach the subsample's sync.Once
+// together, from worker goroutines; rewards and the gathered subset equal the
+// serial machine's bit for bit (check.sh races this package whole).
+func TestPoolFirstTrainingsGatherOnce(t *testing.T) {
+	run := func(workers int) (*Evaluator, []*Result) {
+		sim, ev, sp := comboSetup(t, Config{Seed: 14, Workers: workers, RealEpochs: 1})
+		if gathered(ev) {
+			t.Fatal("New gathered the subsample")
+		}
+		var got []*Result
+		for k := 0; k < 8; k++ {
+			ev.Submit(k%3, variantChoices(t, sp, k), func(r *Result) { got = append(got, r) })
+		}
+		sim.RunAll()
+		if len(got) != 8 || !gathered(ev) {
+			t.Fatalf("Workers=%d: %d results, gathered %v", workers, len(got), gathered(ev))
+		}
+		return ev, got
+	}
+	evS, serial := run(1)
+	evP, pooled := run(8)
+	if !reflect.DeepEqual(serial, pooled) {
+		t.Fatalf("pooled results differ from serial:\n%+v\nvs\n%+v", serial, pooled)
+	}
+	if !reflect.DeepEqual(evS.rewardTrain, evP.rewardTrain) {
+		t.Fatal("pooled evaluator gathered a different subsample")
+	}
+}
+
+// TestPoolRestoredCacheHitsGatherNothing: an allocation restored from a
+// checkpoint that only replays cache hits never pays for the subsample, and
+// its root stream sits where the capturing evaluator's did.
+func TestPoolRestoredCacheHitsGatherNothing(t *testing.T) {
+	sim, ev, sp := comboSetup(t, Config{Seed: 15, Workers: 1, RealEpochs: 1})
+	for k := 0; k < 2; k++ {
+		ev.Submit(0, variantChoices(t, sp, k), func(*Result) {})
+	}
+	sim.RunAll()
+	st := ev.CaptureState()
+
+	sim2 := hpc.NewSim()
+	re := Restore(sim2, balsam.NewService(sim2, 4), ev.Bench, sp, ev.Cfg, st)
+	var hits []*Result
+	for k := 0; k < 2; k++ {
+		re.Submit(0, variantChoices(t, sp, k), func(r *Result) { hits = append(hits, r) })
+	}
+	sim2.RunAll()
+	if len(hits) != 2 || !hits[0].Cached || !hits[1].Cached || re.CacheHits != 2 {
+		t.Fatalf("restored evaluator served %d results, CacheHits %d", len(hits), re.CacheHits)
+	}
+	if gathered(re) {
+		t.Fatal("serving cache hits gathered the subsample")
+	}
+	if re.rootRand.State() != st.RootRand {
+		t.Fatal("restored root stream moved")
+	}
+	// The first miss gathers exactly the subset the original trained on.
+	re.Submit(0, variantChoices(t, sp, 2), func(*Result) {})
+	sim2.RunAll()
+	if !reflect.DeepEqual(re.rewardTrain, ev.rewardTrain) {
+		t.Fatal("restored evaluator gathered a different subsample")
 	}
 }

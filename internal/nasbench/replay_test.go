@@ -3,6 +3,7 @@ package nasbench
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"nasgo/internal/hpc"
@@ -109,4 +110,33 @@ func TestShortRunReplayValidates(t *testing.T) {
 		}
 	}()
 	search.RunReplay(testBench(), ComboNano(), cfg, tbl)
+}
+
+// flatSource tabulates every architecture at one metric: enough to drive a
+// replayed search without building a table.
+type flatSource struct{}
+
+func (flatSource) Metric(string) (float64, bool) { return 0.25, true }
+
+// TestShortReplayGathersNoSubsample: a table-served search pays for what it
+// serves. One warm combo-micro RDM search at the tournament's shape allocates
+// under 1 MB — gathering the fidelity subsample at evaluator construction
+// alone cost 1.2 MB of the 2.1 MB a search took before, and compiling every
+// submission twice most of the rest (0.23 MB now).
+func TestShortReplayGathersNoSubsample(t *testing.T) {
+	bench, sp := testBench(), ComboMicro()
+	cfg := search.Config{Strategy: search.RDM, Agents: 2, WorkersPerAgent: 4, Horizon: 1800, Eval: testEval()}
+	var before, after runtime.MemStats
+	for seed := uint64(1); seed <= 2; seed++ { // seed 1 warms the space's compile memo
+		cfg.Seed = seed
+		runtime.ReadMemStats(&before)
+		log, err := search.RunReplay(bench, sp, cfg, flatSource{})
+		runtime.ReadMemStats(&after)
+		if err != nil || log.Evaluations < 40 {
+			t.Fatalf("seed %d: err %v, log %+v", seed, err, log)
+		}
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+		t.Fatalf("a warm replayed search allocated %d KB, want < 1024: something gathered a dataset or recompiled", spent>>10)
+	}
 }

@@ -197,8 +197,8 @@ func (l *Log) UniqueArchitectures() int {
 }
 
 // TopK returns the k best non-cached results by reward (ties broken by
-// earlier finish), the paper's input to post-training selection. Failed
-// estimations carry no trained model and are skipped.
+// earlier finish, then by key: a total order), the paper's input to
+// post-training selection. Failed estimations carry no model and are skipped.
 func (l *Log) TopK(k int) []*evaluator.Result {
 	best := map[string]*evaluator.Result{}
 	for _, r := range l.Results {
@@ -217,7 +217,10 @@ func (l *Log) TopK(k int) []*evaluator.Result {
 		if all[i].Reward != all[j].Reward {
 			return all[i].Reward > all[j].Reward
 		}
-		return all[i].FinishTime < all[j].FinishTime
+		if all[i].FinishTime != all[j].FinishTime {
+			return all[i].FinishTime < all[j].FinishTime
+		}
+		return all[i].Key < all[j].Key
 	})
 	if k > len(all) {
 		k = len(all)

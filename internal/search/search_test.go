@@ -174,6 +174,21 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// TestTopKTiesAreOrdered: four architectures tied on reward and finish time
+// come out in key order on every call — map iteration decided before.
+func TestTopKTiesAreOrdered(t *testing.T) {
+	log := &Log{}
+	for _, key := range []string{"c", "a", "d", "b"} {
+		log.Results = append(log.Results, &evaluator.Result{Key: key, Reward: 0.5, FinishTime: 10})
+	}
+	for i := 0; i < 200; i++ {
+		top := log.TopK(4)
+		if got := top[0].Key + top[1].Key + top[2].Key + top[3].Key; got != "abcd" {
+			t.Fatalf("call %d: TopK order %q, want \"abcd\"", i, got)
+		}
+	}
+}
+
 func TestHorizonRespected(t *testing.T) {
 	skipSlow(t)
 	log := runSmall(t, A3C, 1)

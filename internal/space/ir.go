@@ -1,8 +1,10 @@
 package space
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"nasgo/internal/nn"
 	"nasgo/internal/rng"
@@ -103,11 +105,42 @@ type compiler struct {
 	chosenDense map[*VariableNode]int
 }
 
+// memoCap bounds a Space's compile memo by entry count; reaching it drops the
+// whole map. An entry retains 1.7 KB (combo-micro) to 10.7 KB (combo-large) at
+// paper dims, measured — a compile allocates 2.3× that — so a full memo holds
+// at most 11 MB, and combo-micro's 117 × 2 compiles fit four times over.
+const memoCap = 1024
+
+// memoKey identifies a compile up to its input dims, which the entry confirms
+// (callers pair one dims vector with one unitScale). choices is the encoding
+// as uvarints: injective at the space's fixed length, a third of Hash's cost.
+type memoKey struct {
+	choices   string
+	unitScale float64
+}
+
+func newMemoKey(choices []int, unitScale float64) memoKey {
+	var buf [64]byte // the catalog's encodings fit; a longer one grows onto the heap
+	b := buf[:0]
+	for _, c := range choices {
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	return memoKey{string(b), unitScale}
+}
+
+type memoEntry struct {
+	inputDims []int
+	ir        *ArchIR
+	err       error
+}
+
 // Compile resolves an architecture encoding into an IR at the given input
 // dimensions. unitScale rescales Dense unit counts (1.0 reproduces the paper
 // dimensions; reward estimation at laptop scale uses a smaller factor);
 // other hyperparameters (conv filters, kernel sizes, dropout rates) are
-// structural and stay fixed.
+// structural and stay fixed. A pure function of the validated space and its
+// arguments, it is memoised per Space: the returned IR (or error) is shared
+// with every caller of the same arguments, on any goroutine, and read-only.
 func (s *Space) Compile(choices []int, inputDims []int, unitScale float64) (*ArchIR, error) {
 	if err := s.CheckChoices(choices); err != nil {
 		return nil, err
@@ -118,6 +151,25 @@ func (s *Space) Compile(choices []int, inputDims []int, unitScale float64) (*Arc
 	if unitScale <= 0 {
 		return nil, fmt.Errorf("space %s: unitScale %g must be positive", s.Name, unitScale)
 	}
+	key := newMemoKey(choices, unitScale)
+	s.memoMu.Lock()
+	m, ok := s.memo[key]
+	s.memoMu.Unlock()
+	if ok && slices.Equal(m.inputDims, inputDims) {
+		return m.ir, m.err
+	}
+	ir, err := s.compile(choices, inputDims, unitScale)
+	s.memoMu.Lock()
+	if s.memo == nil || len(s.memo) >= memoCap {
+		s.memo = map[memoKey]memoEntry{}
+	}
+	s.memo[key] = memoEntry{append([]int(nil), inputDims...), ir, err}
+	s.memoMu.Unlock()
+	return ir, err
+}
+
+// compile is the IR generation pass behind Compile, on checked arguments.
+func (s *Space) compile(choices []int, inputDims []int, unitScale float64) (*ArchIR, error) {
 	c := &compiler{
 		space:       s,
 		choices:     choices,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Node is one element of a Block: a VariableNode, ConstantNode, or
@@ -102,6 +103,12 @@ type Space struct {
 	OutputUnits int
 
 	decisions []*VariableNode // cached traversal
+
+	// memo holds Compile's results (ir.go): the searches of a tournament,
+	// the allocations of a campaign and the agents of a search share one
+	// *Space, hence the lock. Validate resets it.
+	memoMu sync.Mutex
+	memo   map[memoKey]memoEntry
 }
 
 // Validate checks structural invariants and caches the decision order.
@@ -118,6 +125,9 @@ func (s *Space) Validate() error {
 		return fmt.Errorf("space %s: OutputUnits = %d", s.Name, s.OutputUnits)
 	}
 	s.decisions = nil
+	s.memoMu.Lock()
+	s.memo = nil
+	s.memoMu.Unlock()
 	known := map[*VariableNode]bool{}
 	for ci, c := range s.Cells {
 		if len(c.Blocks) == 0 {
@@ -209,16 +219,16 @@ func (s *Space) CheckChoices(choices []int) error {
 // Hash returns a compact canonical key for an architecture, used by the
 // per-agent evaluation cache.
 func (s *Space) Hash(choices []int) string {
-	var b strings.Builder
-	b.WriteString(s.Name)
-	b.WriteByte(':')
+	var buf [160]byte // the catalog's keys fit; a longer one grows onto the heap
+	b := append(buf[:0], s.Name...)
+	b = append(b, ':')
 	for i, c := range choices {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(c))
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Describe renders the chosen operation of every decision, for logs and the

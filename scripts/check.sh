@@ -3,8 +3,9 @@
 # real-training tests skip themselves; see CLAUDE.md for the tier split),
 # a smoke of the one experiment harness (cmd/ has no tests of its own),
 # then the pure-simulation packages plus the evaluator's worker pool under
-# the race detector, 20 s of fuzzing on the event queue, and the coverage
-# gate. The search package only runs its TestShort*
+# the race detector (and ten more rounds of the one test that shares a
+# space's compile memo between goroutines), 20 s of fuzzing on the event
+# queue, and the coverage gate. The search package only runs its TestShort*
 # fault/replay/resume/worker-pool tests — the full search suite trains real
 # networks and belongs to `go test ./...`.
 set -eu
@@ -48,6 +49,10 @@ done
 go test -race ./internal/hpc/ ./internal/balsam/ ./internal/rng/ ./internal/space/ \
     ./internal/ckpt/ ./internal/ps/ ./internal/optim/ ./internal/trace/ ./internal/analytics/ \
     ./internal/tensor/ ./internal/nn/ ./internal/rl/ ./internal/fsim/
+# A Space's compile memo is the one piece of state the searches of a
+# tournament, the allocations of a campaign and the pool's goroutines all
+# reach: its concurrent test gets the ten runs an interleaving bug needs.
+go test -race -count=10 -run TestCompileMemoConcurrent ./internal/space/
 # The evaluator trains real (scaled) networks, but its suite is small enough
 # to race-check whole — this is the only gate exercising Workers > 1
 # evaluator concurrency under the race detector.
