@@ -110,15 +110,25 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 	}
 	rep.Recovered = len(recs)
 
-	// Train the remainder, one durable WAL record per architecture.
-	for i := len(recs); i < total && (cfg.MaxTrain <= 0 || rep.Trained < cfg.MaxTrain); i++ {
-		rec := buildRecord(ev, cfg.Space, i)
+	// Train the remainder, GOMAXPROCS architectures at a time, one durable
+	// WAL record per architecture in enumeration order.
+	to := total
+	if cfg.MaxTrain > 0 {
+		to = min(total, len(recs)+cfg.MaxTrain)
+	}
+	err = inOrder(len(recs), to, func(i int) (Record, error) {
+		return buildRecord(ev, cfg.Space, i), nil
+	}, func(rec Record) error {
 		if err := j.append(rec); err != nil {
-			j.close()
-			return nil, err
+			return err
 		}
 		recs = append(recs, rec)
 		rep.Trained++
+		return nil
+	})
+	if err != nil {
+		j.close()
+		return nil, err
 	}
 	if err := j.close(); err != nil {
 		return nil, err
@@ -146,7 +156,10 @@ func orOS(fsys fsim.FS) fsim.FS {
 	return fsys
 }
 
-// buildRecord trains enumeration index i into its table record.
+// buildRecord trains enumeration index i into its table record. Build runs
+// it on several goroutines at once over one evaluator: in benchmark mode
+// TabulateMetric reads only the space's mutex-guarded memo, the gathered-once
+// subsample and a stream derived from the architecture key.
 func buildRecord(ev *evaluator.Evaluator, sp *space.Space, i int) Record {
 	choices := sp.ChoicesAt(i)
 	rec := Record{Index: i, Key: sp.Hash(choices)}

@@ -3,8 +3,11 @@ package nasbench
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"nasgo/internal/ckpt"
@@ -81,7 +84,25 @@ type buildOutcome struct {
 // damage must surface as ckpt.ErrCorrupt (quarantine + rebuild inside
 // Build, or a descriptive error), never as a mis-decoded record, and
 // every build that completes still produces the reference bytes.
+//
+// Both sweeps run at the ambient GOMAXPROCS and again at 4, where the
+// recording build and every resume train several architectures at once; the
+// two widths must record the same tape, op for op.
 func TestShortTortureBuilderCrashEnumeration(t *testing.T) {
+	var tapes [][]fsim.Op
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tapes = append(tapes, tortureBuilder(t))
+		})
+	}
+	if len(tapes) == 2 && !reflect.DeepEqual(tapes[0], tapes[1]) {
+		t.Fatal("the recorded build's filesystem ops depend on GOMAXPROCS")
+	}
+}
+
+// tortureBuilder is one width's crash enumeration; it returns the tape.
+func tortureBuilder(t *testing.T) []fsim.Op {
 	// 1. Record.
 	mem := fsim.NewMemFS()
 	rec := fsim.NewRecordFS(mem)
@@ -191,4 +212,5 @@ func TestShortTortureBuilderCrashEnumeration(t *testing.T) {
 	if resumed == 0 {
 		t.Fatal("lie pass never resumed — the sweep proved nothing")
 	}
+	return tape
 }

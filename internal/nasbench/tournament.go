@@ -176,7 +176,9 @@ func (t *Tournament) digest() string {
 // journaled to the same WAL substrate the builder uses, a killed tournament
 // resumes after the last durable run, and the resumed result set — digest
 // included — is identical to an uninterrupted one's (each run is
-// deterministic in its config, and the table pins every reward).
+// deterministic in its config, and the table pins every reward). Runs are
+// replayed GOMAXPROCS at a time and journaled in index order (inOrder), so
+// the WAL, the artifact and the digest do not depend on the core count.
 func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Table == nil {
@@ -185,6 +187,19 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	if cfg.Table.Meta.Bench != cfg.Bench.Name || cfg.Table.Meta.Space != cfg.Space.Name {
 		return nil, fmt.Errorf("nasbench: table is for %s/%s, tournament for %s/%s",
 			cfg.Table.Meta.Bench, cfg.Table.Meta.Space, cfg.Bench.Name, cfg.Space.Name)
+	}
+	// Refuse, before anything is journaled, what would otherwise fail
+	// mid-tournament or silently mean something else.
+	if cfg.Seeds < 0 {
+		return nil, fmt.Errorf("nasbench: tournament Seeds = %d, want > 0 seeds per strategy (0 selects the default 1000)", cfg.Seeds)
+	}
+	for i, strat := range cfg.Strategies {
+		if strat == "" || slices.Contains(cfg.Strategies[:i], strat) {
+			return nil, fmt.Errorf("nasbench: tournament strategies %q: each must be named once (Leaderboard keys its rows by name)", cfg.Strategies)
+		}
+		if err := runConfig(cfg, strat, cfg.BaseSeed).Validate(); err != nil {
+			return nil, fmt.Errorf("nasbench: tournament strategy %q: %w", strat, err)
+		}
 	}
 	fsys := orOS(cfg.FS)
 	total := len(cfg.Strategies) * cfg.Seeds
@@ -220,24 +235,24 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 		tour.Runs = j.units
 	}
 
-	newRuns := 0
-	for idx := len(tour.Runs); idx < total; idx++ {
-		if cfg.MaxRuns > 0 && newRuns >= cfg.MaxRuns {
-			break
-		}
-		strat := cfg.Strategies[idx/cfg.Seeds]
-		seed := cfg.BaseSeed + uint64(idx%cfg.Seeds)
-		run, err := tournamentRun(cfg, idx, strat, seed)
-		if err != nil {
-			return nil, err
-		}
+	// GOMAXPROCS searches at a time, journaled in index order.
+	to := total
+	if cfg.MaxRuns > 0 {
+		to = min(total, len(tour.Runs)+cfg.MaxRuns)
+	}
+	err := inOrder(len(tour.Runs), to, func(idx int) (RunResult, error) {
+		return tournamentRun(cfg, idx, cfg.Strategies[idx/cfg.Seeds], cfg.BaseSeed+uint64(idx%cfg.Seeds))
+	}, func(run RunResult) error {
 		if j != nil {
 			if err := j.append(run); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		tour.Runs = append(tour.Runs, run)
-		newRuns++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(tour.Runs) < total {
 		return tour, fmt.Errorf("nasbench: tournament stopped at %d/%d runs (MaxRuns bound)", len(tour.Runs), total)
@@ -260,15 +275,7 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 // table's binding training knobs, so the replay guarantee applies whatever
 // the tournament seed is.
 func tournamentRun(cfg TournamentConfig, idx int, strat string, seed uint64) (RunResult, error) {
-	sCfg := search.Config{
-		Strategy:        strat,
-		Agents:          cfg.Agents,
-		WorkersPerAgent: cfg.WorkersPerAgent,
-		Horizon:         cfg.Horizon,
-		Seed:            seed,
-		Eval:            replayEvalConfig(cfg.Table),
-	}
-	log, err := search.RunReplay(cfg.Bench, cfg.Space, sCfg, cfg.Table)
+	log, err := search.RunReplay(cfg.Bench, cfg.Space, runConfig(cfg, strat, seed), cfg.Table)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("nasbench: tournament run %d (%s seed %d): %w", idx, strat, seed, err)
 	}
@@ -288,6 +295,18 @@ func tournamentRun(cfg TournamentConfig, idx int, strat string, seed uint64) (Ru
 		run.BestKey = top[0].Key
 	}
 	return run, nil
+}
+
+// runConfig is the search one tournament run replays.
+func runConfig(cfg TournamentConfig, strat string, seed uint64) search.Config {
+	return search.Config{
+		Strategy:        strat,
+		Agents:          cfg.Agents,
+		WorkersPerAgent: cfg.WorkersPerAgent,
+		Horizon:         cfg.Horizon,
+		Seed:            seed,
+		Eval:            replayEvalConfig(cfg.Table),
+	}
 }
 
 // replayEvalConfig derives the evaluator configuration a replayed search

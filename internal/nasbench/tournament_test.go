@@ -139,17 +139,35 @@ func TestShortTournamentDeterminism(t *testing.T) {
 	}
 }
 
-// TestShortTournamentValidates pins the API contract: missing table and
-// mismatched table/space must refuse up front.
+// TestShortTournamentValidates pins the API contract: a configuration that
+// cannot make the tournament it names is refused before anything is
+// journaled or run — a missing table, a mismatched table/space, a negative
+// seed count (once an empty tournament with a digest), an unknown strategy
+// (once refused only at its first run, after the runs before it were
+// journaled), a repeated or unnamed one (once run again and merged into one
+// Leaderboard row), and a search setting every run would reject.
 func TestShortTournamentValidates(t *testing.T) {
-	if _, err := RunTournament(TournamentConfig{Bench: testBench(), Space: ComboNano()}); err == nil {
-		t.Fatal("tournament without a table ran")
-	}
 	tbl, _ := buildNanoTable(t)
-	cfg := nanoTournament(tbl, nil, "")
-	cfg.Space = ComboMicro()
-	if _, err := RunTournament(cfg); err == nil {
-		t.Fatal("tournament with a mismatched sub-space ran")
+	for name, mutate := range map[string]func(*TournamentConfig){
+		"no table":           func(c *TournamentConfig) { c.Table = nil },
+		"mismatched space":   func(c *TournamentConfig) { c.Space = ComboMicro() },
+		"negative seeds":     func(c *TournamentConfig) { c.Seeds = -2 },
+		"unknown strategy":   func(c *TournamentConfig) { c.Strategies = []string{search.A3C, "bogus"} },
+		"repeated strategy":  func(c *TournamentConfig) { c.Strategies = []string{search.A3C, search.A3C} },
+		"unnamed strategy":   func(c *TournamentConfig) { c.Strategies = []string{""} },
+		"invalid run config": func(c *TournamentConfig) { c.Agents = -1 },
+	} {
+		mem := fsim.NewMemFS()
+		for _, dir := range []string{"", "/tour"} {
+			cfg := nanoTournament(tbl, mem, dir)
+			mutate(&cfg)
+			if tour, err := RunTournament(cfg); err == nil {
+				t.Errorf("%s, dir %q: ran %d searches with digest %q and no error", name, dir, len(tour.Runs), tour.Digest)
+			}
+		}
+		if payloads, _, err := scanSegments(mem, "/tour"); err != nil || len(payloads) != 0 {
+			t.Errorf("%s: journaled %d runs before refusing (scan err %v)", name, len(payloads), err)
+		}
 	}
 }
 

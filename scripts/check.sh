@@ -36,7 +36,8 @@ grep -q 'tournament' "$smoke/err"
 # resolves to GOMAXPROCS, so the determinism pins run serial (1), at the
 # smallest pooled width (2) and wider than the test machines' node count (8).
 # nasbench is in the loop for the table source × pool interplay: a reward
-# source makes every estimation an inline future whatever the width. rl is
+# source makes every estimation an inline future whatever the width; and
+# its builder and tournament run GOMAXPROCS units at a time. rl is
 # in the loop so the controller goldens are held at every width too.
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool' \
@@ -64,10 +65,14 @@ go test -race -timeout 30m -run TestShort ./internal/search/
 # the supervisor over shared state; its suite (concurrent submits, panic
 # restarts, kill -9 re-exec children) runs whole under the race detector.
 go test -race -timeout 30m ./internal/campaign/
-# The tabular benchmark builds its table through the Workers>1 evaluator
-# pool and replays searches against it at Workers ∈ {1,8}; the whole suite
-# is fast-tier by design.
+# The tabular benchmark trains its table and replays its tournaments
+# GOMAXPROCS units at a time over one shared space, evaluator and table,
+# committing to the journal in index order; the whole suite is fast-tier by
+# design. The ordered-commit helper's tests (adversarial completion order)
+# and the GOMAXPROCS 1-vs-8 tape pins get the ten runs an interleaving bug
+# needs.
 go test -race -timeout 30m ./internal/nasbench/
+go test -race -count=10 -timeout 30m -run 'TestInOrder|TestShort.*WidthInvariant' ./internal/nasbench/
 # The one -fuzz run in the gate: every golden trace rides on the calendar
 # queue's (time, seq) order and every checkpoint on its enumeration, the seed
 # corpus is committed, and new inputs go to the build cache, not the tree.

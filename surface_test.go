@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -103,6 +104,40 @@ func TestSurface(t *testing.T) {
 	for name := range surfaceAllow {
 		if _, ok := declared[name]; !ok || used[name] {
 			t.Errorf("surfaceAllow[%q] is stale: declared=%v used=%v", name, ok, used[name])
+		}
+	}
+}
+
+// timeFree lists the packages under internal/ that decide results: virtual
+// seconds only (DESIGN.md §3). Without a clock they also cannot let host
+// completion order — which goroutine of the worker pool or of a tournament
+// finishes first — decide anything.
+var timeFree = []string{"hpc", "balsam", "ps", "evaluator", "search", "rl", "space",
+	"tensor", "nn", "optim", "train", "data", "rng", "nasbench"}
+
+// TestTimeBase: no non-test file of a timeFree package imports time. Wall
+// seconds are measured around these packages, by benchmark/, cmd/ and the
+// campaign service, and only ever reported.
+func TestTimeBase(t *testing.T) {
+	seen := map[string]bool{}
+	for _, pkg := range timeFree {
+		seen["internal/"+pkg] = false
+	}
+	walkGo(t, false, func(file string, f *ast.File) {
+		dir := path.Dir(file)
+		if _, ok := seen[dir]; !ok {
+			return
+		}
+		seen[dir] = true
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				t.Errorf("%s imports time: a package that decides results reads virtual seconds only", file)
+			}
+		}
+	})
+	for dir, ok := range seen {
+		if !ok {
+			t.Errorf("timeFree names %s, which has no non-test Go file", dir)
 		}
 	}
 }
