@@ -189,17 +189,11 @@ replays bit-for-bit identical to never having been interrupted.
 		[]report.Series{{Name: strings.ToUpper(cfg.Strategy), X: xs, Y: best}}, 70, 12))
 
 	fmt.Printf("\ntop %d architectures by estimated reward:\n", *topK)
-	rows := make([][]string, 0, *topK)
-	for i, r := range res.TopK(*topK) {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", i+1), report.F(r.Reward), fmt.Sprintf("%d", r.Params),
-			fmt.Sprintf("%.0f", r.Duration), fmt.Sprintf("%v", r.TimedOut),
-		})
-		if i == 0 {
-			fmt.Printf("best architecture: %s\n", sp.Describe(r.Choices))
-		}
+	top := res.TopK(*topK)
+	if len(top) > 0 {
+		fmt.Printf("best architecture: %s\n", sp.Describe(top[0].Choices))
 	}
-	fmt.Print(report.Table([]string{"rank", "reward", "params(paper)", "eval s", "timeout"}, rows))
+	fmt.Print(report.Table([]string{"rank", "reward", "params(paper)", "eval s", "timeout"}, topRows(top)))
 
 	if *out != "" {
 		if err := res.WriteJSONFS(fsim.OS, *out); err != nil {
@@ -244,4 +238,21 @@ func writeTrace(rec *nasgo.TraceRecorder, jsonlPath, chromePath string) {
 	}
 	fmt.Println()
 	fmt.Print(trace.Summarize(events).Format())
+}
+
+// topRows renders TopK's results as table rows. A cache hit ran no task, so
+// its row says "cached" where a task's time would be.
+func topRows(top []*nasgo.EvalResult) [][]string {
+	rows := make([][]string, len(top))
+	for i, r := range top {
+		secs := fmt.Sprintf("%.0f", r.Duration)
+		if r.Cached {
+			secs = "cached"
+		}
+		rows[i] = []string{
+			fmt.Sprintf("%d", i+1), report.F(r.Reward), fmt.Sprintf("%d", r.Params),
+			secs, fmt.Sprintf("%v", r.TimedOut),
+		}
+	}
+	return rows
 }

@@ -257,7 +257,7 @@ func ComboBaselineIR(cellDim, drugDim, hidden int) *space.ArchIR {
 	cat := b.concat(cellOut, d1Out, d2Out)
 	top, _ := b.denseChain(cat, hidden, 3, nn.ActReLU, nil)
 	out := b.dense(top, 1, nn.ActLinear, -1)
-	return &space.ArchIR{SpaceName: "combo-baseline", Specs: b.specs, Output: out}
+	return space.NewArchIR("combo-baseline", b.specs, out)
 }
 
 // UnoBaselineIR builds the manually designed Uno network (§2.2): three
@@ -277,7 +277,7 @@ func UnoBaselineIR(rnaDim, doseDim, descDim, fpDim, hidden int) *space.ArchIR {
 	cat := b.concat(rnaOut, descOut, fpOut, dose)
 	top, _ := b.denseChain(cat, hidden, 3, nn.ActReLU, nil)
 	out := b.dense(top, 1, nn.ActLinear, -1)
-	return &space.ArchIR{SpaceName: "uno-baseline", Specs: b.specs, Output: out}
+	return space.NewArchIR("uno-baseline", b.specs, out)
 }
 
 // NT3BaselineIR builds the manually designed NT3 network (§2.3):
@@ -320,5 +320,5 @@ func NT3BaselineIR(inputDim, filters, d1, d2 int) *space.ArchIR {
 		Kind: space.SpecDropout, Inputs: []int{h2}, Rate: 0.1, SharedWith: -1, OutDims: []int{d2},
 	})
 	out := b.dense(drop2, data.NT3Classes, nn.ActLinear, -1)
-	return &space.ArchIR{SpaceName: "nt3-baseline", Specs: b.specs, Output: out}
+	return space.NewArchIR("nt3-baseline", b.specs, out)
 }

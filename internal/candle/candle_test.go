@@ -7,6 +7,7 @@ import (
 	"nasgo/internal/data"
 	"nasgo/internal/hpc"
 	"nasgo/internal/rng"
+	"nasgo/internal/space"
 	"nasgo/internal/train"
 )
 
@@ -27,6 +28,25 @@ func TestPaperParameterCounts(t *testing.T) {
 	nt3 := NT3BaselineIR(data.NT3InputDim, 128, 200, 20).Stats()
 	if nt3.Params != 154922918 {
 		t.Errorf("NT3 baseline params = %d, want 154922918 (from §2.3 description)", nt3.Params)
+	}
+}
+
+// TestShortBaselineLiteralStats: the baselines carry the stats NewArchIR
+// computed once, equal to what an IR built as a struct literal from the same
+// specs derives, at paper and at scaled dims.
+func TestShortBaselineLiteralStats(t *testing.T) {
+	for _, ir := range []*space.ArchIR{
+		ComboBaselineIR(data.ComboCellDim, data.ComboDrugDim, 1000),
+		UnoBaselineIR(data.UnoRNADim, data.UnoDoseDim, data.UnoDescDim, data.UnoFPDim, 1000),
+		NT3BaselineIR(data.NT3InputDim, 128, 200, 20),
+		NewCombo(Config{Seed: 1}).Baseline,
+		NewUno(Config{Seed: 1}).Baseline,
+		NewNT3(Config{Seed: 1}).Baseline,
+	} {
+		lit := &space.ArchIR{SpaceName: ir.SpaceName, Specs: ir.Specs, Output: ir.Output}
+		if lit.Stats() != ir.Stats() {
+			t.Errorf("%s: literal %+v, constructed %+v", ir.SpaceName, lit.Stats(), ir.Stats())
+		}
 	}
 }
 

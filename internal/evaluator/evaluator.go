@@ -184,6 +184,9 @@ type Evaluator struct {
 
 	sim     *hpc.Sim
 	service *balsam.Service
+	// paperDims and scaledDims are the input dims of every estimation's two
+	// compiles, fixed by the space and the benchmark.
+	paperDims, scaledDims []int
 
 	// caches[agentID][archKey] holds the agent's previously estimated
 	// reward.
@@ -270,6 +273,8 @@ func New(sim *hpc.Sim, service *balsam.Service, bench *candle.Benchmark, sp *spa
 		rootRand:   rng.New(rootSeed ^ 0xe7a10ae),
 		finished:   map[int][]*Result{},
 		inflight:   map[int64]*inflightRecord{},
+		paperDims:  sp.PaperInputDims(),
+		scaledDims: bench.Train.InputDims(),
 	}
 	e.rewardTrain = bench.Train
 	if cfg.Fidelity < 1 {
@@ -310,7 +315,8 @@ type inflightRecord struct {
 // zero-delay deliveries always fire within the current timestep, so only
 // real tasks can be in flight at a checkpoint cut.
 func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int64 {
-	key := e.Space.Hash(choices)
+	var buf [160]byte // the catalog's keys fit; a hit allocates no key
+	kb := e.Space.AppendHash(buf[:0], choices)
 	cacheID := agentID
 	if e.Cfg.GlobalCache {
 		cacheID = -1
@@ -320,7 +326,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		cache = map[string]*Result{}
 		e.caches[cacheID] = cache
 	}
-	if prev, ok := cache[key]; ok {
+	if prev, ok := cache[string(kb)]; ok {
 		if e.sem != nil {
 			// The entry may still be training on the worker pool (optimistic
 			// insert); join it before copying. The join can evict a diverged
@@ -328,10 +334,10 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 			// inline future, which was evicted before its Submit returned.
 			e.resolve(e.pendingRecord(prev))
 		}
-		if _, still := cache[key]; still {
+		if _, still := cache[string(kb)]; still {
 			e.CacheHits++
 			e.sim.Recorder().Emit(trace.Event{Cat: trace.CatEval, Name: trace.EvCacheHit,
-				Node: trace.None, Agent: agentID, Detail: key})
+				Node: trace.None, Agent: agentID, Detail: prev.Key})
 			res := *prev
 			res.Cached = true
 			res.Duration = 0
@@ -349,6 +355,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 	// positions and compile failures are identical at every Workers setting.
 	// A malformed architecture must not kill the campaign: surface the
 	// compile error as a failed result.
+	key := string(kb)
 	stats, plan, metric, err := e.estimation(agentID, key, choices)
 	if err != nil {
 		e.failCompile(agentID, key, choices, err.Error(), onDone)
@@ -369,7 +376,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 	// reward is revealed when the virtual task completes.
 	cache[key] = res
 	rec := &inflightRecord{res: res, cacheID: cacheID, inCache: true}
-	e.start(rec, func() float64 { return e.shapeReward(metric(), stats) })
+	e.start(rec, metric, stats)
 	e.sim.Recorder().Emit(trace.Event{Cat: trace.CatEval, Name: trace.EvTaskSubmit,
 		Node: trace.None, Agent: agentID, Value: plan.Duration, Detail: key})
 	id := e.service.Submit(&balsam.Job{
@@ -470,34 +477,34 @@ func (e *Evaluator) TabulateMetric(choices []int) (float64, hpc.RewardEstimate, 
 	return metric(), plan, nil
 }
 
-// taskStream derives the per-task training stream. Live mode mixes the
-// agent's seed (drawn from rootRand at first use — a shared-stream draw
-// that replay must reproduce identically); benchmark mode depends on the
-// architecture alone, so every agent trains the same weights and a reward
-// table needs one row per architecture.
-func (e *Evaluator) taskStream(agentID int, key string) *rng.Rand {
+// taskSeed is the seed the per-task training stream mixes with the
+// architecture key. Live mode takes the agent's seed (drawn from rootRand at
+// first use — a shared-stream draw that replay must reproduce identically);
+// benchmark mode depends on the architecture alone, so every agent trains the
+// same weights and a reward table needs one row per architecture.
+func (e *Evaluator) taskSeed(agentID int) uint64 {
 	if e.Cfg.BenchSeed != 0 {
-		return rng.New(e.Cfg.BenchSeed ^ hashKey(key))
+		return e.Cfg.BenchSeed
 	}
-	return rng.New(e.agentSeed(agentID) ^ hashKey(key))
+	return e.agentSeed(agentID)
 }
 
 // estimation is the synchronous prologue of one reward estimation, shared by
 // Submit and TabulateMetric: the paper-dimension compile and virtual plan,
-// the per-task RNG stream (derived in submit order, so stream positions are
+// the per-task seed (derived in submit order, so stream positions are
 // identical at every Workers setting), and the scaled-dimension compile,
 // whose failure must surface at submit time. The returned metric thunk is
 // the only deferred part — the real training, or the table lookup a reward
 // source replaces it with — and may run on any goroutine.
 func (e *Evaluator) estimation(agentID int, key string, choices []int) (space.ArchStats, hpc.RewardEstimate, func() float64, error) {
-	paperIR, err := e.Space.Compile(choices, e.Space.PaperInputDims(), 1.0)
+	paperIR, err := e.Space.Compile(choices, e.paperDims, 1.0)
 	if err != nil {
 		return space.ArchStats{}, hpc.RewardEstimate{}, nil, fmt.Errorf("compile at paper dims: %v", err)
 	}
 	stats := paperIR.Stats()
 	plan := e.paperPlan(stats)
-	taskRand := e.taskStream(agentID, key)
-	ir, err := e.Space.Compile(choices, e.Bench.Train.InputDims(), e.Bench.UnitScale)
+	seed := e.taskSeed(agentID)
+	ir, err := e.Space.Compile(choices, e.scaledDims, e.Bench.UnitScale)
 	if err != nil {
 		return space.ArchStats{}, hpc.RewardEstimate{}, nil, fmt.Errorf("compile at scaled dims: %v", err)
 	}
@@ -510,6 +517,7 @@ func (e *Evaluator) estimation(agentID int, key string, choices []int) (space.Ar
 			return metric
 		}, nil
 	}
+	taskRand := rng.New(seed ^ hashKey(key))
 	return stats, plan, func() float64 { return e.trainReal(taskRand, ir, plan) }, nil
 }
 

@@ -279,3 +279,31 @@ func TestNT3Evaluation(t *testing.T) {
 		t.Fatalf("NT3 accuracy reward out of range: %+v", res)
 	}
 }
+
+// constSource serves one metric for every architecture.
+type constSource struct{}
+
+func (constSource) Metric(string) (float64, bool) { return 0.5, true }
+
+// TestShortCacheHitAllocatesNoKey: a cache hit looks its key up from a stack
+// buffer and reads the stored result's, so a table-served hit allocates 2
+// times, the result's copy and its delivery closure; building the key string
+// first made it 3.
+func TestShortCacheHitAllocatesNoKey(t *testing.T) {
+	sim, ev, sp := comboSetup(t, Config{BenchSeed: 9, Workers: 1})
+	ev.SetRewardSource(constSource{})
+	choices := denseChoices(sp)
+	done := func(*Result) {}
+	ev.Submit(0, choices, done)
+	sim.RunAll()
+	got := testing.AllocsPerRun(100, func() {
+		ev.Submit(0, choices, done)
+		sim.RunAll()
+	})
+	if got > 2 {
+		t.Fatalf("a cache hit allocated %v times, want <= 2", got)
+	}
+	if ev.CacheHits < 100 {
+		t.Fatalf("%d cache hits, want every resubmission to hit", ev.CacheHits)
+	}
+}

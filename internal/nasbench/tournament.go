@@ -290,11 +290,29 @@ func tournamentRun(cfg TournamentConfig, idx int, strat string, seed uint64) (Ru
 		Converged:   log.Converged,
 		EndTime:     log.EndTime,
 	}
-	if top := log.TopK(1); len(top) > 0 {
-		run.Best = top[0].Reward
-		run.BestKey = top[0].Key
+	if best := bestResult(log.Results); best != nil {
+		run.Best = best.Reward
+		run.BestKey = best.Key
 	}
 	return run, nil
+}
+
+// bestResult is TopK(1)[0] (nil for none) in one pass: the first non-failed
+// result of the least (−Reward, FinishTime, Key). Results are in completion
+// order, so that is the first best-reward result of its key, as in TopK.
+func bestResult(results []*evaluator.Result) *evaluator.Result {
+	var best *evaluator.Result
+	for _, r := range results {
+		if r.Failed {
+			continue
+		}
+		if best == nil || r.Reward > best.Reward ||
+			r.Reward == best.Reward && (r.FinishTime < best.FinishTime ||
+				r.FinishTime == best.FinishTime && r.Key < best.Key) {
+			best = r
+		}
+	}
+	return best
 }
 
 // runConfig is the search one tournament run replays.

@@ -196,9 +196,12 @@ func (l *Log) UniqueArchitectures() int {
 	return len(seen)
 }
 
-// TopK returns the k best non-cached results by reward (ties broken by
-// earlier finish, then by key: a total order), the paper's input to
-// post-training selection. Failed estimations carry no model and are skipped.
+// TopK returns the k best architectures by reward (ties broken by earlier
+// finish, then by key: a total order), the paper's input to post-training
+// selection. Each is represented by the first result carrying its best
+// reward, which can be a cache hit (Cached, Duration 0): an architecture
+// proposed twice in one round hits its own in-flight entry and completes
+// before the task does. Failed estimations carry no model and are skipped.
 func (l *Log) TopK(k int) []*evaluator.Result {
 	best := map[string]*evaluator.Result{}
 	for _, r := range l.Results {

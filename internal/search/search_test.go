@@ -189,6 +189,21 @@ func TestTopKTiesAreOrdered(t *testing.T) {
 	}
 }
 
+// TestTopKKeepsFirstBestResult: an architecture is represented by its first
+// result with its best reward, even when that is a cache hit — a duplicate
+// proposal in one round completes before the task it hit.
+func TestTopKKeepsFirstBestResult(t *testing.T) {
+	hit := &evaluator.Result{Key: "a", Reward: 0.5, Cached: true, FinishTime: 30}
+	log := &Log{Results: []*evaluator.Result{
+		hit,
+		{Key: "a", Reward: 0.5, Duration: 42, FinishTime: 72},
+		{Key: "b", Reward: 0.4, Duration: 37, FinishTime: 80},
+	}}
+	if top := log.TopK(2); len(top) != 2 || top[0] != hit || top[1].Key != "b" {
+		t.Fatalf("TopK(2) = %+v, want a's cache hit, then b", top)
+	}
+}
+
 func TestHorizonRespected(t *testing.T) {
 	skipSlow(t)
 	log := runSmall(t, A3C, 1)

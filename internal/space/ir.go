@@ -61,11 +61,22 @@ func (l LayerSpec) width() int {
 }
 
 // ArchIR is a compiled architecture: a topologically ordered list of layer
-// specs ending at Output.
+// specs ending at Output, read-only once NewArchIR has stored its stats.
 type ArchIR struct {
 	SpaceName string
 	Specs     []LayerSpec
 	Output    int
+	// stats is set by NewArchIR; a literal IR has none (!ok), so Stats
+	// derives them on every call.
+	stats ArchStats
+	ok    bool
+}
+
+// NewArchIR builds an IR from topologically ordered specs, stats computed.
+func NewArchIR(spaceName string, specs []LayerSpec, output int) *ArchIR {
+	ir := &ArchIR{SpaceName: spaceName, Specs: specs, Output: output, ok: true}
+	ir.stats = ir.computeStats()
+	return ir
 }
 
 // ArchStats summarizes an architecture analytically.
@@ -111,21 +122,16 @@ type compiler struct {
 // at most 11 MB, and combo-micro's 117 × 2 compiles fit four times over.
 const memoCap = 1024
 
-// memoKey identifies a compile up to its input dims, which the entry confirms
-// (callers pair one dims vector with one unitScale). choices is the encoding
-// as uvarints: injective at the space's fixed length, a third of Hash's cost.
-type memoKey struct {
-	choices   string
-	unitScale float64
-}
-
-func newMemoKey(choices []int, unitScale float64) memoKey {
-	var buf [64]byte // the catalog's encodings fit; a longer one grows onto the heap
-	b := buf[:0]
+// appendMemoKey appends the key of a compile, which identifies it up to its
+// input dims, which the entry confirms (callers pair one dims vector with one
+// unitScale): unitScale's bits, then the encoding as uvarints — injective at
+// the space's fixed length, a third of Hash's cost.
+func appendMemoKey(b []byte, choices []int, unitScale float64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(unitScale))
 	for _, c := range choices {
 		b = binary.AppendUvarint(b, uint64(c))
 	}
-	return memoKey{string(b), unitScale}
+	return b
 }
 
 type memoEntry struct {
@@ -151,9 +157,10 @@ func (s *Space) Compile(choices []int, inputDims []int, unitScale float64) (*Arc
 	if unitScale <= 0 {
 		return nil, fmt.Errorf("space %s: unitScale %g must be positive", s.Name, unitScale)
 	}
-	key := newMemoKey(choices, unitScale)
+	var buf [72]byte // the catalog's keys fit; a longer one grows onto the heap
+	kb := appendMemoKey(buf[:0], choices, unitScale)
 	s.memoMu.Lock()
-	m, ok := s.memo[key]
+	m, ok := s.memo[string(kb)] // a lookup by converted bytes does not allocate
 	s.memoMu.Unlock()
 	if ok && slices.Equal(m.inputDims, inputDims) {
 		return m.ir, m.err
@@ -161,9 +168,9 @@ func (s *Space) Compile(choices []int, inputDims []int, unitScale float64) (*Arc
 	ir, err := s.compile(choices, inputDims, unitScale)
 	s.memoMu.Lock()
 	if s.memo == nil || len(s.memo) >= memoCap {
-		s.memo = map[memoKey]memoEntry{}
+		s.memo = map[string]memoEntry{}
 	}
-	s.memo[key] = memoEntry{append([]int(nil), inputDims...), ir, err}
+	s.memo[string(kb)] = memoEntry{append([]int(nil), inputDims...), ir, err}
 	s.memoMu.Unlock()
 	return ir, err
 }
@@ -200,7 +207,7 @@ func (s *Space) compile(choices []int, inputDims []int, unitScale float64) (*Arc
 		Kind: SpecDense, Inputs: []int{headIn}, Units: s.OutputUnits,
 		Act: nn.ActLinear, SharedWith: -1, OutDims: []int{s.OutputUnits},
 	})
-	return &ArchIR{SpaceName: s.Name, Specs: c.specs, Output: out}, nil
+	return NewArchIR(s.Name, c.specs, out), nil
 }
 
 func (c *compiler) add(spec LayerSpec) int {
@@ -423,10 +430,17 @@ func (c *compiler) applyOp(op Op, cur, blockIn int, nodeOuts []int, mirrorOf *Va
 	}
 }
 
-// Stats computes the analytic parameter count and forward-pass FLOPs of the
+// Stats returns the analytic parameter count and forward-pass FLOPs of the
 // architecture. Mirrored Dense layers contribute zero parameters (their
 // weights are counted at the original layer) but full FLOPs.
 func (ir *ArchIR) Stats() ArchStats {
+	if ir.ok {
+		return ir.stats
+	}
+	return ir.computeStats()
+}
+
+func (ir *ArchIR) computeStats() ArchStats {
 	var st ArchStats
 	depth := make([]int, len(ir.Specs))
 	var widthWeight, weight float64

@@ -302,3 +302,56 @@ func TestCompileMemoConcurrent(t *testing.T) {
 		t.Fatalf("memo holds %d entries, want 1..%d", got, memoCap)
 	}
 }
+
+var statsSink ArchStats
+
+// TestShortCompileMemoHitAllocatesNothing: a memo hit looks its key up from a
+// stack buffer and the IR it serves carries its stats, so serving a compiled
+// architecture and then its stats allocates nothing, in every catalog space.
+// (The hit's key string and the stats' depth slice once cost one allocation
+// each.)
+func TestShortCompileMemoHitAllocatesNothing(t *testing.T) {
+	for name, mk := range memoSpaces(t) {
+		s := mk()
+		choices := s.RandomChoices(rng.New(3))
+		dims := s.PaperInputDims()
+		if _, err := s.Compile(choices, dims, 1.0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := testing.AllocsPerRun(100, func() { s.Compile(choices, dims, 1.0) }); got != 0 {
+			t.Errorf("%s: a memo hit allocated %v times, want 0", name, got)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			ir, _ := s.Compile(choices, dims, 1.0)
+			statsSink = ir.Stats()
+		}); got != 0 {
+			t.Errorf("%s: a memo hit and its stats allocated %v times, want 0", name, got)
+		}
+	}
+}
+
+// TestShortLiteralIRStats: an IR built as a struct literal carries no stats
+// and derives them on each call; they equal the ones NewArchIR stored for
+// Compile, on a sample of every catalog space at paper and scaled dims.
+func TestShortLiteralIRStats(t *testing.T) {
+	for name, mk := range memoSpaces(t) {
+		s := mk()
+		r := rng.New(29)
+		for i := 0; i < 10; i++ {
+			choices := s.RandomChoices(r)
+			for _, at := range []struct {
+				dims  []int
+				scale float64
+			}{{s.PaperInputDims(), 1.0}, {scaledDims(s), 1.0 / 16}} {
+				ir, err := s.Compile(choices, at.dims, at.scale)
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, choices, err)
+				}
+				lit := &ArchIR{SpaceName: ir.SpaceName, Specs: ir.Specs, Output: ir.Output}
+				if lit.Stats() != ir.Stats() {
+					t.Fatalf("%s %v at scale %g: literal %+v, constructed %+v", name, choices, at.scale, lit.Stats(), ir.Stats())
+				}
+			}
+		}
+	}
+}

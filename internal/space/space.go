@@ -108,7 +108,7 @@ type Space struct {
 	// the allocations of a campaign and the agents of a search share one
 	// *Space, hence the lock. Validate resets it.
 	memoMu sync.Mutex
-	memo   map[memoKey]memoEntry
+	memo   map[string]memoEntry
 }
 
 // Validate checks structural invariants and caches the decision order.
@@ -220,15 +220,25 @@ func (s *Space) CheckChoices(choices []int) error {
 // per-agent evaluation cache.
 func (s *Space) Hash(choices []int) string {
 	var buf [160]byte // the catalog's keys fit; a longer one grows onto the heap
-	b := append(buf[:0], s.Name...)
+	return string(s.AppendHash(buf[:0], choices))
+}
+
+// AppendHash appends Hash's key to b, so a lookup can build it in a stack
+// buffer and allocate the string only to store it.
+func (s *Space) AppendHash(b []byte, choices []int) []byte {
+	b = append(b, s.Name...)
 	b = append(b, ':')
 	for i, c := range choices {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(c), 10)
+		if uint(c) < 10 {
+			b = append(b, byte('0'+c)) // AppendInt's digit, without the call
+		} else {
+			b = strconv.AppendInt(b, int64(c), 10)
+		}
 	}
-	return string(b)
+	return b
 }
 
 // Describe renders the chosen operation of every decision, for logs and the

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Fast CI gate: formatting, vet, the tier-1 `-short` suite (tier-2
 # real-training tests skip themselves; see CLAUDE.md for the tier split),
-# a smoke of the one experiment harness (cmd/ has no tests of its own),
+# a smoke of the one experiment harness (cmd/nas-bench has no tests of its own),
 # then the pure-simulation packages plus the evaluator's worker pool under
 # the race detector (and ten more rounds of the one test that shares a
 # space's compile memo between goroutines), 20 s of fuzzing on the event
@@ -19,6 +19,12 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# A nil recorder must cost an emit site one compare, not a copy of the
+# event: that holds only while Emit stays within the inlining budget.
+if ! go build -gcflags=-m ./internal/trace 2>&1 | grep -q 'can inline (\*Recorder).Emit$'; then
+    echo "check.sh: (*trace.Recorder).Emit is no longer inlinable" >&2
+    exit 1
+fi
 go test -short ./...
 # nas-bench's loop, end to end: the torture experiment (~15 s) panics on any
 # violated durability invariant and must reproduce the committed report (it
