@@ -15,7 +15,9 @@ import (
 )
 
 // The controller goldens were recorded on the allocating controller (the
-// commit before the arena was threaded through rl and nn.LSTM);
+// commit before the arena was threaded through rl and nn.LSTM), the
+// restricted-space ones on the arena controller that still ran every
+// decision's head and every step of the policy LSTM;
 // -update-controller-golden re-records them and is only legitimate when the
 // controller's arithmetic is changed on purpose.
 var updateControllerGolden = flag.Bool("update-controller-golden", false,
@@ -49,7 +51,43 @@ func goldenCases() []goldenCase {
 	return append(cases,
 		goldenCase{Name: "combo-small/hidden7", Space: "combo-small", Hidden: 7, Batches: []int{3, 3, 3}},
 		goldenCase{Name: "combo-small/mixed", Space: "combo-small", Batches: []int{3, 1, 4}},
+		goldenCase{Name: "combo-micro/m1", Space: "combo-micro", Batches: []int{1, 1, 1}},
+		goldenCase{Name: "combo-micro/m4", Space: "combo-micro", Batches: []int{4, 4, 4}},
+		goldenCase{Name: "combo-micro/mixed", Space: "combo-micro", Batches: []int{3, 1, 4}},
+		goldenCase{Name: "combo-last/m3", Space: "combo-last", Batches: []int{3, 3, 3}},
+		goldenCase{Name: "combo-pinned/m1", Space: "combo-pinned", Batches: []int{1, 1, 1}},
+		goldenCase{Name: "combo-pinned/m3", Space: "combo-pinned", Batches: []int{3, 3, 3}},
 	)
+}
+
+// restrictedFree names the combo-small restrictions the goldens cover, each
+// by the decisions it leaves free; every other decision is pinned to its
+// first option, the way the tabular benchmark restricts (combo-micro is its
+// tournament space). They put one-option decisions before, between and
+// after the free ones, down to a space with nothing to choose.
+var restrictedFree = map[string][]string{
+	"combo-micro":  {"C0.B0.N0", "C1.B1.connect"},
+	"combo-last":   {"C2.B0.N2"},
+	"combo-pinned": {},
+}
+
+// goldenSpace resolves a case's space: a catalog name or a restriction above.
+func goldenSpace(name string) (*space.Space, error) {
+	free, ok := restrictedFree[name]
+	if !ok {
+		return space.ByName(name)
+	}
+	s := space.NewComboSmall()
+	keep := make([][]int, s.NumDecisions())
+	for i := range keep {
+		keep[i] = space.Pin(0)
+		for _, f := range free {
+			if s.Decision(i).Name == f {
+				keep[i] = nil
+			}
+		}
+	}
+	return space.Restrict(s, name, keep)
 }
 
 // controllerDigest replays one case and hashes the IEEE-754 bits of
@@ -57,7 +95,7 @@ func goldenCases() []goldenCase {
 // log-probabilities, every flat gradient with its stats, the parameters
 // after every ApplyGradient, and the final greedy architecture.
 func controllerDigest(t *testing.T, gc goldenCase) string {
-	sp, err := space.ByName(gc.Space)
+	sp, err := goldenSpace(gc.Space)
 	if err != nil {
 		t.Fatal(err)
 	}
