@@ -7,6 +7,7 @@
 //	nas-bench -exp fig9 -scale default -out results/
 //	nas-bench -exp torture               # power-cut every fs op of a campaign
 //	nas-bench -exp tournament -cpuprofile cpu.prof  # then: go tool pprof -top cpu.prof
+//	nas-bench -exp tournament -memprofile mem.prof  # then: go tool pprof -sample_index=alloc_space -top mem.prof
 //	nas-bench -exp bogus                 # the error lists every valid id
 //
 // Search runs are memoized in-process, so "-exp all" shares runs between
@@ -25,21 +26,21 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
 
 	"nasgo"
+	"nasgo/internal/prof"
 )
 
 func main() {
 	ids := nasgo.ExperimentNames()
 	var (
-		exp     = flag.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
-		scale   = flag.String("scale", "quick", "scale preset: quick, default, or paper")
-		out     = flag.String("out", "bench_results", "write each rendering to <out>/<exp>.txt ('' disables)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (read it with go tool pprof); results are unaffected")
+		exp      = flag.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
+		scale    = flag.String("scale", "quick", "scale preset: quick, default, or paper")
+		out      = flag.String("out", "bench_results", "write each rendering to <out>/<exp>.txt ('' disables)")
+		profiles = prof.Register(flag.CommandLine)
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage of nas-bench:\n")
@@ -54,23 +55,15 @@ current experiment; rerun with the same flags to regenerate the rest.
 	// never loses completed work.
 	stop, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if *cpuProf != "" {
-		// The profiler only observes; a run that ends in log.Fatal leaves
-		// the file truncated.
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				log.Printf("cpuprofile: %v", err)
-			}
-		}()
+	stopProf, err := profiles.Start()
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			log.Print(err)
+		}
+	}()
 
 	sc, err := nasgo.ExperimentScaleByName(*scale)
 	if err != nil {

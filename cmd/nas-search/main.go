@@ -16,6 +16,7 @@
 //	nas-search -bench Combo -walltime 3600 -checkpoint combo.ckpt
 //	nas-search -resume combo.ckpt -checkpoint combo.ckpt -allocations 0
 //	nas-search -bench Combo -trace combo.trace.jsonl -trace-chrome combo.trace.json
+//	nas-search -bench Combo -cpuprofile cpu.prof -memprofile mem.prof  # go tool pprof -top cpu.prof
 package main
 
 import (
@@ -30,6 +31,7 @@ import (
 	"nasgo"
 	"nasgo/internal/analytics"
 	"nasgo/internal/fsim"
+	"nasgo/internal/prof"
 	"nasgo/internal/report"
 	"nasgo/internal/trace"
 )
@@ -72,6 +74,7 @@ func main() {
 		allocs    = flag.Int("allocations", 1, "walltime allocations to chain in this process (0 or less: chain until the search completes); the checkpoint is rewritten at every boundary")
 		tracePath = flag.String("trace", "", "record the run's event trace as JSONL to this path (with -resume, the trace covers the chained allocations)")
 		chromeOut = flag.String("trace-chrome", "", "also write the trace in Chrome trace_event JSON (open in Perfetto or chrome://tracing)")
+		profiles  = prof.Register(flag.CommandLine)
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage of nas-search:\n")
@@ -84,6 +87,15 @@ replays bit-for-bit identical to never having been interrupted.
 `)
 	}
 	flag.Parse()
+	stopProf, err := profiles.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			log.Print(err)
+		}
+	}()
 	stopping := notifyStop()
 
 	var rec *nasgo.TraceRecorder
@@ -96,7 +108,6 @@ replays bit-for-bit identical to never having been interrupted.
 		sp    *nasgo.Space
 		cfg   nasgo.SearchConfig
 		ck    *nasgo.SearchCheckpoint
-		err   error
 	)
 	if *resume != "" {
 		if ck, err = nasgo.LoadSearchCheckpoint(*resume); err != nil {

@@ -20,7 +20,7 @@ func MSELossArena(ar *tensor.Arena, pred, target *tensor.Tensor) (float64, *tens
 	var loss float64
 	for i := range pred.Data {
 		d := pred.Data[i] - target.Data[i]
-		loss += d * d
+		loss += float64(d * d) // a conversion rounds: no fused multiply-add (DESIGN §6)
 		grad.Data[i] = 2 * d / n
 	}
 	return loss / n, grad
@@ -71,9 +71,9 @@ func R2(pred, target *tensor.Tensor) float64 {
 	var ssRes, ssTot float64
 	for i := range target.Data {
 		d := pred.Data[i] - target.Data[i]
-		ssRes += d * d
+		ssRes += float64(d * d) // a conversion rounds: no fused multiply-add (DESIGN §6)
 		m := target.Data[i] - mean
-		ssTot += m * m
+		ssTot += float64(m * m)
 	}
 	if ssTot == 0 {
 		if ssRes == 0 {

@@ -18,24 +18,31 @@ import (
 // stack; BackwardStep pops them in reverse, so a full BPTT pass is
 // Step×T followed by BackwardStep×T. ResetCache drops any pending caches.
 //
-// Every tensor a step makes comes from the caller's arena (nil means the
-// heap), and the cache stack points into it: the arena may be Reset only
-// between a ResetCache and the next Step.
+// A nil state is the zero state: a pass starts from nil h and c, and no step
+// multiplies it. The cell owns every tensor a step makes, one slot per
+// stack depth, kept across passes and resized to the batch, so a warm pass
+// allocates nothing. What Step returns lives in its slot until a later Step
+// refills that slot (after ResetCache, or after BackwardStep popped it);
+// what BackwardStep returns, until the next BackwardStep at the same depth.
 type LSTM struct {
 	Wx, Wh, B  *Param // Wx:[in,4H] Wh:[H,4H] B:[4H]
 	In, Hidden int
 
-	steps []lstmStep
-	// Per-step parameter-gradient temporaries. They are parameter-shaped,
-	// whatever the batch, so the cell owns them rather than drawing three
-	// fresh arena tensors every BackwardStep.
+	steps []lstmStep // steps[:depth] are the cached forward steps
+	depth int
+	// One step's temporaries: the hPrev×Wh product and the gate gradient,
+	// and the parameter-shaped gradient terms. dwx stays all +0 between
+	// calls: BackwardStep clears the rows it wrote.
+	zh, dz       *tensor.Tensor
 	dwx, dwh, db *tensor.Tensor
 }
 
 type lstmStep struct {
-	x            []int // the step's active input index per batch row
-	hPrev, cPrev *tensor.Tensor
-	gates, tanhC *tensor.Tensor // gates: activated [i|f|g|o], [batch,4H]
+	x              []int          // the step's active input index per batch row
+	hPrev, cPrev   *tensor.Tensor // nil: the zero state
+	gates, tanhC   *tensor.Tensor // gates: activated [i|f|g|o], [batch,4H]
+	h, c           *tensor.Tensor
+	dhPrev, dcPrev *tensor.Tensor
 }
 
 // NewLSTM creates an LSTM cell with Glorot-uniform input weights,
@@ -57,30 +64,48 @@ func NewLSTM(r *rng.Rand, in, hidden int) *LSTM {
 // Params returns the cell's trainable parameters.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
-// ZeroState returns zero h and c states for the given batch size.
-func (l *LSTM) ZeroState(batch int, ar *tensor.Arena) (h, c *tensor.Tensor) {
-	return ar.Get(batch, l.Hidden), ar.Get(batch, l.Hidden)
-}
-
 // ResetCache clears pending BPTT caches.
-func (l *LSTM) ResetCache() { l.steps = l.steps[:0] }
+func (l *LSTM) ResetCache() { l.depth = 0 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+
+// fit returns t as a [rows, cols] tensor, reusing its storage when it is
+// large enough. The contents are stale: every caller writes each element.
+func fit(t *tensor.Tensor, rows, cols int) *tensor.Tensor {
+	if t == nil || cap(t.Data) < rows*cols {
+		return tensor.New(rows, cols)
+	}
+	t.Data = t.Data[:rows*cols]
+	t.Shape[0], t.Shape[1] = rows, cols
+	return t
+}
 
 // Step advances the cell one timestep. The input is one-hot: x[r] is the
 // index of batch row r's single active unit, in [0, In), so x×Wx is row
 // Wx[x[r]] and no [batch, In] matrix is ever built or multiplied. hPrev/cPrev
-// are [batch, hidden]. It returns the new h and c and records the caches
-// needed by BackwardStep, x included: the caller must leave x untouched until
-// the matching BackwardStep (or ResetCache).
-func (l *LSTM) Step(x []int, hPrev, cPrev *tensor.Tensor, ar *tensor.Arena) (h, c *tensor.Tensor) {
+// are [batch, hidden], or nil for the zero state. It returns the new h and c
+// and records the caches needed by BackwardStep, x included: the caller must
+// leave x untouched until the matching BackwardStep (or ResetCache).
+func (l *LSTM) Step(x []int, hPrev, cPrev *tensor.Tensor) (h, c *tensor.Tensor) {
 	batch := len(x)
 	H := l.Hidden
+	if l.depth == len(l.steps) {
+		l.steps = append(l.steps, lstmStep{})
+	}
+	st := &l.steps[l.depth]
+	l.depth++
+	st.x, st.hPrev, st.cPrev = x, hPrev, cPrev
+	st.gates = fit(st.gates, batch, 4*H)
+	st.tanhC = fit(st.tanhC, batch, H)
+	st.h = fit(st.h, batch, H)
+	st.c = fit(st.c, batch, H)
+
 	// z = (x×Wx + b) + hPrev×Wh. The one-hot product is gathered as +0 + Wx
-	// row — z comes zeroed from the arena — which is bit for bit what the
-	// dense product summed (a −0 weight reads +0 either way); each product
-	// still completes before the adds, the order the separate passes had.
-	z := ar.Get(batch, 4*H)
+	// row (Go does not fold 0 + v: +0 + −0 is +0), which is bit for bit what
+	// the dense product summed; each product still completes before the
+	// adds, the order the separate passes had. The zero state's product is
+	// +0 everywhere and z is never −0, so it is not formed.
+	z := st.gates
 	for r, ix := range x {
 		if ix < 0 || ix >= l.In {
 			panic(fmt.Sprintf("nn: LSTM input index %d, want [0,%d)", ix, l.In))
@@ -88,18 +113,21 @@ func (l *LSTM) Step(x []int, hPrev, cPrev *tensor.Tensor, ar *tensor.Arena) (h, 
 		zr := z.Data[r*4*H : (r+1)*4*H]
 		wr := l.Wx.Value.Data[ix*4*H : (ix+1)*4*H]
 		for j, bv := range l.B.Value.Data {
-			zr[j] = (zr[j] + wr[j]) + bv
+			zr[j] = (0 + wr[j]) + bv
 		}
 	}
-	zh := ar.Get(batch, 4*H)
-	tensor.MatMulInto(zh, hPrev, l.Wh.Value)
-	tensor.AddInPlace(z, zh)
+	if hPrev != nil {
+		l.zh = fit(l.zh, batch, 4*H)
+		tensor.MatMulInto(l.zh, hPrev, l.Wh.Value)
+		tensor.AddInPlace(z, l.zh)
+	}
 
 	// The gate activations overwrite their pre-activations in z, which
-	// becomes the step's gate cache.
-	c = ar.Get(batch, H)
-	h = ar.Get(batch, H)
-	tanhC := ar.Get(batch, H)
+	// becomes the step's gate cache. The zero cell state still enters as
+	// f × +0, which keeps the sign of a zero c. Here and in BackwardStep a
+	// float64 conversion rounds a product before its add, so no target
+	// fuses the two into one multiply-add (DESIGN §6).
+	c, h, tanhC := st.c, st.h, st.tanhC
 	for r := 0; r < batch; r++ {
 		zr := z.Data[r*4*H : (r+1)*4*H]
 		for j := 0; j < H; j++ {
@@ -107,7 +135,11 @@ func (l *LSTM) Step(x []int, hPrev, cPrev *tensor.Tensor, ar *tensor.Arena) (h, 
 			fv := sigmoid(zr[H+j])
 			gv := math.Tanh(zr[2*H+j])
 			ov := sigmoid(zr[3*H+j])
-			cv := fv*cPrev.Data[r*H+j] + iv*gv
+			cp := 0.0
+			if cPrev != nil {
+				cp = cPrev.Data[r*H+j]
+			}
+			cv := float64(fv*cp) + float64(iv*gv)
 			tc := math.Tanh(cv)
 			zr[j], zr[H+j], zr[2*H+j], zr[3*H+j] = iv, fv, gv, ov
 			c.Data[r*H+j] = cv
@@ -115,26 +147,31 @@ func (l *LSTM) Step(x []int, hPrev, cPrev *tensor.Tensor, ar *tensor.Arena) (h, 
 			h.Data[r*H+j] = ov * tc
 		}
 	}
-	l.steps = append(l.steps, lstmStep{x: x, hPrev: hPrev, cPrev: cPrev, gates: z, tanhC: tanhC})
 	return h, c
 }
 
 // BackwardStep pops the most recent cached step and backpropagates the
 // gradients dh (w.r.t. the step's h output) and dc (w.r.t. its c output;
 // nil means zero). It accumulates parameter gradients and returns the
-// gradients with respect to hPrev and cPrev. There is no gradient with
-// respect to x: the input is an index.
-func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor, ar *tensor.Arena) (dhPrev, dcPrev *tensor.Tensor) {
-	if len(l.steps) == 0 {
+// gradients with respect to hPrev and cPrev, each nil when the step started
+// from the zero state: nothing upstream reads them, and the zero state adds
+// nothing to Wh's gradient. There is no gradient with respect to x: the
+// input is an index.
+func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor) (dhPrev, dcPrev *tensor.Tensor) {
+	if l.depth == 0 {
 		panic("nn: LSTM BackwardStep with no cached forward step")
 	}
-	st := l.steps[len(l.steps)-1]
-	l.steps = l.steps[:len(l.steps)-1]
+	l.depth--
+	st := &l.steps[l.depth]
 
 	batch := dh.Shape[0]
 	H := l.Hidden
-	dz := ar.Get(batch, 4*H)
-	dcPrev = ar.Get(batch, H)
+	l.dz = fit(l.dz, batch, 4*H)
+	dz := l.dz
+	if st.cPrev != nil {
+		st.dcPrev = fit(st.dcPrev, batch, H)
+		dcPrev = st.dcPrev
+	}
 	for r := 0; r < batch; r++ {
 		gr := st.gates.Data[r*4*H : (r+1)*4*H]
 		zr := dz.Data[r*4*H : (r+1)*4*H]
@@ -143,18 +180,24 @@ func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor, ar *tensor.Arena) (dhPrev, dc
 			iv, fv, gv, ov := gr[j], gr[H+j], gr[2*H+j], gr[3*H+j]
 			tc := st.tanhC.Data[k]
 			dhv := dh.Data[k]
-			dcv := dhv * ov * (1 - tc*tc)
+			dcv := float64(dhv * ov * (1 - float64(tc*tc)))
 			if dc != nil {
 				dcv += dc.Data[k]
 			}
+			cp := 0.0
+			if st.cPrev != nil {
+				cp = st.cPrev.Data[k]
+			}
 			dov := dhv * tc
-			dfv := dcv * st.cPrev.Data[k]
+			dfv := dcv * cp
 			div := dcv * gv
 			dgv := dcv * iv
-			dcPrev.Data[k] = dcv * fv
+			if dcPrev != nil {
+				dcPrev.Data[k] = dcv * fv
+			}
 			zr[j] = div * iv * (1 - iv)
 			zr[H+j] = dfv * fv * (1 - fv)
-			zr[2*H+j] = dgv * (1 - gv*gv)
+			zr[2*H+j] = dgv * (1 - float64(gv*gv))
 			zr[3*H+j] = dov * ov * (1 - ov)
 		}
 	}
@@ -162,19 +205,31 @@ func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor, ar *tensor.Arena) (dhPrev, dc
 	// Grad, so the accumulation order over steps is the historical one.
 	// dWx = xᵀ×dz for a one-hot x: row r of dz lands on row x[r] of dwx, in
 	// batch order, the order the dense product summed a repeated index in.
-	l.dwx.Zero()
+	// Only those rows reach Wx's gradient, and each is cleared behind it;
+	// a repeated index's second flush adds +0, which is the identity on a
+	// gradient that is a sum from +0. The other rows would add +0 too.
 	for r, ix := range st.x {
 		wr := l.dwx.Data[ix*4*H : (ix+1)*4*H]
 		for j, g := range dz.Data[r*4*H : (r+1)*4*H] {
 			wr[j] += g
 		}
 	}
-	tensor.AddInPlace(l.Wx.Grad, l.dwx)
-	tensor.MatMulTransAInto(l.dwh, st.hPrev, dz)
-	tensor.AddInPlace(l.Wh.Grad, l.dwh)
+	for _, ix := range st.x {
+		wr := l.dwx.Data[ix*4*H : (ix+1)*4*H]
+		gr := l.Wx.Grad.Data[ix*4*H : (ix+1)*4*H]
+		for j, g := range wr {
+			gr[j] += g
+		}
+		clear(wr)
+	}
 	tensor.ColSumsInto(l.db, dz)
 	tensor.AddInPlace(l.B.Grad, l.db)
-	dhPrev = ar.Get(batch, H)
-	tensor.MatMulTransBInto(dhPrev, dz, l.Wh.Value)
+	if st.hPrev != nil {
+		tensor.MatMulTransAInto(l.dwh, st.hPrev, dz)
+		tensor.AddInPlace(l.Wh.Grad, l.dwh)
+		st.dhPrev = fit(st.dhPrev, batch, H)
+		dhPrev = st.dhPrev
+		tensor.MatMulTransBInto(dhPrev, dz, l.Wh.Value)
+	}
 	return dhPrev, dcPrev
 }

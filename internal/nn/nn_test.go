@@ -441,33 +441,31 @@ func TestR2(t *testing.T) {
 	}
 }
 
-// TestLSTMGradients runs a 3-step BPTT and verifies all parameter gradients
+// TestLSTMGradients runs a 4-step BPTT and verifies all parameter gradients
 // by finite differences of a scalar loss sum(h_t over all steps). The input
 // indices hit rows of Wx zero, one and several times within one batch (the
-// scatter-add of BackwardStep) and across steps; row 5 is never active.
+// scatter-add of BackwardStep, and its flush of the touched rows) and across
+// steps; row 5 is never active.
 func TestLSTMGradients(t *testing.T) {
 	r := rng.New(14)
 	l := NewLSTM(r, 6, 4)
 	batch := 4
-	T := 3
-	xs := [][]int{{0, 0, 2, 0}, {1, 2, 2, 4}, {3, 3, 3, 3}}
-	ar := tensor.NewArena()
+	xs := [][]int{{0, 0, 2, 0}, {1, 2, 2, 4}, {3, 3, 3, 3}, {4, 4, 1, 4}}
 	runLoss := func() float64 {
 		l.ResetCache()
-		ar.Reset()
-		h, c := l.ZeroState(batch, ar)
+		var h, c *tensor.Tensor
 		var s float64
 		for _, x := range xs {
-			h, c = l.Step(x, h, c, ar)
+			h, c = l.Step(x, h, c)
 			s += h.Sum()
 		}
 		return s
 	}
 	// Forward + backward.
 	l.ResetCache()
-	h, c := l.ZeroState(batch, ar)
+	var h, c *tensor.Tensor
 	for _, x := range xs {
-		h, c = l.Step(x, h, c, ar)
+		h, c = l.Step(x, h, c)
 	}
 	for _, p := range l.Params() {
 		p.ZeroGrad()
@@ -475,26 +473,105 @@ func TestLSTMGradients(t *testing.T) {
 	ones := tensor.New(batch, 4)
 	ones.Fill(1)
 	var dh, dc *tensor.Tensor
-	for i := T - 1; i >= 0; i-- {
+	for i := len(xs) - 1; i >= 0; i-- {
 		g := ones.Clone()
 		if dh != nil {
 			tensor.AddInPlace(g, dh)
 		}
-		dh, dc = l.BackwardStep(g, dc, ar)
+		dh, dc = l.BackwardStep(g, dc)
+	}
+	if dh != nil || dc != nil {
+		t.Fatal("a step from the zero state returned a state gradient")
 	}
 	grads := map[*Param]*tensor.Tensor{}
 	for _, p := range l.Params() {
 		grads[p] = p.Grad.Clone()
 	}
+	for i := 4 * 4 * 5; i < 4*4*6; i++ {
+		if g := l.Wx.Grad.Data[i]; math.Float64bits(g) != 0 {
+			t.Fatalf("Wx row 5 is never active but its gradient[%d] is %g", i, g)
+		}
+	}
 	gradCheck(t, "lstm", runLoss, l.Params(), grads)
+}
+
+// TestLSTMNilStateIsZeroState pins the zero-state skip: a pass from nil h
+// and c gives, bit for bit, the h and c of every step, the state gradients
+// of every later step and every parameter gradient that a pass from
+// explicit zero tensors gives, at two batch sizes on the same cell (its
+// workspace resized in between).
+func TestLSTMNilStateIsZeroState(t *testing.T) {
+	const in, hidden = 5, 3
+	xs := [][]int{{4, 0, 4}, {1, 1, 3}, {2, 0, 2}}
+	type pass struct {
+		hs, cs, dhs, dcs []*tensor.Tensor
+		grads            [][]float64
+	}
+	run := func(l *LSTM, batch int, zero bool) pass {
+		var p pass
+		var h, c *tensor.Tensor
+		if zero {
+			h, c = tensor.New(batch, hidden), tensor.New(batch, hidden)
+		}
+		l.ResetCache()
+		for _, p := range l.Params() {
+			p.ZeroGrad()
+		}
+		for _, x := range xs {
+			h, c = l.Step(x[:batch], h, c)
+			p.hs, p.cs = append(p.hs, h.Clone()), append(p.cs, c.Clone())
+		}
+		dr := rng.New(3)
+		var dh, dc *tensor.Tensor
+		for range xs {
+			g := tensor.New(batch, hidden)
+			g.Randn(dr, 1)
+			if dh != nil {
+				tensor.AddInPlace(g, dh)
+			}
+			dh, dc = l.BackwardStep(g, dc)
+			if dh != nil {
+				p.dhs, p.dcs = append(p.dhs, dh.Clone()), append(p.dcs, dc.Clone())
+			}
+		}
+		for _, prm := range l.Params() {
+			p.grads = append(p.grads, append([]float64(nil), prm.Grad.Data...))
+		}
+		return p
+	}
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d]: nil state %g, zero tensors %g", what, i, a[i], b[i])
+			}
+		}
+	}
+	lNil, lZero := NewLSTM(rng.New(21), in, hidden), NewLSTM(rng.New(21), in, hidden)
+	for _, batch := range []int{3, 2} {
+		a, b := run(lNil, batch, false), run(lZero, batch, true)
+		if len(a.dhs) != len(xs)-1 || len(b.dhs) != len(xs) {
+			t.Fatalf("batch %d: %d and %d state gradients, want %d and %d", batch, len(a.dhs), len(b.dhs), len(xs)-1, len(xs))
+		}
+		for s := range xs {
+			same("h", a.hs[s].Data, b.hs[s].Data)
+			same("c", a.cs[s].Data, b.cs[s].Data)
+		}
+		for s := range a.dhs {
+			same("dhPrev", a.dhs[s].Data, b.dhs[s].Data)
+			same("dcPrev", a.dcs[s].Data, b.dcs[s].Data)
+		}
+		for i := range a.grads {
+			same(lNil.Params()[i].Name, a.grads[i], b.grads[i])
+		}
+	}
 }
 
 func TestLSTMDeterminism(t *testing.T) {
 	make_ := func() *tensor.Tensor {
 		r := rng.New(15)
 		l := NewLSTM(r, 2, 3)
-		h, c := l.ZeroState(1, nil)
-		h, _ = l.Step([]int{1}, h, c, nil)
+		h, _ := l.Step([]int{1}, nil, nil)
 		return h
 	}
 	a, b := make_(), make_()
@@ -513,5 +590,5 @@ func TestLSTMBackwardWithoutForwardPanics(t *testing.T) {
 	}()
 	l := NewLSTM(rng.New(1), 2, 2)
 	g := tensor.New(1, 2)
-	l.BackwardStep(g, nil, nil)
+	l.BackwardStep(g, nil)
 }

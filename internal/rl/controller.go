@@ -73,6 +73,11 @@ type Controller struct {
 	Cfg   Config
 
 	inWidth int // one-hot width: MaxChoices options + 1 start token
+	// last is the last decision with more than one option, -1 if none. A
+	// one-option decision's probability row is the constant one, so its
+	// head runs neither forward nor backward, and no policy pass steps
+	// past last (DESIGN §6).
+	last int
 
 	policy    *nn.LSTM
 	heads     []*nn.Dense // one logits head per decision
@@ -83,9 +88,10 @@ type Controller struct {
 	rand      *rng.Rand
 
 	// Workspace. Sample, Greedy and ComputeGradient Reset the arena on
-	// entry and take every tensor from it, so nothing arena-backed outlives
-	// the call that made it; the per-step slices hold arena pointers for
-	// the duration of one ComputeGradient only.
+	// entry and take every head tensor from it (the LSTMs own theirs), so
+	// nothing arena-backed outlives the call that made it; the per-step
+	// slices hold arena pointers for the duration of one ComputeGradient
+	// only.
 	ar      *tensor.Arena
 	vHeads  []*nn.Dense // valueHead once per step: each keeps its own forward cache
 	values  []*tensor.Tensor
@@ -103,12 +109,16 @@ func NewController(s *space.Space, seed uint64, cfg Config) *Controller {
 		Space:   s,
 		Cfg:     cfg,
 		inWidth: inWidth,
+		last:    -1,
 		policy:  nn.NewLSTM(r, inWidth, cfg.Hidden),
 		value:   nn.NewLSTM(r, inWidth, cfg.Hidden),
 		rand:    r.Split(),
 	}
 	for i := 0; i < s.NumDecisions(); i++ {
 		c.heads = append(c.heads, nn.NewDense(r, cfg.Hidden, s.NumChoices(i), nn.ActLinear))
+		if s.NumChoices(i) > 1 {
+			c.last = i
+		}
 	}
 	c.valueHead = nn.NewDense(r, cfg.Hidden, 1, nn.ActLinear)
 	c.ar = tensor.NewArena()
@@ -187,6 +197,10 @@ func (c *Controller) onehotInputs(eps []*Episode, t int) []int {
 	return x
 }
 
+// one is the probability row of a one-option decision: the softmax of one
+// finite logit is exactly 1.
+var one = []float64{1}
+
 // Sample draws m architectures from the current policy, recording the old
 // log-probabilities PPO needs. Rewards are left zero for the caller to fill.
 func (c *Controller) Sample(m int) []*Episode {
@@ -200,15 +214,25 @@ func (c *Controller) Sample(m int) []*Episode {
 	}
 	c.ar.Reset()
 	c.policy.ResetCache()
-	h, cs := c.policy.ZeroState(m, c.ar)
+	var h, cs *tensor.Tensor
 	for t := 0; t < T; t++ {
-		h, cs = c.policy.Step(c.onehotInputs(eps, t), h, cs, c.ar)
-		logits := c.heads[t].Forward(h, false, c.ar)
-		probs := c.ar.Get(logits.Shape...)
-		tensor.RowSoftmaxInto(probs, logits)
+		// A one-option decision still draws, so the stream is the one a
+		// softmax over its single logit would have drawn from.
 		k := c.Space.NumChoices(t)
+		var probs *tensor.Tensor
+		if t <= c.last {
+			h, cs = c.policy.Step(c.onehotInputs(eps, t), h, cs)
+			if k > 1 {
+				logits := c.heads[t].Forward(h, false, c.ar)
+				probs = c.ar.Get(logits.Shape...)
+				tensor.RowSoftmaxInto(probs, logits)
+			}
+		}
 		for i := range eps {
-			row := probs.Data[i*k : (i+1)*k]
+			row := one
+			if probs != nil {
+				row = probs.Data[i*k : (i+1)*k]
+			}
 			a := c.rand.Categorical(row)
 			eps[i].Choices[t] = a
 			eps[i].OldLogP[t] = math.Log(math.Max(row[a], 1e-12))
@@ -226,11 +250,13 @@ func (c *Controller) Greedy() []int {
 	eps := []*Episode{ep}
 	c.ar.Reset()
 	c.policy.ResetCache()
-	h, cs := c.policy.ZeroState(1, c.ar)
-	for t := 0; t < T; t++ {
-		h, cs = c.policy.Step(c.onehotInputs(eps, t), h, cs, c.ar)
-		logits := c.heads[t].Forward(h, false, c.ar)
-		ep.Choices[t] = tensor.ArgmaxRows(logits)[0]
+	var h, cs *tensor.Tensor
+	for t := 0; t <= c.last; t++ {
+		h, cs = c.policy.Step(c.onehotInputs(eps, t), h, cs)
+		if c.Space.NumChoices(t) > 1 {
+			logits := c.heads[t].Forward(h, false, c.ar)
+			ep.Choices[t] = tensor.ArgmaxRows(logits)[0]
+		}
 	}
 	c.policy.ResetCache()
 	return ep.Choices
@@ -269,9 +295,9 @@ func (c *Controller) backprop(eps []*Episode) GradientStats {
 
 	// Value forward pass: V(s_t) for every episode and step.
 	c.value.ResetCache()
-	vh, vc := c.value.ZeroState(m, c.ar)
+	var vh, vc *tensor.Tensor
 	for t := 0; t < T; t++ {
-		vh, vc = c.value.Step(c.onehotInputs(eps, t), vh, vc, c.ar)
+		vh, vc = c.value.Step(c.onehotInputs(eps, t), vh, vc)
 		c.values[t] = c.vHeads[t].Forward(vh, true, c.ar)
 	}
 
@@ -293,7 +319,7 @@ func (c *Controller) backprop(eps []*Episode) GradientStats {
 	var advVar float64
 	for _, a := range adv {
 		d := a - advMean
-		advVar += d * d
+		advVar += float64(d * d) // a conversion rounds: no fused multiply-add (DESIGN §6)
 	}
 	advStd := math.Sqrt(advVar/n) + 1e-8
 	for j, a := range adv {
@@ -301,20 +327,31 @@ func (c *Controller) backprop(eps []*Episode) GradientStats {
 	}
 
 	// Policy forward pass with caches for backprop; each step's dLogits
-	// follow from the clipped surrogate and the entropy bonus.
+	// follow from the clipped surrogate and the entropy bonus. A one-option
+	// decision and every step past the last choice still add their stats,
+	// from the constant row, in step order; their dLogits are exactly +0
+	// and not formed.
 	var st GradientStats
 	clipped := 0
 	c.policy.ResetCache()
-	ph, pc := c.policy.ZeroState(m, c.ar)
+	var ph, pc *tensor.Tensor
 	for t := 0; t < T; t++ {
-		ph, pc = c.policy.Step(c.onehotInputs(eps, t), ph, pc, c.ar)
-		logits := c.heads[t].Forward(ph, true, c.ar)
-		probs := c.ar.Get(logits.Shape...)
-		tensor.RowSoftmaxInto(probs, logits)
 		k := c.Space.NumChoices(t)
-		dl := c.ar.Get(m, k)
+		var probs, dl *tensor.Tensor
+		if t <= c.last {
+			ph, pc = c.policy.Step(c.onehotInputs(eps, t), ph, pc)
+			if k > 1 {
+				logits := c.heads[t].Forward(ph, true, c.ar)
+				probs = c.ar.Get(logits.Shape...)
+				tensor.RowSoftmaxInto(probs, logits)
+				dl = c.ar.Get(m, k)
+			}
+		}
 		for i, ep := range eps {
-			row := probs.Data[i*k : (i+1)*k]
+			row := one
+			if probs != nil {
+				row = probs.Data[i*k : (i+1)*k]
+			}
 			a := ep.Choices[t]
 			logp := math.Log(math.Max(row[a], 1e-12))
 			ratio := math.Exp(logp - ep.OldLogP[t])
@@ -340,10 +377,13 @@ func (c *Controller) backprop(eps []*Episode) GradientStats {
 			var H float64
 			for _, p := range row {
 				if p > 0 {
-					H -= p * math.Log(p)
+					H -= float64(p * math.Log(p))
 				}
 			}
 			st.Entropy += H / n
+			if dl == nil {
+				continue
+			}
 			g := dl.Data[i*k : (i+1)*k]
 			for j := 0; j < k; j++ {
 				ind := 0.0
@@ -363,14 +403,18 @@ func (c *Controller) backprop(eps []*Episode) GradientStats {
 	}
 	st.MeanClipFrac = float64(clipped) / n
 
-	// Backprop policy: heads then BPTT.
+	// Backprop policy: heads then BPTT, from the last choice. A skipped
+	// head's input gradient would be +0, so dh passes through unchanged.
 	var dh, dc *tensor.Tensor
-	for t := T - 1; t >= 0; t-- {
-		g := c.heads[t].Backward(c.dLogits[t], c.ar)
-		if dh != nil {
-			tensor.AddInPlace(g, dh)
+	for t := c.last; t >= 0; t-- {
+		g := dh
+		if c.dLogits[t] != nil {
+			g = c.heads[t].Backward(c.dLogits[t], c.ar)
+			if dh != nil {
+				tensor.AddInPlace(g, dh)
+			}
 		}
-		dh, dc = c.policy.BackwardStep(g, dc, c.ar)
+		dh, dc = c.policy.BackwardStep(g, dc)
 	}
 
 	// Value loss: 0.5-weighted MSE of V(s_t) against the terminal reward.
@@ -386,7 +430,7 @@ func (c *Controller) backprop(eps []*Episode) GradientStats {
 		if dvh != nil {
 			tensor.AddInPlace(g, dvh)
 		}
-		dvh, dvc = c.value.BackwardStep(g, dvc, c.ar)
+		dvh, dvc = c.value.BackwardStep(g, dvc)
 	}
 
 	return st

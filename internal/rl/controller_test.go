@@ -84,9 +84,21 @@ func TestSampleDeterminism(t *testing.T) {
 }
 
 // TestPPOGradientFiniteDifference verifies ComputeGradient against central
-// finite differences of an independently coded scalar loss.
+// finite differences of an independently coded scalar loss, on tinySpace and
+// on tinySpace with a middle and the last decision pinned to one option: the
+// independent loss runs every head and step, the controller skips the
+// one-option heads and stops at the last choice.
 func TestPPOGradientFiniteDifference(t *testing.T) {
-	s := tinySpace()
+	pinned, err := space.Restrict(tinySpace(), "tiny-pinned", [][]int{nil, space.Pin(1), nil, space.Pin(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*space.Space{tinySpace(), pinned} {
+		t.Run(s.Name, func(t *testing.T) { checkPPOGradient(t, s) })
+	}
+}
+
+func checkPPOGradient(t *testing.T, s *space.Space) {
 	cfg := Config{Hidden: 4, Epochs: 1}
 	c := NewController(s, 7, cfg)
 	eps := c.Sample(3)
@@ -113,11 +125,11 @@ func TestPPOGradientFiniteDifference(t *testing.T) {
 		// Values.
 		c.ar.Reset()
 		c.value.ResetCache()
-		vh, vc := c.value.ZeroState(m, c.ar)
+		var vh, vc *tensor.Tensor
 		values := make([][]float64, T)
 		for tt := 0; tt < T; tt++ {
 			x := c.onehotInputs(eps, tt)
-			vh, vc = c.value.Step(x, vh, vc, c.ar)
+			vh, vc = c.value.Step(x, vh, vc)
 			head := nn.NewDenseShared(c.valueHead.W, c.valueHead.B, nn.ActLinear)
 			out := head.Forward(vh, false, nil)
 			values[tt] = append([]float64(nil), out.Data...)
@@ -147,11 +159,11 @@ func TestPPOGradientFiniteDifference(t *testing.T) {
 		// below perturbs ONLY policy parameters for the policy term; the
 		// value term uses detached advantages, matching ComputeGradient.
 		c.policy.ResetCache()
-		ph, pc := c.policy.ZeroState(m, c.ar)
+		var ph, pc *tensor.Tensor
 		var L float64
 		for tt := 0; tt < T; tt++ {
 			x := c.onehotInputs(eps, tt)
-			ph, pc = c.policy.Step(x, ph, pc, c.ar)
+			ph, pc = c.policy.Step(x, ph, pc)
 			logits := c.heads[tt].Forward(ph, false, nil)
 			probs := tensor.New(logits.Shape...)
 			tensor.RowSoftmaxInto(probs, logits)
@@ -197,6 +209,14 @@ func TestPPOGradientFiniteDifference(t *testing.T) {
 		offsets[p] = off
 		off += p.Size()
 	}
+	oneOption := map[*nn.Param]bool{}
+	for d, h := range c.heads {
+		if s.NumChoices(d) == 1 {
+			for _, p := range h.Params() {
+				oneOption[p] = true
+			}
+		}
+	}
 	const h = 1e-6
 	for _, p := range policyParams.List() {
 		base := offsets[p]
@@ -210,6 +230,11 @@ func TestPPOGradientFiniteDifference(t *testing.T) {
 			fd := (lp - lm) / (2 * h)
 			if math.Abs(fd-grad[base+i]) > 1e-4*(1+math.Abs(fd)) {
 				t.Fatalf("%s grad[%d] = %g, fd %g", p.Name, i, grad[base+i], fd)
+			}
+			// A one-option head's row is the constant 1 whatever its
+			// logit: the loss does not move and the gradient is +0.
+			if oneOption[p] && (fd != 0 || math.Float64bits(grad[base+i]) != 0) {
+				t.Fatalf("one-option %s grad[%d] = %g, fd %g, want +0 and 0", p.Name, i, grad[base+i], fd)
 			}
 		}
 	}
@@ -392,22 +417,32 @@ func TestUpdateMatchesGradientExchange(t *testing.T) {
 }
 
 // TestShortControllerUpdateAllocs pins the controller's allocation
-// discipline: a warm ComputeGradient allocates only the flat gradient it
-// returns, Update nothing, Sample only the episodes it returns, and the
-// arena plateaus even though the batch size — and with it every shape
-// class — changes from call to call (A2C partial batches, fault-shrunk
-// rounds).
+// discipline on combo-small and on combo-micro, whose one-option decisions
+// take the skipped paths: a warm ComputeGradient allocates only the flat
+// gradient it returns, Update nothing, Sample only the episodes it returns,
+// and the arena plateaus even though the batch size — and with it every
+// shape class — changes from call to call (A2C partial batches,
+// fault-shrunk rounds).
 func TestShortControllerUpdateAllocs(t *testing.T) {
-	sp := space.NewComboSmall()
+	for _, name := range []string{"combo-small", "combo-micro"} {
+		sp, err := goldenSpace(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { checkControllerAllocs(t, sp) })
+	}
+}
+
+func checkControllerAllocs(t *testing.T, sp *space.Space) {
 	c := NewController(sp, 37, Config{})
 	const m = 4
 	eps := c.Sample(m)
 	for i, ep := range eps {
 		ep.Reward = float64(i) / m
 	}
-	c.Update(eps) // warm: arena free lists, Adam moments, LSTM cache stacks
-	if got := testing.AllocsPerRun(20, func() { c.ComputeGradient(eps) }); got > 2 {
-		t.Errorf("ComputeGradient: %v allocs/op, want <= 2 (the returned gradient)", got)
+	c.Update(eps) // warm: arena free lists, Adam moments, LSTM workspaces
+	if got := testing.AllocsPerRun(20, func() { c.ComputeGradient(eps) }); got > 1 {
+		t.Errorf("ComputeGradient: %v allocs/op, want <= 1 (the returned gradient)", got)
 	}
 	if got := testing.AllocsPerRun(5, func() { c.Update(eps) }); got > 0 {
 		t.Errorf("Update: %v allocs/op, want 0", got)

@@ -25,6 +25,18 @@ if ! go build -gcflags=-m ./internal/trace 2>&1 | grep -q 'can inline (\*Recorde
     echo "check.sh: (*trace.Recorder).Emit is no longer inlinable" >&2
     exit 1
 fi
+# Go may fuse x*y + z into one multiply-add on arm64 (never on amd64), which
+# rounds once where amd64 rounds twice. The controller and its LSTM round
+# every such product with an explicit float64 conversion, so the goldens
+# recorded on amd64 hold there too (DESIGN §6; the rest of the module is
+# ROADMAP item 3).
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/nn ./internal/rl 2>&1 |
+    grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
+if [ -n "$fused" ]; then
+    echo "check.sh: fused multiply-adds on arm64 in internal/nn or internal/rl:" >&2
+    echo "$fused" >&2
+    exit 1
+fi
 go test -short ./...
 # nas-bench's loop, end to end: the torture experiment (~15 s) panics on any
 # violated durability invariant and must reproduce the committed report (it
