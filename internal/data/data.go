@@ -111,13 +111,28 @@ func (d *Dataset) GatherInto(dst *Dataset, idx []int) *Dataset {
 	return dst
 }
 
-// Slice returns rows [lo, hi).
+// Slice returns rows [lo, hi) as a view: its tensors and labels share the
+// receiver's storage, so nothing is copied and a write through either shows
+// in both.
 func (d *Dataset) Slice(lo, hi int) *Dataset {
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
+	if lo < 0 || hi < lo || hi > d.N() {
+		panic(fmt.Sprintf("data: Slice [%d, %d) out of range %d", lo, hi, d.N()))
 	}
-	return d.Gather(idx)
+	rows := func(t *tensor.Tensor) *tensor.Tensor {
+		c := t.Shape[1]
+		return tensor.FromSlice(t.Data[lo*c:hi*c], hi-lo, c)
+	}
+	out := &Dataset{InputNames: d.InputNames, NumClasses: d.NumClasses, Inputs: make([]*tensor.Tensor, len(d.Inputs))}
+	for i, in := range d.Inputs {
+		out.Inputs[i] = rows(in)
+	}
+	if d.YReg != nil {
+		out.YReg = rows(d.YReg)
+	}
+	if d.YCls != nil {
+		out.YCls = d.YCls[lo:hi:hi]
+	}
+	return out
 }
 
 // Subsample returns a deterministic random subset containing fraction frac

@@ -209,6 +209,12 @@ func TestGatherSliceSubsample(t *testing.T) {
 	if s.N() != 10 || s.YReg.Data[0] != train.YReg.Data[10] {
 		t.Fatal("Slice wrong")
 	}
+	// Slice is a view: its rows are the receiver's storage.
+	for i, in := range s.Inputs {
+		if w := in.Shape[1]; &in.Data[0] != &train.Inputs[i].Data[10*w] || len(in.Data) != 10*w {
+			t.Fatalf("Slice input %d is not a view of rows [10, 20)", i)
+		}
+	}
 	sub := train.Subsample(0.25, rng.New(1))
 	if sub.N() != 25 {
 		t.Fatalf("Subsample N = %d, want 25", sub.N())

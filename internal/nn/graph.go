@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"nasgo/internal/tensor"
 )
@@ -32,6 +33,17 @@ type node struct {
 	// reusable scratch (valid for one forward/backward pair)
 	ts    []*tensor.Tensor // concat forward: gathered input tensors
 	parts []*tensor.Tensor // concat backward: per-input gradient blocks
+
+	// Set by markParamColumns: whether any output column depends on a
+	// parameter, and how many input edges of other nodes read this one.
+	anyDep bool
+	edges  int
+}
+
+// dxLimiter is a layer that can form its input gradient over only the input
+// columns that depend on a parameter.
+type dxLimiter interface {
+	limitDX(need []bool)
 }
 
 // ModelBuilder incrementally constructs a computation DAG. Node ids are
@@ -123,9 +135,9 @@ type Model struct {
 	// the recycle point (after the optimizer step consumed the gradients).
 	arena *tensor.Arena
 
-	// reusable backward scratch
-	grads      []*tensor.Tensor
-	inputGrads []*tensor.Tensor
+	marked bool // markParamColumns has run
+
+	grads []*tensor.Tensor // reusable backward scratch
 }
 
 // NumInputs returns the number of input placeholders.
@@ -200,11 +212,15 @@ func (m *Model) Forward(xs []*tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates dout (gradient at the output node) through the DAG,
-// accumulating parameter gradients. It returns per-input gradients in input
-// order; the returned slice is reused by the next Backward call, so callers
-// that keep gradients across steps must copy them. Forward must have been
-// called first.
-func (m *Model) Backward(dout *tensor.Tensor) []*tensor.Tensor {
+// accumulating parameter gradients. It forms only the gradients a parameter
+// update reads: none into the model inputs or any node whose output depends
+// on no parameter, and at a Dense only the input columns that do. Forward
+// must have been called first.
+func (m *Model) Backward(dout *tensor.Tensor) {
+	if !m.marked {
+		m.markParamColumns()
+		m.marked = true
+	}
 	ar := m.arena
 	if cap(m.grads) < len(m.nodes) {
 		m.grads = make([]*tensor.Tensor, len(m.nodes))
@@ -214,63 +230,125 @@ func (m *Model) Backward(dout *tensor.Tensor) []*tensor.Tensor {
 		grads[i] = nil
 	}
 	grads[m.output] = dout
-	if cap(m.inputGrads) < m.numInputs {
-		m.inputGrads = make([]*tensor.Tensor, m.numInputs)
-	}
-	inputGrads := m.inputGrads[:m.numInputs]
-	for i := range inputGrads {
-		inputGrads[i] = nil
-	}
-	// accumulate copies on first write (g may alias an upstream gradient that
-	// other fan-in edges will AddInPlace into) and adds on later writes —
-	// value-identical to the historical Clone-based path.
-	accumulate := func(id int, g *tensor.Tensor) {
-		if grads[id] == nil {
-			c := ar.Get(g.Shape...)
-			copy(c.Data, g.Data)
-			grads[id] = c
-		} else {
-			tensor.AddInPlace(grads[id], g)
-		}
-	}
 	for i := len(m.nodes) - 1; i >= 0; i-- {
 		n := m.nodes[i]
 		g := grads[i]
-		if g == nil {
-			continue // node does not feed the output
+		if g == nil || !n.anyDep {
+			continue // node does not feed the output, or reaches no parameter
 		}
 		switch n.kind {
-		case kindInput:
-			inputGrads[n.inputIndex] = g
 		case kindLayer:
-			accumulate(n.inputs[0], n.layer.Backward(g, ar))
+			dx := n.layer.Backward(g, ar)
+			if m.nodes[n.inputs[0]].anyDep {
+				m.accumulate(n.inputs[0], dx)
+			}
 		case kindConcat:
 			if cap(n.parts) < len(n.inputs) {
 				n.parts = make([]*tensor.Tensor, len(n.inputs))
 			}
 			n.parts = n.parts[:len(n.inputs)]
 			rows := g.Shape[0]
-			for j, w := range n.widths {
-				n.parts[j] = ar.Get(rows, w)
+			for j, in := range n.inputs {
+				n.parts[j] = nil
+				if m.nodes[in].anyDep {
+					n.parts[j] = ar.Get(rows, n.widths[j])
+				}
 			}
 			tensor.SplitColsInto(n.parts, g, n.widths)
 			for j, in := range n.inputs {
-				accumulate(in, n.parts[j])
+				if n.parts[j] != nil {
+					m.accumulate(in, n.parts[j])
+				}
 			}
 		case kindAdd:
 			rows := g.Shape[0]
 			maxW := g.Shape[1]
 			for j, in := range n.inputs {
-				w := n.inW[j]
-				part := ar.Get(rows, w)
-				for r := 0; r < rows; r++ {
-					copy(part.Data[r*w:(r+1)*w], g.Data[r*maxW:r*maxW+w])
+				if !m.nodes[in].anyDep {
+					continue
 				}
-				accumulate(in, part)
+				w := n.inW[j]
+				part := g
+				if w < maxW {
+					part = ar.Get(rows, w)
+					for r := 0; r < rows; r++ {
+						copy(part.Data[r*w:(r+1)*w], g.Data[r*maxW:r*maxW+w])
+					}
+				}
+				m.accumulate(in, part)
 			}
 		}
 	}
-	return inputGrads
+}
+
+// accumulate adds gradient g into node id's. A node read by one edge takes g
+// as it is. A fan-out node copies its first gradient, since its later edges
+// AddInPlace into it and g may be a tensor another node holds — the same
+// values, in the same order, as the historical Clone-based path.
+func (m *Model) accumulate(id int, g *tensor.Tensor) {
+	grads := m.grads
+	switch {
+	case grads[id] != nil:
+		tensor.AddInPlace(grads[id], g)
+	case m.nodes[id].edges == 1:
+		grads[id] = g
+	default:
+		c := m.arena.Get(g.Shape...)
+		copy(c.Data, g.Data)
+		grads[id] = c
+	}
+}
+
+// markParamColumns computes, once, which output columns (features per row)
+// of every node depend on a parameter, from the shapes of the Forward before
+// the first Backward: a model's widths are fixed by its layers. Only those
+// columns carry a gradient that a parameter update reads. A Dense or Conv1D
+// output depends on its own parameters; an elementwise or reshaping layer
+// keeps its input's columns; MaxPool1D mixes them, so any makes all; Concat
+// places its inputs' columns side by side and Add ORs them, narrower inputs
+// padded with columns that depend on nothing.
+func (m *Model) markParamColumns() {
+	deps := make([][]bool, len(m.nodes))
+	for i, n := range m.nodes {
+		feats := 1
+		for _, d := range n.out.Shape[1:] {
+			feats *= d
+		}
+		dep := make([]bool, feats)
+		switch n.kind {
+		case kindLayer:
+			in := deps[n.inputs[0]]
+			if l, ok := n.layer.(dxLimiter); ok {
+				l.limitDX(in)
+			}
+			switch n.layer.(type) {
+			case Identity, *Activate, *Dropout, Reshape1D, *Flatten:
+				copy(dep, in)
+			default:
+				if len(n.layer.Params()) > 0 || slices.Contains(in, true) {
+					for j := range dep {
+						dep[j] = true
+					}
+				}
+			}
+		case kindConcat:
+			off := 0
+			for _, in := range n.inputs {
+				off += copy(dep[off:], deps[in])
+			}
+		case kindAdd:
+			for _, in := range n.inputs {
+				for j, d := range deps[in] {
+					dep[j] = dep[j] || d
+				}
+			}
+		}
+		for _, in := range n.inputs {
+			m.nodes[in].edges++
+		}
+		n.anyDep = slices.Contains(dep, true)
+		deps[i] = dep
+	}
 }
 
 // Predict runs a forward pass in inference mode.

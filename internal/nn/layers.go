@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"nasgo/internal/rng"
 	"nasgo/internal/tensor"
@@ -11,7 +12,9 @@ import (
 // Forward caches whatever Backward needs; a layer instance therefore serves
 // one in-flight (forward, backward) pair at a time, which matches how the
 // evaluator trains one model per task. Backward returns the gradient with
-// respect to the layer input and accumulates parameter gradients.
+// respect to the layer input and accumulates parameter gradients; inside a
+// Model, a Dense or Conv1D forms that gradient only over the input columns
+// that depend on a parameter (Model.Backward), and nil when none does.
 //
 // The arena parameter is an optional workspace: layers acquire their output
 // and temporary buffers from it instead of the heap, and the owner recycles
@@ -63,6 +66,20 @@ type Dense struct {
 	Activation string
 
 	x, out *tensor.Tensor // forward caches
+
+	// spans, once a Model has called limitDX with a partial mask, are the
+	// input-column runs whose gradient Backward forms, each with a view of
+	// its rows of W; limited with no span, Backward forms no dX at all.
+	// Unlimited, dX is the one full product.
+	limited bool
+	spans   []dxSpan
+}
+
+// dxSpan is one contiguous run [lo, hi) of a Dense's input columns and the
+// matching rows of W, a view that shares W's storage.
+type dxSpan struct {
+	lo, hi int
+	w      *tensor.Tensor
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights and zero bias.
@@ -102,17 +119,56 @@ func (d *Dense) Backward(dout *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 		dz = ar.Get(dout.Shape...)
 		tensor.ActivationBackwardInto(dz, act, d.out, dout)
 	}
-	// Parameter gradients go through arena temporaries and AddInPlace so the
-	// accumulation order into Grad matches the historical allocating path.
-	dw := ar.Get(d.W.Value.Shape...)
+	dw := d.W.gradDst(ar)
 	tensor.MatMulTransAInto(dw, d.x, dz)
-	tensor.AddInPlace(d.W.Grad, dw)
-	db := ar.Get(d.B.Value.Shape...)
+	d.W.addGrad(dw)
+	db := d.B.gradDst(ar)
 	tensor.ColSumsInto(db, dz)
-	tensor.AddInPlace(d.B.Grad, db)
-	dx := ar.Get(dout.Shape[0], d.W.Value.Shape[0])
-	tensor.MatMulTransBInto(dx, dz, d.W.Value)
+	d.B.addGrad(db)
+	if d.limited && len(d.spans) == 0 {
+		return nil
+	}
+	rows, in := dout.Shape[0], d.W.Value.Shape[0]
+	dx := ar.Get(rows, in)
+	if !d.limited {
+		tensor.MatMulTransBInto(dx, dz, d.W.Value)
+		return dx
+	}
+	// Each element of A×Bᵀ is its own dot product over k, so a span's
+	// columns are bit-identical to those of the full product. The columns
+	// outside every span stay +0 and are read by nothing.
+	for _, s := range d.spans {
+		w := s.hi - s.lo
+		part := ar.Get(rows, w)
+		tensor.MatMulTransBInto(part, dz, s.w)
+		for r := 0; r < rows; r++ {
+			copy(dx.Data[r*in+s.lo:r*in+s.hi], part.Data[r*w:(r+1)*w])
+		}
+	}
 	return dx
+}
+
+// limitDX restricts Backward's input gradient to the columns need marks.
+func (d *Dense) limitDX(need []bool) {
+	d.spans = d.spans[:0]
+	d.limited = slices.Contains(need, false)
+	if !d.limited {
+		return
+	}
+	units := d.W.Value.Shape[1]
+	for lo := 0; lo < len(need); {
+		if !need[lo] {
+			lo++
+			continue
+		}
+		hi := lo
+		for hi < len(need) && need[hi] {
+			hi++
+		}
+		w := tensor.FromSlice(d.W.Value.Data[lo*units:hi*units], hi-lo, units)
+		d.spans = append(d.spans, dxSpan{lo: lo, hi: hi, w: w})
+		lo = hi
+	}
 }
 
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
@@ -228,6 +284,8 @@ type Conv1D struct {
 	Activation string
 
 	x, out *tensor.Tensor
+
+	noDX bool // set by a Model when no input column reaches a parameter
 }
 
 // NewConv1D creates a convolution with Glorot-uniform weights.
@@ -272,14 +330,20 @@ func (c *Conv1D) Backward(dout *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor 
 		dz = ar.Get(dout.Shape...)
 		tensor.ActivationBackwardInto(dz, act, c.out, dout)
 	}
-	dx := ar.Get(c.x.Shape...)
-	dw := ar.Get(c.W.Value.Shape...)
-	db := ar.Get(c.B.Value.Shape...)
+	var dx *tensor.Tensor
+	if !c.noDX {
+		dx = ar.Get(c.x.Shape...)
+	}
+	dw := c.W.gradDst(ar)
+	db := c.B.gradDst(ar)
 	tensor.Conv1DBackwardInto(dx, dw, db, c.x, c.W.Value, dz, c.Stride)
-	tensor.AddInPlace(c.W.Grad, dw)
-	tensor.AddInPlace(c.B.Grad, db)
+	c.W.addGrad(dw)
+	c.B.addGrad(db)
 	return dx
 }
+
+// limitDX drops Backward's input gradient when need marks no column.
+func (c *Conv1D) limitDX(need []bool) { c.noDX = !slices.Contains(need, true) }
 
 func (c *Conv1D) Params() []*Param { return []*Param{c.W, c.B} }
 

@@ -208,6 +208,7 @@ func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor) (dhPrev, dcPrev *tensor.Tenso
 	// Only those rows reach Wx's gradient, and each is cleared behind it;
 	// a repeated index's second flush adds +0, which is the identity on a
 	// gradient that is a sum from +0. The other rows would add +0 too.
+	l.Wx.zeroed, l.B.zeroed, l.Wh.zeroed = false, false, false
 	for r, ix := range st.x {
 		wr := l.dwx.Data[ix*4*H : (ix+1)*4*H]
 		for j, g := range dz.Data[r*4*H : (r+1)*4*H] {

@@ -331,20 +331,120 @@ func TestGraphFanOutAccumulates(t *testing.T) {
 	gradCheck(t, "fanout", loss, m.Params().List(), grads)
 }
 
-func TestGraphInputGradients(t *testing.T) {
-	r := rng.New(11)
+// graphGradCheck runs one Forward and Backward of m on xs with an all-ones
+// output gradient and checks every parameter gradient by finite differences;
+// before lets a test restore state (a dropout stream) ahead of each Forward.
+func graphGradCheck(t *testing.T, name string, m *Model, xs []*tensor.Tensor, before func()) {
+	t.Helper()
+	before()
+	y := m.Forward(xs, true)
+	dout := tensor.New(y.Shape...)
+	dout.Fill(1)
+	m.ZeroGrad()
+	m.Backward(dout)
+	grads := map[*Param]*tensor.Tensor{}
+	for _, p := range m.Params().List() {
+		grads[p] = p.Grad.Clone()
+	}
+	loss := func() float64 {
+		before()
+		return m.Forward(xs, true).Sum()
+	}
+	gradCheck(t, name, loss, m.Params().List(), grads)
+}
+
+func randInputs(r *rng.Rand, rows int, widths ...int) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, len(widths))
+	for i, w := range widths {
+		xs[i] = tensor.New(rows, w)
+		xs[i].Randn(r, 1)
+	}
+	return xs
+}
+
+// TestGraphPartialInputGradient checks a Dense over Concat(raw input, Dense,
+// raw input, Dense): it forms dX over the two Dense column spans only, and
+// no gradient reaches the inputs.
+func TestGraphPartialInputGradient(t *testing.T) {
+	r := rng.New(12)
+	b := NewModelBuilder()
+	a, c := b.Input(), b.Input()
+	h1 := b.Layer(c, NewDense(r, 4, 2, ActTanh))
+	h2 := b.Layer(a, NewDense(r, 3, 3, ActSigmoid))
+	cat := b.Concat(a, h1, c, h2)
+	head := NewDense(r, 12, 1, ActLinear)
+	m := b.Build(b.Layer(cat, head))
+	graphGradCheck(t, "partial-dx", m, randInputs(r, 3, 3, 4), func() {})
+	if len(head.spans) != 2 || head.spans[0].lo != 3 || head.spans[0].hi != 5 ||
+		head.spans[1].lo != 9 || head.spans[1].hi != 12 {
+		t.Fatalf("head dX spans %+v, want [3,5) and [9,12)", head.spans)
+	}
+	if m.grads[a] != nil || m.grads[c] != nil {
+		t.Fatal("a model input received a gradient")
+	}
+}
+
+// TestGraphAddRawBranch checks an Add of a raw input and a narrower Dense:
+// the zero-padded sum depends on a parameter only in the Dense's columns, so
+// the head forms dX there alone.
+func TestGraphAddRawBranch(t *testing.T) {
+	r := rng.New(13)
 	b := NewModelBuilder()
 	in := b.Input()
-	out := b.Layer(in, NewDense(r, 3, 2, ActTanh))
-	m := b.Build(out)
-	x := tensor.New(2, 3)
-	x.Randn(r, 1)
-	m.Forward([]*tensor.Tensor{x}, true)
-	dout := tensor.New(2, 2)
-	dout.Fill(1)
-	gs := m.Backward(dout)
-	if len(gs) != 1 || !tensor.SameShape(gs[0], x) {
-		t.Fatal("input gradient shape mismatch")
+	sum := b.Add(in, b.Layer(in, NewDense(r, 5, 2, ActReLU)))
+	head := NewDense(r, 5, 2, ActTanh)
+	m := b.Build(b.Layer(sum, head))
+	graphGradCheck(t, "add-raw", m, randInputs(r, 4, 5), func() {})
+	if len(head.spans) != 1 || head.spans[0].lo != 0 || head.spans[0].hi != 2 {
+		t.Fatalf("head dX spans %+v, want [0,2)", head.spans)
+	}
+}
+
+// TestGraphDropoutOnInput checks input → Dropout → Dense → Dense: the
+// dropout reaches no parameter, so it gets no gradient and the first Dense
+// forms no dX. The dropout stream restarts before every Forward so the
+// finite differences see one mask.
+func TestGraphDropoutOnInput(t *testing.T) {
+	r := rng.New(14)
+	b := NewModelBuilder()
+	drop := NewDropout(r, 0.3)
+	dn := b.Layer(b.Input(), drop)
+	first := NewDense(r, 6, 3, ActTanh)
+	m := b.Build(b.Layer(b.Layer(dn, first), NewDense(r, 3, 1, ActLinear)))
+	graphGradCheck(t, "dropout-input", m, randInputs(r, 4, 6), func() { drop.rand = rng.New(15) })
+	if m.grads[dn] != nil {
+		t.Fatal("the input dropout received a gradient")
+	}
+	if !first.limited || len(first.spans) != 0 {
+		t.Fatalf("first Dense forms dX over %+v, want none", first.spans)
+	}
+}
+
+// TestGraphBackwardTwiceAccumulates pins the direct write into a zeroed
+// gradient: ZeroGrad then two Backward calls must leave, bit for bit, twice
+// the gradient of one call — the second call adds where the first wrote.
+func TestGraphBackwardTwiceAccumulates(t *testing.T) {
+	r := rng.New(16)
+	b := NewModelBuilder()
+	a, c := b.Input(), b.Input()
+	h := b.Layer(a, NewDense(r, 3, 4, ActTanh))
+	conv := b.Layer(b.Layer(c, Reshape1D{}), NewConv1D(r, 3, 1, 2, 1, ActReLU))
+	cat := b.Concat(h, b.Layer(conv, &Flatten{}), c)
+	m := b.Build(b.Layer(cat, NewDense(r, 4+2*4+6, 1, ActLinear)))
+	xs := randInputs(r, 3, 3, 6)
+	y := m.Forward(xs, true)
+	dout := tensor.New(y.Shape...)
+	dout.Randn(r, 1)
+	m.ZeroGrad()
+	m.Backward(dout)
+	once := m.Params().FlattenGrads()
+	m.ZeroGrad()
+	m.Backward(dout)
+	m.Backward(dout)
+	for i, g := range m.Params().FlattenGrads() {
+		if math.Float64bits(g) != math.Float64bits(2*once[i]) {
+			t.Fatalf("grad[%d] after two Backwards = %v, want 2×%v", i, g, once[i])
+		}
 	}
 }
 

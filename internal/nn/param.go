@@ -28,6 +28,11 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	// zeroed reports that Grad is +0 everywhere and nothing has written it
+	// since ZeroGrad: the next whole-gradient writer may write straight into
+	// Grad (gradDst). Every other writer of Grad clears it.
+	zeroed bool
 }
 
 // NewParam allocates a zero-valued parameter with a matching gradient.
@@ -43,7 +48,30 @@ func NewParam(name string, shape ...int) *Param {
 func (p *Param) Size() int { return p.Value.Size() }
 
 // ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+func (p *Param) ZeroGrad() {
+	p.Grad.Zero()
+	p.zeroed = true
+}
+
+// gradDst returns where a kernel that writes a whole gradient contribution
+// should put it: Grad itself for the first writer after ZeroGrad, an arena
+// temporary for any later one, which addGrad then sums into Grad. The two are
+// bit-identical: the kernels sum from +0, so their result is never −0, and
+// +0 + x = x.
+func (p *Param) gradDst(ar *tensor.Arena) *tensor.Tensor {
+	if p.zeroed {
+		p.zeroed = false
+		return p.Grad
+	}
+	return ar.Get(p.Grad.Shape...)
+}
+
+// addGrad accumulates a contribution written to gradDst's tensor.
+func (p *Param) addGrad(g *tensor.Tensor) {
+	if g != p.Grad {
+		tensor.AddInPlace(p.Grad, g)
+	}
+}
 
 func (p *Param) String() string {
 	return fmt.Sprintf("%s%v", p.Name, p.Value.Shape)
@@ -136,6 +164,7 @@ func (s *ParamSet) SetGrads(g []float64) {
 	for _, p := range s.list {
 		n := p.Size()
 		copy(p.Grad.Data, g[off:off+n])
+		p.zeroed = false
 		off += n
 	}
 }

@@ -105,8 +105,8 @@ func (a *Adam) Step(params *nn.ParamSet) {
 		}
 		v := a.v[p]
 		for i, g := range p.Grad.Data {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*g)
+			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*g*g)
 			mHat := m[i] / bc1
 			vHat := v[i] / bc2
 			p.Value.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)

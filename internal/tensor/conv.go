@@ -75,7 +75,7 @@ func conv1DRows(dst, x, w, b *Tensor, stride, lo, hi int) {
 					}
 					wr := wrow[c*cout : (c+1)*cout]
 					for o, wv := range wr {
-						orow[o] += xv * wv
+						orow[o] += float64(xv * wv)
 					}
 				}
 			}
@@ -86,12 +86,12 @@ func conv1DRows(dst, x, w, b *Tensor, stride, lo, hi int) {
 // Conv1DBackwardInto computes the gradients of a Conv1DInto call, given dout
 // of the output shape [batch, outLen, outChannels], into caller-provided
 // destinations shaped like x, w, and the bias, none of which may alias an
-// operand.
+// operand. A nil dx skips the input gradient.
 func Conv1DBackwardInto(dx, dw, db, x, w, dout *Tensor, stride int) {
 	batch, length, cin := x.Shape[0], x.Shape[1], x.Shape[2]
 	kernel, _, cout := w.Shape[0], w.Shape[1], w.Shape[2]
 	outLen := dout.Shape[1]
-	if dx.Rank() != 3 || dx.Shape[0] != batch || dx.Shape[1] != length || dx.Shape[2] != cin {
+	if dx != nil && (dx.Rank() != 3 || dx.Shape[0] != batch || dx.Shape[1] != length || dx.Shape[2] != cin) {
 		panic(fmt.Sprintf("tensor: Conv1DBackwardInto dx %v, want %v", dx.Shape, x.Shape))
 	}
 	if dw.Rank() != 3 || dw.Shape[0] != kernel || dw.Shape[1] != cin || dw.Shape[2] != cout {
@@ -100,10 +100,11 @@ func Conv1DBackwardInto(dx, dw, db, x, w, dout *Tensor, stride int) {
 	if db.Rank() != 1 || db.Shape[0] != cout {
 		panic(fmt.Sprintf("tensor: Conv1DBackwardInto db %v, want [%d]", db.Shape, cout))
 	}
-	assertNoAlias("Conv1DBackwardInto", dx, x, w, dout)
+	if dx != nil {
+		assertNoAlias("Conv1DBackwardInto", dx, x, w, dout)
+	}
 	assertNoAlias("Conv1DBackwardInto", dw, x, w, dout)
 	assertNoAlias("Conv1DBackwardInto", db, x, w, dout)
-	dx.Zero()
 	dw.Zero()
 	db.Zero()
 	// Bias and weight gradients accumulate across the batch; keep them
@@ -127,12 +128,16 @@ func Conv1DBackwardInto(dx, dw, db, x, w, dout *Tensor, stride int) {
 					}
 					dwr := dwrow[c*cout : (c+1)*cout]
 					for o, gv := range grow {
-						dwr[o] += xv * gv
+						dwr[o] += float64(xv * gv)
 					}
 				}
 			}
 		}
 	}
+	if dx == nil {
+		return
+	}
+	dx.Zero()
 	if serialRows(batch, batch*outLen*cout*kernel*cin) {
 		conv1DBackwardDxRows(dx, w, dout, stride, 0, batch)
 		return
@@ -161,7 +166,7 @@ func conv1DBackwardDxRows(dx, w, dout *Tensor, stride, lo, hi int) {
 					wr := wrow[c*cout : (c+1)*cout]
 					var s float64
 					for o, gv := range grow {
-						s += gv * wr[o]
+						s += float64(gv * wr[o])
 					}
 					dxrow[c] += s
 				}

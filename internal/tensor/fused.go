@@ -145,7 +145,7 @@ func ActivationBackwardInto(dst *Tensor, act Act, a, dout *Tensor) {
 		}
 	case ActTanh:
 		for i := range dout.Data {
-			dst.Data[i] = dout.Data[i] * (1 - a.Data[i]*a.Data[i])
+			dst.Data[i] = dout.Data[i] * (1 - float64(a.Data[i]*a.Data[i]))
 		}
 	case ActSigmoid:
 		for i := range dout.Data {

@@ -102,14 +102,14 @@ func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor, lo, hi int) {
 				b2 := bd[(x+2)*n:][:len(o)]
 				b3 := bd[(x+3)*n:][:len(o)]
 				for j, ov := range o {
-					o[j] = (((ov + a0*b0[j]) + a1*b1[j]) + a2*b2[j]) + a3*b3[j]
+					o[j] = (((ov + float64(a0*b0[j])) + float64(a1*b1[j])) + float64(a2*b2[j])) + float64(a3*b3[j])
 				}
 			}
 			for ; x < k1; x++ { // k%4 remainder
 				av := ad[i*ar+x*ax]
 				brow := bd[x*n:][:len(o)]
 				for j, ov := range o {
-					o[j] = ov + av*brow[j]
+					o[j] = ov + float64(av*brow[j])
 				}
 			}
 		}
@@ -162,10 +162,10 @@ func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
 			b3 := b.Data[(j+3)*k : (j+4)*k][:len(arow)]
 			var s0, s1, s2, s3 float64
 			for x, av := range arow {
-				s0 += av * b0[x]
-				s1 += av * b1[x]
-				s2 += av * b2[x]
-				s3 += av * b3[x]
+				s0 += float64(av * b0[x])
+				s1 += float64(av * b1[x])
+				s2 += float64(av * b2[x])
+				s3 += float64(av * b3[x])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -173,7 +173,7 @@ func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
 			brow := b.Data[j*k : (j+1)*k][:len(arow)]
 			var s float64
 			for x, av := range arow {
-				s += av * brow[x]
+				s += float64(av * brow[x])
 			}
 			orow[j] = s
 		}

@@ -39,7 +39,8 @@ func ConcatColsInto(dst *Tensor, ts ...*Tensor) {
 // SplitColsInto splits a rank-2 tensor into caller-provided column blocks of
 // the given widths, which must sum to the column count — the inverse of
 // ConcatColsInto, used to route gradients back to the inputs of a
-// concatenation; dsts[i] must be [rows, widths[i]] and must not alias t.
+// concatenation; dsts[i] must be [rows, widths[i]] and must not alias t, or
+// nil to skip that block.
 func SplitColsInto(dsts []*Tensor, t *Tensor, widths []int) {
 	if t.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: SplitColsInto requires rank 2, got %v", t.Shape))
@@ -56,6 +57,9 @@ func SplitColsInto(dsts []*Tensor, t *Tensor, widths []int) {
 	}
 	rows := t.Shape[0]
 	for j, d := range dsts {
+		if d == nil {
+			continue
+		}
 		if d.Rank() != 2 || d.Shape[0] != rows || d.Shape[1] != widths[j] {
 			panic(fmt.Sprintf("tensor: SplitColsInto destination %d is %v, want [%d %d]", j, d.Shape, rows, widths[j]))
 		}
@@ -64,7 +68,9 @@ func SplitColsInto(dsts []*Tensor, t *Tensor, widths []int) {
 	for i := 0; i < rows; i++ {
 		off := i * total
 		for j, w := range widths {
-			copy(dsts[j].Data[i*w:(i+1)*w], t.Data[off:off+w])
+			if d := dsts[j]; d != nil {
+				copy(d.Data[i*w:(i+1)*w], t.Data[off:off+w])
+			}
 			off += w
 		}
 	}

@@ -116,8 +116,9 @@ func Fit(m *nn.Model, ds *data.Dataset, cfg Config) Result {
 
 // Evaluate computes the benchmark metric of the model on ds: R² for
 // regression (Combo, Uno) or classification accuracy (NT3). Large datasets
-// are evaluated in chunks to bound memory; chunk buffers come from a
-// workspace arena recycled between chunks.
+// are evaluated in chunks to bound memory; each chunk reads its rows of ds in
+// place, and chunk buffers come from a workspace arena recycled between
+// chunks.
 func Evaluate(m *nn.Model, ds *data.Dataset) float64 {
 	return evaluate(m, ds, tensor.NewArena())
 }
@@ -139,24 +140,10 @@ func evaluate(m *nn.Model, ds *data.Dataset, ar *tensor.Arena) float64 {
 		m.SetArena(ar)
 		defer m.SetArena(nil)
 	}
-	var part *data.Dataset
-	var idx []int
-	slice := func(lo, hi int) *data.Dataset {
-		if ar == nil {
-			return ds.Slice(lo, hi)
-		}
-		idx = idx[:0]
-		for r := lo; r < hi; r++ {
-			idx = append(idx, r)
-		}
-		part = ds.GatherInto(part, idx)
-		return part
-	}
 	if ds.IsClassification() {
 		correct := 0
 		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			p := slice(lo, hi)
+			p := ds.Slice(lo, min(lo+chunk, n))
 			out := m.Predict(p.Inputs)
 			pred := tensor.ArgmaxRows(out)
 			for i, pr := range pred {
@@ -171,8 +158,7 @@ func evaluate(m *nn.Model, ds *data.Dataset, ar *tensor.Arena) float64 {
 	preds := tensor.New(n, 1)
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
-		p := slice(lo, hi)
-		out := m.Predict(p.Inputs)
+		out := m.Predict(ds.Slice(lo, hi).Inputs)
 		if out.Shape[1] != 1 {
 			panic(fmt.Sprintf("train: regression model output width %d, want 1", out.Shape[1]))
 		}

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"testing"
 
 	"nasgo/internal/data"
@@ -140,12 +141,15 @@ func TestFitPanicsOnMissingRand(t *testing.T) {
 
 func TestEvaluateChunking(t *testing.T) {
 	// Evaluate must give identical results regardless of internal chunking;
-	// exercise n > chunk boundary handling with a dataset of 1100 rows.
+	// 1100 rows cross the chunk boundary, and the metric must equal, bit for
+	// bit, the R² of one Predict over every row.
 	trainDS, _ := data.GenCombo(data.ComboConfig{Seed: 12, NTrain: 1100, NVal: 8, CellDim: 5, DrugDim: 5})
 	r := rng.New(13)
 	m := tinyComboModel(r, trainDS.InputDims(), 4)
-	full := Evaluate(m, trainDS)
-	if full > 1 || full != full { // NaN check
-		t.Fatalf("Evaluate returned invalid R2 %g", full)
+	whole := nn.R2(m.Predict(trainDS.Inputs), trainDS.YReg)
+	for _, got := range []float64{Evaluate(m, trainDS), EvaluateNoArena(m, trainDS)} {
+		if math.Float64bits(got) != math.Float64bits(whole) {
+			t.Fatalf("chunked Evaluate R² %v, one Predict over all rows %v", got, whole)
+		}
 	}
 }

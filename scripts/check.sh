@@ -26,14 +26,14 @@ if ! go build -gcflags=-m ./internal/trace 2>&1 | grep -q 'can inline (\*Recorde
     exit 1
 fi
 # Go may fuse x*y + z into one multiply-add on arm64 (never on amd64), which
-# rounds once where amd64 rounds twice. The controller and its LSTM round
-# every such product with an explicit float64 conversion, so the goldens
-# recorded on amd64 hold there too (DESIGN §6; the rest of the module is
-# ROADMAP item 3).
-fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/nn ./internal/rl 2>&1 |
+# rounds once where amd64 rounds twice. The kernels, the layers, Adam, the
+# controller and its LSTM round every such product with an explicit float64
+# conversion, so the training and controller goldens recorded on amd64 hold
+# there too (DESIGN §6; the rest of the module is ROADMAP item 3).
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor ./internal/nn ./internal/optim ./internal/rl 2>&1 |
     grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
 if [ -n "$fused" ]; then
-    echo "check.sh: fused multiply-adds on arm64 in internal/nn or internal/rl:" >&2
+    echo "check.sh: fused multiply-adds on arm64 in internal/tensor, nn, optim or rl:" >&2
     echo "$fused" >&2
     exit 1
 fi
@@ -55,11 +55,12 @@ grep -q 'tournament' "$smoke/err"
 # smallest pooled width (2) and wider than the test machines' node count (8).
 # nasbench is in the loop for the table source × pool interplay: a reward
 # source makes every estimation an inline future whatever the width; and
-# its builder and tournament run GOMAXPROCS units at a time. rl is
-# in the loop so the controller goldens are held at every width too.
+# its builder and tournament run GOMAXPROCS units at a time. rl and train
+# are in the loop so the controller and training goldens are held at every
+# width too.
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool' \
-        ./internal/search/ ./internal/evaluator/ ./internal/nasbench/ ./internal/rl/
+        ./internal/search/ ./internal/evaluator/ ./internal/nasbench/ ./internal/rl/ ./internal/train/
 done
 # tensor and nn are in the race list for the destination-passing kernels:
 # their row-banded parallel paths (forced via GOMAXPROCS in the tests) are

@@ -24,7 +24,6 @@ var surfaceAllow = map[string]string{
 	"GetFinishedEvals":           "the paper's §4 evaluator interface by name (DESIGN §2)",
 	"TrajectoryFromTrace":        "TestShortTraceViewsMatchLog's oracle: the trace carries what the log carries",
 	"UtilizationSeriesFromTrace": "TestShortTraceViewsMatchLog's oracle: the trace carries what the log carries",
-	"FromSlice":                  "constructor of the tensor value type (26 test uses)",
 	"Clone":                      "copy of the tensor value type (16 test uses)",
 	"Fill":                       "initializer of the tensor value type (19 test uses)",
 	"Cols":                       "shape probe of the tensor value type, with Rows",
