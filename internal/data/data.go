@@ -115,9 +115,6 @@ func (d *Dataset) GatherInto(dst *Dataset, idx []int) *Dataset {
 // receiver's storage, so nothing is copied and a write through either shows
 // in both.
 func (d *Dataset) Slice(lo, hi int) *Dataset {
-	if lo < 0 || hi < lo || hi > d.N() {
-		panic(fmt.Sprintf("data: Slice [%d, %d) out of range %d", lo, hi, d.N()))
-	}
 	rows := func(t *tensor.Tensor) *tensor.Tensor {
 		c := t.Shape[1]
 		return tensor.FromSlice(t.Data[lo*c:hi*c], hi-lo, c)

@@ -33,6 +33,37 @@ func gradCheck(t *testing.T, name string, loss func() float64, params []*Param, 
 	}
 }
 
+// graphGradCheck runs one Forward and Backward of m on xs with an all-ones
+// output gradient and checks every parameter gradient by finite differences;
+// before lets a test restore state (a dropout stream) ahead of each Forward.
+func graphGradCheck(t *testing.T, name string, m *Model, xs []*tensor.Tensor, before func()) {
+	t.Helper()
+	before()
+	y := m.Forward(xs, true)
+	dout := tensor.New(y.Shape...)
+	dout.Fill(1)
+	m.ZeroGrad()
+	m.Backward(dout)
+	grads := map[*Param]*tensor.Tensor{}
+	for _, p := range m.Params().List() {
+		grads[p] = p.Grad.Clone()
+	}
+	loss := func() float64 {
+		before()
+		return m.Forward(xs, true).Sum()
+	}
+	gradCheck(t, name, loss, m.Params().List(), grads)
+}
+
+func randInputs(r *rng.Rand, rows int, widths ...int) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, len(widths))
+	for i, w := range widths {
+		xs[i] = tensor.New(rows, w)
+		xs[i].Randn(r, 1)
+	}
+	return xs
+}
+
 func TestDenseForwardShape(t *testing.T) {
 	r := rng.New(1)
 	d := NewDense(r, 5, 3, ActReLU)
@@ -259,22 +290,7 @@ func TestGraphMultiInputGradients(t *testing.T) {
 		t.Fatalf("ParamCount = %d, want %d", m.Params().Count(), want)
 	}
 
-	xs := []*tensor.Tensor{tensor.New(2, 3), tensor.New(2, 5), tensor.New(2, 5)}
-	for _, x := range xs {
-		x.Randn(r, 1)
-	}
-	y := m.Forward(xs, true)
-	dout := tensor.New(y.Shape...)
-	dout.Fill(1)
-	m.ZeroGrad()
-	m.Backward(dout)
-
-	loss := func() float64 { return m.Forward(xs, true).Sum() }
-	grads := map[*Param]*tensor.Tensor{}
-	for _, p := range m.Params().List() {
-		grads[p] = p.Grad.Clone()
-	}
-	gradCheck(t, "graph", loss, m.Params().List(), grads)
+	graphGradCheck(t, "graph", m, randInputs(r, 2, 3, 5, 5), func() {})
 }
 
 // TestGraphAddPadding checks the zero-padding Add used for heterogeneous
@@ -287,23 +303,12 @@ func TestGraphAddPadding(t *testing.T) {
 	narrow := b.Layer(in, NewDense(r, 3, 2, ActLinear))
 	sum := b.Add(wide, narrow)
 	m := b.Build(sum)
-	x := tensor.New(2, 3)
-	x.Randn(r, 1)
-	y := m.Forward([]*tensor.Tensor{x}, true)
-	if y.Shape[1] != 5 {
+	xs := randInputs(r, 2, 3)
+	if y := m.Forward(xs, true); y.Shape[1] != 5 {
 		t.Fatalf("Add output width %d, want 5 (max of 5,2)", y.Shape[1])
 	}
 	// Gradients still correct under padding.
-	m.ZeroGrad()
-	dout := tensor.New(y.Shape...)
-	dout.Fill(1)
-	m.Backward(dout)
-	loss := func() float64 { return m.Forward([]*tensor.Tensor{x}, true).Sum() }
-	grads := map[*Param]*tensor.Tensor{}
-	for _, p := range m.Params().List() {
-		grads[p] = p.Grad.Clone()
-	}
-	gradCheck(t, "add-pad", loss, m.Params().List(), grads)
+	graphGradCheck(t, "add-pad", m, xs, func() {})
 }
 
 func TestGraphFanOutAccumulates(t *testing.T) {
@@ -316,50 +321,7 @@ func TestGraphFanOutAccumulates(t *testing.T) {
 	right := b.Layer(h, NewDense(r, 3, 1, ActLinear))
 	out := b.Add(left, right)
 	m := b.Build(out)
-	x := tensor.New(1, 2)
-	x.Randn(r, 1)
-	m.Forward([]*tensor.Tensor{x}, true)
-	m.ZeroGrad()
-	dout := tensor.New(1, 1)
-	dout.Fill(1)
-	m.Backward(dout)
-	loss := func() float64 { return m.Forward([]*tensor.Tensor{x}, true).Sum() }
-	grads := map[*Param]*tensor.Tensor{}
-	for _, p := range m.Params().List() {
-		grads[p] = p.Grad.Clone()
-	}
-	gradCheck(t, "fanout", loss, m.Params().List(), grads)
-}
-
-// graphGradCheck runs one Forward and Backward of m on xs with an all-ones
-// output gradient and checks every parameter gradient by finite differences;
-// before lets a test restore state (a dropout stream) ahead of each Forward.
-func graphGradCheck(t *testing.T, name string, m *Model, xs []*tensor.Tensor, before func()) {
-	t.Helper()
-	before()
-	y := m.Forward(xs, true)
-	dout := tensor.New(y.Shape...)
-	dout.Fill(1)
-	m.ZeroGrad()
-	m.Backward(dout)
-	grads := map[*Param]*tensor.Tensor{}
-	for _, p := range m.Params().List() {
-		grads[p] = p.Grad.Clone()
-	}
-	loss := func() float64 {
-		before()
-		return m.Forward(xs, true).Sum()
-	}
-	gradCheck(t, name, loss, m.Params().List(), grads)
-}
-
-func randInputs(r *rng.Rand, rows int, widths ...int) []*tensor.Tensor {
-	xs := make([]*tensor.Tensor, len(widths))
-	for i, w := range widths {
-		xs[i] = tensor.New(rows, w)
-		xs[i].Randn(r, 1)
-	}
-	return xs
+	graphGradCheck(t, "fanout", m, randInputs(r, 1, 2), func() {})
 }
 
 // TestGraphPartialInputGradient checks a Dense over Concat(raw input, Dense,
