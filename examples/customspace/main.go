@@ -42,10 +42,10 @@ func genTwoSensor(seed uint64, n, ctxDim, sensorDim int) *data.Dataset {
 			f += ctx.At(i, j)
 		}
 		for j := 0; j < sensorDim; j++ {
-			g1 += s1.At(i, j) * math.Pow(-1, float64(j))
-			g2 += s2.At(i, j) * math.Pow(-1, float64(j))
+			g1 += float64(s1.At(i, j) * math.Pow(-1, float64(j)))
+			g2 += float64(s2.At(i, j) * math.Pow(-1, float64(j)))
 		}
-		y.Set(math.Tanh(f/4)*(math.Tanh(g1/4)+math.Tanh(g2/4))+0.05*r.Norm(), i, 0)
+		y.Set(float64(math.Tanh(f/4)*(math.Tanh(g1/4)+math.Tanh(g2/4)))+float64(0.05*r.Norm()), i, 0)
 	}
 	return &data.Dataset{
 		InputNames: []string{"context", "sensor1", "sensor2"},

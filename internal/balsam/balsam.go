@@ -628,8 +628,10 @@ func (s *Service) nodeUp(node int) {
 // transition point.
 func (s *Service) updateCounts() {
 	now := s.sim.Now()
-	s.busyIntegral += float64(s.busy) * (now - s.lastChange)
-	s.downIntegral += float64(s.down) * (now - s.lastChange)
+	// Each outer float64(...) in this file rounds a product: no fused
+	// multiply-add (DESIGN §6).
+	s.busyIntegral += float64(float64(s.busy) * (now - s.lastChange))
+	s.downIntegral += float64(float64(s.down) * (now - s.lastChange))
 	s.lastChange = now
 	s.busy = s.pool.Busy()
 	s.down = s.pool.Down()
@@ -645,17 +647,17 @@ func (s *Service) updateCounts() {
 
 // BusySeconds returns the integral of busy node count over time.
 func (s *Service) BusySeconds() float64 {
-	return s.busyIntegral + float64(s.busy)*(s.sim.Now()-s.lastChange)
+	return s.busyIntegral + float64(float64(s.busy)*(s.sim.Now()-s.lastChange))
 }
 
 // DeadSeconds returns the integral of failed node count over time.
 func (s *Service) DeadSeconds() float64 {
-	return s.downIntegral + float64(s.down)*(s.sim.Now()-s.lastChange)
+	return s.downIntegral + float64(float64(s.down)*(s.sim.Now()-s.lastChange))
 }
 
 // IdleSeconds returns the integral of idle (up, unoccupied) node count.
 func (s *Service) IdleSeconds() float64 {
-	return float64(s.pool.Len())*s.sim.Now() - s.BusySeconds() - s.DeadSeconds()
+	return float64(float64(s.pool.Len())*s.sim.Now()) - s.BusySeconds() - s.DeadSeconds()
 }
 
 // MeanUtilization returns the time-averaged busy fraction of *available*
@@ -667,7 +669,7 @@ func (s *Service) MeanUtilization() float64 {
 	if now == 0 {
 		return 0
 	}
-	avail := float64(s.pool.Len())*now - s.DeadSeconds()
+	avail := float64(float64(s.pool.Len())*now) - s.DeadSeconds()
 	if avail <= 0 {
 		return 0
 	}
@@ -720,8 +722,8 @@ func SeriesFromPoints(points []UtilizationPoint, nodes int, bucket, now float64)
 				end = t1
 			}
 			if b < nBuckets {
-				busySec[b] += busy * (end - t0)
-				downSec[b] += down * (end - t0)
+				busySec[b] += float64(busy * (end - t0))
+				downSec[b] += float64(down * (end - t0))
 			}
 			t0 = end
 		}
@@ -730,9 +732,9 @@ func SeriesFromPoints(points []UtilizationPoint, nodes int, bucket, now float64)
 	for b := range series {
 		width := bucket
 		if float64(b+1)*bucket > now {
-			width = now - float64(b)*bucket
+			width = now - float64(float64(b)*bucket)
 		}
-		avail := width*float64(nodes) - downSec[b]
+		avail := float64(width*float64(nodes)) - downSec[b]
 		if avail > 0 {
 			series[b] = busySec[b] / avail
 		}

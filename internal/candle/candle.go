@@ -165,7 +165,7 @@ func SpaceFor(benchName, size string) (*space.Space, error) {
 }
 
 func scaleUnits(u int, scale float64) int {
-	v := int(float64(u)*scale + 0.5)
+	v := int(float64(float64(u)*scale) + 0.5)
 	if v < 1 {
 		v = 1
 	}

@@ -115,12 +115,12 @@ func GenCombo(cfg ComboConfig) (train, val *Dataset) {
 				raw, r1, r2 := zu.At(i, k), z1.At(i, k), z2.At(i, k)
 				uv := math.Tanh(raw)
 				p1, p2 := math.Tanh(r1), math.Tanh(r2)
-				main += wc[k]*uv + wd[k]*(p1+p2)
-				even += wc2[k]*math.Cos(2*raw) + wd2[k]*(math.Cos(2*r1)+math.Cos(2*r2))
-				inter += w1[k] * uv * (p1 + p2)
-				inter += w2[k] * p1 * p2
+				main += float64(wc[k]*uv) + float64(wd[k]*(p1+p2))
+				even += float64(wc2[k]*math.Cos(2*raw)) + float64(wd2[k]*(math.Cos(2*r1)+math.Cos(2*r2)))
+				inter += float64(w1[k] * uv * (p1 + p2))
+				inter += float64(w2[k] * p1 * p2)
 			}
-			y.Set(mainScale*main+evenScale*even+interScale*inter+rr.Norm()*obsNoise, i, 0)
+			y.Set(float64(mainScale*main)+float64(evenScale*even)+float64(interScale*inter)+float64(rr.Norm()*obsNoise), i, 0)
 		}
 		return &Dataset{
 			InputNames: []string{"cell.expression", "drug1.descriptors", "drug2.descriptors"},
@@ -185,18 +185,18 @@ func GenUno(cfg UnoConfig) (train, val *Dataset) {
 			dose.Set(d, i, 0)
 			var eff, pot float64
 			for k := 0; k < latentDim; k++ {
-				m := u.At(i, k) + vd.At(i, k) + 0.5*vf.At(i, k) +
-					0.5*u.At(i, k)*vd.At(i, k)
-				eff += wEff[k] * m
-				pot += wPot[k] * m
+				m := u.At(i, k) + vd.At(i, k) + float64(0.5*vf.At(i, k)) +
+					float64(0.5*u.At(i, k)*vd.At(i, k))
+				eff += float64(wEff[k] * m)
+				pot += float64(wPot[k] * m)
 			}
 			// Hill-style response: a feature-dependent efficacy around a
 			// positive baseline, scaled by a dose sigmoid centered at a
 			// feature-dependent potency. The positive baseline gives dose a
 			// marginal (not just conditional) effect, as in real
 			// dose-response curves where higher dose means more kill.
-			resp := (1 + 0.5*math.Tanh(eff)) / (1 + math.Exp(-4*(d-0.5*math.Tanh(pot))))
-			y.Set(resp+rr.Norm()*obsNoise, i, 0)
+			resp := (1 + float64(0.5*math.Tanh(eff))) / (1 + math.Exp(-4*(d-float64(0.5*math.Tanh(pot)))))
+			y.Set(resp+float64(rr.Norm()*obsNoise), i, 0)
 		}
 		return &Dataset{
 			InputNames: []string{"cell.rna-seq", "dose", "drug.descriptors", "drug.fingerprints"},
@@ -252,7 +252,7 @@ func GenNT3(cfg NT3Config) (train, val *Dataset) {
 			// Smooth background: AR(1) noise.
 			prev := 0.0
 			for j := 0; j < cfg.InputDim; j++ {
-				prev = 0.8*prev + rr.Norm()*nt3Noise
+				prev = float64(0.8*prev) + float64(rr.Norm()*nt3Noise)
 				x.Data[i*cfg.InputDim+j] = prev
 			}
 			labels[i] = i % 2 // balanced, order shuffled below
@@ -314,7 +314,7 @@ func standardizeY(train, val *Dataset) {
 	var ss float64
 	for _, v := range train.YReg.Data {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	std := math.Sqrt(ss / float64(train.YReg.Size()))
 	if std == 0 {

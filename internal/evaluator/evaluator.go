@@ -1,7 +1,7 @@
 // Package evaluator implements the paper's model-evaluation interface (§4):
-// the layer between search strategies and the execution backend, with the
-// three-function API (AddEvalBatch / GetFinishedEvals, plus Submit for the
-// event-driven path) and the per-agent evaluation cache.
+// the layer between search strategies and the execution backend: Submit,
+// whose callback delivers each result on the virtual timeline, and the
+// per-agent evaluation cache.
 //
 // Reward estimation is hybrid, per the substitution plan in DESIGN.md:
 //
@@ -195,8 +195,6 @@ type Evaluator struct {
 	agentSeeds map[int]uint64
 	rootRand   *rng.Rand
 
-	finished map[int][]*Result // per-agent results of AddEvalBatch submissions (poll API)
-
 	// inflight tracks results whose virtual task is still executing on the
 	// Balsam service, keyed by job ID, so a checkpoint can capture them and
 	// Relink can re-attach callbacks after a restore.
@@ -271,7 +269,6 @@ func New(sim *hpc.Sim, service *balsam.Service, bench *candle.Benchmark, sp *spa
 		caches:     map[int]map[string]*Result{},
 		agentSeeds: map[int]uint64{},
 		rootRand:   rng.New(rootSeed ^ 0xe7a10ae),
-		finished:   map[int][]*Result{},
 		inflight:   map[int64]*inflightRecord{},
 		paperDims:  sp.PaperInputDims(),
 		scaledDims: bench.Train.InputDims(),
@@ -581,32 +578,15 @@ func (e *Evaluator) record(r *Result) {
 	e.Trace = append(e.Trace, r)
 }
 
-// AddEvalBatch submits a batch of architectures for an agent, matching the
-// paper's evaluator API. Results are collected via GetFinishedEvals.
-func (e *Evaluator) AddEvalBatch(agentID int, batch [][]int) {
-	collect := func(r *Result) { e.finished[agentID] = append(e.finished[agentID], r) }
-	for _, choices := range batch {
-		e.Submit(agentID, choices, collect)
-	}
-}
-
-// GetFinishedEvals returns (and clears) the agent's completed results — the
-// non-blocking poll of the paper's API.
-func (e *Evaluator) GetFinishedEvals(agentID int) []*Result {
-	out := e.finished[agentID]
-	e.finished[agentID] = nil
-	return out
-}
-
 // shapeReward applies the optional multi-objective penalties.
 func (e *Evaluator) shapeReward(metric float64, st space.ArchStats) float64 {
 	r := metric
 	if e.Cfg.SizeWeight != 0 {
-		r -= e.Cfg.SizeWeight * math.Log10(float64(st.Params)/1e6+1)
+		r -= float64(e.Cfg.SizeWeight * math.Log10(float64(st.Params)/1e6+1))
 	}
 	if e.Cfg.TimeWeight != 0 {
 		t := hpc.KNL.TrainTime(st, e.Bench.PaperTrainSamples, 1)
-		r -= e.Cfg.TimeWeight * math.Log10(t/60+1)
+		r -= float64(e.Cfg.TimeWeight * math.Log10(t/60+1))
 	}
 	return r
 }
@@ -623,10 +603,7 @@ type InflightState struct {
 
 // State is the complete serializable state of an Evaluator: the per-agent
 // caches, the agent seed assignments and root stream position, counters, the
-// completion-order trace, and the in-flight tasks. The GetFinishedEvals poll
-// buffers are deliberately not captured: only AddEvalBatch fills them, and
-// the event-driven search path consumes results through Submit callbacks, so
-// the buffers are empty whenever a checkpoint is taken.
+// completion-order trace, and the in-flight tasks.
 type State struct {
 	Caches     map[int]map[string]Result
 	AgentSeeds map[int]uint64

@@ -167,35 +167,6 @@ func TestTimeoutTruncatesTraining(t *testing.T) {
 	}
 }
 
-func TestAddEvalBatchAndPoll(t *testing.T) {
-	sim, ev, sp := comboSetup(t, Config{Seed: 8})
-	batch := [][]int{denseChoices(sp), make([]int, sp.NumDecisions())}
-	ev.AddEvalBatch(3, batch)
-	if got := ev.GetFinishedEvals(3); len(got) != 0 {
-		t.Fatalf("results available before virtual time advanced: %d", len(got))
-	}
-	sim.RunAll()
-	got := ev.GetFinishedEvals(3)
-	if len(got) != 2 {
-		t.Fatalf("finished = %d, want 2", len(got))
-	}
-	// Poll drains.
-	if got := ev.GetFinishedEvals(3); len(got) != 0 {
-		t.Fatalf("poll did not drain: %d", len(got))
-	}
-	// The poll API is a client of Submit, not a tap on it: a result consumed
-	// through a Submit callback never lands in the poll buffers.
-	delivered := 0
-	ev.Submit(3, variantChoices(t, sp, 1), func(*Result) { delivered++ })
-	sim.RunAll()
-	if delivered != 1 {
-		t.Fatalf("callback fired %d times, want 1", delivered)
-	}
-	if got := ev.GetFinishedEvals(3); len(got) != 0 {
-		t.Fatalf("callback-path result buffered for polling: %d", len(got))
-	}
-}
-
 func TestTraceRecordsEverything(t *testing.T) {
 	sim, ev, sp := comboSetup(t, Config{Seed: 9})
 	choices := denseChoices(sp)

@@ -84,10 +84,10 @@ func simbenchRun(nodes, agents int, faulted bool, target int64, seed uint64) Sim
 	r := rng.New(seed)
 	inflight := nodes + 4*agents
 	for i := 0; i < inflight; i++ {
-		job := &balsam.Job{AgentID: i % agents, Key: "simbench", Duration: 3 + 20*r.Float64()}
+		job := &balsam.Job{AgentID: i % agents, Key: "simbench", Duration: 3 + float64(20*r.Float64())}
 		job.OnDone = func(j *balsam.Job) {
 			j.Attempts = 0
-			j.Duration = 3 + 20*r.Float64()
+			j.Duration = 3 + float64(20*r.Float64())
 			svc.Submit(j)
 		}
 		svc.Submit(job)

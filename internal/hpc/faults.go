@@ -81,12 +81,12 @@ func (f FaultModel) Timeline(nodes int, horizon float64) []NodeEvent {
 		r := root.Split()
 		t := 0.0
 		for {
-			t += r.Exp() * f.MTBF
+			t += float64(r.Exp() * f.MTBF)
 			if t >= horizon {
 				break
 			}
 			events = append(events, NodeEvent{Time: t, Node: n, Down: true})
-			t += r.Exp() * f.MTTR
+			t += float64(r.Exp() * f.MTTR)
 			events = append(events, NodeEvent{Time: t, Node: n, Down: false})
 		}
 	}
@@ -121,5 +121,5 @@ func (f FaultModel) Straggler(r *rng.Rand) float64 {
 	if r.Float64() >= f.StragglerProb {
 		return 1
 	}
-	return 1 + r.Float64()*(f.StragglerSlowdown-1)
+	return 1 + float64(r.Float64()*(f.StragglerSlowdown-1))
 }

@@ -134,7 +134,7 @@ func PlanRewardEstimate(st space.ArchStats, cfg EvalTaskConfig) RewardEstimate {
 
 	var est RewardEstimate
 	trainBudget := cfg.Timeout - cfg.Device.TaskStartup - cfg.StageSeconds - valTime
-	fullTrain := float64(totalBatches) * perBatch
+	fullTrain := float64(float64(totalBatches) * perBatch)
 	if cfg.Timeout > 0 && fullTrain > trainBudget {
 		est.TimedOut = true
 		fit := 0

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 
+	"nasgo/internal/analytics"
 	"nasgo/internal/candle"
 	"nasgo/internal/ckpt"
 	"nasgo/internal/evaluator"
@@ -394,24 +395,12 @@ func (t *Tournament) Leaderboard(table *Table) []StrategySummary {
 		s.Mean /= float64(len(vals))
 		s.MeanEvals /= float64(len(runs))
 		s.Min, s.Max = vals[0], vals[len(vals)-1]
-		s.P25 = quantile(vals, 0.25)
-		s.Median = quantile(vals, 0.5)
-		s.P75 = quantile(vals, 0.75)
+		s.P25 = analytics.Quantile(vals, 0.25)
+		s.Median = analytics.Quantile(vals, 0.5)
+		s.P75 = analytics.Quantile(vals, 0.75)
 		out = append(out, s)
 	}
 	return out
-}
-
-// quantile interpolates the q-quantile of sorted vals.
-func quantile(vals []float64, q float64) float64 {
-	if len(vals) == 1 {
-		return vals[0]
-	}
-	pos := q * float64(len(vals)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	frac := pos - float64(lo)
-	return vals[lo]*(1-frac) + vals[hi]*frac
 }
 
 // writeTournamentFS finalizes a tournament artifact (same container

@@ -103,9 +103,11 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0xa02bdbf7bb3c0a7a)
 }
 
-// Float64 returns a uniform float64 in [0,1).
+// Float64 returns a uniform float64 in [0,1). The outer conversion rounds the
+// product, so an inlined call such as 2*r.Float64() - 1 cannot fuse it into a
+// multiply-add (DESIGN §6).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Intn returns a uniform int in [0,n). It panics if n <= 0.
@@ -128,7 +130,7 @@ func (r *Rand) Norm() float64 {
 	for {
 		u = 2*r.Float64() - 1
 		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}

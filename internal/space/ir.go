@@ -454,22 +454,22 @@ func (ir *ArchIR) computeStats() ArchStats {
 		switch sp.Kind {
 		case SpecDense:
 			in := ir.Specs[sp.Inputs[0]].width()
-			layerParams := float64(in+1) * float64(sp.Units)
+			layerParams := float64(float64(in+1) * float64(sp.Units))
 			if sp.SharedWith < 0 {
 				st.Params += int64(in+1) * int64(sp.Units)
 			}
-			st.FwdFLOPs += 2 * float64(in) * float64(sp.Units)
-			widthWeight += layerParams * float64(sp.Units)
+			st.FwdFLOPs += float64(2 * float64(in) * float64(sp.Units))
+			widthWeight += float64(layerParams * float64(sp.Units))
 			weight += layerParams
 			d++
 		case SpecConv1D:
 			cin := ir.Specs[sp.Inputs[0]].OutDims[1]
-			layerParams := float64(sp.Kernel*cin+1) * float64(sp.Filters)
+			layerParams := float64(float64(sp.Kernel*cin+1) * float64(sp.Filters))
 			if sp.SharedWith < 0 {
 				st.Params += int64(sp.Kernel*cin+1) * int64(sp.Filters)
 			}
-			st.FwdFLOPs += 2 * float64(sp.Kernel) * float64(cin) * float64(sp.Filters) * float64(sp.OutDims[0])
-			widthWeight += layerParams * float64(sp.Filters)
+			st.FwdFLOPs += float64(2 * float64(sp.Kernel) * float64(cin) * float64(sp.Filters) * float64(sp.OutDims[0]))
+			widthWeight += float64(layerParams * float64(sp.Filters))
 			weight += layerParams
 			d++
 		case SpecMaxPool1D, SpecActivation, SpecDropout, SpecAdd, SpecConcat:

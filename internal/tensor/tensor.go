@@ -171,7 +171,7 @@ func (t *Tensor) Randn(r *rng.Rand, stddev float64) {
 func (t *Tensor) GlorotUniform(r *rng.Rand, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range t.Data {
-		t.Data[i] = (2*float64(r.Float64()) - 1) * limit
+		t.Data[i] = (2*r.Float64() - 1) * limit
 	}
 }
 

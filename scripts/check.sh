@@ -26,14 +26,14 @@ if ! go build -gcflags=-m ./internal/trace 2>&1 | grep -q 'can inline (\*Recorde
     exit 1
 fi
 # Go may fuse x*y + z into one multiply-add on arm64 (never on amd64), which
-# rounds once where amd64 rounds twice. The kernels, the layers, Adam, the
-# controller and its LSTM round every such product with an explicit float64
-# conversion, so the training and controller goldens recorded on amd64 hold
-# there too (DESIGN §6; the rest of the module is ROADMAP item 3).
-fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/tensor ./internal/nn ./internal/optim ./internal/rl 2>&1 |
+# rounds once where amd64 rounds twice. Every such product in the module
+# outside benchmark/ is rounded with an explicit float64 conversion, so the
+# goldens and reports recorded on amd64 hold there too (DESIGN §6; benchmark/
+# is ROADMAP item 3).
+fused=$(GOARCH=arm64 go build -gcflags=-S $(go list ./... | grep -v '/benchmark$') 2>&1 |
     grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
 if [ -n "$fused" ]; then
-    echo "check.sh: fused multiply-adds on arm64 in internal/tensor, nn, optim or rl:" >&2
+    echo "check.sh: fused multiply-adds on arm64 outside benchmark/:" >&2
     echo "$fused" >&2
     exit 1
 fi

@@ -20,8 +20,6 @@ var surfaceAllow = map[string]string{
 	"Unwrap": "errors.Unwrap", "MarshalJSON": "json.Marshaler", "UnmarshalJSON": "json.Unmarshaler",
 	"ModTime": "fs.FileInfo", "Sys": "fs.FileInfo", "Type": "fs.DirEntry",
 	"Greedy":                     "rl golden_test.go fingerprints it into controller_golden.json",
-	"AddEvalBatch":               "the paper's §4 evaluator interface by name (DESIGN §2)",
-	"GetFinishedEvals":           "the paper's §4 evaluator interface by name (DESIGN §2)",
 	"TrajectoryFromTrace":        "TestShortTraceViewsMatchLog's oracle: the trace carries what the log carries",
 	"UtilizationSeriesFromTrace": "TestShortTraceViewsMatchLog's oracle: the trace carries what the log carries",
 	"Clone":                      "copy of the tensor value type (16 test uses)",
@@ -38,11 +36,16 @@ var surfaceAllow = map[string]string{
 	"Crashed":                    "fsim.FaultFS is a library driven by tests; this is its read-out",
 }
 
-// walkGo parses every .go file of the module — _test.go files only when
-// tests is set — and hands each, with its slash-separated path, to visit.
+// walkGo parses every .go file of the module and hands each, with its
+// slash-separated path, to visit. Unless tests is set it walks production code
+// only: no _test.go file and nothing under examples/, which shows the API to a
+// reader but is not a caller that keeps a name or an option alive.
 func walkGo(t *testing.T, tests bool, visit func(path string, f *ast.File)) {
 	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && !tests && path == "examples" {
+			return filepath.SkipDir
+		}
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || (!tests && strings.HasSuffix(path, "_test.go")) {
 			return err
 		}
@@ -59,8 +62,9 @@ func walkGo(t *testing.T, tests bool, visit func(path string, f *ast.File)) {
 
 // TestSurface: every exported func, method, type, const and var declared in a
 // non-test file under internal/ must be named in some non-test file of the
-// module (benchmark/, cmd/, examples/, nasgo.go included) other than at its
-// declaration, or be in surfaceAllow; no surfaceAllow entry may be used or gone.
+// module outside examples/ (benchmark/, cmd/, nasgo.go included) other than at
+// its declaration, or be in surfaceAllow; no surfaceAllow entry may be used or
+// gone.
 // Matching by bare name under-reports — a dead Len hides behind any live Len —
 // so this is a ratchet against regrowth, not a type-checked pass.
 func TestSurface(t *testing.T) {
@@ -171,8 +175,8 @@ var optionType = regexp.MustCompile(`(Config|Options)$|^Faults$|^Scale$`)
 
 // TestOptions: every exported field of a struct type under internal/ named
 // *Config, *Options, Faults or Scale must be assigned — composite-literal key
-// or `x.F =` — in some non-test file of the module outside a withDefaults
-// function, or be in optionAllow; no optionAllow entry may be set or gone. An
+// or `x.F =` — in some non-test file of the module outside examples/ and
+// outside a withDefaults function, or be in optionAllow; no optionAllow entry may be set or gone. An
 // option only its default sets is a constant. Matching by bare field name
 // under-reports exactly as TestSurface does — a dead Logf hides behind any
 // live Logf — so this is a ratchet against regrowth, not a type-checked pass.
