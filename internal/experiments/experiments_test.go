@@ -37,6 +37,9 @@ func TestScaleByName(t *testing.T) {
 	}
 }
 
+// TestFig4AndMemoization checks memoization from an empty memo. It is the
+// only test that resets it: the tests after it share the searches the
+// earlier ones ran, as one nas-bench -exp all process does.
 func TestFig4AndMemoization(t *testing.T) {
 	skipSlow(t)
 	ResetCache()
@@ -59,7 +62,6 @@ func TestFig4AndMemoization(t *testing.T) {
 
 func TestFig5SharesFig4Runs(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
 	f4 := Fig4("Combo", microScale)
 	f5 := Fig5("Combo", microScale)
 	if f4.Runs[0].Log != f5.Runs[0].Log {
@@ -73,7 +75,6 @@ func TestFig5SharesFig4Runs(t *testing.T) {
 
 func TestFig9ScalingConfigs(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
 	r := Fig9(microScale)
 	if len(r.Runs) != 5 {
 		t.Fatalf("runs = %d, want 5", len(r.Runs))
@@ -94,7 +95,6 @@ func TestFig9ScalingConfigs(t *testing.T) {
 
 func TestFig11FidelitySweep(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
 	r := Fig11(microScale)
 	if len(r.Logs) != 4 {
 		t.Fatalf("logs = %d", len(r.Logs))
@@ -108,7 +108,6 @@ func TestFig11FidelitySweep(t *testing.T) {
 
 func TestFig13Bands(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
 	r := Fig13(microScale)
 	if len(r.Logs) != microScale.Replications {
 		t.Fatalf("replications = %d", len(r.Logs))
@@ -122,7 +121,6 @@ func TestFig13Bands(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
 	r := Table1(microScale)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -142,10 +140,9 @@ func TestTable1(t *testing.T) {
 
 func TestRenderDispatch(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
-	// Only the cheap ids here: dispatch is one loop over the registry
-	// (TestRegistry), and the result constructors have their own tests above
-	// and below.
+	// Two ids whose searches the tests above have already memoised: dispatch
+	// is one loop over the registry (TestRegistry), and the result
+	// constructors have their own tests above and below.
 	for _, id := range []string{"fig4", "fig13"} {
 		out, err := Render(id, microScale)
 		if err != nil {
@@ -159,7 +156,6 @@ func TestRenderDispatch(t *testing.T) {
 
 func TestAblationCacheScope(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
 	r := AblationCacheScope(microScale)
 	if len(r.Variants) != 2 {
 		t.Fatalf("variants = %d", len(r.Variants))
@@ -172,7 +168,6 @@ func TestAblationCacheScope(t *testing.T) {
 
 func TestFaultsExperiment(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
 	r := Faults(microScale)
 	if len(r.Runs) != len(FaultLevels)*len(Strategies) {
 		t.Fatalf("runs = %d, want %d", len(r.Runs), len(FaultLevels)*len(Strategies))
@@ -201,7 +196,6 @@ func TestFaultsExperiment(t *testing.T) {
 
 func TestRestartExperiment(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
 	r := Restart(microScale)
 	if !r.Identical {
 		t.Fatal("chained run's log is not bit-identical to the uninterrupted run")

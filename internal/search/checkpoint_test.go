@@ -3,7 +3,6 @@ package search
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,55 +18,13 @@ import (
 
 // equivCfg is faultCfg shrunk to the smallest search that still exercises
 // node failures, retries, stragglers, and (for A3C/A2C) the parameter
-// server — the resume-equivalence tests run every configuration twice.
+// server — FuzzScenario runs every configuration at least twice.
 func equivCfg(strategy string, seed uint64) Config {
 	cfg := faultCfg(strategy, seed)
 	cfg.Agents = 2
 	cfg.WorkersPerAgent = 2
 	cfg.Horizon = 900
 	return cfg
-}
-
-type chainStats struct {
-	allocations int
-	midRound    bool // some cut caught an agent with pending evaluations
-	inflight    bool // some cut carried in-flight Balsam tasks
-}
-
-// chainWalltime runs cfg as a chain of walltime-bounded allocations,
-// persisting every checkpoint to disk and resuming from the loaded file —
-// the full out-of-process restart path. The benchmark is rebuilt from its
-// seed before every resume, exactly as a fresh process would.
-func chainWalltime(t *testing.T, cfg Config, benchSeed uint64) (*Log, chainStats) {
-	t.Helper()
-	dir := t.TempDir()
-	sp := space.NewComboSmall()
-	log, ck, err := Allocate(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, cfg, nil, nil)
-	st := chainStats{allocations: 1}
-	for err == nil && ck != nil {
-		for i := range ck.Agents {
-			if ck.Agents[i].Pending > 0 {
-				st.midRound = true
-			}
-		}
-		if len(ck.Eval.Inflight) > 0 {
-			st.inflight = true
-		}
-		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", st.allocations))
-		if werr := ck.WriteFileFS(fsim.OS, path); werr != nil {
-			t.Fatalf("write checkpoint: %v", werr)
-		}
-		loaded, lerr := LoadCheckpointFS(fsim.OS, path)
-		if lerr != nil {
-			t.Fatalf("load checkpoint: %v", lerr)
-		}
-		log, ck, err = Allocate(candle.NewCombo(candle.Config{Seed: benchSeed}), sp, Config{}, loaded, nil)
-		st.allocations++
-	}
-	if err != nil {
-		t.Fatalf("allocation chain: %v", err)
-	}
-	return log, st
 }
 
 // logJSON renders a log the way WriteJSONFS does; byte equality of this
@@ -109,65 +66,6 @@ func diffJSON(t *testing.T, what string, plain, chained []byte) {
 	}
 	t.Fatalf("%s: chained log diverges from the uninterrupted run at byte %d\nplain:   …%s…\nchained: …%s…",
 		what, i, plain[lo:hiP], chained[lo:hiC])
-}
-
-// resumeEquivalence runs one strategy twice — uninterrupted, then as a
-// walltime-bounded chain restarted from checkpoint files — and requires
-// byte-identical logs.
-func resumeEquivalence(t *testing.T, strategy string, seed uint64) {
-	t.Helper()
-	cfg := equivCfg(strategy, seed)
-	plain := Run(candle.NewCombo(candle.Config{Seed: seed}), space.NewComboSmall(), cfg)
-
-	chained := cfg
-	chained.Walltime = 217 // odd boundary: cuts land mid-round, mid-update, mid-backoff
-	log, st := chainWalltime(t, chained, seed)
-
-	if st.allocations < 3 {
-		t.Fatalf("walltime %g over horizon %g produced only %d allocations", chained.Walltime, cfg.Horizon, st.allocations)
-	}
-	if !st.midRound {
-		t.Fatal("no checkpoint cut an agent mid-round — the test lost its hard case")
-	}
-	if !st.inflight {
-		t.Fatal("no checkpoint carried in-flight tasks — the test lost its hard case")
-	}
-	// The chained log must match everywhere except the Walltime knob itself.
-	log.Config.Walltime = plain.Config.Walltime
-	diffJSON(t, strategy, logJSON(t, plain), logJSON(t, log))
-}
-
-// TestShortResumeEquivalenceA2C is the walltime tentpole's acceptance test
-// in its hardest configuration — the synchronous exchange barrier plus node
-// failures, retries, and stragglers — sized for scripts/check.sh's race run.
-func TestShortResumeEquivalenceA2C(t *testing.T) {
-	resumeEquivalence(t, A2C, 77)
-}
-
-// TestResumeEquivalence covers the remaining strategies under the same
-// fault model.
-func TestResumeEquivalence(t *testing.T) {
-	skipSlow(t)
-	for _, c := range []struct {
-		strategy string
-		seed     uint64
-	}{{A3C, 78}, {RDM, 79}, {EVO, 80}} {
-		c := c
-		t.Run(c.strategy, func(t *testing.T) { resumeEquivalence(t, c.strategy, c.seed) })
-	}
-}
-
-// TestWalltimeRunMatchesPlain: Run with Walltime set chains allocations
-// through in-memory checkpoints and still returns the identical log
-// (fault-free path, full-size small config).
-func TestWalltimeRunMatchesPlain(t *testing.T) {
-	skipSlow(t)
-	plain := runSmall(t, A3C, 1)
-	cfg := smallCfg(A3C, 1)
-	cfg.Walltime = 301
-	chained := Run(candle.NewCombo(candle.Config{Seed: 1}), space.NewComboSmall(), cfg)
-	chained.Config.Walltime = plain.Config.Walltime
-	diffJSON(t, "in-memory chain", logJSON(t, plain), logJSON(t, chained))
 }
 
 // TestNaNRewardGuard plants a NaN into every shaped reward through a NaN

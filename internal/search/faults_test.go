@@ -117,38 +117,3 @@ func TestShortFaultRetriesRecover(t *testing.T) {
 		}
 	}
 }
-
-// TestShortFaultReplayDeterminism: two searches with the same seed and a
-// nonzero fault rate produce identical traces — finish times, states,
-// rewards, and retry counts.
-func TestShortFaultReplayDeterminism(t *testing.T) {
-	run := func() *Log {
-		bench := candle.NewCombo(candle.Config{Seed: 43})
-		sp := space.NewComboSmall()
-		cfg := faultCfg(A2C, 43)
-		cfg.Agents = 2
-		cfg.WorkersPerAgent = 2
-		cfg.Horizon = 900
-		return Run(bench, sp, cfg)
-	}
-	a, b := run(), run()
-	if a.NodeFailures != b.NodeFailures || a.Retries != b.Retries ||
-		a.FailedEvals != b.FailedEvals || a.PartialRounds != b.PartialRounds {
-		t.Fatalf("fault counters diverged: %d/%d %d/%d %d/%d %d/%d",
-			a.NodeFailures, b.NodeFailures, a.Retries, b.Retries,
-			a.FailedEvals, b.FailedEvals, a.PartialRounds, b.PartialRounds)
-	}
-	if a.EndTime != b.EndTime {
-		t.Fatalf("end times diverged: %g vs %g", a.EndTime, b.EndTime)
-	}
-	if len(a.Results) != len(b.Results) {
-		t.Fatalf("result counts diverged: %d vs %d", len(a.Results), len(b.Results))
-	}
-	for i := range a.Results {
-		ra, rb := a.Results[i], b.Results[i]
-		if ra.Key != rb.Key || ra.Reward != rb.Reward || ra.FinishTime != rb.FinishTime ||
-			ra.Failed != rb.Failed || ra.Attempts != rb.Attempts {
-			t.Fatalf("result %d diverged: %+v vs %+v", i, ra, rb)
-		}
-	}
-}

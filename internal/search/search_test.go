@@ -12,8 +12,9 @@ import (
 
 // skipSlow marks a tier-2 test — one that trains real networks at the full
 // default RealEpochs budget — so `go test -short ./...` stays a fast gate
-// (see CLAUDE.md "Test tiers"). The TestShort* tests run in every tier:
-// they are scripts/check.sh's race-detector and determinism gate.
+// (see CLAUDE.md "Test tiers"). The TestShort* tests and FuzzScenario's
+// equivCfg rows run in every tier: they are scripts/check.sh's determinism
+// gate.
 func skipSlow(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
@@ -33,8 +34,8 @@ func smallCfg(strategy string, seed uint64) Config {
 }
 
 // runCache shares runs between tests that only inspect log properties, so
-// the suite stays well under go test's per-package timeout. Tests probing
-// determinism call Run directly.
+// the suite stays well under go test's per-package timeout. FuzzScenario,
+// which probes determinism, runs its own.
 var runCache = map[string]*Log{}
 
 func runSmall(t *testing.T, strategy string, seed uint64) *Log {
@@ -73,25 +74,6 @@ func TestStrategiesProduceResults(t *testing.T) {
 				t.Fatalf("%s: utilization %g out of range", strategy, u)
 			}
 		}
-	}
-}
-
-func TestDeterministicRuns(t *testing.T) {
-	skipSlow(t)
-	bench := candle.NewCombo(candle.Config{Seed: 7})
-	sp := space.NewComboSmall()
-	a := Run(bench, sp, smallCfg(A3C, 7))
-	b := Run(bench, sp, smallCfg(A3C, 7))
-	if len(a.Results) != len(b.Results) {
-		t.Fatalf("result counts differ: %d vs %d", len(a.Results), len(b.Results))
-	}
-	for i := range a.Results {
-		if a.Results[i].Key != b.Results[i].Key || a.Results[i].Reward != b.Results[i].Reward {
-			t.Fatalf("result %d differs between identical runs", i)
-		}
-	}
-	if a.EndTime != b.EndTime {
-		t.Fatalf("end times differ: %g vs %g", a.EndTime, b.EndTime)
 	}
 }
 

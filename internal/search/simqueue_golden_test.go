@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"nasgo/internal/candle"
@@ -116,60 +115,30 @@ func testSimQueueGoldenTraces(t *testing.T) {
 		}
 	}
 
-	// Mid-round walltime-chained A3C resume: the chain's first checkpoint is
-	// the committed heap-era artifact; its final log and CatCkpt-stripped
-	// trace must match the uninterrupted golden exactly.
-	cfg := equivCfg(A3C, 91)
-	chained := cfg
-	chained.Walltime = 217 // odd boundary: cuts land mid-round and carry in-flight tasks
-	dir := t.TempDir()
-	sp := space.NewComboSmall()
-	rec := trace.NewRecorder(0)
-	log, ck, err := Allocate(candle.NewCombo(candle.Config{Seed: 91}), sp, chained, nil, rec)
-	st := chainStats{allocations: 1}
-	for err == nil && ck != nil {
-		for i := range ck.Agents {
-			if ck.Agents[i].Pending > 0 {
-				st.midRound = true
-			}
-		}
-		if len(ck.Eval.Inflight) > 0 {
-			st.inflight = true
-		}
-		path := filepath.Join(dir, fmt.Sprintf("alloc-%03d.ckpt", st.allocations))
-		if werr := ck.WriteFileFS(fsim.OS, path); werr != nil {
-			t.Fatalf("write checkpoint: %v", werr)
-		}
-		if st.allocations == 1 && *updateSimGoldens {
-			raw, rerr := os.ReadFile(path)
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			if werr := os.WriteFile(simGoldenCkpt, raw, 0o644); werr != nil {
-				t.Fatal(werr)
-			}
-		}
-		loaded, lerr := LoadCheckpointFS(fsim.OS, path)
-		if lerr != nil {
-			t.Fatalf("load checkpoint: %v", lerr)
-		}
-		log, ck, err = Allocate(candle.NewCombo(candle.Config{Seed: 91}), sp, Config{}, loaded, rec)
-		st.allocations++
-	}
-	if err != nil {
-		t.Fatalf("allocation chain: %v", err)
-	}
-	if st.allocations < 3 || !st.midRound || !st.inflight {
-		t.Fatalf("chain too easy: %d allocations, midRound=%v, inflight=%v",
-			st.allocations, st.midRound, st.inflight)
-	}
-	log.Config.Walltime = cfg.Walltime
-	if got := logSHA(t, log); got != a3c.LogSHA256 {
+	// Mid-round walltime-chained A3C resume through files: its final log and
+	// CatCkpt-stripped trace must match the uninterrupted golden exactly. Its
+	// first cut is the one the committed heap-era checkpoint holds.
+	c := scenario{strategy: A3C, seed: 91, walltime: 217, files: true, traced: true}.chain(t)
+	c.requireHard(t)
+	c.log.Config.Walltime = 0
+	if got := logSHA(t, c.log); got != a3c.LogSHA256 {
 		t.Errorf("chained log sha256 %s differs from uninterrupted run %s", got, a3c.LogSHA256)
 	}
-	core := trace.WithoutCat(rec.Events(), trace.CatCkpt)
+	core := trace.WithoutCat(c.events, trace.CatCkpt)
 	if got := traceHex(core); got != a3c.TraceDigest {
 		t.Errorf("chained trace digest %s differs from uninterrupted run %s", got, a3c.TraceDigest)
+	}
+	sp := space.NewComboSmall()
+	if *updateSimGoldens {
+		cfg := equivCfg(A3C, 91)
+		cfg.Walltime = 217
+		_, ck, err := Allocate(candle.NewCombo(candle.Config{Seed: 91}), sp, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.WriteFileFS(fsim.OS, simGoldenCkpt); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Cross-engine restore: the checkpoint bytes written by the heap engine
@@ -186,7 +155,7 @@ func testSimQueueGoldenTraces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume heap-engine checkpoint: %v", err)
 	}
-	rlog.Config.Walltime = cfg.Walltime
+	rlog.Config.Walltime = 0
 	want := a3c.LogSHA256
 	if !*updateSimGoldens {
 		want = golden.Runs[0].LogSHA256

@@ -21,7 +21,7 @@
 //     With a nil (or any) recorder the simulated machine is bit-for-bit
 //     identical to the uninstrumented one — recording never draws
 //     randomness, never schedules events, never changes control flow
-//     (internal/search's TestDisabledTraceMatchesPlainService pins this).
+//     (internal/search's FuzzScenario pins this).
 //   - The hot path costs one ring-buffer store. Events are flat value
 //     structs; no maps, no closures, no formatting at emit time.
 //

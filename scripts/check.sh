@@ -4,10 +4,11 @@
 # a smoke of the one experiment harness (cmd/nas-bench has no tests of its own),
 # then the pure-simulation packages plus the evaluator's worker pool under
 # the race detector (and ten more rounds of the one test that shares a
-# space's compile memo between goroutines), 20 s of fuzzing on the event
-# queue, and the coverage gate. The search package only runs its TestShort*
-# fault/replay/resume/worker-pool tests — the full search suite trains real
-# networks and belongs to `go test ./...`.
+# space's compile memo between goroutines), 60 s of fuzzing (the event
+# queue and the search scenario harness), and the coverage gate. Beyond the
+# -short suite, the search package only runs its TestShort* pins and
+# FuzzScenario's seed corpus (both fast-tier) — the full search suite trains
+# real networks and belongs to `go test ./...`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -59,7 +60,7 @@ grep -q 'tournament' "$smoke/err"
 # are in the loop so the controller and training goldens are held at every
 # width too.
 for procs in 1 2 8; do
-    GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool' \
+    GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool|FuzzScenario' \
         ./internal/search/ ./internal/evaluator/ ./internal/nasbench/ ./internal/rl/ ./internal/train/
 done
 # tensor and nn are in the race list for the destination-passing kernels:
@@ -77,9 +78,10 @@ go test -race -count=10 -run TestCompileMemoConcurrent ./internal/space/
 # to race-check whole — this is the only gate exercising Workers > 1
 # evaluator concurrency under the race detector.
 go test -race ./internal/evaluator/
-# The worker-pool determinism tests run ~11 full searches under ~15x race
-# overhead, so raise go test's default 10-minute package timeout.
-go test -race -timeout 30m -run TestShort ./internal/search/
+# The scenario corpus runs ~50 small searches under ~15x race overhead, so
+# raise go test's default 10-minute package timeout; -short skips its
+# tier-2 rows, which train at full size.
+go test -race -short -timeout 30m -run 'TestShort|FuzzScenario' ./internal/search/
 # The campaign service multiplexes runner goroutines, HTTP handlers, and
 # the supervisor over shared state; its suite (concurrent submits, panic
 # restarts, kill -9 re-exec children) runs whole under the race detector.
@@ -92,10 +94,15 @@ go test -race -timeout 30m ./internal/campaign/
 # needs.
 go test -race -timeout 30m ./internal/nasbench/
 go test -race -count=10 -timeout 30m -run 'TestInOrder|TestShort.*WidthInvariant' ./internal/nasbench/
-# The one -fuzz run in the gate: every golden trace rides on the calendar
-# queue's (time, seq) order and every checkpoint on its enumeration, the seed
-# corpus is committed, and new inputs go to the build cache, not the tree.
+# Every golden trace rides on the calendar queue's (time, seq) order and
+# every checkpoint on its enumeration, the seed corpus is committed, and new
+# inputs go to the build cache, not the tree.
 go test -run '^$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/hpc/
+# A search's log is a function of (strategy, seed, size) alone: the scenario
+# harness draws worker counts, memory regimes, walltime cuts, checkpoint
+# media, recorders, core counts and knobs changed at a resume. Its seed
+# corpus is in code; new inputs go to the build cache as well.
+go test -run '^$' -fuzz FuzzScenario -fuzztime 40s ./internal/search/
 
 # Coverage gate on the persistence- and concurrency-critical packages: the
 # trace codec, the checkpoint container, the fault-injection filesystem
