@@ -36,7 +36,7 @@ func steadyState(rec *trace.Recorder) func() {
 
 // TestShortSimAllocs is the simulator counterpart of train's
 // TestShortTrainStepAllocs: once warm, a full schedule→dispatch→complete
-// cycle — calendar-queue push/pop, the jobEvent free list, the launcher
+// cycle — event-queue push/pop, the jobEvent free list, the launcher
 // ring, the bounded job table, and per-event trace emission — performs zero
 // heap allocations, with a recorder attached (preallocated ring, including
 // its wrap-around regime) and detached alike. This is the property that

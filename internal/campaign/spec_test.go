@@ -70,6 +70,8 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"negative workers": `{"bench":"Combo","horizon":400,"evalWorkers":-1}`,
 		"negative seed":    `{"bench":"Combo","horizon":400,"seed":-1}`,
 		"giant name":       `{"bench":"Combo","horizon":400,"name":"` + strings.Repeat("x", 200) + `"}`,
+		"giant machine":    `{"bench":"Combo","horizon":60,"agents":100000,"workers":100000}`,
+		"overflow machine": `{"bench":"Combo","horizon":60,"agents":4294967296,"workers":4294967296}`,
 	}
 	for label, body := range cases {
 		if _, err := DecodeSpec(strings.NewReader(body)); err == nil {

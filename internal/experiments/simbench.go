@@ -31,8 +31,9 @@ type SimbenchRow struct {
 	WallSeconds, EventsPerSec float64
 	// BytesPerEvent and AllocsPerEvent are the measured-phase heap traffic
 	// (runtime.MemStats TotalAlloc/Mallocs deltas) divided by Events —
-	// ~zero once the machine is warm, which is what the calendar queue's
-	// free list, balsam's event pool, and the preallocated trace ring buy.
+	// ~zero once the machine is warm, which is what the event queue's
+	// reused backing array, balsam's event pool, and the preallocated trace
+	// ring buy.
 	BytesPerEvent, AllocsPerEvent float64
 	// VirtualSeconds is how far the virtual clock advanced while measuring;
 	// Finished and Retries summarize the job traffic behind the events.
@@ -158,7 +159,7 @@ func Simbench(sc Scale) *SimbenchResult {
 // Render prints the throughput table.
 func (r *SimbenchResult) Render() string {
 	var b strings.Builder
-	b.WriteString("Simulator-core throughput — calendar-queue DES at Theta-like node counts (simbench)\n")
+	b.WriteString("Simulator-core throughput — discrete-event core at Theta-like node counts (simbench)\n")
 	rows := make([][]string, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		faults := "none"

@@ -2,19 +2,13 @@ package hpc
 
 import (
 	"container/heap"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"testing"
 )
 
-// FuzzEventQueue fuzzes the (time, seq) insertion stream into the calendar
+// FuzzEventQueue fuzzes the (time, seq) insertion stream into the event
 // queue. The input is consumed as 3-byte ops — an opcode byte and a 16-bit
-// operand — mixing dense pushes, far-future pushes (forcing the
-// direct-search fallback and wheel rollover), pushes into the past of the
-// scan position, and pops. Invariants:
+// operand — mixing dense pushes, far-future pushes, pushes into the past of
+// the last pop, and pops. Invariants:
 //
 //   - every pop agrees with the container/heap reference, i.e. returns the
 //     (time, seq)-minimum of the pending set with FIFO seq tie-breaks;
@@ -23,18 +17,17 @@ import (
 //   - the final drain is non-decreasing in time with seq breaking ties;
 //   - no event is lost or duplicated: each pushed seq pops exactly once.
 //
-// The committed seed corpus (testdata/fuzz/FuzzEventQueue) covers
-// same-time bursts, bucket rollover, and the grow/shrink resize
-// boundaries.
+// The f.Add seeds cover same-time bursts, wide strides, a long fill and
+// drain, far-future pushes, and pushes into the past.
 func FuzzEventQueue(f *testing.F) {
 	f.Add(seedSameTimeBurst())
-	f.Add(seedRollover())
-	f.Add(seedResize())
+	f.Add(seedStrides())
+	f.Add(seedFillDrain())
 	f.Add(seedFarFuture())
 	f.Add(seedPast())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var cal calQueue
+		var q eventQueue
 		ref := &refQueue{}
 		heap.Init(ref)
 		var seq int64
@@ -43,34 +36,32 @@ func FuzzEventQueue(f *testing.F) {
 
 		push := func(tm float64) {
 			seq++
-			cal.push(tm, seq, nil)
+			q.push(tm, seq, nil)
 			heap.Push(ref, refEvent{time: tm, seq: seq})
 		}
 		pop := func() {
 			if ref.Len() == 0 {
-				if cal.count != 0 {
-					t.Fatalf("cal has %d events, ref empty", cal.count)
+				if len(q) != 0 {
+					t.Fatalf("queue has %d events, ref empty", len(q))
 				}
-				if _, _, ok := cal.pop(); ok {
+				if _, _, ok := q.pop(); ok {
 					t.Fatal("pop on empty queue succeeded")
 				}
 				return
 			}
-			idx, ok := cal.scan()
-			if !ok {
-				t.Fatalf("cal empty, ref has %d", ref.Len())
+			if len(q) == 0 {
+				t.Fatalf("queue empty, ref has %d", ref.Len())
 			}
-			cs := cal.arena[idx].seq
-			_, ct, _ := cal.pop()
+			qt, qs := popQueue(t, &q)
 			re := heap.Pop(ref).(refEvent)
-			if ct != re.time || cs != re.seq {
-				t.Fatalf("cal popped (%g, %d), ref popped (%g, %d)", ct, cs, re.time, re.seq)
+			if qt != re.time || qs != re.seq {
+				t.Fatalf("queue popped (%g, %d), ref popped (%g, %d)", qt, qs, re.time, re.seq)
 			}
-			if popped[cs] {
-				t.Fatalf("seq %d popped twice", cs)
+			if popped[qs] {
+				t.Fatalf("seq %d popped twice", qs)
 			}
-			popped[cs] = true
-			lastPop = ct
+			popped[qs] = true
+			lastPop = qt
 		}
 
 		for i := 0; i+3 <= len(data); i += 3 {
@@ -79,84 +70,50 @@ func FuzzEventQueue(f *testing.F) {
 			case 0:
 				push(u / 8) // dense: collisions at 1/8 s granularity
 			case 1:
-				push(u * 100) // far future: beyond any wheel span
+				push(u * 100) // far future
 			case 2:
-				push(lastPop * u / 65536) // in the past of the scan position
+				push(lastPop * u / 65536) // in the past of the last pop
 			case 3:
 				pop()
 			}
-			if cal.count != ref.Len() {
-				t.Fatalf("op %d: cal len %d != ref len %d", i/3, cal.count, ref.Len())
+			if len(q) != ref.Len() {
+				t.Fatalf("op %d: queue len %d != ref len %d", i/3, len(q), ref.Len())
 			}
 			if i/3%4 == 0 {
-				checkPending(t, &cal, *ref)
+				checkPending(t, &q, *ref)
 			}
 		}
-		checkPending(t, &cal, *ref)
+		checkPending(t, &q, *ref)
 
 		// Drain: non-decreasing (time, seq), matching the reference, and
 		// accounting for every pushed event exactly once.
 		prevT, prevS := -1.0, int64(-1)
 		for ref.Len() > 0 {
-			idx, ok := cal.scan()
-			if !ok {
-				t.Fatalf("drain: cal empty, ref has %d", ref.Len())
+			if len(q) == 0 {
+				t.Fatalf("drain: queue empty, ref has %d", ref.Len())
 			}
-			cs := cal.arena[idx].seq
-			_, ct, _ := cal.pop()
+			qt, qs := popQueue(t, &q)
 			re := heap.Pop(ref).(refEvent)
-			if ct != re.time || cs != re.seq {
-				t.Fatalf("drain: cal (%g, %d) != ref (%g, %d)", ct, cs, re.time, re.seq)
+			if qt != re.time || qs != re.seq {
+				t.Fatalf("drain: queue (%g, %d) != ref (%g, %d)", qt, qs, re.time, re.seq)
 			}
-			if ct < prevT || (ct == prevT && cs <= prevS) {
-				t.Fatalf("drain order went backwards: (%g, %d) after (%g, %d)", ct, cs, prevT, prevS)
+			if qt < prevT || (qt == prevT && qs <= prevS) {
+				t.Fatalf("drain order went backwards: (%g, %d) after (%g, %d)", qt, qs, prevT, prevS)
 			}
-			prevT, prevS = ct, cs
-			if popped[cs] {
-				t.Fatalf("seq %d popped twice", cs)
+			prevT, prevS = qt, qs
+			if popped[qs] {
+				t.Fatalf("seq %d popped twice", qs)
 			}
-			popped[cs] = true
+			popped[qs] = true
 		}
-		if cal.count != 0 {
-			t.Fatalf("cal not empty after drain: %d", cal.count)
+		if len(q) != 0 {
+			t.Fatalf("queue not empty after drain: %d", len(q))
 		}
 		if int64(len(popped)) != seq {
 			t.Fatalf("pushed %d events, popped %d — events lost", seq, len(popped))
 		}
 	})
 }
-
-var writeFuzzCorpus = flag.Bool("write-fuzz-corpus", false,
-	"rewrite the committed seed corpus under testdata/fuzz/FuzzEventQueue")
-
-// TestWriteFuzzCorpus materializes the in-code seeds as committed corpus
-// files (the format `go test -fuzz` reads), so the interesting boundaries —
-// same-time bursts, rollover, resize — are exercised by plain `go test`
-// runs of the fuzz target in CI as well.
-func TestWriteFuzzCorpus(t *testing.T) {
-	if !*writeFuzzCorpus {
-		t.Skip("pass -write-fuzz-corpus to rewrite the seed corpus")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzEventQueue")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	seeds := map[string][]byte{
-		"same-time-burst": seedSameTimeBurst(),
-		"rollover":        seedRollover(),
-		"resize":          seedResize(),
-		"far-future":      seedFarFuture(),
-		"past":            seedPast(),
-	}
-	for name, data := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(data)))
-		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// Seed-corpus builders; mirrored as files under testdata/fuzz/FuzzEventQueue.
 
 // seedSameTimeBurst: 24 pushes at one timestamp, then pops — the FIFO
 // tie-break under maximal collision.
@@ -171,9 +128,8 @@ func seedSameTimeBurst() []byte {
 	return b
 }
 
-// seedRollover: pushes striding whole buckets so the scan wraps the wheel,
-// interleaved with pops.
-func seedRollover() []byte {
+// seedStrides: pushes 128 s apart, a pop after every third, then a drain.
+func seedStrides() []byte {
 	var b []byte
 	for i := 0; i < 20; i++ {
 		u := uint16(i * 1024)
@@ -188,9 +144,8 @@ func seedRollover() []byte {
 	return b
 }
 
-// seedResize: 80 pushes (crossing the 2·16 and 2·32 grow thresholds) then
-// a full drain (crossing the shrink thresholds back down).
-func seedResize() []byte {
+// seedFillDrain: 80 pushes 4.625 s apart, then a full drain.
+func seedFillDrain() []byte {
 	var b []byte
 	for i := 0; i < 80; i++ {
 		u := uint16(i * 37)
@@ -202,8 +157,8 @@ func seedResize() []byte {
 	return b
 }
 
-// seedFarFuture: dense and far-future pushes interleaved with pops — the
-// direct-search fallback with a repopulating near term.
+// seedFarFuture: far-future and near-term pushes interleaved with pops, so
+// the near term empties and refills while far events wait.
 func seedFarFuture() []byte {
 	var b []byte
 	for i := 0; i < 16; i++ {
@@ -216,7 +171,7 @@ func seedFarFuture() []byte {
 	return b
 }
 
-// seedPast: pops establish wheel progress, then pushes land in its past.
+// seedPast: pops advance the last-pop time, then pushes land before it.
 func seedPast() []byte {
 	var b []byte
 	for i := 0; i < 12; i++ {

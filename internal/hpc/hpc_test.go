@@ -64,8 +64,8 @@ func TestSimRunHorizon(t *testing.T) {
 	if s.Now() != 5 {
 		t.Fatalf("clock = %g, want 5", s.Now())
 	}
-	if s.queue.count != 1 {
-		t.Fatalf("pending = %d, want 1", s.queue.count)
+	if len(s.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(s.queue))
 	}
 	s.RunAll()
 	if ran != 2 || s.Now() != 10 {

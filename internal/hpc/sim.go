@@ -55,16 +55,15 @@ type Event struct {
 // within a callback is the normal way processes continue.
 //
 // Events are ordered by (fire time, sequence number): seq breaks time ties
-// FIFO, so simulations are deterministic. The queue is a calendar queue
-// (queue.go) whose pop order is pinned — by differential tests here and
-// golden traces in internal/search — to be exactly the order the original
-// container/heap implementation produced, so replacing the engine is
-// invisible to every layer above, including checkpoints, which read the
-// frontier with Pending and hand it back to Resume — never queue internals.
+// FIFO, so the order is total and simulations are deterministic. The queue
+// (queue.go, a binary heap) pops exactly the sequence any correct priority
+// queue would; the differential tests here and the golden traces in
+// internal/search pin it. Checkpoints read the frontier with Pending and hand
+// it back to Resume — never queue internals.
 type Sim struct {
 	now   float64
 	seq   int64
-	queue calQueue
+	queue eventQueue
 	rec   *trace.Recorder
 }
 

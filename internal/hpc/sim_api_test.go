@@ -40,8 +40,8 @@ func TestSimSchedulingAPIs(t *testing.T) {
 	s.AtTime(3, h)
 	pending := s.Pending()
 	wantPending := []Event{{1, 4, h}, {Time: 2, Seq: 2}, {Time: 3, Seq: 3}, {3, 5, h}, {Time: 4, Seq: 1}}
-	if len(pending) != len(wantPending) || s.queue.count != len(wantPending) {
-		t.Fatalf("Pending has %d events (queue %d), want %d", len(pending), s.queue.count, len(wantPending))
+	if len(pending) != len(wantPending) || len(s.queue) != len(wantPending) {
+		t.Fatalf("Pending has %d events (queue %d), want %d", len(pending), len(s.queue), len(wantPending))
 	}
 	for i, w := range wantPending {
 		ev := pending[i]
@@ -87,8 +87,8 @@ func TestSimRunUntilPartial(t *testing.T) {
 	if s.RunUntil(5) {
 		t.Fatal("RunUntil(5) reported drained with an event at t=8 pending")
 	}
-	if fired != 1 || s.Now() != 1 || s.queue.count != 1 {
-		t.Fatalf("after RunUntil(5): fired=%d now=%g pending=%d, want 1/1/1", fired, s.Now(), s.queue.count)
+	if fired != 1 || s.Now() != 1 || len(s.queue) != 1 {
+		t.Fatalf("after RunUntil(5): fired=%d now=%g pending=%d, want 1/1/1", fired, s.Now(), len(s.queue))
 	}
 }
 

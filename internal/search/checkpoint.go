@@ -33,10 +33,10 @@
 //
 // Capturing pending events as (time, seq) data rather than queue internals
 // also makes checkpoints transparent to the simulator's engine: a
-// checkpoint written when hpc.Sim used container/heap restores into the
-// calendar-queue engine (and vice versa) with bit-identical continuation,
-// because only the pop order is contractual. TestShortSimQueueGoldenTraces
-// pins this with a committed heap-era checkpoint.
+// checkpoint written by any earlier engine of hpc.Sim restores into the
+// current one with bit-identical continuation, because only the pop order
+// is contractual. TestShortSimQueueGoldenTraces pins this with a committed
+// checkpoint written by the original container/heap engine.
 package search
 
 import (

@@ -289,6 +289,10 @@ func TestConfigValidate(t *testing.T) {
 		{"nan-horizon", func(c *Config) { c.Horizon = math.NaN() }, "Horizon"},
 		{"nan-walltime", func(c *Config) { c.Walltime = math.NaN() }, "Walltime"},
 		{"nan-fidelity", func(c *Config) { c.Eval.Fidelity = math.NaN() }, "Fidelity"},
+		{"machine-too-large", func(c *Config) { c.Agents, c.WorkersPerAgent = 100000, 100000 }, "at most 16384"},
+		{"machine-one-over", func(c *Config) { c.Agents, c.WorkersPerAgent = 1<<7+1, 1<<7 }, "at most 16384"},
+		{"machine-product-overflows", func(c *Config) { c.Agents, c.WorkersPerAgent = math.MaxInt, math.MaxInt }, "at most 16384"},
+		{"machine-too-large-default-agents", func(c *Config) { c.Agents, c.WorkersPerAgent = 0, 1000 }, "21 × 1000"},
 	}
 	for _, c := range cases {
 		cfg := smallCfg(A3C, 1)
@@ -299,6 +303,14 @@ func TestConfigValidate(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+	// The largest machine allowed validates, however it is split.
+	for _, nm := range [][2]int{{1 << 14, 1}, {1, 1 << 14}, {1 << 7, 1 << 7}} {
+		cfg := smallCfg(A3C, 1)
+		cfg.Agents, cfg.WorkersPerAgent = nm[0], nm[1]
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%d × %d nodes rejected: %v", nm[0], nm[1], err)
 		}
 	}
 	// Allocate validates before it builds anything: a bad fidelity is an

@@ -119,6 +119,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxNodes bounds the simulated machine, Agents × WorkersPerAgent nodes, a
+// config may ask for: the largest machine simbench drives, 3.7× Theta's
+// 4,392 nodes. A larger one would be built in memory before the search
+// starts, where nothing can catch running out of it.
+const maxNodes = 1 << 14
+
 // Validate rejects configurations that cannot run, with errors that say
 // which field is wrong and what would be accepted. Zero values are legal
 // wherever they select a documented default.
@@ -134,6 +140,10 @@ func (c Config) Validate() error {
 	}
 	if c.WorkersPerAgent < 0 {
 		return fmt.Errorf("search: WorkersPerAgent = %d, want > 0 evaluations per agent round (0 selects the default 11)", c.WorkersPerAgent)
+	}
+	// Overflow-safe form of Agents*WorkersPerAgent > maxNodes.
+	if d := c.withDefaults(); d.Agents > maxNodes || d.WorkersPerAgent > maxNodes/d.Agents {
+		return fmt.Errorf("search: Agents × WorkersPerAgent = %d × %d nodes, want at most %d", d.Agents, d.WorkersPerAgent, maxNodes)
 	}
 	if c.Horizon < 0 || math.IsNaN(c.Horizon) {
 		return fmt.Errorf("search: Horizon = %g, want > 0 virtual seconds (0 selects the default 6 h)", c.Horizon)

@@ -15,10 +15,10 @@ import (
 )
 
 // The simqueue goldens were recorded with the original container/heap event
-// engine (pre-calendar-queue); -update-sim-goldens re-records them and the
-// committed heap-era checkpoint from whatever engine is current. Only do
-// that deliberately: the whole point of the files is to pin the calendar
-// queue to the heap engine's exact event order.
+// engine; -update-sim-goldens re-records them and the committed heap-era
+// checkpoint from whatever engine is current. Only do that deliberately:
+// the whole point of the files is to pin every later event queue to that
+// engine's exact event order.
 var updateSimGoldens = flag.Bool("update-sim-goldens", false,
 	"re-record testdata/simqueue_goldens.json and testdata/simqueue_heap.ckpt from the current event engine")
 

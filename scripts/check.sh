@@ -40,12 +40,16 @@ if [ -n "$fused" ]; then
 fi
 go test -short ./...
 # nas-bench's loop, end to end: the torture experiment (~15 s) panics on any
-# violated durability invariant and must reproduce the committed report (it
-# is wall-clock-free), and an unknown id must fail naming a real one.
+# violated durability invariant, the restart experiment (~25 s) walks search
+# checkpoints across walltime cuts and so rides on the simulator's event
+# order; both must reproduce their committed reports (they are
+# wall-clock-free), and an unknown id must fail naming a real one.
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
-go run ./cmd/nas-bench -exp torture -scale quick -out "$smoke" >/dev/null
-cmp "$smoke/torture.txt" bench_results/torture.txt
+for exp in torture restart; do
+    go run ./cmd/nas-bench -exp $exp -scale quick -out "$smoke" >/dev/null
+    cmp "$smoke/$exp.txt" "bench_results/$exp.txt"
+done
 if go run ./cmd/nas-bench -exp bogus -out "$smoke" 2>"$smoke/err"; then
     echo "check.sh: nas-bench -exp bogus exited 0" >&2
     exit 1
@@ -94,9 +98,9 @@ go test -race -timeout 30m ./internal/campaign/
 # needs.
 go test -race -timeout 30m ./internal/nasbench/
 go test -race -count=10 -timeout 30m -run 'TestInOrder|TestShort.*WidthInvariant' ./internal/nasbench/
-# Every golden trace rides on the calendar queue's (time, seq) order and
-# every checkpoint on its enumeration, the seed corpus is committed, and new
-# inputs go to the build cache, not the tree.
+# Every golden trace rides on the event queue's (time, seq) order and every
+# checkpoint on its enumeration. The seed corpus is in code; new inputs go
+# to the build cache, not the tree.
 go test -run '^$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/hpc/
 # A search's log is a function of (strategy, seed, size) alone: the scenario
 # harness draws worker counts, memory regimes, walltime cuts, checkpoint
@@ -114,7 +118,7 @@ go test -run '^$' -fuzz FuzzScenario -fuzztime 40s ./internal/search/
 # recorded runs, checkpoint chains, reward determinism, the float
 # bit-identity the arena guarantees, or the kill-anywhere durability the
 # campaign server promises. hpc and balsam join the gate with the
-# calendar-queue engine: the event queue and the job state machine decide
+# simulator core: the event queue and the job state machine decide
 # every golden trace in the repo, so their differential/fuzz/alloc suites
 # must keep covering them. nasbench joins with the tabular-benchmark
 # artifact: its WAL/table codec and replay backend decide whether thousands
