@@ -2,6 +2,9 @@ package hpc
 
 import (
 	"container/heap"
+	"os"
+	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -18,7 +21,9 @@ import (
 //   - no event is lost or duplicated: each pushed seq pops exactly once.
 //
 // The f.Add seeds cover same-time bursts, wide strides, a long fill and
-// drain, far-future pushes, and pushes into the past.
+// drain, far-future pushes, and pushes into the past. The committed corpus
+// under testdata/fuzz/FuzzEventQueue holds the same five inputs;
+// TestEventQueueCorpusMatchesSeeds keeps the two byte-identical.
 func FuzzEventQueue(f *testing.F) {
 	f.Add(seedSameTimeBurst())
 	f.Add(seedStrides())
@@ -113,6 +118,38 @@ func FuzzEventQueue(f *testing.F) {
 			t.Fatalf("pushed %d events, popped %d — events lost", seq, len(popped))
 		}
 	})
+}
+
+// TestEventQueueCorpusMatchesSeeds checks that each committed corpus file
+// under testdata/fuzz/FuzzEventQueue encodes exactly its f.Add seed, so a
+// change to a seed builder cannot leave a stale file behind.
+func TestEventQueueCorpusMatchesSeeds(t *testing.T) {
+	seeds := map[string][]byte{
+		"seed-same-time-burst": seedSameTimeBurst(),
+		"seed-rollover":        seedStrides(),
+		"seed-resize":          seedFillDrain(),
+		"seed-far-future":      seedFarFuture(),
+		"seed-past":            seedPast(),
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzEventQueue")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(seeds) {
+		t.Errorf("%s holds %d files, want %d", dir, len(entries), len(seeds))
+	}
+	for name, data := range seeds {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+		if string(got) != want {
+			t.Errorf("%s differs from its f.Add seed; want:\n%s", name, want)
+		}
+	}
 }
 
 // seedSameTimeBurst: 24 pushes at one timestamp, then pops — the FIFO

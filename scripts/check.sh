@@ -99,8 +99,9 @@ go test -race -timeout 30m ./internal/campaign/
 go test -race -timeout 30m ./internal/nasbench/
 go test -race -count=10 -timeout 30m -run 'TestInOrder|TestShort.*WidthInvariant' ./internal/nasbench/
 # Every golden trace rides on the event queue's (time, seq) order and every
-# checkpoint on its enumeration. The seed corpus is in code; new inputs go
-# to the build cache, not the tree.
+# checkpoint on its enumeration. The seeds are f.Add calls, committed
+# byte-identical under testdata; new inputs go to the build cache, not the
+# tree.
 go test -run '^$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/hpc/
 # A search's log is a function of (strategy, seed, size) alone: the scenario
 # harness draws worker counts, memory regimes, walltime cuts, checkpoint
