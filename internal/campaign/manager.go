@@ -226,8 +226,8 @@ func NewManager(dir string, opts Options) (*Manager, []string, error) {
 		rt := &runtime{meta: meta, wake: make(chan struct{}, 1)}
 		if ck, ok, err := store.LoadCheckpoint(meta.ID); err == nil && ok {
 			rt.ck = ck
-			// The checkpoint is the authority on progress: a crash between
-			// checkpoint and meta writes leaves meta one allocation behind.
+			// The checkpoint is the authority on progress: meta is written
+			// only on status changes, so its count is behind by design.
 			if ck.Allocations > rt.meta.Allocations {
 				rt.meta.Allocations = ck.Allocations
 			}
@@ -672,9 +672,9 @@ func (m *Manager) prepareRunner(rt *runtime) error {
 }
 
 // runAllocationStep runs exactly one walltime allocation and persists its
-// outcome: checkpoint + meta at a cut, log + meta at completion. A panic
-// anywhere inside — test hook, search, persistence — is returned as an
-// error for the backoff machinery.
+// outcome: the checkpoint at a cut (meta trails it), the log at
+// completion. A panic anywhere inside — test hook, search, persistence —
+// is returned as an error for the backoff machinery.
 func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -710,7 +710,6 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 		rt.ck = next
 		rt.meta.Allocations = next.Allocations
 		rt.refreshSummary(next.Partial)
-		m.saveMetaLocked(rt)
 		return false, nil
 	}
 	rt.log = log

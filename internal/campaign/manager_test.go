@@ -560,10 +560,10 @@ func TestManagerSurfacesTransientAndFutureCheckpoint(t *testing.T) {
 	waitStatus(t, mgr, id, StatusDone)
 }
 
-// TestManagerSyncsMetaFromCheckpoint: a crash between the checkpoint and
-// meta writes leaves meta one allocation behind; the checkpoint is the
-// authority and the open resyncs from it. Also drills Log()'s partial and
-// not-found answers.
+// TestManagerSyncsMetaFromCheckpoint: meta is written on status changes
+// only, so a store's meta is behind its checkpoint by design; the
+// checkpoint is the authority and the open resyncs from it. Also drills
+// Log()'s partial and not-found answers.
 func TestManagerSyncsMetaFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
@@ -579,8 +579,8 @@ func TestManagerSyncsMetaFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := "c00000001"
-	// Meta recorded one allocation behind the checkpoint, PAUSED so the
-	// reopened manager does not relaunch it.
+	// Meta recorded behind the checkpoint, PAUSED so the reopened manager
+	// does not relaunch it.
 	if err := st.Create(Meta{ID: id, Spec: spec, Status: StatusPaused, Allocations: ck.Allocations - 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (s Status) Terminal() bool {
 }
 
 // Meta is the durable per-campaign record. It is small and rewritten
-// whole at every state change through the same atomic checksummed
+// whole at every status change through the same atomic checksummed
 // container as search checkpoints, so a reader observes either the
 // previous consistent state or the next, never a torn one.
 type Meta struct {
@@ -57,7 +57,7 @@ type Meta struct {
 	// campaign's lifetime.
 	Restarts int `json:"restarts,omitempty"`
 	// Allocations counts walltime allocations whose checkpoint has been
-	// persisted; the in-flight allocation is by design not counted.
+	// persisted, as of the last status change; the checkpoint leads it.
 	Allocations int `json:"allocations"`
 }
 

@@ -110,6 +110,41 @@ func TestShortZeroFaultPinByteIdentical(t *testing.T) {
 	}
 }
 
+// TestShortBoundaryPersistsOnlyCheckpoint pins what a walltime boundary
+// writes: one checkpoint replace and no meta. Meta is replaced only on
+// status changes — here Create and DONE — and progress is the
+// checkpoint's (TestManagerSyncsMetaFromCheckpoint holds the resync).
+func TestShortBoundaryPersistsOnlyCheckpoint(t *testing.T) {
+	rec := fsim.NewRecordFS(fsim.NewMemFS())
+	opts := fastOpts(t)
+	opts.FS = rec
+	mgr := newTestManager(t, "/campaigns", opts)
+	mgr.Start()
+	defer mgr.Drain()
+	spec := testSpec()
+	info, err := mgr.Submit(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitStatus(t, mgr, info.ID, StatusDone)
+	if done.Allocations < 2 {
+		t.Fatalf("campaign finished in %d allocations; no boundary was crossed", done.Allocations)
+	}
+	renames := map[string]int{}
+	for _, op := range rec.Ops() {
+		if op.Kind == fsim.OpRename {
+			renames[filepath.Base(op.Path)]++
+		}
+	}
+	if renames[metaFile] != 2 {
+		t.Errorf("%d renames onto %s, want 2 (Create and DONE)", renames[metaFile], metaFile)
+	}
+	if renames[ckptFile] != done.Allocations {
+		t.Errorf("%d renames onto %s, want one per persisted allocation (%d)",
+			renames[ckptFile], ckptFile, done.Allocations)
+	}
+}
+
 // TestShortTornCheckpointPrefixesRejected is the torn-write differential:
 // every strict prefix of a real search.ckpt — what a cut-short write
 // without the atomic rename discipline would leave — must be rejected by

@@ -91,3 +91,31 @@ func TestShortTournamentTransientAndOversized(t *testing.T) {
 		t.Fatalf("oversized tournament WAL: %v", err)
 	}
 }
+
+// TestShortBuildRefusesFutureWALFrame: a frame from a newer build after a
+// valid one is not a torn tail. Build must fail with ErrVersion and leave
+// the tree untouched, not retrain the unit and journal past the newer
+// record.
+func TestShortBuildRefusesFutureWALFrame(t *testing.T) {
+	mem := fsim.NewMemFS()
+	cfg := nanoBuild(mem, "/bench")
+	cfg.MaxTrain = 1
+	if _, err := Build(cfg); err != nil {
+		t.Fatal(err)
+	}
+	seg := "/bench/" + segName(1)
+	raw, err := mem.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := []byte("a unit from a newer build")
+	writeRaw(t, mem, seg, append(ckpt.AppendFrameHeader(raw, recMagic, walVersion+1, future), future...))
+	before := mem.TreeDigest("/bench")
+	cfg.MaxTrain = 0
+	if _, err := Build(cfg); !errors.Is(err, ckpt.ErrVersion) {
+		t.Fatalf("future-version WAL frame: err %v, want ErrVersion", err)
+	}
+	if mem.TreeDigest("/bench") != before {
+		t.Fatal("Build touched the store after refusing a future-version WAL frame")
+	}
+}

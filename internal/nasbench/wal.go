@@ -21,7 +21,9 @@
 //     tail a power cut legitimately leaves — and scanning continues with
 //     the next segment, because a crashed session's successor may already
 //     have written one. Record-index contiguity (enforced by decodeUnits)
-//     then catches every mid-sequence loss as ErrCorrupt.
+//     then catches every mid-sequence loss as ErrCorrupt. A frame whose
+//     intact header carries a newer version is not a torn tail: the scan
+//     fails with ckpt.ErrVersion and nothing is touched.
 //
 // journal is the artifact-or-WAL recovery built on top: the one routine
 // Build and RunTournament both resume through.
@@ -72,7 +74,8 @@ func segNumber(name string) (int, bool) {
 // scanSegments returns the frame payloads of the longest durable prefix
 // across all segments under dir, and the highest segment number seen (0 when
 // none). I/O errors pass through unwrapped, so ckpt.IsTransient still
-// classifies them; a missing dir scans as empty.
+// classifies them; a frame from a newer build fails the scan with
+// ckpt.ErrVersion; a missing dir scans as empty.
 func scanSegments(fsys fsim.FS, dir string) (payloads [][]byte, maxSeg int, err error) {
 	entries, err := fsys.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -96,6 +99,11 @@ func scanSegments(fsys fsim.FS, dir string) (payloads [][]byte, maxSeg int, err 
 		}
 		for len(raw) > 0 {
 			payload, _, rest, err := ckpt.ParseFrame(raw, recMagic, walVersion)
+			if errors.Is(err, ckpt.ErrVersion) {
+				// An intact header from a newer build: good data this build
+				// cannot read, which no torn write of ours can produce.
+				return nil, 0, fmt.Errorf("nasbench: wal segment %s: %w", segName(n), err)
+			}
 			if err != nil {
 				// Bytes that do not form a complete valid frame are a torn
 				// tail: drop the rest of THIS segment only. If frames

@@ -4,11 +4,11 @@
 # a smoke of the one experiment harness (cmd/nas-bench has no tests of its own),
 # then the pure-simulation packages plus the evaluator's worker pool under
 # the race detector (and ten more rounds of the one test that shares a
-# space's compile memo between goroutines), 60 s of fuzzing (the event
-# queue and the search scenario harness), and the coverage gate. Beyond the
-# -short suite, the search package only runs its TestShort* pins and
-# FuzzScenario's seed corpus (both fast-tier) — the full search suite trains
-# real networks and belongs to `go test ./...`.
+# space's compile memo between goroutines), 80 s of fuzzing (the event
+# queue, the nasbench WAL scanner and the search scenario harness), and the
+# coverage gate. Beyond the -short suite, the search package only runs its
+# TestShort* pins and FuzzScenario's seed corpus (both fast-tier) — the full
+# search suite trains real networks and belongs to `go test ./...`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -103,6 +103,11 @@ go test -race -count=10 -timeout 30m -run 'TestInOrder|TestShort.*WidthInvariant
 # byte-identical under testdata; new inputs go to the build cache, not the
 # tree.
 go test -run '^$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/hpc/
+# The WAL scanner is the durability reader every table build and tournament
+# resumes through: a damaged frame ends its segment, and only an intact
+# header from a newer build fails the scan (ErrVersion). Its seeds are the
+# committed damage shapes; new inputs go to the build cache.
+go test -run '^$' -fuzz FuzzScanWAL -fuzztime 20s ./internal/nasbench/
 # A search's log is a function of (strategy, seed, size) alone: the scenario
 # harness draws worker counts, memory regimes, walltime cuts, checkpoint
 # media, recorders, core counts and knobs changed at a resume. Its seed
