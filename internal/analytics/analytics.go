@@ -5,7 +5,6 @@
 package analytics
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 
@@ -24,52 +23,6 @@ type TrajectoryPoint struct {
 	Mean float64
 	// Count is the number of evaluations in the bucket.
 	Count int
-}
-
-// trajectoryPointJSON is the wire form of TrajectoryPoint: encoding/json
-// rejects NaN and ±Inf outright, so the two sentinel values a trajectory
-// legitimately contains — NaN Mean for an empty bucket, -Inf Best before
-// the first result — are carried as null.
-type trajectoryPointJSON struct {
-	Time  float64  `json:"Time"`
-	Best  *float64 `json:"Best"`
-	Mean  *float64 `json:"Mean"`
-	Count int      `json:"Count"`
-}
-
-// MarshalJSON encodes NaN Mean and non-finite Best as null, so report
-// output containing empty buckets marshals instead of failing with
-// "unsupported value: NaN".
-func (p TrajectoryPoint) MarshalJSON() ([]byte, error) {
-	w := trajectoryPointJSON{Time: p.Time, Count: p.Count}
-	if !math.IsNaN(p.Best) && !math.IsInf(p.Best, 0) {
-		b := p.Best
-		w.Best = &b
-	}
-	if !math.IsNaN(p.Mean) && !math.IsInf(p.Mean, 0) {
-		m := p.Mean
-		w.Mean = &m
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON restores the sentinels: null Best → -Inf, null Mean → NaN.
-func (p *TrajectoryPoint) UnmarshalJSON(data []byte) error {
-	var w trajectoryPointJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	p.Time = w.Time
-	p.Count = w.Count
-	p.Best = math.Inf(-1)
-	if w.Best != nil {
-		p.Best = *w.Best
-	}
-	p.Mean = math.NaN()
-	if w.Mean != nil {
-		p.Mean = *w.Mean
-	}
-	return nil
 }
 
 // Trajectory buckets results by finish time and computes the mean-reward

@@ -1,7 +1,6 @@
 package analytics
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -81,40 +80,6 @@ func TestTrajectoryEdgeCases(t *testing.T) {
 			}
 			c.check(t, traj)
 		})
-	}
-}
-
-// TestTrajectoryJSONRoundTrip pins the NaN/-Inf fix: a trajectory with an
-// empty bucket used to fail json.Marshal outright ("unsupported value:
-// NaN"); now the sentinels travel as null and round-trip.
-func TestTrajectoryJSONRoundTrip(t *testing.T) {
-	traj := Trajectory(results(200, 0.2), 60, 240) // buckets 0 and 2 empty
-	raw, err := json.Marshal(traj)
-	if err != nil {
-		t.Fatalf("trajectory with empty buckets must marshal: %v", err)
-	}
-	var back []TrajectoryPoint
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(traj) {
-		t.Fatalf("round trip length %d, want %d", len(back), len(traj))
-	}
-	for i := range traj {
-		a, b := traj[i], back[i]
-		if a.Time != b.Time || a.Count != b.Count {
-			t.Fatalf("point %d: %+v != %+v", i, a, b)
-		}
-		if math.IsNaN(a.Mean) != math.IsNaN(b.Mean) || (!math.IsNaN(a.Mean) && a.Mean != b.Mean) {
-			t.Fatalf("point %d mean: %g != %g", i, a.Mean, b.Mean)
-		}
-		if math.IsInf(a.Best, -1) != math.IsInf(b.Best, -1) || (!math.IsInf(a.Best, -1) && a.Best != b.Best) {
-			t.Fatalf("point %d best: %g != %g", i, a.Best, b.Best)
-		}
-	}
-	// The empty leading bucket really is the sentinel case.
-	if !math.IsNaN(back[0].Mean) || !math.IsInf(back[0].Best, -1) {
-		t.Fatalf("sentinels lost in round trip: %+v", back[0])
 	}
 }
 

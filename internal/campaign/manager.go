@@ -125,9 +125,8 @@ type runtime struct {
 	ck    *search.Checkpoint
 	log   *search.Log
 
-	rec       *trace.Recorder
-	recCursor int64
-	traces    traceLog
+	rec    *trace.Recorder
+	traces traceLog
 
 	// summary mirrors the latest persisted partial (or final) log.
 	bestReward  float64
@@ -667,7 +666,6 @@ func (m *Manager) prepareRunner(rt *runtime) error {
 	rt.bench, rt.sp = bench, sp
 	rt.cfg = spec.SearchConfig()
 	rt.rec = trace.NewRecorder(0)
-	rt.recCursor = 0
 	return nil
 }
 
@@ -699,8 +697,10 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 		return false, err
 	}
 	m.noteStoreWrite(nil)
-	evs, cursor := rt.rec.EventsSince(rt.recCursor)
-	rt.recCursor = cursor
+	// The boundary's events move from the ring to traces: each is kept once,
+	// and the next boundary copies only what its allocation emitted.
+	evs := rt.rec.Events()
+	rt.rec.Reset()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

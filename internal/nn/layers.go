@@ -22,8 +22,6 @@ import (
 // arena means plain heap allocation. Either way the float operations are
 // identical in value and order — the arena only changes where buffers live.
 type Layer interface {
-	// Name returns a short human-readable identifier, e.g. "Dense(100, relu)".
-	Name() string
 	// Forward applies the layer. train enables training-only behaviour
 	// such as dropout masking.
 	Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor
@@ -94,10 +92,6 @@ func NewDense(r *rng.Rand, in, units int, activation string) *Dense {
 // the mechanism behind MirrorNode weight sharing.
 func NewDenseShared(w, b *Param, activation string) *Dense {
 	return &Dense{W: w, B: b, Activation: activation}
-}
-
-func (d *Dense) Name() string {
-	return fmt.Sprintf("Dense(%d, %s)", d.W.Value.Shape[1], d.Activation)
 }
 
 func (d *Dense) Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor {
@@ -177,7 +171,6 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // every variable node carries.
 type Identity struct{}
 
-func (Identity) Name() string { return "Identity" }
 func (Identity) Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor {
 	return x
 }
@@ -189,8 +182,6 @@ type Activate struct {
 	Kind string
 	out  *tensor.Tensor
 }
-
-func (a *Activate) Name() string { return fmt.Sprintf("Activation(%s)", a.Kind) }
 
 func (a *Activate) Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor {
 	act := actOf(a.Kind)
@@ -232,8 +223,6 @@ func NewDropout(r *rng.Rand, rate float64) *Dropout {
 	}
 	return &Dropout{Rate: rate, rand: r.Split()}
 }
-
-func (d *Dropout) Name() string { return fmt.Sprintf("Dropout(%g)", d.Rate) }
 
 func (d *Dropout) Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor {
 	if !train || d.Rate == 0 {
@@ -294,10 +283,6 @@ func NewConv1D(r *rng.Rand, kernel, in, filters, stride int, activation string) 
 	w.Value.GlorotUniform(r, kernel*in, kernel*filters)
 	b := NewParam(fmt.Sprintf("conv_b_%d", filters), filters)
 	return &Conv1D{W: w, B: b, Stride: stride, Activation: activation}
-}
-
-func (c *Conv1D) Name() string {
-	return fmt.Sprintf("Conv1D(k=%d, f=%d)", c.W.Value.Shape[0], c.W.Value.Shape[2])
 }
 
 func (c *Conv1D) Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor {
@@ -364,8 +349,6 @@ func NewMaxPool1D(pool, stride int) *MaxPool1D {
 	return &MaxPool1D{Pool: pool, Stride: stride}
 }
 
-func (m *MaxPool1D) Name() string { return fmt.Sprintf("MaxPooling1D(%d)", m.Pool) }
-
 func (m *MaxPool1D) Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor {
 	if x.Rank() != 3 {
 		panic(fmt.Sprintf("nn: MaxPool1D input %v, want rank 3", x.Shape))
@@ -404,8 +387,6 @@ type Flatten struct {
 	xShape []int
 }
 
-func (f *Flatten) Name() string { return "Flatten" }
-
 func (f *Flatten) Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor {
 	f.xShape = append(f.xShape[:0], x.Shape...)
 	if x.Rank() == 2 {
@@ -424,8 +405,6 @@ func (f *Flatten) Params() []*Param { return nil }
 // 1-D convolutions can traverse a flat feature vector, as NT3's input layer
 // does with the RNA-seq profile.
 type Reshape1D struct{}
-
-func (Reshape1D) Name() string { return "Reshape1D" }
 
 func (Reshape1D) Forward(x *tensor.Tensor, train bool, ar *tensor.Arena) *tensor.Tensor {
 	if x.Rank() != 2 {

@@ -37,22 +37,7 @@ func Conv1DInto(dst, x, w, b *Tensor, stride int) {
 		panic(fmt.Sprintf("tensor: Conv1DInto destination %v, want [%d %d %d]", dst.Shape, batch, outLen, cout))
 	}
 	assertNoAlias("Conv1DInto", dst, x, w, b)
-	// Serial path first, closure only on the parallel branch — see serialRows.
-	if serialRows(batch, batch*outLen*cout*kernel*cin) {
-		conv1DRows(dst, x, w, b, stride, 0, batch)
-		return
-	}
-	parallelRows(batch, func(lo, hi int) {
-		conv1DRows(dst, x, w, b, stride, lo, hi)
-	})
-}
-
-// conv1DRows computes batch rows [lo,hi) of a Conv1DInto call.
-func conv1DRows(dst, x, w, b *Tensor, stride, lo, hi int) {
-	length, cin := x.Shape[1], x.Shape[2]
-	kernel, cout := w.Shape[0], w.Shape[2]
-	outLen := dst.Shape[1]
-	for n := lo; n < hi; n++ {
+	for n := 0; n < batch; n++ {
 		xb := x.Data[n*length*cin : (n+1)*length*cin]
 		ob := dst.Data[n*outLen*cout : (n+1)*outLen*cout]
 		for t := 0; t < outLen; t++ {
@@ -107,8 +92,6 @@ func Conv1DBackwardInto(dx, dw, db, x, w, dout *Tensor, stride int) {
 	assertNoAlias("Conv1DBackwardInto", db, x, w, dout)
 	dw.Zero()
 	db.Zero()
-	// Bias and weight gradients accumulate across the batch; keep them
-	// single-threaded (they are small) and parallelize dx over the batch.
 	for n := 0; n < batch; n++ {
 		xb := x.Data[n*length*cin : (n+1)*length*cin]
 		gb := dout.Data[n*outLen*cout : (n+1)*outLen*cout]
@@ -138,22 +121,7 @@ func Conv1DBackwardInto(dx, dw, db, x, w, dout *Tensor, stride int) {
 		return
 	}
 	dx.Zero()
-	if serialRows(batch, batch*outLen*cout*kernel*cin) {
-		conv1DBackwardDxRows(dx, w, dout, stride, 0, batch)
-		return
-	}
-	parallelRows(batch, func(lo, hi int) {
-		conv1DBackwardDxRows(dx, w, dout, stride, lo, hi)
-	})
-}
-
-// conv1DBackwardDxRows accumulates the input gradient for batch rows [lo,hi).
-// Callers hand it a zeroed band.
-func conv1DBackwardDxRows(dx, w, dout *Tensor, stride, lo, hi int) {
-	length, cin := dx.Shape[1], dx.Shape[2]
-	kernel, cout := w.Shape[0], w.Shape[2]
-	outLen := dout.Shape[1]
-	for n := lo; n < hi; n++ {
+	for n := 0; n < batch; n++ {
 		dxb := dx.Data[n*length*cin : (n+1)*length*cin]
 		gb := dout.Data[n*outLen*cout : (n+1)*outLen*cout]
 		for t := 0; t < outLen; t++ {

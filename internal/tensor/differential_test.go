@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"nasgo/internal/rng"
@@ -11,19 +10,9 @@ import (
 
 // Differential tests: every optimized kernel against a straightforward
 // naive reference, over seeded randomized shapes that deliberately straddle
-// the parallelThreshold op count (where the row-band goroutine split kicks
-// in) and the blockK boundary (where the matmul k-blocking wraps). GOMAXPROCS
-// is forced above 1 so the parallel bands genuinely run even on a 1-core
-// host. The three matmuls are held to their references bit for bit; the
-// convolutions to rounding noise.
-
-// forceParallel raises GOMAXPROCS for the test so parallelRows actually
-// splits work across goroutines.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
+// the blockK boundary (where the matmul k-blocking wraps) and the four-way
+// unroll's lanes, from single rows to a few hundred. The three matmuls are
+// held to their references bit for bit; the convolutions to rounding noise.
 
 // closeEnough reports near-equality, for the convolution kernels, whose
 // accumulation order differs from their naive references'. Differences beyond
@@ -140,18 +129,18 @@ func naiveConv1DBackward(x, w, dout *Tensor, stride int) (dx, dw, db *Tensor) {
 }
 
 // matmulShapes are (m, k, n) triples chosen to straddle the boundaries:
-// m·k·n around parallelThreshold = 1<<16, k around blockK = 128, plus the
-// m = 1 fast path and tiny serial products.
+// k around blockK = 128, single-row and tiny products, and products of a
+// few million multiply-adds.
 func matmulShapes(r *rng.Rand) [][3]int {
 	shapes := [][3]int{
-		{3, 4, 5},       // tiny, serial
-		{1, 512, 200},   // m=1 fast path, large k
-		{16, 128, 32},   // m·k·n = 1<<16 exactly: first parallel product
-		{16, 128, 31},   // one column short of the threshold: serial
+		{3, 4, 5},       // tiny
+		{1, 512, 200},   // a single row, large k
+		{16, 128, 32},   // k exactly one full block, n a multiple of four
+		{16, 128, 31},   // one full block, n%4 = 3
 		{16, 127, 33},   // k one short of a full block
 		{16, 129, 33},   // k one past a full block
 		{40, 256, 24},   // k = 2 full blocks
-		{200, 100, 100}, // well above the threshold, many bands
+		{200, 100, 100}, // many rows, k inside one block
 	}
 	for i := 0; i < 4; i++ {
 		shapes = append(shapes, [3]int{1 + r.Intn(64), 1 + r.Intn(300), 1 + r.Intn(64)})
@@ -161,9 +150,8 @@ func matmulShapes(r *rng.Rand) [][3]int {
 
 // laneShapes walk the unrolled kernel's lanes: k across every residue of the
 // four-way unroll on both sides of a blockK boundary, n across short and odd
-// row lengths, m across single rows and odd counts; {523, 130, n} is above
-// parallelThreshold even at n = 1 and splits into uneven bands (131, 131,
-// 131, 130) with GOMAXPROCS forced to 4.
+// row lengths, m across single rows and odd counts; {523, 130, n} adds a
+// tall, odd row count past one k block.
 func laneShapes() [][3]int {
 	var shapes [][3]int
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 31, 63} {
@@ -182,7 +170,6 @@ func laneShapes() [][3]int {
 // order from +0, so unrolling and blocking may not move a single ulp, and it
 // may not rely on what dst held.
 func TestMatMulDifferential(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(101)
 	for _, s := range append(matmulShapes(r), laneShapes()...) {
 		m, k, n := s[0], s[1], s[2]
@@ -196,7 +183,6 @@ func TestMatMulDifferential(t *testing.T) {
 // TestMatMulTransADifferential is the same pin for Aᵀ×B, which is the same
 // kernel reading A down its columns.
 func TestMatMulTransADifferential(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(102)
 	for _, s := range append(matmulShapes(r), laneShapes()...) {
 		m, k, n := s[0], s[1], s[2]
@@ -254,7 +240,6 @@ func sparsify(r *rng.Rand, t *Tensor) {
 // operands and one-hot rows, compared bitwise with a reference that still
 // skips.
 func TestMatMulSparseMatchesZeroSkip(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(106)
 	for _, s := range [][3]int{{16, 120, 63}, {16, 63, 31}, {5, 131, 7}, {17, 300, 6}, {523, 130, 3}} {
 		m, k, n := s[0], s[1], s[2]
@@ -309,11 +294,9 @@ func TestMatMulNonFinitePropagates(t *testing.T) {
 // naive reference bit for bit: both sum each element over k in index order,
 // so blocking four columns per pass may not move a single ulp. The extra
 // shapes walk n across the four-column block and its remainder lanes with k
-// on either side of blockK; {520, 130, n} is above parallelThreshold even at
-// n = 1, so with GOMAXPROCS forced to 4 every n also runs on the row-band
-// path.
+// on either side of blockK; {520, 130, n} runs every n over a tall operand
+// past one k block.
 func TestMatMulTransBDifferential(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(103)
 	shapes := matmulShapes(r)
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13, 32} {
@@ -328,17 +311,16 @@ func TestMatMulTransBDifferential(t *testing.T) {
 	}
 }
 
-// convShapes are (batch, length, cin, kernel, cout, stride) tuples; the
-// larger ones push batch·outLen·cout·kernel·cin past parallelThreshold so
-// the batch-band split engages.
+// convShapes are (batch, length, cin, kernel, cout, stride) tuples, from a
+// single window to batches of tens of thousands of multiply-adds.
 func convShapes(r *rng.Rand) [][6]int {
 	shapes := [][6]int{
-		{1, 8, 2, 3, 4, 1},    // tiny, serial
+		{1, 8, 2, 3, 4, 1},    // tiny
 		{2, 9, 3, 9, 5, 1},    // kernel == length: outLen 1
 		{3, 30, 4, 5, 8, 3},   // stride > 1
-		{4, 40, 8, 5, 16, 1},  // 92k ops: parallel over batch
-		{8, 64, 6, 7, 12, 2},  // parallel, strided
-		{16, 33, 5, 4, 10, 1}, // parallel, odd dims
+		{4, 40, 8, 5, 16, 1},  // 92k ops
+		{8, 64, 6, 7, 12, 2},  // larger, strided
+		{16, 33, 5, 4, 10, 1}, // larger, odd dims
 	}
 	for i := 0; i < 3; i++ {
 		kernel := 1 + r.Intn(6)
@@ -349,7 +331,6 @@ func convShapes(r *rng.Rand) [][6]int {
 }
 
 func TestConv1DDifferential(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(104)
 	for _, s := range convShapes(r) {
 		batch, length, cin, kernel, cout, stride := s[0], s[1], s[2], s[3], s[4], s[5]
@@ -366,7 +347,6 @@ func TestConv1DDifferential(t *testing.T) {
 }
 
 func TestConv1DBackwardDifferential(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(105)
 	for _, s := range convShapes(r) {
 		batch, length, cin, kernel, cout, stride := s[0], s[1], s[2], s[3], s[4], s[5]

@@ -12,8 +12,7 @@ import (
 // DIRTY destination (pre-filled with NaN, the loudest possible stale value)
 // byte-identically to a fresh zeroed one (tensor.New + the same kernel),
 // because arena buffers carry whatever the previous batch left behind. The shapes straddle
-// parallelThreshold and blockK exactly like the naive-reference differential
-// suite.
+// blockK exactly like the naive-reference differential suite.
 
 // dirty returns a tensor pre-filled with NaN so any element the kernel fails
 // to overwrite (or zero) poisons the comparison.
@@ -75,7 +74,6 @@ func mustPanic(t *testing.T, what string, f func()) {
 }
 
 func TestMatMulIntoDirtyDstIdentical(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(201)
 	for _, s := range matmulShapes(r) {
 		m, k, n := s[0], s[1], s[2]
@@ -87,7 +85,6 @@ func TestMatMulIntoDirtyDstIdentical(t *testing.T) {
 }
 
 func TestMatMulTransAIntoDirtyDstIdentical(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(202)
 	for _, s := range matmulShapes(r) {
 		m, k, n := s[0], s[1], s[2]
@@ -99,7 +96,6 @@ func TestMatMulTransAIntoDirtyDstIdentical(t *testing.T) {
 }
 
 func TestMatMulTransBIntoDirtyDstIdentical(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(203)
 	for _, s := range matmulShapes(r) {
 		m, k, n := s[0], s[1], s[2]
@@ -111,7 +107,6 @@ func TestMatMulTransBIntoDirtyDstIdentical(t *testing.T) {
 }
 
 func TestRowKernelsIntoDirtyDstIdentical(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(204)
 	for _, s := range [][2]int{{1, 1}, {3, 7}, {64, 100}, {257, 33}} {
 		rows, cols := s[0], s[1]
@@ -164,7 +159,6 @@ func TestConcatSplitIntoDirtyDstIdentical(t *testing.T) {
 }
 
 func TestConvIntoDirtyDstIdentical(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(206)
 	for _, s := range convShapes(r) {
 		batch, length, cin, kernel, cout, stride := s[0], s[1], s[2], s[3], s[4], s[5]
@@ -218,7 +212,6 @@ func TestConvIntoDirtyDstIdentical(t *testing.T) {
 // historical three-kernel composition, for every activation, across the
 // threshold-straddling shapes.
 func TestDenseForwardIntoMatchesSeparatePasses(t *testing.T) {
-	forceParallel(t)
 	r := rng.New(207)
 	acts := []Act{ActIdentity, ActReLU, ActTanh, ActSigmoid}
 	actFns := map[Act]func(float64) float64{

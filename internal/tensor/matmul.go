@@ -1,49 +1,15 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
-
-// parallelThreshold is the minimum number of multiply-accumulate operations
-// below which a product stays single-threaded; spawning goroutines for tiny
-// products costs more than it saves.
-const parallelThreshold = 1 << 16
+import "fmt"
 
 // blockK is the k-dimension blocking factor. matmulRows streams blockK rows
-// of B past every output row of its band before moving on, so for wide
-// operands that block (blockK × n) is what stays in cache, not all of B.
+// of B past every output row before moving on, so for wide operands that
+// block (blockK × n) is what stays in cache, not all of B.
 const blockK = 128
-
-// serialRows reports whether a row-banded kernel should stay on the calling
-// goroutine. It is the one place that decision is made: kernels check it
-// BEFORE constructing the closure they would hand to parallelRows, so the
-// steady-state serial path allocates nothing.
-func serialRows(m, ops int) bool {
-	return ops < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 || m <= 1
-}
-
-// parallelRows runs work over [0,m) split into bands across GOMAXPROCS
-// goroutines. Callers have already ruled out serialRows.
-func parallelRows(m int, work func(lo, hi int)) {
-	workers := min(runtime.GOMAXPROCS(0), m)
-	chunk := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			work(lo, hi)
-		}(lo, min(lo+chunk, m))
-	}
-	wg.Wait()
-}
 
 // MatMulInto computes dst = A×B for rank-2 tensors of shapes [m,k] and
 // [k,n] into a caller-provided [m,n] destination. dst must not alias either
-// operand. Large products are split across GOMAXPROCS goroutines over row
-// bands, the standard shared-memory parallelization for dense GEMM.
+// operand.
 func MatMulInto(dst, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulInto requires rank-2 operands, got %v × %v", a.Shape, b.Shape))
@@ -57,18 +23,13 @@ func MatMulInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulInto destination %v, want [%d %d]", dst.Shape, m, n))
 	}
 	assertNoAlias("MatMulInto", dst, a, b)
-	if serialRows(m, m*n*k) {
-		matmulRows(dst, a.Data, k, 1, b, 0, m)
-		return
-	}
-	parallelRows(m, func(lo, hi int) { matmulRows(dst, a.Data, k, 1, b, lo, hi) })
+	matmulRows(dst, a.Data, k, 1, b)
 }
 
-// matmulRows computes rows [lo,hi) of out = A×B for B of shape [k,n] and an A
-// whose element (i, x) is ad[i*ar+x*ax]: strides (k, 1) read a row-major
-// [m,k] operand, (1, m) read a [k,m] operand down its columns, which is Aᵀ×B
-// without the transpose. It is the one kernel behind MatMulInto and
-// MatMulTransAInto.
+// matmulRows computes out = A×B for B of shape [k,n] and an A whose element
+// (i, x) is ad[i*ar+x*ax]: strides (k, 1) read a row-major [m,k] operand,
+// (1, m) read a [k,m] operand down its columns, which is Aᵀ×B without the
+// transpose. It is the one kernel behind MatMulInto and MatMulTransAInto.
 //
 // Each output row is a sum of k scaled rows of B. Four of them are folded in
 // per pass, so a partial sum stays in a register across four multiply-adds
@@ -82,14 +43,14 @@ func MatMulInto(dst, a, b *Tensor) {
 // adding 0·b changes no bit for a finite b; for a non-finite b it yields the
 // IEEE NaN. Sparse structure is the caller's to exploit (nn.LSTM's one-hot).
 //
-// The kernel zeroes its own band, so out may hold anything on entry.
-func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor, lo, hi int) {
-	k, n := b.Shape[0], b.Shape[1]
+// The kernel zeroes out first, so out may hold anything on entry.
+func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor) {
+	m, k, n := out.Shape[0], b.Shape[0], b.Shape[1]
 	od, bd := out.Data, b.Data
-	clear(od[lo*n : hi*n])
+	clear(od[:m*n])
 	for k0 := 0; k0 < k; k0 += blockK {
 		k1 := min(k0+blockK, k)
-		for i := lo; i < hi; i++ {
+		for i := 0; i < m; i++ {
 			// Reslicing the B rows to len(o) lets the compiler drop the
 			// bounds checks in the inner loops.
 			o := od[i*n:][:n]
@@ -132,24 +93,12 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto destination %v, want [%d %d]", dst.Shape, m, n))
 	}
 	assertNoAlias("MatMulTransBInto", dst, a, b)
-	// The serial path calls the named row kernel directly: building the
-	// closure first would heap-allocate it on every call, even when
-	// parallelRows never spawns a goroutine.
-	if serialRows(m, m*n*k) {
-		matmulTransBRows(dst, a, b, 0, m)
-		return
-	}
-	parallelRows(m, func(lo, hi int) { matmulTransBRows(dst, a, b, lo, hi) })
-}
-
-// matmulTransBRows computes rows [lo,hi) of dst = A×Bᵀ, four output columns
-// per pass. A single dot product is bound by the latency of its one
-// accumulator; four independent accumulators keep four in flight. Each is
-// still summed over k in index order, so every element is bit-identical to
-// the one-column loop that handles the n%4 remainder.
-func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
-	k, n := a.Shape[1], dst.Shape[1]
-	for i := lo; i < hi; i++ {
+	// Four output columns per pass: a single dot product is bound by the
+	// latency of its one accumulator, and four independent accumulators keep
+	// four in flight. Each is still summed over k in index order, so every
+	// element is bit-identical to the one-column loop that handles the n%4
+	// remainder.
+	for i := 0; i < m; i++ {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := dst.Data[i*n : (i+1)*n]
 		j := 0
@@ -209,9 +158,5 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto destination %v, want [%d %d]", dst.Shape, m, n))
 	}
 	assertNoAlias("MatMulTransAInto", dst, a, b)
-	if serialRows(m, m*n*k) {
-		matmulRows(dst, a.Data, 1, m, b, 0, m)
-		return
-	}
-	parallelRows(m, func(lo, hi int) { matmulRows(dst, a.Data, 1, m, b, lo, hi) })
+	matmulRows(dst, a.Data, 1, m, b)
 }

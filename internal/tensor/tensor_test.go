@@ -457,8 +457,7 @@ func TestGlorotUniformBounds(t *testing.T) {
 // batch 4 through the controller's 32-unit LSTM; A carries the ~20 % exact
 // zeros a ReLU leaves), plus two large products that guard the loop nest
 // against a cache cliff outside that traffic. Each row is m×k×n of the
-// OUTPUT: [m,n] summed over k. Run it under GOMAXPROCS=1 to time the kernels
-// rather than the row-band fork/join.
+// OUTPUT: [m,n] summed over k.
 func BenchmarkMatMulShapes(b *testing.B) {
 	for _, c := range []struct {
 		form    string

@@ -239,40 +239,6 @@ func (r *Recorder) Dropped() int64 {
 	return r.dropped
 }
 
-// Total returns the absolute number of events emitted over the recorder's
-// lifetime, including any the ring has since overwritten. Together with
-// EventsSince it gives consumers a stable cursor into the stream. Nil-safe.
-func (r *Recorder) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.dropped + int64(len(r.buf))
-}
-
-// EventsSince returns a copy of the still-buffered events whose absolute
-// stream index is >= since, along with the cursor to pass next time
-// (Total at the moment of the call). A caller polling EventsSince between
-// quiescent points — e.g. the campaign service at allocation boundaries —
-// reconstructs the complete stream incrementally, preserving events the
-// ring would eventually overwrite. If since is older than the oldest
-// buffered event, the gap has been dropped; the returned slice starts at
-// the oldest survivor. Not synchronized: call from the goroutine driving
-// the simulation, or while it is quiescent. Nil-safe.
-func (r *Recorder) EventsSince(since int64) ([]Event, int64) {
-	if r == nil {
-		return nil, 0
-	}
-	next := r.Total()
-	if since < r.dropped {
-		since = r.dropped
-	}
-	if since >= next {
-		return nil, next
-	}
-	all := r.Events()
-	return all[since-r.dropped:], next
-}
-
 // Events returns the buffered events oldest-first as a copy. Nil-safe.
 func (r *Recorder) Events() []Event {
 	if r == nil || len(r.buf) == 0 {

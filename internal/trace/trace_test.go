@@ -249,54 +249,3 @@ func TestFilterAndWithoutCat(t *testing.T) {
 		t.Fatal("Filter(nil) should be nil")
 	}
 }
-
-// TestEventsSince: the absolute-index cursor reads the stream exactly
-// once, incrementally, including across ring wrap (where the dropped gap
-// is skipped, not re-served).
-func TestEventsSince(t *testing.T) {
-	r := NewRecorder(4)
-	var got []Event
-	var cursor int64
-	emit := func(n int) {
-		for i := 0; i < n; i++ {
-			r.Emit(Event{Time: float64(len(got) + i), Cat: CatSim, Name: "e", Node: None, Agent: None})
-		}
-		var evs []Event
-		evs, cursor = r.EventsSince(cursor)
-		got = append(got, evs...)
-	}
-	emit(3) // no wrap yet
-	if cursor != 3 || len(got) != 3 {
-		t.Fatalf("after 3 events: cursor=%d, got %d events", cursor, len(got))
-	}
-	emit(2) // total 5 > cap 4: ring wrapped, but cursor already past the drop
-	if cursor != 5 || len(got) != 5 {
-		t.Fatalf("after 5 events: cursor=%d, got %d events", cursor, len(got))
-	}
-	for i, ev := range got {
-		if ev.Time != float64(i) {
-			t.Fatalf("event %d has Time %g: stream not contiguous", i, ev.Time)
-		}
-	}
-	// A stale cursor pointing into the dropped gap resumes at the oldest
-	// survivor instead of failing.
-	evs, next := r.EventsSince(0)
-	if len(evs) != 4 || next != 5 {
-		t.Fatalf("stale cursor: %d events, next=%d; want 4, 5", len(evs), next)
-	}
-	if evs[0].Time != 1 {
-		t.Fatalf("oldest survivor Time %g, want 1", evs[0].Time)
-	}
-	// Cursor at the frontier returns nothing; Total matches.
-	if evs, next := r.EventsSince(5); evs != nil || next != 5 {
-		t.Fatalf("frontier read returned %d events, next=%d", len(evs), next)
-	}
-	if r.Total() != 5 {
-		t.Fatalf("Total=%d, want 5", r.Total())
-	}
-	// Nil-safety.
-	var nilRec *Recorder
-	if evs, next := nilRec.EventsSince(0); evs != nil || next != 0 || nilRec.Total() != 0 {
-		t.Fatal("nil recorder EventsSince/Total not zero")
-	}
-}

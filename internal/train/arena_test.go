@@ -2,7 +2,6 @@ package train
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"nasgo/internal/data"
@@ -113,13 +112,8 @@ func TestShortFitArenaBitIdenticalConv(t *testing.T) {
 // TestShortTrainStepAllocs is the allocation-regression gate: a steady-state
 // Combo-scaled train step (candle dimensions, reward-estimation batch size)
 // must stay at (near-)zero heap allocations once the arena and batch buffer
-// are warm. GOMAXPROCS is pinned to 1 so the measurement covers the serial
-// kernels, not goroutine spawning in the parallel row bands (which only
-// engages off the 1-core reference host anyway).
+// are warm.
 func TestShortTrainStepAllocs(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-
 	// Combo at candle scale: cell 60, drug 120 descriptors, two drugs.
 	trainDS, _ := data.GenCombo(data.ComboConfig{Seed: 25, NTrain: 128, NVal: 16})
 	r := rng.New(26)

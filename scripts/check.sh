@@ -67,10 +67,10 @@ for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -short -count=1 -run 'TestShort|TestPool|FuzzScenario' \
         ./internal/search/ ./internal/evaluator/ ./internal/nasbench/ ./internal/rl/ ./internal/train/
 done
-# tensor and nn are in the race list for the destination-passing kernels:
-# their row-banded parallel paths (forced via GOMAXPROCS in the tests) are
-# the only data-parallel float loops in the repo. rl is arena-bearing code
-# on top of them: one arena per controller, never shared across goroutines.
+# tensor and nn are in the race list for the destination-passing kernels and
+# the arenas: kernels run on the caller's goroutine, and the evaluator pool
+# runs one model and one arena per goroutine. rl is arena-bearing code on top
+# of them: one arena per controller, never shared across goroutines.
 go test -race ./internal/hpc/ ./internal/balsam/ ./internal/rng/ ./internal/space/ \
     ./internal/ckpt/ ./internal/ps/ ./internal/optim/ ./internal/trace/ ./internal/analytics/ \
     ./internal/tensor/ ./internal/nn/ ./internal/rl/ ./internal/fsim/

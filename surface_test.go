@@ -17,7 +17,7 @@ import (
 // (balsam's MeanUtilization/Failed, ResetCache, Tensor.Rows/String) cannot be listed.
 var surfaceAllow = map[string]string{
 	// Interface-satisfying methods that no call site names.
-	"Unwrap": "errors.Unwrap", "MarshalJSON": "json.Marshaler", "UnmarshalJSON": "json.Unmarshaler",
+	"Unwrap":  "errors.Unwrap",
 	"ModTime": "fs.FileInfo", "Sys": "fs.FileInfo", "Type": "fs.DirEntry",
 	"Greedy":                     "rl golden_test.go fingerprints it into controller_golden.json",
 	"TrajectoryFromTrace":        "TestShortTraceViewsMatchLog's oracle: the trace carries what the log carries",
@@ -122,8 +122,21 @@ var timeFree = []string{"hpc", "balsam", "ps", "evaluator", "search", "rl", "spa
 // seconds are measured around these packages, by benchmark/, cmd/ and the
 // campaign service, and only ever reported.
 func TestTimeBase(t *testing.T) {
+	walkPkgs(t, timeFree, func(file string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"time"` {
+				t.Errorf("%s imports time: a package that decides results reads virtual seconds only", file)
+			}
+		}
+	})
+}
+
+// walkPkgs hands visit each non-test file of the named packages under
+// internal/, and fails for a name with no such file.
+func walkPkgs(t *testing.T, pkgs []string, visit func(file string, f *ast.File)) {
+	t.Helper()
 	seen := map[string]bool{}
-	for _, pkg := range timeFree {
+	for _, pkg := range pkgs {
 		seen["internal/"+pkg] = false
 	}
 	walkGo(t, false, func(file string, f *ast.File) {
@@ -132,17 +145,38 @@ func TestTimeBase(t *testing.T) {
 			return
 		}
 		seen[dir] = true
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"time"` {
-				t.Errorf("%s imports time: a package that decides results reads virtual seconds only", file)
-			}
-		}
+		visit(file, f)
 	})
 	for dir, ok := range seen {
 		if !ok {
-			t.Errorf("timeFree names %s, which has no non-test Go file", dir)
+			t.Errorf("%s has no non-test Go file", dir)
 		}
 	}
+}
+
+// serialKernels lists the packages under internal/ that train one network:
+// they run on the caller's goroutine. Host parallelism lives in exactly two
+// places, the evaluator's worker pool and nasbench's inOrder, each of which
+// runs whole trainings or whole searches at once; a fork inside a kernel would
+// nest a second level under them.
+var serialKernels = []string{"tensor", "nn", "optim", "train", "data", "rl"}
+
+// TestSerialKernels: no non-test file of a serialKernels package has a go
+// statement or imports sync or runtime.
+func TestSerialKernels(t *testing.T) {
+	walkPkgs(t, serialKernels, func(file string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync"` || imp.Path.Value == `"runtime"` {
+				t.Errorf("%s imports %s: kernels run on the caller's goroutine", file, imp.Path.Value)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if _, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s has a go statement: host parallelism lives in the evaluator pool and inOrder", file)
+			}
+			return true
+		})
+	})
 }
 
 // optionAllow maps each option field ("pkg.Type.Field") that no production
