@@ -270,6 +270,13 @@ func (p *NodePool) SetUp(i int) {
 	p.down--
 }
 
+// A killed job's first requeue delay, in virtual seconds; each further retry
+// doubles it, up to backoffCap.
+const (
+	backoffBase = 15
+	backoffCap  = 240
+)
+
 // Options configures the fault-tolerance behaviour of a Service.
 type Options struct {
 	// Faults injects node failures and stragglers; the zero value leaves
@@ -283,11 +290,6 @@ type Options struct {
 	// terminal FAILED (default 3; negative means no retries — the first
 	// kill is terminal).
 	MaxRetries int
-	// BackoffBase is the first requeue delay in virtual seconds
-	// (default 15); each further retry doubles it.
-	BackoffBase float64
-	// BackoffCap caps the exponential backoff (default 240).
-	BackoffCap float64
 	// NoUtilizationSeries disables retention of the per-transition
 	// utilization series (UtilizationSeries then returns nil); the busy/down
 	// integrals — and with them MeanUtilization — are unaffected. Million-
@@ -304,12 +306,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 3
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 15
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 240
 	}
 	return o
 }
@@ -589,9 +585,9 @@ func (s *Service) kill(job *Job) {
 		return
 	}
 	s.retries++
-	backoff := s.opts.BackoffBase * math.Pow(2, float64(job.Attempts-1))
-	if backoff > s.opts.BackoffCap {
-		backoff = s.opts.BackoffCap
+	backoff := backoffBase * math.Pow(2, float64(job.Attempts-1))
+	if backoff > backoffCap {
+		backoff = backoffCap
 	}
 	s.sim.Recorder().Emit(trace.Event{Cat: trace.CatBalsam, Name: trace.EvJobError,
 		Node: node, Agent: job.AgentID, Job: job.ID, Value: backoff})

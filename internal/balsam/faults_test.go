@@ -12,7 +12,7 @@ import (
 // RESTART_READY → RUNNING → JOB_FINISHED.
 func TestStateMachineTransitions(t *testing.T) {
 	sim := hpc.NewSim()
-	s := NewServiceWithOptions(sim, 1, Options{BackoffBase: 5})
+	s := NewServiceWithOptions(sim, 1, Options{})
 	var trace []JobState
 	job := &Job{Key: "x", Duration: 10}
 	sim.At(0, func() {
@@ -23,9 +23,9 @@ func TestStateMachineTransitions(t *testing.T) {
 	sim.At(1, func() { trace = append(trace, job.State) })  // RUNNING
 	sim.At(2, func() { s.nodeDown(0) })                     // kill mid-run
 	sim.At(3, func() { trace = append(trace, job.State) })  // RUN_ERROR (backoff)
-	sim.At(6, func() { s.nodeUp(0) })                       // repaired before requeue at 7
-	sim.At(8, func() { trace = append(trace, job.State) })  // RUNNING again
-	sim.At(20, func() { trace = append(trace, job.State) }) // JOB_FINISHED at 17
+	sim.At(6, func() { s.nodeUp(0) })                       // repaired before requeue at 17
+	sim.At(18, func() { trace = append(trace, job.State) }) // RUNNING again
+	sim.At(30, func() { trace = append(trace, job.State) }) // JOB_FINISHED at 27
 	sim.RunAll()
 	want := []JobState{StateRunning, StateRunning, StateRunError, StateRunning, StateFinished}
 	if len(trace) != len(want) {
@@ -48,24 +48,24 @@ func TestStateMachineTransitions(t *testing.T) {
 // job whose nodes are all down waits in RESTART_READY.
 func TestRestartReadyState(t *testing.T) {
 	sim := hpc.NewSim()
-	s := NewServiceWithOptions(sim, 1, Options{BackoffBase: 5})
+	s := NewServiceWithOptions(sim, 1, Options{})
 	job := &Job{Key: "x", Duration: 10}
 	sim.At(0, func() { s.Submit(job) })
 	sim.At(2, func() { s.nodeDown(0) })
-	// Backoff ends at 7 but the node is still down: RESTART_READY.
-	sim.At(8, func() {
+	// Backoff ends at 17 but the node is still down: RESTART_READY.
+	sim.At(18, func() {
 		if job.State != StateRestartReady {
 			t.Errorf("state %s, want %s", job.State, StateRestartReady)
 		}
 	})
-	sim.At(9, func() { s.nodeUp(0) })
+	sim.At(19, func() { s.nodeUp(0) })
 	sim.RunAll()
 	if job.State != StateFinished {
 		t.Fatalf("final state %s", job.State)
 	}
-	// Second run started at repair time 9, duration 10.
-	if job.EndTime != 19 {
-		t.Fatalf("end time %g, want 19", job.EndTime)
+	// Second run started at repair time 19, duration 10.
+	if job.EndTime != 29 {
+		t.Fatalf("end time %g, want 29", job.EndTime)
 	}
 }
 
@@ -73,18 +73,15 @@ func TestRestartReadyState(t *testing.T) {
 // FAILED after MaxRetries requeues and fire OnDone exactly once.
 func TestTerminalFailedAfterMaxRetries(t *testing.T) {
 	sim := hpc.NewSim()
-	s := NewServiceWithOptions(sim, 1, Options{MaxRetries: 2, BackoffBase: 1, BackoffCap: 1})
+	s := NewServiceWithOptions(sim, 1, Options{MaxRetries: 2})
 	done := 0
 	job := &Job{Key: "doomed", Duration: 100, OnDone: func(*Job) { done++ }}
 	sim.At(0, func() { s.Submit(job) })
-	// Kill the node shortly after every (re)start: starts at 0, then the
-	// node comes back and the retry starts; kill again, etc.
-	kill := func() { s.nodeDown(0) }
-	heal := func() { s.nodeUp(0) }
-	for i := 0; i < 4; i++ {
-		off := float64(i * 10)
-		sim.At(off+2, kill)
-		sim.At(off+5, heal)
+	// Kill the node 2 s after every (re)start and heal it 3 s later: starts
+	// at 0, 17 (backoff 15) and 49 (backoff 30), kills at 2, 19 and 51.
+	for _, start := range []float64{0, 17, 49} {
+		sim.At(start+2, func() { s.nodeDown(0) })
+		sim.At(start+5, func() { s.nodeUp(0) })
 	}
 	sim.RunAll()
 	if job.State != StateFailed {
@@ -106,18 +103,18 @@ func TestTerminalFailedAfterMaxRetries(t *testing.T) {
 // not finish the job's retry early.
 func TestStaleCompletionIgnored(t *testing.T) {
 	sim := hpc.NewSim()
-	s := NewServiceWithOptions(sim, 2, Options{BackoffBase: 1})
-	job := &Job{Key: "x", Duration: 10}
+	s := NewServiceWithOptions(sim, 2, Options{})
+	job := &Job{Key: "x", Duration: 30}
 	sim.At(0, func() { s.Submit(job) })
 	sim.At(4, func() { s.nodeDown(0) }) // kill attempt 1; retry lands on node 1
 	sim.RunAll()
 	if job.State != StateFinished {
 		t.Fatalf("state %s", job.State)
 	}
-	// Attempt 2 starts at 5 (backoff 1) on node 1 and runs the full 10 s;
-	// the stale completion at t=10 must not have ended it.
-	if job.EndTime != 15 {
-		t.Fatalf("end time %g, want 15", job.EndTime)
+	// Attempt 2 starts at 19 (backoff 15) on node 1 and runs the full 30 s;
+	// the stale completion at t=30 must not have ended it.
+	if job.EndTime != 49 {
+		t.Fatalf("end time %g, want 49", job.EndTime)
 	}
 	if s.Finished() != 1 {
 		t.Fatalf("finished %d, want 1", s.Finished())

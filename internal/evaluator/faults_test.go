@@ -75,7 +75,7 @@ func TestRetrySucceedsAfterNodeFailure(t *testing.T) {
 	evRef.Submit(0, denseChoices(spRef), func(r *Result) { ref = r })
 	simRef.RunAll()
 
-	sim, service, ev, sp := faultSetup(t, 1, balsam.Options{BackoffBase: 15}, Config{Seed: 32})
+	sim, service, ev, sp := faultSetup(t, 1, balsam.Options{}, Config{Seed: 32})
 	var res *Result
 	ev.Submit(0, denseChoices(sp), func(r *Result) { res = r })
 	sim.At(1, func() { service.FailNode(0) })
@@ -106,7 +106,7 @@ func TestRetrySucceedsAfterNodeFailure(t *testing.T) {
 // terminal FAILED; the result must be Failed with zero reward, and a later
 // resubmission must run fresh (no cache hit) and succeed.
 func TestFailedEstimationNotCached(t *testing.T) {
-	sim, service, ev, sp := faultSetup(t, 1, balsam.Options{MaxRetries: 1, BackoffBase: 15}, Config{Seed: 33})
+	sim, service, ev, sp := faultSetup(t, 1, balsam.Options{MaxRetries: 1}, Config{Seed: 33})
 	choices := denseChoices(sp)
 	var failed, fresh *Result
 	ev.Submit(0, choices, func(r *Result) {

@@ -43,7 +43,7 @@ type SimbenchRow struct {
 }
 
 // SimbenchResult is the simulator-core throughput experiment (DESIGN.md
-// §14): millions of schedule→dispatch→complete cycles at Theta-like node
+// §7): millions of schedule→dispatch→complete cycles at Theta-like node
 // counts, measuring events/sec and bytes/event on the host. Unlike every
 // other experiment here it benchmarks the machinery itself, not the search;
 // wall-clock timing is pure measurement and never feeds the virtual

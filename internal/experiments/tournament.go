@@ -27,11 +27,11 @@ type TournamentResult struct {
 	// table's global optimum the Oracle column counts hits on.
 	Seeds, Runs  int
 	OracleReward float64
-	// TableSize is the tabulated sub-space cardinality; TableTrained how
-	// many architectures this invocation actually trained (0 on a warm
-	// artifact); Digest the tournament determinism digest.
-	TableSize, TableTrained int
-	Digest                  string
+	// TableSize is the tabulated sub-space cardinality; Digest the
+	// tournament determinism digest. Neither depends on whether this
+	// invocation built the table or found it, so the report is a pin.
+	TableSize int
+	Digest    string
 }
 
 // tournamentSeeds maps a scale preset to the common seed-set size:
@@ -46,7 +46,7 @@ func tournamentSeeds(sc Scale) int { return 200 * sc.Replications }
 func Tournament(sc Scale) *TournamentResult {
 	bench := candle.NewCombo(candle.Config{Seed: sc.Seed})
 	sp := nasbench.ComboMicro()
-	tbl, rep, err := nasbench.BuildOrLoad(nasbench.BuildConfig{
+	tbl, _, err := nasbench.BuildOrLoad(nasbench.BuildConfig{
 		Bench: bench,
 		Space: sp,
 		Eval:  evaluator.Config{BenchSeed: sc.Seed},
@@ -73,7 +73,6 @@ func Tournament(sc Scale) *TournamentResult {
 		Runs:         len(tour.Runs),
 		OracleReward: oracle,
 		TableSize:    tbl.Meta.Size,
-		TableTrained: rep.Trained,
 		Digest:       tour.Digest,
 	}
 }
@@ -99,7 +98,6 @@ func (r *TournamentResult) Render() string {
 	b.WriteString(report.Table(
 		[]string{"strategy", "min", "p25", "median", "p75", "max", "mean", "wins", "oracle", "conv", "evals"},
 		rows))
-	fmt.Fprintf(&b, "runs: %d; table architectures trained this invocation: %d; digest: %s\n",
-		r.Runs, r.TableTrained, r.Digest)
+	fmt.Fprintf(&b, "runs: %d; digest: %s\n", r.Runs, r.Digest)
 	return b.String()
 }

@@ -88,8 +88,9 @@ type (
 	// walltime boundary; AllocateSearch continues it bit-for-bit.
 	SearchCheckpoint = search.Checkpoint
 	// TraceRecorder records structured, virtual-clock-keyed events from
-	// every layer of the simulated machine (attach with the *Traced run
-	// variants); internal/trace exports JSONL and Chrome trace_event forms.
+	// every layer of the simulated machine (attach one through
+	// AllocateSearch); internal/trace exports JSONL and Chrome trace_event
+	// forms.
 	TraceRecorder = trace.Recorder
 	// TraceEvent is one recorded event.
 	TraceEvent = trace.Event
@@ -113,23 +114,16 @@ func RunSearch(bench *Benchmark, sp *Space, cfg SearchConfig) *SearchLog {
 	return search.Run(bench, sp, cfg)
 }
 
-// NewTraceRecorder creates a trace recorder for the *Traced run variants.
+// NewTraceRecorder creates a trace recorder for AllocateSearch.
 // capacity is the event ring-buffer size; 0 selects the default (2¹⁸).
 func NewTraceRecorder(capacity int) *TraceRecorder { return trace.NewRecorder(capacity) }
-
-// RunSearchTraced is RunSearch with a trace recorder attached to the
-// simulated machine. A nil recorder reproduces RunSearch bit-for-bit; a
-// non-nil one records the run's complete event stream without perturbing
-// it.
-func RunSearchTraced(bench *Benchmark, sp *Space, cfg SearchConfig, rec *TraceRecorder) (*SearchLog, error) {
-	return search.RunTraced(bench, sp, cfg, rec)
-}
 
 // LoadSearchLog reads a log saved with SearchLog.WriteJSONFS.
 func LoadSearchLog(path string) (*SearchLog, error) { return search.LoadLogFS(fsim.OS, path) }
 
 // AllocateSearch runs one walltime allocation of a search with a trace
-// recorder attached (rec may be nil): ck == nil starts from cfg, ck != nil
+// recorder attached (rec may be nil; a live one records the run's event
+// stream without perturbing it): ck == nil starts from cfg, ck != nil
 // continues the checkpoint under its own configuration. It returns the final
 // log when the search completed inside the allocation, or a partial log plus
 // a checkpoint to hand back — in this process or, via

@@ -42,11 +42,14 @@ go test -short ./...
 # nas-bench's loop, end to end: the torture experiment (~15 s) panics on any
 # violated durability invariant, the restart experiment (~25 s) walks search
 # checkpoints across walltime cuts and so rides on the simulator's event
-# order; both must reproduce their committed reports (they are
-# wall-clock-free), and an unknown id must fail naming a real one.
+# order, the tournament replays 2,400 searches from the reward table (cold or
+# warm), and the ablations, multiobjective and fig13 (~3 min together) are
+# the cheap paper experiments. Each must reproduce its committed report
+# (they are wall-clock-free), and an unknown id must fail naming a real one.
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
-for exp in torture restart; do
+for exp in torture restart tournament ablation-clip ablation-cache ablation-mirror \
+    ablation-staleness ablation-evolution multiobjective fig13; do
     go run ./cmd/nas-bench -exp $exp -scale quick -out "$smoke" >/dev/null
     cmp "$smoke/$exp.txt" "bench_results/$exp.txt"
 done

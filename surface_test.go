@@ -179,6 +179,79 @@ func TestSerialKernels(t *testing.T) {
 	})
 }
 
+// strictMathAllow counts, per non-test file of a timeFree package, today's
+// calls of the math functions whose bits depend on the host: on amd64 math.Exp
+// takes a fused path when the CPU has AVX and FMA, Tanh calls Exp, and on arm64
+// Exp is assembly and the pure-Go Log, Sin and Cos fuse (ROADMAP item 1). The
+// list only shrinks: a strict package will replace these calls.
+var strictMathAllow = map[string]int{
+	"internal/data/generators.go math.Cos":       3,
+	"internal/data/generators.go math.Exp":       1,
+	"internal/data/generators.go math.Sin":       1,
+	"internal/data/generators.go math.Tanh":      5,
+	"internal/evaluator/evaluator.go math.Log10": 2,
+	"internal/nn/loss.go math.Log":               1,
+	"internal/nn/lstm.go math.Exp":               1,
+	"internal/nn/lstm.go math.Tanh":              2,
+	"internal/rl/controller.go math.Exp":         1,
+	"internal/rl/controller.go math.Log":         4,
+	"internal/rng/rng.go math.Log":               2,
+	"internal/tensor/fused.go math.Exp":          2,
+	"internal/tensor/fused.go math.Tanh":         2,
+	"internal/tensor/ops.go math.Exp":            1,
+}
+
+// TestStrictMath: each non-test file of a timeFree package calls math.Exp,
+// Tanh, Log, Log10, Sin and Cos exactly as often as strictMathAllow says, so a
+// new call fails and a removed one must lower its entry. math.Pow is allowed
+// only with its exponent written as an integer literal or a float64(...)
+// conversion, the form an integer power takes (Adam's bias correction,
+// balsam's backoff). Sqrt, Abs, Max, Floor and Ceil are exact and not counted.
+func TestStrictMath(t *testing.T) {
+	counted := map[string]bool{"Exp": true, "Tanh": true, "Log": true, "Log10": true, "Sin": true, "Cos": true}
+	calls := map[string]int{}
+	walkPkgs(t, timeFree, func(file string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "math" {
+				return true
+			}
+			if counted[sel.Sel.Name] {
+				calls[file+" math."+sel.Sel.Name]++
+			}
+			if sel.Sel.Name == "Pow" {
+				integer := false
+				switch e := call.Args[1].(type) {
+				case *ast.BasicLit:
+					integer = e.Kind == token.INT
+				case *ast.CallExpr:
+					id, ok := e.Fun.(*ast.Ident)
+					integer = ok && id.Name == "float64"
+				}
+				if !integer {
+					t.Errorf("%s: math.Pow with an exponent that is not an integer", file)
+				}
+			}
+			return true
+		})
+	})
+	for key := range strictMathAllow {
+		calls[key] += 0
+	}
+	for key, n := range calls {
+		if n != strictMathAllow[key] {
+			t.Errorf("%s: %d calls, strictMathAllow lists %d: a result-deciding package calls host-dependent math only where it already did", key, n, strictMathAllow[key])
+		}
+	}
+}
+
 // optionAllow maps each option field ("pkg.Type.Field") that no production
 // file sets to the reason it stays.
 var optionAllow = map[string]string{
@@ -192,12 +265,20 @@ var optionAllow = map[string]string{
 	"search.Config.UpdateCost":     "ROADMAP item 6 re-pin window",
 	"search.Config.EvoPopulation":  "ROADMAP item 6 re-pin window",
 	"search.Config.ConvergeRounds": "ROADMAP item 6 re-pin window",
+	"search.Config.MaxRetries":     "ROADMAP item 6 re-pin window",
+	"rl.Config.Epochs":             "ROADMAP item 6 re-pin window",
+	"rl.Config.Hidden":             "ROADMAP item 6 re-pin window",
+	"evaluator.Config.NoArena":     "ROADMAP item 6 re-pin window",
 	// Test seams.
 	"nasbench.BuildConfig.MaxTrain":     "kill/resume tests bound a build session",
 	"nasbench.TournamentConfig.MaxRuns": "kill/resume tests bound a tournament session",
 	"data.ComboConfig.CellDim":          "unit tests generate small datasets",
 	"data.ComboConfig.DrugDim":          "unit tests generate small datasets",
 	"data.NT3Config.InputDim":           "unit tests generate small datasets",
+	"data.NT3Config.NTrain":             "unit tests generate small datasets",
+	"data.NT3Config.NVal":               "unit tests generate small datasets",
+	"data.UnoConfig.NTrain":             "unit tests generate small datasets",
+	"data.UnoConfig.NVal":               "unit tests generate small datasets",
 	"fsim.Faults.ShortWriteProb":        "fsim.FaultFS is a library driven by tests; fsim's own tests script torn writes",
 	"fsim.Faults.WriteErrProb":          "fsim.FaultFS is a library driven by tests; fsim's own tests script random EIO",
 	"fsim.Faults.WriteErrEvery":         "fsim.FaultFS is a library driven by tests; ckpt and nasbench transient-I/O tests script EIO",
@@ -208,21 +289,64 @@ var optionAllow = map[string]string{
 var optionType = regexp.MustCompile(`(Config|Options)$|^Faults$|^Scale$`)
 
 // TestOptions: every exported field of a struct type under internal/ named
-// *Config, *Options, Faults or Scale must be assigned — composite-literal key
-// or `x.F =` — in some non-test file of the module outside examples/ and
-// outside a withDefaults function, or be in optionAllow; no optionAllow entry may be set or gone. An
-// option only its default sets is a constant. Matching by bare field name
-// under-reports exactly as TestSurface does — a dead Logf hides behind any
-// live Logf — so this is a ratchet against regrowth, not a type-checked pass.
+// *Config, *Options, Faults or Scale must be set in some non-test file of the
+// module outside examples/ and outside a withDefaults function, or be in
+// optionAllow; no optionAllow entry may be set or gone. An option only its
+// default sets is a constant. A composite-literal key sets the field of the
+// literal's type — pkg.Type as written, a bare Type in its own package, the
+// element type a slice, array or map literal lets a nested literal leave out
+// — with type aliases (nasgo.go's) resolved, so a field of the same name in
+// another option type keeps no dead field alive. An assignment `x.F =` names no
+// type without a type checker and sets every option field named F: that half
+// still under-reports, a ratchet against regrowth, not a type-checked pass.
 func TestOptions(t *testing.T) {
-	declared, set := map[string]string{}, map[string]bool{} // "pkg.Type.Field" → field name; field name → set
+	declared := map[string]string{} // "pkg.Type.Field" → field name
+	var keys []string               // "pkg.Type.Field" of each literal key, type as written
+	assigned := map[string]bool{}   // field names set by x.F =
+	aliases := map[string]string{}  // "pkg.Alias" → "pkg.Type"
 	walkGo(t, false, func(path string, f *ast.File) {
 		internal := strings.HasPrefix(path, "internal/")
+		imports := map[string]string{} // name in this file → package name
+		for _, imp := range f.Imports {
+			pkg := strings.Trim(imp.Path.Value, `"`)
+			pkg = pkg[strings.LastIndex(pkg, "/")+1:]
+			name := pkg
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = pkg
+		}
+		typeName := func(e ast.Expr) string {
+			if star, ok := e.(*ast.StarExpr); ok {
+				e = star.X
+			}
+			switch e := e.(type) {
+			case *ast.Ident:
+				return f.Name.Name + "." + e.Name
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					return imports[x.Name] + "." + e.Sel.Name
+				}
+			}
+			return ""
+		}
+		elided := map[*ast.CompositeLit]ast.Expr{} // a literal that leaves its type out → that type
+		elide := func(e, typ ast.Expr) {
+			if u, ok := e.(*ast.UnaryExpr); ok {
+				e = u.X
+			}
+			if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil && typ != nil {
+				elided[lit] = typ
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				return !strings.EqualFold(n.Name.Name, "withDefaults")
 			case *ast.TypeSpec:
+				if n.Assign.IsValid() {
+					aliases[f.Name.Name+"."+n.Name.Name] = typeName(n.Type)
+				}
 				st, ok := n.Type.(*ast.StructType)
 				if !ok || !internal || !optionType.MatchString(n.Name.Name) {
 					break
@@ -234,28 +358,55 @@ func TestOptions(t *testing.T) {
 						}
 					}
 				}
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
-					set[id.Name] = true
+			case *ast.CompositeLit:
+				typ := n.Type
+				if typ == nil {
+					typ = elided[n]
+				}
+				var keyType, elemType ast.Expr
+				switch tt := typ.(type) {
+				case *ast.ArrayType:
+					elemType = tt.Elt
+				case *ast.MapType:
+					keyType, elemType = tt.Key, tt.Value
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok && elemType == nil {
+							keys = append(keys, typeName(typ)+"."+id.Name)
+						}
+						elide(kv.Key, keyType)
+						el = kv.Value
+					}
+					elide(el, elemType)
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						set[sel.Sel.Name] = true
+						assigned[sel.Sel.Name] = true
 					}
 				}
 			}
 			return true
 		})
 	})
+	keyed := map[string]bool{}
+	for _, key := range keys {
+		i := strings.LastIndex(key, ".")
+		typ := key[:i]
+		for aliases[typ] != "" {
+			typ = aliases[typ]
+		}
+		keyed[typ+key[i:]] = true
+	}
 	for key, field := range declared {
-		if _, ok := optionAllow[key]; !set[field] && !ok {
+		if _, ok := optionAllow[key]; !keyed[key] && !assigned[field] && !ok {
 			t.Errorf("option %s is set by no production file: make it a constant, or add it to optionAllow with a reason", key)
 		}
 	}
 	for key := range optionAllow {
-		if field, ok := declared[key]; !ok || set[field] {
-			t.Errorf("optionAllow[%q] is stale: declared=%v set=%v", key, ok, set[field])
+		if field, ok := declared[key]; !ok || keyed[key] || assigned[field] {
+			t.Errorf("optionAllow[%q] is stale: declared=%v set=%v", key, ok, keyed[key] || assigned[field])
 		}
 	}
 }
