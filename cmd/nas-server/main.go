@@ -40,7 +40,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		store      = flag.String("store", "nas-campaigns", "campaign store directory (crash-consistent; reuse it across restarts)")
-		maxBody    = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default 64 KiB)")
 		reqTimeout = flag.Duration("req-timeout", 30*time.Second, "per-request timeout")
 		drainWait  = flag.Duration("drain-timeout", 2*time.Minute, "graceful-drain budget on SIGINT/SIGTERM before forcing exit")
 	)
@@ -58,7 +57,6 @@ func main() {
 	srv := &http.Server{
 		Addr: *addr,
 		Handler: campaign.NewServer(mgr, campaign.ServerOptions{
-			MaxBodyBytes:   *maxBody,
 			RequestTimeout: *reqTimeout,
 		}).Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

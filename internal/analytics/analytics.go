@@ -160,11 +160,14 @@ type Summary struct {
 	TimedOut    int
 }
 
-// Summarize computes aggregate statistics over a result trace.
+// Summarize computes aggregate statistics over a result trace. BestReward
+// and MeanReward are over the results that did not fail (a failed
+// evaluation's reward of 0 is no reward), NaN when none succeeded.
 func Summarize(results []*evaluator.Result) Summary {
 	s := Summary{BestReward: math.Inf(-1)}
 	seen := map[string]bool{}
 	var sum float64
+	succeeded := 0
 	for _, r := range results {
 		if r.Cached {
 			s.CacheHits++
@@ -175,14 +178,18 @@ func Summarize(results []*evaluator.Result) Summary {
 			s.TimedOut++
 		}
 		seen[r.Key] = true
+		if r.Failed {
+			continue
+		}
+		succeeded++
 		sum += r.Reward
 		if r.Reward > s.BestReward {
 			s.BestReward = r.Reward
 		}
 	}
 	s.UniqueArchs = len(seen)
-	if len(results) > 0 {
-		s.MeanReward = sum / float64(len(results))
+	if succeeded > 0 {
+		s.MeanReward = sum / float64(succeeded)
 	} else {
 		s.BestReward = math.NaN()
 		s.MeanReward = math.NaN()

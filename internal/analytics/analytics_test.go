@@ -173,6 +173,17 @@ func TestSummarize(t *testing.T) {
 	if math.Abs(s.MeanReward-0.4) > 1e-12 {
 		t.Fatalf("mean = %g", s.MeanReward)
 	}
+
+	// A failed evaluation's reward of 0 is neither a best-reward candidate
+	// nor part of the mean: the best is the one success, as Log.TopK(1)
+	// says. With no success both are NaN.
+	failed := []*evaluator.Result{{Key: "a", Reward: -0.3, FinishTime: 1}, {Key: "b", Failed: true, FinishTime: 2}}
+	if s := Summarize(failed); s.BestReward != -0.3 || s.MeanReward != -0.3 || s.Evaluations != 2 || s.UniqueArchs != 2 {
+		t.Fatalf("summary with a failed evaluation = %+v", s)
+	}
+	if s := Summarize(failed[1:]); !math.IsNaN(s.BestReward) || !math.IsNaN(s.MeanReward) {
+		t.Fatalf("summary with no success = %+v", s)
+	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {

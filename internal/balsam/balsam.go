@@ -75,9 +75,6 @@ type Job struct {
 
 	SubmitTime, StartTime, EndTime float64
 
-	// Payload carries the evaluator's result through the queue; balsam
-	// treats it as opaque.
-	Payload interface{}
 	// OnDone fires when the job reaches a terminal state (JOB_FINISHED,
 	// RUN_TIMEOUT, or FAILED).
 	OnDone func(*Job)
@@ -742,8 +739,8 @@ func SeriesFromPoints(points []UtilizationPoint, nodes int, bucket, now float64)
 // services only know live (non-terminal) jobs.
 func (s *Service) Job(id int64) *Job { return s.jobs[id] }
 
-// JobRecord is one live job in a checkpoint. Payload and OnDone are not
-// serialized; the evaluator re-links them after restore via Relink.
+// JobRecord is one live job in a checkpoint. OnDone is not serialized; the
+// evaluator re-links it after restore via Relink.
 type JobRecord struct {
 	ID       int64
 	AgentID  int
@@ -875,8 +872,8 @@ func (s *Service) CaptureState() *State {
 // every pending simulator event the service owned (job completions, requeue
 // backoffs, stale completions, fault injections), not yet enqueued; the
 // caller merges them with other components' frontiers and hands them to
-// hpc.Sim.Resume. Payload/OnDone of restored jobs are nil until the
-// evaluator re-links them.
+// hpc.Sim.Resume. OnDone of restored jobs is nil until the evaluator
+// re-links it.
 func RestoreService(sim *hpc.Sim, nodes int, opts Options, st *State) (*Service, []hpc.Event) {
 	s := newService(sim, nodes, opts)
 	s.nextID = st.NextID

@@ -15,18 +15,12 @@ import (
 
 // ServerOptions tunes the HTTP edge. The zero value selects the defaults.
 type ServerOptions struct {
-	// MaxBodyBytes caps request bodies (default MaxSpecBytes). Oversized
-	// submissions get 413 before any decoding.
-	MaxBodyBytes int64
 	// RequestTimeout bounds every non-streaming request (default 30s);
 	// a stuck handler returns 503 instead of holding the connection.
 	RequestTimeout time.Duration
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = MaxSpecBytes
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
 	}
@@ -76,7 +70,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.mgr.Health())
 	})
 	// TimeoutHandler buffers responses, which is fine here: every payload
-	// is bounded (specs by MaxBodyBytes, traces by traceKeep and
+	// is bounded (specs by MaxSpecBytes, traces by traceKeep and
 	// the ?since cursor), so handlers cannot stream unboundedly anyway.
 	return http.TimeoutHandler(mux, s.opts.RequestTimeout,
 		`{"error":"request timed out"}`)
@@ -114,15 +108,17 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// handleSubmit caps the body at MaxSpecBytes: an oversized submission gets
+// 413 before any decoding.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxSpecBytes)
 	spec, err := DecodeSpec(r.Body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		switch {
 		case errors.As(err, &tooLarge):
 			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", s.opts.MaxBodyBytes)})
+				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", MaxSpecBytes)})
 		case isSyntax(err):
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		default:

@@ -51,7 +51,7 @@ func httpDo(t *testing.T, method, url string, body []byte) (int, []byte, http.He
 // JSON, oversized bodies, strict-decoder violations, unknown IDs, and bad
 // cursors all produce structured errors without touching the manager.
 func TestServerRejectsBadRequests(t *testing.T) {
-	srv, mgr := newTestServer(t, fastOpts(t), ServerOptions{MaxBodyBytes: 512})
+	srv, mgr := newTestServer(t, fastOpts(t), ServerOptions{})
 
 	cases := []struct {
 		label  string
@@ -62,7 +62,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}{
 		{"not json", "POST", "/campaigns", `this is not json`, http.StatusBadRequest},
 		{"truncated json", "POST", "/campaigns", `{"bench":"Combo"`, http.StatusBadRequest},
-		{"oversized body", "POST", "/campaigns", `{"name":"` + strings.Repeat("x", 600) + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized body", "POST", "/campaigns", `{"name":"` + strings.Repeat("x", MaxSpecBytes) + `"}`, http.StatusRequestEntityTooLarge},
 		{"unknown field", "POST", "/campaigns", `{"bench":"Combo","horizon":400,"bogus":1}`, http.StatusUnprocessableEntity},
 		{"invalid spec", "POST", "/campaigns", `{"bench":"Combo","horizon":-4}`, http.StatusUnprocessableEntity},
 		{"empty body", "POST", "/campaigns", ``, http.StatusUnprocessableEntity},

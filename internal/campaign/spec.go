@@ -39,10 +39,12 @@ import (
 	"nasgo/internal/space"
 )
 
-// Spec is a client-submitted campaign description. The zero value of every
-// optional field selects the same documented default as the corresponding
-// nas-search flag, so a spec and a CLI invocation with equal settings run
-// byte-identical searches.
+// Spec is a client-submitted campaign description. The zero value of an
+// optional field selects the default documented on it, which is the search
+// library's, not always nas-search's flag default: agents 21 (flag 8),
+// workers 11 (flag 5), seed 0 (flag 42), walltime Horizon/4 (flag: one
+// whole run). A spec and a nas-search invocation that set the same values,
+// walltime included, run byte-identical searches.
 type Spec struct {
 	// Name is an optional human label shown in listings.
 	Name string `json:"name,omitempty"`

@@ -251,18 +251,18 @@ func (s *Store) LoadCheckpoint(id string) (*search.Checkpoint, bool, error) {
 
 // SaveLog persists a completed campaign's final search log.
 func (s *Store) SaveLog(id string, log *search.Log) error {
-	return log.WriteJSONFS(s.fsys, filepath.Join(s.root, id, logFile))
+	return log.WriteJSONFS(s.fsys, s.logPath(id))
 }
 
-// LogPath returns the path of the campaign's final log file.
-func (s *Store) LogPath(id string) string {
+// logPath returns the path of the campaign's final log file.
+func (s *Store) logPath(id string) string {
 	return filepath.Join(s.root, id, logFile)
 }
 
 // LoadLog loads a completed campaign's final log; ok is false when the
 // campaign has not completed.
 func (s *Store) LoadLog(id string) (*search.Log, bool, error) {
-	path := s.LogPath(id)
+	path := s.logPath(id)
 	if _, err := s.fsys.Stat(path); errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
 	}

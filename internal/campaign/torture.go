@@ -46,15 +46,6 @@ import (
 // tortureStoreDir is the store root on the torture harness's MemFS.
 const tortureStoreDir = "/campaigns"
 
-// TortureOptions configures a crash-point enumeration.
-type TortureOptions struct {
-	// Opts are the supervisor options for the recording run and every
-	// resume; FS is overridden per run. Use short backoffs.
-	Opts Options
-	// Lies additionally enumerates every crash point in fsync-lie mode.
-	Lies bool
-}
-
 // TortureReport summarizes an enumeration that held all invariants.
 type TortureReport struct {
 	// TapeLen is the recorded operation count; CrashPoints the enumerated
@@ -68,7 +59,8 @@ type TortureReport struct {
 	// EmptyStores counts crash points before the campaign's meta became
 	// durable — the submission was never acknowledged, so nothing resumes.
 	EmptyStores int `json:"emptyStores"`
-	// Lie-mode tallies (zero unless TortureOptions.Lies).
+	// Lie-mode tallies: the same crash points with fsyncs acknowledged
+	// but dropped.
 	LieCrashPoints int `json:"lieCrashPoints"`
 	// LieUnreadable counts lie-mode images with dropped pages detected and
 	// rejected (quarantined meta or FAILED-parked checkpoint).
@@ -85,10 +77,12 @@ type resumeOutcome struct {
 }
 
 // TortureCampaign records spec's campaign once, then enumerates a power
-// cut at every mutating filesystem operation, verifying recovery and
-// resume byte-identity at each. It returns a report on success and the
-// first violated invariant as an error.
-func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
+// cut at every mutating filesystem operation, honest and fsync-lying,
+// verifying recovery and resume byte-identity at each. opts are the
+// supervisor options of the recording run and of every resume (FS is
+// overridden per run; use short backoffs). It returns a report on success
+// and the first violated invariant as an error.
+func TortureCampaign(spec Spec, opts Options) (*TortureReport, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,7 +90,7 @@ func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
 	// 1. Record the uninterrupted campaign.
 	mem := fsim.NewMemFS()
 	rec := fsim.NewRecordFS(mem)
-	recOpts := topt.Opts
+	recOpts := opts
 	recOpts.FS = rec
 	mgr, quarantined, err := NewManager(tortureStoreDir, recOpts)
 	if err != nil {
@@ -136,9 +130,6 @@ func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
 	// sweep (fsyncs acknowledged, pages dropped at the cut) only that damage
 	// is detected and that whatever resumes is still byte-identical.
 	for _, lies := range []bool{false, true} {
-		if lies && !topt.Lies {
-			break
-		}
 		for k := int64(1); k <= total; k++ {
 			img, err := fsim.CrashImageAt(tape, k, lies)
 			if err != nil {
@@ -148,7 +139,7 @@ func TortureCampaign(spec Spec, topt TortureOptions) (*TortureReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("campaign: crash point %d (lies=%v): %w", k, lies, err)
 			}
-			out, err := resumeMemo(memo, img, id, topt, rep)
+			out, err := resumeMemo(memo, img, id, opts, rep)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: crash point %d (lies=%v): %w", k, lies, err)
 			}
@@ -257,13 +248,13 @@ func verifyImage(img *fsim.MemFS, versions map[string][][]byte, lies bool) (unre
 // states restart identically, so only the first of each digest pays for
 // real training. The digest is taken after the store janitor ran (inside
 // verifyImage's OpenStoreFS), merging images that differ only in temp debris.
-func resumeMemo(memo map[string]*resumeOutcome, img *fsim.MemFS, id string, topt TortureOptions, rep *TortureReport) (*resumeOutcome, error) {
+func resumeMemo(memo map[string]*resumeOutcome, img *fsim.MemFS, id string, opts Options, rep *TortureReport) (*resumeOutcome, error) {
 	d := img.TreeDigest(tortureStoreDir)
 	if out, ok := memo[d]; ok {
 		return out, nil
 	}
 	rep.DistinctImages++
-	out, err := tortureResume(img, id, topt)
+	out, err := tortureResume(img, id, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -276,8 +267,7 @@ func resumeMemo(memo map[string]*resumeOutcome, img *fsim.MemFS, id string, topt
 
 // tortureResume restarts the campaign service on the surviving image and
 // runs every recorded campaign to quiescence.
-func tortureResume(img *fsim.MemFS, id string, topt TortureOptions) (*resumeOutcome, error) {
-	opts := topt.Opts
+func tortureResume(img *fsim.MemFS, id string, opts Options) (*resumeOutcome, error) {
 	opts.FS = img
 	mgr, _, err := NewManager(tortureStoreDir, opts)
 	if err != nil {

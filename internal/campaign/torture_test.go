@@ -53,10 +53,7 @@ func runCampaignToDone(t *testing.T, fsys fsim.FS, dir string, spec Spec) (logRa
 // uninterrupted run. TortureCampaign returns an error on the first
 // violated invariant; the assertions below only sanity-check coverage.
 func TestShortTortureCrashEnumeration(t *testing.T) {
-	rep, err := TortureCampaign(testSpec(), TortureOptions{
-		Opts: fastOpts(t),
-		Lies: true,
-	})
+	rep, err := TortureCampaign(testSpec(), fastOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}

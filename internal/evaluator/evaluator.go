@@ -381,7 +381,6 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		Key:      key,
 		Duration: plan.Duration,
 		TimedOut: plan.TimedOut,
-		Payload:  res,
 		OnDone:   e.jobOnDone(res, cacheID, onDone),
 	})
 	e.inflight[id] = rec
@@ -687,7 +686,7 @@ func Restore(sim *hpc.Sim, service *balsam.Service, bench *candle.Benchmark, sp 
 	return e
 }
 
-// Relink re-attaches the payload and completion callback of one restored
+// Relink re-attaches the completion callback of one restored
 // in-flight job. The owner must call it for every in-flight job before
 // resuming the simulation; InflightCount reports how many there are.
 func (e *Evaluator) Relink(jobID int64, onDone func(*Result)) {
@@ -699,7 +698,6 @@ func (e *Evaluator) Relink(jobID int64, onDone func(*Result)) {
 	if job == nil {
 		panic(fmt.Sprintf("evaluator: in-flight job %d missing from restored service", jobID))
 	}
-	job.Payload = rec.res
 	job.OnDone = e.jobOnDone(rec.res, rec.cacheID, onDone)
 }
 

@@ -99,13 +99,6 @@ var (
 	runCache = map[string]*search.Log{}
 )
 
-// ResetCache drops all memoized runs (tests use it for isolation).
-func ResetCache() {
-	runMu.Lock()
-	defer runMu.Unlock()
-	runCache = map[string]*search.Log{}
-}
-
 // runSearch executes (or recalls) one search run.
 func runSearch(benchName, spaceSize, strategy string, sc Scale, agents, workers int, fidelity float64, seed uint64) *search.Log {
 	key := fmt.Sprintf("%s|%s|%s|a%d|w%d|h%g|f%g|s%d",

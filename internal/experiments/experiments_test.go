@@ -42,7 +42,9 @@ func TestScaleByName(t *testing.T) {
 // earlier ones ran, as one nas-bench -exp all process does.
 func TestFig4AndMemoization(t *testing.T) {
 	skipSlow(t)
-	ResetCache()
+	runMu.Lock()
+	runCache = map[string]*search.Log{}
+	runMu.Unlock()
 	r1 := Fig4("Combo", microScale)
 	if len(r1.Runs) != 3 {
 		t.Fatalf("runs = %d", len(r1.Runs))

@@ -34,10 +34,8 @@ func Torture(sc Scale) *TortureResult {
 		RealEpochs:    1,
 		RealBatchSize: 64,
 	}
-	rep, err := campaign.TortureCampaign(spec, campaign.TortureOptions{
-		Opts: campaign.Options{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond},
-		Lies: true,
-	})
+	rep, err := campaign.TortureCampaign(spec,
+		campaign.Options{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: torture: invariant violated: %v", err))
 	}

@@ -34,10 +34,6 @@ type BuildConfig struct {
 	// touches os.* directly (CLAUDE.md: durability-path I/O goes through
 	// the fsim seam).
 	FS fsim.FS
-	// MaxTrain, when > 0, stops the session after training that many new
-	// architectures, leaving a durable resumable WAL — the kill/resume
-	// tests' deterministic knob. 0 builds to completion.
-	MaxTrain int
 }
 
 // BuildReport summarizes one build session.
@@ -46,37 +42,34 @@ type BuildReport struct {
 	// the durable WAL or a finished artifact (never retrained); Trained the
 	// records this session trained.
 	Total, Recovered, Trained int
-	// TablePath is the artifact location; Done reports it exists and is
-	// valid (false after a MaxTrain-bounded session).
-	TablePath string
-	Done      bool
 }
 
-// Build enumerates the sub-space and trains every architecture once,
-// journaling each record to the WAL and finalizing the complete record set
-// into the immutable table artifact. Killed at ANY point — power cut
-// included — a re-run resumes from the last durable record without
-// retraining it, and the finalized artifact is byte-identical to an
-// uninterrupted build's (training is deterministic in BenchSeed, and
-// records carry nothing timeline-dependent).
+// BuildOrLoad returns the finished table of the sub-space: a valid artifact
+// loads; otherwise every architecture not yet in the durable WAL is trained
+// once, journaled, and the complete record set finalized into the immutable
+// table artifact. Killed at ANY point — power cut included — a re-run
+// resumes from the last durable record without retraining it, and the
+// finalized artifact is byte-identical to an uninterrupted build's
+// (training is deterministic in BenchSeed, and records carry nothing
+// timeline-dependent).
 //
 // The recovery policy — valid artifact ends the build, damaged artifact is
 // quarantined and rebuilt from the WAL, transient I/O aborts retryable — is
 // openJournal's.
-func Build(cfg BuildConfig) (*BuildReport, error) {
+func BuildOrLoad(cfg BuildConfig) (*Table, *BuildReport, error) {
 	if cfg.Eval.BenchSeed == 0 {
-		return nil, fmt.Errorf("nasbench: build requires benchmark mode (Eval.BenchSeed != 0)")
+		return nil, nil, fmt.Errorf("nasbench: build requires benchmark mode (Eval.BenchSeed != 0)")
 	}
 	if cfg.Dir == "" {
-		return nil, fmt.Errorf("nasbench: build needs a directory")
+		return nil, nil, fmt.Errorf("nasbench: build needs a directory")
 	}
 	fsys := orOS(cfg.FS)
 	total, err := cfg.Space.EnumerateSize(maxEnumerate)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tablePath := filepath.Join(cfg.Dir, TableFile)
-	rep := &BuildReport{Total: total, TablePath: tablePath}
+	rep := &BuildReport{Total: total}
 
 	// The evaluator's defaulted config is the table's binding metadata, so
 	// construct it before deciding anything (cheap: no training happens).
@@ -95,16 +88,16 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 		return t, err
 	}, validRecord)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if done != nil {
-		rep.Recovered, rep.Done = total, true
-		return rep, nil
+		rep.Recovered = total
+		return done, rep, nil
 	}
 	recs := j.units
 	for i, rec := range recs {
 		if want := cfg.Space.Hash(cfg.Space.ChoicesAt(i)); rec.Key != want {
-			return nil, fmt.Errorf("nasbench: wal record %d keys %s, but %s enumerates %s there — wrong space or seed",
+			return nil, nil, fmt.Errorf("nasbench: wal record %d keys %s, but %s enumerates %s there — wrong space or seed",
 				i, rec.Key, cfg.Space.Name, want)
 		}
 	}
@@ -112,11 +105,7 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 
 	// Train the remainder, GOMAXPROCS architectures at a time, one durable
 	// WAL record per architecture in enumeration order.
-	to := total
-	if cfg.MaxTrain > 0 {
-		to = min(total, len(recs)+cfg.MaxTrain)
-	}
-	err = inOrder(len(recs), to, func(i int) (Record, error) {
+	err = inOrder(len(recs), total, func(i int) (Record, error) {
 		return buildRecord(ev, cfg.Space, i), nil
 	}, func(rec Record) error {
 		if err := j.append(rec); err != nil {
@@ -128,24 +117,22 @@ func Build(cfg BuildConfig) (*BuildReport, error) {
 	})
 	if err != nil {
 		j.close()
-		return nil, err
+		return nil, nil, err
 	}
 	if err := j.close(); err != nil {
-		return nil, err
-	}
-	if len(recs) < total {
-		return rep, nil // MaxTrain-bounded session; resumable
+		return nil, nil, err
 	}
 
 	// Finalize: atomic artifact, then the WAL is redundant.
-	if err := WriteTableFS(fsys, tablePath, &Table{Meta: meta, Records: recs}); err != nil {
-		return nil, err
+	t := &Table{Meta: meta, Records: recs}
+	if err := WriteTableFS(fsys, tablePath, t); err != nil {
+		return nil, nil, err
 	}
 	if err := removeSegments(fsys, cfg.Dir); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rep.Done = true
-	return rep, nil
+	t.index()
+	return t, rep, nil
 }
 
 // orOS defaults a config's nil filesystem to the real one.
@@ -156,10 +143,10 @@ func orOS(fsys fsim.FS) fsim.FS {
 	return fsys
 }
 
-// buildRecord trains enumeration index i into its table record. Build runs
-// it on several goroutines at once over one evaluator: in benchmark mode
-// TabulateMetric reads only the space's mutex-guarded memo, the gathered-once
-// subsample and a stream derived from the architecture key.
+// buildRecord trains enumeration index i into its table record. BuildOrLoad
+// runs it on several goroutines at once over one evaluator: in benchmark
+// mode TabulateMetric reads only the space's mutex-guarded memo, the
+// gathered-once subsample and a stream derived from the architecture key.
 func buildRecord(ev *evaluator.Evaluator, sp *space.Space, i int) Record {
 	choices := sp.ChoicesAt(i)
 	rec := Record{Index: i, Key: sp.Hash(choices)}
@@ -173,23 +160,4 @@ func buildRecord(ev *evaluator.Evaluator, sp *space.Space, i int) Record {
 	rec.Attempts = 1
 	rec.Duration = plan.Duration
 	return rec
-}
-
-// BuildOrLoad is the memoizing entry point experiments use: a finished
-// artifact loads instantly; anything else builds (resuming a durable WAL)
-// and then loads.
-func BuildOrLoad(cfg BuildConfig) (*Table, *BuildReport, error) {
-	rep, err := Build(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !rep.Done {
-		return nil, rep, fmt.Errorf("nasbench: build of %s stopped at %d/%d records (MaxTrain bound)",
-			cfg.Dir, rep.Recovered+rep.Trained, rep.Total)
-	}
-	t, err := ReadTableFS(orOS(cfg.FS), rep.TablePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, rep, nil
 }

@@ -44,23 +44,36 @@ func nanoBuild(fsys fsim.FS, dir string) BuildConfig {
 	}
 }
 
+// killAfter is the kill/resume tests' power cut: a filesystem over base
+// that loses power at the first mutating operation after this session's
+// nth durable WAL unit. A session makes three before its first unit (the
+// directory, the segment, the directory sync), then a write and an fsync
+// per unit. The session fails with fsim.ErrCrashed; base keeps the n
+// units, each acknowledged durable before the cut.
+func killAfter(base fsim.FS, n int) *fsim.FaultFS {
+	return fsim.NewFaultFS(base, fsim.Faults{CrashAtOp: int64(3 + 2*n + 1)})
+}
+
+// killBuild runs a build session over cfg.FS that is killed after n new
+// records.
+func killBuild(t *testing.T, cfg BuildConfig, n int) {
+	t.Helper()
+	cfg.FS = killAfter(cfg.FS, n)
+	if _, _, err := BuildOrLoad(cfg); !errors.Is(err, fsim.ErrCrashed) {
+		t.Fatalf("build killed after %d records: %v", n, err)
+	}
+}
+
 // buildNanoTable builds (or resumes) the shared nano table once per test
 // process on its own MemFS and returns table + raw artifact bytes.
 func buildNanoTable(t testing.TB) (*Table, []byte) {
 	t.Helper()
 	mem := fsim.NewMemFS()
-	rep, err := Build(nanoBuild(mem, "/bench"))
+	tbl, _, err := BuildOrLoad(nanoBuild(mem, "/bench"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Done {
-		t.Fatalf("build not done: %+v", rep)
-	}
-	tbl, err := ReadTableFS(mem, rep.TablePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := mem.ReadFile(rep.TablePath)
+	raw, err := mem.ReadFile("/bench/" + TableFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +82,12 @@ func buildNanoTable(t testing.TB) (*Table, []byte) {
 
 func TestShortBuildFinalizesAndRereads(t *testing.T) {
 	mem := fsim.NewMemFS()
-	rep, err := Build(nanoBuild(mem, "/bench"))
+	tbl, rep, err := BuildOrLoad(nanoBuild(mem, "/bench"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Done || rep.Total != 9 || rep.Trained != 9 || rep.Recovered != 0 {
+	if rep.Total != 9 || rep.Trained != 9 || rep.Recovered != 0 {
 		t.Fatalf("fresh build report: %+v", rep)
-	}
-	tbl, err := ReadTableFS(mem, rep.TablePath)
-	if err != nil {
-		t.Fatal(err)
 	}
 	sp := ComboNano()
 	if tbl.Meta.Bench != "Combo" || tbl.Meta.Space != "combo-nano" || tbl.Meta.Size != 9 {
@@ -116,41 +125,33 @@ func TestShortBuildFinalizesAndRereads(t *testing.T) {
 	}
 
 	// A re-run recovers everything from the artifact and trains nothing.
-	rep2, err := Build(nanoBuild(mem, "/bench"))
+	_, rep2, err := BuildOrLoad(nanoBuild(mem, "/bench"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep2.Done || rep2.Trained != 0 || rep2.Recovered != 9 {
+	if rep2.Trained != 0 || rep2.Recovered != 9 {
 		t.Fatalf("memoized build report: %+v", rep2)
 	}
 }
 
-// TestShortBuildResumeByteIdentical pins the resume protocol without fault
-// injection: a session stopped after every prefix length, then resumed to
-// completion, must finalize to the exact bytes of the uninterrupted build
+// TestShortBuildResumeByteIdentical pins the resume protocol: a session
+// killed after several prefix lengths, then resumed to completion from the
+// crash image, must finalize to the exact bytes of the uninterrupted build
 // and never retrain a durable record.
 func TestShortBuildResumeByteIdentical(t *testing.T) {
 	_, ref := buildNanoTable(t)
 	for stop := 1; stop < 9; stop += 3 {
 		mem := fsim.NewMemFS()
-		cfg := nanoBuild(mem, "/bench")
-		cfg.MaxTrain = stop
-		rep, err := Build(cfg)
+		killBuild(t, nanoBuild(mem, "/bench"), stop)
+		img := mem.CrashImage()
+		_, rep2, err := BuildOrLoad(nanoBuild(img, "/bench"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Done || rep.Trained != stop {
-			t.Fatalf("stop=%d: bounded session: %+v", stop, rep)
-		}
-		cfg.MaxTrain = 0
-		rep2, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep2.Done || rep2.Recovered != stop || rep2.Trained != 9-stop {
+		if rep2.Recovered != stop || rep2.Trained != 9-stop {
 			t.Fatalf("stop=%d: resume retrained durable records: %+v", stop, rep2)
 		}
-		raw, err := mem.ReadFile(rep2.TablePath)
+		raw, err := img.ReadFile("/bench/" + TableFile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,33 +163,29 @@ func TestShortBuildResumeByteIdentical(t *testing.T) {
 
 func TestShortBuildRejectsForeignState(t *testing.T) {
 	mem := fsim.NewMemFS()
-	if _, err := Build(nanoBuild(mem, "/bench")); err != nil {
+	if _, _, err := BuildOrLoad(nanoBuild(mem, "/bench")); err != nil {
 		t.Fatal(err)
 	}
 	// Same dir, different sub-space: the artifact meta must refuse.
 	cfg := nanoBuild(mem, "/bench")
 	cfg.Space = ComboMicro()
-	if _, err := Build(cfg); err == nil {
+	if _, _, err := BuildOrLoad(cfg); err == nil {
 		t.Fatal("build over a foreign artifact succeeded")
 	}
 
 	// Durable WAL from one space, resumed with another: key check refuses.
 	mem2 := fsim.NewMemFS()
 	cfg2 := nanoBuild(mem2, "/bench")
-	cfg2.MaxTrain = 2
-	if _, err := Build(cfg2); err != nil {
-		t.Fatal(err)
-	}
+	killBuild(t, cfg2, 2)
 	cfg2.Space = ComboMicro()
-	cfg2.MaxTrain = 0
-	if _, err := Build(cfg2); err == nil {
+	if _, _, err := BuildOrLoad(cfg2); err == nil {
 		t.Fatal("resume with the wrong sub-space succeeded")
 	}
 
 	// Benchmark mode is mandatory.
 	cfg3 := nanoBuild(fsim.NewMemFS(), "/bench")
 	cfg3.Eval.BenchSeed = 0
-	if _, err := Build(cfg3); err == nil {
+	if _, _, err := BuildOrLoad(cfg3); err == nil {
 		t.Fatal("build without BenchSeed succeeded")
 	}
 }
@@ -199,7 +196,7 @@ func TestShortBuildRejectsForeignState(t *testing.T) {
 func TestShortBuildQuarantinesCorruptArtifact(t *testing.T) {
 	_, ref := buildNanoTable(t)
 	mem := fsim.NewMemFS()
-	if _, err := Build(nanoBuild(mem, "/bench")); err != nil {
+	if _, _, err := BuildOrLoad(nanoBuild(mem, "/bench")); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("/bench", TableFile)
@@ -220,12 +217,8 @@ func TestShortBuildQuarantinesCorruptArtifact(t *testing.T) {
 	if _, err := ReadTableFS(mem, path); !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("torn artifact error: %v", err)
 	}
-	rep, err := Build(nanoBuild(mem, "/bench"))
-	if err != nil {
+	if _, _, err := BuildOrLoad(nanoBuild(mem, "/bench")); err != nil {
 		t.Fatal(err)
-	}
-	if !rep.Done {
-		t.Fatalf("rebuild after quarantine: %+v", rep)
 	}
 	got, err := mem.ReadFile(path)
 	if err != nil {

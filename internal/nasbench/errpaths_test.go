@@ -55,13 +55,9 @@ func comboPico() *space.Space {
 func TestShortBuildRefusesOversizedWAL(t *testing.T) {
 	mem := fsim.NewMemFS()
 	cfg := nanoBuild(mem, "/bench")
-	cfg.MaxTrain = 5
-	if _, err := Build(cfg); err != nil {
-		t.Fatal(err)
-	}
+	killBuild(t, cfg, 5)
 	cfg.Space = comboPico()
-	cfg.MaxTrain = 0
-	if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), "wrong space") {
+	if _, _, err := BuildOrLoad(cfg); err == nil || !strings.Contains(err.Error(), "wrong space") {
 		t.Fatalf("oversized WAL: %v", err)
 	}
 }
@@ -73,10 +69,7 @@ func TestShortTournamentTransientAndOversized(t *testing.T) {
 	tbl, _ := buildNanoTable(t)
 	mem := fsim.NewMemFS()
 	cfg := nanoTournament(tbl, mem, "/tour")
-	cfg.MaxRuns = 5
-	if _, err := RunTournament(cfg); err == nil || !strings.Contains(err.Error(), "MaxRuns") {
-		t.Fatalf("bounded session: %v", err)
-	}
+	killTournament(t, cfg, 5)
 
 	bad := cfg
 	bad.FS = eioFS{mem}
@@ -86,23 +79,19 @@ func TestShortTournamentTransientAndOversized(t *testing.T) {
 
 	small := cfg
 	small.Seeds = 1 // 4 runs total, WAL already holds 5
-	small.MaxRuns = 0
 	if _, err := RunTournament(small); err == nil || !strings.Contains(err.Error(), "wrong configuration") {
 		t.Fatalf("oversized tournament WAL: %v", err)
 	}
 }
 
 // TestShortBuildRefusesFutureWALFrame: a frame from a newer build after a
-// valid one is not a torn tail. Build must fail with ErrVersion and leave
+// valid one is not a torn tail. BuildOrLoad must fail with ErrVersion and leave
 // the tree untouched, not retrain the unit and journal past the newer
 // record.
 func TestShortBuildRefusesFutureWALFrame(t *testing.T) {
 	mem := fsim.NewMemFS()
 	cfg := nanoBuild(mem, "/bench")
-	cfg.MaxTrain = 1
-	if _, err := Build(cfg); err != nil {
-		t.Fatal(err)
-	}
+	killBuild(t, cfg, 1)
 	seg := "/bench/" + segName(1)
 	raw, err := mem.ReadFile(seg)
 	if err != nil {
@@ -111,11 +100,10 @@ func TestShortBuildRefusesFutureWALFrame(t *testing.T) {
 	future := []byte("a unit from a newer build")
 	writeRaw(t, mem, seg, append(ckpt.AppendFrameHeader(raw, recMagic, walVersion+1, future), future...))
 	before := mem.TreeDigest("/bench")
-	cfg.MaxTrain = 0
-	if _, err := Build(cfg); !errors.Is(err, ckpt.ErrVersion) {
+	if _, _, err := BuildOrLoad(cfg); !errors.Is(err, ckpt.ErrVersion) {
 		t.Fatalf("future-version WAL frame: err %v, want ErrVersion", err)
 	}
 	if mem.TreeDigest("/bench") != before {
-		t.Fatal("Build touched the store after refusing a future-version WAL frame")
+		t.Fatal("BuildOrLoad touched the store after refusing a future-version WAL frame")
 	}
 }

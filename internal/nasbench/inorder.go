@@ -4,14 +4,15 @@ import "runtime"
 
 // inOrder computes units from..to-1 with up to runtime.GOMAXPROCS(0) calls of
 // work in flight, and hands each result to commit in index order on the
-// calling goroutine. It is how Build and RunTournament use every core while
-// journaling exactly as their serial loops did: commit (the WAL append) sees
-// the same units in the same order at any width, so completion order — host
-// wall-clock order — decides nothing. The first failure by index is returned,
-// as the serial loop would return it, and nothing after it commits; a commit
-// error stops new launches; a panic in work is raised again here when its
-// index comes up. No goroutine outlives the call. At GOMAXPROCS 1 a unit
-// starts only after its predecessor commits: the serial loop itself.
+// calling goroutine. It is how BuildOrLoad and RunTournament use every core
+// while journaling exactly as their serial loops did: commit (the WAL
+// append) sees the same units in the same order at any width, so completion
+// order — host wall-clock order — decides nothing. The first failure by
+// index is returned, as the serial loop would return it, and nothing after
+// it commits; a commit error stops new launches; a panic in work is raised
+// again here when its index comes up. No goroutine outlives the call. At
+// GOMAXPROCS 1 a unit starts only after its predecessor commits: the serial
+// loop itself.
 func inOrder[R any](from, to int, work func(i int) (R, error), commit func(r R) error) error {
 	type outcome struct {
 		r        R

@@ -250,7 +250,7 @@ func widthRun(t *testing.T, procs int, dir string, run func(fsys fsim.FS) error)
 // tree.
 func TestShortBuildWidthInvariant(t *testing.T) {
 	build := func(fsys fsim.FS) error {
-		_, err := Build(nanoBuild(fsys, "/bench"))
+		_, _, err := BuildOrLoad(nanoBuild(fsys, "/bench"))
 		return err
 	}
 	tape1, tree1 := widthRun(t, 1, "/bench", build)
@@ -263,8 +263,8 @@ func TestShortBuildWidthInvariant(t *testing.T) {
 	}
 }
 
-// TestShortTournamentWidthInvariant: a journaled tournament, cut by MaxRuns
-// and resumed, performs the same filesystem operations at GOMAXPROCS 1 and
+// TestShortTournamentWidthInvariant: a journaled tournament, power-cut after
+// five runs and resumed, performs the same filesystem operations at GOMAXPROCS 1 and
 // at 8 and ends in the same tree and digest.
 func TestShortTournamentWidthInvariant(t *testing.T) {
 	tbl, _ := buildNanoTable(t)
@@ -272,11 +272,7 @@ func TestShortTournamentWidthInvariant(t *testing.T) {
 	runAt := func(procs int) ([]fsim.Op, string) {
 		return widthRun(t, procs, "/tour", func(fsys fsim.FS) error {
 			cfg := nanoTournament(tbl, fsys, "/tour")
-			cfg.MaxRuns = 5
-			if _, err := RunTournament(cfg); err == nil {
-				return errors.New("a MaxRuns-bounded session finished")
-			}
-			cfg.MaxRuns = 0
+			killTournament(t, cfg, 5)
 			tour, err := RunTournament(cfg)
 			if err == nil {
 				digests[procs] = tour.Digest

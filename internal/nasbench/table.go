@@ -4,10 +4,11 @@
 //
 // The package has three moving parts:
 //
-//   - Build (builder.go) enumerates a sub-space, trains every architecture
-//     once through the evaluator in benchmark mode, journals each finished
-//     record to a crash-consistent WAL (wal.go), and finalizes the records
-//     into the single immutable table artifact this file defines.
+//   - BuildOrLoad (builder.go) enumerates a sub-space, trains every
+//     architecture once through the evaluator in benchmark mode, journals
+//     each finished record to a crash-consistent WAL (wal.go), finalizes the
+//     records into the single immutable table artifact this file defines,
+//     and returns the table; a finished artifact just loads.
 //   - Table implements evaluator.RewardSource: plugged into a search via
 //     search.RunReplay, it turns every reward estimation into a lookup
 //     while leaving the virtual machine, the caches, and every RNG stream
@@ -29,7 +30,7 @@ const (
 	tableMagic   = "nasgotbl"
 	tableVersion = 1
 
-	// TableFile is the artifact filename Build writes under its directory.
+	// TableFile is the artifact BuildOrLoad writes under its directory.
 	TableFile = "table.nasbench"
 )
 

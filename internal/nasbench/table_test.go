@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"nasgo/internal/ckpt"
@@ -92,24 +93,52 @@ func TestShortBindingConfig(t *testing.T) {
 	}
 }
 
-// TestShortBuildOrLoad pins the memoizing entry point: a bounded build
-// errors without a table, a finished one loads it.
+// readCountFS counts ReadFile calls on one path.
+type readCountFS struct {
+	fsim.FS
+	path  string
+	reads int
+}
+
+func (c *readCountFS) ReadFile(name string) ([]byte, error) {
+	if name == c.path {
+		c.reads++
+	}
+	return c.FS.ReadFile(name)
+}
+
+// TestShortBuildOrLoad pins the memoizing entry point: a killed build
+// leaves no table, its resume trains only the rest, and a cold build and a
+// warm load each read the artifact once and return exactly what the
+// artifact holds.
 func TestShortBuildOrLoad(t *testing.T) {
 	mem := fsim.NewMemFS()
-	cfg := nanoBuild(mem, "/bench")
-	cfg.MaxTrain = 2
-	if _, _, err := BuildOrLoad(cfg); err == nil {
-		t.Fatal("BuildOrLoad returned a table for an unfinished build")
+	killBuild(t, nanoBuild(mem, "/bench"), 2)
+	if _, err := mem.Stat("/bench/" + TableFile); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a killed build left a table (stat err %v)", err)
 	}
-	cfg.MaxTrain = 0
-	tbl, rep, err := BuildOrLoad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl == nil || !rep.Done || rep.Recovered != 2 {
-		t.Fatalf("BuildOrLoad: table %v, report %+v", tbl != nil, rep)
-	}
-	if tbl.Meta.Space != "combo-nano" || len(tbl.Records) != 9 {
-		t.Fatalf("loaded table: %+v", tbl.Meta)
+	counted := &readCountFS{FS: mem, path: "/bench/" + TableFile}
+	for _, want := range []BuildReport{
+		{Total: 9, Recovered: 2, Trained: 7}, // cold: resumes the WAL
+		{Total: 9, Recovered: 9},             // warm: loads the artifact
+	} {
+		counted.reads = 0
+		tbl, rep, err := BuildOrLoad(nanoBuild(counted, "/bench"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *rep != want {
+			t.Fatalf("BuildOrLoad report %+v, want %+v", *rep, want)
+		}
+		if counted.reads != 1 {
+			t.Fatalf("BuildOrLoad read %s %d times, want 1", TableFile, counted.reads)
+		}
+		art, err := ReadTableFS(mem, counted.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tbl, art) {
+			t.Fatalf("BuildOrLoad returned a table that differs from its artifact")
+		}
 	}
 }

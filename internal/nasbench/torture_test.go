@@ -82,7 +82,7 @@ type buildOutcome struct {
 //
 // The lie pass repeats the sweep with fsyncs acknowledged but dropped:
 // damage must surface as ckpt.ErrCorrupt (quarantine + rebuild inside
-// Build, or a descriptive error), never as a mis-decoded record, and
+// BuildOrLoad, or a descriptive error), never as a mis-decoded record, and
 // every build that completes still produces the reference bytes.
 //
 // Both sweeps run at the ambient GOMAXPROCS and again at 4, where the
@@ -106,14 +106,14 @@ func tortureBuilder(t *testing.T) []fsim.Op {
 	// 1. Record.
 	mem := fsim.NewMemFS()
 	rec := fsim.NewRecordFS(mem)
-	repRef, err := Build(nanoBuild(rec, tortureDir))
+	_, repRef, err := BuildOrLoad(nanoBuild(rec, tortureDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !repRef.Done || repRef.Trained != repRef.Total {
+	if repRef.Trained != repRef.Total {
 		t.Fatalf("recording build: %+v", repRef)
 	}
-	ref, err := mem.ReadFile(repRef.TablePath)
+	ref, err := mem.ReadFile(filepath.Join(tortureDir, TableFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +138,9 @@ func tortureBuilder(t *testing.T) []fsim.Op {
 			return out
 		}
 		out := &buildOutcome{}
-		out.rep, out.err = Build(nanoBuild(img, tortureDir))
-		if out.err == nil && out.rep.Done {
-			out.artifact, out.err = img.ReadFile(out.rep.TablePath)
+		_, out.rep, out.err = BuildOrLoad(nanoBuild(img, tortureDir))
+		if out.err == nil {
+			out.artifact, out.err = img.ReadFile(filepath.Join(tortureDir, TableFile))
 		}
 		memo[d] = out
 		return out
@@ -165,9 +165,6 @@ func tortureBuilder(t *testing.T) []fsim.Op {
 		out := resume(img)
 		if out.err != nil {
 			t.Fatalf("crash point %d: resume: %v", k, out.err)
-		}
-		if !out.rep.Done {
-			t.Fatalf("crash point %d: resume did not finalize: %+v", k, out.rep)
 		}
 		wantRecovered := st.recs
 		if st.done {
@@ -198,8 +195,6 @@ func tortureBuilder(t *testing.T) []fsim.Op {
 				t.Fatalf("lie crash point %d: resume failed non-descriptively: %v", k, out.err)
 			}
 			rejected++
-		case !out.rep.Done:
-			t.Fatalf("lie crash point %d: resume neither finalized nor rejected: %+v", k, out.rep)
 		case !bytes.Equal(out.artifact, ref):
 			t.Fatalf("lie crash point %d: resumed artifact differs from the uninterrupted build", k)
 		default:

@@ -44,15 +44,12 @@ type TournamentConfig struct {
 	// from seed count, not per-search scale).
 	Agents, WorkersPerAgent int
 	Horizon                 float64
-	// Dir, when set, makes the tournament resumable: each finished run is
-	// journaled to the WAL, and a killed tournament continues after the
-	// last durable run. Empty runs purely in memory.
+	// Dir is required: each finished run is journaled to the WAL there, a
+	// killed tournament continues after the last durable run, and the
+	// finished tournament is the TournamentFile artifact.
 	Dir string
 	// FS routes the WAL/artifact I/O (nil = real filesystem).
 	FS fsim.FS
-	// MaxRuns, when > 0, stops the session after that many new searches —
-	// the kill/resume tests' deterministic knob.
-	MaxRuns int
 }
 
 func (c TournamentConfig) withDefaults() TournamentConfig {
@@ -172,14 +169,14 @@ func (t *Tournament) digest() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// RunTournament replays Strategies × Seeds searches against the table. With
-// Dir set it is crash-consistent at run granularity: finished runs are
-// journaled to the same WAL substrate the builder uses, a killed tournament
-// resumes after the last durable run, and the resumed result set — digest
-// included — is identical to an uninterrupted one's (each run is
-// deterministic in its config, and the table pins every reward). Runs are
-// replayed GOMAXPROCS at a time and journaled in index order (inOrder), so
-// the WAL, the artifact and the digest do not depend on the core count.
+// RunTournament replays Strategies × Seeds searches against the table,
+// crash-consistent at run granularity: finished runs are journaled to the
+// same WAL substrate the builder uses, a killed tournament resumes after the
+// last durable run, and the resumed result set — digest included — is
+// identical to an uninterrupted one's (each run is deterministic in its
+// config, and the table pins every reward). Runs are replayed GOMAXPROCS at
+// a time and journaled in index order (inOrder), so the WAL, the artifact
+// and the digest do not depend on the core count.
 func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Table == nil {
@@ -191,6 +188,9 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	}
 	// Refuse, before anything is journaled, what would otherwise fail
 	// mid-tournament or silently mean something else.
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("nasbench: tournament needs a directory to journal into")
+	}
 	if cfg.Seeds < 0 {
 		return nil, fmt.Errorf("nasbench: tournament Seeds = %d, want > 0 seeds per strategy (0 selects the default 1000)", cfg.Seeds)
 	}
@@ -204,50 +204,37 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	}
 	fsys := orOS(cfg.FS)
 	total := len(cfg.Strategies) * cfg.Seeds
+	artifact := filepath.Join(cfg.Dir, TournamentFile)
+	prev, j, err := openJournal(fsys, cfg.Dir, artifact, total, func() (*Tournament, error) {
+		t, err := readTournamentFS(fsys, artifact)
+		if err == nil && (t.Meta != cfg.Table.Meta || t.Seeds != cfg.Seeds ||
+			t.BaseSeed != cfg.BaseSeed || !slices.Equal(t.Strategies, cfg.Strategies)) {
+			return nil, fmt.Errorf("nasbench: %s holds a tournament of %v × %d seeds from %d over %s/%s, not this configuration",
+				artifact, t.Strategies, t.Seeds, t.BaseSeed, t.Meta.Bench, t.Meta.Space)
+		}
+		return t, err
+	}, func(i int, r RunResult) bool { return r.Index == i })
+	if err != nil {
+		return nil, err
+	}
+	if prev != nil {
+		return prev, nil
+	}
+	defer j.close()
 
 	tour := &Tournament{
 		Meta:       cfg.Table.Meta,
 		Strategies: append([]string(nil), cfg.Strategies...),
 		Seeds:      cfg.Seeds,
 		BaseSeed:   cfg.BaseSeed,
+		Runs:       j.units,
 	}
-
-	var j *journal[RunResult] // nil without a Dir: nothing is journaled
-	artifact := filepath.Join(cfg.Dir, TournamentFile)
-	if cfg.Dir != "" {
-		var prev *Tournament
-		var err error
-		prev, j, err = openJournal(fsys, cfg.Dir, artifact, total, func() (*Tournament, error) {
-			t, err := readTournamentFS(fsys, artifact)
-			if err == nil && (t.Meta != cfg.Table.Meta || t.Seeds != cfg.Seeds ||
-				t.BaseSeed != cfg.BaseSeed || !slices.Equal(t.Strategies, cfg.Strategies)) {
-				return nil, fmt.Errorf("nasbench: %s holds a tournament of %v × %d seeds from %d over %s/%s, not this configuration",
-					artifact, t.Strategies, t.Seeds, t.BaseSeed, t.Meta.Bench, t.Meta.Space)
-			}
-			return t, err
-		}, func(i int, r RunResult) bool { return r.Index == i })
-		if err != nil {
-			return nil, err
-		}
-		if prev != nil {
-			return prev, nil
-		}
-		defer j.close()
-		tour.Runs = j.units
-	}
-
 	// GOMAXPROCS searches at a time, journaled in index order.
-	to := total
-	if cfg.MaxRuns > 0 {
-		to = min(total, len(tour.Runs)+cfg.MaxRuns)
-	}
-	err := inOrder(len(tour.Runs), to, func(idx int) (RunResult, error) {
+	err = inOrder(len(tour.Runs), total, func(idx int) (RunResult, error) {
 		return tournamentRun(cfg, idx, cfg.Strategies[idx/cfg.Seeds], cfg.BaseSeed+uint64(idx%cfg.Seeds))
 	}, func(run RunResult) error {
-		if j != nil {
-			if err := j.append(run); err != nil {
-				return err
-			}
+		if err := j.append(run); err != nil {
+			return err
 		}
 		tour.Runs = append(tour.Runs, run)
 		return nil
@@ -255,18 +242,13 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(tour.Runs) < total {
-		return tour, fmt.Errorf("nasbench: tournament stopped at %d/%d runs (MaxRuns bound)", len(tour.Runs), total)
-	}
 
 	tour.Digest = tour.digest()
-	if j != nil {
-		if err := writeTournamentFS(fsys, artifact, tour); err != nil {
-			return nil, err
-		}
-		if err := removeSegments(fsys, cfg.Dir); err != nil {
-			return nil, err
-		}
+	if err := writeTournamentFS(fsys, artifact, tour); err != nil {
+		return nil, err
+	}
+	if err := removeSegments(fsys, cfg.Dir); err != nil {
+		return nil, err
 	}
 	return tour, nil
 }

@@ -1,6 +1,7 @@
 package nasbench
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -29,26 +30,36 @@ func nanoTournament(tbl *Table, fsys fsim.FS, dir string) TournamentConfig {
 	}
 }
 
+// killTournament runs a tournament session over cfg.FS that is killed
+// after n new runs (killAfter).
+func killTournament(t *testing.T, cfg TournamentConfig, n int) {
+	t.Helper()
+	cfg.FS = killAfter(cfg.FS, n)
+	if _, err := RunTournament(cfg); !errors.Is(err, fsim.ErrCrashed) {
+		t.Fatalf("tournament killed after %d runs: %v", n, err)
+	}
+}
+
 // TestShortTournamentDeterminism is the tournament satellite: the same
 // seed set produces the identical result set — digest included — across
-// repeated in-memory runs, across a mid-tournament kill/resume, after a
-// quarantined artifact, and through an artifact reload. Combined with
+// repeated uninterrupted runs, across a mid-tournament kill/resume, after
+// a quarantined artifact, and through an artifact reload. Combined with
 // TestShortTableReplayByteIdentical (table lookups perturb no RNG
 // stream), this pins the leaderboard end to end.
 func TestShortTournamentDeterminism(t *testing.T) {
 	tbl, _ := buildNanoTable(t)
 
-	// Two independent in-memory runs: identical digests.
-	a, err := RunTournament(nanoTournament(tbl, nil, ""))
+	// Two independent uninterrupted runs: identical digests.
+	a, err := RunTournament(nanoTournament(tbl, fsim.NewMemFS(), "/tour"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTournament(nanoTournament(tbl, nil, ""))
+	b, err := RunTournament(nanoTournament(tbl, fsim.NewMemFS(), "/tour"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Digest == "" || a.Digest != b.Digest {
-		t.Fatalf("in-memory digests differ: %q vs %q", a.Digest, b.Digest)
+		t.Fatalf("uninterrupted digests differ: %q vs %q", a.Digest, b.Digest)
 	}
 	if len(a.Runs) != 4*3 {
 		t.Fatalf("tournament ran %d searches, want 12", len(a.Runs))
@@ -57,15 +68,12 @@ func TestShortTournamentDeterminism(t *testing.T) {
 		t.Fatal("equal digests but unequal runs")
 	}
 
-	// Kill mid-tournament (MaxRuns bound = the walltime cut), resume, and
-	// the durable path must reproduce the in-memory result set exactly.
+	// Power-cut mid-tournament, resume from the crash image, and the
+	// result set must be the uninterrupted one exactly.
 	mem := fsim.NewMemFS()
+	killTournament(t, nanoTournament(tbl, mem, "/tour"), 5)
+	mem = mem.CrashImage()
 	cfg := nanoTournament(tbl, mem, "/tour")
-	cfg.MaxRuns = 5
-	if _, err := RunTournament(cfg); err == nil || !strings.Contains(err.Error(), "MaxRuns") {
-		t.Fatalf("bounded session: %v", err)
-	}
-	cfg.MaxRuns = 0
 	c, err := RunTournament(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +149,7 @@ func TestShortTournamentDeterminism(t *testing.T) {
 
 // TestShortTournamentValidates pins the API contract: a configuration that
 // cannot make the tournament it names is refused before anything is
-// journaled or run — a missing table, a mismatched table/space, a negative
+// journaled or run — a missing table or directory, a mismatched table/space, a negative
 // seed count (once an empty tournament with a digest), an unknown strategy
 // (once refused only at its first run, after the runs before it were
 // journaled), a repeated or unnamed one (once run again and merged into one
@@ -150,6 +158,7 @@ func TestShortTournamentValidates(t *testing.T) {
 	tbl, _ := buildNanoTable(t)
 	for name, mutate := range map[string]func(*TournamentConfig){
 		"no table":           func(c *TournamentConfig) { c.Table = nil },
+		"no directory":       func(c *TournamentConfig) { c.Dir = "" },
 		"mismatched space":   func(c *TournamentConfig) { c.Space = ComboMicro() },
 		"negative seeds":     func(c *TournamentConfig) { c.Seeds = -2 },
 		"unknown strategy":   func(c *TournamentConfig) { c.Strategies = []string{search.A3C, "bogus"} },
@@ -158,12 +167,10 @@ func TestShortTournamentValidates(t *testing.T) {
 		"invalid run config": func(c *TournamentConfig) { c.Agents = -1 },
 	} {
 		mem := fsim.NewMemFS()
-		for _, dir := range []string{"", "/tour"} {
-			cfg := nanoTournament(tbl, mem, dir)
-			mutate(&cfg)
-			if tour, err := RunTournament(cfg); err == nil {
-				t.Errorf("%s, dir %q: ran %d searches with digest %q and no error", name, dir, len(tour.Runs), tour.Digest)
-			}
+		cfg := nanoTournament(tbl, mem, "/tour")
+		mutate(&cfg)
+		if tour, err := RunTournament(cfg); err == nil {
+			t.Errorf("%s: ran %d searches with digest %q and no error", name, len(tour.Runs), tour.Digest)
 		}
 		if payloads, _, err := scanSegments(mem, "/tour"); err != nil || len(payloads) != 0 {
 			t.Errorf("%s: journaled %d runs before refusing (scan err %v)", name, len(payloads), err)
@@ -175,7 +182,7 @@ func TestShortTournamentValidates(t *testing.T) {
 // itself: every strategy faces the identical seed multiset.
 func TestShortTournamentSeedSetIsCommon(t *testing.T) {
 	tbl, _ := buildNanoTable(t)
-	tour, err := RunTournament(nanoTournament(tbl, nil, ""))
+	tour, err := RunTournament(nanoTournament(tbl, fsim.NewMemFS(), "/tour"))
 	if err != nil {
 		t.Fatal(err)
 	}

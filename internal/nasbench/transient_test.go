@@ -29,7 +29,7 @@ func TestShortTransientNeverCorrupt(t *testing.T) {
 	t.Run("full-disk", func(t *testing.T) {
 		mem := fsim.NewMemFS()
 		ffs := fsim.NewFaultFS(mem, fsim.Faults{DiskBudget: 512})
-		_, err := Build(nanoBuild(ffs, "/bench"))
+		_, _, err := BuildOrLoad(nanoBuild(ffs, "/bench"))
 		if err == nil {
 			t.Fatal("build on a 512-byte disk succeeded")
 		}
@@ -37,11 +37,10 @@ func TestShortTransientNeverCorrupt(t *testing.T) {
 			t.Fatalf("full disk classified wrong: %v", err)
 		}
 		// The disk heals; the same store must finish from what survived.
-		rep, err := Build(nanoBuild(mem, "/bench"))
-		if err != nil || !rep.Done {
-			t.Fatalf("retry after ENOSPC: %+v, %v", rep, err)
+		if _, _, err := BuildOrLoad(nanoBuild(mem, "/bench")); err != nil {
+			t.Fatalf("retry after ENOSPC: %v", err)
 		}
-		raw, err := mem.ReadFile(rep.TablePath)
+		raw, err := mem.ReadFile("/bench/" + TableFile)
 		if err != nil || !bytes.Equal(raw, ref) {
 			t.Fatalf("post-retry artifact differs (read err %v)", err)
 		}
@@ -50,18 +49,17 @@ func TestShortTransientNeverCorrupt(t *testing.T) {
 	t.Run("write-eio", func(t *testing.T) {
 		mem := fsim.NewMemFS()
 		ffs := fsim.NewFaultFS(mem, fsim.Faults{WriteErrEvery: 5})
-		_, err := Build(nanoBuild(ffs, "/bench"))
+		_, _, err := BuildOrLoad(nanoBuild(ffs, "/bench"))
 		if err == nil {
 			t.Fatal("build under periodic EIO succeeded")
 		}
 		if !ckpt.IsTransient(err) || errors.Is(err, ckpt.ErrCorrupt) {
 			t.Fatalf("write EIO classified wrong: %v", err)
 		}
-		rep, err := Build(nanoBuild(mem, "/bench"))
-		if err != nil || !rep.Done {
-			t.Fatalf("retry after EIO: %+v, %v", rep, err)
+		if _, _, err := BuildOrLoad(nanoBuild(mem, "/bench")); err != nil {
+			t.Fatalf("retry after EIO: %v", err)
 		}
-		raw, err := mem.ReadFile(rep.TablePath)
+		raw, err := mem.ReadFile("/bench/" + TableFile)
 		if err != nil || !bytes.Equal(raw, ref) {
 			t.Fatalf("post-retry artifact differs (read err %v)", err)
 		}
@@ -69,7 +67,7 @@ func TestShortTransientNeverCorrupt(t *testing.T) {
 
 	t.Run("read-eio", func(t *testing.T) {
 		mem := fsim.NewMemFS()
-		if _, err := Build(nanoBuild(mem, "/bench")); err != nil {
+		if _, _, err := BuildOrLoad(nanoBuild(mem, "/bench")); err != nil {
 			t.Fatal(err)
 		}
 		before, err := mem.ReadFile("/bench/" + TableFile)
@@ -81,7 +79,7 @@ func TestShortTransientNeverCorrupt(t *testing.T) {
 		}
 		// A transient read during recovery must abort retryable — it must
 		// NOT quarantine the (perfectly good) artifact underneath.
-		if _, err := Build(nanoBuild(eioFS{mem}, "/bench")); !ckpt.IsTransient(err) || errors.Is(err, ckpt.ErrCorrupt) {
+		if _, _, err := BuildOrLoad(nanoBuild(eioFS{mem}, "/bench")); !ckpt.IsTransient(err) || errors.Is(err, ckpt.ErrCorrupt) {
 			t.Fatalf("build over read EIO classified wrong: %v", err)
 		}
 		after, err := mem.ReadFile("/bench/" + TableFile)

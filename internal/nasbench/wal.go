@@ -26,7 +26,7 @@
 //     fails with ckpt.ErrVersion and nothing is touched.
 //
 // journal is the artifact-or-WAL recovery built on top: the one routine
-// Build and RunTournament both resume through.
+// BuildOrLoad and RunTournament both resume through.
 package nasbench
 
 import (

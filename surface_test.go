@@ -14,7 +14,7 @@ import (
 
 // surfaceAllow maps each exported name under internal/ with no production use
 // to the reason it stays. Kept test surface whose bare name is live elsewhere
-// (balsam's MeanUtilization/Failed, ResetCache, Tensor.Rows/String) cannot be listed.
+// (balsam's MeanUtilization/Failed, Tensor.Rows/String) cannot be listed.
 var surfaceAllow = map[string]string{
 	// Interface-satisfying methods that no call site names.
 	"Unwrap":  "errors.Unwrap",
@@ -269,21 +269,23 @@ var optionAllow = map[string]string{
 	"rl.Config.Epochs":             "ROADMAP item 6 re-pin window",
 	"rl.Config.Hidden":             "ROADMAP item 6 re-pin window",
 	"evaluator.Config.NoArena":     "ROADMAP item 6 re-pin window",
+	// Also in the tournament digest.
+	"evaluator.Config.Epochs":  "ROADMAP item 6 re-pin window",
+	"evaluator.Config.Timeout": "ROADMAP item 6 re-pin window",
+	"evaluator.Config.RealLR":  "ROADMAP item 6 re-pin window",
 	// Test seams.
-	"nasbench.BuildConfig.MaxTrain":     "kill/resume tests bound a build session",
-	"nasbench.TournamentConfig.MaxRuns": "kill/resume tests bound a tournament session",
-	"data.ComboConfig.CellDim":          "unit tests generate small datasets",
-	"data.ComboConfig.DrugDim":          "unit tests generate small datasets",
-	"data.NT3Config.InputDim":           "unit tests generate small datasets",
-	"data.NT3Config.NTrain":             "unit tests generate small datasets",
-	"data.NT3Config.NVal":               "unit tests generate small datasets",
-	"data.UnoConfig.NTrain":             "unit tests generate small datasets",
-	"data.UnoConfig.NVal":               "unit tests generate small datasets",
-	"fsim.Faults.ShortWriteProb":        "fsim.FaultFS is a library driven by tests; fsim's own tests script torn writes",
-	"fsim.Faults.WriteErrProb":          "fsim.FaultFS is a library driven by tests; fsim's own tests script random EIO",
-	"fsim.Faults.WriteErrEvery":         "fsim.FaultFS is a library driven by tests; ckpt and nasbench transient-I/O tests script EIO",
-	"fsim.Faults.SyncErrEvery":          "fsim.FaultFS is a library driven by tests; fsim's own tests script fsync EIO",
-	"fsim.Faults.DiskBudget":            "fsim.FaultFS is a library driven by tests; ckpt's ENOSPC test scripts a full disk",
+	"data.ComboConfig.CellDim":   "unit tests generate small datasets",
+	"data.ComboConfig.DrugDim":   "unit tests generate small datasets",
+	"data.NT3Config.InputDim":    "unit tests generate small datasets",
+	"data.NT3Config.NTrain":      "unit tests generate small datasets",
+	"data.NT3Config.NVal":        "unit tests generate small datasets",
+	"data.UnoConfig.NTrain":      "unit tests generate small datasets",
+	"data.UnoConfig.NVal":        "unit tests generate small datasets",
+	"fsim.Faults.ShortWriteProb": "fsim.FaultFS is a library driven by tests; fsim's own tests script torn writes",
+	"fsim.Faults.WriteErrProb":   "fsim.FaultFS is a library driven by tests; fsim's own tests script random EIO",
+	"fsim.Faults.WriteErrEvery":  "fsim.FaultFS is a library driven by tests; ckpt and nasbench transient-I/O tests script EIO",
+	"fsim.Faults.SyncErrEvery":   "fsim.FaultFS is a library driven by tests; fsim's own tests script fsync EIO",
+	"fsim.Faults.DiskBudget":     "fsim.FaultFS is a library driven by tests; ckpt's ENOSPC test scripts a full disk",
 }
 
 var optionType = regexp.MustCompile(`(Config|Options)$|^Faults$|^Scale$`)
@@ -296,14 +298,20 @@ var optionType = regexp.MustCompile(`(Config|Options)$|^Faults$|^Scale$`)
 // literal's type — pkg.Type as written, a bare Type in its own package, the
 // element type a slice, array or map literal lets a nested literal leave out
 // — with type aliases (nasgo.go's) resolved, so a field of the same name in
-// another option type keeps no dead field alive. An assignment `x.F =` names no
-// type without a type checker and sets every option field named F: that half
-// still under-reports, a ratchet against regrowth, not a type-checked pass.
+// another option type keeps no dead field alive. A key `F: x.F`, where x is a
+// parameter of the literal's own type, copies the field and sets nothing. An
+// assignment `x.F =` names no type without a type checker and sets every
+// option field named F: that half still under-reports, a ratchet against
+// regrowth, not a type-checked pass.
 func TestOptions(t *testing.T) {
 	declared := map[string]string{} // "pkg.Type.Field" → field name
-	var keys []string               // "pkg.Type.Field" of each literal key, type as written
-	assigned := map[string]bool{}   // field names set by x.F =
-	aliases := map[string]string{}  // "pkg.Alias" → "pkg.Type"
+	type litKey struct {
+		key    string // "pkg.Type.Field", type as written
+		copyOf string // "pkg.Type" of x in a key F: x.F, as written
+	}
+	var keys []litKey
+	assigned := map[string]bool{}  // field names set by x.F =
+	aliases := map[string]string{} // "pkg.Alias" → "pkg.Type"
 	walkGo(t, false, func(path string, f *ast.File) {
 		internal := strings.HasPrefix(path, "internal/")
 		imports := map[string]string{} // name in this file → package name
@@ -339,10 +347,27 @@ func TestOptions(t *testing.T) {
 				elided[lit] = typ
 			}
 		}
+		params := map[string]string{} // the enclosing function's parameter → type
+		addParams := func(fields ...*ast.FieldList) {
+			for _, fl := range fields {
+				if fl == nil {
+					continue
+				}
+				for _, field := range fl.List {
+					for _, id := range field.Names {
+						params[id.Name] = typeName(field.Type)
+					}
+				}
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
+				params = map[string]string{}
+				addParams(n.Recv, n.Type.Params)
 				return !strings.EqualFold(n.Name.Name, "withDefaults")
+			case *ast.FuncLit:
+				addParams(n.Type.Params)
 			case *ast.TypeSpec:
 				if n.Assign.IsValid() {
 					aliases[f.Name.Name+"."+n.Name.Name] = typeName(n.Type)
@@ -373,7 +398,13 @@ func TestOptions(t *testing.T) {
 				for _, el := range n.Elts {
 					if kv, ok := el.(*ast.KeyValueExpr); ok {
 						if id, ok := kv.Key.(*ast.Ident); ok && elemType == nil {
-							keys = append(keys, typeName(typ)+"."+id.Name)
+							k := litKey{key: typeName(typ) + "." + id.Name}
+							if sel, ok := kv.Value.(*ast.SelectorExpr); ok && sel.Sel.Name == id.Name {
+								if x, ok := sel.X.(*ast.Ident); ok {
+									k.copyOf = params[x.Name]
+								}
+							}
+							keys = append(keys, k)
 						}
 						elide(kv.Key, keyType)
 						el = kv.Value
@@ -390,14 +421,18 @@ func TestOptions(t *testing.T) {
 			return true
 		})
 	})
-	keyed := map[string]bool{}
-	for _, key := range keys {
-		i := strings.LastIndex(key, ".")
-		typ := key[:i]
+	resolve := func(typ string) string {
 		for aliases[typ] != "" {
 			typ = aliases[typ]
 		}
-		keyed[typ+key[i:]] = true
+		return typ
+	}
+	keyed := map[string]bool{}
+	for _, k := range keys {
+		i := strings.LastIndex(k.key, ".")
+		if typ := resolve(k.key[:i]); k.copyOf == "" || resolve(k.copyOf) != typ {
+			keyed[typ+k.key[i:]] = true
+		}
 	}
 	for key, field := range declared {
 		if _, ok := optionAllow[key]; !keyed[key] && !assigned[field] && !ok {
