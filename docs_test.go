@@ -16,7 +16,6 @@ var docsAllow = map[string]string{
 	"bench_results/nasbench": "gitignored: the tournament's rebuildable table and WAL artifacts",
 	"search.ckpt":            "a file name in the campaign store, not an identifier of package search",
 	"TestShort":              "prefix of the fast-tier determinism pins (check.sh -run 'TestShort|TestPool')",
-	"TestPool":               "prefix of the evaluator's worker-pool pins (check.sh -run 'TestShort|TestPool')",
 }
 
 var (

@@ -206,7 +206,7 @@ type Manager struct {
 // disk (surfaces).
 func NewManager(dir string, opts Options) (*Manager, []string, error) {
 	opts = opts.withDefaults()
-	store, quarantined, err := OpenStoreFS(opts.FS, dir)
+	store, metas, quarantined, err := loadStore(opts.FS, dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -216,10 +216,6 @@ func NewManager(dir string, opts Options) (*Manager, []string, error) {
 		campaigns: map[string]*runtime{},
 		ready:     make(chan struct{}),
 		done:      make(chan struct{}),
-	}
-	metas, err := store.List()
-	if err != nil {
-		return nil, nil, err
 	}
 	for _, meta := range metas {
 		rt := &runtime{meta: meta, wake: make(chan struct{}, 1)}
@@ -362,14 +358,8 @@ func (m *Manager) Health() Health {
 	return h
 }
 
-// noteStoreWrite maintains the diskFull latch from a store-write outcome.
-func (m *Manager) noteStoreWrite(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.noteStoreWriteLocked(err)
-}
-
-// noteStoreWriteLocked is noteStoreWrite for a caller holding m.mu.
+// noteStoreWriteLocked maintains the diskFull latch from a store-write
+// outcome. Caller holds m.mu.
 func (m *Manager) noteStoreWriteLocked(err error) {
 	if full := errors.Is(err, syscall.ENOSPC); full && !m.diskFull {
 		m.diskFull = true
@@ -446,48 +436,37 @@ func (m *Manager) Trace(id string, since int64) ([]trace.Event, int64, error) {
 // Pausing a paused campaign is a no-op; pausing a terminal one is a
 // conflict.
 func (m *Manager) Pause(id string) (Info, error) {
-	return m.transition(id, func(rt *runtime) error {
+	return m.transition(id, func(rt *runtime) (Status, error) {
 		switch {
 		case rt.meta.Status == StatusPaused:
-			return nil // idempotent
+			return StatusPaused, nil // idempotent
 		case rt.meta.Status.Terminal():
-			return fmt.Errorf("%w: cannot pause a %s campaign", ErrConflict, rt.meta.Status)
-		}
-		if rt.running {
+			return "", fmt.Errorf("%w: cannot pause a %s campaign", ErrConflict, rt.meta.Status)
+		case rt.running:
 			rt.want = ctlPause
 			wakeup(rt)
-			return nil
+			return rt.meta.Status, nil
 		}
-		// Not running (e.g. drained): record the pause directly.
-		rt.meta.Status = StatusPaused
-		return m.store.SaveMeta(rt.meta)
+		return StatusPaused, nil // not running (e.g. drained): record it directly
 	})
 }
 
 // Resume restarts a paused campaign. Resuming a running campaign is a
 // no-op; resuming a terminal one is a conflict.
 func (m *Manager) Resume(id string) (Info, error) {
-	return m.transition(id, func(rt *runtime) error {
+	return m.transition(id, func(rt *runtime) (Status, error) {
 		switch {
 		case rt.meta.Status == StatusRunning:
 			if rt.want == ctlPause { // un-ask a not-yet-applied pause
 				rt.want = ctlNone
 			}
-			return nil
+			return StatusRunning, nil
 		case rt.meta.Status.Terminal():
-			return fmt.Errorf("%w: cannot resume a %s campaign", ErrConflict, rt.meta.Status)
+			return "", fmt.Errorf("%w: cannot resume a %s campaign", ErrConflict, rt.meta.Status)
+		case m.draining:
+			return "", ErrDraining
 		}
-		if m.draining {
-			return ErrDraining
-		}
-		rt.meta.Status = StatusRunning
-		if err := m.store.SaveMeta(rt.meta); err != nil {
-			return err
-		}
-		if !rt.running {
-			m.launchLocked(rt)
-		}
-		return nil
+		return StatusRunning, nil
 	})
 }
 
@@ -495,35 +474,45 @@ func (m *Manager) Resume(id string) (Info, error) {
 // when paused). Cancelling twice is a no-op; cancelling a DONE or FAILED
 // campaign is a conflict.
 func (m *Manager) Cancel(id string) (Info, error) {
-	return m.transition(id, func(rt *runtime) error {
-		switch rt.meta.Status {
-		case StatusCancelled:
-			return nil // idempotent
-		case StatusDone, StatusFailed:
-			return fmt.Errorf("%w: cannot cancel a %s campaign", ErrConflict, rt.meta.Status)
-		}
-		if rt.running {
+	return m.transition(id, func(rt *runtime) (Status, error) {
+		switch {
+		case rt.meta.Status == StatusCancelled:
+			return StatusCancelled, nil // idempotent
+		case rt.meta.Status.Terminal():
+			return "", fmt.Errorf("%w: cannot cancel a %s campaign", ErrConflict, rt.meta.Status)
+		case rt.running:
 			rt.want = ctlCancel
 			wakeup(rt)
-			return nil
+			return rt.meta.Status, nil
 		}
-		rt.meta.Status = StatusCancelled
-		return m.store.SaveMeta(rt.meta)
+		return StatusCancelled, nil
 	})
 }
 
 // transition runs a guarded state change and returns the updated snapshot.
-func (m *Manager) transition(id string, apply func(*runtime) error) (Info, error) {
+// decide names the status the campaign moves to now (its current one when
+// the change waits for the runner's next boundary). A new status is
+// persisted before it is adopted, so a failed meta write leaves the campaign
+// as it was; a campaign moved to RUNNING gets its runner only then.
+func (m *Manager) transition(id string, decide func(*runtime) (Status, error)) (Info, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rt, ok := m.campaigns[id]
 	if !ok {
 		return Info{}, ErrNotFound
 	}
-	if err := apply(rt); err != nil {
-		return rt.info(), err
+	to, err := decide(rt)
+	if err == nil && to != rt.meta.Status {
+		meta := rt.meta
+		meta.Status = to
+		if err = m.store.SaveMeta(meta); err == nil {
+			rt.meta.Status = to
+			if to == StatusRunning && !rt.running {
+				m.launchLocked(rt)
+			}
+		}
 	}
-	return rt.info(), nil
+	return rt.info(), err
 }
 
 // Drain is the graceful-shutdown path: stop accepting submissions, let
@@ -586,65 +575,63 @@ func (rt *runtime) refreshSummary(log *search.Log) {
 }
 
 // runCampaign is the per-campaign supervisor loop: one allocation per
-// iteration, control applied at boundaries, panics recovered with capped
+// iteration, controls applied at boundaries, panics recovered with capped
 // backoff, terminal failures parked without touching sibling campaigns.
+// The runner is (re)built from the spec and rt.ck, the last checkpoint whose
+// save succeeded, so a restart continues exactly where a process restart
+// would, without reading the store.
 func (m *Manager) runCampaign(rt *runtime) {
 	defer m.wg.Done()
-	id := rt.meta.ID
-	if err := m.prepareRunner(rt); err != nil {
-		m.park(rt, fmt.Sprintf("prepare: %v", err))
-		return
-	}
-	for {
-		// Apply controls and drain at the boundary before spending work.
-		m.mu.Lock()
-		stop := true
-		switch {
-		case rt.want == ctlCancel:
-			rt.want = ctlNone
-			rt.meta.Status = StatusCancelled
-			m.saveMetaLocked(rt)
-			m.opts.Logf("campaign %s: cancelled at allocation %d", id, rt.meta.Allocations)
-		case rt.want == ctlPause:
-			rt.want = ctlNone
-			rt.meta.Status = StatusPaused
-			m.saveMetaLocked(rt)
-			m.opts.Logf("campaign %s: paused at allocation %d", id, rt.meta.Allocations)
-		case m.draining:
-			m.opts.Logf("campaign %s: drained at allocation %d", id, rt.meta.Allocations)
-		default:
-			stop = false
-		}
-		if stop {
-			rt.running = false
-			m.mu.Unlock()
-			return
-		}
-		m.mu.Unlock()
-
-		finished, err := m.runAllocationStep(rt)
-		if err != nil {
-			if errors.Is(err, syscall.ENOSPC) {
-				// Full disk: the allocation's work cannot be persisted, so
-				// burning restarts cannot help. Pause at this boundary with
-				// state intact; a later Resume (after space is freed) re-runs
-				// the unpersisted allocation from the last durable checkpoint.
-				m.pauseNoSpace(rt, err)
+	for rebuild := true; ; {
+		if rebuild {
+			if err := m.prepareRunner(rt); err != nil {
+				m.park(rt, fmt.Sprintf("prepare: %v", err))
 				return
 			}
+			rebuild = false
+		}
+		// Apply controls and drain at the boundary before spending work.
+		m.mu.Lock()
+		want := rt.want
+		rt.want = ctlNone
+		switch {
+		case want == ctlCancel:
+			m.stopLocked(rt, StatusCancelled, "cancelled")
+		case want == ctlPause:
+			m.stopLocked(rt, StatusPaused, "paused")
+		case m.draining:
+			m.stopLocked(rt, StatusRunning, "drained")
+		}
+		stopped := !rt.running
+		m.mu.Unlock()
+		if stopped {
+			return
+		}
+
+		finished, err := m.runAllocationStep(rt)
+		if err != nil && !errors.Is(err, syscall.ENOSPC) {
 			if !m.backoffRestart(rt, err) {
 				return
 			}
-			continue
-		}
-		if finished {
+			rebuild = true
+		} else if err != nil || finished {
 			m.mu.Lock()
-			rt.meta.Status = StatusDone
-			rt.meta.Error = ""
-			m.saveMetaLocked(rt)
-			rt.running = false
-			m.opts.Logf("campaign %s: done after %d allocations (best %.4f)",
-				id, rt.meta.Allocations, rt.bestReward)
+			if err == nil {
+				rt.meta.Error = ""
+				m.stopLocked(rt, StatusDone, fmt.Sprintf("done (best %.4f)", rt.bestReward))
+			} else {
+				// Full disk: the allocation's work cannot be persisted, so
+				// burning restarts cannot help. Pause with state intact; a
+				// later Resume (after space is freed) re-runs the unpersisted
+				// allocation from the last durable checkpoint. The meta write
+				// is best-effort: if the record stays RUNNING, a process
+				// restart converges the same way, since the checkpoint, not
+				// meta, is the authority. The latch holds even if a sibling's
+				// write cleared it meanwhile.
+				m.diskFull = true
+				rt.meta.Error = fmt.Sprintf("storage full: %v", err)
+				m.stopLocked(rt, StatusPaused, "paused: storage full")
+			}
 			m.mu.Unlock()
 			return
 		}
@@ -652,9 +639,10 @@ func (m *Manager) runCampaign(rt *runtime) {
 }
 
 // prepareRunner builds (or rebuilds, after a restart) the campaign's
-// benchmark, space, config, and trace recorder from its spec and latest
-// persisted checkpoint. Pure reconstruction — replaying from here is
-// bit-identical to never having stopped.
+// benchmark, space, config, and trace recorder from its spec. Pure
+// reconstruction: with rt.ck, replaying from here is bit-identical to never
+// having stopped, and the fresh recorder resumes the trace stream at the
+// checkpoint cut, so the campaign's copy stays gap-free.
 func (m *Manager) prepareRunner(rt *runtime) error {
 	m.mu.Lock()
 	spec := rt.meta.Spec
@@ -671,8 +659,9 @@ func (m *Manager) prepareRunner(rt *runtime) error {
 
 // runAllocationStep runs exactly one walltime allocation and persists its
 // outcome: the checkpoint at a cut (meta trails it), the log at
-// completion. A panic anywhere inside — test hook, search, persistence —
-// is returned as an error for the backoff machinery.
+// completion. rt.ck and the summary change only once that write succeeds.
+// A panic anywhere inside — test hook, search, persistence — is returned as
+// an error for the backoff machinery.
 func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -686,17 +675,11 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	id := rt.meta.ID
 	if next != nil {
-		if err := m.store.SaveCheckpoint(id, next); err != nil {
-			m.noteStoreWrite(err)
-			return false, err
-		}
-	} else if err := m.store.SaveLog(id, log); err != nil {
-		m.noteStoreWrite(err)
-		return false, err
+		err = m.store.SaveCheckpoint(rt.meta.ID, next)
+	} else {
+		err = m.store.SaveLog(rt.meta.ID, log)
 	}
-	m.noteStoreWrite(nil)
 	// The boundary's events move from the ring to traces: each is kept once,
 	// and the next boundary copies only what its allocation emitted.
 	evs := rt.rec.Events()
@@ -704,6 +687,10 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.noteStoreWriteLocked(err)
+	if err != nil {
+		return false, err
+	}
 	rt.traces.append(evs)
 	rt.consecutive = 0
 	if next != nil {
@@ -721,15 +708,12 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 // backoffRestart handles a failed allocation: record the error, park the
 // campaign in FAILED once it exhausts maxRestarts consecutive attempts,
 // otherwise sleep the capped exponential backoff (interruptible by
-// cancel/drain) and rebuild the runner from the last persisted checkpoint.
-// Transient I/O errors (EIO; see ckpt.IsTransient) never park: a flaky
-// device is an environment condition, not a campaign defect, so the
-// supervisor keeps retrying at the backoff cap until the device recovers
-// or an operator cancels. Returns false when the runner goroutine should
-// exit.
+// cancel/drain, which the next boundary applies). Transient I/O errors
+// (EIO; see ckpt.IsTransient) never park: a flaky device is an environment
+// condition, not a campaign defect, so the supervisor keeps retrying at the
+// backoff cap until the device recovers or an operator cancels. Returns
+// false when the runner goroutine should exit.
 func (m *Manager) backoffRestart(rt *runtime, cause error) bool {
-	id := rt.meta.ID
-	transient := ckpt.IsTransient(cause)
 	m.mu.Lock()
 	rt.consecutive++
 	rt.meta.Restarts++
@@ -737,79 +721,17 @@ func (m *Manager) backoffRestart(rt *runtime, cause error) bool {
 	attempt := rt.consecutive
 	m.saveMetaLocked(rt)
 	m.mu.Unlock()
-	if attempt > maxRestarts && !transient {
+	if attempt > maxRestarts && !ckpt.IsTransient(cause) {
 		m.park(rt, fmt.Sprintf("gave up after %d consecutive restarts: %v", attempt-1, cause))
 		return false
 	}
 	delay := m.opts.Backoff(attempt)
-	m.opts.Logf("campaign %s: %v — restart %d/%d in %v", id, cause, attempt, maxRestarts, delay)
+	m.opts.Logf("campaign %s: %v — restart %d/%d in %v", rt.meta.ID, cause, attempt, maxRestarts, delay)
 	select {
 	case <-time.After(delay):
 	case <-rt.wake:
-		// Woken for a control change or drain; the boundary check at the
-		// top of runCampaign applies it before the next allocation.
-	}
-	// Discard the possibly-inconsistent in-memory search state and
-	// restart from the last persisted checkpoint — exactly what a process
-	// restart would do. A transient reload failure retries on the same
-	// backoff schedule (interruptible, so drains and cancels still land);
-	// corruption parks, as no retry can repair bytes.
-	var ck *search.Checkpoint
-	for reloadAttempt := attempt; ; reloadAttempt++ {
-		loaded, ok, err := m.store.LoadCheckpoint(id)
-		if err == nil {
-			if ok {
-				ck = loaded
-			}
-			break
-		}
-		if !ckpt.IsTransient(err) {
-			m.park(rt, fmt.Sprintf("reload checkpoint: %v", err))
-			return false
-		}
-		m.mu.Lock()
-		interrupted := m.draining || rt.want != ctlNone
-		m.mu.Unlock()
-		if interrupted {
-			// Keep the last successfully persisted checkpoint (the only
-			// value rt.ck ever holds — it matches the disk); the boundary
-			// check applies the pending control before another allocation.
-			ck = rt.ck
-			break
-		}
-		delay := m.opts.Backoff(reloadAttempt)
-		m.opts.Logf("campaign %s: reload checkpoint: %v — retry in %v", id, err, delay)
-		select {
-		case <-time.After(delay):
-		case <-rt.wake:
-		}
-	}
-	rt.ck = ck
-	// prepareRunner resets the recorder; the trace stream accumulated up
-	// to the last persisted boundary stays valid, and the fresh recorder
-	// resumes from the checkpoint cut, so the snapshot stays gap-free.
-	if err := m.prepareRunner(rt); err != nil {
-		m.park(rt, fmt.Sprintf("rebuild runner: %v", err))
-		return false
 	}
 	return true
-}
-
-// pauseNoSpace stops a runner whose boundary persistence hit a full disk:
-// the campaign parks in PAUSED (not FAILED — nothing is wrong with it),
-// the manager latches diskFull, and the meta write is best-effort (the
-// disk is full; the on-disk record may stay RUNNING, in which case a
-// process restart re-runs the lost allocation from the last durable
-// checkpoint and converges — the checkpoint, not meta, is the authority).
-func (m *Manager) pauseNoSpace(rt *runtime, cause error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.diskFull = true
-	rt.meta.Status = StatusPaused
-	rt.meta.Error = fmt.Sprintf("storage full: %v", cause)
-	m.saveMetaLocked(rt)
-	rt.running = false
-	m.opts.Logf("campaign %s: paused at allocation %d: storage full", rt.meta.ID, rt.meta.Allocations)
 }
 
 // park moves a campaign to FAILED with the given error. Sibling campaigns
@@ -818,11 +740,20 @@ func (m *Manager) pauseNoSpace(rt *runtime, cause error) {
 func (m *Manager) park(rt *runtime, msg string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rt.meta.Status = StatusFailed
 	rt.meta.Error = msg
-	m.saveMetaLocked(rt)
+	m.stopLocked(rt, StatusFailed, "FAILED: "+msg)
+}
+
+// stopLocked ends rt's runner in status, persisting meta when the status
+// changes: a drained campaign stays RUNNING on disk, so the next Start
+// resumes it. Caller holds m.mu.
+func (m *Manager) stopLocked(rt *runtime, status Status, why string) {
+	if status != rt.meta.Status {
+		rt.meta.Status = status
+		m.saveMetaLocked(rt)
+	}
 	rt.running = false
-	m.opts.Logf("campaign %s: FAILED: %s", rt.meta.ID, msg)
+	m.opts.Logf("campaign %s: %s at allocation %d", rt.meta.ID, why, rt.meta.Allocations)
 }
 
 // saveMetaLocked persists rt.meta, logging (not propagating) write errors:

@@ -140,9 +140,14 @@ func TestShortCampaignMatchesSearchRun(t *testing.T) {
 // TestShortSupervisorPanicRestart: a campaign that panics mid-flight is
 // restarted with backoff from its last persisted checkpoint and still
 // produces the byte-identical log, while a sibling campaign runs to
-// completion untouched — the acceptance pin for supervisor robustness.
+// completion untouched — the acceptance pin for supervisor robustness. The
+// restart continues from the checkpoint the runner holds: nothing reads
+// search.ckpt back.
 func TestShortSupervisorPanicRestart(t *testing.T) {
-	mgr := newTestManager(t, t.TempDir(), fastOpts(t))
+	opts := fastOpts(t)
+	counted := &countReadsFS{FS: fsim.OS, file: ckptFile}
+	opts.FS = counted
+	mgr := newTestManager(t, t.TempDir(), opts)
 	var victimID atomic.Value
 	victimID.Store("")
 	var panics atomic.Int32
@@ -177,6 +182,9 @@ func TestShortSupervisorPanicRestart(t *testing.T) {
 	}
 	if sDone.Restarts != 0 || sDone.Error != "" {
 		t.Fatalf("sibling was disturbed: %+v", sDone)
+	}
+	if n := counted.reads.Load(); n != 0 {
+		t.Fatalf("restarts read %s %d times, want 0", ckptFile, n)
 	}
 	vLog, err := mgr.Log(vInfo.ID)
 	if err != nil {

@@ -299,6 +299,9 @@ func TestServerConcurrentSubmits(t *testing.T) {
 			spec := testSpec()
 			spec.Seed = uint64(1000 + i)
 			spec.Name = fmt.Sprintf("racer-%d", i)
+			// Too long to finish before the cleanup cancel, which must find
+			// every racer still running (cancelling a DONE campaign is 409).
+			spec.Horizon = 20000
 			body, _ := json.Marshal(spec)
 			st, resp, _ := httpDo(t, "POST", srv.URL+"/campaigns", body)
 			if st != http.StatusCreated {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"nasgo/internal/ckpt"
@@ -86,43 +85,54 @@ type Store struct {
 // corrupts a store through it) and runs crash janitoring: stale temp files
 // from interrupted atomic writes are removed. Campaign directories whose
 // meta record is missing or structurally damaged are left on disk but
-// excluded from List, each reported in the returned quarantined slice —
-// robustness means a damaged campaign can never prevent the service from
-// starting. A transient read error or a meta record from a newer build is
-// not damage: quarantining would silently drop a healthy campaign, so the
-// open fails with that error instead (see surfaces).
+// reported in the returned quarantined slice — robustness means a damaged
+// campaign can never prevent the service from starting. A transient read
+// error or a meta record from a newer build is not damage: quarantining
+// would silently drop a healthy campaign, so the open fails with that error
+// instead (see surfaces).
 func OpenStoreFS(fsys fsim.FS, dir string) (st *Store, quarantined []string, err error) {
+	st, _, quarantined, err = loadStore(fsys, dir)
+	return st, quarantined, err
+}
+
+// loadStore is OpenStoreFS that also returns every readable meta record,
+// ID-sorted: the store's one read of each, which NewManager builds on.
+func loadStore(fsys fsim.FS, dir string) (*Store, []Meta, []string, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("campaign: create store %s: %w", dir, err)
+		return nil, nil, nil, fmt.Errorf("campaign: create store %s: %w", dir, err)
 	}
 	s := &Store{root: dir, fsys: fsys}
-	entries, err := fsys.ReadDir(dir)
+	entries, err := fsys.ReadDir(dir) // sorted, so metas and quarantined are too
 	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: read store %s: %w", dir, err)
+		return nil, nil, nil, fmt.Errorf("campaign: read store %s: %w", dir, err)
 	}
+	var metas []Meta
+	var quarantined []string
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
 		cdir := filepath.Join(dir, e.Name())
 		files, err := fsys.ReadDir(cdir)
+		var meta Meta
 		if err == nil {
 			for _, f := range files {
 				if strings.Contains(f.Name(), ".tmp") {
 					fsys.Remove(filepath.Join(cdir, f.Name()))
 				}
 			}
-			_, err = s.LoadMeta(e.Name())
+			meta, err = s.LoadMeta(e.Name())
 		}
-		if surfaces(err) {
-			return nil, nil, fmt.Errorf("campaign: open store %s: campaign %s: %w", dir, e.Name(), err)
-		}
-		if err != nil {
+		switch {
+		case surfaces(err):
+			return nil, nil, nil, fmt.Errorf("campaign: open store %s: campaign %s: %w", dir, e.Name(), err)
+		case err != nil:
 			quarantined = append(quarantined, e.Name())
+		default:
+			metas = append(metas, meta)
 		}
 	}
-	sort.Strings(quarantined)
-	return s, quarantined, nil
+	return s, metas, quarantined, nil
 }
 
 // surfaces reports whether a campaign read error must be returned to the
@@ -202,30 +212,6 @@ func (s *Store) LoadMeta(id string) (Meta, error) {
 		return Meta{}, fmt.Errorf("campaign: meta %s: %w", id, err)
 	}
 	return m, nil
-}
-
-// List returns every campaign with a readable meta record, ID-sorted.
-func (s *Store) List() ([]Meta, error) {
-	entries, err := s.fsys.ReadDir(s.root)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: read store: %w", err)
-	}
-	var out []Meta
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		m, err := s.LoadMeta(e.Name())
-		if surfaces(err) {
-			return nil, fmt.Errorf("campaign: list %s: %w", e.Name(), err)
-		}
-		if err != nil {
-			continue // quarantined at open; stays invisible
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
 }
 
 // SaveCheckpoint persists the campaign's latest search checkpoint — the

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	goruntime "runtime" // the package has a type named runtime
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestStoreQuarantinesCorruptMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A campaign directory with a torn/garbage meta record must not
-	// prevent the store from opening, and must not appear in List.
+	// prevent the store from opening, and must not be among its metas.
 	bad := filepath.Join(dir, "c00000002")
 	if err := os.MkdirAll(bad, 0o755); err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestStoreQuarantinesCorruptMeta(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, quarantined, err := OpenStoreFS(fsim.OS, dir)
+	st2, metas, quarantined, err := loadStore(fsim.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +105,8 @@ func TestStoreQuarantinesCorruptMeta(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("stale temp file survived janitoring")
 	}
-	metas, err := st2.List()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(metas) != 1 || metas[0].ID != "c00000001" {
-		t.Fatalf("List = %+v", metas)
+		t.Fatalf("opened metas = %+v", metas)
 	}
 	// The quarantined directory is preserved for inspection, and its ID
 	// is never reissued.
@@ -132,11 +129,26 @@ func (r readEIOFS) ReadFile(name string) ([]byte, error) {
 	return r.FS.ReadFile(name)
 }
 
+// countReadsFS counts the reads of the named store file (every store read
+// is a ReadFile).
+type countReadsFS struct {
+	fsim.FS
+	file  string
+	reads atomic.Int32
+}
+
+func (c *countReadsFS) ReadFile(name string) ([]byte, error) {
+	if filepath.Base(name) == c.file {
+		c.reads.Add(1)
+	}
+	return c.FS.ReadFile(name)
+}
+
 // TestStoreOpenSurfacesTransientAndFutureMeta pins the other two thirds of
 // the error taxonomy at store open: a transient read error and a meta
-// record from a newer build are not damage, so they fail the open (and
-// List) with a classifiable error instead of quarantining — and thereby
-// silently dropping — a healthy campaign.
+// record from a newer build are not damage, so they fail the open with a
+// classifiable error instead of quarantining — and thereby silently
+// dropping — a healthy campaign.
 func TestStoreOpenSurfacesTransientAndFutureMeta(t *testing.T) {
 	mem := fsim.NewMemFS()
 	st, _, err := OpenStoreFS(mem, "/store")
@@ -152,16 +164,10 @@ func TestStoreOpenSurfacesTransientAndFutureMeta(t *testing.T) {
 	if !ckpt.IsTransient(err) || len(quarantined) != 0 {
 		t.Fatalf("transient meta read: quarantined %v, err %v — want a transient open error", quarantined, err)
 	}
-	if _, err := (&Store{root: "/store", fsys: readEIOFS{mem, metaFile}}).List(); !ckpt.IsTransient(err) {
-		t.Fatalf("transient meta read in List: %v", err)
-	}
 	// The fault gone, the campaign is still there.
-	st, quarantined, err = OpenStoreFS(mem, "/store")
-	if err != nil || len(quarantined) != 0 {
-		t.Fatalf("reopen after transient fault: quarantined %v, err %v", quarantined, err)
-	}
-	if metas, err := st.List(); err != nil || len(metas) != 1 {
-		t.Fatalf("List after transient fault = %+v, %v", metas, err)
+	_, metas, quarantined, err := loadStore(mem, "/store")
+	if err != nil || len(quarantined) != 0 || len(metas) != 1 {
+		t.Fatalf("reopen after transient fault: metas %+v, quarantined %v, err %v", metas, quarantined, err)
 	}
 
 	payload, err := json.Marshal(meta)
@@ -256,7 +262,8 @@ func TestStoreCheckpointAndLog(t *testing.T) {
 // validating a spec resolves names only — Spec.Build is the one place a
 // campaign's dataset is generated. One candle.NewCombo allocates ~18 MB, so
 // an open that built a benchmark per stored campaign would spend hundreds of
-// megabytes here; resolving the space costs ~0.05 MB.
+// megabytes here; resolving the space costs ~0.05 MB. The open also reads
+// each meta record exactly once.
 func TestOpenStoreGeneratesNoDataset(t *testing.T) {
 	mem := fsim.NewMemFS()
 	st, _, err := OpenStoreFS(mem, "/campaigns")
@@ -273,15 +280,19 @@ func TestOpenStoreGeneratesNoDataset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	counted := &countReadsFS{FS: mem, file: metaFile}
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
-	mgr, quarantined, err := NewManager("/campaigns", Options{FS: mem})
+	mgr, quarantined, err := NewManager("/campaigns", Options{FS: counted})
 	goruntime.ReadMemStats(&after)
 	if err != nil || len(quarantined) != 0 {
 		t.Fatalf("open: err %v, quarantined %v", err, quarantined)
 	}
 	if got := len(mgr.List()); got != campaigns {
 		t.Fatalf("opened %d campaigns, want %d", got, campaigns)
+	}
+	if got := counted.reads.Load(); got != campaigns {
+		t.Fatalf("opening %d campaigns read %s %d times, want once each", campaigns, metaFile, got)
 	}
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 32<<20 {
 		t.Fatalf("opening %d stored campaigns allocated %d MB: something generated datasets", campaigns, spent>>20)

@@ -200,7 +200,7 @@ func tapeVersions(tape []fsim.Op) map[string][][]byte {
 // it is detected: the store must still open, and a file that still decodes
 // as valid must be a complete version — never a mis-decode.
 func verifyImage(img *fsim.MemFS, versions map[string][][]byte, lies bool) (unreadable bool, err error) {
-	st, quarantined, err := OpenStoreFS(img, tortureStoreDir)
+	st, metas, quarantined, err := loadStore(img, tortureStoreDir)
 	if err != nil {
 		return false, fmt.Errorf("store failed to reopen: %w", err)
 	}
@@ -210,10 +210,6 @@ func verifyImage(img *fsim.MemFS, versions map[string][][]byte, lies bool) (unre
 		if _, err := img.Stat(metaPath); !lies && !errors.Is(err, fs.ErrNotExist) {
 			return true, fmt.Errorf("campaign %s quarantined despite a surviving meta file (committed-state loss)", name)
 		}
-	}
-	metas, err := st.List()
-	if err != nil {
-		return unreadable, err
 	}
 	for _, m := range metas {
 		for _, f := range []string{metaFile, ckptFile, logFile} {
@@ -225,7 +221,7 @@ func verifyImage(img *fsim.MemFS, versions map[string][][]byte, lies bool) (unre
 			if err != nil {
 				return unreadable, err
 			}
-			switch f { // metaFile: listed ⇒ already validated by the store
+			switch f { // metaFile: returned by the open ⇒ already validated
 			case ckptFile:
 				_, _, err = st.LoadCheckpoint(m.ID)
 			case logFile:
@@ -247,7 +243,7 @@ func verifyImage(img *fsim.MemFS, versions map[string][][]byte, lies bool) (unre
 // resumeMemo deduplicates resumes by image digest: identical surviving
 // states restart identically, so only the first of each digest pays for
 // real training. The digest is taken after the store janitor ran (inside
-// verifyImage's OpenStoreFS), merging images that differ only in temp debris.
+// verifyImage's loadStore), merging images that differ only in temp debris.
 func resumeMemo(memo map[string]*resumeOutcome, img *fsim.MemFS, id string, opts Options, rep *TortureReport) (*resumeOutcome, error) {
 	d := img.TreeDigest(tortureStoreDir)
 	if out, ok := memo[d]; ok {

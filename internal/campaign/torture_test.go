@@ -327,6 +327,49 @@ func TestShortTransientIORetriesWithoutParking(t *testing.T) {
 	}
 }
 
+// TestShortResumeAfterFailedMetaWrite: a control is persisted before it
+// applies. A Resume whose meta write fails returns the error and leaves the
+// campaign PAUSED with no runner; the next Resume runs it to the reference
+// log.
+func TestShortResumeAfterFailedMetaWrite(t *testing.T) {
+	flaky := &flakyTempFS{FS: fsim.NewMemFS(), match: metaFile}
+	opts := fastOpts(t)
+	opts.FS = flaky
+	mgr := newTestManager(t, "/campaigns", opts)
+	mgr.Start()
+	defer mgr.Drain()
+	spec := testSpec()
+	spec.Horizon = 2000
+	spec.Walltime = 100
+	info, err := mgr.Submit(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Pause(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, mgr, info.ID, StatusPaused)
+
+	flaky.fail.Store(1)
+	if _, err := mgr.Resume(info.ID); !ckpt.IsTransient(err) {
+		t.Fatalf("resume with a failing meta write: err %v, want the transient error", err)
+	}
+	if got, err := mgr.Get(info.ID); err != nil || got.Status != StatusPaused || got.Running {
+		t.Fatalf("after the failed resume: %+v, err %v — want PAUSED with no runner", got, err)
+	}
+	if _, err := mgr.Resume(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, mgr, info.ID, StatusDone)
+	got, err := mgr.Log(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(logBytes(t, got), logBytes(t, referenceRun(t, spec))) {
+		t.Fatal("campaign resumed after a failed meta write differs from the uninterrupted run")
+	}
+}
+
 // enospcFS fails CreateTemp for matching files with ENOSPC while full is
 // set — a disk with room for small meta records but not for checkpoints.
 type enospcFS struct {

@@ -142,11 +142,13 @@ type Checkpoint struct {
 // returns (finalLog, nil, nil) when the search completed within the
 // allocation, or (partialLog, checkpoint, nil) at the walltime boundary; pass
 // the checkpoint back (possibly in a later process, via
-// WriteFileFS/LoadCheckpointFS) to continue. With Walltime == 0 the boundary
-// is +Inf and the one allocation is the whole run. Handing every allocation
-// of a chain the same recorder makes the trace concatenate seamlessly: apart
-// from the CatCkpt cut/resume marks, the combined event stream is
-// byte-identical to an uninterrupted run's (the golden-trace test pins this).
+// WriteFileFS/LoadCheckpointFS) to continue. Allocate never writes through
+// ck, so a failed continuation can be retried from the same value. With
+// Walltime == 0 the boundary is +Inf and the one allocation is the whole
+// run. Handing every allocation of a chain the same recorder makes the
+// trace concatenate seamlessly: apart from the CatCkpt cut/resume marks, the
+// combined event stream is byte-identical to an uninterrupted run's (the
+// golden-trace test pins this).
 func Allocate(bench *candle.Benchmark, sp *space.Space, cfg Config, ck *Checkpoint, rec *trace.Recorder) (*Log, *Checkpoint, error) {
 	return allocate(bench, sp, cfg, ck, rec, nil)
 }

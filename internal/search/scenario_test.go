@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -133,7 +134,13 @@ func (s scenario) chain(t *testing.T) chainRun {
 		if s.flipArena {
 			ck.Config.Eval.NoArena = !s.noArena
 		}
+		// A continuation never writes through its checkpoint: the campaign
+		// supervisor restarts a failed allocation from the one it holds.
+		prev, before := ck, jsonOf(t, ck)
 		log, ck, err = Allocate(bench, sp, Config{}, ck, rec)
+		if !bytes.Equal(jsonOf(t, prev), before) {
+			t.Fatalf("allocation %d wrote through its checkpoint argument", c.allocations)
+		}
 		c.allocations++
 	}
 	if err != nil {
@@ -169,7 +176,13 @@ func canonCheckpoint(t *testing.T, ck *Checkpoint) []byte {
 	partial := *c.Partial
 	partial.Config.Eval.Workers, partial.Config.Eval.NoArena = 0, false
 	c.Partial = &partial
-	b, err := json.Marshal(&c)
+	return jsonOf(t, &c)
+}
+
+// jsonOf renders a checkpoint as JSON, execution knobs included.
+func jsonOf(t *testing.T, ck *Checkpoint) []byte {
+	t.Helper()
+	b, err := json.Marshal(ck)
 	if err != nil {
 		t.Fatalf("marshal checkpoint: %v", err)
 	}

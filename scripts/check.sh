@@ -93,6 +93,11 @@ go test -race -short -timeout 30m -run 'TestShort|FuzzScenario' ./internal/searc
 # the supervisor over shared state; its suite (concurrent submits, panic
 # restarts, kill -9 re-exec children) runs whole under the race detector.
 go test -race -timeout 30m ./internal/campaign/
+# Its control-plane pins (restarts, controls, drains, disk faults, racing
+# submits) are where an ordering bug shows only sometimes. Repeating them
+# under -race is slow, so the five repeats run without it.
+go test -count=5 -run 'TestShortSupervisor|TestShortTransientIO|TestShortDiskFull|TestShortPauseResumeCancel|TestShortDrainAndReopen|TestServerPauseCancelIdempotent|TestServerConcurrentSubmits|TestShortResumeAfterFailedMetaWrite' \
+    ./internal/campaign/
 # The tabular benchmark trains its table and replays its tournaments
 # GOMAXPROCS units at a time over one shared space, evaluator and table,
 # committing to the journal in index order; the whole suite is fast-tier by
