@@ -184,8 +184,8 @@ type Manager struct {
 	campaigns map[string]*runtime
 	draining  bool
 	// diskFull latches when a store write fails with ENOSPC and clears on
-	// the next successful store write. While set, Submit is rejected with
-	// ErrNoSpace and Health reports the degradation.
+	// the next successful campaign creation or allocation write. While set,
+	// Submit is rejected with ErrNoSpace and Health reports the degradation.
 	diskFull bool
 
 	wg    sync.WaitGroup
@@ -358,15 +358,25 @@ func (m *Manager) Health() Health {
 	return h
 }
 
-// noteStoreWriteLocked maintains the diskFull latch from a store-write
-// outcome. Caller holds m.mu.
+// noteStoreWriteLocked maintains the diskFull latch from the outcome of a
+// campaign creation or an allocation's checkpoint or log write. Caller holds
+// m.mu.
 func (m *Manager) noteStoreWriteLocked(err error) {
-	if full := errors.Is(err, syscall.ENOSPC); full && !m.diskFull {
-		m.diskFull = true
-		m.opts.Logf("store: disk full; rejecting submissions until a write succeeds")
-	} else if err == nil && m.diskFull {
+	if err == nil && m.diskFull {
 		m.diskFull = false
 		m.opts.Logf("store: disk recovered; accepting submissions again")
+	}
+	m.latchDiskFullLocked(err)
+}
+
+// latchDiskFullLocked sets the diskFull latch when a store write failed with
+// ENOSPC. Meta writes feed only this half: one that succeeds does not clear
+// the latch, since the boundary's storage-full pause writes meta right after
+// it latches. Caller holds m.mu.
+func (m *Manager) latchDiskFullLocked(err error) {
+	if errors.Is(err, syscall.ENOSPC) && !m.diskFull {
+		m.diskFull = true
+		m.opts.Logf("store: disk full; rejecting submissions until a write succeeds")
 	}
 }
 
@@ -505,7 +515,9 @@ func (m *Manager) transition(id string, decide func(*runtime) (Status, error)) (
 	if err == nil && to != rt.meta.Status {
 		meta := rt.meta
 		meta.Status = to
-		if err = m.store.SaveMeta(meta); err == nil {
+		err = m.store.SaveMeta(meta)
+		m.latchDiskFullLocked(err)
+		if err == nil {
 			rt.meta.Status = to
 			if to == StatusRunning && !rt.running {
 				m.launchLocked(rt)
@@ -760,7 +772,9 @@ func (m *Manager) stopLocked(rt *runtime, status Status, why string) {
 // meta persistence failing must degrade observability, not kill the
 // runner. Caller holds m.mu.
 func (m *Manager) saveMetaLocked(rt *runtime) {
-	if err := m.store.SaveMeta(rt.meta); err != nil {
+	err := m.store.SaveMeta(rt.meta)
+	m.latchDiskFullLocked(err)
+	if err != nil {
 		m.opts.Logf("campaign %s: persist meta: %v", rt.meta.ID, err)
 	}
 }

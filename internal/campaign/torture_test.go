@@ -451,3 +451,47 @@ func TestShortDiskFullPausesAndDegrades(t *testing.T) {
 	}
 	mgr.Drain()
 }
+
+// TestShortMetaENOSPCLatchesDiskFull: a meta write that fails with ENOSPC
+// latches degraded health like a checkpoint write does, whether a control
+// writes it (a Cancel of a paused campaign, which answers the error) or the
+// runner's boundary does (a Cancel applied there).
+func TestShortMetaENOSPCLatchesDiskFull(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		paused bool // cancel a paused campaign: the control writes meta
+	}{{"control", true}, {"boundary", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := &enospcFS{FS: fsim.NewMemFS(), match: metaFile}
+			opts := fastOpts(t)
+			opts.FS = disk
+			mgr := newTestManager(t, "/campaigns", opts)
+			mgr.Start()
+			defer mgr.Drain()
+			spec := testSpec()
+			spec.Horizon = 2000
+			spec.Walltime = 100
+			info, err := mgr.Submit(&spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.paused {
+				if _, err := mgr.Pause(info.ID); err != nil {
+					t.Fatal(err)
+				}
+				waitStatus(t, mgr, info.ID, StatusPaused)
+			}
+			disk.full.Store(true)
+			_, err = mgr.Cancel(info.ID)
+			if tc.paused != errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("cancel with meta writes failing: err %v", err)
+			}
+			if !tc.paused {
+				waitStatus(t, mgr, info.ID, StatusCancelled)
+			}
+			if h := mgr.Health(); !h.DiskFull || h.Status != "degraded" {
+				t.Errorf("health after a meta write hit ENOSPC: %+v", h)
+			}
+		})
+	}
+}

@@ -150,11 +150,12 @@ func matmulShapes(r *rng.Rand) [][3]int {
 
 // laneShapes walk the unrolled kernel's lanes: k across every residue of the
 // four-way unroll on both sides of a blockK boundary, n across short and odd
-// row lengths, m across single rows and odd counts; {523, 130, n} adds a
-// tall, odd row count past one k block.
+// row lengths on both sides of addRows4's four-wide vectors, m across single
+// rows and odd counts; {523, 130, n} adds a tall, odd row count past one k
+// block.
 func laneShapes() [][3]int {
 	var shapes [][3]int
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 31, 63} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 63, 128} {
 		for _, m := range []int{1, 2, 3, 5, 16, 17} {
 			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 127, 128, 129, 130, 131, 300} {
 				shapes = append(shapes, [3]int{m, k, n})
@@ -165,32 +166,147 @@ func laneShapes() [][3]int {
 	return shapes
 }
 
-// TestMatMulDifferential holds A×B to the naive triple loop bit for bit, into
-// NaN-filled destinations: the kernel sums every element over k in index
-// order from +0, so unrolling and blocking may not move a single ulp, and it
-// may not rely on what dst held.
-func TestMatMulDifferential(t *testing.T) {
-	r := rng.New(101)
-	for _, s := range append(matmulShapes(r), laneShapes()...) {
-		m, k, n := s[0], s[1], s[2]
-		a, b := randTensor(r, m, k), randTensor(r, k, n)
-		dst := dirty(m, n)
-		MatMulInto(dst, a, b)
-		identicalTensors(t, fmt.Sprintf("MatMulInto %v", s), dst, naiveMatMul(a, b))
+// kernelPath is one of matmulRows' paths and the value of lanes that selects
+// it.
+type kernelPath struct {
+	name  string
+	lanes bool
+}
+
+// kernelPaths lists the paths this host runs: the AVX lanes where it has
+// them, and always the Go loop.
+func kernelPaths() []kernelPath {
+	if hasAVX() {
+		return []kernelPath{{"avx", true}, {"go", false}}
 	}
+	return []kernelPath{{"go", false}}
+}
+
+// setLanes selects a path for the rest of tb and restores the host's after.
+func setLanes(tb testing.TB, on bool) {
+	old := lanes
+	lanes = on
+	tb.Cleanup(func() { lanes = old })
+}
+
+// onPaths runs f as one subtest per kernel path.
+func onPaths(t *testing.T, f func(t *testing.T)) {
+	for _, p := range kernelPaths() {
+		t.Run(p.name, func(t *testing.T) {
+			setLanes(t, p.lanes)
+			f(t)
+		})
+	}
+}
+
+// sameProduct holds a matmul to its reference bit for bit where the
+// reference is a number and as NaN where it is NaN: which of two NaN operands
+// an x86 add or multiply returns depends on the order the register allocator
+// gave the naive loop, so payloads are not part of the contract.
+func sameProduct(t *testing.T, what string, got, want *Tensor) {
+	t.Helper()
+	if fmt.Sprint(got.Shape) != fmt.Sprint(want.Shape) {
+		t.Fatalf("%s: shape %v, want %v", what, got.Shape, want.Shape)
+	}
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.IsNaN(w) && math.IsNaN(g) {
+			continue
+		}
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d = %g (bits %x), want %g (bits %x)",
+				what, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// specials puts IEEE edge cases into a lane shape's operands. Every regime
+// turns 5 % of both operands into −0 and 2 % into subnormals of either sign.
+// Regime 1 scales A by 2⁻¹⁰⁰⁰ and B by 2⁻⁴⁰, so every product and sum is
+// subnormal; regime 2 puts ±Inf in about a quarter of A's rows and an eighth
+// of B's columns, so NaN and ±Inf share vectors with finite lanes.
+func specials(r *rng.Rand, regime int, a, b *Tensor, m, n int) {
+	for _, x := range []struct {
+		t     *Tensor
+		scale float64
+		infs  int
+	}{{a, 0x1p-1000, (m + 3) / 4}, {b, 0x1p-40, (n + 7) / 8}} {
+		for i := range x.t.Data {
+			if regime == 1 {
+				x.t.Data[i] *= x.scale
+			}
+			switch r.Intn(100) {
+			case 0, 1, 2, 3, 4:
+				x.t.Data[i] = math.Copysign(0, -1)
+			case 5, 6:
+				x.t.Data[i] = float64(1+r.Intn(1<<20)) * math.SmallestNonzeroFloat64 * float64(1-2*r.Intn(2))
+			}
+		}
+		for ; regime == 2 && x.infs > 0; x.infs-- {
+			x.t.Data[r.Intn(len(x.t.Data))] = math.Inf(1 - 2*r.Intn(2))
+		}
+	}
+}
+
+// TestMatMulDifferential holds A×B to the naive triple loop, on each kernel
+// path, into NaN-filled destinations: the kernel sums every element over k in
+// index order from +0, so unrolling, blocking and vector lanes may not move a
+// single ulp, and it may not rely on what dst held. The lane shapes carry
+// −0, subnormals and ±Inf.
+func TestMatMulDifferential(t *testing.T) {
+	onPaths(t, func(t *testing.T) {
+		r := rng.New(101)
+		for _, s := range matmulShapes(r) {
+			m, k, n := s[0], s[1], s[2]
+			a, b := randTensor(r, m, k), randTensor(r, k, n)
+			dst := dirty(m, n)
+			MatMulInto(dst, a, b)
+			sameProduct(t, fmt.Sprintf("MatMulInto %v", s), dst, naiveMatMul(a, b))
+		}
+		for i, s := range laneShapes() {
+			m, k, n := s[0], s[1], s[2]
+			a, b := randTensor(r, m, k), randTensor(r, k, n)
+			specials(r, i%3, a, b, m, n)
+			dst := dirty(m, n)
+			MatMulInto(dst, a, b)
+			sameProduct(t, fmt.Sprintf("MatMulInto %v regime %d", s, i%3), dst, naiveMatMul(a, b))
+		}
+	})
 }
 
 // TestMatMulTransADifferential is the same pin for Aᵀ×B, which is the same
 // kernel reading A down its columns.
 func TestMatMulTransADifferential(t *testing.T) {
-	r := rng.New(102)
-	for _, s := range append(matmulShapes(r), laneShapes()...) {
-		m, k, n := s[0], s[1], s[2]
-		a, b := randTensor(r, k, m), randTensor(r, k, n)
-		dst := dirty(m, n)
-		MatMulTransAInto(dst, a, b)
-		identicalTensors(t, fmt.Sprintf("MatMulTransAInto %v", s), dst, naiveMatMulTransA(a, b))
+	onPaths(t, func(t *testing.T) {
+		r := rng.New(102)
+		for _, s := range matmulShapes(r) {
+			m, k, n := s[0], s[1], s[2]
+			a, b := randTensor(r, k, m), randTensor(r, k, n)
+			dst := dirty(m, n)
+			MatMulTransAInto(dst, a, b)
+			sameProduct(t, fmt.Sprintf("MatMulTransAInto %v", s), dst, naiveMatMulTransA(a, b))
+		}
+		for i, s := range laneShapes() {
+			m, k, n := s[0], s[1], s[2]
+			a, b := randTensor(r, k, m), randTensor(r, k, n)
+			specials(r, i%3, a, b, m, n)
+			dst := dirty(m, n)
+			MatMulTransAInto(dst, a, b)
+			sameProduct(t, fmt.Sprintf("MatMulTransAInto %v regime %d", s, i%3), dst, naiveMatMulTransA(a, b))
+		}
+	})
+}
+
+// transpose returns the [k,m] transpose of a [m,k] tensor.
+func transpose(a *Tensor) *Tensor {
+	m, k := a.Shape[0], a.Shape[1]
+	at := New(k, m)
+	for i := 0; i < m; i++ {
+		for x := 0; x < k; x++ {
+			at.Data[x*m+i] = a.Data[i*k+x]
+		}
 	}
+	return at
 }
 
 // skipMatMul is the naive reference with the zero test the A×B and Aᵀ×B
@@ -235,59 +351,67 @@ func sparsify(r *rng.Rand, t *Tensor) {
 }
 
 // TestMatMulSparseMatchesZeroSkip pins the argument for removing the zero
-// test: with a +0 start no partial sum is ever −0, so adding 0·b (either
-// sign, finite b) changes no bit. 20 % exact zeros, −0 entries in both
-// operands and one-hot rows, compared bitwise with a reference that still
-// skips.
+// test, on each kernel path: with a +0 start no partial sum is ever −0, so
+// adding 0·b (either sign, finite b) changes no bit. 20 % exact zeros, −0
+// entries in both operands and one-hot rows, compared bitwise with a
+// reference that still skips.
 func TestMatMulSparseMatchesZeroSkip(t *testing.T) {
-	r := rng.New(106)
-	for _, s := range [][3]int{{16, 120, 63}, {16, 63, 31}, {5, 131, 7}, {17, 300, 6}, {523, 130, 3}} {
-		m, k, n := s[0], s[1], s[2]
-		a, b := randTensor(r, m, k), randTensor(r, k, n)
-		sparsify(r, a)
-		for i := range b.Data {
-			if r.Intn(10) == 0 {
-				b.Data[i] = math.Copysign(0, -1)
+	onPaths(t, func(t *testing.T) {
+		r := rng.New(106)
+		for _, s := range [][3]int{{16, 120, 63}, {16, 63, 31}, {5, 131, 7}, {17, 300, 6}, {523, 130, 3}} {
+			m, k, n := s[0], s[1], s[2]
+			a, b := randTensor(r, m, k), randTensor(r, k, n)
+			sparsify(r, a)
+			for i := range b.Data {
+				if r.Intn(10) == 0 {
+					b.Data[i] = math.Copysign(0, -1)
+				}
 			}
+			want := skipMatMul(a, b)
+			dst := dirty(m, n)
+			MatMulInto(dst, a, b)
+			identicalTensors(t, fmt.Sprintf("MatMulInto sparse %v", s), dst, want)
+			// Aᵀ×B of the transposed operand is the same product.
+			dst = dirty(m, n)
+			MatMulTransAInto(dst, transpose(a), b)
+			identicalTensors(t, fmt.Sprintf("MatMulTransAInto sparse %v", s), dst, want)
 		}
-		want := skipMatMul(a, b)
-		dst := dirty(m, n)
-		MatMulInto(dst, a, b)
-		identicalTensors(t, fmt.Sprintf("MatMulInto sparse %v", s), dst, want)
-		// Aᵀ×B of the transposed operand is the same product.
-		at := New(k, m)
-		for i := 0; i < m; i++ {
-			for x := 0; x < k; x++ {
-				at.Data[x*m+i] = a.Data[i*k+x]
-			}
-		}
-		dst = dirty(m, n)
-		MatMulTransAInto(dst, at, b)
-		identicalTensors(t, fmt.Sprintf("MatMulTransAInto sparse %v", s), dst, want)
-	}
+	})
 }
 
 // TestMatMulNonFinitePropagates documents the one thing the zero test hid: a
 // zero in A against a non-finite element of B is NaN, as IEEE 754 and the
-// naive reference have it, not a skipped term.
+// naive reference have it, not a skipped term. k = 5 runs the four-row pass
+// and the remainder; n = 5 puts the infinities in a vector and in its tail.
 func TestMatMulNonFinitePropagates(t *testing.T) {
-	a := FromSlice([]float64{0, 1, 2, 3}, 2, 2)
-	b := FromSlice([]float64{math.Inf(1), 5, 6, 7}, 2, 2)
-	for what, got := range map[string]*Tensor{
-		"MatMulInto":       matMul(a, b),
-		"MatMulTransAInto": MatMulTransA(FromSlice([]float64{0, 2, 1, 3}, 2, 2), b),
-	} {
-		// Row 0 of A is (0, 1): 0·Inf + 1·6 and 0·5 + 1·7.
-		if !math.IsNaN(got.Data[0]) || got.Data[1] != 7 {
-			t.Errorf("%s: row 0 = %v, want [NaN 7]", what, got.Data[:2])
+	inf := math.Inf(1)
+	a := FromSlice([]float64{
+		0, 1, 2, 3, 4,
+		1, 1, 0, 0, 1,
+	}, 2, 5)
+	b := FromSlice([]float64{
+		inf, 5, -inf, 5, inf,
+		1, 2, 3, 4, 5,
+		6, 7, 8, 9, 10,
+		1, 1, 1, 1, 1,
+		2, 2, 2, 2, 2,
+	}, 5, 5)
+	want := naiveMatMul(a, b)
+	onPaths(t, func(t *testing.T) {
+		for what, got := range map[string]*Tensor{
+			"MatMulInto":       matMul(a, b),
+			"MatMulTransAInto": MatMulTransA(transpose(a), b),
+		} {
+			sameProduct(t, what, got, want)
+			// Row 0 of A starts with 0: 0·±Inf is NaN in columns 0, 2 and 4.
+			if !math.IsNaN(got.Data[0]) || !math.IsNaN(got.Data[2]) || !math.IsNaN(got.Data[4]) || got.Data[1] != 27 || got.Data[3] != 33 {
+				t.Errorf("%s: row 0 = %v, want [NaN 27 NaN 33 NaN]", what, got.Data[:5])
+			}
+			if !math.IsInf(got.Data[5], 1) || !math.IsInf(got.Data[7], -1) || !math.IsInf(got.Data[9], 1) || got.Data[6] != 9 || got.Data[8] != 11 {
+				t.Errorf("%s: row 1 = %v, want [+Inf 9 -Inf 11 +Inf]", what, got.Data[5:])
+			}
 		}
-		if !math.IsInf(got.Data[2], 1) || got.Data[3] != 31 {
-			t.Errorf("%s: row 1 = %v, want [+Inf 31]", what, got.Data[2:])
-		}
-	}
-	if ref := naiveMatMul(a, b); !math.IsNaN(ref.Data[0]) {
-		t.Errorf("naive reference disagrees: %v", ref.Data)
-	}
+	})
 }
 
 // TestMatMulTransBDifferential holds the register-blocked A×Bᵀ kernel to the

@@ -7,6 +7,10 @@ import "fmt"
 // block (blockK × n) is what stays in cache, not all of B.
 const blockK = 128
 
+// lanes selects addRows4 for matmulRows' four-row pass: true where the CPU
+// has AVX. Tests clear it to hold the Go loop to the same references.
+var lanes = hasAVX()
+
 // MatMulInto computes dst = A×B for rank-2 tensors of shapes [m,k] and
 // [k,n] into a caller-provided [m,n] destination. dst must not alias either
 // operand.
@@ -43,10 +47,17 @@ func MatMulInto(dst, a, b *Tensor) {
 // adding 0·b changes no bit for a finite b; for a non-finite b it yields the
 // IEEE NaN. Sparse structure is the caller's to exploit (nn.LSTM's one-hot).
 //
+// On amd64 with AVX the four-row pass over a row of n ≥ 4 runs as addRows4,
+// four j per vector multiply and add; shorter rows stay in Go, where the
+// call would cost more than the lanes save. Each lane performs the Go loop's
+// two rounded operations in the Go loop's order, so the bits are the same;
+// the Go loop stays the reference, and the one that runs everywhere else.
+//
 // The kernel zeroes out first, so out may hold anything on entry.
 func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor) {
 	m, k, n := out.Shape[0], b.Shape[0], b.Shape[1]
 	od, bd := out.Data, b.Data
+	vector := lanes && n >= 4
 	clear(od[:m*n])
 	for k0 := 0; k0 < k; k0 += blockK {
 		k1 := min(k0+blockK, k)
@@ -58,6 +69,10 @@ func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor) {
 			for ; x+4 <= k1; x += 4 {
 				ai := i*ar + x*ax
 				a0, a1, a2, a3 := ad[ai], ad[ai+ax], ad[ai+2*ax], ad[ai+3*ax]
+				if vector {
+					addRows4(o, bd[x*n:][:4*n], a0, a1, a2, a3)
+					continue
+				}
 				b0 := bd[x*n:][:len(o)]
 				b1 := bd[(x+1)*n:][:len(o)]
 				b2 := bd[(x+2)*n:][:len(o)]

@@ -454,45 +454,51 @@ func TestGlorotUniformBounds(t *testing.T) {
 
 // BenchmarkMatMulShapes is the kernel loop: the three matmul forms over the
 // shapes live training actually issues (batch 16 through Combo-small layers,
-// batch 4 through the controller's 32-unit LSTM; A carries the ~20 % exact
-// zeros a ReLU leaves), plus two large products that guard the loop nest
-// against a cache cliff outside that traffic. Each row is m×k×n of the
-// OUTPUT: [m,n] summed over k.
+// a 1024-row Evaluate chunk, batch 4 through the controller's 32-unit LSTM; A
+// carries the ~20 % exact zeros a ReLU leaves), plus two large products that
+// guard the loop nest against a cache cliff outside that traffic. Each row is
+// m×k×n of the OUTPUT: [m,n] summed over k, run once per kernel path (/avx,
+// where the host has it, and /go). AxBT reads no lanes, so its two paths are
+// the noise floor.
 func BenchmarkMatMulShapes(b *testing.B) {
 	for _, c := range []struct {
 		form    string
 		m, k, n int
 	}{
 		{"AxB", 16, 120, 63}, {"AxB", 16, 63, 31}, {"AxB", 16, 120, 6}, {"AxB", 4, 32, 128},
-		{"AxB", 16, 120, 32}, // the shape behind benchmark's tensor.matmul_gflops
+		{"AxB", 16, 120, 32},   // the shape behind benchmark's tensor.matmul_gflops
+		{"AxB", 1024, 120, 63}, // an Evaluate chunk
 		{"ATxB", 120, 16, 63}, {"ATxB", 63, 16, 31}, {"ATxB", 32, 4, 128},
 		{"AxBT", 16, 63, 120},
 		{"AxB", 512, 512, 512}, {"AxB", 16, 1000, 1000}, // cliff guards
 	} {
-		b.Run(fmt.Sprintf("%s/%dx%dx%d", c.form, c.m, c.k, c.n), func(b *testing.B) {
-			r := rng.New(1)
-			var x, y *Tensor
-			var into func(dst, x, y *Tensor)
-			switch c.form {
-			case "AxB":
-				x, y, into = randTensor(r, c.m, c.k), randTensor(r, c.k, c.n), MatMulInto
-			case "ATxB":
-				x, y, into = randTensor(r, c.k, c.m), randTensor(r, c.k, c.n), MatMulTransAInto
-			case "AxBT":
-				x, y, into = randTensor(r, c.m, c.k), randTensor(r, c.n, c.k), MatMulTransBInto
-			}
-			for i := range x.Data {
-				if r.Intn(5) == 0 {
-					x.Data[i] = 0
+		for _, p := range kernelPaths() {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", c.form, c.m, c.k, c.n, p.name), func(b *testing.B) {
+				setLanes(b, p.lanes)
+				r := rng.New(1)
+				var x, y *Tensor
+				var into func(dst, x, y *Tensor)
+				switch c.form {
+				case "AxB":
+					x, y, into = randTensor(r, c.m, c.k), randTensor(r, c.k, c.n), MatMulInto
+				case "ATxB":
+					x, y, into = randTensor(r, c.k, c.m), randTensor(r, c.k, c.n), MatMulTransAInto
+				case "AxBT":
+					x, y, into = randTensor(r, c.m, c.k), randTensor(r, c.n, c.k), MatMulTransBInto
 				}
-			}
-			dst := New(c.m, c.n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				into(dst, x, y)
-			}
-			b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+				for i := range x.Data {
+					if r.Intn(5) == 0 {
+						x.Data[i] = 0
+					}
+				}
+				dst := New(c.m, c.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					into(dst, x, y)
+				}
+				b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
 

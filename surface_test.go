@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"regexp"
@@ -177,6 +178,39 @@ func TestSerialKernels(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// fusedOp matches the x86 fused multiply-add mnemonics.
+var fusedOp = regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
+
+// TestNoFusedAssembly: internal/tensor holds the module's only assembly, and
+// no instruction in it is a fused multiply-add, which rounds once where the
+// Go loop it stands in for rounds twice (DESIGN §6). check.sh's arm64 gate
+// holds compiled Go to the same rule.
+func TestNoFusedAssembly(t *testing.T) {
+	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".s") {
+			return err
+		}
+		file = filepath.ToSlash(file)
+		if path.Dir(file) != "internal/tensor" {
+			t.Errorf("%s: assembly outside internal/tensor", file)
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if op := fusedOp.FindString(code); op != "" {
+				t.Errorf("%s:%d: fused multiply-add %s", file, i+1, op)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // strictMathAllow counts, per non-test file of a timeFree package, today's
