@@ -168,8 +168,9 @@ var (
 	ErrNotFound = fmt.Errorf("campaign: not found")
 	ErrConflict = fmt.Errorf("campaign: conflicting state")
 	ErrDraining = fmt.Errorf("campaign: server is draining")
-	// ErrNoSpace rejects submissions while the store's disk is full (HTTP
-	// 507); running campaigns pause at their walltime boundary instead.
+	// ErrNoSpace rejects submissions while an allocation's write has failed
+	// with ENOSPC (HTTP 507); running campaigns pause at their walltime
+	// boundary instead.
 	ErrNoSpace = fmt.Errorf("campaign: storage full")
 )
 
@@ -183,10 +184,15 @@ type Manager struct {
 	mu        sync.Mutex
 	campaigns map[string]*runtime
 	draining  bool
-	// diskFull latches when a store write fails with ENOSPC and clears on
-	// the next successful campaign creation or allocation write. While set,
-	// Submit is rejected with ErrNoSpace and Health reports the degradation.
-	diskFull bool
+	// diskFull latches when a store write fails with ENOSPC; while set,
+	// Health reports the degradation. allocFull marks a latch an
+	// allocation's checkpoint or log write set: only a successful
+	// allocation write clears it, and Submit is rejected with ErrNoSpace
+	// meanwhile, since a creation's small meta write cannot show that an
+	// allocation's would fit. A latch only meta writes set clears on any
+	// successful store write, and Submit's Create is the write that tries.
+	diskFull  bool
+	allocFull bool
 
 	wg    sync.WaitGroup
 	ready chan struct{}
@@ -279,7 +285,7 @@ func (m *Manager) Submit(spec *Spec) (Info, error) {
 	if m.draining {
 		return Info{}, ErrDraining
 	}
-	if m.diskFull {
+	if m.allocFull {
 		return Info{}, ErrNoSpace
 	}
 	id, err := m.store.NextID()
@@ -287,8 +293,9 @@ func (m *Manager) Submit(spec *Spec) (Info, error) {
 		return Info{}, err
 	}
 	meta := Meta{ID: id, Spec: *spec, Status: StatusRunning}
-	if err := m.store.Create(meta); err != nil {
-		m.noteStoreWriteLocked(err)
+	err = m.store.Create(meta)
+	m.noteStoreWriteLocked(err, false)
+	if err != nil {
 		return Info{}, err
 	}
 	rt := &runtime{meta: meta, wake: make(chan struct{}, 1)}
@@ -329,8 +336,8 @@ func (m *Manager) List() []Info {
 
 // Health is the service-level condition snapshot served by healthz.
 type Health struct {
-	// Status is "ok" while storage is healthy, "degraded" once a store
-	// write has failed with ENOSPC and no write has succeeded since.
+	// Status is "ok" while storage is healthy, "degraded" while the
+	// manager's disk-full latch holds.
 	Status string `json:"status"`
 	// DiskFull mirrors the manager's ENOSPC latch.
 	DiskFull bool `json:"diskFull"`
@@ -358,25 +365,20 @@ func (m *Manager) Health() Health {
 	return h
 }
 
-// noteStoreWriteLocked maintains the diskFull latch from the outcome of a
-// campaign creation or an allocation's checkpoint or log write. Caller holds
-// m.mu.
-func (m *Manager) noteStoreWriteLocked(err error) {
-	if err == nil && m.diskFull {
-		m.diskFull = false
-		m.opts.Logf("store: disk recovered; accepting submissions again")
-	}
-	m.latchDiskFullLocked(err)
-}
-
-// latchDiskFullLocked sets the diskFull latch when a store write failed with
-// ENOSPC. Meta writes feed only this half: one that succeeds does not clear
-// the latch, since the boundary's storage-full pause writes meta right after
-// it latches. Caller holds m.mu.
-func (m *Manager) latchDiskFullLocked(err error) {
-	if errors.Is(err, syscall.ENOSPC) && !m.diskFull {
+// noteStoreWriteLocked maintains the disk-full latch from a store write's
+// outcome; alloc marks an allocation's checkpoint or log write, the only
+// kind whose success clears a latch one of them set. Caller holds m.mu.
+func (m *Manager) noteStoreWriteLocked(err error, alloc bool) {
+	switch {
+	case errors.Is(err, syscall.ENOSPC):
+		if !m.diskFull {
+			m.opts.Logf("store: disk full")
+		}
 		m.diskFull = true
-		m.opts.Logf("store: disk full; rejecting submissions until a write succeeds")
+		m.allocFull = m.allocFull || alloc
+	case err == nil && m.diskFull && (alloc || !m.allocFull):
+		m.diskFull, m.allocFull = false, false
+		m.opts.Logf("store: disk recovered")
 	}
 }
 
@@ -516,7 +518,7 @@ func (m *Manager) transition(id string, decide func(*runtime) (Status, error)) (
 		meta := rt.meta
 		meta.Status = to
 		err = m.store.SaveMeta(meta)
-		m.latchDiskFullLocked(err)
+		m.noteStoreWriteLocked(err, false)
 		if err == nil {
 			rt.meta.Status = to
 			if to == StatusRunning && !rt.running {
@@ -640,7 +642,7 @@ func (m *Manager) runCampaign(rt *runtime) {
 				// restart converges the same way, since the checkpoint, not
 				// meta, is the authority. The latch holds even if a sibling's
 				// write cleared it meanwhile.
-				m.diskFull = true
+				m.noteStoreWriteLocked(err, true)
 				rt.meta.Error = fmt.Sprintf("storage full: %v", err)
 				m.stopLocked(rt, StatusPaused, "paused: storage full")
 			}
@@ -699,7 +701,7 @@ func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.noteStoreWriteLocked(err)
+	m.noteStoreWriteLocked(err, true)
 	if err != nil {
 		return false, err
 	}
@@ -773,7 +775,7 @@ func (m *Manager) stopLocked(rt *runtime, status Status, why string) {
 // runner. Caller holds m.mu.
 func (m *Manager) saveMetaLocked(rt *runtime) {
 	err := m.store.SaveMeta(rt.meta)
-	m.latchDiskFullLocked(err)
+	m.noteStoreWriteLocked(err, false)
 	if err != nil {
 		m.opts.Logf("campaign %s: persist meta: %v", rt.meta.ID, err)
 	}

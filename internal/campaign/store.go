@@ -163,7 +163,9 @@ func (s *Store) NextID() (string, error) {
 // Create allocates a campaign directory for meta.ID and persists the meta
 // record. The directory is fsynced into the store root before the meta
 // write, so a crash between the two leaves an empty quarantined directory,
-// never a half-registered campaign.
+// never a half-registered campaign. A meta write that fails removes the
+// directory again, so a store that refuses writes does not gain an empty
+// one per rejected submission.
 func (s *Store) Create(meta Meta) error {
 	if meta.ID == "" {
 		return fmt.Errorf("campaign: create with empty ID")
@@ -178,7 +180,11 @@ func (s *Store) Create(meta Meta) error {
 	if err := ckpt.SyncDirFS(s.fsys, s.root); err != nil {
 		return err
 	}
-	return s.SaveMeta(meta)
+	if err := s.SaveMeta(meta); err != nil {
+		_ = s.fsys.Remove(cdir)
+		return err
+	}
+	return nil
 }
 
 // SaveMeta atomically rewrites a campaign's meta record.

@@ -144,6 +144,32 @@ func (c *countReadsFS) ReadFile(name string) ([]byte, error) {
 	return c.FS.ReadFile(name)
 }
 
+// TestStoreFailedCreateLeavesNoDirectory: a Create whose meta write fails
+// with ENOSPC takes its directory back, so each submission a full store
+// rejects leaves nothing behind and the ID is issued again once a write fits.
+func TestStoreFailedCreateLeavesNoDirectory(t *testing.T) {
+	mem := fsim.NewMemFS()
+	st, _, err := OpenStoreFS(fsim.NewFaultFS(mem, fsim.Faults{DiskBudget: 1}), "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		id, err := st.NextID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Create(Meta{ID: id, Spec: testSpec(), Status: StatusRunning}); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("create %s on a full store: %v, want ENOSPC", id, err)
+		}
+	}
+	if ents, err := mem.ReadDir("/store"); err != nil || len(ents) != 0 {
+		t.Fatalf("store after rejected creates: %d entries, err %v; want none", len(ents), err)
+	}
+	if id, _ := st.NextID(); id != "c00000001" {
+		t.Fatalf("next ID after rejected creates %q, want c00000001", id)
+	}
+}
+
 // TestStoreOpenSurfacesTransientAndFutureMeta pins the other two thirds of
 // the error taxonomy at store open: a transient read error and a meta
 // record from a newer build are not damage, so they fail the open with a

@@ -455,7 +455,9 @@ func TestShortDiskFullPausesAndDegrades(t *testing.T) {
 // TestShortMetaENOSPCLatchesDiskFull: a meta write that fails with ENOSPC
 // latches degraded health like a checkpoint write does, whether a control
 // writes it (a Cancel of a paused campaign, which answers the error) or the
-// runner's boundary does (a Cancel applied there).
+// runner's boundary does (a Cancel applied there). Neither leaves a runner
+// whose write could clear the latch, so once space is freed the next Submit's
+// creation does: it succeeds and health reads ok again.
 func TestShortMetaENOSPCLatchesDiskFull(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -491,6 +493,13 @@ func TestShortMetaENOSPCLatchesDiskFull(t *testing.T) {
 			}
 			if h := mgr.Health(); !h.DiskFull || h.Status != "degraded" {
 				t.Errorf("health after a meta write hit ENOSPC: %+v", h)
+			}
+			disk.full.Store(false) // operator frees space
+			if _, err := mgr.Submit(&spec); err != nil {
+				t.Fatalf("submit after space was freed: %v", err)
+			}
+			if h := mgr.Health(); h.DiskFull || h.Status != "ok" {
+				t.Errorf("health after a creation succeeded: %+v", h)
 			}
 		})
 	}
