@@ -15,10 +15,10 @@
 // hpc.FaultModel tracks per-node up/down state in a NodePool, kills jobs
 // whose node dies mid-run, requeues them with capped exponential backoff in
 // virtual time (terminal FAILED after MaxRetries), and slows straggling
-// jobs. Utilization accounting distinguishes busy, idle, and dead
-// node-seconds, so MeanUtilization and UtilizationSeries report the busy
-// fraction of *available* capacity. With the zero FaultModel the service
-// behaves bit-for-bit like the fault-free original.
+// jobs. The utilization series records busy and dead nodes at every
+// transition, so UtilizationSeries reports the busy fraction of *available*
+// capacity. With the zero FaultModel the service behaves bit-for-bit like
+// the fault-free original.
 package balsam
 
 import (
@@ -73,7 +73,7 @@ type Job struct {
 	// Node is the worker node currently running the job (-1 when none).
 	Node int
 
-	SubmitTime, StartTime, EndTime float64
+	StartTime float64
 
 	// OnDone fires when the job reaches a terminal state (JOB_FINISHED,
 	// RUN_TIMEOUT, or FAILED).
@@ -288,11 +288,11 @@ type Options struct {
 	// kill is terminal).
 	MaxRetries int
 	// NoUtilizationSeries disables retention of the per-transition
-	// utilization series (UtilizationSeries then returns nil); the busy/down
-	// integrals — and with them MeanUtilization — are unaffected. Million-
-	// event runs (the simbench experiment, the allocation gate) set it: the
-	// series grows by one point per job transition, which is both unbounded
-	// memory and the one steady-state allocation left in the dispatch cycle.
+	// utilization series (UtilizationSeries then returns nil); the trace's
+	// node counters are unaffected. Million-event runs (the simbench
+	// experiment, the allocation gate) set it: the series grows by one point
+	// per job transition, which is both unbounded memory and the one
+	// steady-state allocation left in the dispatch cycle.
 	NoUtilizationSeries bool
 }
 
@@ -333,17 +333,11 @@ type Service struct {
 	// is scheduled as timelineEvent{s, i}.
 	timeline []hpc.NodeEvent
 
-	// Utilization accounting: integrals of busy and down node counts over
-	// time plus a transition log for time series.
-	lastChange   float64
-	busy         int
-	down         int
-	busyIntegral float64
-	downIntegral float64
-	transitions  []UtilizationPoint
+	// transitions logs the pool's busy and down counts at every change: the
+	// one record of utilization.
+	transitions []UtilizationPoint
 
 	finished     int
-	failed       int
 	retries      int
 	nodeFailures int
 }
@@ -367,7 +361,6 @@ func NewService(sim *hpc.Sim, nodes int) *Service {
 // With the zero Options the service is indistinguishable from NewService.
 func NewServiceWithOptions(sim *hpc.Sim, nodes int, opts Options) *Service {
 	s := newService(sim, nodes, opts)
-	s.lastChange = sim.Now()
 	if !s.opts.NoUtilizationSeries {
 		s.transitions = append(s.transitions, UtilizationPoint{Time: sim.Now()})
 	}
@@ -422,11 +415,8 @@ func (s *Service) recycle(e *jobEvent) {
 func (s *Service) QueueLen() int { return len(s.queue) - s.qhead }
 
 // Finished returns the number of successfully completed jobs (JOB_FINISHED
-// or RUN_TIMEOUT; FAILED jobs are counted by Failed).
+// or RUN_TIMEOUT; FAILED jobs are not counted).
 func (s *Service) Finished() int { return s.finished }
-
-// Failed returns the number of jobs that went terminal FAILED.
-func (s *Service) Failed() int { return s.failed }
 
 // Retries returns the number of kill-and-requeue cycles performed.
 func (s *Service) Retries() int { return s.retries }
@@ -444,7 +434,6 @@ func (s *Service) Submit(job *Job) int64 {
 	job.ID = s.nextID
 	job.State = StateCreated
 	job.Node = -1
-	job.SubmitTime = s.sim.Now()
 	s.jobs[job.ID] = job
 	s.queue = append(s.queue, job)
 	rec := s.sim.Recorder()
@@ -518,7 +507,6 @@ func (s *Service) complete(e *jobEvent) {
 	} else {
 		job.State = StateFinished
 	}
-	job.EndTime = s.sim.Now()
 	delete(s.jobs, job.ID)
 	s.finished++
 	name := trace.EvJobDone
@@ -526,7 +514,7 @@ func (s *Service) complete(e *jobEvent) {
 		name = trace.EvJobTimeout
 	}
 	s.sim.Recorder().Emit(trace.Event{Kind: trace.KindSpan, Cat: trace.CatBalsam, Name: name,
-		Dur: job.EndTime - job.StartTime, Node: job.Node, Agent: job.AgentID,
+		Dur: s.sim.Now() - job.StartTime, Node: job.Node, Agent: job.AgentID,
 		Job: job.ID, Value: float64(job.Attempts)})
 	s.pool.Release(job.Node)
 	job.Node = -1
@@ -571,9 +559,7 @@ func (s *Service) kill(job *Job) {
 	job.Node = -1
 	if job.Attempts > s.opts.MaxRetries {
 		job.State = StateFailed
-		job.EndTime = s.sim.Now()
 		delete(s.jobs, job.ID)
-		s.failed++
 		s.sim.Recorder().Emit(trace.Event{Cat: trace.CatBalsam, Name: trace.EvJobFailed,
 			Node: node, Agent: job.AgentID, Job: job.ID, Value: float64(job.Attempts)})
 		if job.OnDone != nil {
@@ -617,56 +603,18 @@ func (s *Service) nodeUp(node int) {
 	s.dispatch()
 }
 
-// updateCounts integrates the busy/down node counts up to now and records a
-// transition point.
+// updateCounts records the pool's busy/down node counts as a transition
+// point and emits them as trace counters.
 func (s *Service) updateCounts() {
-	now := s.sim.Now()
-	// Each outer float64(...) in this file rounds a product: no fused
-	// multiply-add (DESIGN §6).
-	s.busyIntegral += float64(float64(s.busy) * (now - s.lastChange))
-	s.downIntegral += float64(float64(s.down) * (now - s.lastChange))
-	s.lastChange = now
-	s.busy = s.pool.Busy()
-	s.down = s.pool.Down()
+	busy, down := s.pool.Busy(), s.pool.Down()
 	if !s.opts.NoUtilizationSeries {
-		s.transitions = append(s.transitions, UtilizationPoint{Time: now, Busy: s.busy, Down: s.down})
+		s.transitions = append(s.transitions, UtilizationPoint{Time: s.sim.Now(), Busy: busy, Down: down})
 	}
 	rec := s.sim.Recorder()
 	rec.Emit(trace.Event{Kind: trace.KindCounter, Cat: trace.CatBalsam, Name: trace.EvBusyNodes,
-		Node: trace.None, Agent: trace.None, Value: float64(s.busy)})
+		Node: trace.None, Agent: trace.None, Value: float64(busy)})
 	rec.Emit(trace.Event{Kind: trace.KindCounter, Cat: trace.CatBalsam, Name: trace.EvDownNodes,
-		Node: trace.None, Agent: trace.None, Value: float64(s.down)})
-}
-
-// BusySeconds returns the integral of busy node count over time.
-func (s *Service) BusySeconds() float64 {
-	return s.busyIntegral + float64(float64(s.busy)*(s.sim.Now()-s.lastChange))
-}
-
-// DeadSeconds returns the integral of failed node count over time.
-func (s *Service) DeadSeconds() float64 {
-	return s.downIntegral + float64(float64(s.down)*(s.sim.Now()-s.lastChange))
-}
-
-// IdleSeconds returns the integral of idle (up, unoccupied) node count.
-func (s *Service) IdleSeconds() float64 {
-	return float64(float64(s.pool.Len())*s.sim.Now()) - s.BusySeconds() - s.DeadSeconds()
-}
-
-// MeanUtilization returns the time-averaged busy fraction of *available*
-// capacity from t=0 to now: busy node-seconds over total node-seconds minus
-// dead node-seconds. On a fault-free machine this is the plain busy
-// fraction.
-func (s *Service) MeanUtilization() float64 {
-	now := s.sim.Now()
-	if now == 0 {
-		return 0
-	}
-	avail := float64(float64(s.pool.Len())*now) - s.DeadSeconds()
-	if avail <= 0 {
-		return 0
-	}
-	return s.BusySeconds() / avail
+		Node: trace.None, Agent: trace.None, Value: float64(down)})
 }
 
 // UtilizationSeries samples the piecewise-constant utilization curve into
@@ -681,7 +629,7 @@ func (s *Service) UtilizationSeries(bucket float64) []float64 {
 	}
 	now := s.sim.Now()
 	points := append(append([]UtilizationPoint(nil), s.transitions...),
-		UtilizationPoint{Time: now, Busy: s.busy, Down: s.down})
+		UtilizationPoint{Time: now, Busy: s.pool.Busy(), Down: s.pool.Down()})
 	return SeriesFromPoints(points, s.pool.Len(), bucket, now)
 }
 
@@ -703,7 +651,8 @@ func SeriesFromPoints(points []UtilizationPoint, nodes int, bucket, now float64)
 	}
 	busySec := make([]float64, nBuckets)
 	downSec := make([]float64, nBuckets)
-	// Integrate the step functions per bucket.
+	// Integrate the step functions per bucket. Each outer float64(...) rounds
+	// a product: no fused multiply-add (DESIGN §6).
 	for i := 0; i+1 < len(points); i++ {
 		t0, t1 := points[i].Time, points[i+1].Time
 		busy := float64(points[i].Busy)
@@ -751,7 +700,7 @@ type JobRecord struct {
 	Attempts int
 	Node     int
 
-	SubmitTime, StartTime float64
+	StartTime float64
 
 	// HasFire says whether the job has a pending simulator event (the
 	// completion event while RUNNING, the requeue event while RUN_ERROR),
@@ -779,7 +728,7 @@ type TimelineEvent struct {
 // State is the complete serializable state of a Service at a checkpoint
 // cut: live jobs (terminal JOB_FINISHED/RUN_TIMEOUT/FAILED jobs have already
 // reported through OnDone and are dropped), the launcher queue order, node
-// availability, the straggler stream position, utilization accounting, and
+// availability, the straggler stream position, the utilization series, and
 // every pending simulator event the service owns.
 type State struct {
 	NextID int64
@@ -792,13 +741,9 @@ type State struct {
 	// StragglerRand is nil when stragglers are disabled.
 	StragglerRand *rng.State
 
-	LastChange   float64
-	Busy, Down   int
-	BusyIntegral float64
-	DownIntegral float64
-	Transitions  []UtilizationPoint
+	Transitions []UtilizationPoint
 
-	Finished, Failed, Retries, NodeFailures int
+	Finished, Retries, NodeFailures int
 
 	Stale           []StaleEvent
 	PendingTimeline []TimelineEvent
@@ -811,14 +756,8 @@ type State struct {
 func (s *Service) CaptureState() *State {
 	st := &State{
 		NextID:       s.nextID,
-		LastChange:   s.lastChange,
-		Busy:         s.busy,
-		Down:         s.down,
-		BusyIntegral: s.busyIntegral,
-		DownIntegral: s.downIntegral,
 		Transitions:  append([]UtilizationPoint(nil), s.transitions...),
 		Finished:     s.finished,
-		Failed:       s.failed,
 		Retries:      s.retries,
 		NodeFailures: s.nodeFailures,
 	}
@@ -847,7 +786,7 @@ func (s *Service) CaptureState() *State {
 			ID: job.ID, AgentID: job.AgentID, Key: job.Key,
 			Duration: job.Duration, TimedOut: job.TimedOut,
 			State: job.State, Attempts: job.Attempts, Node: job.Node,
-			SubmitTime: job.SubmitTime, StartTime: job.StartTime,
+			StartTime: job.StartTime,
 		}
 		if ev, ok := fire[job]; ok {
 			rec.HasFire, rec.FireTime, rec.FireSeq = true, ev.Time, ev.Seq
@@ -877,14 +816,8 @@ func (s *Service) CaptureState() *State {
 func RestoreService(sim *hpc.Sim, nodes int, opts Options, st *State) (*Service, []hpc.Event) {
 	s := newService(sim, nodes, opts)
 	s.nextID = st.NextID
-	s.lastChange = st.LastChange
-	s.busy = st.Busy
-	s.down = st.Down
-	s.busyIntegral = st.BusyIntegral
-	s.downIntegral = st.DownIntegral
 	s.transitions = append([]UtilizationPoint(nil), st.Transitions...)
 	s.finished = st.Finished
-	s.failed = st.Failed
 	s.retries = st.Retries
 	s.nodeFailures = st.NodeFailures
 	if st.StragglerRand != nil {
@@ -903,7 +836,7 @@ func RestoreService(sim *hpc.Sim, nodes int, opts Options, st *State) (*Service,
 			ID: rec.ID, AgentID: rec.AgentID, Key: rec.Key,
 			Duration: rec.Duration, TimedOut: rec.TimedOut,
 			State: rec.State, Attempts: rec.Attempts, Node: rec.Node,
-			SubmitTime: rec.SubmitTime, StartTime: rec.StartTime,
+			StartTime: rec.StartTime,
 		}
 		s.jobs[job.ID] = job
 		switch job.State {

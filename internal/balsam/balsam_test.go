@@ -53,27 +53,29 @@ func TestJobTimestamps(t *testing.T) {
 	sim := hpc.NewSim()
 	s := NewService(sim, 1)
 	var j1, j2 *Job
+	var end1, end2 float64
 	sim.At(0, func() {
-		s.Submit(&Job{Key: "1", Duration: 4, OnDone: func(j *Job) { j1 = j }})
-		s.Submit(&Job{Key: "2", Duration: 3, OnDone: func(j *Job) { j2 = j }})
+		s.Submit(&Job{Key: "1", Duration: 4, OnDone: func(j *Job) { j1, end1 = j, sim.Now() }})
+		s.Submit(&Job{Key: "2", Duration: 3, OnDone: func(j *Job) { j2, end2 = j, sim.Now() }})
 	})
 	sim.RunAll()
-	if j1.StartTime != 0 || j1.EndTime != 4 {
-		t.Fatalf("job1 times %g-%g", j1.StartTime, j1.EndTime)
+	if j1.StartTime != 0 || end1 != 4 {
+		t.Fatalf("job1 times %g-%g", j1.StartTime, end1)
 	}
-	if j2.SubmitTime != 0 || j2.StartTime != 4 || j2.EndTime != 7 {
-		t.Fatalf("job2 times submit %g start %g end %g", j2.SubmitTime, j2.StartTime, j2.EndTime)
+	if j2.StartTime != 4 || end2 != 7 {
+		t.Fatalf("job2 times start %g end %g", j2.StartTime, end2)
 	}
 }
 
 func TestMeanUtilization(t *testing.T) {
 	sim := hpc.NewSim()
 	s := NewService(sim, 2)
-	// One node busy for 10 s out of 2 nodes × 10 s → 0.5.
+	// One node busy for 10 s out of 2 nodes × 10 s → 0.5: one bucket
+	// spanning the whole run is the run's mean.
 	s.Submit(&Job{Key: "a", Duration: 10})
 	sim.RunAll()
-	if u := s.MeanUtilization(); math.Abs(u-0.5) > 1e-12 {
-		t.Fatalf("utilization %g, want 0.5", u)
+	if u := s.UtilizationSeries(sim.Now()); len(u) != 1 || math.Abs(u[0]-0.5) > 1e-12 {
+		t.Fatalf("utilization %v, want [0.5]", u)
 	}
 }
 
@@ -114,8 +116,8 @@ func TestBackloggedPoolStaysSaturated(t *testing.T) {
 		s.Submit(&Job{Key: "j", Duration: 7})
 	}
 	sim.RunAll()
-	if u := s.MeanUtilization(); u < 0.999 {
-		t.Fatalf("backlogged pool utilization %g, want ~1", u)
+	if u := s.UtilizationSeries(sim.Now()); len(u) != 1 || u[0] < 0.999 {
+		t.Fatalf("backlogged pool utilization %v, want [~1]", u)
 	}
 	if s.Finished() != 100 {
 		t.Fatalf("finished %d", s.Finished())

@@ -14,7 +14,12 @@ func TestStateMachineTransitions(t *testing.T) {
 	sim := hpc.NewSim()
 	s := NewServiceWithOptions(sim, 1, Options{})
 	var trace []JobState
-	job := &Job{Key: "x", Duration: 10}
+	failed := 0
+	job := &Job{Key: "x", Duration: 10, OnDone: func(j *Job) {
+		if j.State == StateFailed {
+			failed++
+		}
+	}}
 	sim.At(0, func() {
 		s.Submit(job)
 		trace = append(trace, job.State) // CREATED is overwritten by dispatch at t=0
@@ -39,8 +44,8 @@ func TestStateMachineTransitions(t *testing.T) {
 	if job.Attempts != 2 {
 		t.Fatalf("attempts %d, want 2", job.Attempts)
 	}
-	if s.Retries() != 1 || s.Failed() != 0 || s.Finished() != 1 {
-		t.Fatalf("retries %d failed %d finished %d", s.Retries(), s.Failed(), s.Finished())
+	if s.Retries() != 1 || failed != 0 || s.Finished() != 1 {
+		t.Fatalf("retries %d failed %d finished %d", s.Retries(), failed, s.Finished())
 	}
 }
 
@@ -49,7 +54,8 @@ func TestStateMachineTransitions(t *testing.T) {
 func TestRestartReadyState(t *testing.T) {
 	sim := hpc.NewSim()
 	s := NewServiceWithOptions(sim, 1, Options{})
-	job := &Job{Key: "x", Duration: 10}
+	var end float64
+	job := &Job{Key: "x", Duration: 10, OnDone: func(*Job) { end = sim.Now() }}
 	sim.At(0, func() { s.Submit(job) })
 	sim.At(2, func() { s.nodeDown(0) })
 	// Backoff ends at 17 but the node is still down: RESTART_READY.
@@ -64,8 +70,8 @@ func TestRestartReadyState(t *testing.T) {
 		t.Fatalf("final state %s", job.State)
 	}
 	// Second run started at repair time 19, duration 10.
-	if job.EndTime != 29 {
-		t.Fatalf("end time %g, want 29", job.EndTime)
+	if end != 29 {
+		t.Fatalf("end time %g, want 29", end)
 	}
 }
 
@@ -74,8 +80,13 @@ func TestRestartReadyState(t *testing.T) {
 func TestTerminalFailedAfterMaxRetries(t *testing.T) {
 	sim := hpc.NewSim()
 	s := NewServiceWithOptions(sim, 1, Options{MaxRetries: 2})
-	done := 0
-	job := &Job{Key: "doomed", Duration: 100, OnDone: func(*Job) { done++ }}
+	done, failed := 0, 0
+	job := &Job{Key: "doomed", Duration: 100, OnDone: func(j *Job) {
+		done++
+		if j.State == StateFailed {
+			failed++
+		}
+	}}
 	sim.At(0, func() { s.Submit(job) })
 	// Kill the node 2 s after every (re)start and heal it 3 s later: starts
 	// at 0, 17 (backoff 15) and 49 (backoff 30), kills at 2, 19 and 51.
@@ -91,8 +102,8 @@ func TestTerminalFailedAfterMaxRetries(t *testing.T) {
 	if job.Attempts != 3 {
 		t.Fatalf("attempts %d, want 3", job.Attempts)
 	}
-	if s.Retries() != 2 || s.Failed() != 1 || s.Finished() != 0 {
-		t.Fatalf("retries %d failed %d finished %d", s.Retries(), s.Failed(), s.Finished())
+	if s.Retries() != 2 || failed != 1 || s.Finished() != 0 {
+		t.Fatalf("retries %d failed %d finished %d", s.Retries(), failed, s.Finished())
 	}
 	if done != 1 {
 		t.Fatalf("OnDone fired %d times", done)
@@ -104,7 +115,8 @@ func TestTerminalFailedAfterMaxRetries(t *testing.T) {
 func TestStaleCompletionIgnored(t *testing.T) {
 	sim := hpc.NewSim()
 	s := NewServiceWithOptions(sim, 2, Options{})
-	job := &Job{Key: "x", Duration: 30}
+	var end float64
+	job := &Job{Key: "x", Duration: 30, OnDone: func(*Job) { end = sim.Now() }}
 	sim.At(0, func() { s.Submit(job) })
 	sim.At(4, func() { s.nodeDown(0) }) // kill attempt 1; retry lands on node 1
 	sim.RunAll()
@@ -113,8 +125,8 @@ func TestStaleCompletionIgnored(t *testing.T) {
 	}
 	// Attempt 2 starts at 19 (backoff 15) on node 1 and runs the full 30 s;
 	// the stale completion at t=30 must not have ended it.
-	if job.EndTime != 49 {
-		t.Fatalf("end time %g, want 49", job.EndTime)
+	if end != 49 {
+		t.Fatalf("end time %g, want 49", end)
 	}
 	if s.Finished() != 1 {
 		t.Fatalf("finished %d, want 1", s.Finished())
@@ -129,7 +141,7 @@ func TestQueuedJobsSurviveNodeDeath(t *testing.T) {
 	sim.At(0, func() { s.nodeDown(0) })
 	var end float64
 	sim.At(1, func() {
-		s.Submit(&Job{Key: "q", Duration: 5, OnDone: func(j *Job) { end = j.EndTime }})
+		s.Submit(&Job{Key: "q", Duration: 5, OnDone: func(*Job) { end = sim.Now() }})
 	})
 	sim.At(10, func() { s.nodeUp(0) })
 	sim.RunAll()
@@ -139,7 +151,7 @@ func TestQueuedJobsSurviveNodeDeath(t *testing.T) {
 }
 
 // TestUtilizationUnderFaults: dead node-seconds must be excluded from the
-// available capacity in MeanUtilization and UtilizationSeries.
+// available capacity in UtilizationSeries.
 func TestUtilizationUnderFaults(t *testing.T) {
 	sim := hpc.NewSim()
 	s := NewServiceWithOptions(sim, 2, Options{})
@@ -150,13 +162,8 @@ func TestUtilizationUnderFaults(t *testing.T) {
 	})
 	sim.At(60, func() { s.nodeUp(1) })
 	sim.RunAll()
-	// Busy 60 node-s over available 2*60-60 = 60 node-s → 1.0.
-	if u := s.MeanUtilization(); math.Abs(u-1.0) > 1e-12 {
-		t.Fatalf("mean utilization %g, want 1.0", u)
-	}
-	if d := s.DeadSeconds(); math.Abs(d-60) > 1e-12 {
-		t.Fatalf("dead seconds %g, want 60", d)
-	}
+	// Busy 60 node-s over available 2*60-60 = 60 node-s → 1.0 in every
+	// bucket; counting the dead node as capacity would read 0.5.
 	series := s.UtilizationSeries(30)
 	if len(series) != 2 || math.Abs(series[0]-1) > 1e-12 || math.Abs(series[1]-1) > 1e-12 {
 		t.Fatalf("series %v, want [1 1]", series)
@@ -171,19 +178,24 @@ func TestFaultTimelineInjection(t *testing.T) {
 		Faults:       hpc.FaultModel{MTBF: 300, MTTR: 60, Seed: 7},
 		FaultHorizon: 3600,
 	})
-	terminal := 0
+	terminal, failed := 0, 0
 	for i := 0; i < 40; i++ {
-		s.Submit(&Job{Key: "j", Duration: 90, OnDone: func(*Job) { terminal++ }})
+		s.Submit(&Job{Key: "j", Duration: 90, OnDone: func(j *Job) {
+			terminal++
+			if j.State == StateFailed {
+				failed++
+			}
+		}})
 	}
 	sim.RunAll()
 	if s.NodeFailures() == 0 {
 		t.Fatal("expected injected node failures")
 	}
-	if s.Finished()+s.Failed() != 40 || terminal != 40 {
-		t.Fatalf("finished %d + failed %d != 40 (OnDone %d)", s.Finished(), s.Failed(), terminal)
+	if s.Finished()+failed != 40 || terminal != 40 {
+		t.Fatalf("finished %d + failed %d != 40 (OnDone %d)", s.Finished(), failed, terminal)
 	}
-	if s.Failed() > s.NodeFailures() {
-		t.Fatalf("failed %d > node failures %d", s.Failed(), s.NodeFailures())
+	if failed > s.NodeFailures() {
+		t.Fatalf("failed %d > node failures %d", failed, s.NodeFailures())
 	}
 	if s.pool.Busy() != 0 || s.QueueLen() != 0 {
 		t.Fatalf("pool not drained: busy %d queue %d", s.pool.Busy(), s.QueueLen())
@@ -204,7 +216,7 @@ func TestFaultReplayDeterminism(t *testing.T) {
 		})
 		var ends []float64
 		for i := 0; i < 20; i++ {
-			s.Submit(&Job{Key: "j", Duration: 70, OnDone: func(j *Job) { ends = append(ends, j.EndTime) }})
+			s.Submit(&Job{Key: "j", Duration: 70, OnDone: func(*Job) { ends = append(ends, sim.Now()) }})
 		}
 		sim.RunAll()
 		return ends, s.Retries(), s.NodeFailures()
@@ -231,7 +243,7 @@ func TestStragglerSlowsJob(t *testing.T) {
 	var spans []float64
 	for i := 0; i < 5; i++ {
 		s.Submit(&Job{Key: "j", Duration: 10, OnDone: func(j *Job) {
-			spans = append(spans, j.EndTime-j.StartTime)
+			spans = append(spans, sim.Now()-j.StartTime)
 		}})
 	}
 	sim.RunAll()
@@ -284,28 +296,27 @@ func TestNodePool(t *testing.T) {
 // fault-aware service must reproduce NewService numbers exactly.
 func TestZeroFaultOptionsMatchesPlainService(t *testing.T) {
 	type outcome struct {
-		ends   []float64
-		util   float64
-		series []float64
+		ends, series                    []float64
+		finished, retries, nodeFailures int
 	}
 	run := func(mk func(*hpc.Sim) *Service) outcome {
 		sim := hpc.NewSim()
 		s := mk(sim)
 		var o outcome
 		for i := 0; i < 9; i++ {
-			s.Submit(&Job{Key: "j", Duration: float64(20 + i*7), OnDone: func(j *Job) {
-				o.ends = append(o.ends, j.EndTime)
+			s.Submit(&Job{Key: "j", Duration: float64(20 + i*7), OnDone: func(*Job) {
+				o.ends = append(o.ends, sim.Now())
 			}})
 		}
 		sim.RunAll()
-		o.util = s.MeanUtilization()
 		o.series = s.UtilizationSeries(30)
+		o.finished, o.retries, o.nodeFailures = s.Finished(), s.Retries(), s.NodeFailures()
 		return o
 	}
 	plain := run(func(sim *hpc.Sim) *Service { return NewService(sim, 3) })
 	opt := run(func(sim *hpc.Sim) *Service { return NewServiceWithOptions(sim, 3, Options{}) })
-	if plain.util != opt.util {
-		t.Fatalf("util %g != %g", plain.util, opt.util)
+	if plain.finished != opt.finished || plain.retries != opt.retries || plain.nodeFailures != opt.nodeFailures {
+		t.Fatalf("counters diverged: %+v vs %+v", plain, opt)
 	}
 	if len(plain.ends) != len(opt.ends) || len(plain.series) != len(opt.series) {
 		t.Fatalf("shape mismatch: %v vs %v", plain, opt)

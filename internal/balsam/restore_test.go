@@ -41,21 +41,17 @@ func restoreScript(svc *Service, now float64) {
 }
 
 type restoreSummary struct {
-	Finished, Failed, Retries, NodeFailures int
-	QueueLen, Busy, Down                    int
-	BusySeconds, DeadSeconds, IdleSeconds   float64
-	MeanUtilization                         float64
-	Utilization                             []float64
+	Finished, Retries, NodeFailures int
+	QueueLen, Busy, Down            int
+	Utilization, Mean               []float64
 }
 
 func summarize(svc *Service) restoreSummary {
 	return restoreSummary{
-		Finished: svc.Finished(), Failed: svc.Failed(),
-		Retries: svc.Retries(), NodeFailures: svc.NodeFailures(),
+		Finished: svc.Finished(), Retries: svc.Retries(), NodeFailures: svc.NodeFailures(),
 		QueueLen: svc.QueueLen(), Busy: svc.pool.Busy(), Down: svc.pool.Down(),
-		BusySeconds: svc.BusySeconds(), DeadSeconds: svc.DeadSeconds(),
-		IdleSeconds: svc.IdleSeconds(), MeanUtilization: svc.MeanUtilization(),
 		Utilization: svc.UtilizationSeries(500),
+		Mean:        svc.UtilizationSeries(svc.sim.Now()),
 	}
 }
 
@@ -64,8 +60,8 @@ func summarize(svc *Service) restoreSummary {
 // straggling, retrying machine is captured mid-run at a quiescent point and
 // rebuilt with RestoreService + hpc.Sim.Resume on a fresh simulator.
 // From the cut onward, the resumed machine must emit exactly the trace the
-// uninterrupted one does and land on identical counters, utilization
-// integrals, and series.
+// uninterrupted one does and land on identical counters and utilization
+// series.
 func TestCaptureRestoreEquivalence(t *testing.T) {
 	const (
 		nodes   = 6
@@ -186,15 +182,12 @@ func TestCaptureRestoreEquivalence(t *testing.T) {
 }
 
 // TestServiceAccessors covers the small read-only surface on a fresh
-// machine, including MeanUtilization's t=0 guard.
+// machine.
 func TestServiceAccessors(t *testing.T) {
 	sim := hpc.NewSim()
 	svc := NewService(sim, 4)
 	if svc.pool.Len() != 4 {
 		t.Fatalf("pool.Len() = %d, want 4", svc.pool.Len())
-	}
-	if u := svc.MeanUtilization(); u != 0 {
-		t.Fatalf("MeanUtilization at t=0 = %g, want 0", u)
 	}
 	if svc.Job(99) != nil {
 		t.Fatal("Job(99) on an empty service should be nil")

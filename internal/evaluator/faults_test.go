@@ -109,10 +109,17 @@ func TestFailedEstimationNotCached(t *testing.T) {
 	sim, service, ev, sp := faultSetup(t, 1, balsam.Options{MaxRetries: 1}, Config{Seed: 33})
 	choices := denseChoices(sp)
 	var failed, fresh *Result
+	failures := 0
+	countFailed := func(r *Result) {
+		if r.Failed {
+			failures++
+		}
+	}
 	ev.Submit(0, choices, func(r *Result) {
 		failed = r
+		countFailed(r)
 		// Resubmit the same architecture after the terminal failure.
-		ev.Submit(0, choices, func(r2 *Result) { fresh = r2 })
+		ev.Submit(0, choices, func(r2 *Result) { fresh = r2; countFailed(r2) })
 	})
 	// Attempt 1 starts at 0; kill at 1; backoff 15 ⇒ requeue at 16.
 	sim.At(1, func() { service.FailNode(0) })
@@ -142,7 +149,7 @@ func TestFailedEstimationNotCached(t *testing.T) {
 	if ev.CacheHits != 0 {
 		t.Fatalf("CacheHits = %d, want 0", ev.CacheHits)
 	}
-	if service.Failed() != 1 {
-		t.Fatalf("service failed count %d, want 1", service.Failed())
+	if failures != 1 {
+		t.Fatalf("failed results %d, want 1", failures)
 	}
 }

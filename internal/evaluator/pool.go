@@ -17,10 +17,12 @@ import (
 // synchronously in Submit order; it reads only immutable evaluator state),
 // which is why overlapping them cannot move a single bit of any result.
 
-// future is one pooled reward estimation's pending shaped reward.
+// future is one pooled reward estimation's pending shaped reward, or the
+// panic that ended it.
 type future struct {
 	done   chan struct{}
 	reward float64 // valid once done is closed
+	panic  any     // non-nil if the estimation panicked
 }
 
 // start runs rec's estimation, metric shaped by stats. With the pool off, or
@@ -30,7 +32,9 @@ type future struct {
 // entry of a diverged estimation: the exact serial machine. Otherwise it runs
 // as a future on a bounded goroutine; the semaphore is acquired inside it, so
 // start never blocks the simulation loop, and in-flight futures are naturally
-// bounded by the node count.
+// bounded by the node count. A panic in a pooled estimation is recorded, not
+// left to kill the process, and resolve raises it on the simulation
+// goroutine, where an inline estimation's panic would surface.
 func (e *Evaluator) start(rec *inflightRecord, metric func() float64, stats space.ArchStats) {
 	if e.sem == nil || e.src != nil {
 		e.settle(rec, e.shapeReward(metric(), stats))
@@ -40,6 +44,7 @@ func (e *Evaluator) start(rec *inflightRecord, metric func() float64, stats spac
 	rec.fut = fut
 	go func() {
 		defer close(fut.done)
+		defer func() { fut.panic = recover() }()
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
 		fut.reward = e.shapeReward(metric(), stats)
@@ -58,6 +63,9 @@ func (e *Evaluator) resolve(rec *inflightRecord) {
 	fut := rec.fut
 	rec.fut = nil
 	<-fut.done
+	if fut.panic != nil {
+		panic(fut.panic)
+	}
 	e.settle(rec, fut.reward)
 }
 

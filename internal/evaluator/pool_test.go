@@ -304,3 +304,27 @@ func TestPoolRestoredCacheHitsGatherNothing(t *testing.T) {
 		t.Fatal("restored evaluator gathered a different subsample")
 	}
 }
+
+// TestShortPoolPanicReachesCaller: a panic inside a reward estimation
+// surfaces on the goroutine running the simulation at every Workers setting,
+// where the campaign supervisor's recover sees it, instead of killing the
+// process from a pool goroutine; and no result is delivered for it.
+func TestShortPoolPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sim, ev, sp := comboSetup(t, Config{Seed: 5, Workers: workers})
+		ev.Bench.Val = nil // the post-training validation pass dereferences it
+		delivered := false
+		p := func() (p any) {
+			defer func() { p = recover() }()
+			ev.Submit(0, denseChoices(sp), func(*Result) { delivered = true })
+			sim.RunAll()
+			return nil
+		}()
+		if p == nil {
+			t.Fatalf("Workers=%d: the estimation's panic did not reach the caller", workers)
+		}
+		if delivered {
+			t.Fatalf("Workers=%d: a result was delivered for the panicked estimation", workers)
+		}
+	}
+}

@@ -100,16 +100,14 @@ func (s *Sim) At(delay float64, fn func()) {
 	s.AtHandlerE(delay, funcHandler(fn))
 }
 
-// AtHandlerE schedules h.Fire() after delay seconds of virtual time and
-// returns the event's absolute fire time and sequence number.
-func (s *Sim) AtHandlerE(delay float64, h Handler) (time float64, seq int64) {
+// AtHandlerE schedules h.Fire() after delay seconds of virtual time; Pending
+// says where the event sits.
+func (s *Sim) AtHandlerE(delay float64, h Handler) {
 	if delay < 0 {
 		panic(fmt.Sprintf("hpc: negative delay %g", delay))
 	}
 	s.seq++
-	t := s.now + delay
-	s.queue.push(t, s.seq, h)
-	return t, s.seq
+	s.queue.push(s.now+delay, s.seq, h)
 }
 
 // AtTime schedules h.Fire() at the absolute virtual time t (which must not

@@ -16,10 +16,9 @@ func (f *fireLog) Fire() { f.times = append(f.times, f.sim.Now()) }
 
 // TestSimSchedulingAPIs drives every scheduling entry point — At,
 // AtHandlerE, AtTime — on one simulator and checks they interleave in exact
-// (time, seq) order, that AtHandlerE reports and Pending lists the
-// (time, seq) each event actually fires with, and that a recorder attached
-// via SetRecorder sees one CatSim dispatch per event stamped with the
-// virtual clock.
+// (time, seq) order, that Pending lists the (time, seq) each event actually
+// fires with, and that a recorder attached via SetRecorder sees one CatSim
+// dispatch per event stamped with the virtual clock.
 func TestSimSchedulingAPIs(t *testing.T) {
 	s := NewSim()
 	rec := trace.NewRecorder(64)
@@ -33,10 +32,7 @@ func TestSimSchedulingAPIs(t *testing.T) {
 	s.At(4, func() { order = append(order, "at") })
 	s.At(2, func() { order = append(order, "at2") })
 	s.AtTime(3, funcHandler(func() { order = append(order, "attime") }))
-	ht, hs := s.AtHandlerE(1, h)
-	if ht != 1 || hs != 4 {
-		t.Fatalf("AtHandlerE returned (%g, %d), want (1, 4)", ht, hs)
-	}
+	s.AtHandlerE(1, h)
 	s.AtTime(3, h)
 	pending := s.Pending()
 	wantPending := []Event{{1, 4, h}, {Time: 2, Seq: 2}, {Time: 3, Seq: 3}, {3, 5, h}, {Time: 4, Seq: 1}}

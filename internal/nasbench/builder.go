@@ -38,10 +38,10 @@ type BuildConfig struct {
 
 // BuildReport summarizes one build session.
 type BuildReport struct {
-	// Total is the sub-space cardinality; Recovered the records served by
-	// the durable WAL or a finished artifact (never retrained); Trained the
-	// records this session trained.
-	Total, Recovered, Trained int
+	// Total is the sub-space cardinality; Trained the records this session
+	// trained. The other Total − Trained came from the durable WAL or a
+	// finished artifact, never retrained.
+	Total, Trained int
 }
 
 // BuildOrLoad returns the finished table of the sub-space: a valid artifact
@@ -91,7 +91,6 @@ func BuildOrLoad(cfg BuildConfig) (*Table, *BuildReport, error) {
 		return nil, nil, err
 	}
 	if done != nil {
-		rep.Recovered = total
 		return done, rep, nil
 	}
 	recs := j.units
@@ -101,7 +100,6 @@ func BuildOrLoad(cfg BuildConfig) (*Table, *BuildReport, error) {
 				i, rec.Key, cfg.Space.Name, want)
 		}
 	}
-	rep.Recovered = len(recs)
 
 	// Train the remainder, GOMAXPROCS architectures at a time, one durable
 	// WAL record per architecture in enumeration order.

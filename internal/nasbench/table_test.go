@@ -119,8 +119,8 @@ func TestShortBuildOrLoad(t *testing.T) {
 	}
 	counted := &readCountFS{FS: mem, path: "/bench/" + TableFile}
 	for _, want := range []BuildReport{
-		{Total: 9, Recovered: 2, Trained: 7}, // cold: resumes the WAL
-		{Total: 9, Recovered: 9},             // warm: loads the artifact
+		{Total: 9, Trained: 7}, // cold: resumes the WAL
+		{Total: 9},             // warm: loads the artifact
 	} {
 		counted.reads = 0
 		tbl, rep, err := BuildOrLoad(nanoBuild(counted, "/bench"))

@@ -76,7 +76,7 @@ type buildOutcome struct {
 //     images must never classify corrupt, and a surviving valid artifact
 //     must byte-match the reference.
 //  4. Resume the build on the image: it must complete, retrain ONLY the
-//     records the image does not durably hold (Recovered == durable
+//     records the image does not durably hold (Trained == Total − durable
 //     count), and finalize to the reference bytes. Resumes are memoized
 //     by image digest, so few crash points pay for real training.
 //
@@ -166,16 +166,13 @@ func tortureBuilder(t *testing.T) []fsim.Op {
 		if out.err != nil {
 			t.Fatalf("crash point %d: resume: %v", k, out.err)
 		}
-		wantRecovered := st.recs
+		wantTrained := out.rep.Total - st.recs
 		if st.done {
-			wantRecovered = out.rep.Total
+			wantTrained = 0
 		}
-		if out.rep.Recovered != wantRecovered {
-			t.Fatalf("crash point %d: image durably holds %d records (done=%v) but resume recovered %d — a durable record was retrained or a lost one trusted",
-				k, st.recs, st.done, out.rep.Recovered)
-		}
-		if !st.done && out.rep.Trained != out.rep.Total-st.recs {
-			t.Fatalf("crash point %d: trained %d, want %d", k, out.rep.Trained, out.rep.Total-st.recs)
+		if out.rep.Trained != wantTrained {
+			t.Fatalf("crash point %d: image durably holds %d records (done=%v) but resume trained %d, want %d — a durable record was retrained or a lost one trusted",
+				k, st.recs, st.done, out.rep.Trained, wantTrained)
 		}
 		if !bytes.Equal(out.artifact, ref) {
 			t.Fatalf("crash point %d: resumed artifact differs from the uninterrupted build", k)

@@ -118,7 +118,6 @@ type Checkpoint struct {
 	// Allocations counts walltime allocations completed so far.
 	Allocations int
 
-	Stopped       bool
 	Converged     bool
 	EndTime       float64
 	CachedRounds  []int
@@ -158,7 +157,6 @@ func Allocate(bench *candle.Benchmark, sp *space.Space, cfg Config, ck *Checkpoi
 // restored service's share, to which the parameter server's deliveries and
 // the agents' own timers are added.
 func (r *runner) restore(ck *Checkpoint, events []hpc.Event) error {
-	r.stopped = ck.Stopped
 	r.endTime = ck.EndTime
 	r.cachedRounds = append([]int(nil), ck.CachedRounds...)
 	r.converged = ck.Converged
@@ -224,7 +222,6 @@ func (r *runner) capture() *Checkpoint {
 		Now:           r.sim.Now(),
 		Boundary:      r.boundary,
 		Allocations:   r.allocations + 1,
-		Stopped:       r.stopped,
 		Converged:     r.converged,
 		EndTime:       r.endTime,
 		CachedRounds:  append([]int(nil), r.cachedRounds...),

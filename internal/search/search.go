@@ -251,7 +251,6 @@ type runner struct {
 	psrv    *ps.Server
 	space   *space.Space
 	agents  []*agent
-	stopped bool
 	endTime float64
 	// consecutive counts, per agent, of fully cached rounds.
 	cachedRounds []int
@@ -553,7 +552,7 @@ func (a *agent) setPhase(p int) {
 
 func (a *agent) startRound() {
 	r := a.r
-	if r.stopped || r.sim.Now() >= r.cfg.Horizon {
+	if r.converged || r.sim.Now() >= r.cfg.Horizon {
 		a.setPhase(phaseIdle)
 		return
 	}
@@ -632,7 +631,7 @@ func (a *agent) roundDone() {
 	} else {
 		r.cachedRounds[a.id] = 0
 	}
-	if r.cfg.ConvergeRounds > 0 && !r.stopped {
+	if r.cfg.ConvergeRounds > 0 && !r.converged {
 		all := true
 		for _, c := range r.cachedRounds {
 			if c < r.cfg.ConvergeRounds {
@@ -641,7 +640,6 @@ func (a *agent) roundDone() {
 			}
 		}
 		if all {
-			r.stopped = true
 			r.converged = true
 			r.endTime = r.sim.Now()
 			r.sim.Recorder().Emit(trace.Event{Cat: trace.CatSearch, Name: trace.EvConverged,

@@ -15,7 +15,7 @@ import (
 
 // surfaceAllow maps each exported name under internal/ with no production use
 // to the reason it stays. Kept test surface whose bare name is live elsewhere
-// (balsam's MeanUtilization/Failed, Tensor.Rows/String) cannot be listed.
+// (Tensor.Rows/String) cannot be listed.
 var surfaceAllow = map[string]string{
 	// Interface-satisfying methods that no call site names.
 	"Unwrap":  "errors.Unwrap",
@@ -30,7 +30,6 @@ var surfaceAllow = map[string]string{
 	"Pooled":                     "tensor.Arena probe the zero-alloc pins read",
 	"FailNode":                   "evaluator/faults_test.go scripts outages through it from another package",
 	"RepairNode":                 "evaluator/faults_test.go scripts outages through it from another package",
-	"IdleSeconds":                "read-out of downIntegral, which is checkpointed wire state in balsam.State",
 	"NumInputs":                  "read by evaluator, candle and space tests",
 	"WithoutCat":                 "search's trace-modulo-CatCkpt comparisons",
 	"Injected":                   "fsim.FaultFS is a library driven by tests; this is its read-out",
