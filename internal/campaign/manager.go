@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -674,12 +676,15 @@ func (m *Manager) prepareRunner(rt *runtime) error {
 // runAllocationStep runs exactly one walltime allocation and persists its
 // outcome: the checkpoint at a cut (meta trails it), the log at
 // completion. rt.ck and the summary change only once that write succeeds.
-// A panic anywhere inside — test hook, search, persistence — is returned as
-// an error for the backoff machinery.
+// A panic anywhere inside — test hook, search, persistence — becomes an error
+// of its first line for the backoff machinery; the rest of its text (an
+// estimation's carries its stack) and this goroutine's stack are logged.
 func (m *Manager) runAllocationStep(rt *runtime) (finished bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("allocation panic: %v", p)
+			msg, _, _ := strings.Cut(fmt.Sprint(p), "\n")
+			err = fmt.Errorf("allocation panic: %s", msg)
+			m.opts.Logf("campaign %s: allocation panic: %v\n%s", rt.meta.ID, p, debug.Stack())
 		}
 	}()
 	if hook := m.testHookAllocation; hook != nil {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,9 +205,19 @@ func TestShortSupervisorPanicRestart(t *testing.T) {
 
 // TestShortSupervisorParksFailed: a campaign that panics on every attempt
 // exhausts its capped restarts and parks in FAILED with the error
-// recorded; the manager keeps serving and accepting other campaigns.
+// recorded; each restart logs the stack once, naming the panicking
+// function, and the recorded error carries none of it; the manager keeps
+// serving and accepting other campaigns.
 func TestShortSupervisorParksFailed(t *testing.T) {
-	mgr := newTestManager(t, t.TempDir(), fastOpts(t))
+	opts := fastOpts(t)
+	var stacks atomic.Int32 // log lines that name the panicking hook
+	opts.Logf = func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "TestShortSupervisorParksFailed.func") {
+			stacks.Add(1)
+		}
+		t.Logf(format, args...)
+	}
+	mgr := newTestManager(t, t.TempDir(), opts)
 	var doomedID atomic.Value
 	doomedID.Store("")
 	mgr.testHookAllocation = func(id string, allocations int) {
@@ -250,6 +261,12 @@ func TestShortSupervisorParksFailed(t *testing.T) {
 	}
 	if failed.Error == "" || failed.Restarts < maxRestarts {
 		t.Fatalf("FAILED campaign meta: %+v", failed)
+	}
+	if strings.Contains(failed.Error, "\n") {
+		t.Fatalf("FAILED campaign's error carries a stack: %q", failed.Error)
+	}
+	if n := stacks.Load(); int(n) != failed.Restarts {
+		t.Fatalf("%d log lines name the panicking hook over %d restarts, want one each", n, failed.Restarts)
 	}
 	// FAILED is terminal: pause/resume/cancel conflict, and the server
 	// still accepts fresh campaigns.

@@ -2,6 +2,7 @@ package evaluator
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"nasgo/internal/space"
 )
@@ -25,6 +26,17 @@ type future struct {
 	panic  any     // non-nil if the estimation panicked
 }
 
+// estimate shapes an estimation's reward; a panic in it is returned as p, its
+// value's text and then the stack of the goroutine that raised it.
+func (e *Evaluator) estimate(metric func() float64, stats space.ArchStats) (reward float64, p any) {
+	defer func() {
+		if v := recover(); v != nil {
+			p = fmt.Sprintf("%v\n%s", v, debug.Stack())
+		}
+	}()
+	return e.shapeReward(metric(), stats), nil
+}
+
 // start runs rec's estimation, metric shaped by stats. With the pool off, or
 // with a reward source (a table lookup is instant on the host, so the pool
 // would have nothing to overlap), it runs inline and is settled on the spot —
@@ -32,22 +44,24 @@ type future struct {
 // entry of a diverged estimation: the exact serial machine. Otherwise it runs
 // as a future on a bounded goroutine; the semaphore is acquired inside it, so
 // start never blocks the simulation loop, and in-flight futures are naturally
-// bounded by the node count. A panic in a pooled estimation is recorded, not
-// left to kill the process, and resolve raises it on the simulation
-// goroutine, where an inline estimation's panic would surface.
+// bounded by the node count. A panic is raised on the simulation goroutine,
+// a pooled one by resolve, rather than left to kill the process.
 func (e *Evaluator) start(rec *inflightRecord, metric func() float64, stats space.ArchStats) {
 	if e.sem == nil || e.src != nil {
-		e.settle(rec, e.shapeReward(metric(), stats))
+		reward, p := e.estimate(metric, stats)
+		if p != nil {
+			panic(p)
+		}
+		e.settle(rec, reward)
 		return
 	}
 	fut := &future{done: make(chan struct{})}
 	rec.fut = fut
 	go func() {
 		defer close(fut.done)
-		defer func() { fut.panic = recover() }()
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
-		fut.reward = e.shapeReward(metric(), stats)
+		fut.reward, fut.panic = e.estimate(metric, stats)
 	}()
 }
 

@@ -1,9 +1,11 @@
 package evaluator
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"nasgo/internal/balsam"
@@ -308,7 +310,9 @@ func TestPoolRestoredCacheHitsGatherNothing(t *testing.T) {
 // TestShortPoolPanicReachesCaller: a panic inside a reward estimation
 // surfaces on the goroutine running the simulation at every Workers setting,
 // where the campaign supervisor's recover sees it, instead of killing the
-// process from a pool goroutine; and no result is delivered for it.
+// process from a pool goroutine; its text carries the stack of the goroutine
+// that raised it, so the pooled one still names its origin; and no result is
+// delivered for it.
 func TestShortPoolPanicReachesCaller(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		sim, ev, sp := comboSetup(t, Config{Seed: 5, Workers: workers})
@@ -322,6 +326,9 @@ func TestShortPoolPanicReachesCaller(t *testing.T) {
 		}()
 		if p == nil {
 			t.Fatalf("Workers=%d: the estimation's panic did not reach the caller", workers)
+		}
+		if !strings.Contains(fmt.Sprint(p), "train.evaluate") {
+			t.Fatalf("Workers=%d: the recovered panic does not name train.evaluate:\n%v", workers, p)
 		}
 		if delivered {
 			t.Fatalf("Workers=%d: a result was delivered for the panicked estimation", workers)

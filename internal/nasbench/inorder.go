@@ -1,6 +1,10 @@
 package nasbench
 
-import "runtime"
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+)
 
 // inOrder computes units from..to-1 with up to runtime.GOMAXPROCS(0) calls of
 // work in flight, and hands each result to commit in index order on the
@@ -10,9 +14,9 @@ import "runtime"
 // order — host wall-clock order — decides nothing. The first failure by
 // index is returned, as the serial loop would return it, and nothing after
 // it commits; a commit error stops new launches; a panic in work is raised
-// again here when its index comes up. No goroutine outlives the call. At
-// GOMAXPROCS 1 a unit starts only after its predecessor commits: the serial
-// loop itself.
+// again here when its index comes up, as its text and its goroutine's stack.
+// No goroutine outlives the call. At GOMAXPROCS 1 a unit starts only after
+// its predecessor commits: the serial loop itself.
 func inOrder[R any](from, to int, work func(i int) (R, error), commit func(r R) error) error {
 	type outcome struct {
 		r        R
@@ -36,7 +40,7 @@ func inOrder[R any](from, to int, work func(i int) (R, error), commit func(r R) 
 				o := outcome{panicked: true}
 				defer func() {
 					if o.panicked {
-						o.p = recover()
+						o.p = fmt.Sprintf("%v\n%s", recover(), debug.Stack())
 					}
 					c <- o
 				}()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,16 +168,18 @@ func TestInOrderCommitErrorStopsLaunches(t *testing.T) {
 }
 
 // TestInOrderPanicReachesCaller: a panic in work is raised again on the
-// calling goroutine with its value, after the units before it committed and
-// the units after it finished.
+// calling goroutine with its value and the stack of the goroutine that
+// raised it, after the units before it committed and the units after it
+// finished.
 func TestInOrderPanicReachesCaller(t *testing.T) {
 	withProcs(t, inOrderWidth)
 	var started, ended atomic.Int32
 	var committed []int
 	func() {
 		defer func() {
-			if p := recover(); p != "unit 2" {
-				t.Fatalf("recovered %v, want unit 2's panic", p)
+			p := fmt.Sprint(recover())
+			if !strings.HasPrefix(p, "unit 2\n") || !strings.Contains(p, "TestInOrderPanicReachesCaller.func") {
+				t.Fatalf("recovered %q, want unit 2's panic and the stack of its goroutine", p)
 			}
 		}()
 		inOrder(0, 8, func(i int) (int, error) {

@@ -122,19 +122,22 @@ func (d *Dense) Backward(dout *tensor.Tensor, ar *tensor.Arena) *tensor.Tensor {
 	if d.limited && len(d.spans) == 0 {
 		return nil
 	}
-	rows, in := dout.Shape[0], d.W.Value.Shape[0]
+	rows, in, units := dout.Shape[0], d.W.Value.Shape[0], d.W.Value.Shape[1]
 	dx := ar.Get(rows, in)
 	if !d.limited {
-		tensor.MatMulTransBInto(dx, dz, d.W.Value)
+		wt := ar.Get(units, in)
+		tensor.TransposeInto(wt, d.W.Value)
+		tensor.MatMulInto(dx, dz, wt)
 		return dx
 	}
-	// Each element of A×Bᵀ is its own dot product over k, so a span's
-	// columns are bit-identical to those of the full product. The columns
-	// outside every span stay +0 and are read by nothing.
+	// Each element of dX is its own sum over the units, so a span's columns
+	// are bit-identical to those of the full product. The columns outside
+	// every span stay +0 and are read by nothing.
 	for _, s := range d.spans {
 		w := s.hi - s.lo
-		part := ar.Get(rows, w)
-		tensor.MatMulTransBInto(part, dz, s.w)
+		wt, part := ar.Get(units, w), ar.Get(rows, w)
+		tensor.TransposeInto(wt, s.w)
+		tensor.MatMulInto(part, dz, wt)
 		for r := 0; r < rows; r++ {
 			copy(dx.Data[r*in+s.lo:r*in+s.hi], part.Data[r*w:(r+1)*w])
 		}

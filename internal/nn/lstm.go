@@ -30,10 +30,10 @@ type LSTM struct {
 
 	steps []lstmStep // steps[:depth] are the cached forward steps
 	depth int
-	// One step's temporaries: the hPrev×Wh product and the gate gradient,
-	// and the parameter-shaped gradient terms. dwx stays all +0 between
-	// calls: BackwardStep clears the rows it wrote.
-	zh, dz       *tensor.Tensor
+	// One step's temporaries: the hPrev×Wh product, the gate gradient and
+	// Wh's transpose, and the parameter-shaped gradient terms. dwx stays all
+	// +0 between calls: BackwardStep clears the rows it wrote.
+	zh, dz, whT  *tensor.Tensor
 	dwx, dwh, db *tensor.Tensor
 }
 
@@ -230,7 +230,9 @@ func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor) (dhPrev, dcPrev *tensor.Tenso
 		tensor.AddInPlace(l.Wh.Grad, l.dwh)
 		st.dhPrev = fit(st.dhPrev, batch, H)
 		dhPrev = st.dhPrev
-		tensor.MatMulTransBInto(dhPrev, dz, l.Wh.Value)
+		l.whT = fit(l.whT, 4*H, H)
+		tensor.TransposeInto(l.whT, l.Wh.Value)
+		tensor.MatMulInto(dhPrev, dz, l.whT)
 	}
 	return dhPrev, dcPrev
 }

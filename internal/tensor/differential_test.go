@@ -414,25 +414,24 @@ func TestMatMulNonFinitePropagates(t *testing.T) {
 	})
 }
 
-// TestMatMulTransBDifferential holds the register-blocked A×Bᵀ kernel to the
-// naive reference bit for bit: both sum each element over k in index order,
-// so blocking four columns per pass may not move a single ulp. The extra
-// shapes walk n across the four-column block and its remainder lanes with k
-// on either side of blockK; {520, 130, n} runs every n over a tall operand
-// past one k block.
+// TestMatMulTransBDifferential holds A×Bᵀ, formed as production forms it
+// (TransposeInto, then MatMulInto), to the naive dot-product reference on
+// each kernel path: both sum each element over k in index order from +0, so
+// the transpose may not move a single ulp. The lane shapes carry −0,
+// subnormals and ±Inf.
 func TestMatMulTransBDifferential(t *testing.T) {
-	r := rng.New(103)
-	shapes := matmulShapes(r)
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13, 32} {
-		shapes = append(shapes, [3]int{3, 127, n}, [3]int{5, 128, n}, [3]int{520, 130, n})
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a, b := randTensor(r, m, k), randTensor(r, n, k)
-		dst := dirty(m, n)
-		MatMulTransBInto(dst, a, b)
-		identicalTensors(t, fmt.Sprintf("MatMulTransBInto %v", s), dst, naiveMatMulTransB(a, b))
-	}
+	onPaths(t, func(t *testing.T) {
+		r := rng.New(103)
+		for i, s := range append(matmulShapes(r), laneShapes()...) {
+			m, k, n := s[0], s[1], s[2]
+			a, b := randTensor(r, m, k), randTensor(r, n, k)
+			specials(r, i%3, a, b, m, n)
+			bt, dst := dirty(k, n), dirty(m, n)
+			TransposeInto(bt, b)
+			MatMulInto(dst, a, bt)
+			sameProduct(t, fmt.Sprintf("A×Bᵀ %v regime %d", s, i%3), dst, naiveMatMulTransB(a, b))
+		}
+	})
 }
 
 // convShapes are (batch, length, cin, kernel, cout, stride) tuples, from a

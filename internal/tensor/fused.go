@@ -36,13 +36,9 @@ func (a Act) String() string {
 
 // DenseForwardInto computes dst = act(x×W + bias) in one fused pass:
 // MatMulInto fills dst, then a single row-major sweep adds the bias
-// broadcast and applies the activation in place. bias may be nil (treated
-// as absent). dst must not alias any operand.
-//
-// The float-op order is that of three separate passes (matmul, bias add,
-// activation): the matmul sum for each element completes before bias add and
-// activation touch it, and the final sweep visits elements in row-major
-// order.
+// broadcast and applies the activation in place, the float-op order of three
+// separate passes. bias may be nil (treated as absent). dst must not alias
+// any operand.
 func DenseForwardInto(dst, x, w, bias *Tensor, act Act) {
 	if bias != nil && (bias.Rank() != 1 || bias.Shape[0] != w.Shape[1]) {
 		panic(fmt.Sprintf("tensor: DenseForwardInto bias %v, want [%d]", bias.Shape, w.Shape[1]))
@@ -60,33 +56,7 @@ func DenseForwardInto(dst, x, w, bias *Tensor, act Act) {
 				orow[j] += bias.Data[j]
 			}
 		}
-		applyActRow(act, orow)
-	}
-}
-
-// applyActRow applies act in place over one contiguous row, with the
-// activation switch hoisted out of the element loop.
-func applyActRow(act Act, row []float64) {
-	switch act {
-	case ActIdentity:
-	case ActReLU:
-		for j, v := range row {
-			if v > 0 {
-				row[j] = v
-			} else {
-				row[j] = 0
-			}
-		}
-	case ActTanh:
-		for j, v := range row {
-			row[j] = math.Tanh(v)
-		}
-	case ActSigmoid:
-		for j, v := range row {
-			row[j] = 1 / (1 + math.Exp(-v))
-		}
-	default:
-		panic(fmt.Sprintf("tensor: unknown activation %v", act))
+		applyAct(act, orow, orow)
 	}
 }
 
@@ -98,24 +68,30 @@ func ActivateInto(dst *Tensor, act Act, x *Tensor) {
 		panic(fmt.Sprintf("tensor: ActivateInto destination %v, want size of %v", dst.Shape, x.Shape))
 	}
 	assertNoAlias("ActivateInto", dst, x)
+	applyAct(act, dst.Data, x.Data)
+}
+
+// applyAct writes dst[j] = act(src[j]), the switch hoisted out of the loop;
+// dst may be src, as in DenseForwardInto's in-place sweep.
+func applyAct(act Act, dst, src []float64) {
 	switch act {
 	case ActIdentity:
-		copy(dst.Data, x.Data)
+		copy(dst, src)
 	case ActReLU:
-		for i, v := range x.Data {
+		for j, v := range src {
 			if v > 0 {
-				dst.Data[i] = v
+				dst[j] = v
 			} else {
-				dst.Data[i] = 0
+				dst[j] = 0
 			}
 		}
 	case ActTanh:
-		for i, v := range x.Data {
-			dst.Data[i] = math.Tanh(v)
+		for j, v := range src {
+			dst[j] = math.Tanh(v)
 		}
 	case ActSigmoid:
-		for i, v := range x.Data {
-			dst.Data[i] = 1 / (1 + math.Exp(-v))
+		for j, v := range src {
+			dst[j] = 1 / (1 + math.Exp(-v))
 		}
 	default:
 		panic(fmt.Sprintf("tensor: unknown activation %v", act))

@@ -45,10 +45,12 @@ func matMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// matMulTransB forms A×Bᵀ the way production does: B transposed into a
+// buffer, then MatMulInto.
 func matMulTransB(a, b *Tensor) *Tensor {
-	out := New(a.Shape[0], b.Shape[0])
-	MatMulTransBInto(out, a, b)
-	return out
+	bt := New(b.Shape[1], b.Shape[0])
+	TransposeInto(bt, b)
+	return matMul(a, bt)
 }
 
 func rowSoftmax(t *Tensor) *Tensor {
@@ -95,15 +97,20 @@ func TestMatMulTransAIntoDirtyDstIdentical(t *testing.T) {
 	}
 }
 
-func TestMatMulTransBIntoDirtyDstIdentical(t *testing.T) {
+// TestTransposeIntoDirtyDstIdentical: TransposeInto writes every element of
+// a NaN-filled destination, matching the naive transpose, and refuses a
+// destination that is not the transpose's shape.
+func TestTransposeIntoDirtyDstIdentical(t *testing.T) {
 	r := rng.New(203)
 	for _, s := range matmulShapes(r) {
-		m, k, n := s[0], s[1], s[2]
-		a, b := randTensor(r, m, k), randTensor(r, n, k)
-		dst := dirty(m, n)
-		MatMulTransBInto(dst, a, b)
-		identicalTensors(t, fmt.Sprintf("MatMulTransBInto %v", s), dst, matMulTransB(a, b))
+		m, k := s[0], s[1]
+		a := randTensor(r, m, k)
+		dst := dirty(k, m)
+		TransposeInto(dst, a)
+		identicalTensors(t, fmt.Sprintf("TransposeInto [%d %d]", m, k), dst, transpose(a))
 	}
+	mustPanic(t, "TransposeInto [3 4] into [3 4]", func() { TransposeInto(New(3, 4), New(3, 4)) })
+	mustPanic(t, "TransposeInto rank 1", func() { TransposeInto(New(4, 1), New(4)) })
 }
 
 func TestRowKernelsIntoDirtyDstIdentical(t *testing.T) {
@@ -312,7 +319,7 @@ func TestIntoAliasingPanics(t *testing.T) {
 	mustPanic(t, "MatMulInto dst=a", func() { MatMulInto(alias, sq, other) })
 	mustPanic(t, "MatMulInto dst=b", func() { MatMulInto(alias, other, sq) })
 	mustPanic(t, "MatMulTransAInto", func() { MatMulTransAInto(alias, sq, other) })
-	mustPanic(t, "MatMulTransBInto", func() { MatMulTransBInto(alias, other, sq) })
+	mustPanic(t, "TransposeInto", func() { TransposeInto(alias, sq) })
 	mustPanic(t, "DenseForwardInto dst=x", func() { DenseForwardInto(alias, sq, other, nil, ActReLU) })
 	mustPanic(t, "DenseForwardInto dst~bias", func() { DenseForwardInto(alias, other, other, tail, ActReLU) })
 	mustPanic(t, "ActivateInto", func() { ActivateInto(alias, ActTanh, sq) })

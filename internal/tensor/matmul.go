@@ -15,25 +15,34 @@ var lanes = hasAVX()
 // [k,n] into a caller-provided [m,n] destination. dst must not alias either
 // operand.
 func MatMulInto(dst, a, b *Tensor) {
+	checkProduct("MatMulInto", dst, a, b, false)
+	matmulRows(dst, a.Data, a.Shape[1], 1, b)
+}
+
+// checkProduct panics unless a, read transposed if transA, and b are rank-2
+// operands of a product whose result dst is shaped for and aliases neither.
+func checkProduct(op string, dst, a, b *Tensor, transA bool) {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulInto requires rank-2 operands, got %v × %v", a.Shape, b.Shape))
+		panic(fmt.Sprintf("tensor: %s requires rank-2 operands, got %v, %v", op, a.Shape, b.Shape))
 	}
 	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch %v × %v", a.Shape, b.Shape))
+	if transA {
+		m, k = k, m
 	}
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto destination %v, want [%d %d]", dst.Shape, m, n))
+	if k != b.Shape[0] {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v, %v", op, a.Shape, b.Shape))
 	}
-	assertNoAlias("MatMulInto", dst, a, b)
-	matmulRows(dst, a.Data, k, 1, b)
+	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != b.Shape[1] {
+		panic(fmt.Sprintf("tensor: %s destination %v, want [%d %d]", op, dst.Shape, m, b.Shape[1]))
+	}
+	assertNoAlias(op, dst, a, b)
 }
 
 // matmulRows computes out = A×B for B of shape [k,n] and an A whose element
 // (i, x) is ad[i*ar+x*ax]: strides (k, 1) read a row-major [m,k] operand,
 // (1, m) read a [k,m] operand down its columns, which is Aᵀ×B without the
-// transpose. It is the one kernel behind MatMulInto and MatMulTransAInto.
+// transpose. It is the one matrix-product kernel: MatMulInto, and so A×Bᵀ
+// after a TransposeInto, and MatMulTransAInto call it.
 //
 // Each output row is a sum of k scaled rows of B. Four of them are folded in
 // per pass, so a partial sum stays in a register across four multiply-adds
@@ -92,58 +101,6 @@ func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor) {
 	}
 }
 
-// MatMulTransBInto computes dst = A×Bᵀ without materializing the transpose;
-// A is [m,k], B is [n,k], dst is [m,n] and must not alias either operand.
-// This is the hot path of the backward pass of a Dense layer (dX = dY×Wᵀ).
-func MatMulTransBInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto requires rank-2 operands, got %v, %v", a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto inner dimension mismatch %v × %vᵀ", a.Shape, b.Shape))
-	}
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto destination %v, want [%d %d]", dst.Shape, m, n))
-	}
-	assertNoAlias("MatMulTransBInto", dst, a, b)
-	// Four output columns per pass: a single dot product is bound by the
-	// latency of its one accumulator, and four independent accumulators keep
-	// four in flight. Each is still summed over k in index order, so every
-	// element is bit-identical to the one-column loop that handles the n%4
-	// remainder.
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := dst.Data[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			// Reslicing to len(arow) lets the compiler drop the bounds
-			// checks in the inner loop.
-			b0 := b.Data[j*k : (j+1)*k][:len(arow)]
-			b1 := b.Data[(j+1)*k : (j+2)*k][:len(arow)]
-			b2 := b.Data[(j+2)*k : (j+3)*k][:len(arow)]
-			b3 := b.Data[(j+3)*k : (j+4)*k][:len(arow)]
-			var s0, s1, s2, s3 float64
-			for x, av := range arow {
-				s0 += float64(av * b0[x])
-				s1 += float64(av * b1[x])
-				s2 += float64(av * b2[x])
-				s3 += float64(av * b3[x])
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k][:len(arow)]
-			var s float64
-			for x, av := range arow {
-				s += float64(av * brow[x])
-			}
-			orow[j] = s
-		}
-	}
-}
-
 // MatMulTransA returns Aᵀ×B without materializing the transpose; A is [k,m],
 // B is [k,n], and the result is [m,n]. It is the one allocating kernel
 // wrapper left: production calls MatMulTransAInto, and this form stays only
@@ -161,17 +118,22 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 // A is [k,m], B is [k,n], dst is [m,n] and must not alias either operand.
 // This is the weight-gradient path of a Dense layer (dW = Xᵀ×dY).
 func MatMulTransAInto(dst, a, b *Tensor) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto requires rank-2 operands, got %v, %v", a.Shape, b.Shape))
+	checkProduct("MatMulTransAInto", dst, a, b, true)
+	matmulRows(dst, a.Data, 1, a.Shape[1], b)
+}
+
+// TransposeInto writes every element of dst = aᵀ for a rank-2 [m,k] a and a
+// caller-provided [k,m] dst, which must not alias a. A×Bᵀ (dX = dY×Wᵀ) is B
+// transposed into a buffer, then MatMulInto.
+func TransposeInto(dst, a *Tensor) {
+	if a.Rank() != 2 || dst.Rank() != 2 || dst.Shape[0] != a.Shape[1] || dst.Shape[1] != a.Shape[0] {
+		panic(fmt.Sprintf("tensor: TransposeInto destination %v, want the transpose of %v", dst.Shape, a.Shape))
 	}
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dimension mismatch %vᵀ × %v", a.Shape, b.Shape))
+	assertNoAlias("TransposeInto", dst, a)
+	m, k := a.Shape[0], a.Shape[1]
+	for i := 0; i < m; i++ {
+		for x, v := range a.Data[i*k : (i+1)*k] {
+			dst.Data[x*m+i] = v
+		}
 	}
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto destination %v, want [%d %d]", dst.Shape, m, n))
-	}
-	assertNoAlias("MatMulTransAInto", dst, a, b)
-	matmulRows(dst, a.Data, 1, m, b)
 }

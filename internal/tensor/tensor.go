@@ -3,12 +3,11 @@
 //
 // The paper's system sits on top of TensorFlow/Keras; this package is the
 // stdlib-only replacement. It provides row-major float64 tensors with the
-// operations the CANDLE benchmark networks and the RL controller need:
-// matrix multiplication (cache-blocked), 1-D
-// convolution and max pooling, elementwise arithmetic, reductions, and
-// common activations. Shapes are explicit and checked; all shape errors
-// panic, because they are programming errors in model construction, not
-// recoverable runtime conditions.
+// operations the CANDLE benchmark networks and the RL controller need: one
+// cache-blocked matrix-product kernel, 1-D convolution and max pooling,
+// elementwise arithmetic, reductions, and common activations. Shapes are
+// explicit and checked; all shape errors panic, because they are programming
+// errors in model construction, not recoverable runtime conditions.
 package tensor
 
 import (

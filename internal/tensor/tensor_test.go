@@ -458,8 +458,8 @@ func TestGlorotUniformBounds(t *testing.T) {
 // carries the ~20 % exact zeros a ReLU leaves), plus two large products that
 // guard the loop nest against a cache cliff outside that traffic. Each row is
 // m×k×n of the OUTPUT: [m,n] summed over k, run once per kernel path (/avx,
-// where the host has it, and /go). AxBT reads no lanes, so its two paths are
-// the noise floor.
+// where the host has it, and /go). AxBT is A×Bᵀ as production forms it: B
+// transposed into a buffer, then MatMulInto.
 func BenchmarkMatMulShapes(b *testing.B) {
 	for _, c := range []struct {
 		form    string
@@ -484,7 +484,12 @@ func BenchmarkMatMulShapes(b *testing.B) {
 				case "ATxB":
 					x, y, into = randTensor(r, c.k, c.m), randTensor(r, c.k, c.n), MatMulTransAInto
 				case "AxBT":
-					x, y, into = randTensor(r, c.m, c.k), randTensor(r, c.n, c.k), MatMulTransBInto
+					x, y = randTensor(r, c.m, c.k), randTensor(r, c.n, c.k)
+					yt := New(c.k, c.n)
+					into = func(dst, x, y *Tensor) {
+						TransposeInto(yt, y)
+						MatMulInto(dst, x, yt)
+					}
 				}
 				for i := range x.Data {
 					if r.Intn(5) == 0 {

@@ -30,7 +30,7 @@ fi
 # rounds once where amd64 rounds twice. Every such product in the module
 # outside benchmark/ is rounded with an explicit float64 conversion, so the
 # goldens and reports recorded on amd64 hold there too (DESIGN §6; benchmark/
-# is ROADMAP item 3). The module's assembly is held to the same rule by
+# is ROADMAP item 2 task 6). The module's assembly is held to the same rule by
 # TestNoFusedAssembly in surface_test.go, which go test -short runs below.
 fused=$(GOARCH=arm64 go build -gcflags=-S $(go list ./... | grep -v '/benchmark$') 2>&1 |
     grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)

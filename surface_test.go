@@ -229,8 +229,8 @@ var strictMathAllow = map[string]int{
 	"internal/rl/controller.go math.Exp":         1,
 	"internal/rl/controller.go math.Log":         4,
 	"internal/rng/rng.go math.Log":               2,
-	"internal/tensor/fused.go math.Exp":          2,
-	"internal/tensor/fused.go math.Tanh":         2,
+	"internal/tensor/fused.go math.Exp":          1,
+	"internal/tensor/fused.go math.Tanh":         1,
 	"internal/tensor/ops.go math.Exp":            1,
 }
 
