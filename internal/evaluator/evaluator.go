@@ -209,10 +209,8 @@ type Evaluator struct {
 	subRand     *rng.Rand
 	gatherOnce  sync.Once
 
-	// Trace records every result in completion order for analytics.
+	// Trace records every result, cache hits included, in completion order.
 	Trace []*Result
-	// CacheHits counts cache-served submissions.
-	CacheHits int
 
 	// sem gates the concurrent-training pool (pool.go); nil when
 	// Cfg.Workers resolves to 1, which disables the pool entirely.
@@ -332,7 +330,6 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 			e.resolve(e.pendingRecord(prev))
 		}
 		if _, still := cache[string(kb)]; still {
-			e.CacheHits++
 			e.sim.Recorder().Emit(trace.Event{Cat: trace.CatEval, Name: trace.EvCacheHit,
 				Node: trace.None, Agent: agentID, Detail: prev.Key})
 			res := *prev
@@ -601,13 +598,13 @@ type InflightState struct {
 }
 
 // State is the complete serializable state of an Evaluator: the per-agent
-// caches, the agent seed assignments and root stream position, counters, the
-// completion-order trace, and the in-flight tasks.
+// caches, the agent seed assignments and root stream position, the
+// completion-order trace (which counts the cache hits), and the in-flight
+// tasks.
 type State struct {
 	Caches     map[int]map[string]Result
 	AgentSeeds map[int]uint64
 	RootRand   rng.State
-	CacheHits  int
 	Trace      []Result
 	Inflight   []InflightState
 }
@@ -622,7 +619,6 @@ func (e *Evaluator) CaptureState() *State {
 		Caches:     map[int]map[string]Result{},
 		AgentSeeds: map[int]uint64{},
 		RootRand:   e.rootRand.State(),
-		CacheHits:  e.CacheHits,
 	}
 	for id, cache := range e.caches {
 		m := map[string]Result{}
@@ -655,7 +651,6 @@ func (e *Evaluator) CaptureState() *State {
 func Restore(sim *hpc.Sim, service *balsam.Service, bench *candle.Benchmark, sp *space.Space, cfg Config, st *State) *Evaluator {
 	e := New(sim, service, bench, sp, cfg)
 	e.rootRand.SetState(st.RootRand)
-	e.CacheHits = st.CacheHits
 	for id, cache := range st.Caches {
 		m := map[string]*Result{}
 		for k, r := range cache {

@@ -47,8 +47,8 @@ func TestCompileErrorBecomesFailedResult(t *testing.T) {
 	if res2 == nil || !res2.Failed || res2.Cached {
 		t.Fatalf("resubmitted malformed arch: %+v", res2)
 	}
-	if ev.CacheHits != 0 {
-		t.Fatalf("CacheHits = %d, want 0", ev.CacheHits)
+	if n := cachedIn(ev); n != 0 {
+		t.Fatalf("%d cached results in Trace, want 0", n)
 	}
 }
 
@@ -146,8 +146,8 @@ func TestFailedEstimationNotCached(t *testing.T) {
 	if fresh.Failed || fresh.Reward == 0 {
 		t.Fatalf("fresh resubmission should succeed: %+v", fresh)
 	}
-	if ev.CacheHits != 0 {
-		t.Fatalf("CacheHits = %d, want 0", ev.CacheHits)
+	if n := cachedIn(ev); n != 0 {
+		t.Fatalf("%d cached results in Trace, want 0", n)
 	}
 	if failures != 1 {
 		t.Fatalf("failed results %d, want 1", failures)

@@ -65,8 +65,8 @@ func TestPoolMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(evS.CaptureState(), evP.CaptureState()) {
 			t.Fatalf("Workers=%d captured state differs from serial", workers)
 		}
-		if evP.CacheHits != 1 {
-			t.Fatalf("Workers=%d: CacheHits = %d, want 1", workers, evP.CacheHits)
+		if n := cachedIn(evP); n != 1 {
+			t.Fatalf("Workers=%d: %d cached results in Trace, want 1", workers, n)
 		}
 	}
 }
@@ -121,9 +121,6 @@ func TestPoolDivergedDuplicateIsMiss(t *testing.T) {
 		if id1 == 0 || id2 == 0 || id1 == id2 {
 			t.Fatalf("Workers=%d: duplicate of a diverged training must launch a fresh task (ids %d, %d)", workers, id1, id2)
 		}
-		if ev.CacheHits != 0 {
-			t.Fatalf("Workers=%d: CacheHits = %d, want 0", workers, ev.CacheHits)
-		}
 		sim.RunAll()
 		if len(got) != 2 {
 			t.Fatalf("Workers=%d: %d results, want 2", workers, len(got))
@@ -174,8 +171,8 @@ func TestDivergedEstimationOnePipeline(t *testing.T) {
 			t.Fatalf("%s: future still pending after Submit = %v, want %v", tc.name, launched, tc.pooled)
 		}
 		id2 := ev.Submit(0, choices, collect)
-		if id1 == 0 || id2 == 0 || id1 == id2 || ev.CacheHits != 0 {
-			t.Fatalf("%s: duplicate of a diverged estimation must be a miss (ids %d, %d; %d hits)", tc.name, id1, id2, ev.CacheHits)
+		if id1 == 0 || id2 == 0 || id1 == id2 {
+			t.Fatalf("%s: duplicate of a diverged estimation must be a miss (ids %d, %d)", tc.name, id1, id2)
 		}
 		st := ev.CaptureState()
 		if len(st.Caches[0]) != 0 {
@@ -290,8 +287,8 @@ func TestPoolRestoredCacheHitsGatherNothing(t *testing.T) {
 		re.Submit(0, variantChoices(t, sp, k), func(r *Result) { hits = append(hits, r) })
 	}
 	sim2.RunAll()
-	if len(hits) != 2 || !hits[0].Cached || !hits[1].Cached || re.CacheHits != 2 {
-		t.Fatalf("restored evaluator served %d results, CacheHits %d", len(hits), re.CacheHits)
+	if len(hits) != 2 || !hits[0].Cached || !hits[1].Cached || cachedIn(re) != 2 {
+		t.Fatalf("restored evaluator served %d results, %d cached in Trace", len(hits), cachedIn(re))
 	}
 	if gathered(re) {
 		t.Fatal("serving cache hits gathered the subsample")

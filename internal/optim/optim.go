@@ -1,8 +1,8 @@
 // Package optim provides the gradient-descent optimizer used by nasgo: Adam
 // (the paper's choice for both reward estimation and post-training, with its
-// Keras-default learning rate of 0.001). It keeps per-parameter state keyed
-// by parameter identity, so shared (mirrored) parameters are updated exactly
-// once per Step.
+// Keras-default learning rate of 0.001). Its moments are flat vectors in
+// ParamSet order, which lists a shared (mirrored) parameter once, so each is
+// updated exactly once per Step.
 package optim
 
 import (
@@ -12,98 +12,66 @@ import (
 	"nasgo/internal/nn"
 )
 
-// Optimizer updates a parameter set in place from its accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the current gradients. It does not
-	// zero the gradients; callers do that before the next backward pass.
-	Step(params *nn.ParamSet)
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction,
 // matching the Keras defaults the paper uses: lr=0.001, beta1=0.9,
 // beta2=0.999, eps=1e-7.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
-	t int
-	m map[*nn.Param][]float64
-	v map[*nn.Param][]float64
+	s AdamState
 }
 
 // NewAdam returns an Adam optimizer with the given learning rate and Keras
 // default moments.
 func NewAdam(lr float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7,
-		m: make(map[*nn.Param][]float64),
-		v: make(map[*nn.Param][]float64),
-	}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7}
 }
 
 // AdamState is the complete serializable state of an Adam optimizer over a
 // fixed parameter set: the step counter and the first/second moments
-// flattened in ParamSet order. Restoring it into a freshly built optimizer
-// continues the update sequence bit-for-bit.
+// flattened in ParamSet order (nil before the first Step). Restoring it into
+// a freshly built optimizer continues the update sequence bit-for-bit.
 type AdamState struct {
 	T int
 	M []float64
 	V []float64
 }
 
-// CaptureState flattens the optimizer's moments in the order of params.
-// Parameters the optimizer has not yet touched contribute zeros, matching
-// the lazy initialization Step performs.
-func (a *Adam) CaptureState(params *nn.ParamSet) AdamState {
-	st := AdamState{T: a.t}
-	n := params.Count()
-	st.M = make([]float64, 0, n)
-	st.V = make([]float64, 0, n)
-	for _, p := range params.List() {
-		m, v := a.m[p], a.v[p]
-		if m == nil {
-			m = make([]float64, p.Size())
-			v = make([]float64, p.Size())
-		}
-		st.M = append(st.M, m...)
-		st.V = append(st.V, v...)
-	}
-	return st
+// CaptureState copies the optimizer's state.
+func (a *Adam) CaptureState() AdamState {
+	return AdamState{T: a.s.T, M: append([]float64(nil), a.s.M...), V: append([]float64(nil), a.s.V...)}
 }
 
-// RestoreState installs a captured state, keyed to the given parameter set
-// (which must have the same flattened length as the one captured from).
+// RestoreState installs a captured state for the given parameter set: nil
+// moments of an untouched optimizer, or moments of the set's flattened
+// length (as every capture before the first Step once stored them: zeros).
 func (a *Adam) RestoreState(params *nn.ParamSet, st AdamState) error {
 	n := params.Count()
-	if len(st.M) != n || len(st.V) != n {
+	untouched := st.T == 0 && len(st.M) == 0 && len(st.V) == 0
+	if !untouched && (len(st.M) != n || len(st.V) != n) {
 		return fmt.Errorf("optim: Adam state has %d/%d moments, parameter set has %d values",
 			len(st.M), len(st.V), n)
 	}
-	a.t = st.T
-	a.m = make(map[*nn.Param][]float64)
-	a.v = make(map[*nn.Param][]float64)
-	off := 0
-	for _, p := range params.List() {
-		size := p.Size()
-		a.m[p] = append([]float64(nil), st.M[off:off+size]...)
-		a.v[p] = append([]float64(nil), st.V[off:off+size]...)
-		off += size
-	}
+	a.s = AdamState{T: st.T, M: append([]float64(nil), st.M...), V: append([]float64(nil), st.V...)}
 	return nil
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update from the current gradients, which it leaves
+// for the caller to zero. The first Step sizes the moments to params; a later
+// Step over a set of another size panics.
 func (a *Adam) Step(params *nn.ParamSet) {
-	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	if n := params.Count(); a.s.M == nil {
+		a.s.M, a.s.V = make([]float64, n), make([]float64, n)
+	} else if len(a.s.M) != n {
+		panic(fmt.Sprintf("optim: Adam has %d moments, parameter set has %d values", len(a.s.M), n))
+	}
+	a.s.T++
+	bc1 := 1 - math.Pow(a.Beta1, float64(a.s.T))
+	bc2 := 1 - math.Pow(a.Beta2, float64(a.s.T))
+	off := 0
 	for _, p := range params.List() {
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float64, p.Size())
-			a.m[p] = m
-			a.v[p] = make([]float64, p.Size())
-		}
-		v := a.v[p]
+		m, v := a.s.M[off:off+p.Size()], a.s.V[off:off+p.Size()]
+		off += p.Size()
 		for i, g := range p.Grad.Data {
 			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*g)
 			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*g*g)

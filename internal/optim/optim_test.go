@@ -62,7 +62,7 @@ func TestAdamFirstStepMagnitude(t *testing.T) {
 
 func TestSharedParamUpdatedOnce(t *testing.T) {
 	// A parameter appearing in two layers must receive exactly one update
-	// per Step; ParamSet dedupes, and the optimizer keys state by pointer.
+	// per Step; ParamSet dedupes, and the optimizer's moments follow the set.
 	r := rng.New(4)
 	d1 := nn.NewDense(r, 2, 2, nn.ActLinear)
 	d2 := nn.NewDenseShared(d1.W, d1.B, nn.ActLinear)
@@ -96,10 +96,6 @@ func TestAdamStateIsolatedPerParam(t *testing.T) {
 	}
 }
 
-func TestOptimizersImplementInterface(t *testing.T) {
-	var _ Optimizer = NewAdam(0.1)
-}
-
 func TestAdamNoNaNOnZeroGrad(t *testing.T) {
 	p := nn.NewParam("w", 2)
 	s := nn.NewParamSet()
@@ -113,4 +109,90 @@ func TestAdamNoNaNOnZeroGrad(t *testing.T) {
 			t.Fatal("Adam produced NaN on zero gradients")
 		}
 	}
+}
+
+// TestAdamStateRoundTrip: a state captured before the first Step (nil
+// moments), after k Steps, or in the layout captures had before the moments
+// were flat (full-length zeros at T=0) restores into a fresh Adam over an
+// identically built set and continues the uninterrupted run bit-for-bit.
+func TestAdamStateRoundTrip(t *testing.T) {
+	const k, total = 5, 12
+	// build makes two params so the moments span an offset.
+	build := func() (*nn.ParamSet, func()) {
+		r := rng.New(11)
+		a, b := nn.NewParam("a", 3), nn.NewParam("b", 4)
+		a.Value.Randn(r, 1)
+		b.Value.Randn(r, 1)
+		s := nn.NewParamSet()
+		s.Add(a, b)
+		grad := func() {
+			for _, p := range s.List() {
+				for i, v := range p.Value.Data {
+					p.Grad.Data[i] = 2*v - 1
+				}
+			}
+		}
+		return s, grad
+	}
+	run := func(opt *Adam, s *nn.ParamSet, grad func(), steps int) {
+		for i := 0; i < steps; i++ {
+			grad()
+			opt.Step(s)
+		}
+	}
+	sameBits := func(what string, want, got []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s: value %d = %v, uninterrupted run has %v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	s, grad := build()
+	opt := NewAdam(0.05)
+	fresh := opt.CaptureState()
+	if fresh.T != 0 || fresh.M != nil || fresh.V != nil {
+		t.Fatalf("untouched Adam captured %+v, want T=0 and nil moments", fresh)
+	}
+	run(opt, s, grad, k)
+	atK := opt.CaptureState()
+	valuesAtK := s.FlattenValues()
+	run(opt, s, grad, total-k)
+	want := s.FlattenValues()
+
+	n := s.Count()
+	for _, tc := range []struct {
+		name  string
+		st    AdamState
+		steps int
+	}{
+		{"T=0", fresh, 0},
+		{"old layout T=0", AdamState{M: make([]float64, n), V: make([]float64, n)}, 0},
+		{"T=k", atK, k},
+	} {
+		s2, grad2 := build()
+		if tc.steps > 0 {
+			s2.SetValues(valuesAtK)
+		}
+		opt2 := NewAdam(0.05)
+		if err := opt2.RestoreState(s2, tc.st); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		run(opt2, s2, grad2, total-tc.steps)
+		sameBits(tc.name, want, s2.FlattenValues())
+	}
+
+	short := AdamState{T: k, M: atK.M[1:], V: atK.V[1:]}
+	if err := NewAdam(0.05).RestoreState(s, short); err == nil {
+		t.Fatal("RestoreState accepted moments one value short")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Step over a larger parameter set did not panic")
+		}
+	}()
+	s.Add(nn.NewParam("c", 1))
+	opt.Step(s)
 }

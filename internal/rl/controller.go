@@ -156,7 +156,7 @@ type ControllerState struct {
 func (c *Controller) CaptureState() *ControllerState {
 	return &ControllerState{
 		Values: c.params.FlattenValues(),
-		Opt:    c.opt.CaptureState(c.params),
+		Opt:    c.opt.CaptureState(),
 		Rand:   c.rand.State(),
 	}
 }

@@ -57,35 +57,20 @@ import (
 	"nasgo/internal/trace"
 )
 
-// EpisodeState is one sampled architecture of an agent's current round.
-type EpisodeState struct {
-	Choices []int
-	OldLogP []float64
-	Reward  float64
-}
-
-// EvoAgentState is an EVO agent's population.
+// EvoAgentState is an EVO agent's population; Config.EvoPopulation caps it.
 type EvoAgentState struct {
 	Population []EvoMemberState
-	Capacity   int
 	Rand       rng.State
-}
-
-// EvoMemberState is one population member.
-type EvoMemberState struct {
-	Choices []int
-	Reward  float64
 }
 
 // AgentState is one agent's complete checkpointed state.
 type AgentState struct {
 	Phase    int
 	CurEpoch int
-	Episodes []EpisodeState
+	Episodes []rl.Episode
 	FailedEp []bool
 	Pending  int
 	Cached   int
-	Failed   int
 	// PendingJobs maps episode index → in-flight Balsam job ID (0 when the
 	// result has already been delivered).
 	PendingJobs []int64
@@ -102,7 +87,9 @@ type AgentState struct {
 }
 
 // Checkpoint is the complete state of an interrupted search: everything
-// needed to continue the run bit-for-bit in a later allocation.
+// needed to continue the run bit-for-bit in a later allocation. Each record
+// is stored in its live type, and a count the records already hold (cache
+// hits, failed estimations) is counted from them, never stored beside them.
 type Checkpoint struct {
 	Bench     string
 	SpaceName string
@@ -122,7 +109,6 @@ type Checkpoint struct {
 	EndTime       float64
 	CachedRounds  []int
 	PartialRounds int
-	FailedEvals   int
 
 	Agents  []AgentState
 	Eval    *evaluator.State
@@ -161,7 +147,6 @@ func (r *runner) restore(ck *Checkpoint, events []hpc.Event) error {
 	r.cachedRounds = append([]int(nil), ck.CachedRounds...)
 	r.converged = ck.Converged
 	r.partialRounds = ck.PartialRounds
-	r.failedEvals = ck.FailedEvals
 	r.allocations = ck.Allocations
 
 	if len(ck.Agents) != len(r.agents) {
@@ -226,7 +211,6 @@ func (r *runner) capture() *Checkpoint {
 		EndTime:       r.endTime,
 		CachedRounds:  append([]int(nil), r.cachedRounds...),
 		PartialRounds: r.partialRounds,
-		FailedEvals:   r.failedEvals,
 		Eval:          r.eval.CaptureState(),
 		Service:       r.service.CaptureState(),
 	}
@@ -268,32 +252,37 @@ func (a *agent) captureState() AgentState {
 		FailedEp:    append([]bool(nil), a.failedEp...),
 		Pending:     a.pending,
 		Cached:      a.cached,
-		Failed:      a.failed,
 		PendingJobs: append([]int64(nil), a.pendingJobs...),
 		PendingAvg:  append([]float64(nil), a.pendingAvg...),
 		Rand:        a.rand.State(),
 	}
 	for _, ep := range a.eps {
-		st.Episodes = append(st.Episodes, EpisodeState{
-			Choices: append([]int(nil), ep.Choices...),
-			OldLogP: append([]float64(nil), ep.OldLogP...),
-			Reward:  ep.Reward,
-		})
+		st.Episodes = append(st.Episodes, copyEpisode(*ep))
 	}
 	if a.ctrl != nil {
 		st.Ctrl = a.ctrl.CaptureState()
 	}
 	if a.evo != nil {
-		es := &EvoAgentState{Capacity: a.evo.capacity, Rand: a.evo.rand.State()}
-		for _, m := range a.evo.population {
-			es.Population = append(es.Population, EvoMemberState{
-				Choices: append([]int(nil), m.choices...),
-				Reward:  m.reward,
-			})
-		}
-		st.Evo = es
+		st.Evo = &EvoAgentState{Population: copyPopulation(a.evo.population), Rand: a.evo.rand.State()}
 	}
 	return st
+}
+
+// copyEpisode and copyPopulation deep-copy records between an agent and a
+// checkpoint, so neither ever writes into the other's slices: Allocate never
+// writes through the checkpoint it continues.
+func copyEpisode(ep rl.Episode) rl.Episode {
+	ep.Choices = append([]int(nil), ep.Choices...)
+	ep.OldLogP = append([]float64(nil), ep.OldLogP...)
+	return ep
+}
+
+func copyPopulation(pop []EvoMemberState) []EvoMemberState {
+	var out []EvoMemberState
+	for _, m := range pop {
+		out = append(out, EvoMemberState{Choices: append([]int(nil), m.Choices...), Reward: m.Reward})
+	}
+	return out
 }
 
 func (a *agent) restoreState(st *AgentState) error {
@@ -302,7 +291,6 @@ func (a *agent) restoreState(st *AgentState) error {
 	a.failedEp = append([]bool(nil), st.FailedEp...)
 	a.pending = st.Pending
 	a.cached = st.Cached
-	a.failed = st.Failed
 	a.pendingJobs = append([]int64(nil), st.PendingJobs...)
 	if len(st.PendingAvg) > 0 {
 		a.pendingAvg = append([]float64(nil), st.PendingAvg...)
@@ -310,11 +298,8 @@ func (a *agent) restoreState(st *AgentState) error {
 	a.rand.SetState(st.Rand)
 	a.eps = nil
 	for _, ep := range st.Episodes {
-		a.eps = append(a.eps, &rl.Episode{
-			Choices: append([]int(nil), ep.Choices...),
-			OldLogP: append([]float64(nil), ep.OldLogP...),
-			Reward:  ep.Reward,
-		})
+		ep = copyEpisode(ep)
+		a.eps = append(a.eps, &ep)
 	}
 	if st.Ctrl != nil {
 		if a.ctrl == nil {
@@ -328,15 +313,8 @@ func (a *agent) restoreState(st *AgentState) error {
 		if a.evo == nil {
 			return fmt.Errorf("search: checkpoint agent %d carries EVO state but strategy %q builds none", a.id, a.r.cfg.Strategy)
 		}
-		a.evo.capacity = st.Evo.Capacity
 		a.evo.rand.SetState(st.Evo.Rand)
-		a.evo.population = nil
-		for _, m := range st.Evo.Population {
-			a.evo.population = append(a.evo.population, evoMember{
-				choices: append([]int(nil), m.Choices...),
-				reward:  m.Reward,
-			})
-		}
+		a.evo.population = copyPopulation(st.Evo.Population)
 	}
 	return nil
 }

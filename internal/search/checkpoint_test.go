@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,6 +158,72 @@ func minimalCheckpoint() *Checkpoint {
 // TestCheckpointFileRejectsCorruption: a checkpoint file truncated at any
 // byte, bit-flipped, re-versioned, or extended is rejected with a
 // descriptive error — never a zero-valued checkpoint, never a panic.
+// evoFaultedCkpt is the first walltime cut (Walltime 600) of a faulted EVO
+// search — equivCfg(EVO, 94) with EvoPopulation 3 and MaxRetries -1 — as
+// written before checkpoints stored each record in its live type: it still
+// carries EvoAgentState.Capacity, AgentState.Failed, Checkpoint.FailedEvals
+// and evaluator.State.CacheHits, and its members and episodes as the copied
+// types of that code. It was recorded in a tree of commit 4919f4d
+// (git archive 4919f4d | tar -x) by a test there that ran
+//
+//	Allocate(candle.NewCombo(candle.Config{Seed: 94}), space.NewComboSmall(), cfg, nil, nil)
+//
+// with that cfg and wrote the returned checkpoint with WriteFileFS. That
+// test also ran the search uninterrupted; evoFaultedLogSHA is the SHA-256
+// of its log JSON with Config.Walltime zeroed.
+const (
+	evoFaultedCkpt   = "testdata/evo_faulted.ckpt"
+	evoFaultedLogSHA = "41ac6ec32ee3ad5a9f6e48e8ec81a35cc8d812933a0cf397504eb3d7144db292"
+)
+
+// TestShortOldEvoCheckpointRestores: the committed old-form EVO checkpoint,
+// cut with full populations and a failed episode in a round still in
+// flight, loads, continues to the end, and finishes with the log of the
+// uninterrupted run — the same run today and at the recording commit.
+func TestShortOldEvoCheckpointRestores(t *testing.T) {
+	raw, err := os.ReadFile(evoFaultedCkpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"Capacity", "FailedEvals", "CacheHits"} {
+		if !bytes.Contains(raw, []byte(field)) {
+			t.Fatalf("%s has no %s field: not the old-form checkpoint", evoFaultedCkpt, field)
+		}
+	}
+	ck, err := LoadCheckpointFS(fsim.OS, evoFaultedCkpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failedMidRound := false
+	for i, a := range ck.Agents {
+		if a.Evo == nil || len(a.Evo.Population) != ck.Config.EvoPopulation {
+			t.Fatalf("agent %d: population not full at the cut: %+v", i, a.Evo)
+		}
+		failedMidRound = failedMidRound || (a.Pending > 0 && slices.Contains(a.FailedEp, true))
+	}
+	if !failedMidRound || ck.Partial.FailedEvals == 0 {
+		t.Fatalf("cut carries no failure to restore (mid-round %v, FailedEvals %d)", failedMidRound, ck.Partial.FailedEvals)
+	}
+
+	sp := space.NewComboSmall()
+	bench := func() *candle.Benchmark { return candle.NewCombo(candle.Config{Seed: ck.Config.Seed}) }
+	log, next, err := Allocate(bench(), sp, Config{}, ck, nil)
+	for err == nil && next != nil {
+		log, next, err = Allocate(bench(), sp, Config{}, next, nil)
+	}
+	if err != nil {
+		t.Fatalf("continue old-form checkpoint: %v", err)
+	}
+	plainCfg := ck.Config
+	plainCfg.Walltime = 0
+	plain := Run(bench(), sp, plainCfg)
+	log.Config.Walltime = 0
+	if got, want := logSHA(t, plain), evoFaultedLogSHA; got != want {
+		t.Errorf("uninterrupted run's log sha256 %s, recorded %s", got, want)
+	}
+	diffJSON(t, "continued old-form EVO checkpoint", logJSON(t, plain), logJSON(t, log))
+}
+
 func TestCheckpointFileRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck")

@@ -19,14 +19,15 @@ const EVO = "evo"
 
 // evoState is one agent's population.
 type evoState struct {
-	population []evoMember
+	population []EvoMemberState
 	capacity   int
 	rand       *rng.Rand
 }
 
-type evoMember struct {
-	choices []int
-	reward  float64
+// EvoMemberState is one population member, live and in a checkpoint.
+type EvoMemberState struct {
+	Choices []int
+	Reward  float64
 }
 
 func newEvoState(capacity int, r *rng.Rand) *evoState {
@@ -46,11 +47,11 @@ func (s *evoState) propose(sp *space.Space) []int {
 	best := -1
 	for i := 0; i < 3; i++ {
 		k := s.rand.Intn(len(s.population))
-		if best < 0 || s.population[k].reward > s.population[best].reward {
+		if best < 0 || s.population[k].Reward > s.population[best].Reward {
 			best = k
 		}
 	}
-	parent := s.population[best].choices
+	parent := s.population[best].Choices
 	child := append([]int(nil), parent...)
 	// Mutate one decision to a different option.
 	d := s.rand.Intn(len(child))
@@ -67,7 +68,7 @@ func (s *evoState) propose(sp *space.Space) []int {
 
 // record adds an evaluated member, retiring the oldest when full.
 func (s *evoState) record(choices []int, reward float64) {
-	s.population = append(s.population, evoMember{choices: choices, reward: reward})
+	s.population = append(s.population, EvoMemberState{Choices: choices, Reward: reward})
 	if len(s.population) > s.capacity {
 		s.population = s.population[1:] // aging: drop the oldest
 	}

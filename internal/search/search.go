@@ -20,6 +20,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nasgo/internal/balsam"
@@ -258,7 +259,6 @@ type runner struct {
 	// partialRounds counts rounds completed with a partial batch after
 	// evaluation failures.
 	partialRounds int
-	failedEvals   int
 
 	// boundary is the current allocation's walltime cut in virtual seconds
 	// (+Inf when Walltime is disabled: never cut), and allocations counts
@@ -315,7 +315,6 @@ type agent struct {
 	failedEp []bool
 	pending  int
 	cached   int
-	failed   int
 
 	// Checkpointable control state.
 	phase    int
@@ -526,13 +525,19 @@ func (r *runner) buildLog() *Log {
 		UtilBucket:  60,
 		EndTime:     end,
 		Converged:   r.converged,
-		CacheHits:   r.eval.CacheHits,
 		Evaluations: r.service.Finished(),
 
 		NodeFailures:  r.service.NodeFailures(),
 		Retries:       r.service.Retries(),
-		FailedEvals:   r.failedEvals,
 		PartialRounds: r.partialRounds,
+	}
+	for _, res := range log.Results {
+		if res.Cached {
+			log.CacheHits++
+		}
+		if res.Failed {
+			log.FailedEvals++
+		}
 	}
 	if r.psrv != nil {
 		log.PS = r.psrv.Stats()
@@ -572,7 +577,6 @@ func (a *agent) startRound() {
 	a.curEpoch = 0
 	a.pending = m
 	a.cached = 0
-	a.failed = 0
 	a.failedEp = make([]bool, m)
 	a.pendingJobs = make([]int64, m)
 	for i, ep := range a.eps {
@@ -585,7 +589,6 @@ func (a *agent) startRound() {
 // in-flight job.
 func (a *agent) evalDone(i int) func(*evaluator.Result) {
 	return func(res *evaluator.Result) {
-		r := a.r
 		a.pendingJobs[i] = 0
 		a.eps[i].Reward = res.Reward
 		if res.Cached {
@@ -595,9 +598,7 @@ func (a *agent) evalDone(i int) func(*evaluator.Result) {
 			// The evaluator already converts non-finite rewards into failed
 			// results; the extra check here is defense in depth so a NaN can
 			// never reach a policy update through any future path.
-			a.failed++
 			a.failedEp[i] = true
-			r.failedEvals++
 		}
 		a.pending--
 		if a.pending == 0 {
@@ -610,10 +611,10 @@ func (a *agent) evalDone(i int) func(*evaluator.Result) {
 // failures it returns the batch slice itself, so fault-free runs follow the
 // exact original code path.
 func (a *agent) liveEps() []*rl.Episode {
-	if a.failed == 0 {
+	if !slices.Contains(a.failedEp, true) {
 		return a.eps
 	}
-	live := make([]*rl.Episode, 0, len(a.eps)-a.failed)
+	live := make([]*rl.Episode, 0, len(a.eps))
 	for i, ep := range a.eps {
 		if !a.failedEp[i] {
 			live = append(live, ep)
@@ -646,7 +647,7 @@ func (a *agent) roundDone() {
 				Node: trace.None, Agent: a.id})
 		}
 	}
-	if a.failed > 0 {
+	if slices.Contains(a.failedEp, true) {
 		// The round proceeds with whatever survived — the A2C barrier must
 		// never wait on a job the substrate has declared dead.
 		r.partialRounds++

@@ -368,8 +368,8 @@ func TestEvoProposeAndAging(t *testing.T) {
 		t.Fatalf("population grew: %d", len(st.population))
 	}
 	for _, m := range st.population {
-		if m.reward != 10 {
-			t.Fatalf("stale member (reward %g) survived aging", m.reward)
+		if m.Reward != 10 {
+			t.Fatalf("stale member (reward %g) survived aging", m.Reward)
 		}
 	}
 }

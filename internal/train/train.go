@@ -21,7 +21,7 @@ type Config struct {
 	Epochs    int
 	BatchSize int
 	// Optimizer defaults to Adam(0.001), the paper's setting.
-	Optimizer optim.Optimizer
+	Optimizer *optim.Adam
 	// MaxBatches, when positive, stops training after that many gradient
 	// steps regardless of epochs — the mechanism behind the reward-
 	// estimation timeout. Zero means no budget.
