@@ -31,10 +31,15 @@ type LSTM struct {
 	steps []lstmStep // steps[:depth] are the cached forward steps
 	depth int
 	// One step's temporaries: the hPrev×Wh product, the gate gradient and
-	// Wh's transpose, and the parameter-shaped gradient terms. dwx stays all
-	// +0 between calls: BackwardStep clears the rows it wrote.
-	zh, dz, whT  *tensor.Tensor
+	// the parameter-shaped gradient terms. dwx stays all +0 between calls:
+	// BackwardStep clears the rows it wrote.
+	zh, dz       *tensor.Tensor
 	dwx, dwh, db *tensor.Tensor
+	// whT is Wh's transpose for one BPTT pass. Wh changes only between
+	// passes, and every pass starts with a Step, which marks whT stale; the
+	// pass's first BackwardStep that needs it refreshes it.
+	whT      *tensor.Tensor
+	whTStale bool
 }
 
 type lstmStep struct {
@@ -94,6 +99,7 @@ func (l *LSTM) Step(x []int, hPrev, cPrev *tensor.Tensor) (h, c *tensor.Tensor) 
 	}
 	st := &l.steps[l.depth]
 	l.depth++
+	l.whTStale = true
 	st.x, st.hPrev, st.cPrev = x, hPrev, cPrev
 	st.gates = fit(st.gates, batch, 4*H)
 	st.tanhC = fit(st.tanhC, batch, H)
@@ -230,8 +236,11 @@ func (l *LSTM) BackwardStep(dh, dc *tensor.Tensor) (dhPrev, dcPrev *tensor.Tenso
 		tensor.AddInPlace(l.Wh.Grad, l.dwh)
 		st.dhPrev = fit(st.dhPrev, batch, H)
 		dhPrev = st.dhPrev
-		l.whT = fit(l.whT, 4*H, H)
-		tensor.TransposeInto(l.whT, l.Wh.Value)
+		if l.whTStale {
+			l.whT = fit(l.whT, 4*H, H)
+			tensor.TransposeInto(l.whT, l.Wh.Value)
+			l.whTStale = false
+		}
 		tensor.MatMulInto(dhPrev, dz, l.whT)
 	}
 	return dhPrev, dcPrev

@@ -629,6 +629,61 @@ func TestLSTMNilStateIsZeroState(t *testing.T) {
 	}
 }
 
+// TestLSTMWhTransposeFollowsWh pins the per-pass transpose of Wh that
+// BackwardStep multiplies by: after an Adam update of every parameter between
+// two passes, the second pass's state and parameter gradients equal, bit for
+// bit, those of a fresh cell built with the updated weights.
+func TestLSTMWhTransposeFollowsWh(t *testing.T) {
+	const in, hidden = 5, 4
+	xs := [][]int{{4, 0, 1}, {1, 2, 3}, {2, 0, 2}}
+	pass := func(l *LSTM) [][]float64 {
+		l.ResetCache()
+		for _, p := range l.Params() {
+			p.ZeroGrad()
+		}
+		var h, c *tensor.Tensor
+		for _, x := range xs {
+			h, c = l.Step(x, h, c)
+		}
+		dr := rng.New(3)
+		var dh, dc *tensor.Tensor
+		var out [][]float64
+		for range xs {
+			g := tensor.New(len(xs[0]), hidden)
+			g.Randn(dr, 1)
+			if dh != nil {
+				tensor.AddInPlace(g, dh)
+			}
+			if dh, dc = l.BackwardStep(g, dc); dh != nil {
+				out = append(out, append([]float64(nil), dh.Data...))
+			}
+		}
+		for _, p := range l.Params() {
+			out = append(out, append([]float64(nil), p.Grad.Data...))
+		}
+		return out
+	}
+	l := NewLSTM(rng.New(22), in, hidden)
+	pass(l)
+	for _, p := range l.Params() {
+		n := p.Size()
+		tensor.AdamUpdate(p.Value.Data, p.Grad.Data, make([]float64, n), make([]float64, n), 0.01, 0.9, 0.999, 1e-7, 1-0.9, 1-0.999)
+	}
+	got := pass(l)
+	fresh := NewLSTM(rng.New(23), in, hidden)
+	for i, p := range fresh.Params() {
+		copy(p.Value.Data, l.Params()[i].Value.Data)
+	}
+	want := pass(fresh)
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("gradient %d[%d] after the update: %g, fresh cell %g", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
 func TestLSTMDeterminism(t *testing.T) {
 	make_ := func() *tensor.Tensor {
 		r := rng.New(15)

@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"nasgo/internal/nn"
+	"nasgo/internal/tensor"
 )
 
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction,
@@ -72,12 +73,6 @@ func (a *Adam) Step(params *nn.ParamSet) {
 	for _, p := range params.List() {
 		m, v := a.s.M[off:off+p.Size()], a.s.V[off:off+p.Size()]
 		off += p.Size()
-		for i, g := range p.Grad.Data {
-			m[i] = float64(a.Beta1*m[i]) + float64((1-a.Beta1)*g)
-			v[i] = float64(a.Beta2*v[i]) + float64((1-a.Beta2)*g*g)
-			mHat := m[i] / bc1
-			vHat := v[i] / bc2
-			p.Value.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+		tensor.AdamUpdate(p.Value.Data, p.Grad.Data, m, v, a.LR, a.Beta1, a.Beta2, a.Eps, bc1, bc2)
 	}
 }

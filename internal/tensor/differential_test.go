@@ -148,22 +148,43 @@ func matmulShapes(r *rng.Rand) [][3]int {
 	return shapes
 }
 
-// laneShapes walk the unrolled kernel's lanes: k across every residue of the
-// four-way unroll on both sides of a blockK boundary, n across short and odd
-// row lengths on both sides of addRows4's four-wide vectors, m across single
-// rows and odd counts; {523, 130, n} adds a tall, odd row count past one k
-// block.
+// laneShapes walk the kernels' lanes: k across every residue of the four-way
+// unroll on both sides of a blockK boundary, and 0; n across short and odd
+// row lengths and both sides of the tile's 16 columns and its 1–15-column
+// masked tail, and 0; m across single rows, odd counts and 0. {523, 130, n}
+// adds a tall, odd row count past one k block.
 func laneShapes() [][3]int {
 	var shapes [][3]int
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 63, 128} {
-		for _, m := range []int{1, 2, 3, 5, 16, 17} {
-			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 127, 128, 129, 130, 131, 300} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 128} {
+		for _, m := range []int{0, 1, 2, 3, 5, 16, 17} {
+			for _, k := range []int{0, 1, 2, 3, 4, 5, 6, 7, 127, 128, 129, 130, 131, 300} {
 				shapes = append(shapes, [3]int{m, k, n})
 			}
 		}
 		shapes = append(shapes, [3]int{523, 130, n})
 	}
 	return shapes
+}
+
+// fence is the NaN a fenced destination's sentinels hold.
+const fence = 0x7ff8_0000_dead_beef
+
+// fenced returns a NaN-filled [m,n] destination that is a view into a longer
+// slice with 16 sentinels on each side, and a check that they are intact: a
+// masked store past the end of the last row lands on them.
+func fenced(t *testing.T, m, n int) (*Tensor, func(what string)) {
+	buf := make([]float64, 16+m*n+16)
+	for i := range buf {
+		buf[i] = math.Float64frombits(fence)
+	}
+	return FromSlice(buf[16:16+m*n], m, n), func(what string) {
+		t.Helper()
+		for i, v := range buf {
+			if (i < 16 || i >= 16+m*n) && math.Float64bits(v) != fence {
+				t.Fatalf("%s: sentinel %d of the %d-element destination's fence is %g", what, i-16, m*n, v)
+			}
+		}
+	}
 }
 
 // kernelPath is one of matmulRows' paths and the value of lanes that selects
@@ -189,12 +210,20 @@ func setLanes(tb testing.TB, on bool) {
 	tb.Cleanup(func() { lanes = old })
 }
 
-// onPaths runs f as one subtest per kernel path.
+// half is 0.5 in a variable, so the compiler cannot fold tiny·half.
+var half = 0.5
+
+// onPaths runs f as one subtest per kernel path. After it, a subnormal
+// product must still be subnormal: a kernel that left FTZ or DAZ set in
+// MXCSR would flush it, and every later reference computed in Go with it.
 func onPaths(t *testing.T, f func(t *testing.T)) {
 	for _, p := range kernelPaths() {
 		t.Run(p.name, func(t *testing.T) {
 			setLanes(t, p.lanes)
 			f(t)
+			if tiny := math.Float64frombits(2); tiny*half == 0 {
+				t.Fatal("a subnormal product flushes to zero after the kernels ran")
+			}
 		})
 	}
 }
@@ -242,7 +271,7 @@ func specials(r *rng.Rand, regime int, a, b *Tensor, m, n int) {
 				x.t.Data[i] = float64(1+r.Intn(1<<20)) * math.SmallestNonzeroFloat64 * float64(1-2*r.Intn(2))
 			}
 		}
-		for ; regime == 2 && x.infs > 0; x.infs-- {
+		for ; regime == 2 && x.infs > 0 && len(x.t.Data) > 0; x.infs-- {
 			x.t.Data[r.Intn(len(x.t.Data))] = math.Inf(1 - 2*r.Intn(2))
 		}
 	}
@@ -252,7 +281,7 @@ func specials(r *rng.Rand, regime int, a, b *Tensor, m, n int) {
 // path, into NaN-filled destinations: the kernel sums every element over k in
 // index order from +0, so unrolling, blocking and vector lanes may not move a
 // single ulp, and it may not rely on what dst held. The lane shapes carry
-// −0, subnormals and ±Inf.
+// −0, subnormals and ±Inf, into fenced destinations.
 func TestMatMulDifferential(t *testing.T) {
 	onPaths(t, func(t *testing.T) {
 		r := rng.New(101)
@@ -267,9 +296,11 @@ func TestMatMulDifferential(t *testing.T) {
 			m, k, n := s[0], s[1], s[2]
 			a, b := randTensor(r, m, k), randTensor(r, k, n)
 			specials(r, i%3, a, b, m, n)
-			dst := dirty(m, n)
+			dst, intact := fenced(t, m, n)
 			MatMulInto(dst, a, b)
-			sameProduct(t, fmt.Sprintf("MatMulInto %v regime %d", s, i%3), dst, naiveMatMul(a, b))
+			what := fmt.Sprintf("MatMulInto %v regime %d", s, i%3)
+			sameProduct(t, what, dst, naiveMatMul(a, b))
+			intact(what)
 		}
 	})
 }
@@ -290,9 +321,11 @@ func TestMatMulTransADifferential(t *testing.T) {
 			m, k, n := s[0], s[1], s[2]
 			a, b := randTensor(r, k, m), randTensor(r, k, n)
 			specials(r, i%3, a, b, m, n)
-			dst := dirty(m, n)
+			dst, intact := fenced(t, m, n)
 			MatMulTransAInto(dst, a, b)
-			sameProduct(t, fmt.Sprintf("MatMulTransAInto %v regime %d", s, i%3), dst, naiveMatMulTransA(a, b))
+			what := fmt.Sprintf("MatMulTransAInto %v regime %d", s, i%3)
+			sameProduct(t, what, dst, naiveMatMulTransA(a, b))
+			intact(what)
 		}
 	})
 }
@@ -426,10 +459,13 @@ func TestMatMulTransBDifferential(t *testing.T) {
 			m, k, n := s[0], s[1], s[2]
 			a, b := randTensor(r, m, k), randTensor(r, n, k)
 			specials(r, i%3, a, b, m, n)
-			bt, dst := dirty(k, n), dirty(m, n)
+			bt := dirty(k, n)
+			dst, intact := fenced(t, m, n)
 			TransposeInto(bt, b)
 			MatMulInto(dst, a, bt)
-			sameProduct(t, fmt.Sprintf("A×Bᵀ %v regime %d", s, i%3), dst, naiveMatMulTransB(a, b))
+			what := fmt.Sprintf("A×Bᵀ %v regime %d", s, i%3)
+			sameProduct(t, what, dst, naiveMatMulTransB(a, b))
+			intact(what)
 		}
 	})
 }

@@ -7,8 +7,15 @@ import "fmt"
 // block (blockK × n) is what stays in cache, not all of B.
 const blockK = 128
 
-// lanes selects addRows4 for matmulRows' four-row pass: true where the CPU
-// has AVX. Tests clear it to hold the Go loop to the same references.
+// blockN is the lanes path's column blocking factor: every row pair's tile
+// sweeps the same blockK × blockN block of B, which stays in cache, before
+// the next block. A tile walks each 16 columns down the k-block, so without
+// it a wide k-block (1 MB at n = 1000) streams past once per row pair.
+const blockN = 128
+
+// lanes selects the AVX kernels (tile for matmulRows, adamLanes for
+// AdamUpdate): true where the CPU has AVX. Tests clear it to hold the Go
+// loops to the same references.
 var lanes = hasAVX()
 
 // MatMulInto computes dst = A×B for rank-2 tensors of shapes [m,k] and
@@ -56,17 +63,30 @@ func checkProduct(op string, dst, a, b *Tensor, transA bool) {
 // adding 0·b changes no bit for a finite b; for a non-finite b it yields the
 // IEEE NaN. Sparse structure is the caller's to exploit (nn.LSTM's one-hot).
 //
-// On amd64 with AVX the four-row pass over a row of n ≥ 4 runs as addRows4,
-// four j per vector multiply and add; shorter rows stay in Go, where the
-// call would cost more than the lanes save. Each lane performs the Go loop's
-// two rounded operations in the Go loop's order, so the bits are the same;
-// the Go loop stays the reference, and the one that runs everywhere else.
+// On amd64 with AVX each k-block of each pair of rows (and an odd last row)
+// is one call of tile per blockN columns. It keeps 2×16 sums in registers
+// across the block, four j per vector multiply and add, and starts the first
+// block's sums at +0. Each lane performs the Go loop's two rounded
+// operations in the Go loop's order, so the bits are the same; the Go loop
+// stays the reference, and the one that runs everywhere else.
 //
-// The kernel zeroes out first, so out may hold anything on entry.
+// out may hold anything on entry.
 func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor) {
 	m, k, n := out.Shape[0], b.Shape[0], b.Shape[1]
 	od, bd := out.Data, b.Data
-	vector := lanes && n >= 4
+	if lanes && k > 0 && n > 0 {
+		for k0 := 0; k0 < k; k0 += blockK {
+			k1 := min(k0+blockK, k)
+			for j0 := 0; j0 < n; j0 += blockN {
+				cols := min(blockN, n-j0)
+				for i := 0; i < m; i += 2 {
+					o := od[i*n+j0 : (min(i+2, m)-1)*n+j0+cols]
+					tile(o, ad[i*ar+k0*ax:], bd[k0*n+j0:], cols, n, k1-k0, ar, ax, k0 == 0)
+				}
+			}
+		}
+		return
+	}
 	clear(od[:m*n])
 	for k0 := 0; k0 < k; k0 += blockK {
 		k1 := min(k0+blockK, k)
@@ -78,10 +98,6 @@ func matmulRows(out *Tensor, ad []float64, ar, ax int, b *Tensor) {
 			for ; x+4 <= k1; x += 4 {
 				ai := i*ar + x*ax
 				a0, a1, a2, a3 := ad[ai], ad[ai+ax], ad[ai+2*ax], ad[ai+3*ax]
-				if vector {
-					addRows4(o, bd[x*n:][:4*n], a0, a1, a2, a3)
-					continue
-				}
 				b0 := bd[x*n:][:len(o)]
 				b1 := bd[(x+1)*n:][:len(o)]
 				b2 := bd[(x+2)*n:][:len(o)]

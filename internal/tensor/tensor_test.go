@@ -453,8 +453,9 @@ func TestGlorotUniformBounds(t *testing.T) {
 }
 
 // BenchmarkMatMulShapes is the kernel loop: the three matmul forms over the
-// shapes live training actually issues (batch 16 through Combo-small layers,
-// a 1024-row Evaluate chunk, batch 4 through the controller's 32-unit LSTM; A
+// shapes live training actually issues (batch 16 through Combo-small layers
+// and its one-output regression head, a 1024-row Evaluate chunk, batch 4
+// through the controller's 32-unit LSTM; A
 // carries the ~20 % exact zeros a ReLU leaves), plus two large products that
 // guard the loop nest against a cache cliff outside that traffic. Each row is
 // m×k×n of the OUTPUT: [m,n] summed over k, run once per kernel path (/avx,
@@ -466,8 +467,9 @@ func BenchmarkMatMulShapes(b *testing.B) {
 		m, k, n int
 	}{
 		{"AxB", 16, 120, 63}, {"AxB", 16, 63, 31}, {"AxB", 16, 120, 6}, {"AxB", 4, 32, 128},
-		{"AxB", 16, 120, 32},   // the shape behind benchmark's tensor.matmul_gflops
-		{"AxB", 1024, 120, 63}, // an Evaluate chunk
+		{"AxB", 16, 120, 32},                     // the shape behind benchmark's tensor.matmul_gflops
+		{"AxB", 1024, 120, 63},                   // an Evaluate chunk
+		{"AxB", 16, 63, 1}, {"AxB", 1024, 63, 1}, // the regression head
 		{"ATxB", 120, 16, 63}, {"ATxB", 63, 16, 31}, {"ATxB", 32, 4, 128},
 		{"AxBT", 16, 63, 120},
 		{"AxB", 512, 512, 512}, {"AxB", 16, 1000, 1000}, // cliff guards

@@ -40,6 +40,8 @@ if [ -n "$fused" ]; then
     exit 1
 fi
 go test -short ./...
+# Every kernel benchmark row runs once, /avx and /go, so none rots unseen.
+go test -run '^$' -bench . -benchtime 1x ./internal/tensor >/dev/null
 # nas-bench's loop, end to end: the torture experiment (~15 s) panics on any
 # violated durability invariant, the restart experiment (~25 s) walks search
 # checkpoints across walltime cuts and so rides on the simulator's event

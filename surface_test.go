@@ -179,13 +179,32 @@ func TestSerialKernels(t *testing.T) {
 	})
 }
 
-// fusedOp matches the x86 fused multiply-add mnemonics.
-var fusedOp = regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
+var (
+	// fusedOp matches the x86 fused multiply-add mnemonics.
+	fusedOp = regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
+	// avx512Reg matches the registers only AVX-512 has: Z, the K masks and
+	// X16–X31/Y16–Y31.
+	avx512Reg = regexp.MustCompile(`\b(Z[0-9]+|K[0-7]|[XY](1[6-9]|2[0-9]|3[01]))\b`)
+	// asmMacro matches a #define's name and parameters; its body follows.
+	asmMacro = regexp.MustCompile(`^#define\s+(\w+)(\([^)]*\))?`)
+)
+
+// avx1Ops are the vector instructions the module's assembly may use, all of
+// them AVX1: hasAVX checks for no more, and an AVX2, FMA or AVX-512
+// instruction would fault on a CPU that has only AVX, which no host here
+// can show. A new one joins the list once it is checked to be AVX1.
+var avx1Ops = map[string]bool{
+	"VADDPD": true, "VBROADCASTSD": true, "VDIVPD": true, "VMASKMOVPD": true, "VMOVUPD": true,
+	"VMULPD": true, "VSQRTPD": true, "VSUBPD": true, "VXORPD": true, "VZEROUPPER": true,
+}
 
 // TestNoFusedAssembly: internal/tensor holds the module's only assembly, and
 // no instruction in it is a fused multiply-add, which rounds once where the
 // Go loop it stands in for rounds twice (DESIGN §6). check.sh's arm64 gate
-// holds compiled Go to the same rule.
+// holds compiled Go to the same rule. Every vector instruction, in macro
+// bodies too, is on avx1Ops; no operand is an AVX-512 register, and
+// VBROADCASTSD reads memory (its register form is AVX2); nor does any line
+// hide an instruction in raw bytes.
 func TestNoFusedAssembly(t *testing.T) {
 	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".s") {
@@ -199,10 +218,35 @@ func TestNoFusedAssembly(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for i, line := range strings.Split(string(src), "\n") {
+		lines := strings.Split(string(src), "\n")
+		macros := map[string]bool{}
+		for _, line := range lines {
+			if m := asmMacro.FindStringSubmatch(line); m != nil {
+				macros[m[1]] = true
+			}
+		}
+		for i, line := range lines {
 			code, _, _ := strings.Cut(line, "//")
 			if op := fusedOp.FindString(code); op != "" {
 				t.Errorf("%s:%d: fused multiply-add %s", file, i+1, op)
+			}
+			if reg := avx512Reg.FindString(code); reg != "" {
+				t.Errorf("%s:%d: AVX-512 register %s", file, i+1, reg)
+			}
+			code = strings.TrimSuffix(strings.TrimSpace(code[len(asmMacro.FindString(code)):]), "\\")
+			for _, stmt := range strings.Split(code, ";") {
+				f := strings.FieldsFunc(stmt, func(r rune) bool { return r == ' ' || r == '\t' || r == '(' || r == ',' })
+				if len(f) == 0 || macros[f[0]] {
+					continue
+				}
+				switch op := f[0]; {
+				case op == "BYTE" || op == "WORD" || op == "LONG" || op == "QUAD":
+					t.Errorf("%s:%d: raw instruction bytes %s", file, i+1, op)
+				case op[0] == 'V' && !avx1Ops[op]:
+					t.Errorf("%s:%d: %s is not on the AVX1 list", file, i+1, op)
+				case op == "VBROADCASTSD" && !strings.Contains(strings.Split(stmt, ",")[0], "("):
+					t.Errorf("%s:%d: VBROADCASTSD from a register is AVX2", file, i+1)
+				}
 			}
 		}
 		return nil
