@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -73,6 +74,32 @@ func TestAtomicWriteFailedWriteRemovesTemp(t *testing.T) {
 	}
 	if payload, _, err := ReadFileFS(mem, "/s/target", "testmag0", 1); err != nil || string(payload) != "old" {
 		t.Fatalf("target perturbed by failed write: %q, %v", payload, err)
+	}
+}
+
+// TestAtomicWriteSyncErrorKeepsTarget: when the temp file's fsync fails, the
+// write surfaces a transient error that claims no corruption, the target
+// keeps its previous bytes and no temp file is left behind.
+func TestAtomicWriteSyncErrorKeepsTarget(t *testing.T) {
+	mem := fsim.NewMemFS()
+	mem.MkdirAll("/s", 0o755)
+	mem.SyncDir("/s")
+	if err := WriteFileFS(mem, "/s/target", "testmag0", 1, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	before, err := mem.ReadFile("/s/target")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = WriteFileFS(fsim.NewFaultFS(mem, fsim.Faults{SyncErrEvery: 1}), "/s/target", "testmag0", 1, []byte("new payload"))
+	if err == nil || !IsTransient(err) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("want a transient, non-corrupt error, got %v", err)
+	}
+	if after, err := mem.ReadFile("/s/target"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("target perturbed by a failed sync: %q, %v", after, err)
+	}
+	if entries, err := mem.ReadDir("/s"); err != nil || len(entries) != 1 || entries[0].Name() != "target" {
+		t.Fatalf("temp file left behind: %v, %v", entries, err)
 	}
 }
 

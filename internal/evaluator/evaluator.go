@@ -322,13 +322,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		e.caches[cacheID] = cache
 	}
 	if prev, ok := cache[string(kb)]; ok {
-		if e.sem != nil {
-			// The entry may still be training on the worker pool (optimistic
-			// insert); join it before copying. The join can evict a diverged
-			// training — then this submission is a miss, exactly as with an
-			// inline future, which was evicted before its Submit returned.
-			e.resolve(e.pendingRecord(prev))
-		}
+		e.join(prev)
 		if _, still := cache[string(kb)]; still {
 			e.sim.Recorder().Emit(trace.Event{Cat: trace.CatEval, Name: trace.EvCacheHit,
 				Node: trace.None, Agent: agentID, Detail: prev.Key})
@@ -366,7 +360,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		Duration: plan.Duration,
 	}
 	// The cache insert happens at submit time, so duplicate submissions in
-	// flight still hit; resolve undoes it if the estimation diverges. The
+	// flight still hit; settle undoes it if the estimation diverges. The
 	// reward is revealed when the virtual task completes.
 	cache[key] = res
 	rec := &inflightRecord{res: res, cacheID: cacheID, inCache: true}
@@ -378,7 +372,7 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 		Key:      key,
 		Duration: plan.Duration,
 		TimedOut: plan.TimedOut,
-		OnDone:   e.jobOnDone(res, cacheID, onDone),
+		OnDone:   e.jobOnDone(rec, onDone),
 	})
 	e.inflight[id] = rec
 	return id
@@ -386,25 +380,20 @@ func (e *Evaluator) Submit(agentID int, choices []int, onDone func(*Result)) int
 
 // jobOnDone builds the completion callback of one in-flight task. Factored
 // out so Relink can rebuild the exact same callback on a restored service.
-func (e *Evaluator) jobOnDone(res *Result, cacheID int, onDone func(*Result)) func(*balsam.Job) {
+func (e *Evaluator) jobOnDone(rec *inflightRecord, onDone func(*Result)) func(*balsam.Job) {
 	return func(j *balsam.Job) {
 		// Join the training future first (no-op for an inline one): this is
 		// THE synchronization point of the worker pool, on the virtual
 		// timeline, before any shared state below is touched.
-		e.resolve(e.inflight[j.ID])
+		e.resolve(rec)
 		delete(e.inflight, j.ID)
+		res := rec.res
 		res.FinishTime = e.sim.Now()
 		res.Attempts = j.Attempts
 		if j.State == balsam.StateFailed {
-			// Every attempt was killed by a node failure: no reward,
-			// and the estimation must not be served from cache later.
-			res.Failed = true
-			res.Err = "all execution attempts killed by node failures"
-			res.Reward = 0
+			// Every attempt was killed by a node failure.
+			e.fail(rec, "all execution attempts killed by node failures")
 			res.TimedOut = false
-			if cache := e.caches[cacheID]; cache[res.Key] == res {
-				delete(cache, res.Key)
-			}
 		}
 		e.record(res)
 		onDone(res)
@@ -592,7 +581,7 @@ type InflightState struct {
 	JobID   int64
 	CacheID int
 	// InCache says whether the result occupies its agent's cache (false for
-	// a diverged estimation, which resolve marked Failed and evicted).
+	// a diverged estimation, which fail marked Failed and evicted).
 	InCache bool
 	Result  Result
 }
@@ -693,7 +682,7 @@ func (e *Evaluator) Relink(jobID int64, onDone func(*Result)) {
 	if job == nil {
 		panic(fmt.Sprintf("evaluator: in-flight job %d missing from restored service", jobID))
 	}
-	job.OnDone = e.jobOnDone(rec.res, rec.cacheID, onDone)
+	job.OnDone = e.jobOnDone(rec, onDone)
 }
 
 // InflightCount returns the number of in-flight reward estimations.

@@ -83,35 +83,48 @@ func (e *Evaluator) resolve(rec *inflightRecord) {
 	e.settle(rec, fut.reward)
 }
 
-// settle makes the one cache/failure decision of the pipeline: a diverged
-// estimation (NaN/Inf reward) must surface as a failed evaluation, not
-// poison the agent's policy update or the cache, so the submit-time cache
-// insert is undone before anyone observes it. The virtual task still runs,
-// so timing dynamics are unchanged.
+// settle reveals an estimation's shaped reward. A diverged estimation
+// (NaN/Inf reward) must surface as a failed evaluation, not poison the
+// agent's policy update or the cache, so it fails before anyone observes
+// it. The virtual task still runs, so timing dynamics are unchanged.
 func (e *Evaluator) settle(rec *inflightRecord, reward float64) {
-	res := rec.res
-	res.Reward = reward
-	if !isFinite(res.Reward) {
-		res.Failed = true
-		res.Err = fmt.Sprintf("evaluator: non-finite reward %g", reward)
-		res.Reward = 0
-		if cache := e.caches[rec.cacheID]; cache[res.Key] == res {
-			delete(cache, res.Key)
-		}
-		rec.inCache = false
+	rec.res.Reward = reward
+	if !isFinite(reward) {
+		e.fail(rec, fmt.Sprintf("evaluator: non-finite reward %g", reward))
 	}
 }
 
-// pendingRecord finds the in-flight record owning res, if any. The scan is
-// bounded by the node count, so it is cheap; it only runs on cache hits
-// while the pool is enabled.
-func (e *Evaluator) pendingRecord(res *Result) *inflightRecord {
+// fail is the pipeline's one cache/failure decision: it marks rec's result
+// Failed with msg and reward 0, and evicts its cache entry, so a failed
+// estimation is never served as a hit. settle (a diverged estimation) and
+// jobOnDone (every attempt killed) call it.
+func (e *Evaluator) fail(rec *inflightRecord, msg string) {
+	res := rec.res
+	res.Failed = true
+	res.Err = msg
+	res.Reward = 0
+	if cache := e.caches[rec.cacheID]; cache[res.Key] == res {
+		delete(cache, res.Key)
+	}
+	rec.inCache = false
+}
+
+// join waits for a cache hit's entry if it is still training on the worker
+// pool (the optimistic insert) and settles it, before Submit copies it. The
+// join can evict a diverged training — then the submission is a miss,
+// exactly as with an inline estimation, which was evicted before its Submit
+// returned. The scan is bounded by the node count; with the pool off no
+// entry is pending.
+func (e *Evaluator) join(res *Result) {
+	if e.sem == nil {
+		return
+	}
 	for _, rec := range e.inflight {
 		if rec.res == res {
-			return rec
+			e.resolve(rec)
+			return
 		}
 	}
-	return nil
 }
 
 // drain resolves every pending future. CaptureState calls it so a

@@ -6,8 +6,6 @@ import (
 	"io/fs"
 	"sync"
 	"syscall"
-
-	"nasgo/internal/rng"
 )
 
 // Sentinel errors for injected conditions. Injected transient errors also
@@ -22,24 +20,13 @@ var (
 	ErrCrashed = errors.New("fsim: simulated power cut")
 )
 
-// Faults is a deterministic fault schedule. The zero value injects
-// nothing: a FaultFS over an empty schedule is operation-for-operation
-// identical to its base filesystem (the campaign zero-fault pin holds
-// this, mirroring the zero-value hpc.FaultModel rule). Probabilistic
-// fields draw from a stream seeded by Seed, one draw per qualifying
-// operation in operation order, so a single-writer replay injects the
-// identical faults.
+// Faults is a deterministic fault schedule: every field counts operations
+// or bytes, so a single-writer replay injects the identical faults. The
+// zero value injects nothing: a FaultFS over an empty schedule is
+// operation-for-operation identical to its base filesystem (the campaign
+// zero-fault pin holds this, mirroring the zero-value hpc.FaultModel rule).
+// Torn files come from DiskBudget's short write and from MemFS.CrashImage.
 type Faults struct {
-	// Seed seeds the injection stream (internal/rng).
-	Seed uint64
-
-	// ShortWriteProb is the probability a Write persists only a random
-	// proper prefix and then fails with EIO — a torn write.
-	ShortWriteProb float64
-	// WriteErrProb is the probability a Write fails with EIO before
-	// writing anything.
-	WriteErrProb float64
-
 	// WriteErrEvery fails every Nth Write with EIO (deterministic,
 	// counter-based; 0 disables). SyncErrEvery does the same for file
 	// Sync/SyncDir.
@@ -73,7 +60,6 @@ type FaultFS struct {
 	f    Faults
 
 	mu       sync.Mutex
-	rand     *rng.Rand
 	ops      int64
 	writes   int64
 	syncs    int64
@@ -84,7 +70,7 @@ type FaultFS struct {
 
 // NewFaultFS wraps base with the given fault schedule.
 func NewFaultFS(base FS, f Faults) *FaultFS {
-	return &FaultFS{base: base, f: f, rand: rng.New(f.Seed)}
+	return &FaultFS{base: base, f: f}
 }
 
 // Ops returns the number of mutating operations attempted so far — the
@@ -290,8 +276,8 @@ func (f *faultFile) Read(p []byte) (int, error) {
 }
 
 // Write is one mutating operation per call. Injection order: power cut,
-// probabilistic EIO, counter EIO, torn write, then the disk budget —
-// which, like a real full disk, persists a prefix before ENOSPC.
+// counter EIO, then the disk budget — which, like a real full disk,
+// persists a prefix before ENOSPC.
 func (f *faultFile) Write(p []byte) (int, error) {
 	ffs := f.ffs
 	ffs.mu.Lock()
@@ -300,29 +286,17 @@ func (f *faultFile) Write(p []byte) (int, error) {
 		ffs.mu.Unlock()
 		return 0, err
 	}
-	if ffs.f.WriteErrProb > 0 && ffs.rand.Float64() < ffs.f.WriteErrProb {
-		ffs.injected++
-		ffs.mu.Unlock()
-		return 0, &injectedErr{op: "write", path: name, cause: syscall.EIO}
-	}
 	ffs.writes++
 	if ffs.f.WriteErrEvery > 0 && ffs.writes%ffs.f.WriteErrEvery == 0 {
 		ffs.injected++
 		ffs.mu.Unlock()
 		return 0, &injectedErr{op: "write", path: name, cause: syscall.EIO}
 	}
-	n, tornErr := len(p), error(nil)
-	if ffs.f.ShortWriteProb > 0 && len(p) > 0 && ffs.rand.Float64() < ffs.f.ShortWriteProb {
+	n, fullErr := len(p), error(nil)
+	if avail := ffs.f.DiskBudget - ffs.written; ffs.f.DiskBudget > 0 && int64(n) > avail {
 		ffs.injected++
-		n = ffs.rand.Intn(len(p))
-		tornErr = &injectedErr{op: "write", path: name, cause: syscall.EIO}
-	}
-	if ffs.f.DiskBudget > 0 {
-		if avail := ffs.f.DiskBudget - ffs.written; int64(n) > avail {
-			ffs.injected++
-			n = int(avail)
-			tornErr = &injectedErr{op: "write", path: name, cause: syscall.ENOSPC}
-		}
+		n = int(avail)
+		fullErr = &injectedErr{op: "write", path: name, cause: syscall.ENOSPC}
 	}
 	ffs.written += int64(n)
 	ffs.mu.Unlock()
@@ -331,7 +305,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	if err != nil {
 		return wrote, err
 	}
-	return wrote, tornErr
+	return wrote, fullErr
 }
 
 // Sync is one mutating operation. In SyncLies mode it reports success

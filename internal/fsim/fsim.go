@@ -18,11 +18,11 @@
 //     file content and directory entries each have a "visible now" and a
 //     "durable" version, advanced only by Sync and SyncDir. CrashImage
 //     returns the filesystem a power cut would leave behind.
-//   - FaultFS wraps any FS and injects deterministic faults from a seeded
-//     internal/rng stream: short writes, transient EIO, an ENOSPC byte
-//     budget, fsync lies, and a power cut at an exact mutating-operation
-//     index — the primitive the crash-point enumeration harness
-//     (internal/campaign's torture tests) is built on.
+//   - FaultFS wraps any FS and injects faults on a deterministic schedule:
+//     every-Nth EIO on writes or syncs, an ENOSPC byte budget whose last
+//     write is short, fsync lies, and a power cut at an exact
+//     mutating-operation index — the primitive the crash-point enumeration
+//     harness (internal/campaign's torture tests) is built on.
 package fsim
 
 import (

@@ -284,55 +284,6 @@ func TestFaultFSCrashAtEveryOp(t *testing.T) {
 	}
 }
 
-func TestFaultFSDeterministicInjection(t *testing.T) {
-	run := func() (injected int64, errs []string) {
-		ffs := NewFaultFS(NewMemFS(), Faults{Seed: 7, WriteErrProb: 0.5, ShortWriteProb: 0.3})
-		ffs.MkdirAll("/s", 0o755)
-		for i := 0; i < 40; i++ {
-			err := atomicReplace(t, ffs, "/s/f", []byte("deterministic payload bytes"))
-			if err != nil {
-				errs = append(errs, err.Error())
-			}
-		}
-		return ffs.Injected(), errs
-	}
-	i1, e1 := run()
-	i2, e2 := run()
-	if i1 == 0 {
-		t.Fatal("schedule injected nothing; probabilities too low for the op count")
-	}
-	if i1 != i2 || len(e1) != len(e2) {
-		t.Fatalf("same seed diverged: %d/%d faults, %d/%d errors", i1, i2, len(e1), len(e2))
-	}
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatalf("error %d diverged:\n%s\n%s", i, e1[i], e2[i])
-		}
-	}
-}
-
-func TestFaultFSShortWriteLeavesPrefix(t *testing.T) {
-	mem := NewMemFS()
-	mem.MkdirAll("/s", 0o755)
-	ffs := NewFaultFS(mem, Faults{Seed: 3, ShortWriteProb: 1})
-	f, err := ffs.Create("/s/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("0123456789")
-	n, err := f.Write(payload)
-	if !errors.Is(err, syscall.EIO) || !errors.Is(err, ErrInjected) {
-		t.Fatalf("short write error = %v", err)
-	}
-	if n >= len(payload) {
-		t.Fatalf("short write persisted %d of %d bytes", n, len(payload))
-	}
-	got, err := mem.ReadFile("/s/f")
-	if err != nil || !bytes.Equal(got, payload[:n]) {
-		t.Fatalf("prefix on disk = %q (n=%d), %v", got, n, err)
-	}
-}
-
 func TestFaultFSDiskBudget(t *testing.T) {
 	mem := NewMemFS()
 	mem.MkdirAll("/s", 0o755)
@@ -341,10 +292,14 @@ func TestFaultFSDiskBudget(t *testing.T) {
 	if n, err := f.Write([]byte("12345678")); n != 8 || err != nil {
 		t.Fatalf("within budget: %d, %v", n, err)
 	}
-	// Crossing the budget persists the prefix and reports ENOSPC.
+	// Crossing the budget persists the prefix and reports ENOSPC: a torn
+	// write, injected like a real one.
 	n, err := f.Write([]byte("abcdef"))
-	if n != 2 || !errors.Is(err, syscall.ENOSPC) {
+	if n != 2 || !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("over budget: n=%d err=%v", n, err)
+	}
+	if got, err := mem.ReadFile("/s/f"); err != nil || string(got) != "12345678ab" {
+		t.Fatalf("prefix on disk = %q, %v", got, err)
 	}
 	if _, err := f.Write([]byte("x")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("full disk write: %v", err)

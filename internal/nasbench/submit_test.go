@@ -45,10 +45,10 @@ func TestShortReplayMallocsPerSearch(t *testing.T) {
 	}
 }
 
-// TestShortBestResultIsTopOne: tournamentRun's one-pass best is TopK(1)[0],
-// on hand-built logs with reward ties, finish-time ties, failed results and
-// keys whose first result is a cache hit, on random logs of few rewards,
-// times and keys, and on replayed searches whose rewards all tie.
+// TestShortBestResultIsTopOne: Log.Best, tournamentRun's one-pass best, is
+// TopK(1)[0], on hand-built logs with reward ties, finish-time ties, failed
+// results and keys whose first result is a cache hit, on random logs of few
+// rewards, times and keys, and on replayed searches whose rewards all tie.
 func TestShortBestResultIsTopOne(t *testing.T) {
 	res := func(key string, reward, finish float64, cached, failed bool) *evaluator.Result {
 		return &evaluator.Result{Key: key, Reward: reward, FinishTime: finish, Cached: cached, Failed: failed}
@@ -93,8 +93,8 @@ func TestShortBestResultIsTopOne(t *testing.T) {
 		if top := (&search.Log{Results: results}).TopK(1); len(top) > 0 {
 			want = top[0]
 		}
-		if got := bestResult(results); got != want {
-			t.Errorf("%s: bestResult = %+v, TopK(1) = %+v", name, got, want)
+		if got := (&search.Log{Results: results}).Best(); got != want {
+			t.Errorf("%s: Best = %+v, TopK(1) = %+v", name, got, want)
 		}
 	}
 }

@@ -64,21 +64,12 @@ type Server struct {
 	sim *hpc.Sim
 	cfg Config
 
-	// Sync state. pendingAgents parallels pending so a checkpoint can
-	// reconstruct which agent is parked at the barrier.
-	pending       [][]float64
-	pendingAgents []int
-	waiters       []func([]float64)
-	// Async state.
-	window [][]float64
-	// Staleness accounting.
-	arrival      int64
-	lastExchange map[int]int64
-	staleSum     float64
-	staleN       int
-
-	exchanges int
-	rounds    int
+	// st holds the counters, the Async window and the Sync barrier in the
+	// form a checkpoint stores them. Its Inflight stays empty: deliveries
+	// live in the simulator's queue, where CaptureState reads them.
+	st State
+	// waiters parallels st.PendingAgents: each parked agent's continuation.
+	waiters []func([]float64)
 }
 
 // delivery is one averaged gradient on its way back to an agent, and the
@@ -108,51 +99,52 @@ func NewServer(sim *hpc.Sim, cfg Config) *Server {
 	if cfg.Window == 0 {
 		cfg.Window = 4
 	}
-	return &Server{sim: sim, cfg: cfg, lastExchange: map[int]int64{}}
+	return &Server{sim: sim, cfg: cfg, st: State{LastExchange: map[int]int64{}}}
 }
 
 // Exchange submits agentID's gradient; done fires (after the exchange
 // latency of virtual time) with the averaged gradient the agent should
 // apply. In Sync mode done fires only once the round's last agent arrives.
 func (s *Server) Exchange(agentID int, grad []float64, done func(avg []float64)) {
-	s.exchanges++
-	s.arrival++
-	if last, ok := s.lastExchange[agentID]; ok {
-		s.staleSum += float64(s.arrival - last - 1)
-		s.staleN++
+	st := &s.st
+	st.Exchanges++
+	st.Arrival++
+	if last, ok := st.LastExchange[agentID]; ok {
+		st.StaleSum += float64(st.Arrival - last - 1)
+		st.StaleN++
 	}
-	s.lastExchange[agentID] = s.arrival
+	st.LastExchange[agentID] = st.Arrival
 
 	switch s.cfg.Mode {
 	case Sync:
-		s.pending = append(s.pending, grad)
-		s.pendingAgents = append(s.pendingAgents, agentID)
+		st.PendingGrads = append(st.PendingGrads, grad)
+		st.PendingAgents = append(st.PendingAgents, agentID)
 		s.waiters = append(s.waiters, done)
 		s.sim.Recorder().Emit(trace.Event{Cat: trace.CatPS, Name: trace.EvBarrierWait,
-			Node: trace.None, Agent: agentID, Value: float64(len(s.pending))})
-		if len(s.pending) < s.cfg.Agents {
+			Node: trace.None, Agent: agentID, Value: float64(len(st.PendingGrads))})
+		if len(st.PendingGrads) < s.cfg.Agents {
 			return
 		}
-		avg := average(s.pending)
+		avg := average(st.PendingGrads)
 		waiters := s.waiters
-		agents := s.pendingAgents
-		s.pending = nil
-		s.pendingAgents = nil
+		agents := st.PendingAgents
+		st.PendingGrads = nil
+		st.PendingAgents = nil
 		s.waiters = nil
-		s.rounds++
+		st.Rounds++
 		s.sim.Recorder().Emit(trace.Event{Cat: trace.CatPS, Name: trace.EvBarrierRelease,
-			Node: trace.None, Agent: trace.None, Value: float64(s.rounds)})
+			Node: trace.None, Agent: trace.None, Value: float64(st.Rounds)})
 		for i, w := range waiters {
 			s.deliver(agents[i], avg, w)
 		}
 	case Async:
-		s.window = append(s.window, grad)
-		if len(s.window) > s.cfg.Window {
-			s.window = s.window[len(s.window)-s.cfg.Window:]
+		st.Window = append(st.Window, grad)
+		if len(st.Window) > s.cfg.Window {
+			st.Window = st.Window[len(st.Window)-s.cfg.Window:]
 		}
 		s.sim.Recorder().Emit(trace.Event{Cat: trace.CatPS, Name: trace.EvWindowFlush,
-			Node: trace.None, Agent: agentID, Value: float64(len(s.window))})
-		avg := average(s.window)
+			Node: trace.None, Agent: agentID, Value: float64(len(st.Window))})
+		avg := average(st.Window)
 		s.deliver(agentID, avg, done)
 	default:
 		panic(fmt.Sprintf("ps: unknown mode %d", s.cfg.Mode))
@@ -189,24 +181,11 @@ type State struct {
 	Inflight          []DeliveryState
 }
 
-// CaptureState snapshots the server. All slices are deep-copied, so the
-// state stays valid after the live server moves on. In-flight deliveries are
-// read from the simulator's queue, in (time, seq) order.
+// CaptureState snapshots the server: a deep copy of its state, so it stays
+// valid after the live server moves on, plus the in-flight deliveries read
+// from the simulator's queue, in (time, seq) order.
 func (s *Server) CaptureState() *State {
-	st := &State{
-		Exchanges:     s.exchanges,
-		Rounds:        s.rounds,
-		Arrival:       s.arrival,
-		LastExchange:  map[int]int64{},
-		StaleSum:      s.staleSum,
-		StaleN:        s.staleN,
-		Window:        copyGrads(s.window),
-		PendingGrads:  copyGrads(s.pending),
-		PendingAgents: append([]int(nil), s.pendingAgents...),
-	}
-	for id, a := range s.lastExchange {
-		st.LastExchange[id] = a
-	}
+	st := s.st.clone()
 	for _, ev := range s.sim.Pending() {
 		if d, ok := ev.Handler.(*delivery); ok {
 			st.Inflight = append(st.Inflight, DeliveryState{
@@ -228,18 +207,8 @@ func (s *Server) CaptureState() *State {
 // them to hpc.Sim.Resume together with every other component's frontier.
 func RestoreServer(sim *hpc.Sim, cfg Config, st *State, waiter func(agentID int) func([]float64)) (*Server, []hpc.Event) {
 	s := NewServer(sim, cfg)
-	s.exchanges = st.Exchanges
-	s.rounds = st.Rounds
-	s.arrival = st.Arrival
-	for id, a := range st.LastExchange {
-		s.lastExchange[id] = a
-	}
-	s.staleSum = st.StaleSum
-	s.staleN = st.StaleN
-	s.window = copyGrads(st.Window)
-	s.pending = copyGrads(st.PendingGrads)
-	s.pendingAgents = append([]int(nil), st.PendingAgents...)
-	for _, id := range s.pendingAgents {
+	s.st = *st.clone()
+	for _, id := range s.st.PendingAgents {
 		s.waiters = append(s.waiters, waiter(id))
 	}
 	var events []hpc.Event
@@ -248,6 +217,20 @@ func RestoreServer(sim *hpc.Sim, cfg Config, st *State, waiter func(agentID int)
 			s: s, agentID: d.AgentID, avg: append([]float64(nil), d.Avg...), fn: waiter(d.AgentID)}})
 	}
 	return s, events
+}
+
+// clone deep-copies st without its in-flight deliveries.
+func (st *State) clone() *State {
+	c := *st
+	c.LastExchange = make(map[int]int64, len(st.LastExchange))
+	for id, a := range st.LastExchange {
+		c.LastExchange[id] = a
+	}
+	c.Window = copyGrads(st.Window)
+	c.PendingGrads = copyGrads(st.PendingGrads)
+	c.PendingAgents = append([]int(nil), st.PendingAgents...)
+	c.Inflight = nil
+	return &c
 }
 
 func copyGrads(gs [][]float64) [][]float64 {
@@ -263,9 +246,9 @@ func copyGrads(gs [][]float64) [][]float64 {
 
 // Stats returns aggregate behaviour counters.
 func (s *Server) Stats() Stats {
-	st := Stats{Exchanges: s.exchanges, Rounds: s.rounds}
-	if s.staleN > 0 {
-		st.MeanStaleness = s.staleSum / float64(s.staleN)
+	st := Stats{Exchanges: s.st.Exchanges, Rounds: s.st.Rounds}
+	if s.st.StaleN > 0 {
+		st.MeanStaleness = s.st.StaleSum / float64(s.st.StaleN)
 	}
 	return st
 }

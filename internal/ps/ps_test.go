@@ -1,7 +1,9 @@
 package ps
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"nasgo/internal/hpc"
@@ -19,8 +21,8 @@ func TestSyncBarrier(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("barrier released early: %d deliveries", len(got))
 	}
-	if len(s.pending) != 2 {
-		t.Fatalf("pending = %d, want 2", len(s.pending))
+	if len(s.st.PendingGrads) != 2 {
+		t.Fatalf("pending = %d, want 2", len(s.st.PendingGrads))
 	}
 	sim.At(0, func() { s.Exchange(2, []float64{3, 3}, deliver) })
 	sim.RunAll()
@@ -136,4 +138,142 @@ func TestSyncRequiresAgents(t *testing.T) {
 		}
 	}()
 	NewServer(hpc.NewSim(), Config{Mode: Sync})
+}
+
+// psRun drives agents that exchange again the moment a delivery arrives, so
+// after the starts every pending event is one of the server's deliveries.
+type psRun struct {
+	sim    *hpc.Sim
+	srv    *Server
+	rounds []int // exchanges made, per agent
+	got    []delivered
+}
+
+type delivered struct {
+	agent            int
+	time, avg0, avg1 uint64
+}
+
+const runRounds = 6
+
+func (r *psRun) waiter(agent int) func([]float64) {
+	return func(avg []float64) {
+		r.got = append(r.got, delivered{agent, math.Float64bits(r.sim.Now()),
+			math.Float64bits(avg[0]), math.Float64bits(avg[1])})
+		r.exchange(agent)
+	}
+}
+
+func (r *psRun) exchange(agent int) {
+	k := r.rounds[agent]
+	if k == runRounds {
+		return
+	}
+	r.rounds[agent]++
+	grad := []float64{float64(agent+1) / float64(k+3), math.Sqrt(float64(7*agent + k))}
+	r.srv.Exchange(agent, grad, r.waiter(agent))
+}
+
+// scribble overwrites every value of s's state and of its queued
+// deliveries in place.
+func scribble(s *Server) {
+	for _, gs := range [][][]float64{s.st.Window, s.st.PendingGrads} {
+		for _, g := range gs {
+			for i := range g {
+				g[i] = -1
+			}
+		}
+	}
+	for id := range s.st.LastExchange {
+		s.st.LastExchange[id] = -1
+	}
+	for i := range s.st.PendingAgents {
+		s.st.PendingAgents[i] = -1
+	}
+	for _, ev := range s.sim.Pending() {
+		if d, ok := ev.Handler.(*delivery); ok {
+			for i := range d.avg {
+				d.avg[i] = -1
+			}
+		}
+	}
+}
+
+// TestShortStateRoundTrip: a server captured mid-run and restored onto a
+// fresh simulator through Resume makes the same deliveries (order, agent,
+// time and average, bit for bit) and ends with the same Stats as the run it
+// was cut from: in Sync mode mid-barrier with deliveries in flight, and in
+// Async mode with the window part full. The captured State is a copy:
+// writing over the live server after the capture, or over a server restored
+// from it, leaves it unchanged.
+func TestShortStateRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		steps int
+		check func(t *testing.T, st *State)
+	}{
+		{"sync mid-barrier", Config{Mode: Sync, Agents: 3, Latency: 0.5}, 4, func(t *testing.T, st *State) {
+			if len(st.PendingAgents) != 1 || len(st.Inflight) != 2 {
+				t.Fatalf("cut: %d parked, %d in flight; want 1 and 2", len(st.PendingAgents), len(st.Inflight))
+			}
+		}},
+		{"async mid-window", Config{Mode: Async, Window: 6, Latency: 1}, 5, func(t *testing.T, st *State) {
+			if len(st.Window) != 5 || len(st.Inflight) != 3 || st.StaleN == 0 {
+				t.Fatalf("cut: window %d, %d in flight, staleN %d; want 5, 3, > 0", len(st.Window), len(st.Inflight), st.StaleN)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runTo := func() *psRun {
+				r := &psRun{sim: hpc.NewSim(), rounds: make([]int, 3)}
+				r.srv = NewServer(r.sim, tc.cfg)
+				for agent, start := range []float64{0, 0.4, 0.9} {
+					agent := agent
+					r.sim.At(start, func() { r.exchange(agent) })
+				}
+				for i := 0; i < tc.steps; i++ {
+					r.sim.Step()
+				}
+				return r
+			}
+			live := runTo()
+			st := live.srv.CaptureState()
+			tc.check(t, st)
+			want := fmt.Sprint(*st)
+			cut := len(live.got)
+
+			resumed := &psRun{sim: hpc.NewSimAt(live.sim.Now()), rounds: append([]int(nil), live.rounds...)}
+			srv, events := RestoreServer(resumed.sim, tc.cfg, st, resumed.waiter)
+			resumed.srv = srv
+			resumed.sim.Resume(events)
+			resumed.sim.RunAll()
+			live.sim.RunAll()
+
+			if !reflect.DeepEqual(live.got[cut:], resumed.got) {
+				t.Errorf("deliveries after the cut differ:\nlive    %v\nresumed %v", live.got[cut:], resumed.got)
+			}
+			if len(resumed.got) == 0 {
+				t.Error("nothing delivered after the cut")
+			}
+			if a, b := live.srv.Stats(), resumed.srv.Stats(); a != b {
+				t.Errorf("stats: live %+v, resumed %+v", a, b)
+			}
+			if fmt.Sprint(*st) != want {
+				t.Error("running on after the capture changed the captured state")
+			}
+
+			again := runTo()
+			st = again.srv.CaptureState()
+			scribble(again.srv)
+			if fmt.Sprint(*st) != want {
+				t.Errorf("writing over the live server changed the captured state:\nwant %s\ngot  %s", want, fmt.Sprint(*st))
+			}
+			restored, _ := RestoreServer(hpc.NewSimAt(again.sim.Now()), tc.cfg, st, resumed.waiter)
+			scribble(restored)
+			if fmt.Sprint(*st) != want {
+				t.Errorf("writing over a restored server changed the state:\nwant %s\ngot  %s", want, fmt.Sprint(*st))
+			}
+		})
+	}
 }

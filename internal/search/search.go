@@ -227,19 +227,36 @@ func (l *Log) TopK(k int) []*evaluator.Result {
 	for _, r := range best {
 		all = append(all, r)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Reward != all[j].Reward {
-			return all[i].Reward > all[j].Reward
-		}
-		if all[i].FinishTime != all[j].FinishTime {
-			return all[i].FinishTime < all[j].FinishTime
-		}
-		return all[i].Key < all[j].Key
-	})
+	sort.Slice(all, func(i, j int) bool { return better(all[i], all[j]) })
 	if k > len(all) {
 		k = len(all)
 	}
 	return all[:k]
+}
+
+// Best is TopK(1)[0] (nil when every result failed) in one pass, with no
+// allocation: the first non-failed result of the least (−Reward,
+// FinishTime, Key). Results are in completion order, so that is the first
+// best-reward result of its key, as in TopK.
+func (l *Log) Best() *evaluator.Result {
+	var best *evaluator.Result
+	for _, r := range l.Results {
+		if !r.Failed && (best == nil || better(r, best)) {
+			best = r
+		}
+	}
+	return best
+}
+
+// better is TopK's order: higher reward, then earlier finish, then key.
+func better(a, b *evaluator.Result) bool {
+	if a.Reward != b.Reward {
+		return a.Reward > b.Reward
+	}
+	if a.FinishTime != b.FinishTime {
+		return a.FinishTime < b.FinishTime
+	}
+	return a.Key < b.Key
 }
 
 // runner orchestrates one search run on its own simulator.

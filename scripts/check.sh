@@ -141,15 +141,16 @@ go test -run '^$' -fuzz FuzzScenario -fuzztime 40s ./internal/search/
 # artifact: its WAL/table codec and replay backend decide whether thousands
 # of tournament searches are served the right rewards. rl joins with the
 # controller's arena: its golden and allocation pins are what hold the PPO
-# update bit-identical and allocation-free.
+# update bit-identical and allocation-free. ps joins with its checkpoint
+# round trip: a captured server must resume to the same deliveries.
 profile="$smoke/cover.out"
 go test -coverprofile="$profile" ./internal/trace/ ./internal/ckpt/ ./internal/fsim/ \
     ./internal/evaluator/ ./internal/tensor/ ./internal/nn/ ./internal/campaign/ \
-    ./internal/hpc/ ./internal/balsam/ ./internal/nasbench/ ./internal/rl/ >/dev/null
+    ./internal/hpc/ ./internal/balsam/ ./internal/nasbench/ ./internal/rl/ ./internal/ps/ >/dev/null
 total=$(go tool cover -func="$profile" | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 if ! awk -v t="$total" 'BEGIN { exit (t >= 85) ? 0 : 1 }'; then
-    echo "check.sh: trace+ckpt+fsim+evaluator+tensor+nn+campaign+hpc+balsam+nasbench+rl coverage ${total}% is below the 85% gate" >&2
+    echo "check.sh: trace+ckpt+fsim+evaluator+tensor+nn+campaign+hpc+balsam+nasbench+rl+ps coverage ${total}% is below the 85% gate" >&2
     exit 1
 fi
-echo "check.sh: trace+ckpt+fsim+evaluator+tensor+nn+campaign+hpc+balsam+nasbench+rl coverage ${total}%"
+echo "check.sh: trace+ckpt+fsim+evaluator+tensor+nn+campaign+hpc+balsam+nasbench+rl+ps coverage ${total}%"
 echo "check.sh: OK"

@@ -351,18 +351,16 @@ var optionAllow = map[string]string{
 	"evaluator.Config.Timeout": "ROADMAP item 6 re-pin window",
 	"evaluator.Config.RealLR":  "ROADMAP item 6 re-pin window",
 	// Test seams.
-	"data.ComboConfig.CellDim":   "unit tests generate small datasets",
-	"data.ComboConfig.DrugDim":   "unit tests generate small datasets",
-	"data.NT3Config.InputDim":    "unit tests generate small datasets",
-	"data.NT3Config.NTrain":      "unit tests generate small datasets",
-	"data.NT3Config.NVal":        "unit tests generate small datasets",
-	"data.UnoConfig.NTrain":      "unit tests generate small datasets",
-	"data.UnoConfig.NVal":        "unit tests generate small datasets",
-	"fsim.Faults.ShortWriteProb": "fsim.FaultFS is a library driven by tests; fsim's own tests script torn writes",
-	"fsim.Faults.WriteErrProb":   "fsim.FaultFS is a library driven by tests; fsim's own tests script random EIO",
-	"fsim.Faults.WriteErrEvery":  "fsim.FaultFS is a library driven by tests; ckpt and nasbench transient-I/O tests script EIO",
-	"fsim.Faults.SyncErrEvery":   "fsim.FaultFS is a library driven by tests; fsim's own tests script fsync EIO",
-	"fsim.Faults.DiskBudget":     "fsim.FaultFS is a library driven by tests; ckpt's ENOSPC test scripts a full disk",
+	"data.ComboConfig.CellDim":  "unit tests generate small datasets",
+	"data.ComboConfig.DrugDim":  "unit tests generate small datasets",
+	"data.NT3Config.InputDim":   "unit tests generate small datasets",
+	"data.NT3Config.NTrain":     "unit tests generate small datasets",
+	"data.NT3Config.NVal":       "unit tests generate small datasets",
+	"data.UnoConfig.NTrain":     "unit tests generate small datasets",
+	"data.UnoConfig.NVal":       "unit tests generate small datasets",
+	"fsim.Faults.WriteErrEvery": "fsim.FaultFS is a library driven by tests; ckpt and nasbench transient-I/O tests script EIO",
+	"fsim.Faults.SyncErrEvery":  "fsim.FaultFS is a library driven by tests; ckpt's TestAtomicWriteSyncErrorKeepsTarget scripts fsync EIO",
+	"fsim.Faults.DiskBudget":    "fsim.FaultFS is a library driven by tests; ckpt's ENOSPC test scripts a full disk",
 }
 
 var optionType = regexp.MustCompile(`(Config|Options)$|^Faults$|^Scale$`)
